@@ -5,7 +5,7 @@ two short bit vectors and a small graph up to isomorphism.  Statistics are
 exact rational polynomials in the input fidelity F, so protocols deduplicate
 and compare without any numerical tolerance.
 
-Pass --full to include n=7 and n=8 (about half a minute).
+Pass --full to include n=7 and n=8 (a few seconds).
 """
 
 import sys

@@ -233,8 +233,7 @@ class _CurveSet:
 
     def best_yield(self, n: int) -> np.ndarray:
         coeffs = np.concatenate([self.f[:, None, :], self.fis], axis=1) / self.p[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(coeffs > 0, np.log2(coeffs, where=coeffs > 0), 0.0)
+        logs = np.log2(coeffs, where=coeffs > 0, out=np.zeros_like(coeffs))
         entropy = -(coeffs * logs).sum(axis=1)
         rate = np.clip(1.0 - entropy, 0.0, None) * self.p / n
         return rate.max(axis=0)

@@ -79,6 +79,8 @@ class BellDiagonalState:
         object.__setattr__(self, "probs", probs)
         if probs.shape != (4**self.n,):
             raise ValueError(f"expected {4 ** self.n} probabilities")
+        if not np.isfinite(probs).all():
+            raise ValueError("non-finite probability entry")
         if probs.min() < -PROB_TOL:
             raise ValueError("negative probability entry")
         if abs(probs.sum() - 1.0) > PROB_TOL:
@@ -93,6 +95,8 @@ class BellDiagonalState:
         probs = np.ones(4**n)
         for i, pair in enumerate(pairs):
             pair = np.asarray(pair, dtype=float)
+            if pair.shape != (4,):
+                raise ValueError(f"pair {i} needs 4 coefficients (pI, pX, pY, pZ)")
             code = ((v >> i) & 1) | (((v >> (n + i)) & 1) << 1)
             probs *= pair[lut[code]]
         return cls(n, probs)
@@ -228,13 +232,34 @@ def werner_term_basis(n: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _werner_term_matrix(n: int, dtype) -> np.ndarray:
+    """3^n * werner_term_basis(n) as an integer (n+1, n+1) coefficient matrix.
+
+    Row w holds 3^w * F^w * (1-F)^(n-w), whose coefficients are at most 3^n
+    in magnitude.
+    """
+    scale = 3**n
+    rows = [
+        [int(c * scale) for c in p.coeffs] + [0] * (n + 1 - len(p.coeffs))
+        for p in werner_term_basis(n)
+    ]
+    return np.array(rows, dtype=dtype)
+
+
 def counts_to_poly(hist, n: int) -> RationalPolynomial:
-    basis = werner_term_basis(n)
-    acc = RationalPolynomial()
-    for w, c in enumerate(hist):
-        if c:
-            acc = acc + c * basis[w]
-    return acc
+    """Exact sum_w hist[w] * F^w * ((1-F)/3)^(n-w).
+
+    One integer product of the histogram with the scaled term matrix, in
+    int64 while sum|hist| * 3^n bounds every entry below 2^63 and in Python
+    integers otherwise.
+    """
+    hist = [int(c) for c in hist]
+    scale = 3**n
+    small = max(1, sum(map(abs, hist))) * scale < 2**63
+    terms = _werner_term_matrix(n, np.int64 if small else object)
+    coeffs = np.array(hist, dtype=terms.dtype) @ terms
+    return RationalPolynomial(Fraction(int(c), scale) for c in coeffs)
 
 
 def stats_from_counts(counts, n: int) -> DistStats:

@@ -10,18 +10,33 @@ yields every distinct protocol.
 
 The per-case work is a set of identity-weight histograms over the four
 preimage cosets; the batch engine below evaluates them vectorised over all
-graph classes at once, encoding each histogram into one 64-bit key.
+graph classes at once, encoding each histogram into one 64-bit key.  For a
+subset s of the non-kept pairs, each coset shifts the X-part by one of
+{0, a, b, a^b}, chosen by the parity b.s, so a shift table built once per n
+(identity weight per subset, shift and graph class) turns every (a, b) pair
+into one gather and one table lookup.  Deduplication hashes each 4-word key
+row to one word, takes the first case of every hash class, and then checks
+every row against its class's first row, falling back to an exact row-wise
+unique on any collision: the result is exact whatever the hash.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from .gf2 import SymplecticMatrix
-from .states import DistStats, stats_from_counts, werner_counts
+from .states import DistStats, stats_from_counts
+
+# werner_counts is no longer called here; it stays importable from this module
+# because perfbench/spans.py wraps it by name on bicliff.werner.
+from .states import werner_counts  # noqa: F401
 
 MAX_GRAPH_NODES = 7  # graphs on n-1 nodes for n up to 8
 
@@ -36,16 +51,23 @@ def _edge_list(m: int) -> list:
 
 
 def _permuted_mask_map(m: int, perm) -> np.ndarray:
-    """Map mask -> mask with vertices relabelled by perm, for all masks."""
+    """Map mask -> mask with vertices relabelled by perm, for all masks.
+
+    Edge bits are moved a byte at a time, through a 256-entry table of the
+    relabelled edges for each byte of the mask.
+    """
     edges = _edge_list(m)
     index = {e: k for k, e in enumerate(edges)}
+    target = [index[(min(perm[i], perm[j]), max(perm[i], perm[j]))] for i, j in edges]
     size = 1 << len(edges)
-    arr = np.arange(size, dtype=np.int64)
-    out = np.zeros(size, dtype=np.int64)
-    for k, (i, j) in enumerate(edges):
-        a, b = perm[i], perm[j]
-        t = index[(min(a, b), max(a, b))]
-        out |= ((arr >> k) & 1) << t
+    arr = np.arange(size, dtype=np.int32)
+    out = np.zeros(size, dtype=np.int32)
+    byte = np.arange(256, dtype=np.int32)
+    for lo in range(0, len(edges), 8):
+        table = np.zeros(256, dtype=np.int32)
+        for k, t in enumerate(target[lo : lo + 8]):
+            table |= ((byte >> k) & 1) << t
+        out |= table[(arr >> lo) & 255]
     return out
 
 
@@ -56,18 +78,24 @@ def graphs_up_to_iso(m: int) -> list:
     Orbit minima are found by min-label propagation along the action of two
     generating permutations (a transposition and a full cycle) plus pointer
     jumping, which converges in a handful of vectorised passes even for the
-    2^21 labelled graphs on 7 nodes.
+    2^21 labelled graphs on 7 nodes.  Classes are computed once per process;
+    each call returns a fresh list.
     """
     if not 0 <= m <= MAX_GRAPH_NODES:
         raise ValueError(f"supported node counts are 0..{MAX_GRAPH_NODES}")
+    return list(_graph_classes(m))
+
+
+@lru_cache(maxsize=None)
+def _graph_classes(m: int) -> tuple:
     if m <= 1:
-        return [0]
+        return (0,)
     swap = list(range(m))
     swap[0], swap[1] = 1, 0
     cycle = [(i + 1) % m for i in range(m)]
     inv_cycle = [(i - 1) % m for i in range(m)]
     maps = [_permuted_mask_map(m, p) for p in (swap, cycle, inv_cycle)]
-    rep = np.arange(1 << len(_edge_list(m)), dtype=np.int64)
+    rep = np.arange(1 << len(_edge_list(m)), dtype=np.int32)
     while True:
         nxt = rep
         for g in maps:
@@ -76,7 +104,7 @@ def graphs_up_to_iso(m: int) -> list:
         if np.array_equal(nxt, rep):
             break
         rep = nxt
-    return [int(v) for v in np.unique(rep)]
+    return tuple(int(v) for v in np.unique(rep))
 
 
 def graph_adjacency_rows(mask: int, m: int) -> list:
@@ -197,7 +225,11 @@ _TABLES: dict = {}
 
 
 def _tables(n: int):
-    """Per-process cache of the vectorised per-graph tables for one n."""
+    """Per-process cache of the vectorised per-graph tables for one n.
+
+    idw[s, t, g] is the identity weight of the non-kept pairs of subset s
+    under graph g when the X-rest is shifted by t: m - |(R_g[s] ^ t) | s|.
+    """
     cached = _TABLES.get(n)
     if cached is not None:
         return cached
@@ -217,14 +249,20 @@ def _tables(n: int):
         sel = ((subsets >> k) & 1) == 1
         row_xors[:, sel] ^= erows[:, k : k + 1]
     pop = np.array([int(s).bit_count() for s in range(size)], dtype=np.uint8)
-    parity = (pop & 1).astype(np.uint8)
+    idw = np.empty((size, size, g_count), dtype=np.uint8)
+    for t in range(size):
+        idw[:, t, :] = (m - pop[(row_xors ^ np.uint32(t)) | subsets]).T
+    parity = (pop & 1).astype(bool)
     powers = np.array([129 ** (n - i) for i in range(n + 1)], dtype=np.uint64)
-    cached = (graphs, row_xors, subsets, pop, parity, powers)
+    pair_powers = (powers[:, None] + powers[None, :]).ravel()
+    cached = (idw, subsets, parity, pair_powers)
     _TABLES[n] = cached
     return cached
 
 
-_COSET_SHIFTS = ((0, 0), (1, 0), (1, 1), (0, 1))  # I, X, Y, Z
+# kept-pair shifts (alpha, beta) of the cosets I, X, Y, Z, as columns
+_ALPHA = np.array([[0], [1], [1], [0]])
+_BETA = np.array([[0], [0], [1], [1]])
 
 
 def _pair_keys(n: int, a: int, b: int) -> np.ndarray:
@@ -233,28 +271,26 @@ def _pair_keys(n: int, a: int, b: int) -> np.ndarray:
     Column 0 encodes the base-coset histogram, columns 1..3 the sorted other
     three.  Derived from the closed form of the representative's inverse:
     a subset s of the (n-1) non-kept rows has X-rest R[s] ^ ((b.s)^alpha)*a ^
-    beta*b, Z-rest s, and kept-pair bits (alpha^(b.s), beta^(a.s)).
+    beta*b, Z-rest s, and kept-pair bits (alpha^(b.s), beta^(a.s)).  The
+    X-shift is one of {0, a, b, a^b}, picked by b.s, so the identity weights
+    of all graphs are one gather from the shift table.  A key is the base-129
+    number whose digits are the histogram bins; bins are at most
+    2^(n-1) < 129, so the digit sum never carries and 129^(n+1) < 2^64 keeps
+    it in one word.  Subsets s and s + 2^(n-2) are summed as one digit pair,
+    looked up at index (n+1)*w + w' of pair_powers.
     """
-    m = n - 1
-    graphs, row_xors, subsets, pop, parity, powers = _tables(n)
-    g_count = row_xors.shape[0]
+    idw, subsets, parity, pair_powers = _tables(n)
     b_dot = parity[np.bitwise_and(np.uint32(b), subsets)]
     a_dot = parity[np.bitwise_and(np.uint32(a), subsets)]
-    garange = np.arange(g_count, dtype=np.int64)[:, None] * (n + 1)
-    keys = np.empty((g_count, 4), dtype=np.uint64)
-    for k, (alpha, beta) in enumerate(_COSET_SHIFTS):
-        flip = (b_dot ^ alpha).astype(np.uint32)
-        addx = flip * np.uint32(a)
-        if beta:
-            addx = addx ^ np.uint32(b)
-        xrest = row_xors ^ addx[None, :]
-        nonid = pop[xrest | subsets[None, :]]
-        kept = (((b_dot ^ alpha) == 0) & ((a_dot ^ beta) == 0)).astype(np.uint8)
-        weights = kept[None, :] + (m - nonid)
-        hist = np.bincount(
-            (garange + weights).ravel(), minlength=g_count * (n + 1)
-        ).reshape(g_count, n + 1)
-        keys[:, k] = hist.astype(np.uint64) @ powers
+    shift_off = np.array([[0], [a], [a ^ b], [b]])  # X-shift where b.s = 0
+    shift_on = np.array([[a], [0], [b], [a ^ b]])  # X-shift where b.s = 1
+    shifts = np.where(b_dot, shift_on, shift_off)  # (4, 2^(n-1))
+    kept = (b_dot == _ALPHA) & (a_dot == _BETA)
+    weights = idw[subsets, shifts]  # (4, 2^(n-1), G)
+    weights += kept.astype(np.uint8)[:, :, None]
+    half = len(subsets) // 2
+    digit_pairs = weights[:, :half] * np.uint8(n + 1) + weights[:, half:]
+    keys = np.take(pair_powers, digit_pairs).sum(axis=1).T
     keys[:, 1:] = np.sort(keys[:, 1:], axis=1)
     return keys
 
@@ -272,47 +308,102 @@ def counts_from_key(key: int, n: int) -> tuple:
     return tuple(out)
 
 
+_CHUNK_PAIRS = 64  # (a, b) pairs per work unit and journal file
+
+
+def _journal_path(journal_dir, n: int, index: int):
+    return journal_dir / f"chunk_n{n}_p{_CHUNK_PAIRS}_{index:06d}.npy"
+
+
+def _journal_write(path, arr: np.ndarray) -> None:
+    """Write one journal chunk atomically: temp file in the same directory, then rename."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def all_case_keys(
     n: int, jobs: int = 1, progress=None, journal_dir=None
 ) -> np.ndarray:
-    """Dedup keys of every case, in canonical case order: (cases, 4) uint64."""
+    """Dedup keys of every case, in canonical case order: (cases, 4) uint64.
+
+    With a journal directory, each finished chunk of (a, b) pairs is saved
+    there and reused by a later call.  File names carry n and the chunk size,
+    so a journal left by a different enumeration is never read.
+    """
     _check_enum_n(n)
     if journal_dir is not None:
-        from pathlib import Path
-
         journal_dir = Path(journal_dir)
         journal_dir.mkdir(parents=True, exist_ok=True)
     pairs = list(ab_pairs(n - 1))
-    chunk = 64
+    chunk = _CHUNK_PAIRS
     chunks = [pairs[i : i + chunk] for i in range(0, len(pairs), chunk)]
+    per_pair = _tables(n)[0].shape[2]  # one key row per graph class
+    keys = np.empty((len(pairs) * per_pair, 4), dtype=np.uint64)
+
+    def rows(i: int) -> slice:
+        start = i * chunk * per_pair
+        return slice(start, start + len(chunks[i]) * per_pair)
 
     def finished(i: int, arr: np.ndarray):
+        keys[rows(i)] = arr
         if journal_dir is not None:
-            np.save(journal_dir / f"chunk_{i:06d}.npy", arr)
+            _journal_write(_journal_path(journal_dir, n, i), arr)
         if progress is not None:
             progress(i + 1, len(chunks))
 
-    results: list = [None] * len(chunks)
     todo = []
     for i in range(len(chunks)):
         if journal_dir is not None:
-            path = journal_dir / f"chunk_{i:06d}.npy"
+            path = _journal_path(journal_dir, n, i)
             if path.exists():
-                results[i] = np.load(path)
+                keys[rows(i)] = np.load(path)
                 continue
         todo.append(i)
 
     if jobs <= 1:
         for i in todo:
-            results[i] = _chunk_keys(n, chunks[i])
-            finished(i, results[i])
+            finished(i, _chunk_keys(n, chunks[i]))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {i: pool.submit(_chunk_keys, n, chunks[i]) for i in todo}
             for i in todo:
-                results[i] = futures[i].result()
-                finished(i, results[i])
-    return np.vstack(results) if results else np.empty((0, 4), dtype=np.uint64)
+                finished(i, futures[i].result())
+    return keys
+
+
+# odd multipliers folding a 4-word key row into one 64-bit word
+_KEY_MIX = (
+    np.uint64(0x9E3779B97F4A7C15),
+    np.uint64(0xC2B2AE3D27D4EB4F),
+    np.uint64(0x165667B19E3779F9),
+    np.uint64(0xD6E8FEB86659FD93),
+)
+
+
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Ascending row indices of the first occurrence of each distinct key row.
+
+    Rows are hashed to one uint64 each and deduplicated on the hash, which
+    is far cheaper than a row-wise unique.  The result is exact: every row
+    is compared with the first row of its hash class, and any collision
+    falls back to the row-wise unique.
+    """
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for col, mult in enumerate(_KEY_MIX):
+        h ^= keys[:, col] * mult
+        h = (h << np.uint64(17)) | (h >> np.uint64(47))
+    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+    for col in range(keys.shape[1]):
+        if not np.array_equal(keys[first, col][inverse], keys[:, col]):
+            _, first = np.unique(keys, axis=0, return_index=True)
+            break
+    return np.sort(first)
 
 
 def distinct_protocols(
@@ -327,20 +418,17 @@ def distinct_protocols(
     keys = all_case_keys(n, jobs=jobs, progress=progress, journal_dir=journal_dir)
     graphs = graphs_up_to_iso(n - 1)
     g_count = len(graphs)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    order = np.sort(first)
     pairs = list(ab_pairs(n - 1))
     protocols = []
-    for idx in order:
+    for idx in first_occurrences(keys):
         idx = int(idx)
         a, b = pairs[idx // g_count]
         case = WernerCase(n, a, b, graphs[idx % g_count])
-        rep = build_representative(case)
-        counts = werner_counts(rep, n)
+        counts = tuple(counts_from_key(k, n) for k in keys[idx])
         protocols.append(
             Protocol(
                 n=n,
-                rep=rep,
+                rep=build_representative(case),
                 stats=stats_from_counts(counts, n),
                 counts=counts,
                 source=case,

@@ -180,6 +180,24 @@ def test_cli_eval_bad_state(cache_dir, tmp_path, capsys):
     assert run_cli(["eval", str(bad), "--cache", str(cache_dir)]) == 2
 
 
+def test_cli_eval_non_finite_or_malformed_state(tmp_path, capsys):
+    from bicliff.transversal import build_transversal
+
+    write_transversal_cache(
+        tmp_path / "transversal_n1.bcp", build_transversal(1, seed=0), seed=0
+    )
+    bad = tmp_path / "bad.json"
+    for text in (
+        '{"n": 1, "probs": [NaN, 0, 0, 0]}',
+        '{"n": 1, "probs": [Infinity, 0, 0, 0]}',
+        '{"n": 1, "pairs": [[0.7, 0.1, 0.1, 0.1, 0.0]]}',
+        '{"n": 1, "pairs": [[0.7, 0.3]]}',
+    ):
+        bad.write_text(text)
+        assert run_cli(["eval", str(bad), "--cache", str(tmp_path)]) == 2
+        assert "bad state file" in capsys.readouterr().err
+
+
 def test_cli_compare_fidelity(cache_dir, capsys):
     code = run_cli([
         "compare", "--n-min", "2", "--n-max", "4", "--metric", "fidelity",

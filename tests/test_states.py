@@ -10,6 +10,7 @@ from bicliff.states import (
     DistStats,
     base,
     counts_key,
+    counts_to_poly,
     leading_infidelity_term,
     numeric_stats,
     pillars,
@@ -18,6 +19,7 @@ from bicliff.states import (
     vector_paulis,
     werner_counts,
     werner_stats,
+    werner_term_basis,
 )
 from _reference import EXAMPLE_PAIR, best_f_poly, best_p_poly
 
@@ -70,6 +72,17 @@ def test_state_validation():
         BellDiagonalState(1, np.array([0.5, 0.5, 0.1, 0.1]))
     with pytest.raises(ValueError):
         BellDiagonalState(2, np.ones(4) / 4)
+
+
+def test_state_rejects_non_finite_and_malformed_pairs():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            BellDiagonalState(1, np.array([bad, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        BellDiagonalState(1, np.array([np.nan, 0.5, 0.25, 0.25]))
+    for pair in ((0.7, 0.1, 0.1, 0.1, 0.0), (0.7, 0.2, 0.1)):
+        with pytest.raises(ValueError):
+            BellDiagonalState.from_pairs([pair])
 
 
 def test_product_state_indexing():
@@ -228,3 +241,24 @@ def test_counts_roundtrip_key():
     key = counts_key(counts)
     assert key[0] == counts[0]
     assert stats_from_counts(counts, 2).p_suc(1) == 1
+
+
+def _fraction_counts_to_poly(hist, n):
+    """Reference: the histogram's polynomial as a sum of exact Fraction terms."""
+    acc = RationalPolynomial()
+    for w, c in enumerate(hist):
+        if c:
+            acc = acc + c * werner_term_basis(n)[w]
+    return acc
+
+
+def test_integer_counts_to_poly_matches_fraction_sum():
+    rng = np.random.default_rng(11)
+    for n in range(1, 11):
+        hists = [[0] * (n + 1), [2 ** (n - 1)] * (n + 1)]
+        hists += [rng.integers(0, 2 ** (n - 1) + 1, size=n + 1) for _ in range(25)]
+        for hist in hists:
+            assert counts_to_poly(hist, n) == _fraction_counts_to_poly(hist, n)
+    # past the int64 range the product is taken in Python integers
+    big = [3**45, 0, 7, 2**70]
+    assert counts_to_poly(big, 3) == _fraction_counts_to_poly(big, 3)

@@ -15,6 +15,8 @@ from bicliff.werner import (
     count_ab_pairs,
     counts_from_key,
     enumerate_cases,
+    first_occurrences,
+    graph_adjacency_rows,
     graphs_up_to_iso,
 )
 from _reference import (
@@ -56,6 +58,15 @@ def test_graph_classes_match_brute_force():
 def test_graph_class_counts():
     for m, want in GRAPH_CLASS_COUNTS.items():
         assert len(graphs_up_to_iso(m)) == want
+
+
+def test_graph_classes_cache_not_shared():
+    classes = graphs_up_to_iso(4)
+    want = list(classes)
+    classes.append(-1)
+    classes[0] = 99
+    assert graphs_up_to_iso(4) == want
+    assert graphs_up_to_iso(4) is not graphs_up_to_iso(4)
 
 
 def test_graph_nodes_cap():
@@ -158,7 +169,83 @@ def test_batch_keys_match_scalar_large_n():
                 assert sorted(got[1:]) == sorted(counts[1:])
 
 
+def _bincount_pair_keys(n, a, b):
+    """Reference keys for one (a, b) pair: per-subset popcounts and bincount.
+
+    Independent of the shift table: builds each graph's subset row-xors,
+    applies the coset's X-shift per subset, histograms identity weights with
+    bincount and encodes the histogram as base-129 digits.
+    """
+    m = n - 1
+    graphs = graphs_up_to_iso(m)
+    size = 1 << m
+    subsets = np.arange(size, dtype=np.uint32)
+    row_xors = np.zeros((len(graphs), size), dtype=np.uint32)
+    for g, mask in enumerate(graphs):
+        rows = graph_adjacency_rows(mask, m)
+        for s in range(size):
+            acc = 0
+            for k in range(m):
+                if (s >> k) & 1:
+                    acc ^= rows[k]
+            row_xors[g, s] = acc
+    pop = np.array([bin(s).count("1") for s in range(size)], dtype=np.uint8)
+    parity = pop & 1
+    powers = np.array([129 ** (n - i) for i in range(n + 1)], dtype=np.uint64)
+    b_dot = parity[np.uint32(b) & subsets]
+    a_dot = parity[np.uint32(a) & subsets]
+    goff = np.arange(len(graphs), dtype=np.int64)[:, None] * (n + 1)
+    keys = np.empty((len(graphs), 4), dtype=np.uint64)
+    for k, (alpha, beta) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
+        addx = (b_dot ^ alpha).astype(np.uint32) * np.uint32(a)
+        if beta:
+            addx ^= np.uint32(b)
+        nonid = pop[(row_xors ^ addx[None, :]) | subsets[None, :]]
+        kept = (((b_dot ^ alpha) == 0) & ((a_dot ^ beta) == 0)).astype(np.uint8)
+        weights = kept[None, :] + (m - nonid)
+        hist = np.bincount(
+            (goff + weights).ravel(), minlength=len(graphs) * (n + 1)
+        ).reshape(len(graphs), n + 1)
+        keys[:, k] = hist.astype(np.uint64) @ powers
+    keys[:, 1:] = np.sort(keys[:, 1:], axis=1)
+    return keys
+
+
+def test_pair_keys_match_bincount_reference():
+    from bicliff.werner import _pair_keys
+
+    for n in (5, 6, 7, 8):
+        pairs = list(ab_pairs(n - 1))
+        rng = np.random.default_rng(100 + n)
+        sample = [pairs[0], pairs[-1]]
+        sample += [pairs[int(i)] for i in rng.integers(len(pairs), size=3)]
+        for a, b in sample:
+            assert np.array_equal(_pair_keys(n, a, b), _bincount_pair_keys(n, a, b))
+
+
 # --- deduplication -----------------------------------------------------------------
+
+
+def _unique_rows_first(keys):
+    return np.sort(np.unique(keys, axis=0, return_index=True)[1])
+
+
+def test_hashed_dedup_matches_row_unique():
+    for n in range(2, 7):
+        keys = all_case_keys(n)
+        assert np.array_equal(first_occurrences(keys), _unique_rows_first(keys))
+
+
+def test_hashed_dedup_collision_falls_back(monkeypatch):
+    import bicliff.werner as werner
+
+    keys = all_case_keys(5)
+    want = _unique_rows_first(keys)
+    assert len(want) > 1
+    # every row hashes to 0: one hash class, so only the exact fallback can
+    # still separate the distinct rows
+    monkeypatch.setattr(werner, "_KEY_MIX", (np.uint64(0),) * 4)
+    assert np.array_equal(werner.first_occurrences(keys), want)
 
 
 def test_distinct_protocol_counts_small(protocols_for):
@@ -198,6 +285,19 @@ def test_journal_resume(tmp_path):
     resumed = all_case_keys(4, journal_dir=tmp_path)  # read back, no recompute
     assert np.array_equal(fresh, first)
     assert np.array_equal(fresh, resumed)
+
+
+def test_stale_journal_ignored(tmp_path, monkeypatch):
+    import bicliff.werner as werner
+
+    all_case_keys(5, journal_dir=tmp_path)  # another n
+    monkeypatch.setattr(werner, "_CHUNK_PAIRS", 8)
+    all_case_keys(4, journal_dir=tmp_path)  # another chunk size
+    monkeypatch.undo()
+    assert np.array_equal(all_case_keys(4, journal_dir=tmp_path), all_case_keys(4))
+    monkeypatch.setattr(werner, "_CHUNK_PAIRS", 8)
+    assert np.array_equal(all_case_keys(5, journal_dir=tmp_path), all_case_keys(5))
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_n2_case_stats_distinct(protocols_for):
