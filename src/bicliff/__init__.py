@@ -22,7 +22,6 @@ from .gf2 import (
     is_symplectic,
     random_symplectic,
     sp_order,
-    subspace_key,
     symplectic_inner,
     symplectic_inverse,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "shannon_entropy",
     "sp_order",
     "stats_in_epsilon",
-    "subspace_key",
     "symplectic_inner",
     "symplectic_inverse",
     "synthesize",

@@ -4,8 +4,9 @@ Layout: magic, 4-byte big-endian header length, header JSON, then for each
 record a 4-byte big-endian length and the record JSON (canonical key order).
 Werner-mode records carry the source case, representative rows and exact
 statistics as coefficient strings; transversal-mode records carry the coset
-key and representative rows.  Verification recomputes a sample of records'
-derived data from the stored rows and demands exact agreement.
+key and representative rows.  Verification takes a sample of records,
+checks that their stored rows are symplectic, recomputes their derived data
+from those rows and demands exact agreement.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .gf2 import SymplecticMatrix
+from .gf2 import SymplecticMatrix, is_symplectic
 from .groups import coset_key
 from .ratpoly import poly_from_strings, poly_to_strings
 from .states import DistStats, stats_from_counts, werner_counts
-from .werner import Protocol, WernerCase
+from .werner import Protocol, WernerCase, atomic_open
 
 MAGIC = b"BCPC\x01"
 FORMAT_VERSION = 1
@@ -36,7 +37,7 @@ def write_cache(path, header: dict, records) -> None:
     blob = _encode(header)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack(">I", len(blob)))
         fh.write(blob)
@@ -88,20 +89,22 @@ def protocol_record(p: Protocol) -> dict:
     }
 
 
-def record_protocol(rec: dict, n: int) -> Protocol:
-    rep = SymplecticMatrix(n, rec["rows"])
-    stats = DistStats(
-        poly_from_strings(rec["stats"]["p"]),
-        poly_from_strings(rec["stats"]["f"]),
-        tuple(poly_from_strings(q) for q in rec["stats"]["fis"]),
+def _record_stats(rec: dict) -> DistStats:
+    stats = rec["stats"]
+    return DistStats(
+        poly_from_strings(stats["p"]),
+        poly_from_strings(stats["f"]),
+        tuple(poly_from_strings(q) for q in stats["fis"]),
     )
+
+
+def record_protocol(rec: dict, n: int) -> Protocol:
     a, b, e = rec["case"]
-    counts = werner_counts(rep, n)
     return Protocol(
         n=n,
-        rep=rep,
-        stats=stats,
-        counts=counts,
+        rep=SymplecticMatrix(n, rec["rows"]),
+        stats=_record_stats(rec),
+        counts=None,
         source=WernerCase(n, a, b, e),
         case_index=rec["index"],
     )
@@ -156,9 +159,10 @@ def load_transversal_cache(path):
 def verify_cache(path, sample: int = 100, seed: int = 0):
     """Recompute derived data of sampled records; exact match required.
 
-    Werner records: the stored statistics must equal the statistics
-    recomputed from the stored representative.  Transversal records: the
-    stored key must equal the recomputed coset key.
+    Every stored representative must be symplectic.  Werner records: the
+    stored statistics must equal the statistics recomputed from the stored
+    representative.  Transversal records: the stored key must equal the
+    recomputed coset key.
     Returns (ok, checked, message).
     """
     header, records = read_cache(path)
@@ -171,14 +175,10 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     for i in idx:
         rec = records[i]
         rep = SymplecticMatrix(n, rec["rows"])
+        if not is_symplectic(rep):
+            return False, checked, f"record {i}: representative is not symplectic"
         if header["mode"] == "werner":
-            stats = stats_from_counts(werner_counts(rep, n), n)
-            stored = DistStats(
-                poly_from_strings(rec["stats"]["p"]),
-                poly_from_strings(rec["stats"]["f"]),
-                tuple(poly_from_strings(q) for q in rec["stats"]["fis"]),
-            )
-            if stats != stored:
+            if stats_from_counts(werner_counts(rep, n), n) != _record_stats(rec):
                 return False, checked, f"record {i}: statistics mismatch"
         else:
             if coset_key(rep) != tuple(rec["key"]):

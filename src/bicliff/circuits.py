@@ -11,21 +11,14 @@ on exact Werner-statistics equality with the target.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (
-    CNOT,
-    CZ,
-    Gate,
-    H,
-    SWAP,
-    SymplecticMatrix,
-    apply_gate_rows,
-    swap_halves,
-)
-from .states import counts_key, werner_counts
+from .blocks import ordered_calls
+from .gf2 import CNOT, CZ, Gate, H, SWAP, SymplecticMatrix, apply_gate_rows
+from .states import coset_histograms, counts_key, werner_counts
 
 SYNTH_BLOCK = 4096
 
@@ -166,7 +159,8 @@ class SynthesisResult:
     message: str = ""
 
 
-def _target_key(target) -> tuple:
+def target_key(target) -> tuple:
+    """Werner statistics key of a protocol; counts from its matrix if unset."""
     counts = getattr(target, "counts", None)
     if counts is None:
         counts = werner_counts(target.rep, target.n)
@@ -181,7 +175,7 @@ def _all_pairs(n: int) -> list:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def _synth_block(n, seed, block, size, target_key, allow_swap):
+def _synth_block(n, seed, block, size, key, allow_swap):
     """Scan one block of random candidates; return (hits, best) for the block.
 
     best is (two_qubit_count, depth, index_in_block, payload) for the block's
@@ -197,7 +191,6 @@ def _synth_block(n, seed, block, size, target_key, allow_swap):
     swaps = rng.integers(0, n, size=size) if allow_swap else np.zeros(size, np.int64)
 
     ident = [1 << i for i in range(2 * n)]
-    nmask = (1 << n) - 1
     hits = 0
     best = None
     pos = 0
@@ -223,22 +216,7 @@ def _synth_block(n, seed, block, size, target_key, allow_swap):
             rows[0], rows[sw] = rows[sw], rows[0]
             rows[n], rows[n + sw] = rows[n + sw], rows[n]
 
-        # preimage cosets via inverse columns: col j of M^-1 is the
-        # half-swapped row (j+n) mod 2n of M
-        t1 = swap_halves(rows[n], n)
-        t2 = swap_halves(rows[0], n)
-        v0 = [0]
-        for k in range(1, n):
-            u = swap_halves(rows[k], n)
-            v0 += [v ^ u for v in v0]
-        hists = []
-        for t in (0, t1, t1 ^ t2, t2):
-            h = [0] * (n + 1)
-            for v in v0:
-                w = v ^ t
-                h[n - ((w | (w >> n)) & nmask).bit_count()] += 1
-            hists.append(tuple(h))
-        if (hists[0], tuple(sorted(hists[1:]))) != target_key:
+        if counts_key(coset_histograms(rows, n)) != key:
             continue
         hits += 1
         circ = _rebuild(n, [down[t] for t in chosen], czm, sw)
@@ -297,7 +275,7 @@ def synthesize(
     early (at a block boundary) once that many accepted candidates are seen.
     """
     n = target.n
-    key = _target_key(target)
+    key = target_key(target)
     nblocks = (budget + SYNTH_BLOCK - 1) // SYNTH_BLOCK
     sizes = [min(SYNTH_BLOCK, budget - b * SYNTH_BLOCK) for b in range(nblocks)]
 
@@ -305,41 +283,20 @@ def synthesize(
     used = 0
     best = None  # (two_qubit, depth, block, idx, circuit)
 
-    def merge(b: int, result) -> bool:
-        nonlocal hits, used, best
-        block_hits, block_best = result
-        hits += block_hits
-        used += sizes[b]
-        if block_best is not None:
-            g, d, idx, circ = block_best
-            cand = (g, d, b, idx, circ)
-            if best is None or cand[:4] < best[:4]:
-                best = cand
-        return max_hits is not None and hits >= max_hits
-
-    if jobs <= 1:
-        for b in range(nblocks):
-            if merge(b, _synth_block(n, seed, b, sizes[b], key, allow_swap)):
+    calls = [(n, seed, b, sizes[b], key, allow_swap) for b in range(nblocks)]
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        for b, (block_hits, block_best) in enumerate(
+            ordered_calls(_synth_block, calls, pool, jobs)
+        ):
+            hits += block_hits
+            used += sizes[b]
+            if block_best is not None:
+                g, d, idx, circ = block_best
+                cand = (g, d, b, idx, circ)
+                if best is None or cand[:4] < best[:4]:
+                    best = cand
+            if max_hits is not None and hits >= max_hits:
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            window = 2 * jobs
-            futures = {
-                b: pool.submit(_synth_block, n, seed, b, sizes[b], key, allow_swap)
-                for b in range(min(window, nblocks))
-            }
-            next_submit = len(futures)
-            for b in range(nblocks):
-                if merge(b, futures.pop(b).result()):
-                    for fut in futures.values():
-                        fut.cancel()
-                    break
-                if next_submit < nblocks:
-                    futures[next_submit] = pool.submit(
-                        _synth_block, n, seed, next_submit,
-                        sizes[next_submit], key, allow_swap,
-                    )
-                    next_submit += 1
 
     if best is None:
         return SynthesisResult(

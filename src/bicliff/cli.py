@@ -25,6 +25,7 @@ from .circuits import (
     depth,
     published_circuits,
     synthesize,
+    target_key,
     two_qubit_count,
 )
 from .dejmps import concatenated_candidates
@@ -209,23 +210,16 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _poly_grid(poly, grid: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(grid)
-    for c in reversed(poly.coeffs):
-        out = out * grid + float(c)
-    return out
-
-
 class _CurveSet:
     """Vectorised per-protocol statistic curves over the fidelity grid."""
 
     def __init__(self, labelled_stats, grid: np.ndarray):
         self.grid = grid
         self.labels = [lab for lab, _ in labelled_stats]
-        self.p = np.array([_poly_grid(st.p_suc, grid) for _, st in labelled_stats])
-        self.f = np.array([_poly_grid(st.f_num, grid) for _, st in labelled_stats])
+        self.p = np.array([st.p_suc.on_grid(grid) for _, st in labelled_stats])
+        self.f = np.array([st.f_num.on_grid(grid) for _, st in labelled_stats])
         self.fis = np.array(
-            [[_poly_grid(q, grid) for q in st.fi_nums] for _, st in labelled_stats]
+            [[q.on_grid(grid) for q in st.fi_nums] for _, st in labelled_stats]
         )
 
     def best_fidelity(self) -> np.ndarray:
@@ -323,9 +317,11 @@ def cmd_circuit(args) -> int:
         max_hits=args.max_hits,
     )
 
+    key = target_key(target)
+
     def _verified(circ) -> bool:
         m = circuit_to_symplectic(circ)
-        return counts_key(werner_counts(m, args.n)) == counts_key(target.counts)
+        return counts_key(werner_counts(m, args.n)) == key
 
     if synth.circuit is not None:
         circ = synth.circuit

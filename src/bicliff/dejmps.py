@@ -14,16 +14,18 @@ the chain rule automatic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import CNOT, H, S, span
+from .gf2 import CNOT, H, S
 from .circuits import CliffordCircuit, circuit_to_symplectic
 from .ratpoly import RationalPolynomial
-from .states import DistStats, vector_paulis
+from .states import DistStats, preimage_cosets, vector_paulis
+from .werner import default_f_grid, pick_curve
 
 # The six single-qubit Clifford rotations modulo Paulis, as temporal gate words.
 ROTATION_WORDS = {
@@ -53,15 +55,8 @@ def step_table(rotation: str) -> tuple:
     gates = _rotation_gates(rotation, 1) + _rotation_gates(rotation, 2)
     gates.append(CNOT(1, 2))
     m = circuit_to_symplectic(CliffordCircuit(2, tuple(gates)))
-    inv = m.inverse()
-    basis = [inv.apply(1 << 3)]  # preimage of the single base generator
-    t1 = inv.apply(1)
-    t2 = inv.apply(1 << 2)
-    v0 = span(basis)
-    table = []
-    for t in (0, t1, t1 ^ t2, t2):
-        table.append(tuple(vector_paulis(v ^ t, 2) for v in v0))
-    return tuple(table)
+    v0, shifts = preimage_cosets(m.rows, 2)
+    return tuple(tuple(vector_paulis(v ^ t, 2) for v in v0) for t in shifts)
 
 
 def _step_unnormalised(ua, ub, table):
@@ -74,6 +69,8 @@ def dejmps_step(sa, sb, rotation: str = DEFAULT_ROTATION):
     Returns (success probability, renormalised output coefficients).
     """
     for s in (sa, sb):
+        if not all(math.isfinite(x) for x in s):
+            raise ValueError("input coefficients must be finite")
         if abs(sum(s) - 1.0) > 1e-9:
             raise ValueError("input coefficients must sum to 1")
     out = _step_unnormalised(sa, sb, step_table(rotation))
@@ -252,11 +249,7 @@ def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> Concate
             DistStats.from_coset_sums(*best_key), best_plan, True, [], len(items)
         )
 
-    if f_grid is None:
-        from .werner import default_f_grid
-
-        f_grid = default_f_grid()
-    grid = np.asarray(f_grid, dtype=float)
+    grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
     curves: dict = {}
     for key, plan in items:
         p_suc = key[0] + key[1] + key[2] + key[3]
@@ -264,27 +257,11 @@ def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> Concate
     entries = list(curves.values())
     values = np.empty((len(entries), len(grid)))
     for i, (key, _) in enumerate(entries):
-        num = _floatval(key[0], grid)
-        den = sum(_floatval(k, grid) for k in key)
+        num = key[0].on_grid(grid)
+        den = sum(k.on_grid(grid) for k in key)
         values[i] = num / den
-    best = values.max(axis=0)
-    maximal = values >= best[None, :] - 1e-12
-    rows = np.where(maximal.all(axis=1))[0]
-    if len(rows):
-        key, plan = entries[int(rows[0])]
-        return ConcatenatedResult(
-            DistStats.from_coset_sums(*key), plan, True, [], len(items)
-        )
-    per_point = maximal.argmax(axis=0)
-    key, plan = entries[int(per_point[-1])]
+    row, dominant, pointwise = pick_curve(values)
+    key, plan = entries[row]
     return ConcatenatedResult(
-        DistStats.from_coset_sums(*key), plan, False,
-        [int(i) for i in per_point], len(items),
+        DistStats.from_coset_sums(*key), plan, dominant, pointwise, len(items)
     )
-
-
-def _floatval(poly: RationalPolynomial, grid: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(grid)
-    for c in reversed(poly.coeffs):
-        out = out * grid + float(c)
-    return out

@@ -37,16 +37,6 @@ def symplectic_inner(v: int, w: int, n: int) -> int:
     return (v & swap_halves(w, n)).bit_count() & 1
 
 
-def pauli_weight(v: int, n: int) -> int:
-    """Number of qubit positions where v acts non-trivially (X, Y or Z)."""
-    return ((v | (v >> n)) & ((1 << n) - 1)).bit_count()
-
-
-def identity_weight(v: int, n: int) -> int:
-    """Number of qubit positions where v acts as the identity."""
-    return n - pauli_weight(v, n)
-
-
 class SymplecticMatrix:
     """An element of Sp(2n, F2), stored as 2n bit-packed row masks.
 
@@ -192,11 +182,6 @@ def rref(vectors) -> tuple:
                 pivots[q] = row ^ v
         pivots[p] = v
     return tuple(pivots[p] for p in sorted(pivots, reverse=True))
-
-
-def subspace_key(vectors) -> tuple:
-    """Canonical key of the subspace spanned by the given vectors."""
-    return rref(vectors)
 
 
 def span(basis) -> list:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .gf2 import CNOT, H, S, SWAP, Gate, SymplecticMatrix, gate_matrix, subspace_key
+from .gf2 import CNOT, H, S, SWAP, Gate, SymplecticMatrix, gate_matrix, rref
+from .states import preimage_cosets
 
 
 @dataclass(frozen=True)
@@ -60,18 +61,9 @@ def dn_index(n: int) -> int:
     return value // 3
 
 
-def _base_mask(n: int) -> int:
-    return ((1 << (n - 1)) - 1) << (n + 1)
-
-
 def is_in_dn(m: SymplecticMatrix) -> bool:
-    """True iff m maps the base onto the base."""
-    n = m.n
-    mask = _base_mask(n)
-    for k in range(1, n):
-        if m.apply(1 << (n + k)) & ~mask:
-            return False
-    return True
+    """True iff m maps the base onto the base: m shares the identity's coset."""
+    return coset_key(m) == coset_key(SymplecticMatrix.identity(m.n))
 
 
 def coset_key(m: SymplecticMatrix) -> tuple:
@@ -81,9 +73,7 @@ def coset_key(m: SymplecticMatrix) -> tuple:
     the base, i.e. iff their base preimages coincide; the key is the reduced
     basis of that preimage subspace.
     """
-    n = m.n
-    inv = m.inverse()
-    return subspace_key(inv.apply(1 << (n + k)) for k in range(1, n))
+    return rref(preimage_cosets(m.rows, m.n)[0])
 
 
 def bfs_closure(matrices, limit: int | None = None) -> set:

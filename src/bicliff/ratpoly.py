@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 
 class RationalPolynomial:
     """An immutable polynomial sum_k coeffs[k] * x^k over the rationals."""
@@ -83,6 +85,13 @@ class RationalPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def on_grid(self, grid: np.ndarray) -> np.ndarray:
+        """Float Horner evaluation at every point of a float array."""
+        out = np.zeros_like(grid)
+        for c in reversed(self.coeffs):
+            out = out * grid + float(c)
+        return out
 
     def substitute_one_minus(self) -> "RationalPolynomial":
         """Exact re-expansion of p(1 - y) as a polynomial in y."""

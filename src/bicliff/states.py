@@ -6,6 +6,14 @@ the pillars.  The statistics split the pillar mass into the base coset (the
 kept pair's identity coefficient) and its three shifts by e_1, e_1+e_{n+1}
 and e_{n+1} (the X, Y and Z coefficients of the kept pair).
 
+Every statistic is read off one object, computed by `preimage_cosets`: the
+preimage of the base under the protocol matrix M, plus the three shifts that
+carry it onto the preimages of the other cosets.  It needs no inverse,
+because for symplectic M the inverse is Omega M^T Omega, whose column j is
+row (j + n) mod 2n of M with its X- and Z-halves swapped.  The numeric sums,
+the Werner histograms, the coset keys of `groups` and the DEJMPS step table
+all come from it.
+
 Statistics come in two interchangeable modes: floating point for arbitrary
 Bell-diagonal inputs, and exact rational polynomials in the input fidelity F
 for n-fold Werner inputs.
@@ -19,12 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import (
-    SymplecticMatrix,
-    identity_weight,
-    is_symplectic,
-    span,
-)
+from .gf2 import SymplecticMatrix, is_symplectic, swap_halves
 from .ratpoly import RationalPolynomial
 
 PROB_TOL = 1e-12
@@ -165,6 +168,24 @@ class DistStats:
         return DistStats.from_coset_sums(s0, *rest)
 
 
+def preimage_cosets(rows, n: int) -> tuple:
+    """Preimages of the base and of its three shifts under a protocol matrix.
+
+    Takes the protocol's 2n row masks and returns (v0, shifts): v0 lists the
+    2^(n-1) vectors of the base preimage, and the preimage of base coset k
+    (order I, X, Y, Z) is {v ^ shifts[k] for v in v0}, with shifts
+    (0, t1, t1^t2, t2).  No inverse is formed: column j of M^-1 = Omega M^T
+    Omega is swap_halves(rows[(j + n) % 2n]), so only rows 0..n are read.
+    """
+    v0 = [0]
+    for k in range(1, n):
+        u = swap_halves(rows[k], n)
+        v0 += [v ^ u for v in v0]
+    t1 = swap_halves(rows[n], n)
+    t2 = swap_halves(rows[0], n)
+    return v0, (0, t1, t1 ^ t2, t2)
+
+
 def coset_sums(m: SymplecticMatrix, state: BellDiagonalState):
     """Pillar mass split over the four base cosets, in (I, X, Y, Z) order.
 
@@ -175,17 +196,9 @@ def coset_sums(m: SymplecticMatrix, state: BellDiagonalState):
     n = m.n
     if state.n != n:
         raise ValueError("state and matrix pair counts differ")
-    inv = m.inverse()
-    basis = [inv.apply(1 << (n + k)) for k in range(1, n)]
-    t1 = inv.apply(1)
-    t2 = inv.apply(1 << n)
-    v0 = np.fromiter(span(basis), dtype=np.int64, count=1 << (n - 1))
-    probs = state.probs
-    s0 = float(probs[v0].sum())
-    s1 = float(probs[v0 ^ t1].sum())
-    s2 = float(probs[v0 ^ (t1 ^ t2)].sum())
-    s3 = float(probs[v0 ^ t2].sum())
-    return s0, s1, s2, s3
+    v0, shifts = preimage_cosets(m.rows, n)
+    v0 = np.array(v0, dtype=np.int64)
+    return tuple(float(state.probs[v0 ^ t].sum()) for t in shifts)
 
 
 def numeric_stats(m: SymplecticMatrix, state: BellDiagonalState) -> DistStats:
@@ -202,16 +215,24 @@ def werner_counts(m: SymplecticMatrix, n: int) -> tuple:
     coset k (order I, X, Y, Z).  These integer histograms determine the exact
     Werner-input statistics and are the deduplication key of the enumeration.
     """
-    inv = m.inverse()
-    basis = [inv.apply(1 << (n + k)) for k in range(1, n)]
-    t1 = inv.apply(1)
-    t2 = inv.apply(1 << n)
-    v0 = span(basis)
+    return coset_histograms(m.rows, n)
+
+
+def coset_histograms(rows, n: int) -> tuple:
+    """werner_counts of the matrix with the given row masks.
+
+    Vectors are binned by Pauli weight, which is n minus the identity weight,
+    and each histogram is reversed once at the end.
+    """
+    v0, shifts = preimage_cosets(rows, n)
+    nmask = (1 << n) - 1
     out = []
-    for t in (0, t1, t1 ^ t2, t2):
+    for t in shifts:
         hist = [0] * (n + 1)
         for v in v0:
-            hist[identity_weight(v ^ t, n)] += 1
+            w = v ^ t
+            hist[((w | (w >> n)) & nmask).bit_count()] += 1
+        hist.reverse()
         out.append(tuple(hist))
     return tuple(out)
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import ordered_calls
 from .gf2 import (
     SymplecticMatrix,
     min_affine,
@@ -84,14 +86,10 @@ def representative_from_key(key: tuple, n: int) -> SymplecticMatrix:
     part, basis = solve_gf2(cons, nn)
     u1 = min_affine(part, basis)
 
+    # the inverse maps e_i -> u_i and e_{n+i} -> w_i; row i of the matrix is
+    # the inverse's column (i + n) mod 2n with its halves swapped
     cols = [u1] + us + [w1] + ws
-    rows = [0] * nn
-    for j, c in enumerate(cols):
-        for i in range(nn):
-            if (c >> i) & 1:
-                rows[i] |= 1 << j
-    inv = SymplecticMatrix(n, rows)  # maps e_i -> u_i, e_{n+i} -> w_i
-    return inv.inverse()
+    return SymplecticMatrix(n, (swap_halves(cols[(i + n) % nn], n) for i in range(nn)))
 
 
 def _sample_block(n: int, seed, block: int, size: int) -> set:
@@ -124,38 +122,17 @@ def build_transversal(
         min(SAMPLE_BLOCK, max_samples - b * SAMPLE_BLOCK) for b in range(nblocks)
     ]
 
-    if jobs <= 1:
-        for b, size in enumerate(sizes):
-            keys |= _sample_block(n, seed, b, size)
+    calls = [(n, seed, b, size) for b, size in enumerate(sizes)]
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        for size, block_keys in zip(
+            sizes, ordered_calls(_sample_block, calls, pool, jobs)
+        ):
+            keys |= block_keys
             samples += size
             if progress is not None:
                 progress(len(keys), target, samples)
             if len(keys) >= target:
                 break
-    else:
-        # blocks are merged strictly in index order, so any worker count
-        # consumes the same sample prefix and finds the same key set
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            window = 2 * jobs
-            futures = {
-                b: pool.submit(_sample_block, n, seed, b, sizes[b])
-                for b in range(min(window, nblocks))
-            }
-            next_submit = len(futures)
-            for b in range(nblocks):
-                keys |= futures.pop(b).result()
-                samples += sizes[b]
-                if progress is not None:
-                    progress(len(keys), target, samples)
-                if len(keys) >= target:
-                    for fut in futures.values():
-                        fut.cancel()
-                    break
-                if next_submit < nblocks:
-                    futures[next_submit] = pool.submit(
-                        _sample_block, n, seed, next_submit, sizes[next_submit]
-                    )
-                    next_submit += 1
 
     complete = len(keys) >= target
     reps = {k: representative_from_key(k, n) for k in sorted(keys)}

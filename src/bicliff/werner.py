@@ -23,14 +23,15 @@ unique on any collision: the result is exact whatever the hash.
 from __future__ import annotations
 
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from .blocks import ordered_calls
 from .gf2 import SymplecticMatrix
 from .states import DistStats, stats_from_counts
 
@@ -211,7 +212,7 @@ class Protocol:
     n: int
     rep: SymplecticMatrix
     stats: DistStats
-    counts: tuple  # identity-weight histograms of the four preimage cosets
+    counts: tuple | None  # preimage-coset histograms; None when loaded from a cache
     source: object  # WernerCase or a coset key
     case_index: int | None = None
     circuit: object | None = None
@@ -315,15 +316,20 @@ def _journal_path(journal_dir, n: int, index: int):
     return journal_dir / f"chunk_n{n}_p{_CHUNK_PAIRS}_{index:06d}.npy"
 
 
-def _journal_write(path, arr: np.ndarray) -> None:
-    """Write one journal chunk atomically: temp file in the same directory, then rename."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+@contextmanager
+def atomic_open(path: Path):
+    """Binary write handle whose data replaces `path` only once the block ends.
+
+    The data goes to a temp file beside `path`, which is renamed over it on
+    success and removed on any error, so `path` is never left half written.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, arr)
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -353,7 +359,8 @@ def all_case_keys(
     def finished(i: int, arr: np.ndarray):
         keys[rows(i)] = arr
         if journal_dir is not None:
-            _journal_write(_journal_path(journal_dir, n, i), arr)
+            with atomic_open(_journal_path(journal_dir, n, i)) as fh:
+                np.save(fh, arr)
         if progress is not None:
             progress(i + 1, len(chunks))
 
@@ -366,14 +373,10 @@ def all_case_keys(
                 continue
         todo.append(i)
 
-    if jobs <= 1:
-        for i in todo:
-            finished(i, _chunk_keys(n, chunks[i]))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(_chunk_keys, n, chunks[i]) for i in todo}
-            for i in todo:
-                finished(i, futures[i].result())
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        calls = [(n, chunks[i]) for i in todo]
+        for i, arr in zip(todo, ordered_calls(_chunk_keys, calls, pool, jobs)):
+            finished(i, arr)
     return keys
 
 
@@ -456,12 +459,21 @@ class BestFidelityResult:
     grid: np.ndarray
 
 
-def _poly_values(poly, grid: np.ndarray) -> np.ndarray:
-    coeffs = [float(c) for c in poly.coeffs]
-    out = np.zeros_like(grid)
-    for c in reversed(coeffs):
-        out = out * grid + c
-    return out
+def pick_curve(values: np.ndarray) -> tuple:
+    """(row, dominant, per_point) for a (curves, grid points) value array.
+
+    The first curve maximal at every point dominates (per_point empty);
+    otherwise per_point holds each point's first maximal curve and row the
+    last point's.  Maximal means within 1e-12 of the best: exact ties between
+    curves (e.g. every F_out = 1/2 at F = 1/2) differ by a few ulps in float.
+    """
+    best = values.max(axis=0)
+    maximal = values >= best[None, :] - 1e-12
+    rows = np.where(maximal.all(axis=1))[0]
+    if len(rows):
+        return int(rows[0]), True, []
+    per_point = maximal.argmax(axis=0)
+    return int(per_point[-1]), False, [int(i) for i in per_point]
 
 
 def best_fidelity_protocol(
@@ -483,16 +495,8 @@ def best_fidelity_protocol(
     values = np.empty((len(group_list), len(grid)))
     for i, grp in enumerate(group_list):
         st = grp[0].stats
-        values[i] = _poly_values(st.f_num, grid) / _poly_values(st.p_suc, grid)
-    best = values.max(axis=0)
-    # exact ties between distinct curves (e.g. every protocol hitting
-    # F_out = 1/2 at F = 1/2) evaluate a few ulps apart in float
-    maximal = values >= best[None, :] - 1e-12
-    dominant_rows = np.where(maximal.all(axis=1))[0]
-    if len(dominant_rows):
-        grp = group_list[int(dominant_rows[0])]
-        return BestFidelityResult(grp[0], list(grp), True, [], grid)
-    per_point = maximal.argmax(axis=0)
-    winners = [group_list[int(i)][0].case_index for i in per_point]
-    grp = group_list[int(per_point[-1])]
-    return BestFidelityResult(grp[0], list(grp), False, winners, grid)
+        values[i] = st.f_num.on_grid(grid) / st.p_suc.on_grid(grid)
+    row, dominant, per_point = pick_curve(values)
+    winners = [group_list[i][0].case_index for i in per_point]
+    grp = group_list[row]
+    return BestFidelityResult(grp[0], list(grp), dominant, winners, grid)

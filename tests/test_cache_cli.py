@@ -66,6 +66,40 @@ def test_verify_cache_detects_corruption(cache_dir, tmp_path):
     assert not ok and "mismatch" in message
 
 
+def test_verify_cache_rejects_non_symplectic_rows(cache_dir, tmp_path):
+    # the statistics read only rows 0..n, so a flipped bit in the last row
+    # leaves them intact; only the symplectic check sees it
+    from bicliff.cache import write_cache
+
+    for name in ("werner_n3.bcp", "transversal_n2.bcp"):
+        header, records = read_cache(cache_dir / name)
+        header.pop("format_version")
+        records[-1]["rows"][-1] ^= 1
+        bad = tmp_path / name
+        write_cache(bad, header, records)
+        ok, checked, message = verify_cache(bad, sample=len(records))
+        assert not ok and "not symplectic" in message, name
+        assert checked == len(records) - 1
+
+
+def test_write_cache_is_atomic(cache_dir, tmp_path):
+    from bicliff.cache import write_cache
+
+    path = tmp_path / "werner_n3.bcp"
+    path.write_bytes((cache_dir / "werner_n3.bcp").read_bytes())
+    before = path.read_bytes()
+    header, records = read_cache(path)
+
+    def failing_records():
+        yield records[0]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_cache(path, header, failing_records())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["werner_n3.bcp"]
+
+
 def test_rejects_foreign_file(tmp_path):
     p = tmp_path / "x.bcp"
     p.write_bytes(b"nonsense")

@@ -110,6 +110,16 @@ def test_synthesize_jobs_invariance(best_for):
     assert a.circuit == b.circuit and a.hits == b.hits and a.trials_used == b.trials_used
 
 
+def test_synthesize_early_stop_jobs_invariance(best_for):
+    # max_hits stops after the first block while later blocks are queued
+    runs = [
+        synthesize(best_for(2).protocol, budget=16 * 4096, seed=4, jobs=jobs, max_hits=1)
+        for jobs in (1, 2)
+    ]
+    assert runs[0].trials_used == runs[1].trials_used == 4096
+    assert runs[0].circuit == runs[1].circuit and runs[0].hits == runs[1].hits
+
+
 def test_synthesize_budget_exhaustion_reports():
     # impossible target: statistics of a protocol on 3 pairs, searched on a
     # deliberately tiny budget that cannot hit it

@@ -124,6 +124,14 @@ def test_step_rejects_unnormalised():
         dejmps_step((0.7, 0.1, 0.1, 0.2), (1, 0, 0, 0))
 
 
+def test_step_rejects_non_finite():
+    for bad in ((float("nan"), 0, 0, 1.0), (float("inf"), 0, 0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            dejmps_step(bad, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="finite"):
+            dejmps_step((1, 0, 0, 0), bad)
+
+
 def test_step_tables_cover_all_rotations_on_werner():
     # every rotation gives the same exact polynomials on Werner inputs
     leaf = werner_leaf()

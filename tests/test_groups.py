@@ -8,8 +8,8 @@ from bicliff.gf2 import (
     SymplecticMatrix,
     gate_matrix,
     random_symplectic,
+    rref,
     sp_order,
-    subspace_key,
 )
 from bicliff.groups import (
     bfs_closure,
@@ -110,7 +110,7 @@ def test_base_pillar_preservation_equivalence():
 
 def test_coset_key_identity():
     for n in (1, 2, 3):
-        assert coset_key(SymplecticMatrix.identity(n)) == subspace_key(base(n))
+        assert coset_key(SymplecticMatrix.identity(n)) == rref(base(n))
 
 
 def test_coset_key_left_invariance():

@@ -3,17 +3,29 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from bicliff.gf2 import CNOT, SymplecticMatrix, gate_matrix, random_symplectic, symplectic_inner
+from bicliff.circuits import circuit_to_symplectic
+from bicliff.dejmps import LEAF, ROTATION_WORDS, TreePlan, plan_to_circuit, step_table
+from bicliff.gf2 import (
+    CNOT,
+    SymplecticMatrix,
+    gate_matrix,
+    random_symplectic,
+    rref,
+    symplectic_inner,
+)
+from bicliff.groups import coset_key
 from bicliff.ratpoly import RationalPolynomial
 from bicliff.states import (
     BellDiagonalState,
     DistStats,
     base,
+    coset_sums,
     counts_key,
     counts_to_poly,
     leading_infidelity_term,
     numeric_stats,
     pillars,
+    preimage_cosets,
     stats_from_counts,
     stats_in_epsilon,
     vector_paulis,
@@ -146,6 +158,55 @@ def test_coset_partition_properties():
             stats = numeric_stats(m, st)
             total = stats.f_num + sum(stats.fi_nums)
             assert np.isclose(total, stats.p_suc, atol=1e-12)
+
+
+# brute-force Bell index of the kept pair's (x, z) bits: I, X, Y, Z
+_KEPT_INDEX = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+
+
+def preimage_oracle(m, n):
+    """Preimages of the four base cosets, order I, X, Y, Z, by brute force.
+
+    Every v in F2^(2n) is mapped by m; an image with no X-part on pairs
+    2..n lies in the pillars, and its kept-pair bits pick the coset.
+    """
+    x_rest = ((1 << n) - 1) ^ 1
+    cosets = ([], [], [], [])
+    for v in range(1 << (2 * n)):
+        w = m.apply(v)
+        if w & x_rest == 0:
+            cosets[_KEPT_INDEX[(w & 1, (w >> n) & 1)]].append(v)
+    return cosets
+
+
+def _identity_count(v, n):
+    return sum(1 for i in range(n) if not (v >> i) & 1 and not (v >> (n + i)) & 1)
+
+
+def test_preimage_kernel_matches_brute_force_oracle():
+    rng = np.random.default_rng(2103)
+    for n in range(1, 5):
+        for _ in range(12):
+            m = random_symplectic(n, rng)
+            cosets = preimage_oracle(m, n)
+            v0, shifts = preimage_cosets(m.rows, n)
+            assert [sorted(v ^ t for v in v0) for t in shifts] == list(cosets)
+            hists = tuple(
+                tuple(sum(1 for v in c if _identity_count(v, n) == w) for w in range(n + 1))
+                for c in cosets
+            )
+            assert werner_counts(m, n) == hists
+            assert coset_key(m) == rref(cosets[0])
+            state = BellDiagonalState(n, rng.dirichlet(np.ones(4**n)))
+            want = [state.probs[c].sum() for c in cosets]
+            assert np.allclose(coset_sums(m, state), want, rtol=0, atol=1e-14)
+
+
+def test_step_table_matches_brute_force_oracle():
+    for label in ROTATION_WORDS:
+        m = circuit_to_symplectic(plan_to_circuit(TreePlan(label, LEAF, LEAF), 2))
+        want = [sorted(vector_paulis(v, 2) for v in c) for c in preimage_oracle(m, 2)]
+        assert [sorted(entry) for entry in step_table(label)] == want, label
 
 
 # --- Werner polynomial statistics ---------------------------------------------------

@@ -18,6 +18,7 @@ from bicliff.werner import (
     first_occurrences,
     graph_adjacency_rows,
     graphs_up_to_iso,
+    pick_curve,
 )
 from _reference import (
     CASE_COUNTS,
@@ -320,3 +321,20 @@ def test_best_protocols_match_reference(protocols_for, best_for):
 def test_best_on_custom_grid(protocols_for):
     res = best_fidelity_protocol(4, protocols=protocols_for(4), f_grid=[0.7, 0.9])
     assert res.protocol.stats.p_suc == best_p_poly(4)
+
+
+def test_pick_curve_dominant():
+    values = np.array([
+        [0.5, 0.60, 0.70],
+        [0.5 + 1e-13, 0.65, 0.80],  # ties curve 0 at the first point
+        [0.4, 0.65, 0.80 - 1e-13],  # within the tolerance at the last point
+    ])
+    assert pick_curve(values) == (1, True, [])
+
+
+def test_pick_curve_crossing():
+    values = np.array([
+        [0.9, 0.7, 0.5],
+        [0.1, 0.7, 0.6],
+    ])
+    assert pick_curve(values) == (1, False, [0, 0, 1])
