@@ -13,12 +13,13 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from .blocks import ordered_calls
 from .gf2 import CNOT, CZ, Gate, H, SWAP, SymplecticMatrix, apply_gate_rows
-from .states import coset_histograms, counts_key, werner_counts
+from .states import counts_key, werner_counts
 
 SYNTH_BLOCK = 4096
 
@@ -175,55 +176,97 @@ def _all_pairs(n: int) -> list:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps) -> np.ndarray:
+    """Row masks of every candidate of a block, shape (size, 2n).
+
+    One masked pass per CNOT position and one per CZ pair apply the gates of
+    all candidates at once, in the same order as the gate list of each.
+    """
+    size = len(lengths)
+    down = np.array(_downward_pairs(n)) - 1
+    rows = np.tile(1 << np.arange(2 * n, dtype=np.int64), (size, 1))
+    for p in range(int(lengths.max(initial=0))):
+        idx = np.flatnonzero(lengths > p)
+        i, j = down[cnot_choices[starts[idx] + p]].T
+        rows[idx, j] ^= rows[idx, i]
+        rows[idx, n + i] ^= rows[idx, n + j]
+    for p, (i, j) in enumerate(_all_pairs(n)):
+        idx = np.flatnonzero((cz_masks >> p) & 1)
+        rows[idx, n + j - 1] ^= rows[idx, i - 1]
+        rows[idx, n + i - 1] ^= rows[idx, j - 1]
+    h = np.arange(1, n)
+    rows[:, np.r_[h, n + h]] = rows[:, np.r_[n + h, h]]
+    idx = np.flatnonzero(swaps)  # exchange qubit 1 with qubit sw+1 after the Hadamards
+    sw = swaps[idx]
+    rows[idx, 0], rows[idx, sw] = rows[idx, sw], rows[idx, 0]
+    rows[idx, n], rows[idx, n + sw] = rows[idx, n + sw], rows[idx, n]
+    return rows
+
+
+def _block_histograms(rows, n: int) -> np.ndarray:
+    """coset_histograms of every row set of a block, shape (size, 4, n + 1).
+
+    The preimage vectors are formed without swap_halves: the Pauli weight,
+    popcount((w | w >> n) & (2^n - 1)), is the same for w and swap_halves(w).
+    """
+    size = len(rows)
+    rows = rows.astype(np.uint32 if n <= 16 else np.uint64)
+    v0 = np.zeros((size, 1), dtype=rows.dtype)
+    for k in range(1, n):
+        v0 = np.concatenate([v0, v0 ^ rows[:, k, None]], axis=1)
+    t1, t2 = rows[:, n], rows[:, 0]
+    shifts = np.stack([np.zeros_like(t1), t1, t1 ^ t2, t2], axis=1)
+    w = v0[:, None, :] ^ shifts[:, :, None]
+    w |= w >> n
+    w &= (1 << n) - 1
+    pauli_weight = np.bitwise_count(w)
+    return np.stack(
+        [np.count_nonzero(pauli_weight == n - i, axis=2) for i in range(n + 1)], axis=2
+    )
+
+
+def _key_matches(hist, key) -> np.ndarray:
+    """Which histograms of a block have the given counts_key, shape (size,).
+
+    The base histogram must be equal; the other three must equal the key's
+    three as a multiset, that is under one of the six matchings.
+    """
+    base, rest = np.array(key[0]), np.array(key[1])
+    eq = (hist[:, 1:, None, :] == rest[None, None, :, :]).all(axis=3)
+    shuffled = np.zeros(len(hist), dtype=bool)
+    for perm in permutations(range(3)):
+        shuffled |= eq[:, 0, perm[0]] & eq[:, 1, perm[1]] & eq[:, 2, perm[2]]
+    return (hist[:, 0] == base).all(axis=1) & shuffled
+
+
 def _synth_block(n, seed, block, size, key, allow_swap):
     """Scan one block of random candidates; return (hits, best) for the block.
 
     best is (two_qubit_count, depth, index_in_block, payload) for the block's
-    lexicographically best accepted candidate, or None.
+    lexicographically best accepted candidate, or None.  All candidates are
+    compiled and tested as arrays; only accepted ones become circuits.
     """
     rng = np.random.default_rng([seed, block])
     down = _downward_pairs(n)
-    pairs = _all_pairs(n)
-    npairs = len(pairs)
     lengths = rng.integers(0, 3 * n + 1, size=size)
     cnot_choices = rng.integers(0, len(down), size=int(lengths.sum()))
-    cz_masks = rng.integers(0, 1 << npairs, size=size, dtype=np.uint64)
+    cz_masks = rng.integers(0, 1 << len(_all_pairs(n)), size=size, dtype=np.uint64)
     swaps = rng.integers(0, n, size=size) if allow_swap else np.zeros(size, np.int64)
+    starts = np.cumsum(lengths) - lengths
 
-    ident = [1 << i for i in range(2 * n)]
-    hits = 0
+    rows = _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps)
+    hits = np.flatnonzero(_key_matches(_block_histograms(rows, n), key))
     best = None
-    pos = 0
-    for idx in range(size):
-        length = int(lengths[idx])
-        chosen = cnot_choices[pos : pos + length]
-        pos += length
-        rows = ident.copy()
-        for t in chosen:
-            i, j = down[t]
-            rows[j - 1] ^= rows[i - 1]
-            rows[n + i - 1] ^= rows[n + j - 1]
-        czm = int(cz_masks[idx])
-        for p in range(npairs):
-            if (czm >> p) & 1:
-                i, j = pairs[p]
-                rows[n + j - 1] ^= rows[i - 1]
-                rows[n + i - 1] ^= rows[j - 1]
-        for i in range(1, n):
-            rows[i], rows[n + i] = rows[n + i], rows[i]
-        sw = int(swaps[idx])
-        if sw:  # exchange qubit 1 with qubit sw+1 after the Hadamard layer
-            rows[0], rows[sw] = rows[sw], rows[0]
-            rows[n], rows[n + sw] = rows[n + sw], rows[n]
-
-        if counts_key(coset_histograms(rows, n)) != key:
-            continue
-        hits += 1
-        circ = _rebuild(n, [down[t] for t in chosen], czm, sw)
-        cand = (two_qubit_count(circ), depth(circ), idx, circ)
-        if best is None or cand[:3] < best[:3]:
-            best = cand
-    return hits, best
+    if len(hits):
+        # only hits with the fewest two-qubit gates (CNOTs, CZs, SWAP) can be best
+        gates = lengths[hits] + np.bitwise_count(cz_masks[hits]) + (swaps[hits] != 0)
+        for idx in hits[gates == gates.min()].tolist():
+            chosen = cnot_choices[starts[idx] : starts[idx] + lengths[idx]]
+            circ = _rebuild(n, [down[t] for t in chosen], int(cz_masks[idx]), int(swaps[idx]))
+            cand = (two_qubit_count(circ), depth(circ), idx, circ)
+            if best is None or cand[:3] < best[:3]:
+                best = cand
+    return len(hits), best
 
 
 def _rebuild(n, cnots, cz_mask, sw) -> CliffordCircuit:

@@ -186,27 +186,67 @@ def werner_leaf() -> tuple:
     return (f, e, e, e)
 
 
-def _candidates(shape, leaf, rotations, memo) -> dict:
-    """Distinct reachable coefficient 4-tuples for one shape, with plans."""
+def _leaf_array(leaf) -> tuple:
+    """(coefficients, scale) of a leaf: a (4, d) array and an int or None.
+
+    A polynomial leaf becomes integer coefficient rows times the common
+    denominator `scale`, so the Werner leaf is 3 * (F, (1-F)/3, ...) with
+    rows [0, 3], [1, -1], [1, -1], [1, -1].  A numeric leaf becomes a (4, 1)
+    float array with scale None.
+    """
+    if not isinstance(leaf[0], RationalPolynomial):
+        return np.asarray(leaf, dtype=float).reshape(4, 1), None
+    scale = math.lcm(*(c.denominator for q in leaf for c in q.coeffs))
+    width = max(1, *(len(q.coeffs) for q in leaf))
+    rows = [[int(c * scale) for c in q.coeffs] + [0] * (width - len(q.coeffs)) for q in leaf]
+    return np.array(rows, dtype=np.int64), scale
+
+
+def _step_arrays(keep, measure, index) -> np.ndarray:
+    """Every step output of every (keep, measure, rotation) triple.
+
+    keep (L, 4, a) and measure (R, 4, b) hold coefficient rows, and index
+    holds the step tables as two (rotations, 4, terms) arrays of i and j.
+    The result has shape (L, R, rotations, 4, a + b - 1): each row is the sum
+    over a table entry of the products keep[i] * measure[j] (polynomial
+    products, which reduce to plain products for numeric (4, 1) rows).
+    """
+    a, b = keep.shape[2], measure.shape[2]
+    prod = np.zeros((len(keep), len(measure), 4, 4, a + b - 1), dtype=keep.dtype)
+    for s in range(a):
+        prod[..., s : s + b] += keep[:, None, :, None, s, None] * measure[None, :, None, :, :]
+    i, j = index
+    return prod[:, :, i, j].sum(axis=4)
+
+
+def _candidates(shape, leaf, rotations, index, memo) -> tuple:
+    """Distinct reachable coefficient arrays for one shape, with plans.
+
+    Returns (coeffs, plans): coeffs is (count, 4, d) in first-occurrence
+    order of the loop keep candidate, measure candidate, rotation (both
+    child orders when the children differ), and plans[k] realises coeffs[k].
+    """
     if shape in memo:
         return memo[shape]
     if shape is None:
-        memo[shape] = {leaf: LEAF}
+        memo[shape] = (leaf[None], [LEAF])
         return memo[shape]
     left, right = shape
-    lc = _candidates(left, leaf, rotations, memo)
-    rc = _candidates(right, leaf, rotations, memo)
-    out: dict = {}
+    lc = _candidates(left, leaf, rotations, index, memo)
+    rc = _candidates(right, leaf, rotations, index, memo)
     orders = [(lc, rc)] if left == right else [(lc, rc), (rc, lc)]
-    for keep_set, measure_set in orders:
-        for uk, pk in keep_set.items():
-            for um, pm in measure_set.items():
-                for rot in rotations:
-                    key = tuple(_step_unnormalised(uk, um, step_table(rot)))
-                    if key not in out:
-                        out[key] = TreePlan(rot, pk, pm)
-    memo[shape] = out
-    return out
+    seen = set()
+    coeffs, plans = [], []
+    for (keep, keep_plans), (measure, measure_plans) in orders:
+        out = _step_arrays(keep, measure, index)
+        for (k, m, r), row in zip(np.ndindex(out.shape[:3]), out.reshape(-1, *out.shape[3:])):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                coeffs.append(row)
+                plans.append(TreePlan(rotations[r], keep_plans[k], measure_plans[m]))
+    memo[shape] = (np.array(coeffs), plans)
+    return memo[shape]
 
 
 @dataclass
@@ -219,16 +259,31 @@ class ConcatenatedResult:
 
 
 def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
-    """All distinct unnormalised output 4-tuples of n-leaf plans."""
-    if leaf is None:
-        leaf = werner_leaf()
+    """All distinct unnormalised output 4-tuples of n-leaf plans.
+
+    The tree recursion runs on coefficient arrays (exact integers for the
+    Werner leaf) and deduplicates on their bytes; only the distinct results
+    become 4-tuples of RationalPolynomial (or of floats for numeric leaves).
+    """
+    leaf, scale = _leaf_array(werner_leaf() if leaf is None else leaf)
+    # every coefficient of an n-leaf output is bounded by (sum |leaf|)^n
+    if scale is not None and int(np.abs(leaf).sum()) ** n >= 2**63:
+        raise ValueError("leaf coefficients too large for exact int64 products")
     rotations = tuple(ROTATION_WORDS) if rotations is None else tuple(rotations)
+    index = np.array([step_table(rot) for rot in rotations]).transpose(3, 0, 1, 2)
     memo: dict = {}
     out: dict = {}
     for shape in tree_shapes(n):
-        for key, plan in _candidates(shape, leaf, rotations, memo).items():
-            out.setdefault(key, plan)
-    return out
+        coeffs, plans = _candidates(shape, leaf, rotations, index, memo)
+        for row, plan in zip(coeffs, plans):
+            out.setdefault(row.tobytes(), (row, plan))
+    if scale is None:
+        return {tuple(float(c) for c in row[:, 0]): plan for row, plan in out.values()}
+    denom = scale**n
+    return {
+        tuple(RationalPolynomial(Fraction(int(c), denom) for c in q) for q in row): plan
+        for row, plan in out.values()
+    }
 
 
 def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> ConcatenatedResult:

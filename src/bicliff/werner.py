@@ -310,10 +310,13 @@ def counts_from_key(key: int, n: int) -> tuple:
 
 
 _CHUNK_PAIRS = 64  # (a, b) pairs per work unit and journal file
+# Version of the case-key format; raise it whenever the keys a chunk holds
+# change, so that journals written by older code are never reused.
+KEY_FORMAT = 1
 
 
 def _journal_path(journal_dir, n: int, index: int):
-    return journal_dir / f"chunk_n{n}_p{_CHUNK_PAIRS}_{index:06d}.npy"
+    return journal_dir / f"chunk_k{KEY_FORMAT}_n{n}_p{_CHUNK_PAIRS}_{index:06d}.npy"
 
 
 @contextmanager
@@ -339,8 +342,9 @@ def all_case_keys(
     """Dedup keys of every case, in canonical case order: (cases, 4) uint64.
 
     With a journal directory, each finished chunk of (a, b) pairs is saved
-    there and reused by a later call.  File names carry n and the chunk size,
-    so a journal left by a different enumeration is never read.
+    there and reused by a later call.  File names carry the key-format
+    version, n and the chunk size, so a journal left by a different
+    enumeration or by an older key format is never read.
     """
     _check_enum_n(n)
     if journal_dir is not None:

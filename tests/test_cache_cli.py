@@ -353,3 +353,45 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert res.returncode == 0
     assert res.stdout.splitlines()[1] == "2,720,48,15"
+
+
+@pytest.mark.parametrize(
+    "metric, flags, message",
+    [
+        ("target-rate", ["--f-tar", "1.5"], "--f-tar"),
+        ("target-rate", ["--f-tar", "0.5"], "--f-tar"),
+        ("fidelity", ["--f-step", "0"], "--f-step"),
+        ("yield", ["--f-step", "-0.01"], "--f-step"),
+        ("ree", ["--f-min", "0.9", "--f-max", "0.8"], "--f-min"),
+        ("fidelity", ["--f-max", "inf"], "finite"),
+        ("yield", ["--n-min", "4", "--n-max", "3"], "--n-min"),
+    ],
+)
+def test_cli_compare_rejects_bad_input(cache_dir, capsys, metric, flags, message):
+    code = run_cli(["compare", "--metric", metric, "--cache", str(cache_dir), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err and captured.out == ""
+
+
+def test_cli_compare_target_rate_matches_scalar(tmp_path, capsys, protocols_for):
+    # the whole-grid target rate equals the scalar metric at every grid point
+    from bicliff.cli import _dejmps_stats, _full_stats
+    from bicliff.metrics import target_rate
+
+    ns = (2, 3, 4, 5)
+    for n in ns:
+        write_werner_cache(tmp_path / f"werner_n{n}.bcp", n, protocols_for(n))
+    full = {n: _full_stats(protocols_for(n)) for n in ns}
+    dejmps = {n: _dejmps_stats(n) for n in ns}
+    for f_tar in ("0.930025", "0.8"):
+        code = run_cli([
+            "compare", "--n-min", "2", "--n-max", "5", "--metric", "target-rate",
+            "--cache", str(tmp_path), "--f-tar", f_tar, "--f-step", "0.0005",
+        ])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0 and lines[0] == "f_in,full,dejmps"
+        for line in lines[1:]:
+            f, a, b = map(float, line.split(","))
+            assert a == target_rate(f, float(f_tar), full).value
+            assert b == target_rate(f, float(f_tar), dejmps).value

@@ -3,16 +3,19 @@ import pytest
 
 from bicliff.circuits import (
     CliffordCircuit,
+    _synth_block,
     ascii_diagram,
     circuit_to_symplectic,
     depth,
     published_circuits,
     synthesize,
+    target_key,
     two_qubit_count,
 )
 from bicliff.gf2 import CNOT, CZ, H, S, SWAP, X, SymplecticMatrix, is_symplectic
 from bicliff.states import counts_key, werner_counts, werner_stats
 from _reference import CIRCUIT_SIZES
+import _scalar_reference
 
 
 def test_empty_circuit_is_identity():
@@ -136,3 +139,17 @@ def test_synthesize_budget_exhaustion_reports():
 def test_synthesize_swap_variant_runs(best_for):
     res = synthesize(best_for(2).protocol, budget=4096, seed=5, allow_swap=True, max_hits=20)
     assert res.circuit is not None
+
+
+def test_batched_block_matches_scalar_reference(best_for):
+    # n = 8 histograms hold entries up to 128 in 9 bins, past one int64 packing
+    for n in range(4, 9):
+        key = target_key(best_for(n).protocol)
+        for allow_swap in (False, True):
+            total = 0
+            for block in (0, 1, 2):
+                args = (n, 7, block, 2048, key, allow_swap)
+                hits, best = _synth_block(*args)
+                assert (hits, best) == _scalar_reference.synth_block(*args), args
+                total += hits
+            assert total > 0, (n, allow_swap)

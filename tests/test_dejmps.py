@@ -23,6 +23,7 @@ from bicliff.states import (
     numeric_stats,
 )
 from _reference import best_f_poly, best_p_poly
+import _scalar_reference
 
 
 # --- density-matrix oracle -----------------------------------------------------
@@ -231,6 +232,23 @@ def test_plan_chain_rule_matches_whole_circuit():
             assert np.isclose(direct.f_num, stepwise.f_num, atol=1e-12)
             for a, b in zip(direct.fi_nums, stepwise.fi_nums):
                 assert np.isclose(a, b, atol=1e-12)
+
+
+def test_array_family_matches_fraction_reference():
+    # same keys, plans and insertion order as the exact tree recursion
+    for n in range(2, 9):
+        assert list(concatenated_candidates(n).items()) == list(
+            _scalar_reference.concatenated_candidates(n).items()
+        ), n
+    leaf = (0.7, 0.1, 0.1, 0.1)
+    for n in range(2, 7):
+        assert list(concatenated_candidates(n, leaf=leaf).items()) == list(
+            _scalar_reference.concatenated_candidates(n, leaf=leaf).items()
+        ), n
+    rotations = ("I", "HSH")
+    assert list(concatenated_candidates(5, rotations=rotations).items()) == list(
+        _scalar_reference.concatenated_candidates(5, rotations=rotations).items()
+    )
 
 
 def test_numeric_mode():

@@ -28,6 +28,6 @@ def test_cli_outputs_match_golden_digests(golden, tmp_path, capsys):
     for n in range(2, 8):
         args = ["werner", "--n", str(n), "--cache", cache]
         assert stdout_digest(capsys, args) == golden[f"werner_n{n}"], n
-    for metric in ("fidelity", "yield", "ree"):
+    for metric in ("fidelity", "yield", "ree", "target-rate"):
         args = ["compare", "--n-min", "2", "--n-max", "7", "--metric", metric, "--cache", cache]
         assert stdout_digest(capsys, args) == golden[f"compare_{metric}"], metric

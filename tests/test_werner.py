@@ -301,6 +301,19 @@ def test_stale_journal_ignored(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_journal_of_other_key_format_ignored(tmp_path, monkeypatch):
+    import bicliff.werner as werner
+
+    monkeypatch.setattr(werner, "KEY_FORMAT", werner.KEY_FORMAT - 1)
+    all_case_keys(4, journal_dir=tmp_path)
+    stale = sorted(tmp_path.glob("chunk_*.npy"))
+    for path in stale:  # keys as an older format might have written them
+        np.save(path, np.zeros_like(np.load(path)))
+    monkeypatch.undo()
+    assert np.array_equal(all_case_keys(4, journal_dir=tmp_path), all_case_keys(4))
+    assert len(list(tmp_path.glob("chunk_*.npy"))) == 2 * len(stale)
+
+
 def test_n2_case_stats_distinct(protocols_for):
     ps = protocols_for(2)
     assert len(ps) == 2
