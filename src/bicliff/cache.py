@@ -2,11 +2,12 @@
 
 Layout: magic, 4-byte big-endian header length, header JSON, then for each
 record a 4-byte big-endian length and the record JSON (canonical key order).
-Werner-mode records carry the source case, representative rows and exact
-statistics as coefficient strings; transversal-mode records carry the coset
-key and representative rows.  Verification takes a sample of records,
-checks that their stored rows are symplectic, recomputes their derived data
-from those rows and demands exact agreement.
+Werner-mode records carry the source case, representative rows and the
+preimage-coset histograms that fix the exact statistics; transversal-mode
+records carry the coset key and representative rows.  Each mode has its own
+format version.  Verification takes a sample of records, checks that their
+stored rows are symplectic, recomputes their derived data from those rows
+and demands exact agreement.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ import numpy as np
 
 from .gf2 import SymplecticMatrix, is_symplectic
 from .groups import coset_key
-from .ratpoly import poly_from_strings, poly_to_strings
-from .states import DistStats, stats_from_counts, werner_counts
+# Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
+# this name up in this module.
+from .ratpoly import poly_from_strings  # noqa: F401
+from .states import counts_key, werner_counts
 from .werner import Protocol, WernerCase, atomic_open
 
 MAGIC = b"BCPC\x01"
-FORMAT_VERSION = 1
+# Werner records hold coset histograms since version 2 (before: statistic
+# polynomials); transversal records are unchanged since version 1.
+FORMAT_VERSIONS = {"werner": 2, "transversal": 1}
 
 
 def _encode(obj: dict) -> bytes:
@@ -33,7 +38,7 @@ def _encode(obj: dict) -> bytes:
 
 def write_cache(path, header: dict, records) -> None:
     header = dict(header)
-    header["format_version"] = FORMAT_VERSION
+    header["format_version"] = FORMAT_VERSIONS[header["mode"]]
     blob = _encode(header)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -47,31 +52,33 @@ def write_cache(path, header: dict, records) -> None:
             fh.write(data)
 
 
-def _read_exact(fh, count: int, path) -> bytes:
+def _read_exact(fh, count: int) -> bytes:
     data = fh.read(count)
     if len(data) != count:
-        raise ValueError(f"{path} is truncated")
+        raise ValueError("file is truncated")
     return data
 
 
 def read_cache(path):
-    path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{path} is not a protocol cache")
-        (hlen,) = struct.unpack(">I", _read_exact(fh, 4, path))
-        header = json.loads(_read_exact(fh, hlen, path))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported cache version {header.get('format_version')}")
+            raise ValueError("not a protocol cache")
+        (hlen,) = struct.unpack(">I", _read_exact(fh, 4))
+        header = json.loads(_read_exact(fh, hlen))
+        if not isinstance(header, dict):
+            raise ValueError("no cache header")
+        mode, version = header.get("mode"), header.get("format_version")
+        if FORMAT_VERSIONS.get(mode) != version:
+            raise ValueError(f"unsupported {mode} cache version {version}")
         records = []
         while True:
             raw = fh.read(4)
             if not raw:
                 break
             if len(raw) != 4:
-                raise ValueError(f"{path} is truncated")
+                raise ValueError("file is truncated")
             (rlen,) = struct.unpack(">I", raw)
-            records.append(json.loads(_read_exact(fh, rlen, path)))
+            records.append(json.loads(_read_exact(fh, rlen)))
     return header, records
 
 
@@ -81,39 +88,30 @@ def protocol_record(p: Protocol) -> dict:
         "case": [case.a, case.b, case.e],
         "index": p.case_index,
         "rows": list(p.rep.rows),
-        "stats": {
-            "p": poly_to_strings(p.stats.p_suc),
-            "f": poly_to_strings(p.stats.f_num),
-            "fis": [poly_to_strings(q) for q in p.stats.fi_nums],
-        },
+        "counts": [list(h) for h in p.counts],
     }
 
 
-def _record_stats(rec: dict) -> DistStats:
-    stats = rec["stats"]
-    return DistStats(
-        poly_from_strings(stats["p"]),
-        poly_from_strings(stats["f"]),
-        tuple(poly_from_strings(q) for q in stats["fis"]),
-    )
+def _record_counts(rec: dict, n: int) -> tuple:
+    """The stored histograms: 4 lists of n+1 counts, each summing to 2^(n-1)."""
+    counts = rec["counts"]
+    if not (isinstance(counts, list) and len(counts) == 4 and all(
+        isinstance(h, list) and len(h) == n + 1
+        and all(type(c) is int and c >= 0 for c in h) and sum(h) == 1 << (n - 1)
+        for h in counts
+    )):
+        raise ValueError(f"record {rec['index']}: malformed coset histograms")
+    return tuple(map(tuple, counts))
 
 
 def record_protocol(rec: dict, n: int) -> Protocol:
     a, b, e = rec["case"]
-    return Protocol(
-        n=n,
-        rep=SymplecticMatrix(n, rec["rows"]),
-        stats=_record_stats(rec),
-        counts=None,
-        source=WernerCase(n, a, b, e),
-        case_index=rec["index"],
-    )
+    rep = SymplecticMatrix(n, rec["rows"])
+    return Protocol(n, rep, _record_counts(rec, n), WernerCase(n, a, b, e), rec["index"])
 
 
-def write_werner_cache(path, n: int, protocols, params=None) -> None:
+def write_werner_cache(path, n: int, protocols) -> None:
     header = {"mode": "werner", "n": n, "count": len(protocols)}
-    if params:
-        header["params"] = params
     write_cache(path, header, (protocol_record(p) for p in protocols))
 
 
@@ -160,9 +158,9 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     """Recompute derived data of sampled records; exact match required.
 
     Every stored representative must be symplectic.  Werner records: the
-    stored statistics must equal the statistics recomputed from the stored
-    representative.  Transversal records: the stored key must equal the
-    recomputed coset key.
+    stored coset histograms must equal those recomputed from the stored
+    representative, up to the order of the three non-base cosets.
+    Transversal records: the stored key must equal the recomputed coset key.
     Returns (ok, checked, message).
     """
     header, records = read_cache(path)
@@ -178,7 +176,7 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
         if not is_symplectic(rep):
             return False, checked, f"record {i}: representative is not symplectic"
         if header["mode"] == "werner":
-            if stats_from_counts(werner_counts(rep, n), n) != _record_stats(rec):
+            if counts_key(werner_counts(rep, n)) != counts_key(_record_counts(rec, n)):
                 return False, checked, f"record {i}: statistics mismatch"
         else:
             if coset_key(rep) != tuple(rec["key"]):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .blocks import ordered_calls
 from .gf2 import CNOT, CZ, Gate, H, SWAP, SymplecticMatrix, apply_gate_rows
-from .states import counts_key, werner_counts
+from .states import counts_key
 
 SYNTH_BLOCK = 4096
 
@@ -161,11 +161,8 @@ class SynthesisResult:
 
 
 def target_key(target) -> tuple:
-    """Werner statistics key of a protocol; counts from its matrix if unset."""
-    counts = getattr(target, "counts", None)
-    if counts is None:
-        counts = werner_counts(target.rep, target.n)
-    return counts_key(counts)
+    """Werner statistics key of a protocol."""
+    return counts_key(target.counts)
 
 
 def _downward_pairs(n: int) -> list:

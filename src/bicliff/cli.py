@@ -30,7 +30,7 @@ from .circuits import (
     two_qubit_count,
 )
 from .dejmps import concatenated_candidates
-from .gf2 import sp_order
+from .gf2 import MAX_PAIRS, sp_order
 from .groups import dn_index, dn_order
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # this name up in this module, as it does concatenated_candidates and synthesize.
@@ -44,7 +44,7 @@ from .states import (
     werner_counts,
 )
 from .transversal import build_transversal, enumerate_stats, pareto_envelope
-from .werner import best_fidelity_protocol, case_count, distinct_protocols
+from .werner import MAX_GRAPH_NODES, best_fidelity_protocol, case_count, distinct_protocols
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -89,23 +89,32 @@ def _emit(path: str, header: list, rows) -> None:
             fh.close()
 
 
-def _werner_cache_path(cache_dir: str, n: int) -> Path:
-    return Path(cache_dir) / f"werner_n{n}.bcp"
+def _cache_path(mode: str, cache_dir: str, n: int) -> Path:
+    return Path(cache_dir) / f"{mode}_n{n}.bcp"
 
 
-def _transversal_cache_path(cache_dir: str, n: int) -> Path:
-    return Path(cache_dir) / f"transversal_n{n}.bcp"
-
-
-def _load_protocols(cache_dir: str, n: int):
-    path = _werner_cache_path(cache_dir, n)
-    if not path.exists():
+def _read_cache(read, path, rebuild: str, *args, **kwargs):
+    """Call a cache reader; a cache it cannot read exits 2 with a rebuild hint."""
+    try:
+        return read(path, *args, **kwargs)
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(
-            EXIT_MISSING_CACHE,
-            f"no Werner cache for n={n}; run: bicliff werner --n {n} --cache {cache_dir}",
-        )
-    _, protocols = cachemod.load_werner_cache(path)
-    return protocols
+            EXIT_INVALID, f"bad cache file {path}: {exc}; rebuild it with: {rebuild}"
+        ) from exc
+
+
+def _load_cache(mode: str, cache_dir: str, n: int):
+    """Contents of the n-pair cache of a mode: exit 3 if missing, 2 if unreadable."""
+    path = _cache_path(mode, cache_dir, n)
+    rebuild = f"bicliff {mode} --n {n} --cache {cache_dir}"
+    if not path.exists():
+        raise CliError(EXIT_MISSING_CACHE, f"no {mode} cache for n={n}; run: {rebuild}")
+    # looked up per call: the benchmark's tracer replaces these after import
+    load = {"werner": cachemod.load_werner_cache, "transversal": cachemod.load_transversal_cache}
+    header, contents = _read_cache(load[mode], path, rebuild)
+    if header["n"] != n:
+        raise CliError(EXIT_INVALID, f"bad cache file {path}: holds n={header['n']}")
+    return contents
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +132,11 @@ def cmd_tables(args) -> int:
 
 def cmd_werner(args) -> int:
     n = args.n
-    cache_path = _werner_cache_path(args.cache, n)
+    cache_path = _cache_path("werner", args.cache, n)
     journal = Path(str(cache_path) + ".journal")
     journal.mkdir(parents=True, exist_ok=True)
     protocols = distinct_protocols(n, jobs=args.jobs, journal_dir=journal)
-    cachemod.write_werner_cache(cache_path, n, protocols, params={"jobs_independent": True})
+    cachemod.write_werner_cache(cache_path, n, protocols)
     shutil.rmtree(journal, ignore_errors=True)
 
     res = best_fidelity_protocol(n, protocols=protocols)
@@ -157,7 +166,7 @@ def cmd_werner(args) -> int:
 
 def cmd_transversal(args) -> int:
     t = build_transversal(args.n, seed=args.seed, jobs=args.jobs, max_samples=args.budget)
-    cachemod.write_transversal_cache(_transversal_cache_path(args.cache, args.n), t, args.seed)
+    cachemod.write_transversal_cache(_cache_path("transversal", args.cache, args.n), t, args.seed)
     _emit(args.out, ["n", "cosets", "target", "complete", "samples"],
           [[args.n, len(t), t.target_size, int(t.complete), t.samples_used]])
     if not t.complete:
@@ -188,13 +197,7 @@ def cmd_eval(args) -> int:
     n = state.n if args.n is None else args.n
     if n != state.n:
         raise CliError(EXIT_INVALID, f"--n {n} does not match the state file ({state.n})")
-    path = _transversal_cache_path(args.cache, n)
-    if not path.exists():
-        raise CliError(
-            EXIT_MISSING_CACHE,
-            f"no transversal cache for n={n}; run: bicliff transversal --n {n} --cache {args.cache}",
-        )
-    _, t = cachemod.load_transversal_cache(path)
+    t = _load_cache("transversal", args.cache, n)
     entries = enumerate_stats(t, state)
     envelope = set()
     for st in pareto_envelope([s for _, s in entries]):
@@ -295,7 +298,7 @@ def cmd_compare(args) -> int:
     _check_compare_args(args)
     grid = np.round(np.arange(args.f_min, args.f_max + args.f_step / 2, args.f_step), 9)
     ns = range(args.n_min, args.n_max + 1)
-    full = {n: _full_stats(_load_protocols(args.cache, n)) for n in ns}
+    full = {n: _full_stats(_load_cache("werner", args.cache, n)) for n in ns}
     dejmps = {n: _dejmps_stats(n) for n in ns}
 
     rows = []
@@ -344,7 +347,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_circuit(args) -> int:
-    protocols = _load_protocols(args.cache, args.n)
+    protocols = _load_cache("werner", args.cache, args.n)
     res = best_fidelity_protocol(args.n, protocols=protocols)
     target = res.protocol
     synth = synthesize(
@@ -395,7 +398,12 @@ def _print_circuit(circ, out_path) -> None:
 
 
 def cmd_verify(args) -> int:
-    ok, checked, message = cachemod.verify_cache(args.cache_file, sample=args.sample, seed=args.seed)
+    if args.sample < 1:
+        raise CliError(EXIT_INVALID, f"--sample {args.sample} must be at least 1")
+    ok, checked, message = _read_cache(
+        cachemod.verify_cache, args.cache_file, "bicliff werner or bicliff transversal",
+        sample=args.sample, seed=args.seed,
+    )
     print(f"checked={checked} ok={int(ok)} {message}")
     return EXIT_OK if ok else EXIT_INVALID
 
@@ -472,19 +480,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--seed", type=int, default=0)
 
+    pair_counts = range(1, MAX_PAIRS + 1)
     p = sub.add_parser("tables", help="group orders and coset counts")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--n-min", type=int, default=1, choices=pair_counts, metavar="N")
+    p.add_argument("--n-max", type=int, default=5, choices=pair_counts, metavar="N")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("werner", help="enumerate all protocols on identical Werner inputs")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, choices=range(2, MAX_GRAPH_NODES + 2))
     add_common(p)
     p.set_defaults(func=cmd_werner)
 
     p = sub.add_parser("transversal", help="build a coset transversal for general inputs")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, choices=pair_counts, metavar="N")
     p.add_argument("--budget", type=int, default=None, help="maximum samples")
     add_common(p)
     p.set_defaults(func=cmd_transversal)

@@ -138,10 +138,6 @@ def poly_from_strings(items) -> RationalPolynomial:
     return RationalPolynomial(tuple(Fraction(s) for s in items))
 
 
-def poly_to_strings(p: RationalPolynomial) -> list:
-    return [str(c) for c in p.coeffs]
-
-
 def format_poly(p: RationalPolynomial, var: str = "F") -> str:
     """Human-readable exact form, highest power first, e.g. '8/9*F^2 - 4/9*F + 5/9'."""
     if p.is_zero():

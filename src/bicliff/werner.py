@@ -26,7 +26,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -207,15 +207,21 @@ def build_representative(case: WernerCase, n: int | None = None) -> SymplecticMa
 
 @dataclass
 class Protocol:
-    """A distillation protocol: representative matrix plus exact statistics."""
+    """A distillation protocol: representative matrix plus coset histograms.
+
+    The identity-weight histograms of the four preimage cosets fix the exact
+    Werner statistics; `stats` is derived from them on first use.
+    """
 
     n: int
     rep: SymplecticMatrix
-    stats: DistStats
-    counts: tuple | None  # preimage-coset histograms; None when loaded from a cache
-    source: object  # WernerCase or a coset key
-    case_index: int | None = None
-    circuit: object | None = None
+    counts: tuple  # preimage-coset histograms, base coset first
+    source: WernerCase
+    case_index: int
+
+    @cached_property
+    def stats(self) -> DistStats:
+        return stats_from_counts(self.counts, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +438,7 @@ def distinct_protocols(
         a, b = pairs[idx // g_count]
         case = WernerCase(n, a, b, graphs[idx % g_count])
         counts = tuple(counts_from_key(k, n) for k in keys[idx])
-        protocols.append(
-            Protocol(
-                n=n,
-                rep=build_representative(case),
-                stats=stats_from_counts(counts, n),
-                counts=counts,
-                source=case,
-                case_index=idx,
-            )
-        )
+        protocols.append(Protocol(n, build_representative(case), counts, case, idx))
     return protocols
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from bicliff.cache import (
     write_werner_cache,
 )
 from bicliff.cli import main
+from bicliff.states import werner_stats
 from _reference import EXAMPLE_PAIR
 
 
@@ -41,6 +43,106 @@ def test_cache_roundtrip(cache_dir, protocols_for):
         assert a.source == b.source
 
 
+def test_werner_cache_roundtrip_keeps_histograms(tmp_path, protocols_for):
+    for n in range(2, 8):
+        original = protocols_for(n)
+        write_werner_cache(tmp_path / f"werner_n{n}.bcp", n, original)
+        _, loaded = load_werner_cache(tmp_path / f"werner_n{n}.bcp")
+        assert len(loaded) == len(original)
+        for a, b in zip(loaded, original):
+            assert a.counts == b.counts and a.stats == b.stats
+            assert a.rep == b.rep and a.source == b.source
+            assert a.case_index == b.case_index
+        # statistics derived from the stored histograms equal those of the
+        # stored matrix
+        assert loaded[-1].stats == werner_stats(loaded[-1].rep, n)
+
+
+def _v1_file(path, header, records):
+    """A cache in the version-1 layout, assembled byte by byte."""
+
+    def encode(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+    blob = encode({**header, "format_version": 1})
+    data = b"BCPC\x01" + struct.pack(">I", len(blob)) + blob
+    for rec in records:
+        raw = encode(rec)
+        data += struct.pack(">I", len(raw)) + raw
+    path.write_bytes(data)
+
+
+def _v1_werner_records(protocols):
+    """Werner records as version 1 stored them: statistics as 'num/den' strings."""
+
+    def strings(poly):
+        return [str(c) for c in poly.coeffs]
+
+    return [
+        {
+            "case": [p.source.a, p.source.b, p.source.e],
+            "index": p.case_index,
+            "rows": list(p.rep.rows),
+            "stats": {
+                "p": strings(p.stats.p_suc),
+                "f": strings(p.stats.f_num),
+                "fis": [strings(q) for q in p.stats.fi_nums],
+            },
+        }
+        for p in protocols
+    ]
+
+
+def test_format_1_werner_cache_rejected(tmp_path, protocols_for):
+    path = tmp_path / "werner_n3.bcp"
+    header = {"mode": "werner", "n": 3, "count": 5, "params": {"jobs_independent": True}}
+    _v1_file(path, header, _v1_werner_records(protocols_for(3)))
+    for reader in (read_cache, load_werner_cache, verify_cache):
+        with pytest.raises(ValueError, match="werner cache version 1"):
+            reader(path)
+
+
+def test_format_1_transversal_cache_still_loads(tmp_path, transversal_for):
+    t = transversal_for(2)
+    path = tmp_path / "transversal_n2.bcp"
+    header = {"mode": "transversal", "n": 2, "count": len(t.reps), "complete": True,
+              "seed": 0, "samples": t.samples_used}
+    records = [{"key": list(k), "rows": list(r.rows)} for k, r in sorted(t.reps.items())]
+    _v1_file(path, header, records)
+    _, loaded = load_transversal_cache(path)
+    assert loaded.reps == t.reps and loaded.complete
+    # the current writer still produces exactly the version-1 bytes
+    write_transversal_cache(tmp_path / "fresh.bcp", t, seed=0)
+    assert (tmp_path / "fresh.bcp").read_bytes() == path.read_bytes()
+
+
+def _malformed_counts():
+    """(label, counts) pairs that no n=3 record may hold."""
+    good = [[1, 2, 1, 0], [0, 1, 2, 1], [0, 1, 2, 1], [0, 2, 2, 0]]
+    return [
+        ("three cosets", good[:3]),
+        ("short histogram", [good[0][:3]] + good[1:]),
+        ("wrong sum", [[1, 2, 1, 1]] + good[1:]),
+        ("negative bin", [[2, 2, 1, -1]] + good[1:]),
+        ("float bin", [[1.0, 2, 1, 0]] + good[1:]),
+        ("bool bin", [[True, 2, 1, 0]] + good[1:]),
+        ("not a list", "1210"),
+    ]
+
+
+@pytest.mark.parametrize("label, counts", _malformed_counts())
+def test_load_rejects_malformed_counts(cache_dir, tmp_path, label, counts):
+    from bicliff.cache import write_cache
+
+    header, records = read_cache(cache_dir / "werner_n3.bcp")
+    assert sum(records[0]["counts"][0]) == 4 and len(records[0]["counts"][0]) == 4
+    records[1]["counts"] = counts
+    bad = tmp_path / "werner_n3.bcp"
+    write_cache(bad, header, records)
+    with pytest.raises(ValueError, match="malformed coset histograms"):
+        load_werner_cache(bad)
+
+
 def test_transversal_cache_roundtrip(cache_dir, transversal_for):
     header, t = load_transversal_cache(cache_dir / "transversal_n2.bcp")
     assert header["complete"] and t.complete
@@ -56,7 +158,10 @@ def test_verify_cache_ok(cache_dir):
 
 def test_verify_cache_detects_corruption(cache_dir, tmp_path):
     header, records = read_cache(cache_dir / "werner_n2.bcp")
-    records[0]["stats"]["f"][0] = "1/2"
+    # swap two unequal bins of the base histogram: the sums still hold
+    base = records[0]["counts"][0]
+    i, j = next((i, j) for i in range(len(base)) for j in range(i) if base[i] != base[j])
+    base[i], base[j] = base[j], base[i]
     from bicliff.cache import write_cache
 
     bad = tmp_path / "bad.bcp"
@@ -395,3 +500,92 @@ def test_cli_compare_target_rate_matches_scalar(tmp_path, capsys, protocols_for)
             f, a, b = map(float, line.split(","))
             assert a == target_rate(f, float(f_tar), full).value
             assert b == target_rate(f, float(f_tar), dejmps).value
+
+
+def _bad_cache(kind, good, path, protocols):
+    """Write an unreadable variant of the cache file `good` to `path`."""
+    from bicliff.cache import write_cache
+
+    data = good.read_bytes()
+    if kind == "foreign":
+        path.write_bytes(b"nonsense")
+    elif kind == "truncated":
+        path.write_bytes(data[: len(data) // 2])
+    elif kind == "old version":
+        header, _ = read_cache(good)
+        header.pop("format_version")
+        _v1_file(path, header, _v1_werner_records(protocols))
+    elif kind == "malformed counts":
+        header, records = read_cache(good)
+        records[0]["counts"][0][0] += 1
+        write_cache(path, header, records)
+
+
+@pytest.mark.parametrize("kind", ["foreign", "truncated", "old version", "malformed counts"])
+@pytest.mark.parametrize("command", ["compare", "circuit", "verify"])
+def test_cli_unreadable_werner_cache_exits_2(cache_dir, tmp_path, capsys, protocols_for,
+                                             kind, command):
+    path = tmp_path / "werner_n3.bcp"
+    _bad_cache(kind, cache_dir / "werner_n3.bcp", path, protocols_for(3))
+    args = {
+        "compare": ["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path)],
+        "circuit": ["circuit", "--n", "3", "--budget", "0", "--cache", str(tmp_path)],
+        "verify": ["verify", str(path)],
+    }[command]
+    code = run_cli(args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad cache file {path}: ")
+    assert "rebuild it with: bicliff werner" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["foreign", "truncated", "werner mode"])
+def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, capsys, kind):
+    path = tmp_path / "transversal_n2.bcp"
+    if kind == "werner mode":
+        path.write_bytes((cache_dir / "werner_n2.bcp").read_bytes())
+    else:
+        _bad_cache(kind, cache_dir / "transversal_n2.bcp", path, None)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad cache file {path}: ")
+    assert "rebuild it with: bicliff transversal --n 2" in captured.err
+
+
+def test_cli_werner_cache_of_other_n_exits_2(cache_dir, tmp_path, capsys):
+    (tmp_path / "werner_n4.bcp").write_bytes((cache_dir / "werner_n3.bcp").read_bytes())
+    code = run_cli(["compare", "--n-min", "4", "--n-max", "4", "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and "holds n=3" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("werner", "--n", "1"),
+        ("werner", "--n", "9"),
+        ("transversal", "--n", "0"),
+        ("transversal", "--n", "17"),
+        ("tables", "--n-min", "0"),
+        ("tables", "--n-max", "17"),
+    ],
+)
+def test_cli_out_of_range_pair_counts_exit_2(tmp_path, capsys, command, flag, value):
+    cache_args = [] if command == "tables" else ["--cache", str(tmp_path / "c")]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([command, flag, value, *cache_args])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert f"argument {flag}: invalid choice: {value}" in captured.err
+    assert not (tmp_path / "c").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("sample", ["0", "-1"])
+def test_cli_verify_rejects_non_positive_sample(cache_dir, capsys, sample):
+    code = run_cli(["verify", str(cache_dir / "werner_n2.bcp"), "--sample", sample])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--sample {sample} must be at least 1" in captured.err
