@@ -14,7 +14,6 @@ import csv
 import json
 import shutil
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +31,16 @@ from .circuits import (
 from .dejmps import concatenated_candidates
 from .gf2 import MAX_PAIRS, sp_order
 from .groups import dn_index, dn_order
-# Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
-# this name up in this module, as it does concatenated_candidates and synthesize.
-from .metrics import target_rate  # noqa: F401
+# target_rate is imported but not called: the benchmark's tracer
+# (perfbench/spans.py) looks this name up in this module.
+from .metrics import CurveSet, target_rate  # noqa: F401
 from .ratpoly import format_poly
 from .states import (
     BellDiagonalState,
-    DistStats,
     counts_key,
     leading_infidelity_term,
+    poly_coeff_rows,
+    werner_coeff_rows,
     werner_counts,
 )
 from .transversal import build_transversal, enumerate_stats, pareto_envelope
@@ -216,78 +216,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-class _CurveSet:
-    """Vectorised per-protocol statistic curves over the fidelity grid."""
-
-    def __init__(self, labelled_stats, grid: np.ndarray):
-        self.grid = grid
-        self.stats = [st for _, st in labelled_stats]
-        self.p = np.array([st.p_suc.on_grid(grid) for st in self.stats])
-        self.f = np.array([st.f_num.on_grid(grid) for st in self.stats])
-
-    @cached_property
-    def fis(self) -> np.ndarray:
-        return np.array([[q.on_grid(self.grid) for q in st.fi_nums] for st in self.stats])
-
-    def best_fidelity(self) -> np.ndarray:
-        return (self.f / self.p).max(axis=0)
-
-    def _output_coeffs(self) -> np.ndarray:
-        """Normalised (F, F1, F2, F3), shape (protocols, 4, grid points)."""
-        coeffs = np.concatenate([self.f[:, None, :], self.fis], axis=1)
-        coeffs /= self.p[:, None, :]
-        return coeffs
-
-    def best_yield(self, n: int) -> np.ndarray:
-        coeffs = self._output_coeffs()
-        terms = np.log2(coeffs, where=coeffs > 0, out=np.zeros_like(coeffs))
-        terms *= coeffs
-        entropy = -terms.sum(axis=1)
-        rate = np.clip(1.0 - entropy, 0.0, None) * self.p / n
-        return rate.max(axis=0)
-
-    def best_ree(self) -> np.ndarray:
-        fmax = self._output_coeffs().max(axis=1)
-        h = np.where(
-            (fmax > 0) & (fmax < 1),
-            -(np.where(fmax > 0, fmax, 0.5) * np.log2(np.where(fmax > 0, fmax, 0.5))
-              + np.where(fmax < 1, 1 - fmax, 0.5) * np.log2(np.where((1 - fmax) > 0, 1 - fmax, 0.5))),
-            0.0,
-        )
-        ree = np.where(fmax > 0.5, 1.0 - h, 0.0)
-        return (ree * self.p).max(axis=0)
-
-    def best_target_rate(self, f_tar: float, n: int) -> np.ndarray:
-        """Largest p_suc/n among protocols whose F_out reaches f_tar, else 0.
-
-        Pointwise equal to the n-protocol part of `metrics.target_rate`.
-        """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reaches = (self.p > 0) & (self.f / self.p >= f_tar)
-        return np.where(reaches, self.p / n, 0.0).max(axis=0)
-
-
-def _dejmps_stats(n: int) -> list:
-    return [
-        (f"plan{i}", DistStats.from_coset_sums(*key))
-        for i, key in enumerate(concatenated_candidates(n))
-    ]
-
-
-def _full_stats(protocols) -> list:
-    return [(p.case_index, p.stats) for p in protocols]
-
-
 def _check_compare_args(args) -> None:
     problems = []
     if not 0.5 < args.f_tar < 1:
         problems.append(f"--f-tar {args.f_tar} must lie strictly between 0.5 and 1")
     if not args.f_step > 0 or not np.isfinite(args.f_step):
         problems.append(f"--f-step {args.f_step} must be positive and finite")
-    if not np.isfinite([args.f_min, args.f_max]).all():
-        problems.append(f"--f-min {args.f_min} and --f-max {args.f_max} must be finite")
-    elif args.f_min > args.f_max:
-        problems.append(f"--f-min {args.f_min} must not exceed --f-max {args.f_max}")
+    if not 0 <= args.f_min <= args.f_max <= 1:  # also false for NaN
+        problems.append(f"--f-min {args.f_min} and --f-max {args.f_max} must be finite, "
+                        "with 0 <= --f-min <= --f-max <= 1")
     if args.n_min > args.n_max:
         problems.append(f"--n-min {args.n_min} must not exceed --n-max {args.n_max}")
     if problems:
@@ -298,16 +235,19 @@ def cmd_compare(args) -> int:
     _check_compare_args(args)
     grid = np.round(np.arange(args.f_min, args.f_max + args.f_step / 2, args.f_step), 9)
     ns = range(args.n_min, args.n_max + 1)
-    full = {n: _full_stats(_load_cache("werner", args.cache, n)) for n in ns}
-    dejmps = {n: _dejmps_stats(n) for n in ns}
+    # (coefficient rows, denominator) per n; one n's curves are alive at a time
+    full = {
+        n: (werner_coeff_rows([p.counts for p in _load_cache("werner", args.cache, n)], n), 3**n)
+        for n in ns
+    }
+    dejmps = {n: poly_coeff_rows(concatenated_candidates(n)) for n in ns}
 
     rows = []
     series = []
     if args.metric in ("fidelity", "ree"):
         header = ["f_in", "n", "full", "dejmps", "difference"]
         for n in ns:
-            fc = _CurveSet(full[n], grid)
-            dc = _CurveSet(dejmps[n], grid)
+            fc, dc = CurveSet(*full[n], grid), CurveSet(*dejmps[n], grid)
             a = fc.best_fidelity() if args.metric == "fidelity" else fc.best_ree()
             b = dc.best_fidelity() if args.metric == "fidelity" else dc.best_ree()
             for i, f in enumerate(grid):
@@ -316,19 +256,17 @@ def cmd_compare(args) -> int:
             series.append((f"dejmps n={n}", grid, b))
     elif args.metric == "yield":
         header = ["f_in", "full", "dejmps", "ratio"]
-        a = np.max([_CurveSet(full[n], grid).best_yield(n) for n in ns], axis=0)
-        b = np.max([_CurveSet(dejmps[n], grid).best_yield(n) for n in ns], axis=0)
+        a = np.max([CurveSet(*full[n], grid).best_yield(n) for n in ns], axis=0)
+        b = np.max([CurveSet(*dejmps[n], grid).best_yield(n) for n in ns], axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                b > 0, a / np.where(b > 0, b, 1.0), np.where(a > 0, np.inf, np.nan)
-            )
+            ratio = a / b  # inf where only the optimised yield is positive, nan where neither is
         for i, f in enumerate(grid):
             rows.append([fmt(f), fmt(a[i]), fmt(b[i]), fmt(ratio[i])])
         series = [("optimised", grid, a), ("dejmps", grid, b)]
     elif args.metric == "target-rate":
         header = ["f_in", "full", "dejmps"]
         a, b = (
-            np.max([_CurveSet(sets[n], grid).best_target_rate(args.f_tar, n) for n in ns], axis=0)
+            np.max([CurveSet(*sets[n], grid).best_target_rate(args.f_tar, n) for n in ns], axis=0)
             for sets in (full, dejmps)
         )
         # an input already at the threshold is kept undistilled, at rate 1
@@ -467,6 +405,18 @@ def _svg_lineplot(path: str, title: str, series) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} must be at least {low}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicliff",
@@ -477,10 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default="-", help="output CSV path (default stdout)")
         p.add_argument("--cache", default="bicliff-cache", help="protocol cache directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
         p.add_argument("--seed", type=int, default=0)
 
     pair_counts = range(1, MAX_PAIRS + 1)
+    werner_pair_counts = range(2, MAX_GRAPH_NODES + 2)
     p = sub.add_parser("tables", help="group orders and coset counts")
     p.add_argument("--n-min", type=int, default=1, choices=pair_counts, metavar="N")
     p.add_argument("--n-max", type=int, default=5, choices=pair_counts, metavar="N")
@@ -488,13 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("werner", help="enumerate all protocols on identical Werner inputs")
-    p.add_argument("--n", type=int, required=True, choices=range(2, MAX_GRAPH_NODES + 2))
+    p.add_argument("--n", type=int, required=True, choices=werner_pair_counts)
     add_common(p)
     p.set_defaults(func=cmd_werner)
 
     p = sub.add_parser("transversal", help="build a coset transversal for general inputs")
     p.add_argument("--n", type=int, required=True, choices=pair_counts, metavar="N")
-    p.add_argument("--budget", type=int, default=None, help="maximum samples")
+    p.add_argument("--budget", type=_at_least(0), default=None, help="maximum samples")
     add_common(p)
     p.set_defaults(func=cmd_transversal)
 
@@ -507,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="optimised protocols vs concatenated baselines")
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--n-min", type=int, default=2, choices=werner_pair_counts)
+    p.add_argument("--n-max", type=int, default=5, choices=werner_pair_counts)
     p.add_argument("--metric", choices=["fidelity", "yield", "ree", "target-rate"],
                    default="fidelity")
     p.add_argument("--f-min", type=float, default=0.50)
@@ -520,9 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("circuit", help="synthesize a low-depth circuit for the best protocol")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--max-hits", type=int, default=2000,
+    p.add_argument("--n", type=int, required=True, choices=werner_pair_counts)
+    p.add_argument("--budget", type=_at_least(0), default=10_000_000)
+    p.add_argument("--max-hits", type=_at_least(1), default=2000,
                    help="stop early after this many accepted candidates")
     p.add_argument("--allow-swap", action="store_true",
                    help="also search circuits ending in a SWAP of qubit 1")

@@ -23,8 +23,9 @@ import numpy as np
 
 from .gf2 import CNOT, H, S
 from .circuits import CliffordCircuit, circuit_to_symplectic
+from .metrics import CurveSet
 from .ratpoly import RationalPolynomial
-from .states import DistStats, preimage_cosets, vector_paulis
+from .states import DistStats, poly_coeff_rows, preimage_cosets, vector_paulis
 from .werner import default_f_grid, pick_curve
 
 # The six single-qubit Clifford rotations modulo Paulis, as temporal gate words.
@@ -186,22 +187,6 @@ def werner_leaf() -> tuple:
     return (f, e, e, e)
 
 
-def _leaf_array(leaf) -> tuple:
-    """(coefficients, scale) of a leaf: a (4, d) array and an int or None.
-
-    A polynomial leaf becomes integer coefficient rows times the common
-    denominator `scale`, so the Werner leaf is 3 * (F, (1-F)/3, ...) with
-    rows [0, 3], [1, -1], [1, -1], [1, -1].  A numeric leaf becomes a (4, 1)
-    float array with scale None.
-    """
-    if not isinstance(leaf[0], RationalPolynomial):
-        return np.asarray(leaf, dtype=float).reshape(4, 1), None
-    scale = math.lcm(*(c.denominator for q in leaf for c in q.coeffs))
-    width = max(1, *(len(q.coeffs) for q in leaf))
-    rows = [[int(c * scale) for c in q.coeffs] + [0] * (width - len(q.coeffs)) for q in leaf]
-    return np.array(rows, dtype=np.int64), scale
-
-
 def _step_arrays(keep, measure, index) -> np.ndarray:
     """Every step output of every (keep, measure, rotation) triple.
 
@@ -265,7 +250,11 @@ def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
     Werner leaf) and deduplicates on their bytes; only the distinct results
     become 4-tuples of RationalPolynomial (or of floats for numeric leaves).
     """
-    leaf, scale = _leaf_array(werner_leaf() if leaf is None else leaf)
+    leaf = werner_leaf() if leaf is None else leaf
+    if isinstance(leaf[0], RationalPolynomial):
+        (leaf,), scale = poly_coeff_rows([leaf])
+    else:  # a numeric leaf is a (4, 1) float array
+        leaf, scale = np.asarray(leaf, dtype=float).reshape(4, 1), None
     # every coefficient of an n-leaf output is bounded by (sum |leaf|)^n
     if scale is not None and int(np.abs(leaf).sum()) ** n >= 2**63:
         raise ValueError("leaf coefficients too large for exact int64 products")
@@ -305,18 +294,14 @@ def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> Concate
         )
 
     grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
-    curves: dict = {}
-    for key, plan in items:
-        p_suc = key[0] + key[1] + key[2] + key[3]
-        curves.setdefault((p_suc, key[0]), (key, plan))
-    entries = list(curves.values())
-    values = np.empty((len(entries), len(grid)))
-    for i, (key, _) in enumerate(entries):
-        num = key[0].on_grid(grid)
-        den = sum(k.on_grid(grid) for k in key)
-        values[i] = num / den
-    row, dominant, pointwise = pick_curve(values)
-    key, plan = entries[row]
+    rows, denom = poly_coeff_rows(cands)
+    firsts: dict = {}  # first row of each (p_suc, f_num) curve
+    for i, r in enumerate(rows):
+        firsts.setdefault((r.sum(axis=0).tobytes(), r[0].tobytes()), i)
+    entries = list(firsts.values())
+    curves = CurveSet(rows[entries], denom, grid)
+    row, dominant, pointwise = pick_curve(curves.f / curves.p)
+    key, plan = items[entries[row]]
     return ConcatenatedResult(
         DistStats.from_coset_sums(*key), plan, dominant, pointwise, len(items)
     )

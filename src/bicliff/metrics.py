@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log2
+
+import numpy as np
 
 from .states import DistStats, PROB_TOL
 
@@ -87,3 +90,74 @@ def target_rate(f_in: float, f_tar: float, protocol_sets: dict) -> MetricPoint:
                 if rate > best.value:
                     best = MetricPoint(f_in, n, rate, label)
     return best
+
+
+class CurveSet:
+    """Statistic curves of a protocol family over a fidelity grid, vectorised.
+
+    coeffs (protocols, 4, d) holds each protocol's four coset sums (base
+    coset first) as power-ascending integer rows over the denominator denom.
+    While coefficients and denom are exact doubles (Werner families up to
+    n=8), every value equals float Horner on the exact `DistStats` polynomial.
+    """
+
+    def __init__(self, coeffs: np.ndarray, denom: int, grid: np.ndarray):
+        self.coeffs = coeffs
+        self.denom = denom
+        self.grid = grid
+        self.p = self._on_grid(coeffs.sum(axis=1))
+        self.f = self._on_grid(coeffs[:, 0])
+
+    def _on_grid(self, rows: np.ndarray) -> np.ndarray:
+        """Values of (..., d) coefficient rows at every grid point, shape (..., grid)."""
+        coeffs = rows / self.denom
+        out = np.zeros(coeffs.shape[:-1] + self.grid.shape)
+        for k in range(coeffs.shape[-1] - 1, -1, -1):
+            out *= self.grid
+            out += coeffs[..., k, None]
+        return out
+
+    @cached_property
+    def fis(self) -> np.ndarray:
+        """X/Y/Z coset sums in the order of `DistStats`, shape (protocols, 3, grid).
+
+        That order compares rows with trailing zeros trimmed, so (a, b, 0)
+        sorts before (a, b, c) even for c < 0.
+        """
+        rest = self.coeffs[:, 1:]
+        order = [sorted(range(3), key=lambda k: np.trim_zeros(r[k], "b").tolist()) for r in rest]
+        order = np.array(order, dtype=np.intp).reshape(-1, 3, 1)
+        return self._on_grid(np.take_along_axis(rest, order, axis=1))
+
+    def best_fidelity(self) -> np.ndarray:
+        return (self.f / self.p).max(axis=0)
+
+    def _output_coeffs(self) -> np.ndarray:
+        """Normalised (F, F1, F2, F3), shape (protocols, 4, grid points)."""
+        coeffs = np.concatenate([self.f[:, None, :], self.fis], axis=1)
+        coeffs /= self.p[:, None, :]
+        return coeffs
+
+    def best_yield(self, n: int) -> np.ndarray:
+        coeffs = self._output_coeffs()
+        terms = np.log2(coeffs, where=coeffs > 0, out=np.zeros_like(coeffs))
+        terms *= coeffs
+        entropy = -terms.sum(axis=1)
+        rate = np.clip(1.0 - entropy, 0.0, None) * self.p / n
+        return rate.max(axis=0)
+
+    def best_ree(self) -> np.ndarray:
+        fmax = self._output_coeffs().max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -(fmax * np.log2(fmax) + (1 - fmax) * np.log2(1 - fmax))
+        ree = np.where(fmax > 0.5, 1.0 - np.where(fmax < 1, h, 0.0), 0.0)
+        return (ree * self.p).max(axis=0)
+
+    def best_target_rate(self, f_tar: float, n: int) -> np.ndarray:
+        """Largest p_suc/n among protocols whose F_out reaches f_tar, else 0.
+
+        Pointwise equal to the n-protocol part of `target_rate`.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reaches = (self.p > 0) & (self.f / self.p >= f_tar)
+        return np.where(reaches, self.p / n, 0.0).max(axis=0)

@@ -21,6 +21,7 @@ for n-fold Werner inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -253,6 +254,19 @@ def werner_term_basis(n: int) -> tuple:
     return tuple(out)
 
 
+def poly_coeff_rows(keys) -> tuple:
+    """Tuples of polynomials as integer coefficient rows over one denominator.
+
+    Returns (rows, denom): rows[i, k] holds keys[i][k] times denom, the least
+    common denominator of all of them, power-ascending and zero-padded to the
+    longest.  The Werner leaf gives 3 and [0, 3], [1, -1], [1, -1], [1, -1].
+    """
+    denom = math.lcm(*(c.denominator for key in keys for q in key for c in q.coeffs))
+    width = max([1] + [len(q.coeffs) for key in keys for q in key])
+    rows = [[[int(q[k] * denom) for k in range(width)] for q in key] for key in keys]
+    return np.array(rows, dtype=np.int64), denom
+
+
 @lru_cache(maxsize=None)
 def _werner_term_matrix(n: int, dtype) -> np.ndarray:
     """3^n * werner_term_basis(n) as an integer (n+1, n+1) coefficient matrix.
@@ -260,27 +274,27 @@ def _werner_term_matrix(n: int, dtype) -> np.ndarray:
     Row w holds 3^w * F^w * (1-F)^(n-w), whose coefficients are at most 3^n
     in magnitude.
     """
-    scale = 3**n
-    rows = [
-        [int(c * scale) for c in p.coeffs] + [0] * (n + 1 - len(p.coeffs))
-        for p in werner_term_basis(n)
-    ]
-    return np.array(rows, dtype=dtype)
+    (rows,), _ = poly_coeff_rows([werner_term_basis(n)])
+    return rows.astype(dtype)
+
+
+def werner_coeff_rows(hists, n: int) -> np.ndarray:
+    """3^n * sum_w hist[w] * F^w * ((1-F)/3)^(n-w) as power-ascending integer rows.
+
+    hists stacks histograms along its last axis.  One integer product with
+    the scaled term matrix, in int64 while sum|hist| * 3^n bounds every entry
+    below 2^63 and in Python integers otherwise.
+    """
+    hists = np.asarray(hists, dtype=object)
+    small = max(1, np.max(np.abs(hists).sum(axis=-1))) * 3**n < 2**63
+    terms = _werner_term_matrix(n, np.int64 if small else object)
+    return hists.astype(terms.dtype) @ terms
 
 
 def counts_to_poly(hist, n: int) -> RationalPolynomial:
-    """Exact sum_w hist[w] * F^w * ((1-F)/3)^(n-w).
-
-    One integer product of the histogram with the scaled term matrix, in
-    int64 while sum|hist| * 3^n bounds every entry below 2^63 and in Python
-    integers otherwise.
-    """
-    hist = [int(c) for c in hist]
+    """Exact sum_w hist[w] * F^w * ((1-F)/3)^(n-w): one row of `werner_coeff_rows`."""
     scale = 3**n
-    small = max(1, sum(map(abs, hist))) * scale < 2**63
-    terms = _werner_term_matrix(n, np.int64 if small else object)
-    coeffs = np.array(hist, dtype=terms.dtype) @ terms
-    return RationalPolynomial(Fraction(int(c), scale) for c in coeffs)
+    return RationalPolynomial(Fraction(int(c), scale) for c in werner_coeff_rows(hist, n))
 
 
 def stats_from_counts(counts, n: int) -> DistStats:

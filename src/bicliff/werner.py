@@ -33,7 +33,8 @@ import numpy as np
 
 from .blocks import ordered_calls
 from .gf2 import SymplecticMatrix
-from .states import DistStats, stats_from_counts
+from .metrics import CurveSet
+from .states import DistStats, stats_from_counts, werner_coeff_rows
 
 # werner_counts is no longer called here; it stays importable from this module
 # because perfbench/spans.py wraps it by name on bicliff.werner.
@@ -484,20 +485,20 @@ def best_fidelity_protocol(
 
     Protocols with identical (p_suc, f_num) form one curve; if a single curve
     is maximal at every grid point it is reported as dominant, otherwise the
-    per-point winners are returned so crossovers are visible.
+    per-point winners are returned so crossovers are visible.  The curves
+    come straight from the histograms' integer coefficient rows.
     """
     if protocols is None:
         protocols = distinct_protocols(n)
     grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
+    rows = werner_coeff_rows([p.counts for p in protocols], n)
+    curve_keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
     groups: dict = {}
-    for p in protocols:
-        groups.setdefault((p.stats.p_suc, p.stats.f_num), []).append(p)
-    group_list = sorted(groups.values(), key=lambda g: g[0].case_index)
-    values = np.empty((len(group_list), len(grid)))
-    for i, grp in enumerate(group_list):
-        st = grp[0].stats
-        values[i] = st.f_num.on_grid(grid) / st.p_suc.on_grid(grid)
-    row, dominant, per_point = pick_curve(values)
-    winners = [group_list[i][0].case_index for i in per_point]
-    grp = group_list[row]
-    return BestFidelityResult(grp[0], list(grp), dominant, winners, grid)
+    for i, key in enumerate(curve_keys):
+        groups.setdefault(key.tobytes(), []).append(i)
+    group_list = sorted(groups.values(), key=lambda g: protocols[g[0]].case_index)
+    curves = CurveSet(rows[[g[0] for g in group_list]], 3**n, grid)
+    row, dominant, per_point = pick_curve(curves.f / curves.p)
+    winners = [protocols[group_list[i][0]].case_index for i in per_point]
+    grp = [protocols[i] for i in group_list[row]]
+    return BestFidelityResult(grp[0], grp, dominant, winners, grid)

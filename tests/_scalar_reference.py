@@ -100,3 +100,11 @@ def synth_block(n, seed, block, size, key, allow_swap):
         if best is None or cand[:3] < best[:3]:
             best = cand
     return hits, best
+
+
+def poly_on_grid(poly, grid):
+    """Float Horner evaluation of a RationalPolynomial at every grid point."""
+    out = np.zeros_like(grid)
+    for c in reversed(poly.coeffs):
+        out = out * grid + float(c)
+    return out

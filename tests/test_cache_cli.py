@@ -357,41 +357,70 @@ def test_cli_compare_fidelity(cache_dir, capsys):
     assert max(gap4) > 1e-6
 
 
-def test_cli_compare_ree_matches_scalar(cache_dir, capsys, protocols_for):
-    from bicliff.metrics import ree_product
+@pytest.fixture(scope="module")
+def cache_2to5(tmp_path_factory, protocols_for):
+    d = tmp_path_factory.mktemp("cache_2to5")
+    for n in range(2, 6):
+        write_werner_cache(d / f"werner_n{n}.bcp", n, protocols_for(n))
+    return d
+
+
+def _scalar_families(protocols_for, ns):
+    """(label, polynomial-mode DistStats) lists of the full and DEJMPS families."""
     from bicliff.dejmps import concatenated_candidates
     from bicliff.states import DistStats
 
+    full = {n: [(p.case_index, p.stats) for p in protocols_for(n)] for n in ns}
+    dejmps = {
+        n: [(f"plan{i}", DistStats.from_coset_sums(*key))
+            for i, key in enumerate(concatenated_candidates(n))]
+        for n in ns
+    }
+    return full, dejmps
+
+
+GRID_FLAGS = ["--f-min", "0.55", "--f-max", "0.95", "--f-step", "0.05"]
+
+
+def test_cli_compare_ree_matches_scalar(cache_2to5, capsys, protocols_for):
+    from bicliff.metrics import ree_product
+
+    ns = range(2, 6)
+    full, dejmps = _scalar_families(protocols_for, ns)
     code = run_cli([
-        "compare", "--n-min", "3", "--n-max", "3", "--metric", "ree",
-        "--cache", str(cache_dir), "--f-min", "0.9", "--f-max", "0.9",
-        "--f-step", "0.01",
+        "compare", "--n-min", "2", "--n-max", "5", "--metric", "ree",
+        "--cache", str(cache_2to5), *GRID_FLAGS,
     ])
-    out = capsys.readouterr().out
-    assert code == 0
-    row = out.strip().splitlines()[1].split(",")
-    full = max(ree_product(p.stats.evaluate(0.9)) for p in protocols_for(3))
-    dejmps = max(
-        ree_product(DistStats.from_coset_sums(*k).evaluate(0.9))
-        for k in concatenated_candidates(3)
-    )
-    assert abs(float(row[2]) - full) < 1e-12
-    assert abs(float(row[3]) - dejmps) < 1e-12
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0 and len(lines) == 1 + 9 * len(ns)
+    for line in lines[1:]:
+        f, n, a, b, _ = line.split(",")
+        f, n = float(f), int(n)
+        for column, family in ((a, full), (b, dejmps)):
+            scalar = max(ree_product(st.evaluate(f)) for _, st in family[n])
+            assert abs(float(column) - scalar) < 1e-12
 
 
-def test_cli_compare_yield_matches_scalar(cache_dir, capsys, protocols_for):
+def test_cli_compare_yield_matches_scalar(cache_2to5, capsys, protocols_for):
     from bicliff.metrics import hashing_yield
 
-    code = run_cli([
-        "compare", "--n-min", "2", "--n-max", "2", "--metric", "yield",
-        "--cache", str(cache_dir), "--f-min", "0.9", "--f-max", "0.9",
-        "--f-step", "0.01",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    row = out.strip().splitlines()[1].split(",")
-    full = max(hashing_yield(p.stats.evaluate(0.9), 2) for p in protocols_for(2))
-    assert abs(float(row[1]) - full) < 1e-12
+    full, dejmps = _scalar_families(protocols_for, range(2, 6))
+    for n_max in range(2, 6):
+        ns = range(2, n_max + 1)
+        code = run_cli([
+            "compare", "--n-min", "2", "--n-max", str(n_max), "--metric", "yield",
+            "--cache", str(cache_2to5), *GRID_FLAGS,
+        ])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0 and len(lines) == 1 + 9
+        for line in lines[1:]:
+            f, a, b, _ = line.split(",")
+            f = float(f)
+            for column, family in ((a, full), (b, dejmps)):
+                scalar = max(
+                    hashing_yield(st.evaluate(f), n) for n in ns for _, st in family[n]
+                )
+                assert abs(float(column) - scalar) < 1e-12
 
 
 def test_cli_compare_deterministic(cache_dir, capsys):
@@ -470,6 +499,9 @@ def test_cli_entry_point_subprocess(tmp_path):
         ("ree", ["--f-min", "0.9", "--f-max", "0.8"], "--f-min"),
         ("fidelity", ["--f-max", "inf"], "finite"),
         ("yield", ["--n-min", "4", "--n-max", "3"], "--n-min"),
+        ("fidelity", ["--n-min", "2", "--n-max", "3", "--f-min", "-3", "--f-max", "-2.9",
+                      "--f-step", "0.05"], "0 <= --f-min"),
+        ("ree", ["--f-min", "0.9", "--f-max", "1.5"], "--f-max <= 1"),
     ],
 )
 def test_cli_compare_rejects_bad_input(cache_dir, capsys, metric, flags, message):
@@ -479,20 +511,15 @@ def test_cli_compare_rejects_bad_input(cache_dir, capsys, metric, flags, message
     assert message in captured.err and captured.out == ""
 
 
-def test_cli_compare_target_rate_matches_scalar(tmp_path, capsys, protocols_for):
+def test_cli_compare_target_rate_matches_scalar(cache_2to5, capsys, protocols_for):
     # the whole-grid target rate equals the scalar metric at every grid point
-    from bicliff.cli import _dejmps_stats, _full_stats
     from bicliff.metrics import target_rate
 
-    ns = (2, 3, 4, 5)
-    for n in ns:
-        write_werner_cache(tmp_path / f"werner_n{n}.bcp", n, protocols_for(n))
-    full = {n: _full_stats(protocols_for(n)) for n in ns}
-    dejmps = {n: _dejmps_stats(n) for n in ns}
+    full, dejmps = _scalar_families(protocols_for, (2, 3, 4, 5))
     for f_tar in ("0.930025", "0.8"):
         code = run_cli([
             "compare", "--n-min", "2", "--n-max", "5", "--metric", "target-rate",
-            "--cache", str(tmp_path), "--f-tar", f_tar, "--f-step", "0.0005",
+            "--cache", str(cache_2to5), "--f-tar", f_tar, "--f-step", "0.0005",
         ])
         lines = capsys.readouterr().out.strip().splitlines()
         assert code == 0 and lines[0] == "f_in,full,dejmps"
@@ -571,6 +598,10 @@ def test_cli_werner_cache_of_other_n_exits_2(cache_dir, tmp_path, capsys):
         ("transversal", "--n", "17"),
         ("tables", "--n-min", "0"),
         ("tables", "--n-max", "17"),
+        ("compare", "--n-min", "1"),
+        ("compare", "--n-max", "9"),
+        ("circuit", "--n", "1"),
+        ("circuit", "--n", "9"),
     ],
 )
 def test_cli_out_of_range_pair_counts_exit_2(tmp_path, capsys, command, flag, value):
@@ -589,3 +620,65 @@ def test_cli_verify_rejects_non_positive_sample(cache_dir, capsys, sample):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"--sample {sample} must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, "--jobs", value)
+        for command in ("werner", "transversal", "eval", "compare", "circuit")
+        for value in ("0", "-1")
+    ] + [
+        ("transversal", "--budget", "-1"),
+        ("circuit", "--budget", "-1"),
+        ("circuit", "--max-hits", "0"),
+    ],
+)
+def test_cli_non_positive_work_sizes_exit_2(cache_dir, tmp_path, capsys, command, flag, value):
+    # a copy of a valid cache, so that "before any work" also means "not overwritten"
+    cache = tmp_path / "c"
+    cache.mkdir()
+    for name in ("werner_n2.bcp", "transversal_n2.bcp"):
+        (cache / name).write_bytes((cache_dir / name).read_bytes())
+    before = {path.name: path.read_bytes() for path in cache.iterdir()}
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    args = {
+        "werner": ["werner", "--n", "2"],
+        "transversal": ["transversal", "--n", "2"],
+        "eval": ["eval", str(state)],
+        "compare": ["compare", "--n-min", "2", "--n-max", "2"],
+        "circuit": ["circuit", "--n", "2"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([*args, flag, value, "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert f"argument {flag}: " in captured.err and "must be at least" in captured.err
+    assert {path.name: path.read_bytes() for path in cache.iterdir()} == before
+
+
+def test_stats_from_counts_calls_per_command(tmp_path, capsys, monkeypatch):
+    # compare and circuit read their curves straight from the histograms; only
+    # the werner summary row builds the exact polynomials, of its winner alone
+    import bicliff.werner
+
+    calls = []
+    real = bicliff.werner.stats_from_counts
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bicliff.werner, "stats_from_counts", counted)
+    cache = str(tmp_path)
+    assert run_cli(["werner", "--n", "4", "--cache", cache]) == 0
+    assert len(calls) == 1
+    assert run_cli(["werner", "--n", "3", "--cache", cache]) == 0
+    calls.clear()
+    for metric in ("fidelity", "yield", "ree", "target-rate"):
+        assert run_cli(["compare", "--n-min", "3", "--n-max", "4", "--metric", metric,
+                        "--cache", cache, "--f-step", "0.01"]) == 0
+    assert run_cli(["circuit", "--n", "4", "--budget", "4096", "--cache", cache]) in (0, 4)
+    capsys.readouterr()
+    assert calls == []

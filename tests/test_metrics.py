@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicliff.metrics import (
+    CurveSet,
     MetricPoint,
     hashing_yield,
     ree_bell_diagonal,
@@ -9,9 +14,12 @@ from bicliff.metrics import (
     shannon_entropy,
     target_rate,
 )
-from bicliff.states import DistStats
+from bicliff.ratpoly import RationalPolynomial
+from bicliff.states import DistStats, poly_coeff_rows, werner_coeff_rows
 from bicliff.dejmps import concatenated_candidates
+from bicliff.werner import default_f_grid
 from _reference import DIQKD_THRESHOLD
+from _scalar_reference import poly_on_grid
 
 
 def stats_of(p_suc, coeffs):
@@ -108,3 +116,55 @@ def test_superset_never_worse(protocols_for):
         )
         dj_best = max(hashing_yield(st.evaluate(f), 4) for _, st in dejmps[4])
         assert full_best >= dj_best - 1e-12
+
+
+def _assert_curves_match_stats(coeffs, denom, grid):
+    """CurveSet's p, f and fis are bit-equal to float Horner on the DistStats polynomials."""
+    curves = CurveSet(coeffs, denom, grid)
+    for i, protocol in enumerate(coeffs.tolist()):
+        polys = [RationalPolynomial(Fraction(c, denom) for c in row) for row in protocol]
+        stats = DistStats.from_coset_sums(*polys)
+        assert curves.p[i].tobytes() == poly_on_grid(stats.p_suc, grid).tobytes()
+        assert curves.f[i].tobytes() == poly_on_grid(stats.f_num, grid).tobytes()
+        for k, q in enumerate(stats.fi_nums):
+            assert curves.fis[i, k].tobytes() == poly_on_grid(q, grid).tobytes()
+
+
+@st.composite
+def coset_rows(draw):
+    """(coeffs, denom): random (protocols, 4, n+1) coset rows over 3^n, n <= 8.
+
+    Some protocols get two X/Y/Z rows that share a prefix, one ending in zeros
+    and the other in a negative coefficient: sorting the trimmed rows puts the
+    first one first, sorting zero-padded rows the second.
+    """
+    n = draw(st.integers(1, 8))
+    width, bound = n + 1, 3**n
+    coeff = st.integers(-bound, bound)
+    row = st.lists(coeff, min_size=width, max_size=width)
+    protocols = []
+    for _ in range(draw(st.integers(1, 5))):
+        base, *rest = (draw(row) for _ in range(4))
+        if draw(st.booleans()):
+            cut = draw(st.integers(0, n))
+            shorter = rest[0][:cut] + [0] * (width - cut)
+            longer = shorter.copy()
+            longer[cut] = draw(st.integers(-bound, -1))
+            rest = draw(st.permutations([shorter, longer, rest[2]]))
+        protocols.append([base, *rest])
+    return np.array(protocols, dtype=np.int64), bound
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(coset_rows(), st.lists(st.floats(0, 1), min_size=1, max_size=6))
+def test_curve_set_matches_polynomial_stats(rows, points):
+    coeffs, denom = rows
+    _assert_curves_match_stats(coeffs, denom, np.array(points))
+
+
+def test_curve_set_matches_real_families(protocols_for):
+    grid = default_f_grid()
+    for n in range(2, 8):
+        coeffs = werner_coeff_rows([p.counts for p in protocols_for(n)], n)
+        _assert_curves_match_stats(coeffs, 3**n, grid)
+        _assert_curves_match_stats(*poly_coeff_rows(concatenated_candidates(n)), grid)
