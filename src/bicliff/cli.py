@@ -234,6 +234,7 @@ def _check_compare_args(args) -> None:
 def cmd_compare(args) -> int:
     _check_compare_args(args)
     grid = np.round(np.arange(args.f_min, args.f_max + args.f_step / 2, args.f_step), 9)
+    grid = grid[grid <= round(args.f_max, 9)]  # arange may overshoot by half a step
     ns = range(args.n_min, args.n_max + 1)
     # (coefficient rows, denominator) per n; one n's curves are alive at a time
     full = {
@@ -427,8 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default="-", help="output CSV path (default stdout)")
         p.add_argument("--cache", default="bicliff-cache", help="protocol cache directory")
+
+    def add_work(p, seed=True):
         p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     pair_counts = range(1, MAX_PAIRS + 1)
     werner_pair_counts = range(2, MAX_GRAPH_NODES + 2)
@@ -441,12 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("werner", help="enumerate all protocols on identical Werner inputs")
     p.add_argument("--n", type=int, required=True, choices=werner_pair_counts)
     add_common(p)
+    add_work(p, seed=False)
     p.set_defaults(func=cmd_werner)
 
     p = sub.add_parser("transversal", help="build a coset transversal for general inputs")
     p.add_argument("--n", type=int, required=True, choices=pair_counts, metavar="N")
     p.add_argument("--budget", type=_at_least(0), default=None, help="maximum samples")
     add_common(p)
+    add_work(p)
     p.set_defaults(func=cmd_transversal)
 
     p = sub.add_parser("eval", help="evaluate every coset on a Bell-diagonal state")
@@ -478,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-swap", action="store_true",
                    help="also search circuits ending in a SWAP of qubit 1")
     add_common(p)
+    add_work(p)
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("verify", help="re-verify sampled records of a cache file")

@@ -26,7 +26,7 @@ from .circuits import CliffordCircuit, circuit_to_symplectic
 from .metrics import CurveSet
 from .ratpoly import RationalPolynomial
 from .states import DistStats, poly_coeff_rows, preimage_cosets, vector_paulis
-from .werner import default_f_grid, pick_curve
+from .werner import default_f_grid, first_rows, pick_curve
 
 # The six single-qubit Clifford rotations modulo Paulis, as temporal gate words.
 ROTATION_WORDS = {
@@ -220,17 +220,16 @@ def _candidates(shape, leaf, rotations, index, memo) -> tuple:
     lc = _candidates(left, leaf, rotations, index, memo)
     rc = _candidates(right, leaf, rotations, index, memo)
     orders = [(lc, rc)] if left == right else [(lc, rc), (rc, lc)]
-    seen = set()
-    coeffs, plans = [], []
-    for (keep, keep_plans), (measure, measure_plans) in orders:
-        out = _step_arrays(keep, measure, index)
-        for (k, m, r), row in zip(np.ndindex(out.shape[:3]), out.reshape(-1, *out.shape[3:])):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                coeffs.append(row)
-                plans.append(TreePlan(rotations[r], keep_plans[k], measure_plans[m]))
-    memo[shape] = (np.array(coeffs), plans)
+    outs = [_step_arrays(keep, measure, index) for (keep, _), (measure, _) in orders]
+    rows = np.concatenate([out.reshape(-1, *out.shape[3:]) for out in outs])
+    first = first_rows(rows)
+    plans = []
+    for i in first:  # both orders yield the same number of rows
+        o, rest = divmod(int(i), len(rows) // len(orders))
+        (_, keep_plans), (_, measure_plans) = orders[o]
+        k, m, r = np.unravel_index(rest, outs[o].shape[:3])
+        plans.append(TreePlan(rotations[r], keep_plans[k], measure_plans[m]))
+    memo[shape] = (rows[first], plans)
     return memo[shape]
 
 
@@ -247,8 +246,9 @@ def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
     """All distinct unnormalised output 4-tuples of n-leaf plans.
 
     The tree recursion runs on coefficient arrays (exact integers for the
-    Werner leaf) and deduplicates on their bytes; only the distinct results
-    become 4-tuples of RationalPolynomial (or of floats for numeric leaves).
+    Werner leaf) and keeps the first plan of each distinct array; only the
+    distinct results become 4-tuples of RationalPolynomial (or of floats for
+    numeric leaves).
     """
     leaf = werner_leaf() if leaf is None else leaf
     if isinstance(leaf[0], RationalPolynomial):
@@ -261,17 +261,16 @@ def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
     rotations = tuple(ROTATION_WORDS) if rotations is None else tuple(rotations)
     index = np.array([step_table(rot) for rot in rotations]).transpose(3, 0, 1, 2)
     memo: dict = {}
-    out: dict = {}
-    for shape in tree_shapes(n):
-        coeffs, plans = _candidates(shape, leaf, rotations, index, memo)
-        for row, plan in zip(coeffs, plans):
-            out.setdefault(row.tobytes(), (row, plan))
+    found = [_candidates(shape, leaf, rotations, index, memo) for shape in tree_shapes(n)]
+    rows = np.concatenate([coeffs for coeffs, _ in found])
+    plans = [plan for _, shape_plans in found for plan in shape_plans]
+    out = [(rows[i], plans[i]) for i in first_rows(rows)]
     if scale is None:
-        return {tuple(float(c) for c in row[:, 0]): plan for row, plan in out.values()}
+        return {tuple(float(c) for c in row[:, 0]): plan for row, plan in out}
     denom = scale**n
     return {
         tuple(RationalPolynomial(Fraction(int(c), denom) for c in q) for q in row): plan
-        for row, plan in out.values()
+        for row, plan in out
     }
 
 
@@ -295,10 +294,8 @@ def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> Concate
 
     grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
     rows, denom = poly_coeff_rows(cands)
-    firsts: dict = {}  # first row of each (p_suc, f_num) curve
-    for i, r in enumerate(rows):
-        firsts.setdefault((r.sum(axis=0).tobytes(), r[0].tobytes()), i)
-    entries = list(firsts.values())
+    # first row of each (p_suc, f_num) curve
+    entries = first_rows(np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1))
     curves = CurveSet(rows[entries], denom, grid)
     row, dominant, pointwise = pick_curve(curves.f / curves.p)
     key, plan = items[entries[row]]

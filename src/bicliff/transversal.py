@@ -102,7 +102,6 @@ def build_transversal(
     seed: int = 0,
     jobs: int = 1,
     max_samples: int | None = None,
-    progress=None,
 ) -> Transversal:
     """Sample coset keys until the transversal is complete.
 
@@ -129,8 +128,6 @@ def build_transversal(
         ):
             keys |= block_keys
             samples += size
-            if progress is not None:
-                progress(len(keys), target, samples)
             if len(keys) >= target:
                 break
 

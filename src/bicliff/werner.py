@@ -14,10 +14,9 @@ graph classes at once, encoding each histogram into one 64-bit key.  For a
 subset s of the non-kept pairs, each coset shifts the X-part by one of
 {0, a, b, a^b}, chosen by the parity b.s, so a shift table built once per n
 (identity weight per subset, shift and graph class) turns every (a, b) pair
-into one gather and one table lookup.  Deduplication hashes each 4-word key
-row to one word, takes the first case of every hash class, and then checks
-every row against its class's first row, falling back to an exact row-wise
-unique on any collision: the result is exact whatever the hash.
+into one gather and one table lookup.  Deduplication is exact: each block of
+key rows keeps its first occurrences, and one more pass over the survivors of
+all blocks keeps the first case of every distinct key.
 """
 
 from __future__ import annotations
@@ -343,9 +342,7 @@ def atomic_open(path: Path):
         raise
 
 
-def all_case_keys(
-    n: int, jobs: int = 1, progress=None, journal_dir=None
-) -> np.ndarray:
+def all_case_keys(n: int, jobs: int = 1, journal_dir=None) -> np.ndarray:
     """Dedup keys of every case, in canonical case order: (cases, 4) uint64.
 
     With a journal directory, each finished chunk of (a, b) pairs is saved
@@ -372,8 +369,6 @@ def all_case_keys(
         if journal_dir is not None:
             with atomic_open(_journal_path(journal_dir, n, i)) as fh:
                 np.save(fh, arr)
-        if progress is not None:
-            progress(i + 1, len(chunks))
 
     todo = []
     for i in range(len(chunks)):
@@ -391,45 +386,30 @@ def all_case_keys(
     return keys
 
 
-# odd multipliers folding a 4-word key row into one 64-bit word
-_KEY_MIX = (
-    np.uint64(0x9E3779B97F4A7C15),
-    np.uint64(0xC2B2AE3D27D4EB4F),
-    np.uint64(0x165667B19E3779F9),
-    np.uint64(0xD6E8FEB86659FD93),
-)
+_DEDUP_ROWS = 1 << 16  # key rows deduplicated per block before the merge
 
 
 def first_occurrences(keys: np.ndarray) -> np.ndarray:
     """Ascending row indices of the first occurrence of each distinct key row.
 
-    Rows are hashed to one uint64 each and deduplicated on the hash, which
-    is far cheaper than a row-wise unique.  The result is exact: every row
-    is compared with the first row of its hash class, and any collision
-    falls back to the row-wise unique.
+    Each block of rows is deduplicated on its own, then the survivors of all
+    blocks once more, so no sort ever spans the whole key array.
     """
-    h = np.zeros(len(keys), dtype=np.uint64)
-    for col, mult in enumerate(_KEY_MIX):
-        h ^= keys[:, col] * mult
-        h = (h << np.uint64(17)) | (h >> np.uint64(47))
-    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
-    for col in range(keys.shape[1]):
-        if not np.array_equal(keys[first, col][inverse], keys[:, col]):
-            _, first = np.unique(keys, axis=0, return_index=True)
-            break
-    return np.sort(first)
+    survivors = np.concatenate([
+        start + first_rows(keys[start : start + _DEDUP_ROWS])
+        for start in range(0, len(keys), _DEDUP_ROWS)
+    ])
+    return survivors[first_rows(keys[survivors])]
 
 
-def distinct_protocols(
-    n: int, jobs: int = 1, progress=None, journal_dir=None
-) -> list:
+def distinct_protocols(n: int, jobs: int = 1, journal_dir=None) -> list:
     """One protocol per distinct exact Werner statistics, in case order.
 
     Cases are scanned in the canonical order and deduplicated on the exact
     statistics key (base histogram plus sorted multiset of the other three);
     the first case producing each key supplies the stored representative.
     """
-    keys = all_case_keys(n, jobs=jobs, progress=progress, journal_dir=journal_dir)
+    keys = all_case_keys(n, jobs=jobs, journal_dir=journal_dir)
     graphs = graphs_up_to_iso(n - 1)
     g_count = len(graphs)
     pairs = list(ab_pairs(n - 1))
@@ -478,6 +458,22 @@ def pick_curve(values: np.ndarray) -> tuple:
     return int(per_point[-1]), False, [int(i) for i in per_point]
 
 
+def first_rows(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row.
+
+    Rows (the slices along axis 0) are compared by their bytes, as
+    `tobytes()` would: a stable lexsort groups equal rows with the earliest
+    first, and each group's head is where a row differs from its predecessor.
+    """
+    flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:], dtype=int))
+    flat = flat.view(f"u{flat.itemsize}")
+    order = np.lexsort(flat.T)
+    ordered = flat[order]
+    new = np.ones(len(flat), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[new])
+
+
 def best_fidelity_protocol(
     n: int, protocols: list | None = None, f_grid=None
 ) -> BestFidelityResult:
@@ -493,12 +489,10 @@ def best_fidelity_protocol(
     grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
     rows = werner_coeff_rows([p.counts for p in protocols], n)
     curve_keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
-    groups: dict = {}
-    for i, key in enumerate(curve_keys):
-        groups.setdefault(key.tobytes(), []).append(i)
-    group_list = sorted(groups.values(), key=lambda g: protocols[g[0]].case_index)
-    curves = CurveSet(rows[[g[0] for g in group_list]], 3**n, grid)
+    heads = sorted(first_rows(curve_keys), key=lambda i: protocols[i].case_index)
+    curves = CurveSet(rows[heads], 3**n, grid)
     row, dominant, per_point = pick_curve(curves.f / curves.p)
-    winners = [protocols[group_list[i][0]].case_index for i in per_point]
-    grp = [protocols[i] for i in group_list[row]]
-    return BestFidelityResult(grp[0], grp, dominant, winners, grid)
+    winners = [protocols[heads[i]].case_index for i in per_point]
+    same = (curve_keys == curve_keys[heads[row]]).all(axis=1)
+    tied = [protocols[i] for i in np.flatnonzero(same)]
+    return BestFidelityResult(tied[0], tied, dominant, winners, grid)

@@ -511,6 +511,18 @@ def test_cli_compare_rejects_bad_input(cache_dir, capsys, metric, flags, message
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("metric", ["fidelity", "yield", "ree", "target-rate"])
+def test_cli_compare_grid_stops_at_f_max(cache_dir, capsys, metric):
+    # the next point, 0.95 + 2 * 0.03 = 1.01, is within half a step of --f-max
+    code = run_cli([
+        "compare", "--n-min", "2", "--n-max", "2", "--metric", metric,
+        "--cache", str(cache_dir), "--f-min", "0.95", "--f-max", "1", "--f-step", "0.03",
+    ])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.95, 0.98]
+
+
 def test_cli_compare_target_rate_matches_scalar(cache_2to5, capsys, protocols_for):
     # the whole-grid target rate equals the scalar metric at every grid point
     from bicliff.metrics import target_rate
@@ -626,7 +638,7 @@ def test_cli_verify_rejects_non_positive_sample(cache_dir, capsys, sample):
     "command, flag, value",
     [
         (command, "--jobs", value)
-        for command in ("werner", "transversal", "eval", "compare", "circuit")
+        for command in ("werner", "transversal", "circuit")
         for value in ("0", "-1")
     ] + [
         ("transversal", "--budget", "-1"),
@@ -641,13 +653,9 @@ def test_cli_non_positive_work_sizes_exit_2(cache_dir, tmp_path, capsys, command
     for name in ("werner_n2.bcp", "transversal_n2.bcp"):
         (cache / name).write_bytes((cache_dir / name).read_bytes())
     before = {path.name: path.read_bytes() for path in cache.iterdir()}
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
     args = {
         "werner": ["werner", "--n", "2"],
         "transversal": ["transversal", "--n", "2"],
-        "eval": ["eval", str(state)],
-        "compare": ["compare", "--n-min", "2", "--n-max", "2"],
         "circuit": ["circuit", "--n", "2"],
     }[command]
     with pytest.raises(SystemExit) as exit_info:
@@ -656,6 +664,29 @@ def test_cli_non_positive_work_sizes_exit_2(cache_dir, tmp_path, capsys, command
     assert exit_info.value.code == 2 and captured.out == ""
     assert f"argument {flag}: " in captured.err and "must be at least" in captured.err
     assert {path.name: path.read_bytes() for path in cache.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("werner", "--seed"), ("eval", "--jobs"), ("eval", "--seed"),
+     ("compare", "--jobs"), ("compare", "--seed")],
+)
+def test_cli_unread_work_flags_are_unrecognised(cache_dir, tmp_path, capsys, command, flag):
+    # these commands neither fan out nor draw random numbers
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    args = {
+        "werner": ["werner", "--n", "2"],
+        "eval": ["eval", str(state)],
+        "compare": ["compare", "--n-min", "2", "--n-max", "2"],
+    }[command]
+    cache = tmp_path / "c"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([*args, flag, "2", "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag} 2" in captured.err
+    assert not cache.exists()  # rejected before any work
 
 
 def test_stats_from_counts_calls_per_command(tmp_path, capsys, monkeypatch):

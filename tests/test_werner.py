@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicliff.gf2 import is_symplectic
 from bicliff.states import counts_key, werner_counts, werner_stats
@@ -16,6 +18,7 @@ from bicliff.werner import (
     counts_from_key,
     enumerate_cases,
     first_occurrences,
+    first_rows,
     graph_adjacency_rows,
     graphs_up_to_iso,
     pick_curve,
@@ -237,16 +240,47 @@ def test_hashed_dedup_matches_row_unique():
         assert np.array_equal(first_occurrences(keys), _unique_rows_first(keys))
 
 
-def test_hashed_dedup_collision_falls_back(monkeypatch):
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_dedup_across_blocks_matches_row_unique(monkeypatch, block):
     import bicliff.werner as werner
 
-    keys = all_case_keys(5)
-    want = _unique_rows_first(keys)
-    assert len(want) > 1
-    # every row hashes to 0: one hash class, so only the exact fallback can
-    # still separate the distinct rows
-    monkeypatch.setattr(werner, "_KEY_MIX", (np.uint64(0),) * 4)
-    assert np.array_equal(werner.first_occurrences(keys), want)
+    # tiny blocks put most duplicates in different blocks, so the merge of
+    # the block survivors does nearly all of the work
+    monkeypatch.setattr(werner, "_DEDUP_ROWS", block)
+    for n in range(2, 7):
+        keys = all_case_keys(n)
+        assert np.array_equal(werner.first_occurrences(keys), _unique_rows_first(keys))
+
+
+def _first_rows_reference(rows):
+    firsts = {}
+    for i, row in enumerate(rows):
+        firsts.setdefault(row.tobytes(), i)
+    return list(firsts.values())
+
+
+_ROW_ENTRIES = {
+    "int64": st.integers(-2, 2) | st.sampled_from([-(2**63), 2**63 - 1]),
+    # equal as floats but not as bytes: 0.0 and -0.0; NaNs of either sign
+    "float64": st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf, np.nan, -np.nan]),
+}
+
+
+@st.composite
+def repeated_rows(draw):
+    """(N, 4, d) int64 or float64 arrays drawn from a few rows, with repeats."""
+    dtype = draw(st.sampled_from(sorted(_ROW_ENTRIES)))
+    width = 4 * draw(st.integers(1, 3))
+    row = st.lists(_ROW_ENTRIES[dtype], min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return np.array(picks, dtype=dtype).reshape(len(picks), 4, -1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(repeated_rows())
+def test_first_rows_matches_tobytes_reference(rows):
+    assert first_rows(rows).tolist() == _first_rows_reference(rows)
 
 
 def test_distinct_protocol_counts_small(protocols_for):
