@@ -10,11 +10,12 @@ def ordered_calls(fn, calls, pool=None, jobs: int = 1):
     """Yield fn(*args) for each argument tuple in `calls`, in order.
 
     Without a pool each call runs inline when its result is asked for.  With
-    a pool, which the caller builds and shuts down, at most 2 * jobs calls
-    are in flight: one more is submitted each time a result is consumed.
-    When the consumer stops early (a `break` out of the loop releases the
-    generator, or it is closed), the calls still queued are cancelled, so
-    shutting the pool down afterwards waits only for those already running.
+    a pool, which the caller builds and shuts down, at most `jobs` calls are
+    in flight: one more is submitted each time a result is consumed.  A
+    process pool starts a submitted call as soon as a worker is free, so
+    when the consumer stops early (a `break` out of the loop releases the
+    generator, or it is closed) at most jobs - 1 calls still run; those not
+    yet started, as on a pool with fewer than `jobs` workers, are cancelled.
     Results never depend on the pool or on `jobs`.
     """
     calls = iter(calls)
@@ -22,7 +23,7 @@ def ordered_calls(fn, calls, pool=None, jobs: int = 1):
         for args in calls:
             yield fn(*args)
         return
-    pending = deque(pool.submit(fn, *args) for args in islice(calls, 2 * jobs))
+    pending = deque(pool.submit(fn, *args) for args in islice(calls, jobs))
     try:
         while pending:
             yield pending.popleft().result()

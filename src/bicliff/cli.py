@@ -103,8 +103,12 @@ def _read_cache(read, path, rebuild: str, *args, **kwargs):
         ) from exc
 
 
-def _load_cache(mode: str, cache_dir: str, n: int):
-    """Contents of the n-pair cache of a mode: exit 3 if missing, 2 if unreadable."""
+def _load_cache(mode: str, cache_dir: str, n: int, use=None):
+    """Contents of the n-pair cache of a mode: exit 3 if missing, 2 if unreadable.
+
+    With `use`, returns use(contents) instead, and an error of the kinds a
+    cache reader raises marks the cache as bad there too.
+    """
     path = _cache_path(mode, cache_dir, n)
     rebuild = f"bicliff {mode} --n {n} --cache {cache_dir}"
     if not path.exists():
@@ -114,7 +118,9 @@ def _load_cache(mode: str, cache_dir: str, n: int):
     header, contents = _read_cache(load[mode], path, rebuild)
     if header["n"] != n:
         raise CliError(EXIT_INVALID, f"bad cache file {path}: holds n={header['n']}")
-    return contents
+    if use is None:
+        return contents
+    return _read_cache(lambda _: use(contents), path, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +203,9 @@ def cmd_eval(args) -> int:
     n = state.n if args.n is None else args.n
     if n != state.n:
         raise CliError(EXIT_INVALID, f"--n {n} does not match the state file ({state.n})")
-    t = _load_cache("transversal", args.cache, n)
-    entries = enumerate_stats(t, state)
+    # an incomplete cache, or a record whose rows are not symplectic or not
+    # in the coset of its key, makes enumerate_stats raise
+    entries = _load_cache("transversal", args.cache, n, lambda t: enumerate_stats(t, state))
     envelope = set()
     for st in pareto_envelope([s for _, s in entries]):
         envelope.add((st.p_suc, st.f_num, st.fi_nums))

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 MAX_PAIRS = 16  # 2n <= 32 bits keeps every vector in one machine word
 
 
@@ -143,6 +145,21 @@ def is_symplectic(m: SymplecticMatrix) -> bool:
     return True
 
 
+def is_symplectic_rows(rows, n: int) -> np.ndarray:
+    """`is_symplectic` of many matrices at once, from a (..., 2n) array of row masks.
+
+    Tests M Omega M^T = Omega, which holds exactly when M^T Omega M = Omega:
+    row i must anti-commute with row (i + n) mod 2n and with no other row.
+    """
+    nn = 2 * n
+    swapped = swap_halves(rows, n)
+    ok = np.ones(rows.shape[:-1], dtype=bool)
+    for i in range(nn):
+        odd = (np.bitwise_count(rows[..., i : i + 1] & swapped) & 1) != 0
+        ok &= (odd == (np.arange(nn) == (i + n) % nn)).all(axis=-1)
+    return ok
+
+
 def symplectic_inverse(m: SymplecticMatrix) -> SymplecticMatrix:
     """Inverse of a symplectic matrix; raises if the input is not symplectic."""
     if not is_symplectic(m):
@@ -230,13 +247,6 @@ def solve_gf2(constraints, nbits: int):
     return particular, basis
 
 
-def min_affine(particular: int, basis) -> int:
-    """Smallest integer in the affine space particular + span(basis)."""
-    for b in rref(basis):
-        particular = min(particular, particular ^ b)
-    return particular
-
-
 def random_symplectic(n: int, rng) -> SymplecticMatrix:
     """Uniformly random element of Sp(2n, F2).
 
@@ -280,6 +290,191 @@ def _random_combination(basis, rng) -> int:
         if (coeff >> i) & 1:
             v ^= b
     return v
+
+
+# ---------------------------------------------------------------------------
+# Batched row reduction: many small systems at once, rows as uint64 arrays
+# ---------------------------------------------------------------------------
+
+
+def _top_bit(v: np.ndarray) -> np.ndarray:
+    """The highest set bit of each entry, as a mask (0 for 0)."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        v = v | (v >> shift)
+    return v ^ (v >> 1)
+
+
+def _low_bit(v: np.ndarray) -> np.ndarray:
+    """The lowest set bit of each entry, as a mask (0 for 0)."""
+    return v & (~v + 1)
+
+
+def _insert(basis: np.ndarray, pivots: np.ndarray, j: int, v: np.ndarray, pivot_bit) -> None:
+    """Add row v of every system to its reduced basis, in place, at column j.
+
+    basis and pivots have shape (..., m); each nonzero basis row holds its
+    pivot bit (pivots[..., r]) and no other row's.  v is reduced against the
+    basis, its pivot_bit becomes a new pivot and is cleared from every other
+    row.  A dependent v leaves a zero row with pivot 0.
+    """
+    # each pivot is set in its own row only, so one XOR of the rows whose
+    # pivots v holds clears them all
+    v = v ^ np.bitwise_xor.reduce(
+        np.where((v[..., None] & pivots) != 0, basis, 0), axis=-1
+    )
+    p = pivot_bit(v)
+    basis ^= np.where((basis & p[..., None]) != 0, v[..., None], 0)
+    basis[..., j] = v
+    pivots[..., j] = p
+
+
+def _eliminate(rows, pivot_bit) -> tuple:
+    """Gauss-Jordan elimination of a batch of systems: (basis, pivots).
+
+    rows has shape (..., m), one system of m row masks per leading index.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    basis = np.zeros_like(rows)
+    pivots = np.zeros_like(rows)
+    for j in range(rows.shape[-1]):
+        _insert(basis, pivots, j, rows[..., j], pivot_bit)
+    return basis, pivots
+
+
+def rref_rows(rows) -> np.ndarray:
+    """`rref` of many systems at once.
+
+    rows is a (..., m) array of row masks; each system's result is its `rref`
+    tuple followed by zeros, as a uint64 array of the same shape.  Pivots are
+    distinct highest bits, so sorting the reduced rows orders them by pivot.
+    """
+    basis, _ = _eliminate(rows, _top_bit)
+    return np.flip(np.sort(basis, axis=-1), axis=-1)
+
+
+def least_solutions(cons, nbits: int) -> np.ndarray:
+    """min_affine(*solve_gf2(...)) of many consistent systems at once.
+
+    cons is a (..., m) array holding each constraint parity(mask & x) == rhs
+    as mask | rhs << nbits.  Eliminating on the lowest bit leaves every other
+    bit of a row above its pivot, so the solution whose free bits are all 0
+    is the least one: each pivot bit is then its row's rhs.
+    """
+    basis, pivots = _eliminate(cons, _low_bit)
+    return np.bitwise_or.reduce(np.where((basis >> nbits) != 0, pivots, 0), axis=-1)
+
+
+def least_null_vectors(masks, nbits: int) -> np.ndarray:
+    """The least nonzero x with parity(mask & x) == 0 for every mask, per system.
+
+    It is the null vector of the lowest free bit, found by the same lowest-bit
+    elimination as `least_solutions`.  Each system must have a free bit.
+    """
+    basis, pivots = _eliminate(masks, _low_bit)
+    free = _low_bit(((1 << nbits) - 1) & ~np.bitwise_or.reduce(pivots, axis=-1))
+    hit = (basis & free[..., None]) != 0
+    return free | np.bitwise_or.reduce(np.where(hit, pivots, 0), axis=-1)
+
+
+def _affine_points(basis, pivots, coeff, nbits: int) -> np.ndarray:
+    """The point part ^ _random_combination(basis, coeff) for solve_gf2's output.
+
+    basis and pivots are the highest-bit reduction of constraints held as
+    mask << 1 | rhs.  solve_gf2 orders its null basis by ascending free bit
+    and its particular solution has all free bits 0, so the point has bit j
+    of coeff at the j-th lowest free bit, and each pivot bit is its row's rhs
+    plus the parity of the row's free bits in the point.
+    """
+    free = (((1 << nbits) - 1) << 1) & ~np.bitwise_or.reduce(pivots, axis=-1)
+    x = np.zeros_like(free)
+    for j in range(int(np.bitwise_count(free).max(initial=0))):
+        low = _low_bit(free)
+        x |= np.where(((coeff >> j) & 1) != 0, low, 0)
+        free ^= low
+    odd = ((np.bitwise_count(basis & x[..., None]) ^ basis) & 1) != 0
+    x |= np.bitwise_or.reduce(np.where(odd, pivots, 0), axis=-1)
+    return x >> 1
+
+
+def random_symplectic_rows(n: int, rng, count: int) -> np.ndarray:
+    """Row masks of `count` successive `random_symplectic(n, rng)` draws.
+
+    Returns a (count, 2n) uint64 array whose row c equals the rows of the
+    c-th scalar draw, and leaves rng in the state those calls leave it in.
+    The same systems are solved, batched over the matrices.
+    """
+    _check_n(n)
+    nn = 2 * n
+    coeffs = _draw_coefficients(n, rng, count).astype(np.uint64)
+    basis = np.zeros((count, nn), np.uint64)
+    pivots = np.zeros_like(basis)
+    cols = np.zeros_like(basis)
+    for i in range(n):
+        f = _affine_points(basis, pivots, coeffs[:, 2 * i], nn)
+        _insert(basis, pivots, 2 * i, (swap_halves(f, n) << 1) | 1, _top_bit)
+        g = _affine_points(basis, pivots, coeffs[:, 2 * i + 1], nn)
+        basis &= ~np.uint64(1)  # back to the homogeneous system
+        _insert(basis, pivots, 2 * i + 1, swap_halves(g, n) << 1, _top_bit)
+        cols[:, i] = f
+        cols[:, n + i] = g
+    # row i has bit j where column j has bit i
+    bits = np.arange(nn, dtype=np.uint64)
+    return np.bitwise_or.reduce(((cols[:, None, :] >> bits[:, None]) & 1) << bits, axis=-1)
+
+
+def _draw_coefficients(n: int, rng, count: int) -> np.ndarray:
+    """The combination coefficients `count` random_symplectic calls draw.
+
+    Column s of the (count, 2n) result is the draw for the s-th basis image
+    (f_0, g_0, f_1, g_1, ...), of 2n - s bits; f draws repeat while zero.  A
+    scalar rng.integers(0, 1 << k), 1 <= k <= 32, takes one value of the
+    uint32 stream rng.integers(0, 1 << 32, dtype=np.uint32) and keeps its top
+    k bits, so every draw is read off one block of that stream.  Once the
+    draws the matrices use are known, rng is reset and advanced past them.
+    """
+    state = rng.bit_generator.state
+    size = count * (2 * n + 1) + 32  # redraws average under 0.42 a matrix
+    while True:
+        stream = rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
+        rng.bit_generator.state = state
+        parsed = _parse_stream(stream, n, count)
+        if parsed is not None:
+            coeffs, used = parsed
+            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+            return coeffs
+        size *= 2
+
+
+def _parse_stream(stream: np.ndarray, n: int, count: int):
+    """(coefficients, draws used) of `count` matrices, or None if too short.
+
+    Every stream position is parsed as the start of a matrix at once; then
+    the matrices are chained, each starting where the previous one ended.
+    """
+    nn = 2 * n
+    size = len(stream)
+    pos = np.arange(size)
+    coeffs = np.empty((size, nn), np.uint32)
+    for s in range(nn):
+        shift = 32 - (nn - s)
+        v = stream[np.minimum(pos, size - 1)] >> shift
+        if s % 2 == 0:  # an f draw is repeated while it is zero
+            redo = np.flatnonzero((v == 0) & (pos < size))
+            while redo.size:
+                pos[redo] += 1
+                v[redo] = stream[np.minimum(pos[redo], size - 1)] >> shift
+                redo = redo[(v[redo] == 0) & (pos[redo] < size)]
+        coeffs[:, s] = v
+        pos += 1
+    ends = pos.tolist()  # a start whose draws run past the stream ends past size
+    starts = []
+    at = 0
+    for _ in range(count):
+        if at >= size or ends[at] > size:
+            return None
+        starts.append(at)
+        at = ends[at]
+    return coeffs[starts], at
 
 
 # ---------------------------------------------------------------------------

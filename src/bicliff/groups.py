@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .gf2 import CNOT, H, S, SWAP, Gate, SymplecticMatrix, gate_matrix, rref
+from .gf2 import CNOT, H, S, SWAP, Gate, SymplecticMatrix, gate_matrix, rref, rref_rows, swap_halves
 from .states import preimage_cosets
 
 
@@ -74,6 +74,16 @@ def coset_key(m: SymplecticMatrix) -> tuple:
     basis of that preimage subspace.
     """
     return rref(preimage_cosets(m.rows, m.n)[0])
+
+
+def coset_keys(rows, n: int):
+    """`coset_key` of many matrices at once, from a (..., 2n) array of row masks.
+
+    The base preimage is spanned by rows 1..n-1 with their halves swapped
+    (see `preimage_cosets`), so each key is the reduced basis of those n-1
+    independent vectors: a (..., n-1) uint64 array.
+    """
+    return rref_rows(swap_halves(rows[..., 1:n], n))
 
 
 def bfs_closure(matrices, limit: int | None = None) -> set:

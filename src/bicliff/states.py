@@ -187,6 +187,23 @@ def preimage_cosets(rows, n: int) -> tuple:
     return v0, (0, t1, t1 ^ t2, t2)
 
 
+def preimage_index(rows, n: int) -> np.ndarray:
+    """`preimage_cosets` of many matrices at once, as one index array.
+
+    rows is a (..., 2n) array of row masks.  Entry [..., k, j] is the j-th
+    vector of the preimage of base coset k, in the order of
+    {v ^ shifts[k] for v in v0}, as an int64 index into state.probs.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    v0 = np.zeros(rows.shape[:-1] + (1,), np.uint64)
+    for k in range(1, n):
+        v0 = np.concatenate([v0, v0 ^ swap_halves(rows[..., k : k + 1], n)], axis=-1)
+    t1 = swap_halves(rows[..., n], n)
+    t2 = swap_halves(rows[..., 0], n)
+    shifts = np.stack([np.zeros_like(t1), t1, t1 ^ t2, t2], axis=-1)
+    return (v0[..., None, :] ^ shifts[..., :, None]).astype(np.int64)
+
+
 def coset_sums(m: SymplecticMatrix, state: BellDiagonalState):
     """Pillar mass split over the four base cosets, in (I, X, Y, Z) order.
 

@@ -5,6 +5,11 @@ The stored representative of each coset is not the sampled matrix but a
 canonical one completed deterministically from the key alone, so the final
 transversal is a pure function of n: identical for every seed, worker count
 and sampling order.  Sampling only discovers which keys exist.
+
+Sampling, completion and statistics each run on whole arrays of matrices:
+a block of samples is one `random_symplectic_rows` call and one `coset_keys`
+call, all keys are completed together, and `enumerate_stats` sums every
+coset of every representative with one gather per chunk.
 """
 
 from __future__ import annotations
@@ -19,16 +24,23 @@ import numpy as np
 from .blocks import ordered_calls
 from .gf2 import (
     SymplecticMatrix,
-    min_affine,
-    random_symplectic,
-    rref,
-    solve_gf2,
+    is_symplectic_rows,
+    least_null_vectors,
+    least_solutions,
+    random_symplectic_rows,
     swap_halves,
 )
-from .groups import coset_key, dn_index
-from .states import BellDiagonalState, numeric_stats
+from .groups import coset_keys, dn_index
+from .states import BellDiagonalState, DistStats, preimage_index
+# Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
+# these names up in this module.
+from .gf2 import random_symplectic  # noqa: F401
+from .groups import coset_key  # noqa: F401
+from .states import numeric_stats  # noqa: F401
 
 SAMPLE_BLOCK = 1024
+# cosets per array step of completion and statistics, to bound memory at n=5
+CHUNK = 1 << 15
 
 
 @dataclass
@@ -55,46 +67,48 @@ def representative_from_key(key: tuple, n: int) -> SymplecticMatrix:
     The key rows (an isotropic subspace basis) are taken as the images of the
     standard base vectors under the inverse; partners and the remaining
     symplectic pair are completed greedily, always choosing the smallest
-    vector satisfying the required inner products.
+    vector satisfying the required inner products.  This is the one-key case
+    of `representative_rows`.
     """
-    nn = 2 * n
-    ws = list(key)  # images of e_{n+2}..e_{2n}
-    if len(ws) != n - 1:
+    if len(key) != n - 1:
         raise ValueError("key dimension must be n-1")
+    (rows,) = representative_rows(np.array([key], dtype=np.uint64).reshape(1, n - 1), n)
+    return SymplecticMatrix(n, rows.tolist())
 
-    def inner_constraints(vs, one_at=None):
-        # parity(x & swap(v)) equals 1 only against the chosen partner
-        return [
-            (swap_halves(v, n), 1 if i == one_at else 0) for i, v in enumerate(vs)
-        ]
 
-    us: list = []
-    for idx in range(len(ws)):
-        cons = inner_constraints(ws, idx) + inner_constraints(us)
-        part, basis = solve_gf2(cons, nn)
-        us.append(min_affine(part, basis))
+def representative_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """Row masks of `representative_from_key` for each row of a (B, n-1) key array."""
+    out = np.empty((len(keys), 2 * n), np.uint64)
+    for lo in range(0, len(keys), CHUNK):
+        out[lo : lo + CHUNK] = _complete(keys[lo : lo + CHUNK], n)
+    return out
 
-    cons = inner_constraints(ws) + inner_constraints(us)
-    _, basis = solve_gf2(cons, nn)
-    w1 = rref(basis)[-1]  # smallest nonzero solution
 
-    cons = (
-        [(swap_halves(w1, n), 1)]
-        + inner_constraints(ws)
-        + inner_constraints(us)
-    )
-    part, basis = solve_gf2(cons, nn)
-    u1 = min_affine(part, basis)
-
+def _complete(keys: np.ndarray, n: int) -> np.ndarray:
+    nn = 2 * n
+    rhs = np.uint64(1 << nn)  # constraints are held as mask | rhs << 2n
+    # the keys are the images ws of e_{n+2}..e_{2n}; parity(x & swap(v)) is
+    # the inner product of x with v
+    inner = swap_halves(keys, n)
+    us = []
+    for idx in range(n - 1):
+        # u_idx pairs with w_idx only, and is orthogonal to the u chosen so far
+        cons = inner.copy()
+        cons[:, idx] |= rhs
+        us.append(least_solutions(cons, nn))
+        inner = np.concatenate([inner, swap_halves(us[-1], n)[:, None]], axis=1)
+    w1 = least_null_vectors(inner, nn)
+    u1 = least_solutions(np.concatenate([(swap_halves(w1, n) | rhs)[:, None], inner], axis=1), nn)
     # the inverse maps e_i -> u_i and e_{n+i} -> w_i; row i of the matrix is
     # the inverse's column (i + n) mod 2n with its halves swapped
-    cols = [u1] + us + [w1] + ws
-    return SymplecticMatrix(n, (swap_halves(cols[(i + n) % nn], n) for i in range(nn)))
+    cols = np.stack([u1, *us, w1, *keys.T], axis=1)
+    return swap_halves(np.roll(cols, -n, axis=1), n)
 
 
 def _sample_block(n: int, seed, block: int, size: int) -> set:
     rng = np.random.default_rng([seed, block])
-    return {coset_key(random_symplectic(n, rng)) for _ in range(size)}
+    keys = coset_keys(random_symplectic_rows(n, rng, size), n)
+    return set(map(tuple, keys.tolist()))
 
 
 def build_transversal(
@@ -132,17 +146,37 @@ def build_transversal(
                 break
 
     complete = len(keys) >= target
-    reps = {k: representative_from_key(k, n) for k in sorted(keys)}
+    keys = sorted(keys)
+    rows = representative_rows(np.array(keys, dtype=np.uint64).reshape(len(keys), n - 1), n)
+    reps = {k: SymplecticMatrix(n, r) for k, r in zip(keys, rows.tolist())}
     return Transversal(n, reps, complete, samples, target)
 
 
 def enumerate_stats(t: Transversal, state: BellDiagonalState) -> list:
-    """Numeric statistics of every coset representative on the given state."""
+    """Numeric statistics of every coset representative on the given state.
+
+    Raises ValueError if the transversal is incomplete, or if a
+    representative is not symplectic or does not lie in the coset its key
+    names.  The coset sums equal those of `numeric_stats`, bit for bit.
+    """
     if not t.complete:
         raise ValueError("transversal is incomplete; raise the sample budget")
     if state.n != t.n:
         raise ValueError("state and transversal pair counts differ")
-    return [(key, numeric_stats(rep, state)) for key, rep in sorted(t.reps.items())]
+    n = t.n
+    keys = sorted(t.reps)
+    rows = np.array([t.reps[k].rows for k in keys], dtype=np.uint64).reshape(len(keys), 2 * n)
+    sums = []
+    for lo in range(0, len(keys), CHUNK):
+        part = rows[lo : lo + CHUNK]
+        bad = np.flatnonzero(~is_symplectic_rows(part, n))
+        if bad.size:
+            raise ValueError(f"coset {list(keys[lo + bad[0]])}: representative is not symplectic")
+        for key, found in zip(keys[lo : lo + CHUNK], coset_keys(part, n).tolist()):
+            if tuple(found) != key:
+                raise ValueError(f"coset key {list(key)} does not match its representative's {found}")
+        sums += state.probs[preimage_index(part, n)].sum(axis=-1).tolist()
+    return [(key, DistStats.from_coset_sums(*s)) for key, s in zip(keys, sums)]
 
 
 def pareto_envelope(entries) -> list:

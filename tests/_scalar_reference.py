@@ -16,6 +16,8 @@ from bicliff.dejmps import (
     tree_shapes,
     werner_leaf,
 )
+from bicliff.gf2 import SymplecticMatrix, random_symplectic, rref, solve_gf2, swap_halves
+from bicliff.groups import coset_key, dn_index
 from bicliff.states import coset_histograms, counts_key
 
 
@@ -108,3 +110,62 @@ def poly_on_grid(poly, grid):
     for c in reversed(poly.coeffs):
         out = out * grid + float(c)
     return out
+
+
+def min_affine(particular: int, basis) -> int:
+    """Smallest integer in the affine space particular + span(basis)."""
+    for b in rref(basis):
+        particular = min(particular, particular ^ b)
+    return particular
+
+
+def representative_from_key(key: tuple, n: int) -> SymplecticMatrix:
+    """The canonical coset representative, completed one solve_gf2 at a time."""
+    nn = 2 * n
+    ws = list(key)  # images of e_{n+2}..e_{2n}
+
+    def inner_constraints(vs, one_at=None):
+        # parity(x & swap(v)) equals 1 only against the chosen partner
+        return [
+            (swap_halves(v, n), 1 if i == one_at else 0) for i, v in enumerate(vs)
+        ]
+
+    us: list = []
+    for idx in range(len(ws)):
+        cons = inner_constraints(ws, idx) + inner_constraints(us)
+        part, basis = solve_gf2(cons, nn)
+        us.append(min_affine(part, basis))
+
+    cons = inner_constraints(ws) + inner_constraints(us)
+    _, basis = solve_gf2(cons, nn)
+    w1 = rref(basis)[-1]  # smallest nonzero solution
+
+    cons = (
+        [(swap_halves(w1, n), 1)]
+        + inner_constraints(ws)
+        + inner_constraints(us)
+    )
+    part, basis = solve_gf2(cons, nn)
+    u1 = min_affine(part, basis)
+
+    cols = [u1] + us + [w1] + ws
+    return SymplecticMatrix(n, (swap_halves(cols[(i + n) % nn], n) for i in range(nn)))
+
+
+def sample_block(n: int, seed, block: int, size: int) -> set:
+    """One block of the coupon collector, one matrix at a time."""
+    rng = np.random.default_rng([seed, block])
+    return {coset_key(random_symplectic(n, rng)) for _ in range(size)}
+
+
+def transversal_keys(n: int, seed, max_samples: int, block_size: int = 1024) -> tuple:
+    """(keys, samples) of the coupon collector, drawn block by block."""
+    keys: set = set()
+    samples = 0
+    for block, start in enumerate(range(0, max_samples, block_size)):
+        size = min(block_size, max_samples - start)
+        keys |= sample_block(n, seed, block, size)
+        samples += size
+        if len(keys) >= dn_index(n):
+            break
+    return keys, samples

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 from concurrent.futures import Future, ProcessPoolExecutor
 
 from bicliff.blocks import ordered_calls
@@ -44,10 +45,23 @@ def test_early_stop_cancels_queued_calls():
         assert value == i * i
         if i == 1:
             break
-    # 2 * jobs calls in flight, one more submitted after the first result
-    assert len(pool.futures) == 5
-    assert [f.cancelled() for f in pool.futures] == [False, False, True, True, True]
+    # jobs calls in flight, one more submitted after the first result
+    assert len(pool.futures) == 3
+    assert [f.cancelled() for f in pool.futures] == [False, False, True]
     assert pool.ran == [(0, 2), (1, 2)]
+
+
+def test_early_stop_on_process_pool_wastes_at_most_jobs_minus_one_calls(tmp_path):
+    # each call makes one directory, so the directories count the calls run
+    jobs, consumed = 2, 3
+    calls = [(str(tmp_path / f"call{k}"),) for k in range(20)]
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for i, _ in enumerate(ordered_calls(os.mkdir, calls, pool, jobs)):
+            if i + 1 == consumed:
+                break
+    ran = sorted(p.name for p in tmp_path.iterdir())
+    assert ran[:consumed] == [f"call{k}" for k in range(consumed)]
+    assert len(ran) - consumed <= jobs - 1
 
 
 def test_pool_results_equal_inline_results():

@@ -594,6 +594,36 @@ def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, caps
     assert "rebuild it with: bicliff transversal --n 2" in captured.err
 
 
+@pytest.mark.parametrize("kind, n, message", [
+    ("incomplete", 3, "incomplete"),
+    ("non-symplectic rows", 2, "not symplectic"),
+    ("swapped keys", 2, "coset key"),
+])
+def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, kind, n, message):
+    from bicliff.cache import write_cache
+
+    path = tmp_path / f"transversal_n{n}.bcp"
+    if kind == "incomplete":
+        assert run_cli(["transversal", "--n", "3", "--budget", "16", "--cache", str(tmp_path)]) == 4
+    else:
+        header, records = read_cache(cache_dir / "transversal_n2.bcp")
+        if kind == "non-symplectic rows":
+            # row 2n-1 takes no part in the coset key or the statistics
+            records[-1]["rows"][-1] ^= 1
+        else:
+            records[0]["key"], records[1]["key"] = records[1]["key"], records[0]["key"]
+        write_cache(path, header, records)
+    capsys.readouterr()
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": n, "pairs": [list(EXAMPLE_PAIR)] * n}))
+    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad cache file {path}: ")
+    assert message in captured.err
+    assert f"rebuild it with: bicliff transversal --n {n}" in captured.err
+
+
 def test_cli_werner_cache_of_other_n_exits_2(cache_dir, tmp_path, capsys):
     (tmp_path / "werner_n4.bcp").write_bytes((cache_dir / "werner_n3.bcp").read_bytes())
     code = run_cli(["compare", "--n-min", "4", "--n-max", "4", "--cache", str(tmp_path)])

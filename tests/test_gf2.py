@@ -12,14 +12,20 @@ from bicliff.gf2 import (
     X,
     gate_matrix,
     is_symplectic,
+    is_symplectic_rows,
+    least_null_vectors,
+    least_solutions,
     random_symplectic,
+    random_symplectic_rows,
     rref,
+    rref_rows,
     sp_order,
     span,
     swap_halves,
     symplectic_inner,
     symplectic_inverse,
 )
+from bicliff import gf2
 from bicliff.groups import bfs_closure
 
 
@@ -209,6 +215,115 @@ def test_random_symplectic_covers_sp4():
         if len(seen) == 720:
             break
     assert len(seen) == 720 == sp_order(2)
+
+
+def test_scalar_draw_is_top_bits_of_uint32_stream():
+    # random_symplectic_rows reads the draws of random_symplectic off one
+    # uint32 stream; a numpy change to bounded integers must fail here first
+    for seed in range(3):
+        ks = [k for k in range(1, 33)] + [32 - k for k in range(31)] + [5, 2, 9]
+        for stop in (1, 2, 7, len(ks)):  # odd counts leave half a 64-bit word
+            a = np.random.default_rng(seed)
+            b = np.random.default_rng(seed)
+            scalar = [int(a.integers(0, 1 << k)) for k in ks[:stop]]
+            stream = b.integers(0, 1 << 32, size=stop, dtype=np.uint32)
+            assert scalar == [int(x) >> (32 - k) for k, x in zip(ks, stream)]
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_symplectic_rows_match_scalar_draws(n):
+    for seed in (0, 1, 2):
+        for count in (1, 7, 1024):
+            a = np.random.default_rng([seed, n])
+            b = np.random.default_rng([seed, n])
+            want = [random_symplectic(n, a).rows for _ in range(count)]
+            got = random_symplectic_rows(n, b, count)
+            assert got.dtype == np.uint64 and got.shape == (count, 2 * n)
+            assert list(map(tuple, got.tolist())) == want
+            assert a.integers(0, 1 << 40) == b.integers(0, 1 << 40)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_random_symplectic_rows_redraw_a_short_stream(monkeypatch):
+    parse = gf2._parse_stream
+    sizes = []
+
+    def short_once(stream, n, count):
+        sizes.append(len(stream))
+        return None if len(sizes) == 1 else parse(stream, n, count)
+
+    monkeypatch.setattr(gf2, "_parse_stream", short_once)
+    a = np.random.default_rng(4)
+    b = np.random.default_rng(4)
+    got = random_symplectic_rows(3, b, 5)
+    assert list(map(tuple, got.tolist())) == [random_symplectic(3, a).rows for _ in range(5)]
+    assert a.bit_generator.state == b.bit_generator.state
+    assert sizes[1] == 2 * sizes[0]
+
+
+def test_parse_stream_repeats_zero_f_draws():
+    # n=1: a 2-bit f draw, repeated while zero, then a 1-bit g draw
+    top = 1 << 31
+    stream = np.array([0, top >> 2, top, top], dtype=np.uint32)
+    coeffs, used = gf2._parse_stream(stream, 1, 1)
+    assert coeffs.tolist() == [[2, 1]] and used == 4
+    assert gf2._parse_stream(stream[:3], 1, 1) is None
+
+
+# --- batched reduction ---------------------------------------------------------
+
+
+def _random_systems(rng, count, m, nbits):
+    """Rows of low rank as often as full rank: combinations of a few vectors."""
+    gens = rng.integers(0, 1 << nbits, size=(count, 3), dtype=np.uint64)
+    pick = rng.integers(0, 2, size=(count, m, 3), dtype=np.uint64)
+    full = rng.integers(0, 1 << nbits, size=(count, m), dtype=np.uint64)
+    low = np.bitwise_xor.reduce(pick * gens[:, None, :], axis=-1)
+    return np.where(rng.random((count, 1)) < 0.5, low, full)
+
+
+def test_rref_rows_match_rref():
+    rng = np.random.default_rng(8)
+    for m in range(0, 9):
+        rows = _random_systems(rng, 300, m, 9)
+        got = rref_rows(rows.reshape(3, 100, m)).reshape(300, m).tolist()
+        for r, g in zip(rows.tolist(), got):
+            want = rref(r)
+            assert tuple(g) == want + (0,) * (m - len(want))
+
+
+def test_least_solutions_match_brute_force():
+    rng = np.random.default_rng(9)
+    nbits = 6
+    xs = np.arange(1 << nbits, dtype=np.uint64)
+    for m in range(0, 7):
+        masks = _random_systems(rng, 200, m, nbits)
+        # a right-hand side of some x keeps the system consistent
+        target = rng.integers(0, 1 << nbits, size=(200, 1), dtype=np.uint64)
+        rhs = np.bitwise_count(masks & target) & 1
+        got = least_solutions(masks | (rhs.astype(np.uint64) << nbits), nbits)
+        ok = ((np.bitwise_count(masks[:, None, :] & xs[:, None]) & 1) == rhs[:, None, :]).all(-1)
+        assert got.tolist() == ok.argmax(axis=1).tolist()
+        null = ((np.bitwise_count(masks[:, None, :] & xs[:, None]) & 1) == 0).all(-1)
+        null[:, 0] = False
+        has = null.any(axis=1)
+        got = least_null_vectors(masks, nbits)
+        assert got[has].tolist() == null.argmax(axis=1)[has].tolist()
+
+
+def test_is_symplectic_rows_matches_is_symplectic():
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 3, 4):
+        good = random_symplectic_rows(n, rng, 100)
+        flip = rng.integers(0, 2 * n, size=100)
+        bad = good.copy()
+        bad[np.arange(100), flip] ^= np.uint64(1) << rng.integers(0, 2 * n, size=100).astype(np.uint64)
+        noise = rng.integers(0, 1 << (2 * n), size=(100, 2 * n), dtype=np.uint64)
+        for rows in (good, bad, noise):
+            want = [is_symplectic(SymplecticMatrix(n, r)) for r in rows.tolist()]
+            assert is_symplectic_rows(rows, n).tolist() == want
+        assert is_symplectic_rows(good, n).all() and not is_symplectic_rows(bad, n).all()
 
 
 # --- group order -------------------------------------------------------------

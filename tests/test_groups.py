@@ -8,12 +8,14 @@ from bicliff.gf2 import (
     SymplecticMatrix,
     gate_matrix,
     random_symplectic,
+    random_symplectic_rows,
     rref,
     sp_order,
 )
 from bicliff.groups import (
     bfs_closure,
     coset_key,
+    coset_keys,
     dn_generators,
     dn_index,
     dn_order,
@@ -120,6 +122,16 @@ def test_coset_key_left_invariance():
         m = random_symplectic(3, rng)
         d = random_word(gens, rng, length=6)
         assert coset_key(d @ m) == coset_key(m)
+
+
+def test_coset_keys_match_coset_key():
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        rows = random_symplectic_rows(n, rng, 200)
+        want = [coset_key(SymplecticMatrix(n, r)) for r in rows.tolist()]
+        got = coset_keys(rows, n)
+        assert got.shape == (200, n - 1)
+        assert list(map(tuple, got.tolist())) == want
 
 
 def test_coset_key_counts_exhaustive_n2():

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicliff.gf2 import gate_matrix, is_symplectic, H, S, CNOT
+import _scalar_reference as scalar
+from bicliff.gf2 import SymplecticMatrix, gate_matrix, is_symplectic, random_symplectic_rows, H, S, CNOT
 from bicliff.groups import bfs_closure, coset_key, dn_index
-from bicliff.states import BellDiagonalState, DistStats
+from bicliff.states import BellDiagonalState, DistStats, numeric_stats
 from bicliff.transversal import (
+    SAMPLE_BLOCK,
+    Transversal,
     build_transversal,
     enumerate_stats,
     pareto_envelope,
+    representative_from_key,
+    representative_rows,
 )
 from bicliff.dejmps import dejmps_step, ROTATION_WORDS
 from _reference import EXAMPLE_PAIR
@@ -18,6 +25,41 @@ def test_representative_from_key_roundtrip(transversal_for):
     for key, rep in t.reps.items():
         assert is_symplectic(rep)
         assert coset_key(rep) == key
+
+
+def _n5_keys(count=2000):
+    """Coset keys of `count` random n=5 matrices, by the scalar coset_key."""
+    rows = random_symplectic_rows(5, np.random.default_rng(12), count)
+    return sorted({coset_key(SymplecticMatrix(5, r)) for r in rows.tolist()})
+
+
+def test_representatives_match_scalar_completion(transversal_for):
+    for n in (1, 2, 3, 4):
+        t = transversal_for(n)
+        assert len(t) == dn_index(n)
+        for key, rep in t.reps.items():
+            assert rep == scalar.representative_from_key(key, n)
+    keys = _n5_keys()
+    rows = representative_rows(np.array(keys, dtype=np.uint64), 5)
+    assert [tuple(r) for r in rows.tolist()] == [
+        scalar.representative_from_key(k, 5).rows for k in keys
+    ]
+    for k in keys[:20]:
+        assert representative_from_key(k, 5) == scalar.representative_from_key(k, 5)
+    with pytest.raises(ValueError, match="n-1"):
+        representative_from_key(keys[0][:3], 5)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("max_samples", [16, 1500])
+def test_build_transversal_matches_scalar_sampler(max_samples, jobs):
+    assert max_samples % SAMPLE_BLOCK
+    for n in (2, 3, 4):
+        t = build_transversal(n, seed=1, jobs=jobs, max_samples=max_samples)
+        keys, samples = scalar.transversal_keys(n, 1, max_samples)
+        assert set(t.reps) == keys and t.samples_used == samples
+        assert t.complete == (len(keys) == dn_index(n))
+        assert all(rep == scalar.representative_from_key(k, n) for k, rep in t.reps.items())
 
 
 def test_completeness_small(transversal_for):
@@ -113,3 +155,51 @@ def test_pareto_envelope_example_state(transversal_for):
     best_p = max(s.p_suc for s in stats)
     assert any(np.isclose(s.f_out, best_f) for s in env)
     assert any(np.isclose(s.p_suc, best_p) for s in env)
+
+
+_SAMPLED: dict = {}
+
+
+def _sampled_transversal(n, transversal_for):
+    """The whole transversal for n <= 3; 2,000 of its cosets for n = 4, 5."""
+    if n not in _SAMPLED:
+        if n <= 4:
+            reps = transversal_for(n).reps
+            keys = sorted(reps)[:: max(1, len(reps) // 2000)]
+            reps = {k: reps[k] for k in keys}
+        else:
+            reps = {k: representative_from_key(k, n) for k in _n5_keys()}
+        _SAMPLED[n] = Transversal(n, reps, True, 0)
+    return _SAMPLED[n]
+
+
+@st.composite
+def _states(draw, n):
+    """Product states with edge-case pairs, or seeded dense or sparse states."""
+    if draw(st.booleans()):
+        pairs = draw(st.lists(
+            st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(lambda p: sum(p) > 0),
+            min_size=n, max_size=n,
+        ))
+        return BellDiagonalState.from_pairs([np.array(p) / sum(p) for p in pairs])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.random(4**n) ** draw(st.sampled_from([1, 8]))
+    probs[rng.random(4**n) < draw(st.sampled_from([0.0, 0.9]))] = 0.0
+    probs[0] += probs.sum() == 0
+    return BellDiagonalState(n, probs / probs.sum())
+
+
+def _bits(stats):
+    return tuple(float(x).hex() for x in (stats.p_suc, stats.f_num, *stats.fi_nums))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_enumerate_stats_bit_equal_to_numeric_stats(transversal_for, n, data):
+    t = _sampled_transversal(n, transversal_for)
+    state = data.draw(_states(n))
+    got = enumerate_stats(t, state)
+    want = [(key, numeric_stats(rep, state)) for key, rep in sorted(t.reps.items())]
+    assert [key for key, _ in got] == [key for key, _ in want]
+    assert [_bits(s) for _, s in got] == [_bits(s) for _, s in want]
