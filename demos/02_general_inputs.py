@@ -6,6 +6,8 @@ transversal is built by coupon-collector sampling of coset keys; the stored
 representatives are canonical, so the result is the same for every seed.
 """
 
+import numpy as np
+
 from bicliff import BellDiagonalState, build_transversal, enumerate_stats, pareto_envelope
 
 pair = (0.7, 0.15, 0.10, 0.05)
@@ -15,19 +17,20 @@ for n in (2, 3):
     print(f"n={n}: {len(t)} cosets found with {t.samples_used} samples")
 
     state = BellDiagonalState.from_pairs([pair] * n)
-    entries = enumerate_stats(t, state)
-    stats = [s for _, s in entries]
-    env = pareto_envelope(stats)
+    p_suc, f_num, _ = enumerate_stats(t, state)
+    f_out = np.divide(f_num, p_suc, out=np.zeros_like(p_suc), where=p_suc > 0)
+    env = np.flatnonzero(pareto_envelope(p_suc, f_out))
+    # envelope points by descending p_suc, then descending F_out
+    env = env[np.lexsort((-f_out[env], -p_suc[env]))]
 
     print(f"  two copies of {pair}" if n == 2 else f"  {n} copies of {pair}")
-    print(f"  achievable statistics: {len(stats)} cosets, {len(env)} on the envelope")
-    best_f = max(stats, key=lambda s: s.f_out)
-    best_p = max(stats, key=lambda s: s.p_suc)
-    print(f"  highest F_out : {best_f.f_out:.6f} at p_suc = {best_f.p_suc:.6f}")
-    print(f"  highest p_suc : {best_p.p_suc:.6f} at F_out = {best_p.f_out:.6f}")
+    print(f"  achievable statistics: {len(t)} cosets, {len(env)} on the envelope")
+    best_f, best_p = np.argmax(f_out), np.argmax(p_suc)
+    print(f"  highest F_out : {f_out[best_f]:.6f} at p_suc = {p_suc[best_f]:.6f}")
+    print(f"  highest p_suc : {p_suc[best_p]:.6f} at F_out = {f_out[best_p]:.6f}")
     print("  envelope (p_suc, F_out):")
-    for s in env:
-        print(f"    ({s.p_suc:.6f}, {s.f_out:.6f})")
+    for i in env:
+        print(f"    ({p_suc[i]:.6f}, {f_out[i]:.6f})")
     print()
 
 print("the identity coset keeps the first pair untouched, so its row shows")

@@ -1,13 +1,15 @@
-"""Protocol cache files: a JSON header plus length-prefixed JSON records.
+"""Protocol cache files: a JSON header, then the records of one mode.
 
-Layout: magic, 4-byte big-endian header length, header JSON, then for each
-record a 4-byte big-endian length and the record JSON (canonical key order).
-Werner-mode records carry the source case, representative rows and the
-preimage-coset histograms that fix the exact statistics; transversal-mode
-records carry the coset key and representative rows.  Each mode has its own
-format version.  Verification takes a sample of records, checks that their
-stored rows are symplectic, recomputes their derived data from those rows
-and demands exact agreement.
+Layout: magic, 4-byte big-endian header length, header JSON, then the body.
+A Werner-mode body holds, for each record, a 4-byte big-endian length and
+the record JSON (canonical key order): the source case, representative rows
+and the preimage-coset histograms that fix the exact statistics.  A
+transversal-mode body is one little-endian block of count x (3n-1) unsigned
+integers, one line per coset in ascending key order: the n-1 key masks, then
+the 2n representative row masks.  They are uint16 when 2n <= 16 and uint32
+above.  Each mode has its own format version.  Verification takes a sample
+of records, checks that their stored rows are symplectic, recomputes their
+derived data from those rows and demands exact agreement.
 """
 
 from __future__ import annotations
@@ -18,18 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .gf2 import SymplecticMatrix, is_symplectic
-from .groups import coset_key
+from .gf2 import MAX_PAIRS, SymplecticMatrix, is_symplectic
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # this name up in this module.
 from .ratpoly import poly_from_strings  # noqa: F401
 from .states import counts_key, werner_counts
+from .transversal import Transversal, first_bad_record
 from .werner import Protocol, WernerCase, atomic_open
 
 MAGIC = b"BCPC\x01"
 # Werner records hold coset histograms since version 2 (before: statistic
-# polynomials); transversal records are unchanged since version 1.
-FORMAT_VERSIONS = {"werner": 2, "transversal": 1}
+# polynomials); a transversal is one binary block since version 2 (before:
+# one JSON record per coset).
+FORMAT_VERSIONS = {"werner": 2, "transversal": 2}
 
 
 def _encode(obj: dict) -> bytes:
@@ -37,6 +40,11 @@ def _encode(obj: dict) -> bytes:
 
 
 def write_cache(path, header: dict, records) -> None:
+    """Write a cache atomically.
+
+    records is an iterable of record dicts in Werner mode and a (keys, rows)
+    pair of arrays in transversal mode; the header is written as given.
+    """
     header = dict(header)
     header["format_version"] = FORMAT_VERSIONS[header["mode"]]
     blob = _encode(header)
@@ -46,10 +54,47 @@ def write_cache(path, header: dict, records) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack(">I", len(blob)))
         fh.write(blob)
+        if header["mode"] == "transversal":
+            keys, rows = records
+            fh.write(np.concatenate([keys, rows], axis=1).astype(_block_type(header["n"])).tobytes())
+            return
         for rec in records:
             data = _encode(rec)
             fh.write(struct.pack(">I", len(data)))
             fh.write(data)
+
+
+def _block_type(n: int) -> np.dtype:
+    return np.dtype("<u2" if 2 * n <= 16 else "<u4")
+
+
+def _strictly_ascending(keys: np.ndarray) -> bool:
+    """Whether each key row is lexicographically greater than the one before."""
+    greater = np.zeros(max(len(keys) - 1, 0), bool)
+    equal = ~greater
+    for column in keys.T:
+        greater |= equal & (column[1:] > column[:-1])
+        equal &= column[1:] == column[:-1]
+    return bool(greater.all())
+
+
+def _read_block(fh, header: dict) -> tuple:
+    """(keys, rows) uint64 arrays of a transversal body."""
+    n, count = header.get("n"), header.get("count")
+    if not (type(n) is int and 1 <= n <= MAX_PAIRS and type(count) is int and count >= 0):
+        raise ValueError(f"bad transversal header: n={n!r}, count={count!r}")
+    dtype, width = _block_type(n), 3 * n - 1
+    body = fh.read()
+    if len(body) != count * width * dtype.itemsize:
+        raise ValueError(
+            f"transversal body of {len(body)} bytes does not hold {count} cosets "
+            f"of {width} x {dtype.itemsize} bytes"
+        )
+    block = np.frombuffer(body, dtype).reshape(count, width).astype(np.uint64)
+    keys, rows = np.ascontiguousarray(block[:, : n - 1]), np.ascontiguousarray(block[:, n - 1 :])
+    if not _strictly_ascending(keys):
+        raise ValueError("transversal keys are not strictly ascending")
+    return keys, rows
 
 
 def _read_exact(fh, count: int) -> bytes:
@@ -70,6 +115,8 @@ def read_cache(path):
         mode, version = header.get("mode"), header.get("format_version")
         if FORMAT_VERSIONS.get(mode) != version:
             raise ValueError(f"unsupported {mode} cache version {version}")
+        if mode == "transversal":
+            return header, _read_block(fh, header)
         records = []
         while True:
             raw = fh.read(4)
@@ -127,31 +174,20 @@ def write_transversal_cache(path, transversal, seed) -> None:
     header = {
         "mode": "transversal",
         "n": transversal.n,
-        "count": len(transversal.reps),
+        "count": len(transversal),
         "complete": transversal.complete,
         "seed": seed,
         "samples": transversal.samples_used,
     }
-    records = (
-        {"key": list(key), "rows": list(rep.rows)}
-        for key, rep in sorted(transversal.reps.items())
-    )
-    write_cache(path, header, records)
+    write_cache(path, header, (transversal.keys, transversal.rows))
 
 
 def load_transversal_cache(path):
-    from .transversal import Transversal
-
     header, records = read_cache(path)
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
-    n = header["n"]
-    reps = {
-        tuple(rec["key"]): SymplecticMatrix(n, rec["rows"]) for rec in records
-    }
-    return header, Transversal(
-        n, reps, header["complete"], header["samples"]
-    )
+    keys, rows = records
+    return header, Transversal(header["n"], keys, rows, header["complete"], header["samples"])
 
 
 def verify_cache(path, sample: int = 100, seed: int = 0):
@@ -160,26 +196,30 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     Every stored representative must be symplectic.  Werner records: the
     stored coset histograms must equal those recomputed from the stored
     representative, up to the order of the three non-base cosets.
-    Transversal records: the stored key must equal the recomputed coset key.
+    Transversal records: the stored key must equal the recomputed coset key,
+    checked by `first_bad_record` as `enumerate_stats` does.
     Returns (ok, checked, message).
     """
     header, records = read_cache(path)
     n = header["n"]
+    transversal = header["mode"] == "transversal"
+    count = len(records[0]) if transversal else len(records)
     rng = np.random.default_rng(seed)
-    idx = range(len(records))
-    if len(records) > sample:
-        idx = sorted(rng.choice(len(records), size=sample, replace=False))
-    checked = 0
-    for i in idx:
+    idx = np.arange(count)
+    if count > sample:
+        idx = np.sort(rng.choice(count, size=sample, replace=False))
+    if transversal:
+        keys, rows = records
+        bad = first_bad_record(keys[idx], rows[idx], n)
+        if bad is not None:
+            checked, problem = bad
+            return False, checked, f"record {idx[checked]}: {problem}"
+        return True, len(idx), "ok"
+    for checked, i in enumerate(idx):
         rec = records[i]
         rep = SymplecticMatrix(n, rec["rows"])
         if not is_symplectic(rep):
             return False, checked, f"record {i}: representative is not symplectic"
-        if header["mode"] == "werner":
-            if counts_key(werner_counts(rep, n)) != counts_key(_record_counts(rec, n)):
-                return False, checked, f"record {i}: statistics mismatch"
-        else:
-            if coset_key(rep) != tuple(rec["key"]):
-                return False, checked, f"record {i}: coset key mismatch"
-        checked += 1
-    return True, checked, "ok"
+        if counts_key(werner_counts(rep, n)) != counts_key(_record_counts(rec, n)):
+            return False, checked, f"record {i}: statistics mismatch"
+    return True, len(idx), "ok"

@@ -199,26 +199,27 @@ def _load_state(path: str) -> BellDiagonalState:
 
 
 def cmd_eval(args) -> int:
+    if args.min_fidelity is not None and not 0 <= args.min_fidelity <= 1:  # also false for NaN
+        raise CliError(EXIT_INVALID, f"--min-fidelity {args.min_fidelity} must be finite, "
+                       "with 0 <= --min-fidelity <= 1")
     state = _load_state(args.state)
     n = state.n if args.n is None else args.n
     if n != state.n:
         raise CliError(EXIT_INVALID, f"--n {n} does not match the state file ({state.n})")
     # an incomplete cache, or a record whose rows are not symplectic or not
     # in the coset of its key, makes enumerate_stats raise
-    entries = _load_cache("transversal", args.cache, n, lambda t: enumerate_stats(t, state))
-    envelope = set()
-    for st in pareto_envelope([s for _, s in entries]):
-        envelope.add((st.p_suc, st.f_num, st.fi_nums))
-    rows = []
-    for key, st in entries:
-        f_out = st.f_out
-        if args.min_fidelity is not None and f_out < args.min_fidelity:
-            continue
-        f1, f2, f3 = (x / st.p_suc if st.p_suc > 0 else 0.0 for x in st.fi_nums)
-        rows.append([
-            key_str(key), fmt(st.p_suc), fmt(f_out), fmt(f1), fmt(f2), fmt(f3),
-            int((st.p_suc, st.f_num, st.fi_nums) in envelope),
-        ])
+    t, (p, f_num, fi_nums) = _load_cache(
+        "transversal", args.cache, n, lambda t: (t, enumerate_stats(t, state))
+    )
+    f_out = np.divide(f_num, p, out=np.zeros_like(p), where=p > 0)
+    fis = np.divide(fi_nums, p[:, None], out=np.zeros_like(fi_nums), where=p[:, None] > 0)
+    envelope = pareto_envelope(p, f_out)
+    keep = slice(None) if args.min_fidelity is None else f_out >= args.min_fidelity
+    rows = zip(
+        map(key_str, t.keys[keep].tolist()),
+        *(map(fmt, column[keep].tolist()) for column in (p, f_out, *fis.T)),
+        envelope[keep].astype(int).tolist(),
+    )
     _emit(args.out, ["coset_key", "p_suc", "f_out", "f1", "f2", "f3", "envelope"], rows)
     return EXIT_OK
 

@@ -31,7 +31,7 @@ from .gf2 import (
     swap_halves,
 )
 from .groups import coset_keys, dn_index
-from .states import BellDiagonalState, DistStats, preimage_index
+from .states import BellDiagonalState, preimage_index
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
 from .gf2 import random_symplectic  # noqa: F401
@@ -43,12 +43,18 @@ SAMPLE_BLOCK = 1024
 CHUNK = 1 << 15
 
 
-@dataclass
+@dataclass(eq=False)
 class Transversal:
-    """One canonical representative per right coset of the distillation subgroup."""
+    """One canonical representative per right coset of the distillation subgroup.
+
+    keys is a (C, n-1) uint64 array of coset keys in ascending (lexicographic)
+    order and rows the matching (C, 2n) uint64 array of representative row
+    masks.
+    """
 
     n: int
-    reps: dict
+    keys: np.ndarray
+    rows: np.ndarray
     complete: bool
     samples_used: int
     target_size: int = field(default=0)
@@ -58,7 +64,7 @@ class Transversal:
             self.target_size = dn_index(self.n)
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self.keys)
 
 
 def representative_from_key(key: tuple, n: int) -> SymplecticMatrix:
@@ -146,63 +152,73 @@ def build_transversal(
                 break
 
     complete = len(keys) >= target
-    keys = sorted(keys)
-    rows = representative_rows(np.array(keys, dtype=np.uint64).reshape(len(keys), n - 1), n)
-    reps = {k: SymplecticMatrix(n, r) for k, r in zip(keys, rows.tolist())}
-    return Transversal(n, reps, complete, samples, target)
+    keys = np.array(sorted(keys), dtype=np.uint64).reshape(len(keys), n - 1)
+    return Transversal(n, keys, representative_rows(keys, n), complete, samples, target)
 
 
-def enumerate_stats(t: Transversal, state: BellDiagonalState) -> list:
+def first_bad_record(keys: np.ndarray, rows: np.ndarray, n: int):
+    """(index, problem) of the first record that is not a sound representative.
+
+    A record is sound when its rows are symplectic and its key equals their
+    `coset_keys`; a record failing both is reported as not symplectic.
+    Returns None when every record is sound.
+    """
+    for lo in range(0, len(keys), CHUNK):
+        part = rows[lo : lo + CHUNK]
+        symplectic = is_symplectic_rows(part, n)
+        in_coset = (coset_keys(part, n) == keys[lo : lo + CHUNK]).all(axis=1)
+        bad = np.flatnonzero(~(symplectic & in_coset))
+        if bad.size:
+            i = int(bad[0])
+            problem = "coset key mismatch" if symplectic[i] else "representative is not symplectic"
+            return lo + i, problem
+    return None
+
+
+def enumerate_stats(t: Transversal, state: BellDiagonalState) -> tuple:
     """Numeric statistics of every coset representative on the given state.
 
-    Raises ValueError if the transversal is incomplete, or if a
-    representative is not symplectic or does not lie in the coset its key
-    names.  The coset sums equal those of `numeric_stats`, bit for bit.
+    Returns float64 columns (p_suc, f_num, fi_nums) in key order, fi_nums of
+    shape (C, 3): the values `DistStats.from_coset_sums` gives, bit for bit,
+    and so those of `numeric_stats`.  Raises ValueError if the transversal is
+    incomplete, or if a representative is not symplectic or does not lie in
+    the coset its key names.
     """
     if not t.complete:
         raise ValueError("transversal is incomplete; raise the sample budget")
     if state.n != t.n:
         raise ValueError("state and transversal pair counts differ")
     n = t.n
-    keys = sorted(t.reps)
-    rows = np.array([t.reps[k].rows for k in keys], dtype=np.uint64).reshape(len(keys), 2 * n)
-    sums = []
-    for lo in range(0, len(keys), CHUNK):
-        part = rows[lo : lo + CHUNK]
-        bad = np.flatnonzero(~is_symplectic_rows(part, n))
-        if bad.size:
-            raise ValueError(f"coset {list(keys[lo + bad[0]])}: representative is not symplectic")
-        for key, found in zip(keys[lo : lo + CHUNK], coset_keys(part, n).tolist()):
-            if tuple(found) != key:
-                raise ValueError(f"coset key {list(key)} does not match its representative's {found}")
-        sums += state.probs[preimage_index(part, n)].sum(axis=-1).tolist()
-    return [(key, DistStats.from_coset_sums(*s)) for key, s in zip(keys, sums)]
+    bad = first_bad_record(t.keys, t.rows, n)
+    if bad is not None:
+        i, problem = bad
+        raise ValueError(f"coset {t.keys[i].tolist()}: {problem}")
+    sums = np.empty((len(t), 4))
+    for lo in range(0, len(t), CHUNK):
+        sums[lo : lo + CHUNK] = state.probs[preimage_index(t.rows[lo : lo + CHUNK], n)].sum(axis=-1)
+    s0, s1, s2, s3 = sums.T
+    # the order of from_coset_sums: a left-to-right sum, and X/Y/Z sorted by
+    # descending value with ties kept in place (a stable sort on -s)
+    fis = sums[:, 1:]
+    order = np.argsort(-fis, axis=1, kind="stable")
+    return ((s0 + s1) + s2) + s3, s0, np.take_along_axis(fis, order, axis=1)
 
 
-def pareto_envelope(entries) -> list:
-    """Entries not strictly dominated in (p_suc, F_out), p_suc descending.
+def pareto_envelope(p_suc: np.ndarray, f_out: np.ndarray) -> np.ndarray:
+    """Mask of the points not strictly dominated in (p_suc, F_out).
 
     A point is dominated when another is at least as good in both coordinates
-    and strictly better in one; exact ties are all kept.
+    and strictly better in one; exact ties are all kept.  Among the points of
+    one p_suc only those of the group's best F_out can be kept, and only when
+    that beats every F_out of a strictly larger p_suc (and -1).
     """
-    decorated = []
-    for st in entries:
-        p = st.p_suc
-        f = st.f_num / p if p > 0 else 0.0
-        decorated.append((p, f, st))
-    decorated.sort(key=lambda t: (-t[0], -t[1]))
-    kept = []
-    best_f = -1.0  # best F_out among strictly larger p_suc
-    i = 0
-    while i < len(decorated):
-        j = i
-        while j < len(decorated) and decorated[j][0] == decorated[i][0]:
-            j += 1
-        group = decorated[i:j]
-        group_best = group[0][1]
-        for p, f, st in group:
-            if f == group_best and f > best_f:
-                kept.append(st)
-        best_f = max(best_f, group_best)
-        i = j
-    return kept
+    order = np.lexsort((-f_out, -p_suc))
+    p, f = p_suc[order], f_out[order]
+    first = np.ones(len(p), bool)  # the first point of each p_suc, its best F_out
+    first[1:] = p[1:] != p[:-1]
+    group = np.cumsum(first) - 1
+    group_best = f[first]
+    best_before = np.maximum.accumulate(np.r_[-1.0, group_best])[:-1]
+    keep = np.empty(len(p), bool)
+    keep[order] = (f == group_best[group]) & (f > best_before[group])
+    return keep

@@ -18,7 +18,7 @@ from bicliff.dejmps import (
 )
 from bicliff.gf2 import SymplecticMatrix, random_symplectic, rref, solve_gf2, swap_halves
 from bicliff.groups import coset_key, dn_index
-from bicliff.states import coset_histograms, counts_key
+from bicliff.states import coset_histograms, counts_key, numeric_stats
 
 
 def _candidates(shape, leaf, rotations, memo) -> dict:
@@ -169,3 +169,46 @@ def transversal_keys(n: int, seed, max_samples: int, block_size: int = 1024) -> 
         if len(keys) >= dn_index(n):
             break
     return keys, samples
+
+
+def enumerate_stats(t, state) -> list:
+    """(key, DistStats) of every coset representative, one matrix at a time."""
+    if not t.complete:
+        raise ValueError("transversal is incomplete")
+    entries = []
+    for key, rows in zip(map(tuple, t.keys.tolist()), t.rows.tolist()):
+        m = SymplecticMatrix(t.n, rows)
+        st = numeric_stats(m, state)  # raises if m is not symplectic
+        if coset_key(m) != key:
+            raise ValueError(f"coset key {list(key)} does not match its representative's")
+        entries.append((key, st))
+    return entries
+
+
+def pareto_envelope(entries) -> list:
+    """Entries not strictly dominated in (p_suc, F_out), p_suc descending.
+
+    A point is dominated when another is at least as good in both coordinates
+    and strictly better in one; exact ties are all kept.
+    """
+    decorated = []
+    for st in entries:
+        p = st.p_suc
+        f = st.f_num / p if p > 0 else 0.0
+        decorated.append((p, f, st))
+    decorated.sort(key=lambda t: (-t[0], -t[1]))
+    kept = []
+    best_f = -1.0  # best F_out among strictly larger p_suc
+    i = 0
+    while i < len(decorated):
+        j = i
+        while j < len(decorated) and decorated[j][0] == decorated[i][0]:
+            j += 1
+        group = decorated[i:j]
+        group_best = group[0][1]
+        for p, f, st in group:
+            if f == group_best and f > best_f:
+                kept.append(st)
+        best_f = max(best_f, group_best)
+        i = j
+    return kept

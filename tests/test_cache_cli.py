@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bicliff.cache import (
@@ -15,6 +16,7 @@ from bicliff.cache import (
 )
 from bicliff.cli import main
 from bicliff.states import werner_stats
+from bicliff.transversal import build_transversal, representative_rows
 from _reference import EXAMPLE_PAIR
 
 
@@ -102,18 +104,111 @@ def test_format_1_werner_cache_rejected(tmp_path, protocols_for):
             reader(path)
 
 
-def test_format_1_transversal_cache_still_loads(tmp_path, transversal_for):
-    t = transversal_for(2)
+def test_format_1_transversal_cache_rejected(tmp_path, capsys):
+    # version 1 held one JSON record per coset
     path = tmp_path / "transversal_n2.bcp"
-    header = {"mode": "transversal", "n": 2, "count": len(t.reps), "complete": True,
-              "seed": 0, "samples": t.samples_used}
-    records = [{"key": list(k), "rows": list(r.rows)} for k, r in sorted(t.reps.items())]
-    _v1_file(path, header, records)
-    _, loaded = load_transversal_cache(path)
-    assert loaded.reps == t.reps and loaded.complete
-    # the current writer still produces exactly the version-1 bytes
-    write_transversal_cache(tmp_path / "fresh.bcp", t, seed=0)
-    assert (tmp_path / "fresh.bcp").read_bytes() == path.read_bytes()
+    header = {"mode": "transversal", "n": 2, "count": 1, "complete": False,
+              "seed": 0, "samples": 16}
+    _v1_file(path, header, [{"key": [1], "rows": [1, 2, 4, 8]}])
+    for reader in (read_cache, load_transversal_cache, verify_cache):
+        with pytest.raises(ValueError, match="transversal cache version 1"):
+            reader(path)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unsupported transversal cache version 1" in captured.err
+    assert "rebuild it with: bicliff transversal --n 2" in captured.err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transversal_cache_format_2_roundtrip(tmp_path, transversal_for, n):
+    t = transversal_for(n)
+    path = tmp_path / f"transversal_n{n}.bcp"
+    write_transversal_cache(path, t, seed=0)
+    header, loaded = load_transversal_cache(path)
+    assert header["format_version"] == 2 and header["count"] == len(t) == len(loaded)
+    assert loaded.n == n and loaded.complete and loaded.samples_used == t.samples_used
+    assert loaded.keys.dtype == loaded.rows.dtype == np.uint64
+    assert np.array_equal(loaded.keys, t.keys) and np.array_equal(loaded.rows, t.rows)
+    # the body is count x (3n - 1) little-endian uint16, keys before rows
+    data = path.read_bytes()
+    body = np.frombuffer(data[len(data) - len(t) * (3 * n - 1) * 2 :], "<u2")
+    assert body.reshape(len(t), 3 * n - 1).tolist() == np.hstack([t.keys, t.rows]).tolist()
+
+
+def test_transversal_cache_uint32_roundtrip(tmp_path, capsys):
+    # 2n = 18 bits do not fit a uint16
+    assert run_cli(["transversal", "--n", "9", "--budget", "2048", "--cache", str(tmp_path)]) == 4
+    capsys.readouterr()
+    path = tmp_path / "transversal_n9.bcp"
+    header, t = load_transversal_cache(path)
+    assert header["count"] == len(t) == 2048 and not t.complete
+    assert int(t.rows.max()) >= 1 << 16
+    assert path.stat().st_size == path.read_bytes().index(b"}") + 1 + 2048 * 26 * 4
+    assert [tuple(k) for k in t.keys.tolist()] == sorted(map(tuple, t.keys.tolist()))
+    assert np.array_equal(t.rows, representative_rows(t.keys, 9))
+    ok, checked, _ = verify_cache(path, sample=2048)
+    assert ok and checked == 2048
+
+
+def _corrupt_transversal(kind, good, path):
+    """Write a format-2 transversal cache damaged in one way to `path`."""
+    from bicliff.cache import write_cache
+
+    data = good.read_bytes()
+    header, (keys, rows) = read_cache(good)
+    if kind == "truncated body":
+        path.write_bytes(data[:-1])
+    elif kind == "trailing byte":
+        path.write_bytes(data + b"\0")
+    elif kind == "count mismatch":
+        write_cache(path, {**header, "count": header["count"] + 1}, (keys, rows))
+    elif kind == "unsorted keys":
+        write_cache(path, header, (keys[[1, 0, *range(2, len(keys))]], rows))
+    elif kind == "duplicate keys":
+        keys[1] = keys[0]
+        write_cache(path, header, (keys, rows))
+
+
+FORMAT_2_DAMAGE = [
+    ("truncated body", "does not hold"),
+    ("trailing byte", "does not hold"),
+    ("count mismatch", "does not hold"),
+    ("unsorted keys", "not strictly ascending"),
+    ("duplicate keys", "not strictly ascending"),
+]
+
+
+@pytest.mark.parametrize("kind, message", FORMAT_2_DAMAGE)
+def test_damaged_format_2_transversal_cache_exits_2(cache_dir, tmp_path, capsys, kind, message):
+    path = tmp_path / "transversal_n2.bcp"
+    _corrupt_transversal(kind, cache_dir / "transversal_n2.bcp", path)
+    for reader in (read_cache, load_transversal_cache, verify_cache):
+        with pytest.raises(ValueError, match=message):
+            reader(path)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    for args in (["eval", str(state), "--cache", str(tmp_path)], ["verify", str(path)]):
+        code = run_cli(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: bad cache file {path}: ")
+        assert message in captured.err
+
+
+def test_cli_eval_n1_signed_zero_csv(tmp_path, capsys):
+    # the CSV of this state as written before the array-backed eval: X and Y
+    # tie at zero, and their order and signs must not change
+    write_transversal_cache(tmp_path / "transversal_n1.bcp", build_transversal(1), seed=0)
+    state = tmp_path / "state.json"
+    state.write_text('{"n": 1, "pairs": [[0.7, -0.0, 0.0, 0.3]]}')
+    assert run_cli(["eval", str(state), "--cache", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "coset_key,p_suc,f_out,f1,f2,f3,envelope\n"
+        ",1,0.69999999999999996,0.29999999999999999,0,0,1\n"
+    )
 
 
 def _malformed_counts():
@@ -146,7 +241,8 @@ def test_load_rejects_malformed_counts(cache_dir, tmp_path, label, counts):
 def test_transversal_cache_roundtrip(cache_dir, transversal_for):
     header, t = load_transversal_cache(cache_dir / "transversal_n2.bcp")
     assert header["complete"] and t.complete
-    assert t.reps == transversal_for(2).reps
+    assert np.array_equal(t.keys, transversal_for(2).keys)
+    assert np.array_equal(t.rows, transversal_for(2).rows)
 
 
 def test_verify_cache_ok(cache_dir):
@@ -179,12 +275,29 @@ def test_verify_cache_rejects_non_symplectic_rows(cache_dir, tmp_path):
     for name in ("werner_n3.bcp", "transversal_n2.bcp"):
         header, records = read_cache(cache_dir / name)
         header.pop("format_version")
-        records[-1]["rows"][-1] ^= 1
+        if name.startswith("werner"):
+            records[-1]["rows"][-1] ^= 1
+        else:
+            records[1][-1, -1] ^= 1
         bad = tmp_path / name
         write_cache(bad, header, records)
-        ok, checked, message = verify_cache(bad, sample=len(records))
-        assert not ok and "not symplectic" in message, name
-        assert checked == len(records) - 1
+        count = header["count"]
+        ok, checked, message = verify_cache(bad, sample=count)
+        assert not ok and message == f"record {count - 1}: representative is not symplectic", name
+        assert checked == count - 1
+
+
+def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path):
+    from bicliff.cache import write_cache
+
+    header, (keys, rows) = read_cache(cache_dir / "transversal_n2.bcp")
+    rows[[6, 7]] = rows[[7, 6]]
+    bad = tmp_path / "transversal_n2.bcp"
+    write_cache(bad, header, (keys, rows))
+    assert verify_cache(bad, sample=100) == (False, 6, "record 6: coset key mismatch")
+    # a sample keeps the records' own indices: seed 0 draws records 3, 4, 6, 7, 9
+    assert sorted(np.random.default_rng(0).choice(15, size=5, replace=False)) == [3, 4, 6, 7, 9]
+    assert verify_cache(bad, sample=5) == (False, 2, "record 6: coset key mismatch")
 
 
 def test_write_cache_is_atomic(cache_dir, tmp_path):
@@ -317,6 +430,28 @@ def test_cli_eval_bad_state(cache_dir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"n\": 2}")
     assert run_cli(["eval", str(bad), "--cache", str(cache_dir)]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.1"])
+def test_cli_eval_rejects_bad_min_fidelity(cache_dir, tmp_path, capsys, value):
+    # NaN would keep every row and a value above 1 would keep none
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    code = run_cli(["eval", str(state), "--cache", str(cache_dir), f"--min-fidelity={value}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--min-fidelity {float(value)}" in captured.err
+    assert "0 <= --min-fidelity <= 1" in captured.err
+
+
+@pytest.mark.parametrize("value, rows", [("0", 15), ("1", 0), ("0.75", 3)])
+def test_cli_eval_min_fidelity_bounds(cache_dir, tmp_path, capsys, value, rows):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    code = run_cli(["eval", str(state), "--cache", str(cache_dir), "--min-fidelity", value])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0 and len(lines) == 1 + rows
+    assert all(float(line.split(",")[2]) >= float(value) for line in lines[1:])
 
 
 def test_cli_eval_non_finite_or_malformed_state(tmp_path, capsys):
@@ -606,13 +741,14 @@ def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, ki
     if kind == "incomplete":
         assert run_cli(["transversal", "--n", "3", "--budget", "16", "--cache", str(tmp_path)]) == 4
     else:
-        header, records = read_cache(cache_dir / "transversal_n2.bcp")
+        header, (keys, rows) = read_cache(cache_dir / "transversal_n2.bcp")
         if kind == "non-symplectic rows":
             # row 2n-1 takes no part in the coset key or the statistics
-            records[-1]["rows"][-1] ^= 1
+            rows[-1, -1] ^= 1
         else:
-            records[0]["key"], records[1]["key"] = records[1]["key"], records[0]["key"]
-        write_cache(path, header, records)
+            # the keys must stay ascending, so the representatives swap
+            rows[[0, 1]] = rows[[1, 0]]
+        write_cache(path, header, (keys, rows))
     capsys.readouterr()
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": n, "pairs": [list(EXAMPLE_PAIR)] * n}))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import _scalar_reference as scalar
 from bicliff.gf2 import SymplecticMatrix, gate_matrix, is_symplectic, random_symplectic_rows, H, S, CNOT
 from bicliff.groups import bfs_closure, coset_key, dn_index
-from bicliff.states import BellDiagonalState, DistStats, numeric_stats
+from bicliff.states import BellDiagonalState, DistStats
 from bicliff.transversal import (
     SAMPLE_BLOCK,
     Transversal,
@@ -20,9 +20,23 @@ from bicliff.dejmps import dejmps_step, ROTATION_WORDS
 from _reference import EXAMPLE_PAIR
 
 
+def _reps(t):
+    """(key tuple, SymplecticMatrix) of each coset, in key order."""
+    return [
+        (tuple(key), SymplecticMatrix(t.n, rows))
+        for key, rows in zip(t.keys.tolist(), t.rows.tolist())
+    ]
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a.keys, b.keys) and np.array_equal(a.rows, b.rows)
+
+
 def test_representative_from_key_roundtrip(transversal_for):
     t = transversal_for(3)
-    for key, rep in t.reps.items():
+    assert t.keys.dtype == t.rows.dtype == np.uint64
+    assert t.keys.shape == (315, 2) and t.rows.shape == (315, 6)
+    for key, rep in _reps(t):
         assert is_symplectic(rep)
         assert coset_key(rep) == key
 
@@ -37,7 +51,7 @@ def test_representatives_match_scalar_completion(transversal_for):
     for n in (1, 2, 3, 4):
         t = transversal_for(n)
         assert len(t) == dn_index(n)
-        for key, rep in t.reps.items():
+        for key, rep in _reps(t):
             assert rep == scalar.representative_from_key(key, n)
     keys = _n5_keys()
     rows = representative_rows(np.array(keys, dtype=np.uint64), 5)
@@ -57,9 +71,9 @@ def test_build_transversal_matches_scalar_sampler(max_samples, jobs):
     for n in (2, 3, 4):
         t = build_transversal(n, seed=1, jobs=jobs, max_samples=max_samples)
         keys, samples = scalar.transversal_keys(n, 1, max_samples)
-        assert set(t.reps) == keys and t.samples_used == samples
+        assert [key for key, _ in _reps(t)] == sorted(keys) and t.samples_used == samples
         assert t.complete == (len(keys) == dn_index(n))
-        assert all(rep == scalar.representative_from_key(k, n) for k, rep in t.reps.items())
+        assert all(rep == scalar.representative_from_key(k, n) for k, rep in _reps(t))
 
 
 def test_completeness_small(transversal_for):
@@ -72,22 +86,22 @@ def test_completeness_small(transversal_for):
 def test_sampling_matches_exhaustive_n2(transversal_for):
     gens = [gate_matrix(g, 2) for g in (H(1), H(2), S(1), S(2), CNOT(1, 2), CNOT(2, 1))]
     exhaustive = {coset_key(m) for m in bfs_closure(gens)}
-    assert set(transversal_for(2).reps) == exhaustive
+    assert {key for key, _ in _reps(transversal_for(2))} == exhaustive
 
 
 def test_reproducible_and_seed_independent_reps():
     a = build_transversal(2, seed=0)
     b = build_transversal(2, seed=0)
     c = build_transversal(2, seed=99)
-    assert a.reps == b.reps
+    assert _same(a, b)
     # canonical completion makes representatives independent of the seed too
-    assert a.reps == c.reps
+    assert _same(a, c)
 
 
 def test_worker_count_invariance():
     a = build_transversal(3, seed=1, jobs=1)
     b = build_transversal(3, seed=1, jobs=3)
-    assert a.reps == b.reps and a.samples_used == b.samples_used
+    assert _same(a, b) and a.samples_used == b.samples_used
 
 
 def test_budget_exhaustion_flagged():
@@ -102,18 +116,17 @@ def test_budget_exhaustion_flagged():
 def test_enumerate_stats_example_state(transversal_for):
     t = transversal_for(2)
     state = BellDiagonalState.from_pairs([EXAMPLE_PAIR, EXAMPLE_PAIR])
-    entries = enumerate_stats(t, state)
-    assert len(entries) == 15
-    stats = dict(entries)
-    ident_key = coset_key(next(iter(t.reps.values())).identity(2))
-    assert np.isclose(stats[ident_key].p_suc, 0.75)
-    assert np.isclose(stats[ident_key].f_out, 0.7)
+    p_suc, f_num, fi_nums = enumerate_stats(t, state)
+    assert p_suc.shape == f_num.shape == (15,) and fi_nums.shape == (15, 3)
+    f_out = f_num / p_suc
+    ident = [key for key, _ in _reps(t)].index(coset_key(SymplecticMatrix.identity(2)))
+    assert np.isclose(p_suc[ident], 0.75)
+    assert np.isclose(f_out[ident], 0.7)
     # the best achievable fidelity equals the best two-pair step fidelity
-    best = max(s.f_out for s in stats.values())
     step_best = max(
         dejmps_step(EXAMPLE_PAIR, EXAMPLE_PAIR, rotation=r)[1][0] for r in ROTATION_WORDS
     )
-    assert np.isclose(best, step_best)
+    assert np.isclose(f_out.max(), step_best)
 
 
 def test_transversal_n4_werner_stats_refine_double_cosets(transversal_for, protocols_for):
@@ -122,39 +135,50 @@ def test_transversal_n4_werner_stats_refine_double_cosets(transversal_for, proto
     from bicliff.states import counts_key, werner_counts
 
     t = transversal_for(4)
-    tset = {counts_key(werner_counts(rep, 4)) for rep in t.reps.values()}
+    tset = {counts_key(werner_counts(rep, 4)) for _, rep in _reps(t)}
     wset = {counts_key(p.counts) for p in protocols_for(4)}
     assert tset == wset
 
 
 def test_pareto_envelope_basics():
-    single = DistStats.from_coset_sums(0.45, 0.03, 0.01, 0.01)
-    assert pareto_envelope([single]) == [single]
-
-    a = DistStats.from_coset_sums(0.45, 0.03, 0.01, 0.01)  # p=0.5, F=0.9
-    b = DistStats.from_coset_sums(0.57, 0.01, 0.01, 0.01)  # p=0.6, F=0.95
-    assert pareto_envelope([a, b]) == [b]
+    assert pareto_envelope(np.array([0.5]), np.array([0.9])).tolist() == [True]
+    # (p=0.5, F=0.9) is dominated by (p=0.6, F=0.95)
+    assert pareto_envelope(np.array([0.5, 0.6]), np.array([0.9, 0.95])).tolist() == [False, True]
+    assert pareto_envelope(np.zeros(0), np.zeros(0)).tolist() == []
 
 
 def test_pareto_envelope_example_state(transversal_for):
     t = transversal_for(2)
     state = BellDiagonalState.from_pairs([EXAMPLE_PAIR, EXAMPLE_PAIR])
-    stats = [s for _, s in enumerate_stats(t, state)]
-    env = pareto_envelope(stats)
+    p_suc, f_num, _ = enumerate_stats(t, state)
+    f_out = f_num / p_suc
+    env = pareto_envelope(p_suc, f_out)
     # brute-force oracle over all 15 cosets
-    def dominated(x):
-        return any(
-            (y.p_suc >= x.p_suc and y.f_out >= x.f_out)
-            and (y.p_suc > x.p_suc or y.f_out > x.f_out)
-            for y in stats
-        )
+    dominated = [
+        any((q >= p and g >= f) and (q > p or g > f) for q, g in zip(p_suc, f_out))
+        for p, f in zip(p_suc, f_out)
+    ]
+    assert env.tolist() == [not d for d in dominated]
+    assert f_out[env].max() == f_out.max()
+    assert p_suc[env].max() == p_suc.max()
 
-    expected = [s for s in stats if not dominated(s)]
-    assert sorted(env, key=lambda s: -s.p_suc) == sorted(expected, key=lambda s: -s.p_suc)
-    best_f = max(s.f_out for s in stats)
-    best_p = max(s.p_suc for s in stats)
-    assert any(np.isclose(s.f_out, best_f) for s in env)
-    assert any(np.isclose(s.p_suc, best_p) for s in env)
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(points=st.lists(
+    st.tuples(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1),
+        st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5]) | st.floats(0, 1),
+    ),
+    max_size=40,
+))
+def test_pareto_envelope_mask_equals_scalar(points):
+    # drawn ties in p and in f_num, and rows with p = 0 (and F_out 0)
+    stats = [DistStats(p, f, (0.0, 0.0, 0.0)) for p, f in points]
+    p_suc = np.array([s.p_suc for s in stats])
+    f_num = np.array([s.f_num for s in stats])
+    f_out = np.divide(f_num, p_suc, out=np.zeros_like(p_suc), where=p_suc > 0)
+    kept = {id(s) for s in scalar.pareto_envelope(stats)}
+    assert pareto_envelope(p_suc, f_out).tolist() == [id(s) in kept for s in stats]
 
 
 _SAMPLED: dict = {}
@@ -164,12 +188,13 @@ def _sampled_transversal(n, transversal_for):
     """The whole transversal for n <= 3; 2,000 of its cosets for n = 4, 5."""
     if n not in _SAMPLED:
         if n <= 4:
-            reps = transversal_for(n).reps
-            keys = sorted(reps)[:: max(1, len(reps) // 2000)]
-            reps = {k: reps[k] for k in keys}
+            t = transversal_for(n)
+            step = max(1, len(t) // 2000)
+            keys, rows = t.keys[::step], t.rows[::step]
         else:
-            reps = {k: representative_from_key(k, n) for k in _n5_keys()}
-        _SAMPLED[n] = Transversal(n, reps, True, 0)
+            keys = np.array(_n5_keys(), dtype=np.uint64)
+            rows = representative_rows(keys, n)
+        _SAMPLED[n] = Transversal(n, keys, rows, True, 0)
     return _SAMPLED[n]
 
 
@@ -189,8 +214,8 @@ def _states(draw, n):
     return BellDiagonalState(n, probs / probs.sum())
 
 
-def _bits(stats):
-    return tuple(float(x).hex() for x in (stats.p_suc, stats.f_num, *stats.fi_nums))
+def _bits(p_suc, f_num, fi_nums):
+    return tuple(float(x).hex() for x in (p_suc, f_num, *fi_nums))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -199,7 +224,8 @@ def _bits(stats):
 def test_enumerate_stats_bit_equal_to_numeric_stats(transversal_for, n, data):
     t = _sampled_transversal(n, transversal_for)
     state = data.draw(_states(n))
-    got = enumerate_stats(t, state)
-    want = [(key, numeric_stats(rep, state)) for key, rep in sorted(t.reps.items())]
-    assert [key for key, _ in got] == [key for key, _ in want]
-    assert [_bits(s) for _, s in got] == [_bits(s) for _, s in want]
+    p_suc, f_num, fi_nums = enumerate_stats(t, state)
+    want = scalar.enumerate_stats(t, state)  # numeric_stats of each representative
+    assert [_bits(*row) for row in zip(p_suc.tolist(), f_num.tolist(), fi_nums.tolist())] == [
+        _bits(s.p_suc, s.f_num, s.fi_nums) for _, s in want
+    ]
