@@ -9,6 +9,15 @@ compares against concatenated two-pair baselines, and synthesises low-depth
 circuits for the optima.
 """
 
+import os
+import sys
+
+# The package makes no BLAS call, but OpenBLAS starts a thread that spins on
+# a spare core in every process; one BLAS thread avoids that.  The setting
+# only takes effect before numpy is first imported, and a preset value wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .gf2 import (
     CNOT,
     CZ,

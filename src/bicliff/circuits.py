@@ -13,13 +13,12 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .blocks import ordered_calls
 from .gf2 import CNOT, CZ, Gate, H, SWAP, SymplecticMatrix, apply_gate_rows
-from .states import counts_key
+from .states import counts_key, digit_keys, encode_counts_key, pair_digits
 
 SYNTH_BLOCK = 4096
 
@@ -200,45 +199,30 @@ def _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps) -> np.ndarray
     return rows
 
 
-def _block_histograms(rows, n: int) -> np.ndarray:
-    """coset_histograms of every row set of a block, shape (size, 4, n + 1).
+def _matches(rows, n: int, key) -> np.ndarray:
+    """Which row sets of a block have the encoded target key, shape (size,).
 
-    The preimage vectors are formed without swap_halves: the Pauli weight,
-    popcount((w | w >> n) & (2^n - 1)), is the same for w and swap_halves(w).
+    Each candidate's four keys come from `states.digit_keys` on the identity
+    weights of its preimage cosets.  The preimage vectors are formed without
+    swap_halves: the Pauli weight, popcount((w | w >> n) & (2^n - 1)), is the
+    same for w and swap_halves(w).
     """
-    size = len(rows)
-    rows = rows.astype(np.uint32 if n <= 16 else np.uint64)
-    v0 = np.zeros((size, 1), dtype=rows.dtype)
+    rows = rows.astype(np.uint16)  # 2n <= 16 bits, as digit_keys needs n <= 8
+    v0 = np.zeros((1, len(rows)), dtype=rows.dtype)
     for k in range(1, n):
-        v0 = np.concatenate([v0, v0 ^ rows[:, k, None]], axis=1)
+        v0 = np.concatenate([v0, v0 ^ rows[:, k]])
     t1, t2 = rows[:, n], rows[:, 0]
-    shifts = np.stack([np.zeros_like(t1), t1, t1 ^ t2, t2], axis=1)
-    w = v0[:, None, :] ^ shifts[:, :, None]
+    w = v0[:, None, :] ^ np.stack([np.zeros_like(t1), t1, t1 ^ t2, t2])
     w |= w >> n
     w &= (1 << n) - 1
-    pauli_weight = np.bitwise_count(w)
-    return np.stack(
-        [np.count_nonzero(pauli_weight == n - i, axis=2) for i in range(n + 1)], axis=2
-    )
-
-
-def _key_matches(hist, key) -> np.ndarray:
-    """Which histograms of a block have the given counts_key, shape (size,).
-
-    The base histogram must be equal; the other three must equal the key's
-    three as a multiset, that is under one of the six matchings.
-    """
-    base, rest = np.array(key[0]), np.array(key[1])
-    eq = (hist[:, 1:, None, :] == rest[None, None, :, :]).all(axis=3)
-    shuffled = np.zeros(len(hist), dtype=bool)
-    for perm in permutations(range(3)):
-        shuffled |= eq[:, 0, perm[0]] & eq[:, 1, perm[1]] & eq[:, 2, perm[2]]
-    return (hist[:, 0] == base).all(axis=1) & shuffled
+    keys = digit_keys(pair_digits(np.uint8(n) - np.bitwise_count(w), n), n)
+    return (keys == key[:, None]).all(axis=0)
 
 
 def _synth_block(n, seed, block, size, key, allow_swap):
     """Scan one block of random candidates; return (hits, best) for the block.
 
+    key is the target's `encode_counts_key`.
     best is (two_qubit_count, depth, index_in_block, payload) for the block's
     lexicographically best accepted candidate, or None.  All candidates are
     compiled and tested as arrays; only accepted ones become circuits.
@@ -252,7 +236,7 @@ def _synth_block(n, seed, block, size, key, allow_swap):
     starts = np.cumsum(lengths) - lengths
 
     rows = _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps)
-    hits = np.flatnonzero(_key_matches(_block_histograms(rows, n), key))
+    hits = np.flatnonzero(_matches(rows, n, key))
     best = None
     if len(hits):
         # only hits with the fewest two-qubit gates (CNOTs, CZs, SWAP) can be best
@@ -316,6 +300,7 @@ def synthesize(
     """
     n = target.n
     key = target_key(target)
+    encoded = encode_counts_key(key)
     nblocks = (budget + SYNTH_BLOCK - 1) // SYNTH_BLOCK
     sizes = [min(SYNTH_BLOCK, budget - b * SYNTH_BLOCK) for b in range(nblocks)]
 
@@ -323,7 +308,7 @@ def synthesize(
     used = 0
     best = None  # (two_qubit, depth, block, idx, circuit)
 
-    calls = [(n, seed, b, sizes[b], key, allow_swap) for b in range(nblocks)]
+    calls = [(n, seed, b, sizes[b], encoded, allow_swap) for b in range(nblocks)]
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         for b, (block_hits, block_best) in enumerate(
             ordered_calls(_synth_block, calls, pool, jobs)

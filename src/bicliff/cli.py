@@ -14,6 +14,7 @@ import csv
 import json
 import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,9 @@ EXIT_MISSING_CACHE = 3
 EXIT_BUDGET = 4
 
 F_TAR_DEFAULT = 0.930025
+# compare holds every protocol at every grid point: 10,000 steps keep one
+# n = 8 curve array near 140 MB
+MAX_GRID_STEPS = 10_000
 
 
 class CliError(Exception):
@@ -68,25 +72,20 @@ def poly_decimal(p) -> str:
     return ";".join(fmt(c) for c in p.coeffs)
 
 
-def key_str(key) -> str:
-    return ":".join(str(v) for v in key)
-
-
-def _out_stream(path: str):
+@contextmanager
+def _output(path: str):
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _emit(path: str, header: list, rows) -> None:
-    fh, close = _out_stream(path)
-    try:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
 def _cache_path(mode: str, cache_dir: str, n: int) -> Path:
@@ -129,6 +128,8 @@ def _load_cache(mode: str, cache_dir: str, n: int, use=None):
 
 
 def cmd_tables(args) -> int:
+    if args.n_min > args.n_max:
+        raise CliError(EXIT_INVALID, f"--n-min {args.n_min} must not exceed --n-max {args.n_max}")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         rows.append([n, sp_order(n), dn_order(n), dn_index(n)])
@@ -215,12 +216,13 @@ def cmd_eval(args) -> int:
     fis = np.divide(fi_nums, p[:, None], out=np.zeros_like(fi_nums), where=p[:, None] > 0)
     envelope = pareto_envelope(p, f_out)
     keep = slice(None) if args.min_fidelity is None else f_out >= args.min_fidelity
-    rows = zip(
-        map(key_str, t.keys[keep].tolist()),
-        *(map(fmt, column[keep].tolist()) for column in (p, f_out, *fis.T)),
-        envelope[keep].astype(int).tolist(),
-    )
-    _emit(args.out, ["coset_key", "p_suc", "f_out", "f1", "f2", "f3", "envelope"], rows)
+    # one % template per row: the key as d:d:..., floats as fmt() prints them
+    template = ":".join(["%d"] * (n - 1)) + ",%.17g" * 5 + ",%d\n"
+    columns = [*t.keys.T, p, f_out, *fis.T, envelope]
+    rows = zip(*(column[keep].tolist() for column in columns))
+    with _output(args.out) as fh:
+        fh.write("coset_key,p_suc,f_out,f1,f2,f3,envelope\n")
+        fh.writelines(template % row for row in rows)
     return EXIT_OK
 
 
@@ -230,6 +232,9 @@ def _check_compare_args(args) -> None:
         problems.append(f"--f-tar {args.f_tar} must lie strictly between 0.5 and 1")
     if not args.f_step > 0 or not np.isfinite(args.f_step):
         problems.append(f"--f-step {args.f_step} must be positive and finite")
+    elif (args.f_max - args.f_min) / args.f_step > MAX_GRID_STEPS:
+        problems.append(f"--f-step {args.f_step} is too small: at most {MAX_GRID_STEPS} "
+                        "steps fit between --f-min and --f-max")
     if not 0 <= args.f_min <= args.f_max <= 1:  # also false for NaN
         problems.append(f"--f-min {args.f_min} and --f-max {args.f_max} must be finite, "
                         "with 0 <= --f-min <= --f-max <= 1")

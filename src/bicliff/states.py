@@ -354,3 +354,62 @@ def leading_infidelity_term(stats: DistStats) -> tuple:
 def counts_key(counts) -> tuple:
     """Canonical hashable key: base histogram plus sorted coset histograms."""
     return (counts[0], tuple(sorted(counts[1:])))
+
+
+def encode_counts_key(key) -> np.ndarray:
+    """A counts_key as the (4,) uint64 numbers that `digit_keys` yields.
+
+    Histogram (c_0, ..., c_n) is the number sum_w c_w * 129^(n-w).  Up to
+    n = 8 every bin is at most 2^(n-1) < 129, so digits never carry,
+    129^(n+1) < 2^64 keeps the number in one word, and numbers order like
+    the histogram tuples.
+    """
+    hists = np.array([key[0], *key[1]], dtype=np.uint64)
+    return hists @ np.uint64(129) ** np.arange(hists.shape[1] - 1, -1, -1, dtype=np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _digit_tables(n: int) -> tuple:
+    """Key shares of one pair digit and of two pair digits.
+
+    Pair digit w*(n+1) + w' stands for two subsets of identity weights w and
+    w'; two pair digits d, d' index entry d*(n+1)^2 + d' of the second table,
+    (n+1)^4 entries (52 KB at n = 8).
+    """
+    powers = np.uint64(129) ** np.arange(n, -1, -1, dtype=np.uint64)
+    pair = (powers[:, None] + powers[None, :]).ravel()
+    return pair, (pair[:, None] + pair[None, :]).ravel()
+
+
+def pair_digits(weights: np.ndarray, n: int) -> np.ndarray:
+    """First level of the key kernel: subsets s and s + S/2 as one digit.
+
+    weights is a uint8 array of identity weights with the S = 2^(n-1)
+    subsets on axis 0 (n >= 2); the result holds S/2 pair digits there.  It
+    is linear, so increments of the weights can be added as pair digits.
+    """
+    half = len(weights) // 2
+    return weights[:half] * np.uint8(n + 1) + weights[half:]
+
+
+def digit_keys(digits: np.ndarray, n: int) -> np.ndarray:
+    """Second level of the key kernel: encoded counts_keys, (4, ...) uint64.
+
+    digits holds `pair_digits` of shape (S/2, 4, ...), the four preimage
+    cosets base first.  Two pair digits make one uint16 table index, so one
+    gather covers four subsets.  Row 0 of the result is the base coset's
+    number, rows 1..3 the other three put in ascending order by a min/max
+    network: equal rows mean equal counts_keys.
+    """
+    pair, quad = _digit_tables(n)
+    if len(digits) == 1:  # n = 2: two subsets, one pair digit
+        keys = pair[digits[0]]
+    else:
+        quarter = len(digits) // 2
+        index = digits[:quarter] * np.uint16((n + 1) ** 2) + digits[quarter:]
+        keys = np.take(quad, index).sum(axis=0)
+    x, y, z = keys[1:]
+    lo = np.minimum(np.minimum(x, y), z)
+    hi = np.maximum(np.maximum(x, y), z)
+    keys[1:] = lo, x ^ y ^ z ^ lo ^ hi, hi
+    return keys

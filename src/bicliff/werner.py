@@ -14,9 +14,12 @@ graph classes at once, encoding each histogram into one 64-bit key.  For a
 subset s of the non-kept pairs, each coset shifts the X-part by one of
 {0, a, b, a^b}, chosen by the parity b.s, so a shift table built once per n
 (identity weight per subset, shift and graph class) turns every (a, b) pair
-into one gather and one table lookup.  Deduplication is exact: each block of
-key rows keeps its first occurrences, and one more pass over the survivors of
-all blocks keeps the first case of every distinct key.
+into one gather.  The key kernel of `states` (`pair_digits`, `digit_keys`)
+then folds two subsets into one pair digit and two pair digits into one
+lookup in a table of (n+1)^4 key shares, so one gathered word covers four
+subsets.  Deduplication is exact: each block of key rows keeps its first
+occurrences, and one more pass over the survivors of all blocks keeps the
+first case of every distinct key.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .blocks import ordered_calls
 from .gf2 import SymplecticMatrix
 from .metrics import CurveSet
-from .states import DistStats, stats_from_counts, werner_coeff_rows
+from .states import DistStats, digit_keys, pair_digits, stats_from_counts, werner_coeff_rows
 
 # werner_counts is no longer called here; it stays importable from this module
 # because perfbench/spans.py wraps it by name on bicliff.werner.
@@ -260,46 +263,40 @@ def _tables(n: int):
     for t in range(size):
         idw[:, t, :] = (m - pop[(row_xors ^ np.uint32(t)) | subsets]).T
     parity = (pop & 1).astype(bool)
-    powers = np.array([129 ** (n - i) for i in range(n + 1)], dtype=np.uint64)
-    pair_powers = (powers[:, None] + powers[None, :]).ravel()
-    cached = (idw, subsets, parity, pair_powers)
+    cached = (idw, subsets, parity)
     _TABLES[n] = cached
     return cached
 
 
-# kept-pair shifts (alpha, beta) of the cosets I, X, Y, Z, as columns
-_ALPHA = np.array([[0], [1], [1], [0]])
-_BETA = np.array([[0], [0], [1], [1]])
+# kept-pair shifts (alpha, beta) of the cosets I, X, Y, Z
+_ALPHA = np.array([0, 1, 1, 0])
+_BETA = np.array([0, 0, 1, 1])
 
 
 def _pair_keys(n: int, a: int, b: int) -> np.ndarray:
     """Per-graph dedup keys for one (a, b) pair: (G, 4) uint64.
 
     Column 0 encodes the base-coset histogram, columns 1..3 the sorted other
-    three.  Derived from the closed form of the representative's inverse:
-    a subset s of the (n-1) non-kept rows has X-rest R[s] ^ ((b.s)^alpha)*a ^
-    beta*b, Z-rest s, and kept-pair bits (alpha^(b.s), beta^(a.s)).  The
-    X-shift is one of {0, a, b, a^b}, picked by b.s, so the identity weights
-    of all graphs are one gather from the shift table.  A key is the base-129
-    number whose digits are the histogram bins; bins are at most
-    2^(n-1) < 129, so the digit sum never carries and 129^(n+1) < 2^64 keeps
-    it in one word.  Subsets s and s + 2^(n-2) are summed as one digit pair,
-    looked up at index (n+1)*w + w' of pair_powers.
+    three (`states.digit_keys`).  Derived from the closed form of the
+    representative's inverse: a subset s of the (n-1) non-kept rows has
+    X-rest R[s] ^ ((b.s)^alpha)*a ^ beta*b, Z-rest s, and kept-pair bits
+    (alpha^(b.s), beta^(a.s)).  The X-shift is one of {0, a, b, a^b}, picked
+    by b.s, so the identity weights of all graphs are one gather from the
+    shift table, with the subsets on axis 0.  The kept pair adds one to the
+    identity weight where both its bits are zero; that increment depends on
+    the subset and coset only, so it is added once to the (2^(n-2), 4) pair
+    digits rather than to the weights of every graph.
     """
-    idw, subsets, parity, pair_powers = _tables(n)
-    b_dot = parity[np.bitwise_and(np.uint32(b), subsets)]
-    a_dot = parity[np.bitwise_and(np.uint32(a), subsets)]
-    shift_off = np.array([[0], [a], [a ^ b], [b]])  # X-shift where b.s = 0
-    shift_on = np.array([[a], [0], [b], [a ^ b]])  # X-shift where b.s = 1
-    shifts = np.where(b_dot, shift_on, shift_off)  # (4, 2^(n-1))
-    kept = (b_dot == _ALPHA) & (a_dot == _BETA)
-    weights = idw[subsets, shifts]  # (4, 2^(n-1), G)
-    weights += kept.astype(np.uint8)[:, :, None]
-    half = len(subsets) // 2
-    digit_pairs = weights[:, :half] * np.uint8(n + 1) + weights[:, half:]
-    keys = np.take(pair_powers, digit_pairs).sum(axis=1).T
-    keys[:, 1:] = np.sort(keys[:, 1:], axis=1)
-    return keys
+    idw, subsets, parity = _tables(n)
+    b_dot = parity[np.bitwise_and(np.uint32(b), subsets)][:, None]
+    a_dot = parity[np.bitwise_and(np.uint32(a), subsets)][:, None]
+    shift_off = np.array([0, a, a ^ b, b])  # X-shift where b.s = 0
+    shift_on = np.array([a, 0, b, a ^ b])  # X-shift where b.s = 1
+    shifts = np.where(b_dot, shift_on, shift_off)  # (2^(n-1), 4)
+    kept = ((b_dot == _ALPHA) & (a_dot == _BETA)).astype(np.uint8)
+    digits = pair_digits(idw[subsets[:, None], shifts], n)  # (2^(n-2), 4, G)
+    digits += pair_digits(kept, n)[:, :, None]
+    return digit_keys(digits, n).T
 
 
 def _chunk_keys(n: int, pairs: list) -> np.ndarray:

@@ -4,6 +4,8 @@ Each function here is the straightforward per-item loop that a vectorised
 routine in `bicliff` replaced; tests check the two against each other.
 """
 
+from itertools import permutations
+
 import numpy as np
 
 from bicliff.circuits import _all_pairs, _downward_pairs, _rebuild, depth, two_qubit_count
@@ -102,6 +104,42 @@ def synth_block(n, seed, block, size, key, allow_swap):
         if best is None or cand[:3] < best[:3]:
             best = cand
     return hits, best
+
+
+def block_histograms(rows, n: int) -> np.ndarray:
+    """coset_histograms of every row set of a block, shape (size, 4, n + 1).
+
+    The preimage vectors are formed without swap_halves: the Pauli weight,
+    popcount((w | w >> n) & (2^n - 1)), is the same for w and swap_halves(w).
+    """
+    size = len(rows)
+    rows = rows.astype(np.uint32 if n <= 16 else np.uint64)
+    v0 = np.zeros((size, 1), dtype=rows.dtype)
+    for k in range(1, n):
+        v0 = np.concatenate([v0, v0 ^ rows[:, k, None]], axis=1)
+    t1, t2 = rows[:, n], rows[:, 0]
+    shifts = np.stack([np.zeros_like(t1), t1, t1 ^ t2, t2], axis=1)
+    w = v0[:, None, :] ^ shifts[:, :, None]
+    w |= w >> n
+    w &= (1 << n) - 1
+    pauli_weight = np.bitwise_count(w)
+    return np.stack(
+        [np.count_nonzero(pauli_weight == n - i, axis=2) for i in range(n + 1)], axis=2
+    )
+
+
+def key_matches(hist, key) -> np.ndarray:
+    """Which histograms of a block have the given counts_key, shape (size,).
+
+    The base histogram must be equal; the other three must equal the key's
+    three as a multiset, that is under one of the six matchings.
+    """
+    base, rest = np.array(key[0]), np.array(key[1])
+    eq = (hist[:, 1:, None, :] == rest[None, None, :, :]).all(axis=3)
+    shuffled = np.zeros(len(hist), dtype=bool)
+    for perm in permutations(range(3)):
+        shuffled |= eq[:, 0, perm[0]] & eq[:, 1, perm[1]] & eq[:, 2, perm[2]]
+    return (hist[:, 0] == base).all(axis=1) & shuffled
 
 
 def poly_on_grid(poly, grid):

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -353,6 +354,13 @@ def test_cli_tables_n1(capsys):
     assert row == "1,6,6,1"
 
 
+def test_cli_tables_rejects_reversed_range(capsys):
+    code = run_cli(["tables", "--n-min", "3", "--n-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--n-min 3 must not exceed --n-max 2" in captured.err
+
+
 def test_cli_werner_summary(tmp_path, capsys):
     import time
 
@@ -624,6 +632,24 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert res.stdout.splitlines()[1] == "2,720,48,15"
 
 
+_THREADS = "import os, bicliff; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_limits_blas_threads(preset):
+    # OpenBLAS would start a spinning thread; a value set beforehand is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    res = subprocess.run([sys.executable, "-c", _THREADS], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    threads, value = res.stdout.split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads == "1"
+
+
 @pytest.mark.parametrize(
     "metric, flags, message",
     [
@@ -637,6 +663,7 @@ def test_cli_entry_point_subprocess(tmp_path):
         ("fidelity", ["--n-min", "2", "--n-max", "3", "--f-min", "-3", "--f-max", "-2.9",
                       "--f-step", "0.05"], "0 <= --f-min"),
         ("ree", ["--f-min", "0.9", "--f-max", "1.5"], "--f-max <= 1"),
+        ("fidelity", ["--f-step", "1e-300"], "--f-step"),
     ],
 )
 def test_cli_compare_rejects_bad_input(cache_dir, capsys, metric, flags, message):

@@ -3,6 +3,10 @@ import pytest
 
 from bicliff.circuits import (
     CliffordCircuit,
+    _all_pairs,
+    _block_rows,
+    _downward_pairs,
+    _matches,
     _synth_block,
     ascii_diagram,
     circuit_to_symplectic,
@@ -13,7 +17,7 @@ from bicliff.circuits import (
     two_qubit_count,
 )
 from bicliff.gf2 import CNOT, CZ, H, S, SWAP, X, SymplecticMatrix, is_symplectic
-from bicliff.states import counts_key, werner_counts, werner_stats
+from bicliff.states import counts_key, encode_counts_key, werner_counts, werner_stats
 from _reference import CIRCUIT_SIZES
 import _scalar_reference
 
@@ -149,7 +153,29 @@ def test_batched_block_matches_scalar_reference(best_for):
             total = 0
             for block in (0, 1, 2):
                 args = (n, 7, block, 2048, key, allow_swap)
-                hits, best = _synth_block(*args)
+                hits, best = _synth_block(n, 7, block, 2048, encode_counts_key(key), allow_swap)
                 assert (hits, best) == _scalar_reference.synth_block(*args), args
                 total += hits
             assert total > 0, (n, allow_swap)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_block_key_match_matches_histogram_reference(n, best_for):
+    # random reduced-form blocks; targets are the best protocol and members of
+    # the block itself, so that every comparison has hits to find
+    rng = np.random.default_rng(50 + n)
+    size = 512
+    for allow_swap in (False, True):
+        lengths = rng.integers(0, 3 * n + 1, size=size)
+        cnots = rng.integers(0, len(_downward_pairs(n)), size=int(lengths.sum()))
+        cz_masks = rng.integers(0, 1 << len(_all_pairs(n)), size=size, dtype=np.uint64)
+        swaps = rng.integers(0, n, size=size) if allow_swap else np.zeros(size, np.int64)
+        starts = np.cumsum(lengths) - lengths
+        rows = _block_rows(n, lengths, starts, cnots, cz_masks, swaps)
+        hist = _scalar_reference.block_histograms(rows, n)
+        targets = [target_key(best_for(n).protocol)]
+        targets += [counts_key([tuple(h) for h in hist[i].tolist()])
+                    for i in rng.choice(size, size=6, replace=False)]
+        for key in targets:
+            want = _scalar_reference.key_matches(hist, key)
+            assert np.array_equal(_matches(rows, n, encode_counts_key(key)), want), key

@@ -218,11 +218,14 @@ def _bincount_pair_keys(n, a, b):
 def test_pair_keys_match_bincount_reference():
     from bicliff.werner import _pair_keys
 
-    for n in (5, 6, 7, 8):
+    for n in range(2, 9):
         pairs = list(ab_pairs(n - 1))
-        rng = np.random.default_rng(100 + n)
-        sample = [pairs[0], pairs[-1]]
-        sample += [pairs[int(i)] for i in rng.integers(len(pairs), size=3)]
+        if n <= 4:  # every pair, down to n = 2, where one pair digit holds every subset
+            sample = pairs
+        else:
+            rng = np.random.default_rng(100 + n)
+            sample = [pairs[0], pairs[-1]]
+            sample += [pairs[int(i)] for i in rng.integers(len(pairs), size=3)]
         for a, b in sample:
             assert np.array_equal(_pair_keys(n, a, b), _bincount_pair_keys(n, a, b))
 
