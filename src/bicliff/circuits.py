@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import ordered_calls
 from .gf2 import CNOT, CZ, Gate, H, SWAP, SymplecticMatrix, apply_gate_rows
-from .states import counts_key, digit_keys, encode_counts_key, pair_digits
+from .states import counts_key, digit_keys, encode_counts_key, pair_digits, preimage_index
 
 SYNTH_BLOCK = 4096
 
@@ -203,19 +203,11 @@ def _matches(rows, n: int, key) -> np.ndarray:
     """Which row sets of a block have the encoded target key, shape (size,).
 
     Each candidate's four keys come from `states.digit_keys` on the identity
-    weights of its preimage cosets.  The preimage vectors are formed without
-    swap_halves: the Pauli weight, popcount((w | w >> n) & (2^n - 1)), is the
-    same for w and swap_halves(w).
+    weights of its preimage cosets, with the subsets moved to the first axis.
     """
-    rows = rows.astype(np.uint16)  # 2n <= 16 bits, as digit_keys needs n <= 8
-    v0 = np.zeros((1, len(rows)), dtype=rows.dtype)
-    for k in range(1, n):
-        v0 = np.concatenate([v0, v0 ^ rows[:, k]])
-    t1, t2 = rows[:, n], rows[:, 0]
-    w = v0[:, None, :] ^ np.stack([np.zeros_like(t1), t1, t1 ^ t2, t2])
-    w |= w >> n
-    w &= (1 << n) - 1
-    keys = digit_keys(pair_digits(np.uint8(n) - np.bitwise_count(w), n), n)
+    v = preimage_index(rows.astype(np.uint16), n)  # 2n <= 16 bits, as digit_keys needs n <= 8
+    weights = np.uint8(n) - np.bitwise_count((v | v >> n) & ((1 << n) - 1))
+    keys = digit_keys(pair_digits(weights.T, n), n)
     return (keys == key[:, None]).all(axis=0)
 
 

@@ -44,7 +44,7 @@ from .states import (
     werner_coeff_rows,
     werner_counts,
 )
-from .transversal import build_transversal, enumerate_stats, pareto_envelope
+from .transversal import CHUNK, build_transversal, enumerate_stats, pareto_envelope
 from .werner import MAX_GRAPH_NODES, best_fidelity_protocol, case_count, distinct_protocols
 
 EXIT_OK = 0
@@ -185,17 +185,28 @@ def cmd_transversal(args) -> int:
     return EXIT_OK
 
 
-def _load_state(path: str) -> BellDiagonalState:
+def _read_state(path: str) -> tuple:
+    """(n, contents) of a state file, with n an int in 1..MAX_PAIRS."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
         n = obj["n"]
+        if type(n) is not int or not 1 <= n <= MAX_PAIRS:
+            raise ValueError(f"n={n!r} must be an integer in 1..{MAX_PAIRS}")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(EXIT_INVALID, f"bad state file {path}: {exc}") from exc
+    return n, obj
+
+
+def _load_state(path: str, n: int, obj) -> BellDiagonalState:
+    """The state of a file read by `_read_state`: 4^n probabilities."""
+    try:
         if "pairs" in obj:
             if len(obj["pairs"]) != n:
                 raise ValueError("pairs length differs from n")
             return BellDiagonalState.from_pairs(obj["pairs"])
         return BellDiagonalState(n, np.asarray(obj["probs"], dtype=float))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_INVALID, f"bad state file {path}: {exc}") from exc
 
 
@@ -203,26 +214,29 @@ def cmd_eval(args) -> int:
     if args.min_fidelity is not None and not 0 <= args.min_fidelity <= 1:  # also false for NaN
         raise CliError(EXIT_INVALID, f"--min-fidelity {args.min_fidelity} must be finite, "
                        "with 0 <= --min-fidelity <= 1")
-    state = _load_state(args.state)
-    n = state.n if args.n is None else args.n
-    if n != state.n:
-        raise CliError(EXIT_INVALID, f"--n {n} does not match the state file ({state.n})")
-    # an incomplete cache, or a record whose rows are not symplectic or not
-    # in the coset of its key, makes enumerate_stats raise
+    n, obj = _read_state(args.state)
+    if args.n is not None and args.n != n:
+        raise CliError(EXIT_INVALID, f"--n {args.n} does not match the state file ({n})")
+    # the cache is found before the state is expanded; an incomplete cache, or
+    # a record whose rows are not symplectic or not in the coset of its key,
+    # makes enumerate_stats raise
     t, (p, f_num, fi_nums) = _load_cache(
-        "transversal", args.cache, n, lambda t: (t, enumerate_stats(t, state))
+        "transversal", args.cache, n,
+        lambda t: (t, enumerate_stats(t, _load_state(args.state, n, obj))),
     )
     f_out = np.divide(f_num, p, out=np.zeros_like(p), where=p > 0)
     fis = np.divide(fi_nums, p[:, None], out=np.zeros_like(fi_nums), where=p[:, None] > 0)
     envelope = pareto_envelope(p, f_out)
     keep = slice(None) if args.min_fidelity is None else f_out >= args.min_fidelity
-    # one % template per row: the key as d:d:..., floats as fmt() prints them
+    # one % template per row: the key as d:d:..., floats as fmt() prints them;
+    # CHUNK rows at a time become Python objects
     template = ":".join(["%d"] * (n - 1)) + ",%.17g" * 5 + ",%d\n"
-    columns = [*t.keys.T, p, f_out, *fis.T, envelope]
-    rows = zip(*(column[keep].tolist() for column in columns))
+    columns = [column[keep] for column in (*t.keys.T, p, f_out, *fis.T, envelope)]
     with _output(args.out) as fh:
         fh.write("coset_key,p_suc,f_out,f1,f2,f3,envelope\n")
-        fh.writelines(template % row for row in rows)
+        for lo in range(0, len(columns[-1]), CHUNK):
+            rows = zip(*(column[lo : lo + CHUNK].tolist() for column in columns))
+            fh.writelines(template % row for row in rows)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from .gf2 import CNOT, H, S
 from .circuits import CliffordCircuit, circuit_to_symplectic
 from .metrics import CurveSet
 from .ratpoly import RationalPolynomial
-from .states import DistStats, poly_coeff_rows, preimage_cosets, vector_paulis
+from .states import DistStats, poly_coeff_rows, preimage_index, vector_paulis
 from .werner import default_f_grid, first_rows, pick_curve
 
 # The six single-qubit Clifford rotations modulo Paulis, as temporal gate words.
@@ -56,8 +56,8 @@ def step_table(rotation: str) -> tuple:
     gates = _rotation_gates(rotation, 1) + _rotation_gates(rotation, 2)
     gates.append(CNOT(1, 2))
     m = circuit_to_symplectic(CliffordCircuit(2, tuple(gates)))
-    v0, shifts = preimage_cosets(m.rows, 2)
-    return tuple(tuple(vector_paulis(v ^ t, 2) for v in v0) for t in shifts)
+    cosets = preimage_index(m.rows, 2).tolist()
+    return tuple(tuple(vector_paulis(v, 2) for v in coset) for coset in cosets)
 
 
 def _step_unnormalised(ua, ub, table):

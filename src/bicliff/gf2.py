@@ -133,16 +133,8 @@ class SymplecticMatrix:
 
 
 def is_symplectic(m: SymplecticMatrix) -> bool:
-    """True iff M^T Omega M = Omega, i.e. the columns form a symplectic basis."""
-    n = m.n
-    nn = 2 * n
-    cols = m.cols
-    for i in range(nn):
-        for j in range(i, nn):
-            want = 1 if j == i + n else 0
-            if symplectic_inner(cols[i], cols[j], n) != want:
-                return False
-    return True
+    """True iff M^T Omega M = Omega: the one-matrix case of `is_symplectic_rows`."""
+    return bool(is_symplectic_rows(np.array(m.rows, dtype=np.uint64), m.n))
 
 
 def is_symplectic_rows(rows, n: int) -> np.ndarray:

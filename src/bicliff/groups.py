@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .gf2 import CNOT, H, S, SWAP, Gate, SymplecticMatrix, gate_matrix, rref, rref_rows, swap_halves
-from .states import preimage_cosets
+import numpy as np
+
+from .gf2 import CNOT, H, S, SWAP, Gate, SymplecticMatrix, gate_matrix, rref_rows, swap_halves
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,19 @@ def coset_key(m: SymplecticMatrix) -> tuple:
 
     Two matrices lie in the same coset iff the same vectors are mapped into
     the base, i.e. iff their base preimages coincide; the key is the reduced
-    basis of that preimage subspace.
+    basis of that preimage subspace, the one-matrix case of `coset_keys`.
+    Dependent rows give a shorter basis, without the zero rows.
     """
-    return rref(preimage_cosets(m.rows, m.n)[0])
+    return tuple(v for v in coset_keys(np.array(m.rows, dtype=np.uint64), m.n).tolist() if v)
 
 
 def coset_keys(rows, n: int):
-    """`coset_key` of many matrices at once, from a (..., 2n) array of row masks.
+    """Coset keys of many matrices at once, from a (..., 2n) array of row masks.
 
     The base preimage is spanned by rows 1..n-1 with their halves swapped
-    (see `preimage_cosets`), so each key is the reduced basis of those n-1
-    independent vectors: a (..., n-1) uint64 array.
+    (see `states.preimage_index`), so each key is the reduced basis of those
+    n-1 vectors: a (..., n-1) uint64 array, zero-padded where they are
+    dependent.
     """
     return rref_rows(swap_halves(rows[..., 1:n], n))
 

@@ -6,13 +6,14 @@ the pillars.  The statistics split the pillar mass into the base coset (the
 kept pair's identity coefficient) and its three shifts by e_1, e_1+e_{n+1}
 and e_{n+1} (the X, Y and Z coefficients of the kept pair).
 
-Every statistic is read off one object, computed by `preimage_cosets`: the
-preimage of the base under the protocol matrix M, plus the three shifts that
-carry it onto the preimages of the other cosets.  It needs no inverse,
-because for symplectic M the inverse is Omega M^T Omega, whose column j is
-row (j + n) mod 2n of M with its X- and Z-halves swapped.  The numeric sums,
-the Werner histograms, the coset keys of `groups` and the DEJMPS step table
-all come from it.
+Every statistic is read off one object, computed by `preimage_index` for
+any stack of protocol matrices: the preimage of the base under the protocol
+matrix M, plus the three shifts that carry it onto the preimages of the
+other cosets.  It needs no inverse, because for symplectic M the inverse is
+Omega M^T Omega, whose column j is row (j + n) mod 2n of M with its X- and
+Z-halves swapped.  The numeric sums, the Werner histograms, the DEJMPS step
+table and the identity weights of circuit synthesis all come from it; each
+per-matrix statistic is the one-row case of its batched form.
 
 Statistics come in two interchangeable modes: floating point for arbitrary
 Bell-diagonal inputs, and exact rational polynomials in the input fidelity F
@@ -169,39 +170,26 @@ class DistStats:
         return DistStats.from_coset_sums(s0, *rest)
 
 
-def preimage_cosets(rows, n: int) -> tuple:
-    """Preimages of the base and of its three shifts under a protocol matrix.
-
-    Takes the protocol's 2n row masks and returns (v0, shifts): v0 lists the
-    2^(n-1) vectors of the base preimage, and the preimage of base coset k
-    (order I, X, Y, Z) is {v ^ shifts[k] for v in v0}, with shifts
-    (0, t1, t1^t2, t2).  No inverse is formed: column j of M^-1 = Omega M^T
-    Omega is swap_halves(rows[(j + n) % 2n]), so only rows 0..n are read.
-    """
-    v0 = [0]
-    for k in range(1, n):
-        u = swap_halves(rows[k], n)
-        v0 += [v ^ u for v in v0]
-    t1 = swap_halves(rows[n], n)
-    t2 = swap_halves(rows[0], n)
-    return v0, (0, t1, t1 ^ t2, t2)
-
-
 def preimage_index(rows, n: int) -> np.ndarray:
-    """`preimage_cosets` of many matrices at once, as one index array.
+    """Preimages of the base and of its three shifts under protocol matrices.
 
     rows is a (..., 2n) array of row masks.  Entry [..., k, j] is the j-th
-    vector of the preimage of base coset k, in the order of
-    {v ^ shifts[k] for v in v0}, as an int64 index into state.probs.
+    vector of the preimage of base coset k (order I, X, Y, Z), v0[j] ^
+    shifts[k], where v0 lists the base preimage, spanned by rows 1..n-1 with
+    their halves swapped, and shifts are (0, t1, t1 ^ t2, t2) for t1, t2 rows
+    n and 0 with their halves swapped.  No inverse is formed: column j of
+    M^-1 = Omega M^T Omega is swap_halves(rows[(j + n) % 2n]), so only rows
+    0..n are read.  The vectors keep the integer dtype of rows and index
+    state.probs directly.
     """
-    rows = np.asarray(rows, dtype=np.uint64)
-    v0 = np.zeros(rows.shape[:-1] + (1,), np.uint64)
+    rows = np.asarray(rows)
+    v0 = np.zeros(rows.shape[:-1] + (1,), rows.dtype)
     for k in range(1, n):
         v0 = np.concatenate([v0, v0 ^ swap_halves(rows[..., k : k + 1], n)], axis=-1)
     t1 = swap_halves(rows[..., n], n)
     t2 = swap_halves(rows[..., 0], n)
     shifts = np.stack([np.zeros_like(t1), t1, t1 ^ t2, t2], axis=-1)
-    return (v0[..., None, :] ^ shifts[..., :, None]).astype(np.int64)
+    return v0[..., None, :] ^ shifts[..., :, None]
 
 
 def coset_sums(m: SymplecticMatrix, state: BellDiagonalState):
@@ -209,14 +197,12 @@ def coset_sums(m: SymplecticMatrix, state: BellDiagonalState):
 
     The preimages under m of the base and of its three shifts are summed, so
     the order of the last three entries is tied to the kept pair's X/Y/Z
-    labels before any canonical sorting.
+    labels before any canonical sorting.  Each sum runs along the contiguous
+    last axis, as in `transversal.enumerate_stats`, so both agree bit for bit.
     """
-    n = m.n
-    if state.n != n:
+    if state.n != m.n:
         raise ValueError("state and matrix pair counts differ")
-    v0, shifts = preimage_cosets(m.rows, n)
-    v0 = np.array(v0, dtype=np.int64)
-    return tuple(float(state.probs[v0 ^ t].sum()) for t in shifts)
+    return tuple(state.probs[preimage_index(m.rows, m.n)].sum(axis=-1).tolist())
 
 
 def numeric_stats(m: SymplecticMatrix, state: BellDiagonalState) -> DistStats:
@@ -227,32 +213,25 @@ def numeric_stats(m: SymplecticMatrix, state: BellDiagonalState) -> DistStats:
 
 
 def werner_counts(m: SymplecticMatrix, n: int) -> tuple:
-    """Identity-weight histograms of the four preimage cosets.
+    """Identity-weight histograms of the four preimage cosets, as tuples.
 
     Entry [k][w] counts vectors of identity weight w in the preimage of base
     coset k (order I, X, Y, Z).  These integer histograms determine the exact
     Werner-input statistics and are the deduplication key of the enumeration.
+    This is the one-matrix case of `coset_histograms`.
     """
-    return coset_histograms(m.rows, n)
+    return tuple(map(tuple, coset_histograms(m.rows, n).tolist()))
 
 
-def coset_histograms(rows, n: int) -> tuple:
-    """werner_counts of the matrix with the given row masks.
+def coset_histograms(rows, n: int) -> np.ndarray:
+    """`werner_counts` of many matrices at once, shape (..., 4, n+1).
 
-    Vectors are binned by Pauli weight, which is n minus the identity weight,
-    and each histogram is reversed once at the end.
+    rows is a (..., 2n) array of row masks.  The identity weight of a vector
+    w is n minus its Pauli weight, popcount((w | w >> n) & (2^n - 1)).
     """
-    v0, shifts = preimage_cosets(rows, n)
-    nmask = (1 << n) - 1
-    out = []
-    for t in shifts:
-        hist = [0] * (n + 1)
-        for v in v0:
-            w = v ^ t
-            hist[((w | (w >> n)) & nmask).bit_count()] += 1
-        hist.reverse()
-        out.append(tuple(hist))
-    return tuple(out)
+    v = preimage_index(rows, n)
+    weights = n - np.bitwise_count((v | v >> n) & ((1 << n) - 1))
+    return (weights[..., None] == np.arange(n + 1)).sum(axis=-2)
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from bicliff.dejmps import (
 )
 from bicliff.gf2 import SymplecticMatrix, random_symplectic, rref, solve_gf2, swap_halves
 from bicliff.groups import coset_key, dn_index
-from bicliff.states import coset_histograms, counts_key, numeric_stats
+from bicliff.states import counts_key, numeric_stats, werner_counts
 
 
 def _candidates(shape, leaf, rotations, memo) -> dict:
@@ -57,6 +57,25 @@ def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
         for key, plan in _candidates(shape, leaf, rotations, memo).items():
             out.setdefault(key, plan)
     return out
+
+
+# brute-force Bell index of the kept pair's (x, z) bits: I, X, Y, Z
+_KEPT_INDEX = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+
+
+def preimage_oracle(m, n):
+    """Preimages of the four base cosets, order I, X, Y, Z, by brute force.
+
+    Every v in F2^(2n) is mapped by m; an image with no X-part on pairs
+    2..n lies in the pillars, and its kept-pair bits pick the coset.
+    """
+    x_rest = ((1 << n) - 1) ^ 1
+    cosets = ([], [], [], [])
+    for v in range(1 << (2 * n)):
+        w = m.apply(v)
+        if w & x_rest == 0:
+            cosets[_KEPT_INDEX[(w & 1, (w >> n) & 1)]].append(v)
+    return cosets
 
 
 def synth_block(n, seed, block, size, key, allow_swap):
@@ -96,7 +115,7 @@ def synth_block(n, seed, block, size, key, allow_swap):
             rows[0], rows[sw] = rows[sw], rows[0]
             rows[n], rows[n + sw] = rows[n + sw], rows[n]
 
-        if counts_key(coset_histograms(rows, n)) != key:
+        if counts_key(werner_counts(SymplecticMatrix(n, rows), n)) != key:
             continue
         hits += 1
         circ = _rebuild(n, [down[t] for t in chosen], czm, sw)

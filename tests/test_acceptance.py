@@ -222,7 +222,7 @@ def test_criterion_11_cross_engine_oracle():
     ok = True
     for n in (2, 3):
         t = get_transversal(n)
-        tset = {counts_key(coset_histograms(rows, n)) for rows in t.rows.tolist()}
+        tset = {counts_key(tuple(map(tuple, h))) for h in coset_histograms(t.rows, n).tolist()}
         wset = {counts_key(p.counts) for p in get_protocols(n)}
         ok = ok and tset == wset
     verdict(11, ok, "transversal and case-enumeration Werner statistics sets coincide for n=2,3")

@@ -288,6 +288,50 @@ def test_verify_cache_rejects_non_symplectic_rows(cache_dir, tmp_path):
         assert checked == count - 1
 
 
+@pytest.mark.parametrize("sample, result", [
+    (100, (False, 3, "record 3: statistics mismatch")),
+    (3, (False, 1, "record 3: statistics mismatch")),
+])
+def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sample, result):
+    # record 1 loses symplecticity only in a later sample; record 3's base
+    # histogram is permuted, which keeps its sums
+    from bicliff.cache import write_cache
+
+    header, records = read_cache(cache_dir / "werner_n3.bcp")
+    header.pop("format_version")
+    base = records[3]["counts"][0]
+    i, j = next((i, j) for i in range(len(base)) for j in range(i) if base[i] != base[j])
+    base[i], base[j] = base[j], base[i]
+    bad = tmp_path / "werner_n3.bcp"
+    write_cache(bad, header, records)
+    # a sample of 3 with seed 0 draws records 2, 3, 4 of 5
+    assert sorted(np.random.default_rng(0).choice(5, size=3, replace=False)) == [2, 3, 4]
+    assert verify_cache(bad, sample=sample) == result
+    records[4]["rows"][-1] ^= 1
+    write_cache(bad, header, records)
+    assert verify_cache(bad, sample=sample) == result
+    records[1]["rows"][-1] ^= 1
+    write_cache(bad, header, records)
+    expect = (False, 1, "record 1: representative is not symplectic") if sample > 5 else result
+    assert verify_cache(bad, sample=sample) == expect
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 6, 1 << 64, 1 << 70])
+def test_cli_verify_werner_row_out_of_range_exits_2(cache_dir, tmp_path, capsys, mask):
+    from bicliff.cache import write_cache
+
+    header, records = read_cache(cache_dir / "werner_n3.bcp")
+    header.pop("format_version")
+    records[2]["rows"][0] = mask
+    bad = tmp_path / "werner_n3.bcp"
+    write_cache(bad, header, records)
+    code = run_cli(["verify", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad cache file {bad}: ")
+    assert "rebuild it with: bicliff werner" in captured.err
+
+
 def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path):
     from bicliff.cache import write_cache
 
@@ -432,6 +476,44 @@ def test_cli_eval_missing_cache(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "bicliff transversal --n 3" in err
+
+
+# the child gives itself a 2 GB address space, so expanding 16 pairs (32 GiB) fails
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from bicliff.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="limits RLIMIT_AS")
+def test_cli_eval_finds_cache_before_expanding_state(tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 16, "pairs": [list(EXAMPLE_PAIR)] * 16}))
+    res = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "eval", str(state), "--cache", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 3, res.stderr
+    assert "no transversal cache for n=16; run: bicliff transversal --n 16" in res.stderr
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 0, "pairs": []}',
+    '{"n": true, "pairs": [[0.7, 0.1, 0.1, 0.1]]}',
+    '{"n": 2.0, "pairs": [[0.7, 0.1, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1]]}',
+    '{"n": 17, "pairs": []}',
+    '{"n": -1, "probs": []}',
+])
+def test_cli_eval_rejects_bad_pair_count(tmp_path, capsys, text):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"bad state file {state}: n=" in captured.err
+    assert "must be an integer in 1..16" in captured.err
 
 
 def test_cli_eval_bad_state(cache_dir, tmp_path, capsys):

@@ -11,6 +11,7 @@ from bicliff.gf2 import (
     random_symplectic_rows,
     rref,
     sp_order,
+    swap_halves,
 )
 from bicliff.groups import (
     bfs_closure,
@@ -23,6 +24,7 @@ from bicliff.groups import (
     kn_generators,
 )
 from bicliff.states import base, werner_stats
+from _scalar_reference import preimage_oracle
 
 
 def random_word(gens, rng, length=8):
@@ -125,13 +127,28 @@ def test_coset_key_left_invariance():
 
 
 def test_coset_keys_match_coset_key():
+    # oracle: the reduced basis of the brute-force base preimage
     rng = np.random.default_rng(11)
     for n in range(1, 7):
         rows = random_symplectic_rows(n, rng, 200)
-        want = [coset_key(SymplecticMatrix(n, r)) for r in rows.tolist()]
+        want = [rref(preimage_oracle(SymplecticMatrix(n, r), n)[0]) for r in rows.tolist()]
         got = coset_keys(rows, n)
         assert got.shape == (200, n - 1)
         assert list(map(tuple, got.tolist())) == want
+        assert [coset_key(SymplecticMatrix(n, r)) for r in rows.tolist()] == want
+
+
+def test_coset_key_of_dependent_rows_is_shorter():
+    # coset_keys pads a short basis with zeros; coset_key leaves them out
+    rng = np.random.default_rng(12)
+    for n in range(2, 7):
+        rows = rng.integers(0, 1 << (2 * n), size=(50, 2 * n), dtype=np.uint64)
+        rows[::2, 1] = 0
+        for r, got in zip(rows.tolist(), coset_keys(rows, n).tolist()):
+            want = rref([swap_halves(v, n) for v in r[1:n]])
+            assert coset_key(SymplecticMatrix(n, r)) == want
+            assert got == [*want] + [0] * (n - 1 - len(want))
+        assert any(len(coset_key(SymplecticMatrix(n, r))) < n - 1 for r in rows.tolist())
 
 
 def test_coset_key_counts_exhaustive_n2():

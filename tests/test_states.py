@@ -19,13 +19,14 @@ from bicliff.states import (
     BellDiagonalState,
     DistStats,
     base,
+    coset_histograms,
     coset_sums,
     counts_key,
     counts_to_poly,
     leading_infidelity_term,
     numeric_stats,
     pillars,
-    preimage_cosets,
+    preimage_index,
     stats_from_counts,
     stats_in_epsilon,
     vector_paulis,
@@ -34,6 +35,7 @@ from bicliff.states import (
     werner_term_basis,
 )
 from _reference import EXAMPLE_PAIR, best_f_poly, best_p_poly
+from _scalar_reference import preimage_oracle
 
 
 def symplectic_complement(vectors, n):
@@ -160,46 +162,34 @@ def test_coset_partition_properties():
             assert np.isclose(total, stats.p_suc, atol=1e-12)
 
 
-# brute-force Bell index of the kept pair's (x, z) bits: I, X, Y, Z
-_KEPT_INDEX = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-
-
-def preimage_oracle(m, n):
-    """Preimages of the four base cosets, order I, X, Y, Z, by brute force.
-
-    Every v in F2^(2n) is mapped by m; an image with no X-part on pairs
-    2..n lies in the pillars, and its kept-pair bits pick the coset.
-    """
-    x_rest = ((1 << n) - 1) ^ 1
-    cosets = ([], [], [], [])
-    for v in range(1 << (2 * n)):
-        w = m.apply(v)
-        if w & x_rest == 0:
-            cosets[_KEPT_INDEX[(w & 1, (w >> n) & 1)]].append(v)
-    return cosets
-
-
 def _identity_count(v, n):
     return sum(1 for i in range(n) if not (v >> i) & 1 and not (v >> (n + i)) & 1)
 
 
 def test_preimage_kernel_matches_brute_force_oracle():
+    # stacked leading dimensions (3, 4): every matrix is read at its own index
     rng = np.random.default_rng(2103)
     for n in range(1, 5):
-        for _ in range(12):
-            m = random_symplectic(n, rng)
-            cosets = preimage_oracle(m, n)
-            v0, shifts = preimage_cosets(m.rows, n)
-            assert [sorted(v ^ t for v in v0) for t in shifts] == list(cosets)
-            hists = tuple(
-                tuple(sum(1 for v in c if _identity_count(v, n) == w) for w in range(n + 1))
-                for c in cosets
-            )
-            assert werner_counts(m, n) == hists
-            assert coset_key(m) == rref(cosets[0])
-            state = BellDiagonalState(n, rng.dirichlet(np.ones(4**n)))
-            want = [state.probs[c].sum() for c in cosets]
-            assert np.allclose(coset_sums(m, state), want, rtol=0, atol=1e-14)
+        ms = [[random_symplectic(n, rng) for _ in range(4)] for _ in range(3)]
+        rows = np.array([[m.rows for m in line] for line in ms], dtype=np.uint64)
+        index, hists = preimage_index(rows, n), coset_histograms(rows, n)
+        assert index.shape == (3, 4, 4, 1 << (n - 1)) and hists.shape == (3, 4, 4, n + 1)
+        state = BellDiagonalState(n, rng.dirichlet(np.ones(4**n)))
+        sums = state.probs[index].sum(axis=-1)
+        for a, line in enumerate(ms):
+            for b, m in enumerate(line):
+                cosets = preimage_oracle(m, n)
+                assert [sorted(c) for c in index[a, b].tolist()] == list(cosets)
+                want = tuple(
+                    tuple(sum(1 for v in c if _identity_count(v, n) == w) for w in range(n + 1))
+                    for c in cosets
+                )
+                assert hists[a, b].tolist() == list(map(list, want))
+                assert werner_counts(m, n) == want
+                assert coset_key(m) == rref(cosets[0])
+                mass = [state.probs[c].sum() for c in cosets]
+                assert np.allclose(coset_sums(m, state), mass, rtol=0, atol=1e-14)
+                assert coset_sums(m, state) == tuple(sums[a, b].tolist())
 
 
 def test_step_table_matches_brute_force_oracle():
