@@ -1,15 +1,15 @@
-"""Protocol cache files: a JSON header, then the records of one mode.
+"""Protocol cache files: a JSON header, then one block of fixed-width records.
 
-Layout: magic, 4-byte big-endian header length, header JSON, then the body.
-A Werner-mode body holds, for each record, a 4-byte big-endian length and
-the record JSON (canonical key order): the source case, representative rows
-and the preimage-coset histograms that fix the exact statistics.  A
-transversal-mode body is one little-endian block of count x (3n-1) unsigned
-integers, one line per coset in ascending key order: the n-1 key masks, then
-the 2n representative row masks.  They are uint16 when 2n <= 16 and uint32
-above.  Each mode has its own format version.  Verification takes a sample
-of records, checks that their stored rows are symplectic, recomputes their
-derived data from those rows and demands exact agreement.
+Layout: magic, 4-byte big-endian header length, header JSON, then `count`
+records of the little-endian structured dtype `record_dtype(mode, n)`.  A
+Werner record holds the source case (a, b, E), its index, the 2n
+representative row masks and the preimage-coset histograms that fix the exact
+statistics.  A transversal record holds the n-1 key masks, then the 2n
+representative row masks, one record per coset in ascending key order.
+Masks are uint16 when 2n <= 16 and uint32 above.  Each mode has its own
+format version.  Verification takes a sample of records, checks that their
+stored rows are symplectic, recomputes their derived data from those rows and
+demands exact agreement.
 """
 
 from __future__ import annotations
@@ -32,42 +32,35 @@ from .werner import Protocol, WernerCase, atomic_open
 
 MAGIC = b"BCPC\x01"
 # Werner records hold coset histograms since version 2 (before: statistic
-# polynomials); a transversal is one binary block since version 2 (before:
-# one JSON record per coset).
-FORMAT_VERSIONS = {"werner": 2, "transversal": 2}
+# polynomials) and are fixed-width since version 3 (before: one JSON record
+# each); a transversal is one binary block since version 2 (before: one JSON
+# record per coset).
+FORMAT_VERSIONS = {"werner": 3, "transversal": 2}
 
 
-def _encode(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+def record_dtype(mode: str, n: int) -> np.dtype:
+    """One record of an n-pair cache of the given mode."""
+    mask = "<u2" if 2 * n <= 16 else "<u4"
+    if mode == "transversal":
+        return np.dtype([("key", mask, (n - 1,)), ("rows", mask, (2 * n,))])
+    # a histogram bin is at most 2^(n-1) <= 128 for the n <= 8 of Werner enumeration
+    return np.dtype([
+        ("case", "<u4", (3,)), ("index", "<u4"), ("rows", mask, (2 * n,)), ("counts", "u1", (4, n + 1)),
+    ])
 
 
-def write_cache(path, header: dict, records) -> None:
-    """Write a cache atomically.
+def write_cache(path, header: dict, records: np.ndarray) -> None:
+    """Write a cache atomically: the header as given, then the records.
 
-    records is an iterable of record dicts in Werner mode and a (keys, rows)
-    pair of arrays in transversal mode; the header is written as given.
+    records is an array of `record_dtype(header["mode"], header["n"])`.
     """
-    header = dict(header)
-    header["format_version"] = FORMAT_VERSIONS[header["mode"]]
-    blob = _encode(header)
+    header = {**header, "format_version": FORMAT_VERSIONS[header["mode"]]}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack(">I", len(blob)))
-        fh.write(blob)
-        if header["mode"] == "transversal":
-            keys, rows = records
-            fh.write(np.concatenate([keys, rows], axis=1).astype(_block_type(header["n"])).tobytes())
-            return
-        for rec in records:
-            data = _encode(rec)
-            fh.write(struct.pack(">I", len(data)))
-            fh.write(data)
-
-
-def _block_type(n: int) -> np.dtype:
-    return np.dtype("<u2" if 2 * n <= 16 else "<u4")
+        fh.write(MAGIC + struct.pack(">I", len(blob)) + blob)
+        fh.write(records.tobytes())
 
 
 def _strictly_ascending(keys: np.ndarray) -> bool:
@@ -80,25 +73,6 @@ def _strictly_ascending(keys: np.ndarray) -> bool:
     return bool(greater.all())
 
 
-def _read_block(fh, header: dict) -> tuple:
-    """(keys, rows) uint64 arrays of a transversal body."""
-    n, count = header.get("n"), header.get("count")
-    if not (type(n) is int and 1 <= n <= MAX_PAIRS and type(count) is int and count >= 0):
-        raise ValueError(f"bad transversal header: n={n!r}, count={count!r}")
-    dtype, width = _block_type(n), 3 * n - 1
-    body = fh.read()
-    if len(body) != count * width * dtype.itemsize:
-        raise ValueError(
-            f"transversal body of {len(body)} bytes does not hold {count} cosets "
-            f"of {width} x {dtype.itemsize} bytes"
-        )
-    block = np.frombuffer(body, dtype).reshape(count, width).astype(np.uint64)
-    keys, rows = np.ascontiguousarray(block[:, : n - 1]), np.ascontiguousarray(block[:, n - 1 :])
-    if not _strictly_ascending(keys):
-        raise ValueError("transversal keys are not strictly ascending")
-    return keys, rows
-
-
 def _read_exact(fh, count: int) -> bytes:
     data = fh.read(count)
     if len(data) != count:
@@ -107,61 +81,50 @@ def _read_exact(fh, count: int) -> bytes:
 
 
 def read_cache(path):
+    """(header, records) of a cache file, records an array of `record_dtype`.
+
+    The body must hold exactly the header's count of records.  Transversal
+    keys must be strictly ascending; Werner histograms must each sum to
+    2^(n-1) and Werner row masks must fit in 2n bits.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError("not a protocol cache")
         (hlen,) = struct.unpack(">I", _read_exact(fh, 4))
         header = json.loads(_read_exact(fh, hlen))
-        if not isinstance(header, dict):
-            raise ValueError("no cache header")
-        mode, version = header.get("mode"), header.get("format_version")
-        if FORMAT_VERSIONS.get(mode) != version:
-            raise ValueError(f"unsupported {mode} cache version {version}")
-        if mode == "transversal":
-            return header, _read_block(fh, header)
-        records = []
-        while True:
-            raw = fh.read(4)
-            if not raw:
-                break
-            if len(raw) != 4:
-                raise ValueError("file is truncated")
-            (rlen,) = struct.unpack(">I", raw)
-            records.append(json.loads(_read_exact(fh, rlen)))
+        body = fh.read()
+    if not isinstance(header, dict):
+        raise ValueError("no cache header")
+    mode, version, n, count = (header.get(k) for k in ("mode", "format_version", "n", "count"))
+    if FORMAT_VERSIONS.get(mode) != version:
+        raise ValueError(f"unsupported {mode} cache version {version}")
+    if not (type(n) is int and 1 <= n <= MAX_PAIRS and type(count) is int and count >= 0):
+        raise ValueError(f"bad {mode} header: n={n!r}, count={count!r}")
+    dtype = record_dtype(mode, n)
+    if len(body) != count * dtype.itemsize:
+        raise ValueError(
+            f"{mode} body of {len(body)} bytes does not hold {count} records "
+            f"of {dtype.itemsize} bytes"
+        )
+    records = np.frombuffer(body, dtype)
+    if mode == "transversal" and not _strictly_ascending(records["key"]):
+        raise ValueError("transversal keys are not strictly ascending")
+    if mode == "werner":
+        for bad, problem in (
+            ((records["counts"].sum(axis=-1) != 1 << (n - 1)).any(axis=1), "malformed coset histograms"),
+            ((records["rows"] >> 2 * n).any(axis=1), "row mask exceeds 2n bits"),
+        ):
+            if bad.any():
+                raise ValueError(f"record {np.argmax(bad)}: {problem}")
     return header, records
 
 
-def protocol_record(p: Protocol) -> dict:
-    case = p.source
-    return {
-        "case": [case.a, case.b, case.e],
-        "index": p.case_index,
-        "rows": list(p.rep.rows),
-        "counts": [list(h) for h in p.counts],
-    }
-
-
-def _record_counts(rec: dict, n: int) -> tuple:
-    """The stored histograms: 4 lists of n+1 counts, each summing to 2^(n-1)."""
-    counts = rec["counts"]
-    if not (isinstance(counts, list) and len(counts) == 4 and all(
-        isinstance(h, list) and len(h) == n + 1
-        and all(type(c) is int and c >= 0 for c in h) and sum(h) == 1 << (n - 1)
-        for h in counts
-    )):
-        raise ValueError(f"record {rec['index']}: malformed coset histograms")
-    return tuple(map(tuple, counts))
-
-
-def record_protocol(rec: dict, n: int) -> Protocol:
-    a, b, e = rec["case"]
-    rep = SymplecticMatrix(n, rec["rows"])
-    return Protocol(n, rep, _record_counts(rec, n), WernerCase(n, a, b, e), rec["index"])
-
-
 def write_werner_cache(path, n: int, protocols) -> None:
-    header = {"mode": "werner", "n": n, "count": len(protocols)}
-    write_cache(path, header, (protocol_record(p) for p in protocols))
+    records = np.array(
+        [((p.source.a, p.source.b, p.source.e), p.case_index, p.rep.rows, p.counts) for p in protocols],
+        record_dtype("werner", n),
+    )
+    write_cache(path, {"mode": "werner", "n": n, "count": len(records)}, records)
 
 
 def load_werner_cache(path):
@@ -169,7 +132,11 @@ def load_werner_cache(path):
     if header["mode"] != "werner":
         raise ValueError("not a werner-mode cache")
     n = header["n"]
-    return header, [record_protocol(rec, n) for rec in records]
+    fields = (records[name].tolist() for name in ("case", "index", "rows", "counts"))
+    return header, [
+        Protocol(n, SymplecticMatrix(n, rows), tuple(map(tuple, counts)), WernerCase(n, *case), index)
+        for case, index, rows, counts in zip(*fields)
+    ]
 
 
 def write_transversal_cache(path, transversal, seed) -> None:
@@ -181,26 +148,25 @@ def write_transversal_cache(path, transversal, seed) -> None:
         "seed": seed,
         "samples": transversal.samples_used,
     }
-    write_cache(path, header, (transversal.keys, transversal.rows))
+    records = np.empty(len(transversal), record_dtype("transversal", transversal.n))
+    records["key"], records["rows"] = transversal.keys, transversal.rows
+    write_cache(path, header, records)
 
 
 def load_transversal_cache(path):
     header, records = read_cache(path)
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
-    keys, rows = records
+    keys, rows = (records[name].astype(np.uint64) for name in ("key", "rows"))
     return header, Transversal(header["n"], keys, rows, header["complete"], header["samples"])
 
 
-def _first_bad_werner_record(records, n: int):
+def _first_bad_werner_record(rows: np.ndarray, stored: np.ndarray, n: int):
     """`first_bad_record` of Werner records, in one batched pass.
 
     A record is sound when its rows are symplectic and give its stored coset
     histograms, up to the order of the three non-base cosets.
     """
-    rows = np.array([SymplecticMatrix(n, rec["rows"]).rows for rec in records], np.uint64)
-    rows = rows.reshape(-1, 2 * n)
-    stored = np.array([_record_counts(rec, n) for rec in records]).reshape(-1, 4, n + 1)
     fresh = coset_histograms(rows, n)
     same = (fresh[:, 0] == stored[:, 0]).all(axis=-1) & np.any(
         [(fresh[:, perm] == stored[:, 1:]).all(axis=(1, 2)) for perm in permutations((1, 2, 3))],
@@ -226,17 +192,14 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     """
     header, records = read_cache(path)
     n = header["n"]
-    transversal = header["mode"] == "transversal"
-    count = len(records[0]) if transversal else len(records)
-    rng = np.random.default_rng(seed)
-    idx = np.arange(count)
-    if count > sample:
-        idx = np.sort(rng.choice(count, size=sample, replace=False))
-    if transversal:
-        keys, rows = records
-        bad = first_bad_record(keys[idx], rows[idx], n)
+    idx = np.arange(len(records))
+    if len(records) > sample:
+        idx = np.sort(np.random.default_rng(seed).choice(len(records), size=sample, replace=False))
+    rows = records["rows"][idx].astype(np.uint64)
+    if header["mode"] == "transversal":
+        bad = first_bad_record(records["key"][idx].astype(np.uint64), rows, n)
     else:
-        bad = _first_bad_werner_record([records[i] for i in idx], n)
+        bad = _first_bad_werner_record(rows, records["counts"][idx], n)
     if bad is not None:
         checked, problem = bad
         return False, checked, f"record {idx[checked]}: {problem}"

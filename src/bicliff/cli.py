@@ -198,15 +198,24 @@ def _read_state(path: str) -> tuple:
     return n, obj
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """A JSON list of numbers (int or float, not bool) as float64."""
+    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+        raise ValueError(f"{what} must be a list of numbers")
+    return np.array(values, dtype=float)
+
+
 def _load_state(path: str, n: int, obj) -> BellDiagonalState:
     """The state of a file read by `_read_state`: 4^n probabilities."""
     try:
         if "pairs" in obj:
             if len(obj["pairs"]) != n:
                 raise ValueError("pairs length differs from n")
-            return BellDiagonalState.from_pairs(obj["pairs"])
-        return BellDiagonalState(n, np.asarray(obj["probs"], dtype=float))
-    except (ValueError, KeyError, TypeError) as exc:
+            return BellDiagonalState.from_pairs(
+                [_numbers(pair, f"pair {i}") for i, pair in enumerate(obj["pairs"])]
+            )
+        return BellDiagonalState(n, _numbers(obj["probs"], "probs"))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(EXIT_INVALID, f"bad state file {path}: {exc}") from exc
 
 

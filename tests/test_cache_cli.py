@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicliff.cache import (
     load_transversal_cache,
@@ -61,13 +65,13 @@ def test_werner_cache_roundtrip_keeps_histograms(tmp_path, protocols_for):
         assert loaded[-1].stats == werner_stats(loaded[-1].rep, n)
 
 
-def _v1_file(path, header, records):
-    """A cache in the version-1 layout, assembled byte by byte."""
+def _json_record_file(path, header, records, version=1):
+    """A cache of JSON records, the layout before fixed-width records, byte by byte."""
 
     def encode(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
-    blob = encode({**header, "format_version": 1})
+    blob = encode({**header, "format_version": version})
     data = b"BCPC\x01" + struct.pack(">I", len(blob)) + blob
     for rec in records:
         raw = encode(rec)
@@ -99,10 +103,40 @@ def _v1_werner_records(protocols):
 def test_format_1_werner_cache_rejected(tmp_path, protocols_for):
     path = tmp_path / "werner_n3.bcp"
     header = {"mode": "werner", "n": 3, "count": 5, "params": {"jobs_independent": True}}
-    _v1_file(path, header, _v1_werner_records(protocols_for(3)))
+    _json_record_file(path, header, _v1_werner_records(protocols_for(3)))
     for reader in (read_cache, load_werner_cache, verify_cache):
         with pytest.raises(ValueError, match="werner cache version 1"):
             reader(path)
+
+
+def _v2_werner_records(protocols):
+    """Werner records as version 2 stored them: one JSON object each."""
+    return [
+        {
+            "case": [p.source.a, p.source.b, p.source.e],
+            "index": p.case_index,
+            "rows": list(p.rep.rows),
+            "counts": [list(h) for h in p.counts],
+        }
+        for p in protocols
+    ]
+
+
+def test_format_2_werner_cache_rejected(tmp_path, capsys, protocols_for):
+    # version 2 held one length-prefixed JSON record per protocol
+    path = tmp_path / "werner_n3.bcp"
+    header = {"mode": "werner", "n": 3, "count": 5}
+    _json_record_file(path, header, _v2_werner_records(protocols_for(3)), version=2)
+    for reader in (read_cache, load_werner_cache, verify_cache):
+        with pytest.raises(ValueError, match="unsupported werner cache version 2"):
+            reader(path)
+    code = run_cli(["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: bad cache file {path}: unsupported werner cache version 2; "
+        f"rebuild it with: bicliff werner --n 3 --cache {tmp_path}\n"
+    )
 
 
 def test_format_1_transversal_cache_rejected(tmp_path, capsys):
@@ -110,7 +144,7 @@ def test_format_1_transversal_cache_rejected(tmp_path, capsys):
     path = tmp_path / "transversal_n2.bcp"
     header = {"mode": "transversal", "n": 2, "count": 1, "complete": False,
               "seed": 0, "samples": 16}
-    _v1_file(path, header, [{"key": [1], "rows": [1, 2, 4, 8]}])
+    _json_record_file(path, header, [{"key": [1], "rows": [1, 2, 4, 8]}])
     for reader in (read_cache, load_transversal_cache, verify_cache):
         with pytest.raises(ValueError, match="transversal cache version 1"):
             reader(path)
@@ -159,18 +193,20 @@ def _corrupt_transversal(kind, good, path):
     from bicliff.cache import write_cache
 
     data = good.read_bytes()
-    header, (keys, rows) = read_cache(good)
+    header, records = read_cache(good)
+    records = records.copy()
     if kind == "truncated body":
         path.write_bytes(data[:-1])
     elif kind == "trailing byte":
         path.write_bytes(data + b"\0")
     elif kind == "count mismatch":
-        write_cache(path, {**header, "count": header["count"] + 1}, (keys, rows))
+        write_cache(path, {**header, "count": header["count"] + 1}, records)
     elif kind == "unsorted keys":
-        write_cache(path, header, (keys[[1, 0, *range(2, len(keys))]], rows))
+        records["key"][[0, 1]] = records["key"][[1, 0]]
+        write_cache(path, header, records)
     elif kind == "duplicate keys":
-        keys[1] = keys[0]
-        write_cache(path, header, (keys, rows))
+        records["key"][1] = records["key"][0]
+        write_cache(path, header, records)
 
 
 FORMAT_2_DAMAGE = [
@@ -199,6 +235,44 @@ def test_damaged_format_2_transversal_cache_exits_2(cache_dir, tmp_path, capsys,
         assert message in captured.err
 
 
+def _torn_werner_cache(kind, cache_dir, path, protocols):
+    """An n=4 Werner cache whose header count disagrees with its records."""
+    from bicliff.cache import write_cache
+
+    good = cache_dir / "werner_n4.bcp"
+    if kind == "cut at record boundary":
+        # the first 10 of 13 records: a header of the same length, so this
+        # file is a prefix of the full one that ends after record 9
+        write_werner_cache(path, 4, protocols[:10])
+        head = path.read_bytes()
+        assert good.read_bytes().startswith(head[: head.index(b'"count":1')])
+        path.write_bytes(good.read_bytes()[: len(head)])
+    else:
+        header, records = read_cache(good)
+        step = 1 if kind == "count too large" else -1
+        write_cache(path, {**header, "count": header["count"] + step}, records)
+
+
+@pytest.mark.parametrize("kind", ["cut at record boundary", "count too large", "count too small"])
+def test_torn_werner_cache_exits_2(cache_dir, tmp_path, capsys, protocols_for, kind):
+    path = tmp_path / "werner_n4.bcp"
+    _torn_werner_cache(kind, cache_dir, path, protocols_for(4))
+    for reader in (read_cache, load_werner_cache, verify_cache):
+        with pytest.raises(ValueError, match="does not hold"):
+            reader(path)
+    for args, rebuild in (
+        (["compare", "--n-min", "4", "--n-max", "4"], f"bicliff werner --n 4 --cache {tmp_path}"),
+        (["circuit", "--n", "4", "--budget", "0"], f"bicliff werner --n 4 --cache {tmp_path}"),
+        (["verify", str(path)], "bicliff werner or bicliff transversal"),
+    ):
+        cache_args = [] if args[0] == "verify" else ["--cache", str(tmp_path)]
+        code = run_cli([*args, *cache_args])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: bad cache file {path}: ")
+        assert captured.err.endswith(f"; rebuild it with: {rebuild}\n")
+
+
 def test_cli_eval_n1_signed_zero_csv(tmp_path, capsys):
     # the CSV of this state as written before the array-backed eval: X and Y
     # tie at zero, and their order and signs must not change
@@ -212,30 +286,16 @@ def test_cli_eval_n1_signed_zero_csv(tmp_path, capsys):
     )
 
 
-def _malformed_counts():
-    """(label, counts) pairs that no n=3 record may hold."""
-    good = [[1, 2, 1, 0], [0, 1, 2, 1], [0, 1, 2, 1], [0, 2, 2, 0]]
-    return [
-        ("three cosets", good[:3]),
-        ("short histogram", [good[0][:3]] + good[1:]),
-        ("wrong sum", [[1, 2, 1, 1]] + good[1:]),
-        ("negative bin", [[2, 2, 1, -1]] + good[1:]),
-        ("float bin", [[1.0, 2, 1, 0]] + good[1:]),
-        ("bool bin", [[True, 2, 1, 0]] + good[1:]),
-        ("not a list", "1210"),
-    ]
-
-
-@pytest.mark.parametrize("label, counts", _malformed_counts())
-def test_load_rejects_malformed_counts(cache_dir, tmp_path, label, counts):
+def test_load_rejects_histogram_of_wrong_sum(cache_dir, tmp_path):
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
-    assert sum(records[0]["counts"][0]) == 4 and len(records[0]["counts"][0]) == 4
-    records[1]["counts"] = counts
+    records = records.copy()
+    assert records["counts"].shape == (5, 4, 4) and (records["counts"].sum(axis=-1) == 4).all()
+    records["counts"][1, 0, 3] += 1
     bad = tmp_path / "werner_n3.bcp"
     write_cache(bad, header, records)
-    with pytest.raises(ValueError, match="malformed coset histograms"):
+    with pytest.raises(ValueError, match="record 1: malformed coset histograms"):
         load_werner_cache(bad)
 
 
@@ -255,10 +315,11 @@ def test_verify_cache_ok(cache_dir):
 
 def test_verify_cache_detects_corruption(cache_dir, tmp_path):
     header, records = read_cache(cache_dir / "werner_n2.bcp")
+    records = records.copy()
     # swap two unequal bins of the base histogram: the sums still hold
-    base = records[0]["counts"][0]
+    base = records["counts"][0, 0]
     i, j = next((i, j) for i in range(len(base)) for j in range(i) if base[i] != base[j])
-    base[i], base[j] = base[j], base[i]
+    base[[i, j]] = base[[j, i]]
     from bicliff.cache import write_cache
 
     bad = tmp_path / "bad.bcp"
@@ -276,10 +337,8 @@ def test_verify_cache_rejects_non_symplectic_rows(cache_dir, tmp_path):
     for name in ("werner_n3.bcp", "transversal_n2.bcp"):
         header, records = read_cache(cache_dir / name)
         header.pop("format_version")
-        if name.startswith("werner"):
-            records[-1]["rows"][-1] ^= 1
-        else:
-            records[1][-1, -1] ^= 1
+        records = records.copy()
+        records["rows"][-1, -1] ^= 1
         bad = tmp_path / name
         write_cache(bad, header, records)
         count = header["count"]
@@ -299,46 +358,51 @@ def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sampl
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
     header.pop("format_version")
-    base = records[3]["counts"][0]
+    records = records.copy()
+    base = records["counts"][3, 0]
     i, j = next((i, j) for i in range(len(base)) for j in range(i) if base[i] != base[j])
-    base[i], base[j] = base[j], base[i]
+    base[[i, j]] = base[[j, i]]
     bad = tmp_path / "werner_n3.bcp"
     write_cache(bad, header, records)
     # a sample of 3 with seed 0 draws records 2, 3, 4 of 5
     assert sorted(np.random.default_rng(0).choice(5, size=3, replace=False)) == [2, 3, 4]
     assert verify_cache(bad, sample=sample) == result
-    records[4]["rows"][-1] ^= 1
+    records["rows"][4, -1] ^= 1
     write_cache(bad, header, records)
     assert verify_cache(bad, sample=sample) == result
-    records[1]["rows"][-1] ^= 1
+    records["rows"][1, -1] ^= 1
     write_cache(bad, header, records)
     expect = (False, 1, "record 1: representative is not symplectic") if sample > 5 else result
     assert verify_cache(bad, sample=sample) == expect
 
 
-@pytest.mark.parametrize("mask", [-1, 1 << 6, 1 << 64, 1 << 70])
+@pytest.mark.parametrize("mask", [1 << 6])
 def test_cli_verify_werner_row_out_of_range_exits_2(cache_dir, tmp_path, capsys, mask):
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
     header.pop("format_version")
-    records[2]["rows"][0] = mask
+    records = records.copy()
+    records["rows"][2, 0] = mask
     bad = tmp_path / "werner_n3.bcp"
     write_cache(bad, header, records)
     code = run_cli(["verify", str(bad)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith(f"error: bad cache file {bad}: ")
+    assert captured.err.startswith(
+        f"error: bad cache file {bad}: record 2: row mask exceeds 2n bits;"
+    )
     assert "rebuild it with: bicliff werner" in captured.err
 
 
 def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path):
     from bicliff.cache import write_cache
 
-    header, (keys, rows) = read_cache(cache_dir / "transversal_n2.bcp")
-    rows[[6, 7]] = rows[[7, 6]]
+    header, records = read_cache(cache_dir / "transversal_n2.bcp")
+    records = records.copy()
+    records["rows"][[6, 7]] = records["rows"][[7, 6]]
     bad = tmp_path / "transversal_n2.bcp"
-    write_cache(bad, header, (keys, rows))
+    write_cache(bad, header, records)
     assert verify_cache(bad, sample=100) == (False, 6, "record 6: coset key mismatch")
     # a sample keeps the records' own indices: seed 0 draws records 3, 4, 6, 7, 9
     assert sorted(np.random.default_rng(0).choice(15, size=5, replace=False)) == [3, 4, 6, 7, 9]
@@ -353,12 +417,14 @@ def test_write_cache_is_atomic(cache_dir, tmp_path):
     before = path.read_bytes()
     header, records = read_cache(path)
 
-    def failing_records():
-        yield records[0]
-        raise RuntimeError("interrupted")
+    class Interrupted(np.ndarray):
+        """Records whose bytes fail to arrive after the header is written."""
+
+        def tobytes(self, *args, **kwargs):
+            raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError, match="interrupted"):
-        write_cache(path, header, failing_records())
+        write_cache(path, header, records.view(Interrupted))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["werner_n3.bcp"]
 
@@ -542,6 +608,76 @@ def test_cli_eval_min_fidelity_bounds(cache_dir, tmp_path, capsys, value, rows):
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0 and len(lines) == 1 + rows
     assert all(float(line.split(",")[2]) >= float(value) for line in lines[1:])
+
+
+@pytest.fixture(scope="module")
+def small_transversal_caches(tmp_path_factory, transversal_for):
+    d = tmp_path_factory.mktemp("small_transversals")
+    for n in (1, 2):
+        write_transversal_cache(d / f"transversal_n{n}.bcp", transversal_for(n), seed=0)
+    return d
+
+
+def _eval_state(cache, state_text):
+    """(exit code, stdout, stderr) of `eval` on a state file holding state_text."""
+    state = cache / "state.json"
+    state.unlink(missing_ok=True)  # much cheaper than truncating on some file systems
+    state.write_text(state_text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(["eval", str(state), "--cache", str(cache)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"n": 1, "probs": [1%s, 0, 0, 0]}' % ("0" * 400), id="huge int probs"),
+    pytest.param('{"n": 1, "pairs": [[1%s, 0, 0, 0]]}' % ("0" * 400), id="huge int pairs"),
+    pytest.param('{"n": 1, "probs": ["0.25", "0.25", "0.25", "0.25"]}', id="string probs"),
+    pytest.param('{"n": 1, "pairs": [["0.25", "0.25", "0.25", "0.25"]]}', id="string pairs"),
+    pytest.param('{"n": 1, "probs": [true, false, false, false]}', id="bool probs"),
+    pytest.param('{"n": 2, "pairs": [[true, false, false, false], [1, 0, 0, 0]]}',
+                 id="bool pairs"),
+])
+def test_cli_eval_rejects_non_numeric_probabilities(small_transversal_caches, text):
+    code, out, err = _eval_state(small_transversal_caches, text)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad state file {small_transversal_caches / 'state.json'}: ")
+
+
+def _malformed_entries():
+    """JSON values that cannot replace one entry of a valid state with entries in (0, 1)."""
+    return st.one_of(
+        st.text(max_size=8),
+        st.booleans(),
+        st.none(),
+        st.integers(min_value=2) | st.integers(max_value=-1),
+        st.integers(min_value=10**308, max_value=10**500),
+        st.floats(min_value=2) | st.floats(max_value=-1e-6),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        st.lists(st.floats(0, 1), max_size=4),
+        st.dictionaries(st.text(max_size=3), st.integers(0, 1), max_size=2),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(form=st.sampled_from(["probs", "pairs", "whole"]), index=st.integers(0, 15),
+       value=_malformed_entries())
+def test_cli_eval_fuzzed_state_files_exit_2(small_transversal_caches, form, index, value):
+    # one entry of a valid two-pair state is replaced by a malformed value
+    pair = [0.7, 0.1, 0.1, 0.1]
+    if form == "probs":
+        probs = [a * b for a in pair for b in pair]
+        probs[index] = value
+        obj = {"n": 2, "probs": probs}
+    elif form == "pairs":
+        pairs = [list(pair), list(pair)]
+        pairs[index // 8][index % 4] = value
+        obj = {"n": 2, "pairs": pairs}
+    else:
+        obj = {"n": 2, ("probs", "pairs")[index % 2]: value}
+    code, out, err = _eval_state(small_transversal_caches, json.dumps(obj))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad state file ") and err.count("\n") == 1
 
 
 def test_cli_eval_non_finite_or_malformed_state(tmp_path, capsys):
@@ -797,14 +933,21 @@ def _bad_cache(kind, good, path, protocols):
     elif kind == "old version":
         header, _ = read_cache(good)
         header.pop("format_version")
-        _v1_file(path, header, _v1_werner_records(protocols))
+        _json_record_file(path, header, _v1_werner_records(protocols))
+    elif kind == "format 2":
+        header, _ = read_cache(good)
+        header.pop("format_version")
+        _json_record_file(path, header, _v2_werner_records(protocols), version=2)
     elif kind == "malformed counts":
         header, records = read_cache(good)
-        records[0]["counts"][0][0] += 1
+        records = records.copy()
+        records["counts"][0, 0, 0] += 1
         write_cache(path, header, records)
 
 
-@pytest.mark.parametrize("kind", ["foreign", "truncated", "old version", "malformed counts"])
+@pytest.mark.parametrize(
+    "kind", ["foreign", "truncated", "old version", "format 2", "malformed counts"]
+)
 @pytest.mark.parametrize("command", ["compare", "circuit", "verify"])
 def test_cli_unreadable_werner_cache_exits_2(cache_dir, tmp_path, capsys, protocols_for,
                                              kind, command):
@@ -850,14 +993,15 @@ def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, ki
     if kind == "incomplete":
         assert run_cli(["transversal", "--n", "3", "--budget", "16", "--cache", str(tmp_path)]) == 4
     else:
-        header, (keys, rows) = read_cache(cache_dir / "transversal_n2.bcp")
+        header, records = read_cache(cache_dir / "transversal_n2.bcp")
+        records = records.copy()
         if kind == "non-symplectic rows":
             # row 2n-1 takes no part in the coset key or the statistics
-            rows[-1, -1] ^= 1
+            records["rows"][-1, -1] ^= 1
         else:
             # the keys must stay ascending, so the representatives swap
-            rows[[0, 1]] = rows[[1, 0]]
-        write_cache(path, header, (keys, rows))
+            records["rows"][[0, 1]] = records["rows"][[1, 0]]
+        write_cache(path, header, records)
     capsys.readouterr()
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": n, "pairs": [list(EXAMPLE_PAIR)] * n}))

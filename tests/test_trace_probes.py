@@ -34,3 +34,31 @@ def test_every_probe_resolves():
 def test_pool_probe_resolves():
     module_name, attr, _ = _spans_module().POOL_PROBE
     assert isinstance(getattr(importlib.import_module(module_name), attr, None), type)
+
+
+def test_cache_counters_read_real_calls(tmp_path, protocols_for, transversal_for):
+    # each cache span's counter must accept the positional args and the
+    # result of a real call, as the traced run hands them over
+    from bicliff import cache
+
+    spans = _spans_module()
+    werner, transversal = tmp_path / "werner_n3.bcp", tmp_path / "transversal_n2.bcp"
+    cache.write_werner_cache(werner, 3, protocols_for(3))
+    cache.write_transversal_cache(transversal, transversal_for(2), seed=0)
+    header, records = cache.read_cache(werner)
+    calls = {
+        "cache.write_cache": (tmp_path / "copy.bcp", header, records),
+        "cache.load_werner_cache": (werner,),
+        "cache.load_transversal_cache": (transversal,),
+        "cache.verify_cache": (werner,),
+    }
+    expected = {
+        "cache.write_cache": {"cache.write_bytes": werner.stat().st_size},
+        "cache.load_werner_cache": {"cache.load_records": 5},
+        "cache.load_transversal_cache": {"cache.load_records": 15},
+        "cache.verify_cache": {"cache.verify_records": 5},
+    }
+    assert sorted(label for label in spans.COUNTS if label.startswith("cache.")) == sorted(calls)
+    for label, args in calls.items():
+        result = getattr(cache, label.split(".", 1)[1])(*args)
+        assert spans.COUNTS[label](args, result) == expected[label], label

@@ -140,6 +140,18 @@ def test_transversal_n4_werner_stats_refine_double_cosets(transversal_for, proto
     assert tset == wset
 
 
+def test_transversal_n4_batched_histograms_match_werner_classes(transversal_for, protocols_for):
+    # the batched coset histograms of the whole n=4 transversal give the 13
+    # classes of the canonical-triple enumeration, none more or fewer
+    from bicliff.states import coset_histograms, counts_key
+
+    histograms = coset_histograms(transversal_for(4).rows, 4).tolist()
+    tset = {counts_key(tuple(map(tuple, h))) for h in histograms}
+    wset = {counts_key(p.counts) for p in protocols_for(4)}
+    assert len(tset) == len(wset) == 13
+    assert tset == wset
+
+
 def test_pareto_envelope_basics():
     assert pareto_envelope(np.array([0.5]), np.array([0.9])).tolist() == [True]
     # (p=0.5, F=0.9) is dominated by (p=0.6, F=0.95)
