@@ -15,7 +15,9 @@ demands exact agreement.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from itertools import permutations
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from .ratpoly import poly_from_strings  # noqa: F401
 from .states import coset_histograms
 from .states import werner_counts  # noqa: F401
 from .transversal import Transversal, first_bad_record
-from .werner import Protocol, WernerCase, atomic_open
+from .werner import Protocol, WernerCase
 
 MAGIC = b"BCPC\x01"
 # Werner records hold coset histograms since version 2 (before: statistic
@@ -47,6 +49,23 @@ def record_dtype(mode: str, n: int) -> np.dtype:
     return np.dtype([
         ("case", "<u4", (3,)), ("index", "<u4"), ("rows", mask, (2 * n,)), ("counts", "u1", (4, n + 1)),
     ])
+
+
+@contextmanager
+def atomic_open(path: Path):
+    """Binary write handle whose data replaces `path` only once the block ends.
+
+    The data goes to a temp file beside `path`, which is renamed over it on
+    success and removed on any error, so `path` is never left half written.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_cache(path, header: dict, records: np.ndarray) -> None:

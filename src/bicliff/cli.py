@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -139,12 +138,8 @@ def cmd_tables(args) -> int:
 
 def cmd_werner(args) -> int:
     n = args.n
-    cache_path = _cache_path("werner", args.cache, n)
-    journal = Path(str(cache_path) + ".journal")
-    journal.mkdir(parents=True, exist_ok=True)
-    protocols = distinct_protocols(n, jobs=args.jobs, journal_dir=journal)
-    cachemod.write_werner_cache(cache_path, n, protocols)
-    shutil.rmtree(journal, ignore_errors=True)
+    protocols = distinct_protocols(n, jobs=args.jobs)
+    cachemod.write_werner_cache(_cache_path("werner", args.cache, n), n, protocols)
 
     res = best_fidelity_protocol(n, protocols=protocols)
     st = res.protocol.stats
@@ -468,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_work(p, seed=True):
         p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_at_least(0), default=0)
 
     pair_counts = range(1, MAX_PAIRS + 1)
     werner_pair_counts = range(2, MAX_GRAPH_NODES + 2)
@@ -526,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify sampled records of a cache file")
     p.add_argument("cache_file")
     p.add_argument("--sample", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

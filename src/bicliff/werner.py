@@ -24,12 +24,10 @@ first case of every distinct key.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -231,18 +229,13 @@ class Protocol:
 # Batched statistics keys
 # ---------------------------------------------------------------------------
 
-_TABLES: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _tables(n: int):
-    """Per-process cache of the vectorised per-graph tables for one n.
+    """The vectorised per-graph tables for one n, built once per process.
 
     idw[s, t, g] is the identity weight of the non-kept pairs of subset s
     under graph g when the X-rest is shifted by t: m - |(R_g[s] ^ t) | s|.
     """
-    cached = _TABLES.get(n)
-    if cached is not None:
-        return cached
     m = n - 1
     graphs = graphs_up_to_iso(m)
     g_count = len(graphs)
@@ -263,9 +256,7 @@ def _tables(n: int):
     for t in range(size):
         idw[:, t, :] = (m - pop[(row_xors ^ np.uint32(t)) | subsets]).T
     parity = (pop & 1).astype(bool)
-    cached = (idw, subsets, parity)
-    _TABLES[n] = cached
-    return cached
+    return idw, subsets, parity
 
 
 # kept-pair shifts (alpha, beta) of the cosets I, X, Y, Z
@@ -312,74 +303,25 @@ def counts_from_key(key: int, n: int) -> tuple:
     return tuple(out)
 
 
-_CHUNK_PAIRS = 64  # (a, b) pairs per work unit and journal file
-# Version of the case-key format; raise it whenever the keys a chunk holds
-# change, so that journals written by older code are never reused.
-KEY_FORMAT = 1
+_CHUNK_PAIRS = 64  # (a, b) pairs per work unit
 
 
-def _journal_path(journal_dir, n: int, index: int):
-    return journal_dir / f"chunk_k{KEY_FORMAT}_n{n}_p{_CHUNK_PAIRS}_{index:06d}.npy"
-
-
-@contextmanager
-def atomic_open(path: Path):
-    """Binary write handle whose data replaces `path` only once the block ends.
-
-    The data goes to a temp file beside `path`, which is renamed over it on
-    success and removed on any error, so `path` is never left half written.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def all_case_keys(n: int, jobs: int = 1, journal_dir=None) -> np.ndarray:
+def all_case_keys(n: int, jobs: int = 1) -> np.ndarray:
     """Dedup keys of every case, in canonical case order: (cases, 4) uint64.
 
-    With a journal directory, each finished chunk of (a, b) pairs is saved
-    there and reused by a later call.  File names carry the key-format
-    version, n and the chunk size, so a journal left by a different
-    enumeration or by an older key format is never read.
+    Chunks of (a, b) pairs are keyed in order (on `jobs` worker processes
+    when jobs > 1) and each lands in its rows of one preallocated array.
     """
     _check_enum_n(n)
-    if journal_dir is not None:
-        journal_dir = Path(journal_dir)
-        journal_dir.mkdir(parents=True, exist_ok=True)
     pairs = list(ab_pairs(n - 1))
-    chunk = _CHUNK_PAIRS
-    chunks = [pairs[i : i + chunk] for i in range(0, len(pairs), chunk)]
+    calls = [(n, pairs[i : i + _CHUNK_PAIRS]) for i in range(0, len(pairs), _CHUNK_PAIRS)]
     per_pair = _tables(n)[0].shape[2]  # one key row per graph class
     keys = np.empty((len(pairs) * per_pair, 4), dtype=np.uint64)
-
-    def rows(i: int) -> slice:
-        start = i * chunk * per_pair
-        return slice(start, start + len(chunks[i]) * per_pair)
-
-    def finished(i: int, arr: np.ndarray):
-        keys[rows(i)] = arr
-        if journal_dir is not None:
-            with atomic_open(_journal_path(journal_dir, n, i)) as fh:
-                np.save(fh, arr)
-
-    todo = []
-    for i in range(len(chunks)):
-        if journal_dir is not None:
-            path = _journal_path(journal_dir, n, i)
-            if path.exists():
-                keys[rows(i)] = np.load(path)
-                continue
-        todo.append(i)
-
+    start = 0
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        calls = [(n, chunks[i]) for i in todo]
-        for i, arr in zip(todo, ordered_calls(_chunk_keys, calls, pool, jobs)):
-            finished(i, arr)
+        for arr in ordered_calls(_chunk_keys, calls, pool, jobs):
+            keys[start : start + len(arr)] = arr
+            start += len(arr)
     return keys
 
 
@@ -399,14 +341,14 @@ def first_occurrences(keys: np.ndarray) -> np.ndarray:
     return survivors[first_rows(keys[survivors])]
 
 
-def distinct_protocols(n: int, jobs: int = 1, journal_dir=None) -> list:
+def distinct_protocols(n: int, jobs: int = 1) -> list:
     """One protocol per distinct exact Werner statistics, in case order.
 
     Cases are scanned in the canonical order and deduplicated on the exact
     statistics key (base histogram plus sorted multiset of the other three);
     the first case producing each key supplies the stored representative.
     """
-    keys = all_case_keys(n, jobs=jobs, journal_dir=journal_dir)
+    keys = all_case_keys(n, jobs=jobs)
     graphs = graphs_up_to_iso(n - 1)
     g_count = len(graphs)
     pairs = list(ab_pairs(n - 1))

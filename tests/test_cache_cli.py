@@ -493,6 +493,40 @@ def test_cli_werner_n4_summary(tmp_path, capsys):
     assert row[:3] == ["4", "60", "13"]
 
 
+def test_cli_werner_ignores_leftover_chunk_files(tmp_path, capsys, monkeypatch):
+    # Older versions kept resumable key chunks in <cache>.journal/ and reused
+    # a chunk by its file name.  A leftover chunk with wrong keys must not
+    # reach the result, and a run must leave nothing but the cache file.
+    from bicliff import cache as cachemod
+    from bicliff.werner import all_case_keys, graphs_up_to_iso
+
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    listed = []
+    write = cachemod.write_werner_cache
+
+    def listing_write(path, *args):
+        listed.append(sorted(p.name for p in clean.iterdir()))
+        write(path, *args)
+
+    monkeypatch.setattr(cachemod, "write_werner_cache", listing_write)
+    assert run_cli(["werner", "--n", "7", "--cache", str(clean)]) == 0
+    expected = capsys.readouterr().out
+    assert expected.splitlines()[1].split(",")[2] == "379"
+    assert listed == [[]]  # no journal or temp file while the run went on
+    assert sorted(p.name for p in clean.iterdir()) == ["werner_n7.bcp"]
+
+    stale = tmp_path / "stale"
+    journal = stale / "werner_n7.bcp.journal"
+    journal.mkdir(parents=True)
+    chunk = all_case_keys(7)[: 64 * len(graphs_up_to_iso(6))]
+    chunk[:, 1:] = chunk[:, :0:-1]  # the X, Y and Z keys in descending order
+    np.save(journal / "chunk_k1_n7_p64_000000.npy", chunk)
+    assert run_cli(["werner", "--n", "7", "--cache", str(stale)]) == 0
+    assert capsys.readouterr().out == expected
+    assert (stale / "werner_n7.bcp").read_bytes() == (clean / "werner_n7.bcp").read_bytes()
+
+
 def test_cli_circuit_fallback_to_published(cache_dir, tmp_path, capsys):
     out = tmp_path / "circ4.json"
     code = run_cli([
@@ -1051,6 +1085,30 @@ def test_cli_verify_rejects_non_positive_sample(cache_dir, capsys, sample):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"--sample {sample} must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["transversal", "--n", "2", "--cache", "{cache}"],
+        ["circuit", "--n", "4", "--cache", "{cache}"],
+        ["verify", "{cache}/werner_n4.bcp", "--sample", "5"],
+    ],
+    ids=["transversal", "circuit", "verify"],
+)
+def test_cli_negative_seed_exits_2(cache_dir, tmp_path, capsys, args):
+    cache = tmp_path / "c"
+    cache.mkdir()
+    for name in ("werner_n4.bcp", "transversal_n2.bcp"):
+        (cache / name).write_bytes((cache_dir / name).read_bytes())
+    before = {path.name: path.read_bytes() for path in cache.iterdir()}
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([arg.format(cache=cache) for arg in args] + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "argument --seed: -1 must be at least 0" in captured.err
+    assert "Traceback" not in captured.err and "bad cache file" not in captured.err
+    assert {path.name: path.read_bytes() for path in cache.iterdir()} == before
 
 
 @pytest.mark.parametrize(

@@ -62,3 +62,15 @@ def test_cache_counters_read_real_calls(tmp_path, protocols_for, transversal_for
     for label, args in calls.items():
         result = getattr(cache, label.split(".", 1)[1])(*args)
         assert spans.COUNTS[label](args, result) == expected[label], label
+
+
+def test_werner_counters_read_real_calls():
+    # the werner counters take the length of what the wrapped call returns:
+    # every case's key row, and the list of distinct protocols
+    from bicliff.werner import all_case_keys, distinct_protocols
+
+    spans = _spans_module()
+    assert spans.COUNTS["werner.all_case_keys"]((4,), all_case_keys(4)) == {"werner.cases": 60}
+    assert spans.COUNTS["cli.distinct_protocols"]((4,), distinct_protocols(4)) == {
+        "werner.distinct": 13
+    }

@@ -316,39 +316,13 @@ def test_jobs_invariance():
     assert [(p.case_index, p.stats) for p in a] == [(p.case_index, p.stats) for p in b]
 
 
-def test_journal_resume(tmp_path):
-    fresh = all_case_keys(4)
-    first = all_case_keys(4, journal_dir=tmp_path)
-    assert list(tmp_path.glob("chunk_*.npy"))
-    resumed = all_case_keys(4, journal_dir=tmp_path)  # read back, no recompute
-    assert np.array_equal(fresh, first)
-    assert np.array_equal(fresh, resumed)
-
-
-def test_stale_journal_ignored(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_case_keys_independent_of_chunk_size(monkeypatch, jobs):
     import bicliff.werner as werner
 
-    all_case_keys(5, journal_dir=tmp_path)  # another n
-    monkeypatch.setattr(werner, "_CHUNK_PAIRS", 8)
-    all_case_keys(4, journal_dir=tmp_path)  # another chunk size
-    monkeypatch.undo()
-    assert np.array_equal(all_case_keys(4, journal_dir=tmp_path), all_case_keys(4))
-    monkeypatch.setattr(werner, "_CHUNK_PAIRS", 8)
-    assert np.array_equal(all_case_keys(5, journal_dir=tmp_path), all_case_keys(5))
-    assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_journal_of_other_key_format_ignored(tmp_path, monkeypatch):
-    import bicliff.werner as werner
-
-    monkeypatch.setattr(werner, "KEY_FORMAT", werner.KEY_FORMAT - 1)
-    all_case_keys(4, journal_dir=tmp_path)
-    stale = sorted(tmp_path.glob("chunk_*.npy"))
-    for path in stale:  # keys as an older format might have written them
-        np.save(path, np.zeros_like(np.load(path)))
-    monkeypatch.undo()
-    assert np.array_equal(all_case_keys(4, journal_dir=tmp_path), all_case_keys(4))
-    assert len(list(tmp_path.glob("chunk_*.npy"))) == 2 * len(stale)
+    default = all_case_keys(5)
+    monkeypatch.setattr(werner, "_CHUNK_PAIRS", 8)  # 51 (a, b) pairs in 7 chunks
+    assert np.array_equal(all_case_keys(5, jobs=jobs), default)
 
 
 def test_n2_case_stats_distinct(protocols_for):
