@@ -21,6 +21,7 @@ from bicliff.dejmps import (
 from bicliff.gf2 import SymplecticMatrix, random_symplectic, rref, solve_gf2, swap_halves
 from bicliff.groups import coset_key, dn_index
 from bicliff.states import counts_key, numeric_stats, werner_counts
+from bicliff.werner import _edge_list, _permuted_mask_map
 
 
 def _candidates(shape, leaf, rotations, memo) -> dict:
@@ -76,6 +77,33 @@ def preimage_oracle(m, n):
         if w & x_rest == 0:
             cosets[_KEPT_INDEX[(w & 1, (w >> n) & 1)]].append(v)
     return cosets
+
+
+def propagated_graph_classes(m: int) -> tuple:
+    """Minimum edge mask of every graph class on m nodes, by min-label
+    propagation over all 2^(m(m-1)/2) labelled graphs.
+
+    Each mask pulls the smallest label from its images under a transposition,
+    a full cycle and the inverse cycle, then jumps to its label's label, until
+    nothing changes; what is left is the orbit minimum of every mask.
+    """
+    if m <= 1:
+        return (0,)
+    swap = list(range(m))
+    swap[0], swap[1] = 1, 0
+    cycle = [(i + 1) % m for i in range(m)]
+    inv_cycle = [(i - 1) % m for i in range(m)]
+    maps = [_permuted_mask_map(m, p) for p in (swap, cycle, inv_cycle)]
+    rep = np.arange(1 << len(_edge_list(m)), dtype=np.int32)
+    while True:
+        nxt = rep
+        for g in maps:
+            nxt = np.minimum(nxt, rep[g])
+        nxt = np.minimum(nxt, rep[nxt])
+        if np.array_equal(nxt, rep):
+            break
+        rep = nxt
+    return tuple(int(v) for v in np.unique(rep))
 
 
 def synth_block(n, seed, block, size, key, allow_swap):

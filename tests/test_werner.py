@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from bicliff.gf2 import is_symplectic
 from bicliff.states import counts_key, werner_counts, werner_stats
 from bicliff.werner import (
+    MAX_GRAPH_NODES,
     WernerCase,
+    _canonical,
     ab_pairs,
     all_case_keys,
     best_fidelity_protocol,
@@ -30,33 +32,58 @@ from _reference import (
     best_f_poly,
     best_p_poly,
 )
+from _scalar_reference import propagated_graph_classes
 
 
 # --- graphs up to isomorphism -------------------------------------------------
 
 
-def brute_force_classes(m):
-    """Canonical masks by explicit minimisation over all m! relabelings."""
+def relabel(mask, perm, m):
+    """The edge mask of the graph whose vertex i is relabelled perm[i]."""
     edges = [(i, j) for j in range(1, m) for i in range(j)]
     index = {e: k for k, e in enumerate(edges)}
+    out = 0
+    for k, (i, j) in enumerate(edges):
+        if (mask >> k) & 1:
+            a, b = perm[i], perm[j]
+            out |= 1 << index[(min(a, b), max(a, b))]
+    return out
 
-    def relabel(mask, perm):
-        out = 0
-        for k, (i, j) in enumerate(edges):
-            if (mask >> k) & 1:
-                a, b = perm[i], perm[j]
-                out |= 1 << index[(min(a, b), max(a, b))]
-        return out
 
+def brute_force_classes(m):
+    """Canonical masks by explicit minimisation over all m! relabelings."""
+    perms = list(itertools.permutations(range(m)))
     reps = set()
-    for mask in range(1 << len(edges)):
-        reps.add(min(relabel(mask, p) for p in itertools.permutations(range(m))))
+    for mask in range(1 << (m * (m - 1) // 2)):
+        reps.add(min(relabel(mask, p, m) for p in perms))
     return sorted(reps)
 
 
 def test_graph_classes_match_brute_force():
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 5):
         assert graphs_up_to_iso(m) == brute_force_classes(m)
+
+
+def test_graph_classes_match_propagation_oracle():
+    for m in range(MAX_GRAPH_NODES + 1):
+        assert graphs_up_to_iso(m) == list(propagated_graph_classes(m)), m
+
+
+@st.composite
+def relabelled_masks(draw):
+    m = draw(st.integers(1, MAX_GRAPH_NODES))
+    mask = draw(st.integers(0, (1 << (m * (m - 1) // 2)) - 1))
+    return m, mask, draw(st.permutations(range(m)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(relabelled_masks())
+def test_canonical_form_is_a_relabeling_invariant_class_minimum(case):
+    m, mask, perm = case
+    form = int(_canonical(np.array([mask]), m)[0])
+    assert int(_canonical(np.array([relabel(mask, perm, m)]), m)[0]) == form
+    assert form <= mask
+    assert form in graphs_up_to_iso(m)
 
 
 def test_graph_class_counts():
