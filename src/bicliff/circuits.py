@@ -202,13 +202,13 @@ def _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps) -> np.ndarray
 def _matches(rows, n: int, key) -> np.ndarray:
     """Which row sets of a block have the encoded target key, shape (size,).
 
-    Each candidate's four keys come from `states.digit_keys` on the identity
-    weights of its preimage cosets, with the subsets moved to the first axis.
+    Each candidate's four keys come from `states.digit_keys` on the Pauli
+    weights of its preimage cosets, popcount((v | v >> n) & (2^n - 1)).
     """
     v = preimage_index(rows.astype(np.uint16), n)  # 2n <= 16 bits, as digit_keys needs n <= 8
-    weights = np.uint8(n) - np.bitwise_count((v | v >> n) & ((1 << n) - 1))
-    keys = digit_keys(pair_digits(weights.T, n), n)
-    return (keys == key[:, None]).all(axis=0)
+    v |= v >> n  # in place: a fresh temporary per step costs more than the step
+    v &= (1 << n) - 1
+    return (digit_keys(pair_digits(np.bitwise_count(v), n), n) == key).all(axis=-1)
 
 
 def _synth_block(n, seed, block, size, key, allow_swap):

@@ -12,7 +12,7 @@ matrix M, plus the three shifts that carry it onto the preimages of the
 other cosets.  It needs no inverse, because for symplectic M the inverse is
 Omega M^T Omega, whose column j is row (j + n) mod 2n of M with its X- and
 Z-halves swapped.  The numeric sums, the Werner histograms, the DEJMPS step
-table and the identity weights of circuit synthesis all come from it; each
+table and the Pauli weights of circuit synthesis all come from it; each
 per-matrix statistic is the one-row case of its batched form.
 
 Statistics come in two interchangeable modes: floating point for arbitrary
@@ -351,11 +351,12 @@ def encode_counts_key(key) -> np.ndarray:
 def _digit_tables(n: int) -> tuple:
     """Key shares of one pair digit and of two pair digits.
 
-    Pair digit w*(n+1) + w' stands for two subsets of identity weights w and
-    w'; two pair digits d, d' index entry d*(n+1)^2 + d' of the second table,
-    (n+1)^4 entries (52 KB at n = 8).
+    Pair digit p*(n+1) + p' stands for two vectors of Pauli weights p and p',
+    that is of identity weights n-p and n-p', each adding 129^p to its
+    coset's number; two pair digits d, d' index entry d*(n+1)^2 + d' of the
+    second table, (n+1)^4 entries (52 KB at n = 8).
     """
-    powers = np.uint64(129) ** np.arange(n, -1, -1, dtype=np.uint64)
+    powers = np.uint64(129) ** np.arange(n + 1, dtype=np.uint64)
     pair = (powers[:, None] + powers[None, :]).ravel()
     return pair, (pair[:, None] + pair[None, :]).ravel()
 
@@ -363,32 +364,37 @@ def _digit_tables(n: int) -> tuple:
 def pair_digits(weights: np.ndarray, n: int) -> np.ndarray:
     """First level of the key kernel: subsets s and s + S/2 as one digit.
 
-    weights is a uint8 array of identity weights with the S = 2^(n-1)
-    subsets on axis 0 (n >= 2); the result holds S/2 pair digits there.  It
-    is linear, so increments of the weights can be added as pair digits.
+    weights is a uint8 array of Pauli weights with the S = 2^(n-1) subsets
+    on its last axis (n >= 2), as `preimage_index` lays them out; the result
+    holds S/2 pair digits there.
     """
-    half = len(weights) // 2
-    return weights[:half] * np.uint8(n + 1) + weights[half:]
+    half = weights.shape[-1] // 2
+    return weights[..., :half] * np.uint8(n + 1) + weights[..., half:]
 
 
 def digit_keys(digits: np.ndarray, n: int) -> np.ndarray:
-    """Second level of the key kernel: encoded counts_keys, (4, ...) uint64.
+    """Second level of the key kernel: encoded counts_keys, (..., 4) uint64.
 
-    digits holds `pair_digits` of shape (S/2, 4, ...), the four preimage
+    digits holds `pair_digits` of shape (..., 4, S/2), the four preimage
     cosets base first.  Two pair digits make one uint16 table index, so one
-    gather covers four subsets.  Row 0 of the result is the base coset's
-    number, rows 1..3 the other three put in ascending order by a min/max
-    network: equal rows mean equal counts_keys.
+    gather covers four subsets.  The result's last axis holds the cosets'
+    numbers in `sort_coset_keys` order: equal rows mean equal counts_keys.
     """
     pair, quad = _digit_tables(n)
-    if len(digits) == 1:  # n = 2: two subsets, one pair digit
-        keys = pair[digits[0]]
+    if digits.shape[-1] == 1:  # n = 2: two subsets, one pair digit
+        keys = pair[digits[..., 0]]
     else:
-        quarter = len(digits) // 2
-        index = digits[:quarter] * np.uint16((n + 1) ** 2) + digits[quarter:]
-        keys = np.take(quad, index).sum(axis=0)
-    x, y, z = keys[1:]
+        quarter = digits.shape[-1] // 2
+        index = digits[..., :quarter] * np.uint16((n + 1) ** 2) + digits[..., quarter:]
+        # gathered with the subsets first, the sum runs over whole rows
+        keys = np.take(quad, np.moveaxis(index, -1, 0)).sum(axis=0)
+    return sort_coset_keys(keys)
+
+
+def sort_coset_keys(keys: np.ndarray) -> np.ndarray:
+    """Sort the X, Y and Z cosets' numbers, entries 1..3 of the last axis, in place."""
+    x, y, z = keys[..., 1], keys[..., 2], keys[..., 3]
     lo = np.minimum(np.minimum(x, y), z)
     hi = np.maximum(np.maximum(x, y), z)
-    keys[1:] = lo, x ^ y ^ z ^ lo ^ hi, hi
+    keys[..., 1], keys[..., 2], keys[..., 3] = lo, x ^ y ^ z ^ lo ^ hi, hi
     return keys

@@ -16,17 +16,15 @@ minima of the graphs on m-1 nodes under the relabelings that keep those
 neighbours first.  No step ranges over all 2^21 labelled graphs on 7 nodes.
 
 The per-case work is a set of identity-weight histograms over the four
-preimage cosets; the batch engine below evaluates them vectorised over all
-graph classes at once, encoding each histogram into one 64-bit key.  For a
-subset s of the non-kept pairs, each coset shifts the X-part by one of
-{0, a, b, a^b}, chosen by the parity b.s, so a shift table built once per n
-(identity weight per subset, shift and graph class) turns every (a, b) pair
-into one gather.  The key kernel of `states` (`pair_digits`, `digit_keys`)
-then folds two subsets into one pair digit and two pair digits into one
-lookup in a table of (n+1)^4 key shares, so one gathered word covers four
-subsets.  Deduplication is exact: each block of key rows keeps its first
-occurrences, and one more pass over the survivors of all blocks keeps the
-first case of every distinct key.
+preimage cosets, each encoded into one 64-bit key.  A subset s of the
+non-kept pairs gives one vector to each coset, whose X-shift, one of
+{0, a, b, a^b}, and kept-pair bits are fixed by the parities (a.s, b.s), so
+each key is a weighted sum over the four classes of subsets with equal
+parities.  Those class sums are read off a Walsh-Hadamard transform over s,
+built once per block of graph classes and shared by every (a, b) pair: a
+gather of 16 entries per graph per pair.  Deduplication is exact: each
+block of key rows keeps its first occurrences, and one more pass over the
+survivors of all blocks keeps the first case of every distinct key.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 from .blocks import ordered_calls
 from .gf2 import SymplecticMatrix
 from .metrics import CurveSet
-from .states import DistStats, digit_keys, pair_digits, stats_from_counts, werner_coeff_rows
+from .states import DistStats, sort_coset_keys, stats_from_counts, werner_coeff_rows
 
 # werner_counts is no longer called here; it stays importable from this module
 # because perfbench/spans.py wraps it by name on bicliff.werner.
@@ -307,64 +305,74 @@ class Protocol:
 # Batched statistics keys
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _tables(n: int):
-    """The vectorised per-graph tables for one n, built once per process.
+# Subsets s are in class k = a.s + 2 b.s.  Coset c (order I, X, Y, Z) reads
+# class k at entry [c][k] of a flat (class, X-shift) block, the shift being
+# the one of [0, a, b, a^b] that b.s and c pick, and weighs it 129^(1 - kept):
+# the kept pair is at identity in class (0, 2, 3, 1)[c].  Tuples, not arrays,
+# so that importing builds nothing.
+_TERMS = ((0, 4, 9, 13), (1, 5, 8, 12), (3, 7, 10, 14), (2, 6, 11, 15))
+_WEIGHTS = ((1, 129, 129, 129), (129, 129, 1, 129), (129, 129, 129, 1), (129, 1, 129, 129))
 
-    idw[s, t, g] is the identity weight of the non-kept pairs of subset s
-    under graph g when the X-rest is shifted by t: m - |(R_g[s] ^ t) | s|.
-    """
-    m = n - 1
-    graphs = graphs_up_to_iso(m)
-    g_count = len(graphs)
-    size = 1 << m
-    erows = _adjacency(graphs, m).T.astype(np.uint32)
-    subsets = np.arange(size, dtype=np.uint32)
-    row_xors = np.zeros((g_count, size), dtype=np.uint32)
-    for k in range(m):
-        sel = ((subsets >> k) & 1) == 1
-        row_xors[:, sel] ^= erows[:, k : k + 1]
-    pop = np.array([int(s).bit_count() for s in range(size)], dtype=np.uint8)
-    idw = np.empty((size, size, g_count), dtype=np.uint8)
-    for t in range(size):
-        idw[:, t, :] = (m - pop[(row_xors ^ np.uint32(t)) | subsets]).T
-    parity = (pop & 1).astype(bool)
-    return idw, subsets, parity
+_BLOCK_GRAPHS = 48  # graph classes per transform (a 6.3 MB table at n = 8)
+_BLOCK_PAIRS = 128  # (a, b) pairs per gather from it
 
 
-# kept-pair shifts (alpha, beta) of the cosets I, X, Y, Z
-_ALPHA = np.array([0, 1, 1, 0])
-_BETA = np.array([0, 0, 1, 1])
+def _butterfly(x: np.ndarray, y: np.ndarray) -> None:
+    """(x, y) <- (x + y, x - y), in place."""
+    x += y
+    y *= -2
+    y += x
 
 
-def _pair_keys(n: int, a: int, b: int) -> np.ndarray:
-    """Per-graph dedup keys for one (a, b) pair: (G, 4) uint64.
+def _block_keys(n: int, masks: list) -> np.ndarray:
+    """Dedup keys of some graph classes under every (a, b) pair: (pairs, G, 4).
 
     Column 0 encodes the base-coset histogram, columns 1..3 the sorted other
-    three (`states.digit_keys`).  Derived from the closed form of the
-    representative's inverse: a subset s of the (n-1) non-kept rows has
-    X-rest R[s] ^ ((b.s)^alpha)*a ^ beta*b, Z-rest s, and kept-pair bits
-    (alpha^(b.s), beta^(a.s)).  The X-shift is one of {0, a, b, a^b}, picked
-    by b.s, so the identity weights of all graphs are one gather from the
-    shift table, with the subsets on axis 0.  The kept pair adds one to the
-    identity weight where both its bits are zero; that increment depends on
-    the subset and coset only, so it is added once to the (2^(n-2), 4) pair
-    digits rather than to the weights of every graph.
+    three, as `states.encode_counts_key` does: each vector of identity weight
+    w adds 129^(n-w).  By the closed form of the representative's inverse, a
+    subset s of the m = n-1 non-kept rows has X-rest R[s] ^ t, with R[s] the
+    xor of the graph's adjacency rows in s and t one of [0, a, b, a^b], so
+    its identity weight is m - P[s, t], P = popcount((R[s] ^ t) | s), plus
+    one where the kept pair's bits are zero, which depends on (a.s, b.s) and
+    the coset alone.  A key is therefore a sum of class sums C[k, t] of
+    129^P over the subsets of class k = a.s + 2 b.s, each times 129 or, on
+    the kept class, 1.  Poisson summation gives 4 C[k, t] = Ê[0, t] ± Ê[a, t]
+    ± Ê[b, t] ± Ê[a^b, t], Ê the Walsh-Hadamard transform of 129^P over s,
+    so one transform per block of graphs serves every pair: a gather of 16
+    entries per graph and two butterflies.
+
+    |Ê| <= 2^m 129^m and 4 C <= 2^(n+1) 129^(n-1) < 2^63 for n <= 8, so the
+    int64 arithmetic is exact; a key is at most 2^(n-1) 129^n < 2^64, summed
+    in uint64.
     """
-    idw, subsets, parity = _tables(n)
-    b_dot = parity[np.bitwise_and(np.uint32(b), subsets)][:, None]
-    a_dot = parity[np.bitwise_and(np.uint32(a), subsets)][:, None]
-    shift_off = np.array([0, a, a ^ b, b])  # X-shift where b.s = 0
-    shift_on = np.array([a, 0, b, a ^ b])  # X-shift where b.s = 1
-    shifts = np.where(b_dot, shift_on, shift_off)  # (2^(n-1), 4)
-    kept = ((b_dot == _ALPHA) & (a_dot == _BETA)).astype(np.uint8)
-    digits = pair_digits(idw[subsets[:, None], shifts], n)  # (2^(n-2), 4, G)
-    digits += pair_digits(kept, n)[:, :, None]
-    return digit_keys(digits, n).T
-
-
-def _chunk_keys(n: int, pairs: list) -> np.ndarray:
-    return np.vstack([_pair_keys(n, a, b) for a, b in pairs])
+    m = n - 1
+    size = 1 << m
+    subsets = np.arange(size, dtype=np.uint8)
+    rows = _adjacency(masks, m).astype(np.uint8)
+    row_xors = np.zeros((size, len(masks)), dtype=np.uint8)
+    for k in range(m):
+        row_xors[1 << k : 2 << k] = row_xors[: 1 << k] ^ rows[k]
+    nonid = np.bitwise_count((row_xors[:, None] ^ subsets[:, None]) | subsets[:, None, None])
+    table = (np.int64(129) ** np.arange(m + 1))[nonid]  # [s, t, graph]
+    for h in (1 << k for k in range(m)):  # transform over s, in place
+        halves = table.reshape(size // (2 * h), 2, h, -1)
+        _butterfly(halves[:, 0], halves[:, 1])
+    a, b = np.array(list(ab_pairs(m))).T
+    shifts = np.stack([np.zeros_like(a), a, b, a ^ b], axis=1)
+    keys = np.empty((len(shifts), len(masks), 4), dtype=np.uint64)
+    for lo in range(0, len(shifts), _BLOCK_PAIRS):
+        shift = shifts[lo : lo + _BLOCK_PAIRS]
+        sums = table[shift[:, :, None], shift[:, None, :]]  # [pair, character, t, graph]
+        chars = sums.reshape(len(shift), 2, 2, 4, -1)  # character b bit, a bit
+        _butterfly(chars[:, :, 0], chars[:, :, 1])
+        _butterfly(chars[:, 0], chars[:, 1])
+        sums >>= 2  # the class sums C
+        terms = sums.reshape(len(shift), 16, -1).view(np.uint64)[:, _TERMS]
+        terms *= np.array(_WEIGHTS, dtype=np.uint64)[:, :, None]
+        rows = keys[lo : lo + _BLOCK_PAIRS]
+        rows[...] = terms.sum(axis=2).transpose(0, 2, 1)
+        sort_coset_keys(rows)
+    return keys
 
 
 def counts_from_key(key: int, n: int) -> tuple:
@@ -376,26 +384,22 @@ def counts_from_key(key: int, n: int) -> tuple:
     return tuple(out)
 
 
-_CHUNK_PAIRS = 64  # (a, b) pairs per work unit
-
-
 def all_case_keys(n: int, jobs: int = 1) -> np.ndarray:
     """Dedup keys of every case, in canonical case order: (cases, 4) uint64.
 
-    Chunks of (a, b) pairs are keyed in order (on `jobs` worker processes
-    when jobs > 1) and each lands in its rows of one preallocated array.
+    Blocks of graph classes are keyed in order (on `jobs` worker processes
+    when jobs > 1), each under every (a, b) pair, and land in their columns
+    of one preallocated (pairs, graphs, 4) array.
     """
     _check_enum_n(n)
-    pairs = list(ab_pairs(n - 1))
-    calls = [(n, pairs[i : i + _CHUNK_PAIRS]) for i in range(0, len(pairs), _CHUNK_PAIRS)]
-    per_pair = _tables(n)[0].shape[2]  # one key row per graph class
-    keys = np.empty((len(pairs) * per_pair, 4), dtype=np.uint64)
-    start = 0
+    graphs = graphs_up_to_iso(n - 1)
+    starts = range(0, len(graphs), _BLOCK_GRAPHS)
+    calls = [(n, graphs[lo : lo + _BLOCK_GRAPHS]) for lo in starts]
+    keys = np.empty((count_ab_pairs(n - 1), len(graphs), 4), dtype=np.uint64)
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        for arr in ordered_calls(_chunk_keys, calls, pool, jobs):
-            keys[start : start + len(arr)] = arr
-            start += len(arr)
-    return keys
+        for lo, block in zip(starts, ordered_calls(_block_keys, calls, pool, jobs)):
+            keys[:, lo : lo + _BLOCK_GRAPHS] = block
+    return keys.reshape(-1, 4)
 
 
 _DEDUP_ROWS = 1 << 16  # key rows deduplicated per block before the merge

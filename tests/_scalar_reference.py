@@ -4,6 +4,7 @@ Each function here is the straightforward per-item loop that a vectorised
 routine in `bicliff` replaced; tests check the two against each other.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -19,8 +20,8 @@ from bicliff.dejmps import (
     werner_leaf,
 )
 from bicliff.gf2 import SymplecticMatrix, random_symplectic, rref, solve_gf2, swap_halves
-from bicliff.groups import coset_key, dn_index
-from bicliff.states import counts_key, numeric_stats, werner_counts
+from bicliff.groups import dn_index
+from bicliff.states import DistStats, counts_key
 from bicliff.werner import _edge_list, _permuted_mask_map
 
 
@@ -77,6 +78,59 @@ def preimage_oracle(m, n):
         if w & x_rest == 0:
             cosets[_KEPT_INDEX[(w & 1, (w >> n) & 1)]].append(v)
     return cosets
+
+
+def preimage_cosets(m) -> list:
+    """Preimages of the four base cosets, order I, X, Y, Z, in the order of
+    `states.preimage_index`.
+
+    Vector j of coset k is M^-1 applied to the base vector whose Z-bits on
+    pairs 2..n are the bits of j, plus the kept pair's Pauli k.  The columns
+    of M^-1 come from `SymplecticMatrix.inverse`, one XOR per vector.
+    """
+    n = m.n
+    cols = m.inverse().cols
+    base = [0]
+    for col in cols[n + 1 : 2 * n]:
+        base += [v ^ col for v in base]
+    x, z = cols[0], cols[n]
+    return [[v ^ s for v in base] for s in (0, x, x ^ z, z)]
+
+
+def numeric_stats(m, state):
+    """`states.numeric_stats` of one matrix, from `preimage_cosets`.
+
+    Each coset's probabilities are summed as one numpy row, as the batched
+    forms sum them, so the results agree bit for bit.
+    """
+    if m.inverse() @ m != SymplecticMatrix.identity(m.n):
+        raise ValueError("matrix is not symplectic")
+    sums = state.probs[np.array(preimage_cosets(m))].sum(axis=-1)
+    return DistStats.from_coset_sums(*sums.tolist())
+
+
+def coset_key(m) -> tuple:
+    """`groups.coset_key`: the reduced basis of the base preimage, spanned by
+    columns n+1..2n-1 of M^-1."""
+    return rref(m.inverse().cols[m.n + 1 :])
+
+
+@lru_cache(maxsize=None)
+def _identity_weights(n: int) -> list:
+    mask = (1 << n) - 1
+    return [n - ((v | v >> n) & mask).bit_count() for v in range(1 << (2 * n))]
+
+
+def werner_counts(m) -> tuple:
+    """`states.werner_counts`: identity-weight histograms of `preimage_cosets`."""
+    weights = _identity_weights(m.n)
+    out = []
+    for coset in preimage_cosets(m):
+        hist = [0] * (m.n + 1)
+        for v in coset:
+            hist[weights[v]] += 1
+        out.append(tuple(hist))
+    return tuple(out)
 
 
 def propagated_graph_classes(m: int) -> tuple:
@@ -143,7 +197,7 @@ def synth_block(n, seed, block, size, key, allow_swap):
             rows[0], rows[sw] = rows[sw], rows[0]
             rows[n], rows[n + sw] = rows[n + sw], rows[n]
 
-        if counts_key(werner_counts(SymplecticMatrix(n, rows), n)) != key:
+        if counts_key(werner_counts(SymplecticMatrix(n, rows))) != key:
             continue
         hits += 1
         circ = _rebuild(n, [down[t] for t in chosen], czm, sw)

@@ -182,33 +182,41 @@ def test_batch_keys_match_scalar_path():
             assert sorted(got[1:]) == sorted(counts[1:])
 
 
-def test_batch_keys_match_scalar_large_n():
-    from bicliff.werner import _pair_keys
+def _keys_by_pair(n, graphs=None):
+    """Key rows of the given graph classes (default: all), one block per (a, b) pair."""
+    from bicliff.werner import _block_keys
 
+    if graphs is None:
+        return all_case_keys(n).reshape(count_ab_pairs(n - 1), -1, 4)
+    return _block_keys(n, graphs)
+
+
+def test_batch_keys_match_scalar_large_n():
     for n in (5, 8):
         graphs = graphs_up_to_iso(n - 1)
         pairs = list(ab_pairs(n - 1))
         rng = np.random.default_rng(10 * n)
         for _ in range(4):
-            a, b = pairs[int(rng.integers(len(pairs)))]
-            keys = _pair_keys(n, a, b)
-            for g in rng.integers(0, len(graphs), size=3):
-                case = WernerCase(n, a, b, graphs[int(g)])
+            p = int(rng.integers(len(pairs)))
+            sample = [graphs[int(g)] for g in rng.integers(0, len(graphs), size=3)]
+            for e, key in zip(sample, _keys_by_pair(n, sample)[p]):
+                case = WernerCase(n, *pairs[p], e)
                 counts = werner_counts(build_representative(case), n)
-                got = tuple(counts_from_key(k, n) for k in keys[int(g)])
+                got = tuple(counts_from_key(k, n) for k in key)
                 assert got[0] == counts[0]
                 assert sorted(got[1:]) == sorted(counts[1:])
 
 
-def _bincount_pair_keys(n, a, b):
+def _bincount_pair_keys(n, a, b, graphs=None):
     """Reference keys for one (a, b) pair: per-subset popcounts and bincount.
 
-    Independent of the shift table: builds each graph's subset row-xors,
-    applies the coset's X-shift per subset, histograms identity weights with
-    bincount and encodes the histogram as base-129 digits.
+    Independent of the Walsh-Hadamard kernel: builds each graph's subset
+    row-xors, applies the coset's X-shift per subset, histograms identity
+    weights with bincount and encodes the histogram as base-129 digits.
     """
     m = n - 1
-    graphs = graphs_up_to_iso(m)
+    if graphs is None:
+        graphs = graphs_up_to_iso(m)
     size = 1 << m
     subsets = np.arange(size, dtype=np.uint32)
     row_xors = np.zeros((len(graphs), size), dtype=np.uint32)
@@ -243,18 +251,29 @@ def _bincount_pair_keys(n, a, b):
 
 
 def test_pair_keys_match_bincount_reference():
-    from bicliff.werner import _pair_keys
-
     for n in range(2, 9):
         pairs = list(ab_pairs(n - 1))
-        if n <= 4:  # every pair, down to n = 2, where one pair digit holds every subset
-            sample = pairs
+        if n <= 6:  # every pair, down to n = 2, where one pair holds two subsets
+            sample = range(len(pairs))
         else:
             rng = np.random.default_rng(100 + n)
-            sample = [pairs[0], pairs[-1]]
-            sample += [pairs[int(i)] for i in rng.integers(len(pairs), size=3)]
-        for a, b in sample:
-            assert np.array_equal(_pair_keys(n, a, b), _bincount_pair_keys(n, a, b))
+            sample = [0, len(pairs) - 1, *rng.integers(len(pairs), size=3)]
+        keys = _keys_by_pair(n)
+        for p in sample:
+            assert np.array_equal(keys[p], _bincount_pair_keys(n, *pairs[p])), pairs[p]
+
+
+def test_keys_at_the_int64_headroom():
+    # the empty graph keeps every non-identity count at its smallest, the
+    # complete graph on 7 nodes makes them large, and with (0, 0) the base
+    # coset's transform entry is the full sum 2^7 * 129^P
+    n = 8
+    graphs = [0, (1 << 21) - 1]
+    assert graphs[1] == graphs_up_to_iso(n - 1)[-1]
+    pairs = list(ab_pairs(n - 1))
+    keys = _keys_by_pair(n, graphs)
+    for p in (0, pairs.index((0, 127)), len(pairs) - 1):
+        assert np.array_equal(keys[p], _bincount_pair_keys(n, *pairs[p], graphs)), pairs[p]
 
 
 # --- deduplication -----------------------------------------------------------------
@@ -347,9 +366,12 @@ def test_jobs_invariance():
 def test_case_keys_independent_of_chunk_size(monkeypatch, jobs):
     import bicliff.werner as werner
 
-    default = all_case_keys(5)
-    monkeypatch.setattr(werner, "_CHUNK_PAIRS", 8)  # 51 (a, b) pairs in 7 chunks
-    assert np.array_equal(all_case_keys(5, jobs=jobs), default)
+    default = {n: all_case_keys(n) for n in (5, 6)}
+    for block in (1, 3, 7):  # 11 and 34 graph classes; 51 and 187 (a, b) pairs
+        monkeypatch.setattr(werner, "_BLOCK_GRAPHS", block)
+        monkeypatch.setattr(werner, "_BLOCK_PAIRS", block)
+        for n, want in default.items():
+            assert np.array_equal(all_case_keys(n, jobs=jobs), want), (n, block)
 
 
 def test_n2_case_stats_distinct(protocols_for):
