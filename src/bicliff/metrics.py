@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import log2
 
 import numpy as np
@@ -117,14 +116,13 @@ class CurveSet:
             out += coeffs[..., k, None]
         return out
 
-    @cached_property
-    def fis(self) -> np.ndarray:
-        """X/Y/Z coset sums in the order of `DistStats`, shape (protocols, 3, grid).
+    def fis(self, rows=slice(None)) -> np.ndarray:
+        """X/Y/Z coset sums of protocols[rows] in `DistStats` order: (protocols, 3, grid).
 
         That order compares rows with trailing zeros trimmed, so (a, b, 0)
         sorts before (a, b, c) even for c < 0.
         """
-        rest = self.coeffs[:, 1:]
+        rest = self.coeffs[rows, 1:]
         order = [sorted(range(3), key=lambda k: np.trim_zeros(r[k], "b").tolist()) for r in rest]
         order = np.array(order, dtype=np.intp).reshape(-1, 3, 1)
         return self._on_grid(np.take_along_axis(rest, order, axis=1))
@@ -132,26 +130,36 @@ class CurveSet:
     def best_fidelity(self) -> np.ndarray:
         return (self.f / self.p).max(axis=0)
 
-    def _output_coeffs(self) -> np.ndarray:
+    def _output_coeffs(self, rows) -> np.ndarray:
         """Normalised (F, F1, F2, F3), shape (protocols, 4, grid points)."""
-        coeffs = np.concatenate([self.f[:, None, :], self.fis], axis=1)
-        coeffs /= self.p[:, None, :]
+        coeffs = np.concatenate([self.f[rows, None, :], self.fis(rows)], axis=1)
+        coeffs /= self.p[rows, None, :]
         return coeffs
 
+    def _max_by_slices(self, values) -> np.ndarray:
+        """Pointwise maximum of values(rows), (protocols, grid), over 64 protocols
+        at a time, so that the (protocols, 4, grid) arrays behind it stay small."""
+        slices = (slice(lo, lo + 64) for lo in range(0, len(self.p), 64))
+        return np.max([values(rows).max(axis=0) for rows in slices], axis=0)
+
     def best_yield(self, n: int) -> np.ndarray:
-        coeffs = self._output_coeffs()
-        terms = np.log2(coeffs, where=coeffs > 0, out=np.zeros_like(coeffs))
-        terms *= coeffs
-        entropy = -terms.sum(axis=1)
-        rate = np.clip(1.0 - entropy, 0.0, None) * self.p / n
-        return rate.max(axis=0)
+        def rate(rows):
+            coeffs = self._output_coeffs(rows)
+            terms = np.log2(coeffs, where=coeffs > 0, out=np.zeros_like(coeffs))
+            terms *= coeffs
+            entropy = -terms.sum(axis=1)
+            return np.clip(1.0 - entropy, 0.0, None) * self.p[rows] / n
+
+        return self._max_by_slices(rate)
 
     def best_ree(self) -> np.ndarray:
-        fmax = self._output_coeffs().max(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = -(fmax * np.log2(fmax) + (1 - fmax) * np.log2(1 - fmax))
-        ree = np.where(fmax > 0.5, 1.0 - np.where(fmax < 1, h, 0.0), 0.0)
-        return (ree * self.p).max(axis=0)
+        def ree(rows):
+            fmax = self._output_coeffs(rows).max(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = -(fmax * np.log2(fmax) + (1 - fmax) * np.log2(1 - fmax))
+            return np.where(fmax > 0.5, 1.0 - np.where(fmax < 1, h, 0.0), 0.0) * self.p[rows]
+
+        return self._max_by_slices(ree)
 
     def best_target_rate(self, f_tar: float, n: int) -> np.ndarray:
         """Largest p_suc/n among protocols whose F_out reaches f_tar, else 0.

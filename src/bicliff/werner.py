@@ -22,9 +22,10 @@ non-kept pairs gives one vector to each coset, whose X-shift, one of
 each key is a weighted sum over the four classes of subsets with equal
 parities.  Those class sums are read off a Walsh-Hadamard transform over s,
 built once per block of graph classes and shared by every (a, b) pair: a
-gather of 16 entries per graph per pair.  Deduplication is exact: each
-block of key rows keeps its first occurrences, and one more pass over the
-survivors of all blocks keeps the first case of every distinct key.
+gather of 16 entries per graph per pair.  Deduplication streams: each block
+of graph classes is keyed and reduced to its first occurrences at once, so
+only the survivors of all blocks are ever held together, and one more pass
+over them, in case order, keeps the first case of every distinct key.
 """
 
 from __future__ import annotations
@@ -315,6 +316,7 @@ _WEIGHTS = ((1, 129, 129, 129), (129, 129, 1, 129), (129, 129, 129, 1), (129, 1,
 
 _BLOCK_GRAPHS = 48  # graph classes per transform (a 6.3 MB table at n = 8)
 _BLOCK_PAIRS = 128  # (a, b) pairs per gather from it
+_HASH_MIX = 0x9E3779B97F4A7C15  # odd base of the polynomial row hash in `first_rows`
 
 
 def _butterfly(x: np.ndarray, y: np.ndarray) -> None:
@@ -324,8 +326,8 @@ def _butterfly(x: np.ndarray, y: np.ndarray) -> None:
     y += x
 
 
-def _block_keys(n: int, masks: list) -> np.ndarray:
-    """Dedup keys of some graph classes under every (a, b) pair: (pairs, G, 4).
+def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
+    """Dedup keys of some graph classes under every (a, b) pair, into keys: (pairs, G, 4).
 
     Column 0 encodes the base-coset histogram, columns 1..3 the sorted other
     three, as `states.encode_counts_key` does: each vector of identity weight
@@ -359,7 +361,6 @@ def _block_keys(n: int, masks: list) -> np.ndarray:
         _butterfly(halves[:, 0], halves[:, 1])
     a, b = np.array(list(ab_pairs(m))).T
     shifts = np.stack([np.zeros_like(a), a, b, a ^ b], axis=1)
-    keys = np.empty((len(shifts), len(masks), 4), dtype=np.uint64)
     for lo in range(0, len(shifts), _BLOCK_PAIRS):
         shift = shifts[lo : lo + _BLOCK_PAIRS]
         sums = table[shift[:, :, None], shift[:, None, :]]  # [pair, character, t, graph]
@@ -372,7 +373,6 @@ def _block_keys(n: int, masks: list) -> np.ndarray:
         rows = keys[lo : lo + _BLOCK_PAIRS]
         rows[...] = terms.sum(axis=2).transpose(0, 2, 1)
         sort_coset_keys(rows)
-    return keys
 
 
 def counts_from_key(key: int, n: int) -> tuple:
@@ -384,38 +384,26 @@ def counts_from_key(key: int, n: int) -> tuple:
     return tuple(out)
 
 
-def all_case_keys(n: int, jobs: int = 1) -> np.ndarray:
-    """Dedup keys of every case, in canonical case order: (cases, 4) uint64.
-
-    Blocks of graph classes are keyed in order (on `jobs` worker processes
-    when jobs > 1), each under every (a, b) pair, and land in their columns
-    of one preallocated (pairs, graphs, 4) array.
-    """
+def all_case_keys(n: int, graphs: list | None = None) -> np.ndarray:
+    """Dedup keys of every case over the given graph classes (default: all),
+    pair-major: (pairs x graphs, 4) uint64.  Blocks of `_BLOCK_GRAPHS` classes
+    are keyed under every (a, b) pair straight into their columns."""
     _check_enum_n(n)
-    graphs = graphs_up_to_iso(n - 1)
-    starts = range(0, len(graphs), _BLOCK_GRAPHS)
-    calls = [(n, graphs[lo : lo + _BLOCK_GRAPHS]) for lo in starts]
+    graphs = graphs_up_to_iso(n - 1) if graphs is None else graphs
     keys = np.empty((count_ab_pairs(n - 1), len(graphs), 4), dtype=np.uint64)
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        for lo, block in zip(starts, ordered_calls(_block_keys, calls, pool, jobs)):
-            keys[:, lo : lo + _BLOCK_GRAPHS] = block
+    for lo in range(0, len(graphs), _BLOCK_GRAPHS):
+        _block_keys(n, graphs[lo : lo + _BLOCK_GRAPHS], keys[:, lo : lo + _BLOCK_GRAPHS])
     return keys.reshape(-1, 4)
 
 
-_DEDUP_ROWS = 1 << 16  # key rows deduplicated per block before the merge
-
-
-def first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Ascending row indices of the first occurrence of each distinct key row.
-
-    Each block of rows is deduplicated on its own, then the survivors of all
-    blocks once more, so no sort ever spans the whole key array.
-    """
-    survivors = np.concatenate([
-        start + first_rows(keys[start : start + _DEDUP_ROWS])
-        for start in range(0, len(keys), _DEDUP_ROWS)
-    ])
-    return survivors[first_rows(keys[survivors])]
+def _first_cases(n: int, graphs: list, lo: int, total: int) -> tuple:
+    """(case indices, key rows) of the first occurrences among the cases of graph
+    classes lo, lo+1, ... out of `total`.  `all_case_keys` is looked up by name
+    on every call, so a probe put on `werner.all_case_keys` sees each block."""
+    keys = all_case_keys(n, graphs)
+    first = first_rows(keys)
+    pair, graph = np.divmod(first, len(graphs))
+    return pair * total + lo + graph, keys[first]
 
 
 def distinct_protocols(n: int, jobs: int = 1) -> list:
@@ -424,17 +412,23 @@ def distinct_protocols(n: int, jobs: int = 1) -> list:
     Cases are scanned in the canonical order and deduplicated on the exact
     statistics key (base histogram plus sorted multiset of the other three);
     the first case producing each key supplies the stored representative.
+    Each block of `_BLOCK_GRAPHS` graph classes is deduplicated on its own (on
+    `jobs` worker processes when jobs > 1), then the survivors of all blocks.
     """
-    keys = all_case_keys(n, jobs=jobs)
+    _check_enum_n(n)
     graphs = graphs_up_to_iso(n - 1)
-    g_count = len(graphs)
+    starts = range(0, len(graphs), _BLOCK_GRAPHS)
+    calls = [(n, graphs[lo : lo + _BLOCK_GRAPHS], lo, len(graphs)) for lo in starts]
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        index, keys = map(np.concatenate, zip(*ordered_calls(_first_cases, calls, pool, jobs)))
+    order = np.argsort(index)
+    first = order[first_rows(keys[order])]
     pairs = list(ab_pairs(n - 1))
     protocols = []
-    for idx in first_occurrences(keys):
-        idx = int(idx)
-        a, b = pairs[idx // g_count]
-        case = WernerCase(n, a, b, graphs[idx % g_count])
-        counts = tuple(counts_from_key(k, n) for k in keys[idx])
+    for idx, row in zip(index[first].tolist(), keys[first]):
+        a, b = pairs[idx // len(graphs)]
+        case = WernerCase(n, a, b, graphs[idx % len(graphs)])
+        counts = tuple(counts_from_key(k, n) for k in row)
         protocols.append(Protocol(n, build_representative(case), counts, case, idx))
     return protocols
 
@@ -478,16 +472,28 @@ def first_rows(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct row.
 
     Rows (the slices along axis 0) are compared by their bytes, as
-    `tobytes()` would: a stable lexsort groups equal rows with the earliest
-    first, and each group's head is where a row differs from its predecessor.
+    `tobytes()` would.  One sort of 64-bit row hashes, their low bits replaced by
+    the row index, orders the rows by hash, then by index.  Equal rows hash
+    alike, so a row equal to the one before it in that order is never a first
+    occurrence, whatever the hash; a stable lexsort of the others is exact.
     """
     flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:], dtype=int))
     flat = flat.view(f"u{flat.itemsize}")
-    order = np.lexsort(flat.T)
-    ordered = flat[order]
-    new = np.ones(len(flat), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return np.sort(order[new])
+    hashes = flat @ np.cumprod(np.full(flat.shape[1], _HASH_MIX, dtype=np.uint64))
+    bits = max(len(flat) - 1, 0).bit_length()
+    packed = np.sort(hashes >> bits << bits | np.arange(len(flat), dtype=np.uint64))
+    candidates = np.sort(_heads(flat, (packed & ((1 << bits) - 1)).astype(np.intp)))
+    cand = flat[candidates]
+    return np.sort(candidates[_heads(cand, np.lexsort(cand.T))])
+
+
+def _heads(flat: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The entries of order whose row differs from the row before it in order."""
+    ordered = np.take(flat, order, axis=0)
+    new = np.ones(len(order), dtype=bool)
+    # a boolean product with ones is a row-wise any, and far faster on narrow rows
+    new[1:] = (ordered[1:] != ordered[:-1]) @ np.ones(flat.shape[1], dtype=bool)
+    return order[new]
 
 
 def best_fidelity_protocol(

@@ -127,7 +127,7 @@ def _assert_curves_match_stats(coeffs, denom, grid):
         assert curves.p[i].tobytes() == poly_on_grid(stats.p_suc, grid).tobytes()
         assert curves.f[i].tobytes() == poly_on_grid(stats.f_num, grid).tobytes()
         for k, q in enumerate(stats.fi_nums):
-            assert curves.fis[i, k].tobytes() == poly_on_grid(q, grid).tobytes()
+            assert curves.fis()[i, k].tobytes() == poly_on_grid(q, grid).tobytes()
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from bicliff.werner import (
     case_count,
     count_ab_pairs,
     counts_from_key,
+    distinct_protocols,
     enumerate_cases,
-    first_occurrences,
     first_rows,
     graph_adjacency_rows,
     graphs_up_to_iso,
@@ -184,11 +185,7 @@ def test_batch_keys_match_scalar_path():
 
 def _keys_by_pair(n, graphs=None):
     """Key rows of the given graph classes (default: all), one block per (a, b) pair."""
-    from bicliff.werner import _block_keys
-
-    if graphs is None:
-        return all_case_keys(n).reshape(count_ab_pairs(n - 1), -1, 4)
-    return _block_keys(n, graphs)
+    return all_case_keys(n, graphs).reshape(count_ab_pairs(n - 1), -1, 4)
 
 
 def test_batch_keys_match_scalar_large_n():
@@ -283,22 +280,45 @@ def _unique_rows_first(keys):
     return np.sort(np.unique(keys, axis=0, return_index=True)[1])
 
 
+def _case_indices(n):
+    return [p.case_index for p in distinct_protocols(n)]
+
+
 def test_hashed_dedup_matches_row_unique():
     for n in range(2, 7):
-        keys = all_case_keys(n)
-        assert np.array_equal(first_occurrences(keys), _unique_rows_first(keys))
+        assert _case_indices(n) == _unique_rows_first(all_case_keys(n)).tolist(), n
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_dedup_across_blocks_matches_row_unique(monkeypatch, block):
     import bicliff.werner as werner
 
-    # tiny blocks put most duplicates in different blocks, so the merge of
-    # the block survivors does nearly all of the work
-    monkeypatch.setattr(werner, "_DEDUP_ROWS", block)
-    for n in range(2, 7):
-        keys = all_case_keys(n)
-        assert np.array_equal(werner.first_occurrences(keys), _unique_rows_first(keys))
+    # tiny graph blocks put most duplicates in different blocks, so the merge
+    # of the block survivors does nearly all of the work
+    want = {n: _unique_rows_first(all_case_keys(n)).tolist() for n in range(2, 7)}
+    monkeypatch.setattr(werner, "_BLOCK_GRAPHS", block)
+    for n, first in want.items():
+        assert _case_indices(n) == first, n
+
+
+def test_distinct_protocols_stream_graph_blocks(monkeypatch):
+    # every key row the enumeration reads comes from a call on at most one
+    # block of graph classes, and the calls together cover every case once
+    import bicliff.werner as werner
+
+    calls = []
+    keys = werner.all_case_keys
+
+    def spy(n, graphs=None):
+        out = keys(n, graphs)
+        calls.append((len(graphs), len(out)))
+        return out
+
+    monkeypatch.setattr(werner, "all_case_keys", spy)
+    assert len(werner.distinct_protocols(7)) == DISTINCT_COUNTS[7]
+    assert len(calls) == -(-len(graphs_up_to_iso(6)) // werner._BLOCK_GRAPHS)
+    assert max(graphs for graphs, _ in calls) <= werner._BLOCK_GRAPHS
+    assert sum(rows for _, rows in calls) == case_count(7)
 
 
 def _first_rows_reference(rows):
@@ -332,6 +352,16 @@ def test_first_rows_matches_tobytes_reference(rows):
     assert first_rows(rows).tolist() == _first_rows_reference(rows)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(repeated_rows())
+def test_first_rows_matches_tobytes_reference_when_every_hash_collides(rows):
+    # a zero hash base maps every row to 0, so only the exact pass is left
+    import bicliff.werner as werner
+
+    with mock.patch.object(werner, "_HASH_MIX", 0):
+        assert first_rows(rows).tolist() == _first_rows_reference(rows)
+
+
 def test_distinct_protocol_counts_small(protocols_for):
     for n in (2, 3, 4, 5):
         assert len(protocols_for(n)) == DISTINCT_COUNTS[n]
@@ -363,15 +393,19 @@ def test_jobs_invariance():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_case_keys_independent_of_chunk_size(monkeypatch, jobs):
+def test_distinct_protocols_independent_of_block_size(monkeypatch, jobs):
     import bicliff.werner as werner
 
-    default = {n: all_case_keys(n) for n in (5, 6)}
+    def summary(n):
+        return [(p.case_index, p.counts) for p in distinct_protocols(n, jobs=jobs)]
+
+    default = {n: (all_case_keys(n), summary(n)) for n in (5, 6)}
     for block in (1, 3, 7):  # 11 and 34 graph classes; 51 and 187 (a, b) pairs
         monkeypatch.setattr(werner, "_BLOCK_GRAPHS", block)
         monkeypatch.setattr(werner, "_BLOCK_PAIRS", block)
-        for n, want in default.items():
-            assert np.array_equal(all_case_keys(n, jobs=jobs), want), (n, block)
+        for n, (keys, want) in default.items():
+            assert np.array_equal(all_case_keys(n), keys), (n, block)
+            assert summary(n) == want, (n, block)
 
 
 def test_n2_case_stats_distinct(protocols_for):
