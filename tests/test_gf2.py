@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _scalar_reference as scalar
 
 from bicliff.gf2 import (
     CNOT,
@@ -269,6 +273,30 @@ def test_parse_stream_repeats_zero_f_draws():
     coeffs, used = gf2._parse_stream(stream, 1, 1)
     assert coeffs.tolist() == [[2, 1]] and used == 4
     assert gf2._parse_stream(stream[:3], 1, 1) is None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 8),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    st.integers(-2, 40),
+    st.integers(0, (1 << 32) - 1),
+)
+def test_parse_stream_matches_scalar_chain(n, count, zero_share, extra, seed):
+    # a share of the values has its top 11 bits zero, so f draws repeat
+    rng = np.random.default_rng(seed)
+    size = max(0, 2 * n * count + extra)
+    stream = rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
+    stream[rng.random(size) < zero_share] >>= 11
+    want = scalar.parse_stream(stream, n, count)
+    got = gf2._parse_stream(stream, n, count)
+    if want is None:
+        assert got is None
+    else:
+        coeffs, used = got
+        assert coeffs.shape == (count, 2 * n)
+        assert (coeffs.tolist(), used) == want
 
 
 # --- batched reduction ---------------------------------------------------------

@@ -68,7 +68,8 @@ def test_representatives_match_scalar_completion(transversal_for):
 @pytest.mark.parametrize("max_samples", [16, 1500])
 def test_build_transversal_matches_scalar_sampler(max_samples, jobs):
     assert max_samples % SAMPLE_BLOCK
-    for n in (2, 3, 4):
+    # the n=7 keys need 84 bits, more than one packed integer holds
+    for n in (2, 3, 4, 7):
         t = build_transversal(n, seed=1, jobs=jobs, max_samples=max_samples)
         keys, samples = scalar.transversal_keys(n, 1, max_samples)
         assert [key for key, _ in _reps(t)] == sorted(keys) and t.samples_used == samples
