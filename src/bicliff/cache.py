@@ -18,7 +18,6 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +26,10 @@ from .gf2 import MAX_PAIRS, SymplecticMatrix, is_symplectic_rows
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
 from .ratpoly import poly_from_strings  # noqa: F401
-from .states import coset_histograms
+from .states import coset_histograms, encode_counts
 from .states import werner_counts  # noqa: F401
 from .transversal import Transversal, first_bad_record
-from .werner import Protocol, WernerCase
+from .werner import Protocol, WernerCase, ab_pairs, build_representative, graphs_up_to_iso
 
 MAGIC = b"BCPC\x01"
 # Werner records hold coset histograms since version 2 (before: statistic
@@ -79,7 +78,7 @@ def write_cache(path, header: dict, records: np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.write(MAGIC + struct.pack(">I", len(blob)) + blob)
-        fh.write(records.tobytes())
+        records.tofile(fh)  # from the array's own buffer, with no copy as bytes
 
 
 def _strictly_ascending(keys: np.ndarray) -> bool:
@@ -180,23 +179,30 @@ def load_transversal_cache(path):
     return header, Transversal(header["n"], keys, rows, header["complete"], header["samples"])
 
 
-def _first_bad_werner_record(rows: np.ndarray, stored: np.ndarray, n: int):
-    """`first_bad_record` of Werner records, in one batched pass.
+def _first_bad_werner_record(records: np.ndarray, n: int):
+    """`first_bad_record` of Werner records, the statistics in one batched pass.
 
-    A record is sound when its rows are symplectic and give its stored coset
-    histograms, up to the order of the three non-base cosets.
+    A record is sound when its rows are symplectic, give its stored coset
+    histograms up to the order of the three non-base cosets, and are the
+    representative of its case, the one at its index in `enumerate_cases`.
     """
-    fresh = coset_histograms(rows, n)
-    same = (fresh[:, 0] == stored[:, 0]).all(axis=-1) & np.any(
-        [(fresh[:, perm] == stored[:, 1:]).all(axis=(1, 2)) for perm in permutations((1, 2, 3))],
-        axis=0,
-    )
+    rows = records["rows"].astype(np.uint64)
     symplectic = is_symplectic_rows(rows, n)
-    bad = np.flatnonzero(~(symplectic & same))
+    same = (encode_counts(coset_histograms(rows, n)) == encode_counts(records["counts"])).all(axis=-1)
+    graphs, pairs = graphs_up_to_iso(n - 1), list(ab_pairs(n - 1))
+    fields = (records[name].tolist() for name in ("case", "index", "rows"))
+    cased = np.array([
+        index < len(pairs) * len(graphs)
+        and (a, b, e) == (*pairs[index // len(graphs)], graphs[index % len(graphs)])
+        and build_representative(WernerCase(n, a, b, e)).rows == tuple(stored)
+        for (a, b, e), index, stored in zip(*fields)
+    ], dtype=bool)
+    bad = np.flatnonzero(~(symplectic & same & cased))
     if not bad.size:
         return None
     i = int(bad[0])
-    return i, "statistics mismatch" if symplectic[i] else "representative is not symplectic"
+    problem = "case mismatch" if same[i] else "statistics mismatch"
+    return i, problem if symplectic[i] else "representative is not symplectic"
 
 
 def verify_cache(path, sample: int = 100, seed: int = 0):
@@ -204,21 +210,22 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
 
     Every stored representative must be symplectic.  Werner records: the
     stored coset histograms must equal those recomputed from the stored
-    representative, up to the order of the three non-base cosets.
+    representative, up to the order of the three non-base cosets, and the
+    stored case must be the one at the stored index and give those rows.
     Transversal records: the stored key must equal the recomputed coset key,
-    checked by `first_bad_record` as `enumerate_stats` does.  Either check
-    runs on all sampled records at once.  Returns (ok, checked, message).
+    checked by `first_bad_record` as `enumerate_stats` does.  Statistics are
+    checked for all sampled records at once.  Returns (ok, checked, message).
     """
     header, records = read_cache(path)
     n = header["n"]
     idx = np.arange(len(records))
     if len(records) > sample:
         idx = np.sort(np.random.default_rng(seed).choice(len(records), size=sample, replace=False))
-    rows = records["rows"][idx].astype(np.uint64)
     if header["mode"] == "transversal":
+        rows = records["rows"][idx].astype(np.uint64)
         bad = first_bad_record(records["key"][idx].astype(np.uint64), rows, n)
     else:
-        bad = _first_bad_werner_record(rows, records["counts"][idx], n)
+        bad = _first_bad_werner_record(records[idx], n)
     if bad is not None:
         checked, problem = bad
         return False, checked, f"record {idx[checked]}: {problem}"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import ordered_calls
 from .gf2 import CNOT, CZ, Gate, H, SWAP, SymplecticMatrix, apply_gate_rows
-from .states import counts_key, digit_keys, encode_counts_key, pair_digits, preimage_index
+from .states import counts_key, encode_counts, preimage_index, weight_keys
 
 SYNTH_BLOCK = 4096
 
@@ -202,19 +202,19 @@ def _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps) -> np.ndarray
 def _matches(rows, n: int, key) -> np.ndarray:
     """Which row sets of a block have the encoded target key, shape (size,).
 
-    Each candidate's four keys come from `states.digit_keys` on the Pauli
-    weights of its preimage cosets, popcount((v | v >> n) & (2^n - 1)).
+    Each candidate's four keys come from `states.weight_keys` on the
+    non-identity masks (v | v >> n) & (2^n - 1) of its preimage cosets.
     """
-    v = preimage_index(rows.astype(np.uint16), n)  # 2n <= 16 bits, as digit_keys needs n <= 8
+    v = preimage_index(rows.astype(np.uint16), n)  # 2n <= 16 bits, as weight_keys needs n <= 8
     v |= v >> n  # in place: a fresh temporary per step costs more than the step
     v &= (1 << n) - 1
-    return (digit_keys(pair_digits(np.bitwise_count(v), n), n) == key).all(axis=-1)
+    return (weight_keys(v, n) == key).all(axis=-1)
 
 
 def _synth_block(n, seed, block, size, key, allow_swap):
     """Scan one block of random candidates; return (hits, best) for the block.
 
-    key is the target's `encode_counts_key`.
+    key is the target's `encode_counts` row.
     best is (two_qubit_count, depth, index_in_block, payload) for the block's
     lexicographically best accepted candidate, or None.  All candidates are
     compiled and tested as arrays; only accepted ones become circuits.
@@ -291,8 +291,7 @@ def synthesize(
     early (at a block boundary) once that many accepted candidates are seen.
     """
     n = target.n
-    key = target_key(target)
-    encoded = encode_counts_key(key)
+    encoded = encode_counts(target.counts)
     nblocks = (budget + SYNTH_BLOCK - 1) // SYNTH_BLOCK
     sizes = [min(SYNTH_BLOCK, budget - b * SYNTH_BLOCK) for b in range(nblocks)]
 
@@ -319,6 +318,6 @@ def synthesize(
         return SynthesisResult(
             None, used, 0,
             f"no candidate matched within {used} trials "
-            f"(target key degree profile {key[0]})",
+            f"(target key degree profile {target.counts[0]})",
         )
     return SynthesisResult(best[4], used, hits, "")

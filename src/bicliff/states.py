@@ -335,16 +335,24 @@ def counts_key(counts) -> tuple:
     return (counts[0], tuple(sorted(counts[1:])))
 
 
-def encode_counts_key(key) -> np.ndarray:
-    """A counts_key as the (4,) uint64 numbers that `digit_keys` yields.
+# Histogram (c_0, ..., c_n) is keyed as the number sum_w c_w * KEY_BASE^(n-w).
+# Up to n = 8 every bin is at most 2^(n-1) < KEY_BASE, so digits never carry
+# and numbers order like the histogram tuples, and KEY_BASE^(n+1) < 2^64 keeps
+# them in one word; KEY_POWERS stops there, so wider histograms fail.
+KEY_BASE = 129
+KEY_POWERS = np.uint64(KEY_BASE) ** np.arange(9, dtype=np.uint64)
 
-    Histogram (c_0, ..., c_n) is the number sum_w c_w * 129^(n-w).  Up to
-    n = 8 every bin is at most 2^(n-1) < 129, so digits never carry,
-    129^(n+1) < 2^64 keeps the number in one word, and numbers order like
-    the histogram tuples.
-    """
-    hists = np.array([key[0], *key[1]], dtype=np.uint64)
-    return hists @ np.uint64(129) ** np.arange(hists.shape[1] - 1, -1, -1, dtype=np.uint64)
+
+def encode_counts(hists) -> np.ndarray:
+    """Coset histograms (..., 4, n+1), base coset first, as (..., 4) uint64 keys
+    in `sort_coset_keys` order: equal rows mean equal counts_keys."""
+    hists = np.asarray(hists, dtype=np.uint64)
+    return sort_coset_keys(hists @ KEY_POWERS[hists.shape[-1] - 1 :: -1])
+
+
+def decode_counts(keys, n: int) -> tuple:
+    """The histograms of one row of `encode_counts` keys, as tuples."""
+    return tuple(tuple(int(k) // KEY_BASE**p % KEY_BASE for p in range(n, -1, -1)) for k in keys)
 
 
 @lru_cache(maxsize=None)
@@ -352,39 +360,30 @@ def _digit_tables(n: int) -> tuple:
     """Key shares of one pair digit and of two pair digits.
 
     Pair digit p*(n+1) + p' stands for two vectors of Pauli weights p and p',
-    that is of identity weights n-p and n-p', each adding 129^p to its
-    coset's number; two pair digits d, d' index entry d*(n+1)^2 + d' of the
-    second table, (n+1)^4 entries (52 KB at n = 8).
+    each adding KEY_BASE^p to its coset's number; two pair digits d, d' index
+    entry d*(n+1)^2 + d' of the second table, (n+1)^4 entries (52 KB at n = 8).
     """
-    powers = np.uint64(129) ** np.arange(n + 1, dtype=np.uint64)
+    powers = KEY_POWERS[: n + 1]
     pair = (powers[:, None] + powers[None, :]).ravel()
     return pair, (pair[:, None] + pair[None, :]).ravel()
 
 
-def pair_digits(weights: np.ndarray, n: int) -> np.ndarray:
-    """First level of the key kernel: subsets s and s + S/2 as one digit.
+def weight_keys(masks: np.ndarray, n: int) -> np.ndarray:
+    """`encode_counts` of cosets given by their vectors' non-identity masks.
 
-    weights is a uint8 array of Pauli weights with the S = 2^(n-1) subsets
-    on its last axis (n >= 2), as `preimage_index` lays them out; the result
-    holds S/2 pair digits there.
-    """
-    half = weights.shape[-1] // 2
-    return weights[..., :half] * np.uint8(n + 1) + weights[..., half:]
-
-
-def digit_keys(digits: np.ndarray, n: int) -> np.ndarray:
-    """Second level of the key kernel: encoded counts_keys, (..., 4) uint64.
-
-    digits holds `pair_digits` of shape (..., 4, S/2), the four preimage
-    cosets base first.  Two pair digits make one uint16 table index, so one
-    gather covers four subsets.  The result's last axis holds the cosets'
-    numbers in `sort_coset_keys` order: equal rows mean equal counts_keys.
+    masks is (..., 4, S), base coset first, the S = 2^(n-1) subsets on the
+    last axis (n >= 2) as `preimage_index` lays them out.  The Pauli weights
+    (popcounts) of subsets s and s + S/2 make one pair digit, two pair digits
+    one uint16 table index, so one gather covers four subsets.
     """
     pair, quad = _digit_tables(n)
-    if digits.shape[-1] == 1:  # n = 2: two subsets, one pair digit
+    half = masks.shape[-1] // 2
+    # each half's popcounts go straight into digits, never all weights at once
+    digits = np.bitwise_count(masks[..., :half]) * np.uint8(n + 1) + np.bitwise_count(masks[..., half:])
+    if half == 1:  # n = 2: two subsets, one pair digit
         keys = pair[digits[..., 0]]
     else:
-        quarter = digits.shape[-1] // 2
+        quarter = half // 2
         index = digits[..., :quarter] * np.uint16((n + 1) ** 2) + digits[..., quarter:]
         # gathered with the subsets first, the sum runs over whole rows
         keys = np.take(quad, np.moveaxis(index, -1, 0)).sum(axis=0)

@@ -40,7 +40,8 @@ import numpy as np
 from .blocks import ordered_calls
 from .gf2 import SymplecticMatrix
 from .metrics import CurveSet
-from .states import DistStats, sort_coset_keys, stats_from_counts, werner_coeff_rows
+from .states import KEY_BASE, DistStats, decode_counts, sort_coset_keys
+from .states import stats_from_counts, werner_coeff_rows
 
 # werner_counts is no longer called here; it stays importable from this module
 # because perfbench/spans.py wraps it by name on bicliff.werner.
@@ -105,7 +106,8 @@ def _graph_classes(m: int) -> tuple:
         return (0,)
     below = np.asarray(_graph_classes(m - 1), dtype=np.int64)
     tops = np.arange(1 << (m - 1), dtype=np.int64) << _pairs_before(m - 1)
-    return tuple(int(v) for v in np.unique(_canonical((below[:, None] | tops).ravel(), m)))
+    # a set, not np.unique: that imports numpy.ma on first use
+    return tuple(sorted(set(_canonical((below[:, None] | tops).ravel(), m).tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -312,7 +314,7 @@ class Protocol:
 # the kept pair is at identity in class (0, 2, 3, 1)[c].  Tuples, not arrays,
 # so that importing builds nothing.
 _TERMS = ((0, 4, 9, 13), (1, 5, 8, 12), (3, 7, 10, 14), (2, 6, 11, 15))
-_WEIGHTS = ((1, 129, 129, 129), (129, 129, 1, 129), (129, 129, 129, 1), (129, 1, 129, 129))
+_WEIGHTS = tuple(tuple(1 if k == kept else KEY_BASE for k in range(4)) for kept in (0, 2, 3, 1))
 
 _BLOCK_GRAPHS = 48  # graph classes per transform (a 6.3 MB table at n = 8)
 _BLOCK_PAIRS = 128  # (a, b) pairs per gather from it
@@ -330,7 +332,7 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
     """Dedup keys of some graph classes under every (a, b) pair, into keys: (pairs, G, 4).
 
     Column 0 encodes the base-coset histogram, columns 1..3 the sorted other
-    three, as `states.encode_counts_key` does: each vector of identity weight
+    three, as `states.encode_counts` does: each vector of identity weight
     w adds 129^(n-w).  By the closed form of the representative's inverse, a
     subset s of the m = n-1 non-kept rows has X-rest R[s] ^ t, with R[s] the
     xor of the graph's adjacency rows in s and t one of [0, a, b, a^b], so
@@ -345,7 +347,7 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
 
     |Ê| <= 2^m 129^m and 4 C <= 2^(n+1) 129^(n-1) < 2^63 for n <= 8, so the
     int64 arithmetic is exact; a key is at most 2^(n-1) 129^n < 2^64, summed
-    in uint64.
+    in uint64.  Here 129 is `states.KEY_BASE`.
     """
     m = n - 1
     size = 1 << m
@@ -355,7 +357,7 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
     for k in range(m):
         row_xors[1 << k : 2 << k] = row_xors[: 1 << k] ^ rows[k]
     nonid = np.bitwise_count((row_xors[:, None] ^ subsets[:, None]) | subsets[:, None, None])
-    table = (np.int64(129) ** np.arange(m + 1))[nonid]  # [s, t, graph]
+    table = (np.int64(KEY_BASE) ** np.arange(m + 1))[nonid]  # [s, t, graph]
     for h in (1 << k for k in range(m)):  # transform over s, in place
         halves = table.reshape(size // (2 * h), 2, h, -1)
         _butterfly(halves[:, 0], halves[:, 1])
@@ -373,15 +375,6 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
         rows = keys[lo : lo + _BLOCK_PAIRS]
         rows[...] = terms.sum(axis=2).transpose(0, 2, 1)
         sort_coset_keys(rows)
-
-
-def counts_from_key(key: int, n: int) -> tuple:
-    """Decode one base-129 histogram key back into counts."""
-    out = []
-    k = int(key)
-    for i in range(n, -1, -1):
-        out.append(k // (129**i) % 129)
-    return tuple(out)
 
 
 def all_case_keys(n: int, graphs: list | None = None) -> np.ndarray:
@@ -428,8 +421,7 @@ def distinct_protocols(n: int, jobs: int = 1) -> list:
     for idx, row in zip(index[first].tolist(), keys[first]):
         a, b = pairs[idx // len(graphs)]
         case = WernerCase(n, a, b, graphs[idx % len(graphs)])
-        counts = tuple(counts_from_key(k, n) for k in row)
-        protocols.append(Protocol(n, build_representative(case), counts, case, idx))
+        protocols.append(Protocol(n, build_representative(case), decode_counts(row, n), case, idx))
     return protocols
 
 

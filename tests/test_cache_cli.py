@@ -376,6 +376,31 @@ def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sampl
     assert verify_cache(bad, sample=sample) == expect
 
 
+@pytest.mark.parametrize("case, index", [
+    ((1, 2, 3), 999),  # another enumerated case and an index past every case
+    ((1, 2, 3), None),  # the other case, the stored index
+    (None, 5),  # the stored case, another case's index
+    ((1, 2, 5), None),  # a graph mask that is no canonical class
+    ((2, 1, 0), None),  # (a, b) with a > b, never enumerated
+])
+def test_verify_werner_cache_checks_case_and_index(cache_dir, tmp_path, case, index):
+    # the stored rows must be the representative of the stored case, and the
+    # stored index that case's position in the enumeration order
+    from bicliff.cache import write_cache
+
+    header, records = read_cache(cache_dir / "werner_n4.bcp")
+    header.pop("format_version")
+    assert verify_cache(cache_dir / "werner_n4.bcp", sample=10**6) == (True, 13, "ok")
+    records = records.copy()
+    if case is not None:
+        records["case"][0] = case
+    if index is not None:
+        records["index"][0] = index
+    bad = tmp_path / "werner_n4.bcp"
+    write_cache(bad, header, records)
+    assert verify_cache(bad, sample=10**6) == (False, 0, "record 0: case mismatch")
+
+
 @pytest.mark.parametrize("mask", [1 << 6])
 def test_cli_verify_werner_row_out_of_range_exits_2(cache_dir, tmp_path, capsys, mask):
     from bicliff.cache import write_cache
@@ -420,7 +445,8 @@ def test_write_cache_is_atomic(cache_dir, tmp_path):
     class Interrupted(np.ndarray):
         """Records whose bytes fail to arrive after the header is written."""
 
-        def tobytes(self, *args, **kwargs):
+        def tofile(self, fh, *args, **kwargs):
+            assert fh.tell() > len(b"BCPC\x01") + 4  # magic, length and header are out
             raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError, match="interrupted"):

@@ -121,13 +121,14 @@ def test_superset_never_worse(protocols_for):
 def _assert_curves_match_stats(coeffs, denom, grid):
     """CurveSet's p, f and fis are bit-equal to float Horner on the DistStats polynomials."""
     curves = CurveSet(coeffs, denom, grid)
+    fis = curves.fis()
     for i, protocol in enumerate(coeffs.tolist()):
         polys = [RationalPolynomial(Fraction(c, denom) for c in row) for row in protocol]
         stats = DistStats.from_coset_sums(*polys)
         assert curves.p[i].tobytes() == poly_on_grid(stats.p_suc, grid).tobytes()
         assert curves.f[i].tobytes() == poly_on_grid(stats.f_num, grid).tobytes()
         for k, q in enumerate(stats.fi_nums):
-            assert curves.fis()[i, k].tobytes() == poly_on_grid(q, grid).tobytes()
+            assert fis[i, k].tobytes() == poly_on_grid(q, grid).tobytes()
 
 
 @st.composite

@@ -2,6 +2,8 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicliff.circuits import circuit_to_symplectic
 from bicliff.dejmps import LEAF, ROTATION_WORDS, TreePlan, plan_to_circuit, step_table
@@ -23,6 +25,8 @@ from bicliff.states import (
     coset_sums,
     counts_key,
     counts_to_poly,
+    decode_counts,
+    encode_counts,
     leading_infidelity_term,
     numeric_stats,
     pillars,
@@ -292,6 +296,47 @@ def test_counts_roundtrip_key():
     key = counts_key(counts)
     assert key[0] == counts[0]
     assert stats_from_counts(counts, 2).p_suc(1) == 1
+
+
+@st.composite
+def histogram_pairs(draw):
+    """(n, h, g): two sets of four coset histograms of n <= 8 pairs, bins <= 2^(n-1).
+
+    g is often h with its X/Y/Z histograms permuted, or h with one bin moved
+    by one, so that equal and nearly equal keys both come up.
+    """
+    n = draw(st.integers(1, 8))
+    top = 1 << (n - 1)
+    hist = st.lists(st.integers(0, top), min_size=n + 1, max_size=n + 1)
+    h = [draw(hist) for _ in range(4)]
+    kind = draw(st.sampled_from(["permuted", "nudged", "fresh"]))
+    if kind == "permuted":
+        g = [h[0], *draw(st.permutations(h[1:]))]
+    elif kind == "nudged":
+        g = [list(x) for x in h]
+        k, w = draw(st.integers(0, 3)), draw(st.integers(0, n))
+        g[k][w] += 1 if g[k][w] < top else -1
+    else:
+        g = [draw(hist) for _ in range(4)]
+    return n, h, g
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(histogram_pairs())
+def test_counts_codec(pair):
+    n, h, g = pair
+    keys = encode_counts([h, g])  # a stack encodes row by row
+    assert keys.dtype == np.uint64 and keys.shape == (2, 4)
+    assert np.array_equal(keys[0], encode_counts(h)) and np.array_equal(keys[1], encode_counts(g))
+    key_h, key_g = counts_key(h), counts_key(g)
+    # decoding undoes encoding, the X/Y/Z histograms sorted as in counts_key
+    flat_h, flat_g = (tuple(map(tuple, (k[0], *k[1]))) for k in (key_h, key_g))
+    assert decode_counts(keys[0], n) == flat_h and decode_counts(keys[1], n) == flat_g
+    # equal rows exactly when the counts_keys are equal
+    assert np.array_equal(keys[0], keys[1]) == (key_h == key_g)
+    # numbers order like the histogram tuples, entry by entry
+    for x, y, u, v in zip(keys[0].tolist(), keys[1].tolist(), flat_h, flat_g):
+        assert (x < y, x == y) == (u < v, u == v)
 
 
 def _fraction_counts_to_poly(hist, n):

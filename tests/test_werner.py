@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicliff.gf2 import is_symplectic
-from bicliff.states import counts_key, werner_counts, werner_stats
+from bicliff.states import counts_key, decode_counts, werner_counts, werner_stats
 from bicliff.werner import (
     MAX_GRAPH_NODES,
     WernerCase,
@@ -18,7 +18,6 @@ from bicliff.werner import (
     build_representative,
     case_count,
     count_ab_pairs,
-    counts_from_key,
     distinct_protocols,
     enumerate_cases,
     first_rows,
@@ -178,7 +177,7 @@ def test_batch_keys_match_scalar_path():
         rng = np.random.default_rng(n)
         for idx in rng.choice(len(cases), size=min(20, len(cases)), replace=False):
             counts = werner_counts(build_representative(cases[idx]), n)
-            got = tuple(counts_from_key(k, n) for k in keys[idx])
+            got = decode_counts(keys[idx], n)
             assert got[0] == counts[0]
             assert sorted(got[1:]) == sorted(counts[1:])
 
@@ -199,7 +198,7 @@ def test_batch_keys_match_scalar_large_n():
             for e, key in zip(sample, _keys_by_pair(n, sample)[p]):
                 case = WernerCase(n, *pairs[p], e)
                 counts = werner_counts(build_representative(case), n)
-                got = tuple(counts_from_key(k, n) for k in key)
+                got = decode_counts(key, n)
                 assert got[0] == counts[0]
                 assert sorted(got[1:]) == sorted(counts[1:])
 
