@@ -2,14 +2,14 @@
 
 Layout: magic, 4-byte big-endian header length, header JSON, then `count`
 records of the little-endian structured dtype `record_dtype(mode, n)`.  A
-Werner record holds the source case (a, b, E), its index, the 2n
-representative row masks and the preimage-coset histograms that fix the exact
-statistics.  A transversal record holds the n-1 key masks, then the 2n
-representative row masks, one record per coset in ascending key order.
-Masks are uint16 when 2n <= 16 and uint32 above.  Each mode has its own
-format version.  Verification takes a sample of records, checks that their
-stored rows are symplectic, recomputes their derived data from those rows and
-demands exact agreement.
+Werner record holds a case index and the preimage-coset histograms that fix
+the exact statistics, in ascending index order.  The index is the case's
+position in `enumerate_cases` order, so a new order needs a new format
+version; the case and its representative follow from it.  A transversal
+record holds the n-1 key masks, then the 2n representative row masks, one
+record per coset in ascending key order, uint16 when 2n <= 16 and uint32
+above.  Each mode has its own format version.  Verification takes a sample
+of records, recomputes their derived data and demands exact agreement.
 """
 
 from __future__ import annotations
@@ -22,32 +22,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .gf2 import MAX_PAIRS, SymplecticMatrix, is_symplectic_rows
+from .gf2 import MAX_PAIRS
+from .groups import dn_index
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
 from .ratpoly import poly_from_strings  # noqa: F401
-from .states import coset_histograms, encode_counts
+from .states import encode_counts, werner_keys
 from .states import werner_counts  # noqa: F401
 from .transversal import Transversal, first_bad_record
-from .werner import Protocol, WernerCase, ab_pairs, build_representative, graphs_up_to_iso
+from .werner import Protocol, build_representative, case_at, case_count
 
 MAGIC = b"BCPC\x01"
 # Werner records hold coset histograms since version 2 (before: statistic
-# polynomials) and are fixed-width since version 3 (before: one JSON record
-# each); a transversal is one binary block since version 2 (before: one JSON
-# record per coset).
-FORMAT_VERSIONS = {"werner": 3, "transversal": 2}
+# polynomials), are fixed-width since version 3 (before: one JSON record
+# each) and hold only the case index and histograms since version 4 (before:
+# also the case and the representative rows); a transversal is one binary
+# block since version 2 (before: one JSON record per coset).
+FORMAT_VERSIONS = {"werner": 4, "transversal": 2}
 
 
 def record_dtype(mode: str, n: int) -> np.dtype:
     """One record of an n-pair cache of the given mode."""
+    if mode == "werner":
+        # a histogram bin is at most 2^(n-1) <= 128 for the n <= 8 of Werner enumeration
+        return np.dtype([("index", "<u4"), ("counts", "u1", (4, n + 1))])
     mask = "<u2" if 2 * n <= 16 else "<u4"
-    if mode == "transversal":
-        return np.dtype([("key", mask, (n - 1,)), ("rows", mask, (2 * n,))])
-    # a histogram bin is at most 2^(n-1) <= 128 for the n <= 8 of Werner enumeration
-    return np.dtype([
-        ("case", "<u4", (3,)), ("index", "<u4"), ("rows", mask, (2 * n,)), ("counts", "u1", (4, n + 1)),
-    ])
+    return np.dtype([("key", mask, (n - 1,)), ("rows", mask, (2 * n,))])
 
 
 @contextmanager
@@ -102,8 +102,10 @@ def read_cache(path):
     """(header, records) of a cache file, records an array of `record_dtype`.
 
     The body must hold exactly the header's count of records.  Transversal
-    keys must be strictly ascending; Werner histograms must each sum to
-    2^(n-1) and Werner row masks must fit in 2n bits.
+    keys must be strictly ascending, and the header's `complete` must say
+    whether the records are every coset.  Werner histograms must each sum to
+    2^(n-1), and Werner case indices must be strictly ascending and below
+    `case_count(n)`.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -125,12 +127,18 @@ def read_cache(path):
             f"of {dtype.itemsize} bytes"
         )
     records = np.frombuffer(body, dtype)
-    if mode == "transversal" and not _strictly_ascending(records["key"]):
-        raise ValueError("transversal keys are not strictly ascending")
+    if mode == "transversal":
+        if not _strictly_ascending(records["key"]):
+            raise ValueError("transversal keys are not strictly ascending")
+        complete, total = header.get("complete"), dn_index(n)
+        if complete is not (count == total):
+            raise ValueError(f"header says complete={complete!r} for {count} of {total} cosets")
     if mode == "werner":
+        index = records["index"]
         for bad, problem in (
             ((records["counts"].sum(axis=-1) != 1 << (n - 1)).any(axis=1), "malformed coset histograms"),
-            ((records["rows"] >> 2 * n).any(axis=1), "row mask exceeds 2n bits"),
+            (np.r_[False, index[1:] <= index[:-1]], "case index not above the one before"),
+            (index >= case_count(n), f"case index not below {case_count(n)}"),
         ):
             if bad.any():
                 raise ValueError(f"record {np.argmax(bad)}: {problem}")
@@ -138,10 +146,7 @@ def read_cache(path):
 
 
 def write_werner_cache(path, n: int, protocols) -> None:
-    records = np.array(
-        [((p.source.a, p.source.b, p.source.e), p.case_index, p.rep.rows, p.counts) for p in protocols],
-        record_dtype("werner", n),
-    )
+    records = np.array([(p.case_index, p.counts) for p in protocols], record_dtype("werner", n))
     write_cache(path, {"mode": "werner", "n": n, "count": len(records)}, records)
 
 
@@ -150,11 +155,8 @@ def load_werner_cache(path):
     if header["mode"] != "werner":
         raise ValueError("not a werner-mode cache")
     n = header["n"]
-    fields = (records[name].tolist() for name in ("case", "index", "rows", "counts"))
-    return header, [
-        Protocol(n, SymplecticMatrix(n, rows), tuple(map(tuple, counts)), WernerCase(n, *case), index)
-        for case, index, rows, counts in zip(*fields)
-    ]
+    fields = (records[name].tolist() for name in ("index", "counts"))
+    return header, [Protocol(n, tuple(map(tuple, counts)), index) for index, counts in zip(*fields)]
 
 
 def write_transversal_cache(path, transversal, seed) -> None:
@@ -176,45 +178,32 @@ def load_transversal_cache(path):
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
     keys, rows = (records[name].astype(np.uint64) for name in ("key", "rows"))
-    return header, Transversal(header["n"], keys, rows, header["complete"], header["samples"])
+    return header, Transversal(header["n"], keys, rows, header["samples"])
 
 
 def _first_bad_werner_record(records: np.ndarray, n: int):
     """`first_bad_record` of Werner records, the statistics in one batched pass.
 
-    A record is sound when its rows are symplectic, give its stored coset
-    histograms up to the order of the three non-base cosets, and are the
-    representative of its case, the one at its index in `enumerate_cases`.
+    A record is sound when the representative of the case at its index has
+    its stored coset histograms, up to the order of the three non-base cosets.
     """
-    rows = records["rows"].astype(np.uint64)
-    symplectic = is_symplectic_rows(rows, n)
-    same = (encode_counts(coset_histograms(rows, n)) == encode_counts(records["counts"])).all(axis=-1)
-    graphs, pairs = graphs_up_to_iso(n - 1), list(ab_pairs(n - 1))
-    fields = (records[name].tolist() for name in ("case", "index", "rows"))
-    cased = np.array([
-        index < len(pairs) * len(graphs)
-        and (a, b, e) == (*pairs[index // len(graphs)], graphs[index % len(graphs)])
-        and build_representative(WernerCase(n, a, b, e)).rows == tuple(stored)
-        for (a, b, e), index, stored in zip(*fields)
-    ], dtype=bool)
-    bad = np.flatnonzero(~(symplectic & same & cased))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    problem = "case mismatch" if same[i] else "statistics mismatch"
-    return i, problem if symplectic[i] else "representative is not symplectic"
+    rows = np.array(
+        [build_representative(case_at(n, index)).rows for index in records["index"].tolist()],
+        dtype=np.uint64,
+    ).reshape(len(records), 2 * n)
+    bad = np.flatnonzero((werner_keys(rows, n) != encode_counts(records["counts"])).any(axis=-1))
+    return (int(bad[0]), "statistics mismatch") if bad.size else None
 
 
 def verify_cache(path, sample: int = 100, seed: int = 0):
     """Recompute derived data of sampled records; exact match required.
 
-    Every stored representative must be symplectic.  Werner records: the
-    stored coset histograms must equal those recomputed from the stored
-    representative, up to the order of the three non-base cosets, and the
-    stored case must be the one at the stored index and give those rows.
-    Transversal records: the stored key must equal the recomputed coset key,
-    checked by `first_bad_record` as `enumerate_stats` does.  Statistics are
-    checked for all sampled records at once.  Returns (ok, checked, message).
+    Werner records: the stored coset histograms must equal those of the
+    representative rebuilt from the stored case index, up to the order of the
+    three non-base cosets, checked for all sampled records at once.
+    Transversal records: the stored representative must be symplectic and
+    its coset key the stored key, checked by `first_bad_record` as
+    `enumerate_stats` does.  Returns (ok, checked, message).
     """
     header, records = read_cache(path)
     n = header["n"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import ordered_calls
 from .gf2 import CNOT, CZ, Gate, H, SWAP, SymplecticMatrix, apply_gate_rows
-from .states import counts_key, encode_counts, preimage_index, weight_keys
+from .states import encode_counts, werner_keys
 
 SYNTH_BLOCK = 4096
 
@@ -159,11 +159,6 @@ class SynthesisResult:
     message: str = ""
 
 
-def target_key(target) -> tuple:
-    """Werner statistics key of a protocol."""
-    return counts_key(target.counts)
-
-
 def _downward_pairs(n: int) -> list:
     return [(i, j) for i in range(2, n + 1) for j in range(1, i)]
 
@@ -200,15 +195,9 @@ def _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps) -> np.ndarray
 
 
 def _matches(rows, n: int, key) -> np.ndarray:
-    """Which row sets of a block have the encoded target key, shape (size,).
-
-    Each candidate's four keys come from `states.weight_keys` on the
-    non-identity masks (v | v >> n) & (2^n - 1) of its preimage cosets.
-    """
-    v = preimage_index(rows.astype(np.uint16), n)  # 2n <= 16 bits, as weight_keys needs n <= 8
-    v |= v >> n  # in place: a fresh temporary per step costs more than the step
-    v &= (1 << n) - 1
-    return (weight_keys(v, n) == key).all(axis=-1)
+    """Which row sets of a block have the encoded target key, shape (size,)."""
+    # 2n <= 16 bits for the n <= 8 that werner_keys supports
+    return (werner_keys(rows.astype(np.uint16), n) == key).all(axis=-1)
 
 
 def _synth_block(n, seed, block, size, key, allow_swap):

@@ -25,7 +25,6 @@ from .circuits import (
     depth,
     published_circuits,
     synthesize,
-    target_key,
     two_qubit_count,
 )
 # the name the benchmark's tracer (perfbench/spans.py) times the DEJMPS family by
@@ -36,13 +35,8 @@ from .groups import dn_index, dn_order
 # (perfbench/spans.py) looks this name up in this module.
 from .metrics import CurveSet, target_rate  # noqa: F401
 from .ratpoly import format_poly
-from .states import (
-    BellDiagonalState,
-    counts_key,
-    leading_infidelity_term,
-    werner_coeff_rows,
-    werner_counts,
-)
+from .states import BellDiagonalState, encode_counts, leading_infidelity_term
+from .states import werner_coeff_rows, werner_keys
 from .transversal import CHUNK, build_transversal, enumerate_stats, pareto_envelope
 from .werner import MAX_GRAPH_NODES, best_fidelity_protocol, case_count, distinct_protocols
 
@@ -329,11 +323,10 @@ def cmd_circuit(args) -> int:
         max_hits=args.max_hits,
     )
 
-    key = target_key(target)
+    key = encode_counts(target.counts)
 
     def _verified(circ) -> bool:
-        m = circuit_to_symplectic(circ)
-        return counts_key(werner_counts(m, args.n)) == key
+        return bool((werner_keys(circuit_to_symplectic(circ).rows, args.n) == key).all())
 
     if synth.circuit is not None:
         circ = synth.circuit

@@ -368,15 +368,19 @@ def _digit_tables(n: int) -> tuple:
     return pair, (pair[:, None] + pair[None, :]).ravel()
 
 
-def weight_keys(masks: np.ndarray, n: int) -> np.ndarray:
-    """`encode_counts` of cosets given by their vectors' non-identity masks.
+def werner_keys(rows, n: int) -> np.ndarray:
+    """`encode_counts(coset_histograms(rows, n))`: the Werner statistics keys of
+    protocol matrices, rows a (..., 2n) array of row masks (n >= 2).
 
-    masks is (..., 4, S), base coset first, the S = 2^(n-1) subsets on the
-    last axis (n >= 2) as `preimage_index` lays them out.  The Pauli weights
-    (popcounts) of subsets s and s + S/2 make one pair digit, two pair digits
-    one uint16 table index, so one gather covers four subsets.
+    The preimage vectors become their non-identity masks (v | v >> n) & (2^n - 1)
+    in place.  Pauli weights (popcounts) of subsets s and s + S/2, S = 2^(n-1),
+    make one pair digit, two pair digits one uint16 table index, so one gather
+    covers four subsets.
     """
     pair, quad = _digit_tables(n)
+    masks = preimage_index(rows, n)
+    masks |= masks >> n  # in place: a fresh temporary per step costs more than the step
+    masks &= (1 << n) - 1
     half = masks.shape[-1] // 2
     # each half's popcounts go straight into digits, never all weights at once
     digits = np.bitwise_count(masks[..., :half]) * np.uint8(n + 1) + np.bitwise_count(masks[..., half:])

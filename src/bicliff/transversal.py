@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,19 +51,21 @@ class Transversal:
 
     keys is a (C, n-1) uint64 array of coset keys in ascending (lexicographic)
     order and rows the matching (C, 2n) uint64 array of representative row
-    masks.
+    masks.  It is complete when it holds all `dn_index(n)` cosets.
     """
 
     n: int
     keys: np.ndarray
     rows: np.ndarray
-    complete: bool
     samples_used: int
-    target_size: int = field(default=0)
 
-    def __post_init__(self):
-        if not self.target_size:
-            self.target_size = dn_index(self.n)
+    @property
+    def target_size(self) -> int:
+        return dn_index(self.n)
+
+    @property
+    def complete(self) -> bool:
+        return len(self) == self.target_size
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -149,11 +151,10 @@ def build_transversal(
             if len(keys) >= target:
                 break
 
-    complete = len(keys) >= target
     count = len(keys)
     keys = b"".join(sorted(keys))  # the set goes before the key array is built
     keys = np.frombuffer(keys, ">u4").reshape(count, n - 1).astype(np.uint64)
-    return Transversal(n, keys, representative_rows(keys, n), complete, samples, target)
+    return Transversal(n, keys, representative_rows(keys, n), samples)
 
 
 def first_bad_record(keys: np.ndarray, rows: np.ndarray, n: int):

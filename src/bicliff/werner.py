@@ -219,6 +219,11 @@ def ab_pairs(m: int):
                 yield a, base | lo
 
 
+@lru_cache(maxsize=None)
+def _ab_pair_tuple(m: int) -> tuple:
+    return tuple(ab_pairs(m))
+
+
 def count_ab_pairs(m: int) -> int:
     """Number of (a, b) pairs with a <= b <= a^b over F2^m."""
     if m < 1:
@@ -258,19 +263,28 @@ def case_count(n: int) -> int:
     return count_ab_pairs(n - 1) * len(graphs_up_to_iso(n - 1))
 
 
+def case_at(n: int, index: int) -> WernerCase:
+    """The case at position `index` of `enumerate_cases(n)`."""
+    _check_enum_n(n)
+    pairs, graphs = _ab_pair_tuple(n - 1), _graph_classes(n - 1)
+    if not 0 <= index < len(pairs) * len(graphs):
+        raise ValueError(f"case index {index} is not below {len(pairs) * len(graphs)}")
+    pair, graph = divmod(index, len(graphs))
+    return WernerCase(n, *pairs[pair], graphs[graph])
+
+
 def _check_enum_n(n: int) -> None:
     if not 2 <= n <= MAX_GRAPH_NODES + 1:
         raise ValueError(f"enumeration supports 2 <= n <= {MAX_GRAPH_NODES + 1}")
 
 
-def build_representative(case: WernerCase, n: int | None = None) -> SymplecticMatrix:
+def build_representative(case: WernerCase) -> SymplecticMatrix:
     """The canonical-form representative of a case.
 
     Upper-left block [[1, 0], [a, I]], upper-right [[0, b^T], [b, E + b a^T]],
     lower-left zero, lower-right the transpose of the upper-left.
     """
-    n = case.n if n is None else n
-    m = n - 1
+    n, m = case.n, case.n - 1
     erows = graph_adjacency_rows(case.e, m)
     a, b = case.a, case.b
     rows = [1 | (b << (n + 1))]
@@ -287,17 +301,24 @@ def build_representative(case: WernerCase, n: int | None = None) -> SymplecticMa
 
 @dataclass
 class Protocol:
-    """A distillation protocol: representative matrix plus coset histograms.
+    """A distillation protocol: its case index plus coset histograms.
 
     The identity-weight histograms of the four preimage cosets fix the exact
-    Werner statistics; `stats` is derived from them on first use.
+    Werner statistics; the case, its representative matrix and `stats` are
+    derived on first use.
     """
 
     n: int
-    rep: SymplecticMatrix
     counts: tuple  # preimage-coset histograms, base coset first
-    source: WernerCase
-    case_index: int
+    case_index: int  # position in `enumerate_cases(n)`
+
+    @cached_property
+    def source(self) -> WernerCase:
+        return case_at(self.n, self.case_index)
+
+    @cached_property
+    def rep(self) -> SymplecticMatrix:
+        return build_representative(self.source)
 
     @cached_property
     def stats(self) -> DistStats:
@@ -361,7 +382,7 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
     for h in (1 << k for k in range(m)):  # transform over s, in place
         halves = table.reshape(size // (2 * h), 2, h, -1)
         _butterfly(halves[:, 0], halves[:, 1])
-    a, b = np.array(list(ab_pairs(m))).T
+    a, b = np.array(_ab_pair_tuple(m)).T
     shifts = np.stack([np.zeros_like(a), a, b, a ^ b], axis=1)
     for lo in range(0, len(shifts), _BLOCK_PAIRS):
         shift = shifts[lo : lo + _BLOCK_PAIRS]
@@ -404,7 +425,7 @@ def distinct_protocols(n: int, jobs: int = 1) -> list:
 
     Cases are scanned in the canonical order and deduplicated on the exact
     statistics key (base histogram plus sorted multiset of the other three);
-    the first case producing each key supplies the stored representative.
+    the first case producing each key is the protocol's case.
     Each block of `_BLOCK_GRAPHS` graph classes is deduplicated on its own (on
     `jobs` worker processes when jobs > 1), then the survivors of all blocks.
     """
@@ -416,13 +437,9 @@ def distinct_protocols(n: int, jobs: int = 1) -> list:
         index, keys = map(np.concatenate, zip(*ordered_calls(_first_cases, calls, pool, jobs)))
     order = np.argsort(index)
     first = order[first_rows(keys[order])]
-    pairs = list(ab_pairs(n - 1))
-    protocols = []
-    for idx, row in zip(index[first].tolist(), keys[first]):
-        a, b = pairs[idx // len(graphs)]
-        case = WernerCase(n, a, b, graphs[idx % len(graphs)])
-        protocols.append(Protocol(n, build_representative(case), decode_counts(row, n), case, idx))
-    return protocols
+    return [
+        Protocol(n, decode_counts(row, n), idx) for idx, row in zip(index[first].tolist(), keys[first])
+    ]
 
 
 # ---------------------------------------------------------------------------

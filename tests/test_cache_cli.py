@@ -139,6 +139,39 @@ def test_format_2_werner_cache_rejected(tmp_path, capsys, protocols_for):
     )
 
 
+def _v3_werner_file(path, n, protocols):
+    """A Werner cache as version 3 stored it: fixed-width records that also
+    held each protocol's case (a, b, E) and representative rows."""
+    dtype = np.dtype([
+        ("case", "<u4", (3,)), ("index", "<u4"), ("rows", "<u2", (2 * n,)), ("counts", "u1", (4, n + 1)),
+    ])
+    records = np.array(
+        [((p.source.a, p.source.b, p.source.e), p.case_index, p.rep.rows, p.counts) for p in protocols],
+        dtype,
+    )
+    header = {"mode": "werner", "n": n, "count": len(records), "format_version": 3}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + records.tobytes())
+
+
+def test_format_3_werner_cache_rejected(tmp_path, protocols_for):
+    path = tmp_path / "werner_n3.bcp"
+    _v3_werner_file(path, 3, protocols_for(3))
+    for reader in (read_cache, load_werner_cache, verify_cache):
+        with pytest.raises(ValueError, match="unsupported werner cache version 3"):
+            reader(path)
+
+
+def test_werner_record_is_index_and_histograms(cache_dir, protocols_for):
+    # the case and the representative are not stored: they follow from the index
+    data = (cache_dir / "werner_n3.bcp").read_bytes()
+    header, records = read_cache(cache_dir / "werner_n3.bcp")
+    assert header["format_version"] == 4 and records.dtype.names == ("index", "counts")
+    assert records.dtype.itemsize == 4 + 4 * 4
+    assert data.endswith(records.tobytes()) and len(data) == data.index(b"}") + 1 + 5 * 20
+    assert records["index"].tolist() == [p.case_index for p in protocols_for(3)]
+
+
 def test_format_1_transversal_cache_rejected(tmp_path, capsys):
     # version 1 held one JSON record per coset
     path = tmp_path / "transversal_n2.bcp"
@@ -186,6 +219,27 @@ def test_transversal_cache_uint32_roundtrip(tmp_path, capsys):
     assert np.array_equal(t.rows, representative_rows(t.keys, 9))
     ok, checked, _ = verify_cache(path, sample=2048)
     assert ok and checked == 2048
+
+
+def test_cli_eval_rejects_partial_transversal_marked_complete(transversal_for, tmp_path, capsys):
+    from bicliff.cache import write_cache
+
+    path = tmp_path / "transversal_n3.bcp"
+    write_transversal_cache(path, transversal_for(3), seed=0)
+    header, records = read_cache(path)
+    header.pop("format_version")
+    assert header["complete"] and header["count"] == 315
+    write_cache(path, {**header, "count": 100}, records[:100])
+    for reader in (read_cache, load_transversal_cache, verify_cache):
+        with pytest.raises(ValueError, match="complete=True for 100 of 315 cosets"):
+            reader(path)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 3, "pairs": [list(EXAMPLE_PAIR)] * 3}))
+    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad cache file {path}: header says complete=True")
+    assert f"rebuild it with: bicliff transversal --n 3 --cache {tmp_path}" in captured.err
 
 
 def _corrupt_transversal(kind, good, path):
@@ -334,17 +388,15 @@ def test_verify_cache_rejects_non_symplectic_rows(cache_dir, tmp_path):
     # leaves them intact; only the symplectic check sees it
     from bicliff.cache import write_cache
 
-    for name in ("werner_n3.bcp", "transversal_n2.bcp"):
-        header, records = read_cache(cache_dir / name)
-        header.pop("format_version")
-        records = records.copy()
-        records["rows"][-1, -1] ^= 1
-        bad = tmp_path / name
-        write_cache(bad, header, records)
-        count = header["count"]
-        ok, checked, message = verify_cache(bad, sample=count)
-        assert not ok and message == f"record {count - 1}: representative is not symplectic", name
-        assert checked == count - 1
+    header, records = read_cache(cache_dir / "transversal_n2.bcp")
+    header.pop("format_version")
+    records = records.copy()
+    records["rows"][-1, -1] ^= 1
+    bad = tmp_path / "transversal_n2.bcp"
+    write_cache(bad, header, records)
+    ok, checked, message = verify_cache(bad, sample=15)
+    assert not ok and message == "record 14: representative is not symplectic"
+    assert checked == 14
 
 
 @pytest.mark.parametrize("sample, result", [
@@ -352,8 +404,8 @@ def test_verify_cache_rejects_non_symplectic_rows(cache_dir, tmp_path):
     (3, (False, 1, "record 3: statistics mismatch")),
 ])
 def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sample, result):
-    # record 1 loses symplecticity only in a later sample; record 3's base
-    # histogram is permuted, which keeps its sums
+    # record 3's base histogram is permuted, which keeps its sums; records 4
+    # and 1 go wrong after it, record 1 only in a later sample
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
@@ -367,57 +419,71 @@ def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sampl
     # a sample of 3 with seed 0 draws records 2, 3, 4 of 5
     assert sorted(np.random.default_rng(0).choice(5, size=3, replace=False)) == [2, 3, 4]
     assert verify_cache(bad, sample=sample) == result
-    records["rows"][4, -1] ^= 1
+    # case 7 of n = 3 has other statistics than record 4's case 6
+    assert records["index"].tolist() == [0, 1, 2, 3, 6]
+    records["index"][4] = 7
     write_cache(bad, header, records)
     assert verify_cache(bad, sample=sample) == result
-    records["rows"][1, -1] ^= 1
+    records["counts"][1] = records["counts"][0]
     write_cache(bad, header, records)
-    expect = (False, 1, "record 1: representative is not symplectic") if sample > 5 else result
+    expect = (False, 1, "record 1: statistics mismatch") if sample > 5 else result
     assert verify_cache(bad, sample=sample) == expect
 
 
-@pytest.mark.parametrize("case, index", [
-    ((1, 2, 3), 999),  # another enumerated case and an index past every case
-    ((1, 2, 3), None),  # the other case, the stored index
-    (None, 5),  # the stored case, another case's index
-    ((1, 2, 5), None),  # a graph mask that is no canonical class
-    ((2, 1, 0), None),  # (a, b) with a > b, never enumerated
+# the n = 4 records hold cases 0, 1, 2, 4, 5, 6, 7, 12, 17, 21, 28, 34, 35 of 60
+@pytest.mark.parametrize("record, index, result", [
+    (3, 3, (False, 3, "record 3: statistics mismatch")),  # case 3 shares case 2's statistics
+    (7, 16, (False, 7, "record 7: statistics mismatch")),  # case 16 shares case 4's
+    (12, 39, (True, 13, "ok")),  # case 39 shares record 12's: a sound record, if not the first
 ])
-def test_verify_werner_cache_checks_case_and_index(cache_dir, tmp_path, case, index):
-    # the stored rows must be the representative of the stored case, and the
-    # stored index that case's position in the enumeration order
+def test_verify_werner_cache_checks_index(cache_dir, tmp_path, record, index, result):
+    # verify rebuilds each record's representative from its case index
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n4.bcp")
     header.pop("format_version")
     assert verify_cache(cache_dir / "werner_n4.bcp", sample=10**6) == (True, 13, "ok")
     records = records.copy()
-    if case is not None:
-        records["case"][0] = case
-    if index is not None:
-        records["index"][0] = index
+    records["index"][record] = index
     bad = tmp_path / "werner_n4.bcp"
     write_cache(bad, header, records)
-    assert verify_cache(bad, sample=10**6) == (False, 0, "record 0: case mismatch")
+    assert verify_cache(bad, sample=10**6) == result
 
 
-@pytest.mark.parametrize("mask", [1 << 6])
-def test_cli_verify_werner_row_out_of_range_exits_2(cache_dir, tmp_path, capsys, mask):
+@pytest.mark.parametrize("record, index, message", [
+    (3, 2, "record 3: case index not above the one before"),
+    (3, 1, "record 3: case index not above the one before"),
+    (12, 60, "record 12: case index not below 60"),
+    (12, 2**32 - 1, "record 12: case index not below 60"),
+], ids=["repeated", "descending", "past every case", "largest u4"])
+def test_werner_cache_rejects_bad_case_index(cache_dir, tmp_path, record, index, message):
+    from bicliff.cache import write_cache
+
+    header, records = read_cache(cache_dir / "werner_n4.bcp")
+    header.pop("format_version")
+    records = records.copy()
+    records["index"][record] = index
+    bad = tmp_path / "werner_n4.bcp"
+    write_cache(bad, header, records)
+    for reader in (read_cache, load_werner_cache, verify_cache):
+        with pytest.raises(ValueError, match=message):
+            reader(bad)
+
+
+def test_cli_verify_werner_other_case_index_exits_2(cache_dir, tmp_path, capsys):
+    # record 4 names case 7, whose statistics are not the stored ones
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
     header.pop("format_version")
     records = records.copy()
-    records["rows"][2, 0] = mask
+    records["index"][4] = 7
     bad = tmp_path / "werner_n3.bcp"
     write_cache(bad, header, records)
     code = run_cli(["verify", str(bad)])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith(
-        f"error: bad cache file {bad}: record 2: row mask exceeds 2n bits;"
-    )
-    assert "rebuild it with: bicliff werner" in captured.err
+    assert code == 2 and captured.err == ""
+    assert captured.out == "checked=4 ok=0 record 4: statistics mismatch\n"
 
 
 def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path):
@@ -998,16 +1064,24 @@ def _bad_cache(kind, good, path, protocols):
         header, _ = read_cache(good)
         header.pop("format_version")
         _json_record_file(path, header, _v2_werner_records(protocols), version=2)
-    elif kind == "malformed counts":
+    elif kind == "format 3":
+        _v3_werner_file(path, 3, protocols)
+    elif kind in ("malformed counts", "unsorted index", "index past every case"):
         header, records = read_cache(good)
         records = records.copy()
-        records["counts"][0, 0, 0] += 1
+        if kind == "malformed counts":
+            records["counts"][0, 0, 0] += 1
+        elif kind == "unsorted index":
+            records["index"][[1, 2]] = records["index"][[2, 1]]
+        else:
+            records["index"][-1] = 10
         write_cache(path, header, records)
 
 
-@pytest.mark.parametrize(
-    "kind", ["foreign", "truncated", "old version", "format 2", "malformed counts"]
-)
+@pytest.mark.parametrize("kind", [
+    "foreign", "truncated", "old version", "format 2", "format 3", "malformed counts",
+    "unsorted index", "index past every case",
+])
 @pytest.mark.parametrize("command", ["compare", "circuit", "verify"])
 def test_cli_unreadable_werner_cache_exits_2(cache_dir, tmp_path, capsys, protocols_for,
                                              kind, command):

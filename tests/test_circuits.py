@@ -13,7 +13,6 @@ from bicliff.circuits import (
     depth,
     published_circuits,
     synthesize,
-    target_key,
     two_qubit_count,
 )
 from bicliff.gf2 import CNOT, CZ, H, S, SWAP, X, SymplecticMatrix, is_symplectic
@@ -148,7 +147,7 @@ def test_synthesize_swap_variant_runs(best_for):
 def test_batched_block_matches_scalar_reference(best_for):
     # n = 8 histograms hold entries up to 128 in 9 bins, past one int64 packing
     for n in range(4, 9):
-        key = target_key(best_for(n).protocol)
+        key = counts_key(best_for(n).protocol.counts)
         for allow_swap in (False, True):
             total = 0
             for block in (0, 1, 2):
@@ -173,7 +172,7 @@ def test_block_key_match_matches_histogram_reference(n, best_for):
         starts = np.cumsum(lengths) - lengths
         rows = _block_rows(n, lengths, starts, cnots, cz_masks, swaps)
         hist = _scalar_reference.block_histograms(rows, n)
-        targets = [target_key(best_for(n).protocol)]
+        targets = [counts_key(best_for(n).protocol.counts)]
         targets += [counts_key([tuple(h) for h in hist[i].tolist()])
                     for i in rng.choice(size, size=6, replace=False)]
         for key in targets:

@@ -35,6 +35,7 @@ from bicliff.states import (
     stats_in_epsilon,
     vector_paulis,
     werner_counts,
+    werner_keys,
     werner_stats,
     werner_term_basis,
 )
@@ -194,6 +195,24 @@ def test_preimage_kernel_matches_brute_force_oracle():
                 mass = [state.probs[c].sum() for c in cosets]
                 assert np.allclose(coset_sums(m, state), mass, rtol=0, atol=1e-14)
                 assert coset_sums(m, state) == tuple(sums[a, b].tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    dtype=st.sampled_from([np.uint16, np.uint64]),
+)
+def test_werner_keys_are_encoded_histograms(n, seed, count, dtype):
+    # werner_keys is the one map from matrices to statistics keys; it must
+    # agree with encoding the histograms, for one row and for a stack
+    rng = np.random.default_rng(seed)
+    rows = np.array([random_symplectic(n, rng).rows for _ in range(count)], dtype=dtype)
+    want = encode_counts(coset_histograms(rows, n))
+    assert werner_keys(rows, n).tolist() == want.tolist()
+    assert werner_keys(rows[0], n).tolist() == want[0].tolist()
+    assert werner_keys(rows.reshape(1, count, 2 * n), n).tolist() == [want.tolist()]
 
 
 def test_step_table_matches_brute_force_oracle():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -16,6 +17,7 @@ from bicliff.werner import (
     all_case_keys,
     best_fidelity_protocol,
     build_representative,
+    case_at,
     case_count,
     count_ab_pairs,
     distinct_protocols,
@@ -444,3 +446,21 @@ def test_pick_curve_crossing():
         [0.1, 0.7, 0.6],
     ])
     assert pick_curve(values) == (1, False, [0, 0, 1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_case_at_is_enumeration_order(n):
+    cases = list(enumerate_cases(n))
+    assert [case_at(n, i) for i in range(len(cases))] == cases
+    for index in (-1, len(cases)):
+        with pytest.raises(ValueError, match=f"case index {index} is not below {len(cases)}"):
+            case_at(n, index)
+
+
+def test_protocol_derives_case_and_representative(protocols_for):
+    # a protocol stores its case index and histograms; the rest follows
+    for p in protocols_for(4):
+        assert [f.name for f in dataclasses.fields(p)] == ["n", "counts", "case_index"]
+        assert p.source == case_at(4, p.case_index)
+        assert p.rep == build_representative(p.source)
+        assert counts_key(werner_counts(p.rep, 4)) == counts_key(p.counts)
