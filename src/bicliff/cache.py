@@ -7,9 +7,10 @@ the exact statistics, in ascending index order.  The index is the case's
 position in `enumerate_cases` order, so a new order needs a new format
 version; the case and its representative follow from it.  A transversal
 record holds the n-1 key masks, then the 2n representative row masks, one
-record per coset in ascending key order, uint16 when 2n <= 16 and uint32
-above.  Each mode has its own format version.  Verification takes a sample
-of records, recomputes their derived data and demands exact agreement.
+record per coset in ascending key order, each a uint16 (so n <= 8), and a
+loaded transversal's keys and rows are views of them.  Each mode has its own
+format version.  Verification takes a sample of records, recomputes their
+derived data and demands exact agreement.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .groups import dn_index
 from .ratpoly import poly_from_strings  # noqa: F401
 from .states import encode_counts, werner_keys
 from .states import werner_counts  # noqa: F401
-from .transversal import Transversal, first_bad_record
+from .transversal import MAX_TRANSVERSAL_PAIRS, Transversal, first_bad_record
 from .werner import Protocol, build_representative, case_at, case_count
 
 MAGIC = b"BCPC\x01"
@@ -46,8 +47,9 @@ def record_dtype(mode: str, n: int) -> np.dtype:
     if mode == "werner":
         # a histogram bin is at most 2^(n-1) <= 128 for the n <= 8 of Werner enumeration
         return np.dtype([("index", "<u4"), ("counts", "u1", (4, n + 1))])
-    mask = "<u2" if 2 * n <= 16 else "<u4"
-    return np.dtype([("key", mask, (n - 1,)), ("rows", mask, (2 * n,))])
+    if n > MAX_TRANSVERSAL_PAIRS:
+        raise ValueError(f"a transversal holds at most {MAX_TRANSVERSAL_PAIRS} pairs, not n={n}")
+    return np.dtype([("key", "<u2", (n - 1,)), ("rows", "<u2", (2 * n,))])
 
 
 @contextmanager
@@ -177,8 +179,7 @@ def load_transversal_cache(path):
     header, records = read_cache(path)
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
-    keys, rows = (records[name].astype(np.uint64) for name in ("key", "rows"))
-    return header, Transversal(header["n"], keys, rows, header["samples"])
+    return header, Transversal(header["n"], records["key"], records["rows"], header["samples"])
 
 
 def _first_bad_werner_record(records: np.ndarray, n: int):
@@ -211,8 +212,7 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     if len(records) > sample:
         idx = np.sort(np.random.default_rng(seed).choice(len(records), size=sample, replace=False))
     if header["mode"] == "transversal":
-        rows = records["rows"][idx].astype(np.uint64)
-        bad = first_bad_record(records["key"][idx].astype(np.uint64), rows, n)
+        bad = first_bad_record(records["key"][idx], records["rows"][idx], n)
     else:
         bad = _first_bad_werner_record(records[idx], n)
     if bad is not None:

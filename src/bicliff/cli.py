@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -46,6 +47,9 @@ EXIT_MISSING_CACHE = 3
 EXIT_BUDGET = 4
 
 F_TAR_DEFAULT = 0.930025
+# transversal and eval stop at n = 5: at n = 6 the default sample budget is
+# about 9.5e10, feeding a set of 103,378,275 keys that no desktop holds
+MAX_EVAL_PAIRS = 5
 # compare holds every protocol at every grid point: 10,000 steps keep one
 # n = 8 curve array near 140 MB
 MAX_GRID_STEPS = 10_000
@@ -175,13 +179,13 @@ def cmd_transversal(args) -> int:
 
 
 def _read_state(path: str) -> tuple:
-    """(n, contents) of a state file, with n an int in 1..MAX_PAIRS."""
+    """(n, contents) of a state file, with n an int in 1..MAX_EVAL_PAIRS."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
         n = obj["n"]
-        if type(n) is not int or not 1 <= n <= MAX_PAIRS:
-            raise ValueError(f"n={n!r} must be an integer in 1..{MAX_PAIRS}")
+        if type(n) is not int or not 1 <= n <= MAX_EVAL_PAIRS:
+            raise ValueError(f"n={n!r} must be an integer in 1..{MAX_EVAL_PAIRS}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_INVALID, f"bad state file {path}: {exc}") from exc
     return n, obj
@@ -217,10 +221,11 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_INVALID, f"--n {args.n} does not match the state file ({n})")
     # the cache is found before the state is expanded; an incomplete cache, or
     # a record whose rows are not symplectic or not in the coset of its key,
-    # makes enumerate_stats raise; only the keys outlive it, not the rows
+    # makes enumerate_stats raise; only a copy of the keys outlives it, so the
+    # record block of keys and rows is freed
     keys, (p, f_num, fi_nums) = _load_cache(
         "transversal", args.cache, n,
-        lambda t: (t.keys, enumerate_stats(t, _load_state(args.state, n, obj))),
+        lambda t: (t.keys.copy(), enumerate_stats(t, _load_state(args.state, n, obj))),
     )
     f_out = np.divide(f_num, p, out=np.zeros_like(p), where=p > 0)
     fis = np.divide(fi_nums, p[:, None], out=np.zeros_like(fi_nums), where=p[:, None] > 0)
@@ -389,6 +394,8 @@ def _svg_lineplot(path: str, title: str, series) -> None:
     finite = np.isfinite(ys_all)
     x0, x1 = xs_all.min(), xs_all.max()
     y0, y1 = ys_all[finite].min(), ys_all[finite].max()
+    if x1 == x0:
+        x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
 
@@ -442,6 +449,13 @@ def _at_least(low: int):
     return integer
 
 
+def _jobs(text: str) -> int:
+    """argparse type of --jobs: at least 1, at most the usable cores (outputs
+    never depend on it, and a process pool forks all its workers at once)."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(_at_least(1)(text), cores or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicliff",
@@ -454,11 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", default="bicliff-cache", help="protocol cache directory")
 
     def add_work(p, seed=True):
-        p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
+        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
         if seed:
             p.add_argument("--seed", type=_at_least(0), default=0)
 
     pair_counts = range(1, MAX_PAIRS + 1)
+    eval_pair_counts = range(1, MAX_EVAL_PAIRS + 1)
     werner_pair_counts = range(2, MAX_GRAPH_NODES + 2)
     p = sub.add_parser("tables", help="group orders and coset counts")
     p.add_argument("--n-min", type=int, default=1, choices=pair_counts, metavar="N")
@@ -473,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_werner)
 
     p = sub.add_parser("transversal", help="build a coset transversal for general inputs")
-    p.add_argument("--n", type=int, required=True, choices=pair_counts, metavar="N")
+    p.add_argument("--n", type=int, required=True, choices=eval_pair_counts, metavar="N")
     p.add_argument("--budget", type=_at_least(0), default=None, help="maximum samples")
     add_common(p)
     add_work(p)
@@ -481,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate every coset on a Bell-diagonal state")
     p.add_argument("state", help="state JSON: {n, pairs: [[pI,pX,pY,pZ],..]} or {n, probs}")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, choices=eval_pair_counts, metavar="N")
     p.add_argument("--min-fidelity", type=float, default=None,
                    help="drop rows with F_out below this value")
     add_common(p)

@@ -23,10 +23,9 @@ import numpy as np
 
 from .gf2 import CNOT, H, S
 from .circuits import CliffordCircuit, circuit_to_symplectic
-from .metrics import CurveSet
 from .ratpoly import RationalPolynomial
 from .states import DistStats, poly_coeff_rows, preimage_index, vector_paulis
-from .werner import default_f_grid, first_rows, pick_curve
+from .werner import best_curve, default_f_grid, first_rows
 
 # The six single-qubit Clifford rotations modulo Paulis, as temporal gate words.
 ROTATION_WORDS = {
@@ -238,7 +237,7 @@ class ConcatenatedResult:
     stats: DistStats
     plan: TreePlan
     dominant: bool
-    pointwise: list
+    pointwise: list  # per-grid-point winning candidate row (when not dominant)
     candidates: int
 
 
@@ -295,10 +294,7 @@ def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> Concate
         dominant, pointwise = True, []
     else:
         grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
-        # first row of each (p_suc, f_num) curve
-        entries = first_rows(np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1))
-        curves = CurveSet(rows[entries], denom, grid)
-        row, dominant, pointwise = pick_curve(curves.f / curves.p)
-        best = entries[row]
+        tied, dominant, pointwise = best_curve(rows, denom, grid)
+        best = tied[0]
     stats = DistStats.from_coset_sums(*_output_key(rows[best], denom))
     return ConcatenatedResult(stats, plans[best], dominant, pointwise, len(rows))

@@ -11,7 +11,8 @@ a block of samples is one `random_symplectic_rows` call (each matrix drawn
 on the null basis of its constraints) and one `coset_keys` call, whose keys
 merge into one set as big-endian byte strings; all keys are completed
 together, and `enumerate_stats` sums every coset of every representative
-with one gather per chunk.
+with one gather per chunk.  Keys and rows are uint16 masks, as in the cache,
+so n <= 8; a kernel that needs more bits widens one chunk at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .groups import coset_key  # noqa: F401
 from .states import numeric_stats  # noqa: F401
 
 SAMPLE_BLOCK = 1024
+MAX_TRANSVERSAL_PAIRS = 8  # every 2n-bit row mask fits a uint16
 # cosets per array step of completion and statistics, to bound memory at n=5
 CHUNK = 1 << 13
 
@@ -49,8 +51,8 @@ CHUNK = 1 << 13
 class Transversal:
     """One canonical representative per right coset of the distillation subgroup.
 
-    keys is a (C, n-1) uint64 array of coset keys in ascending (lexicographic)
-    order and rows the matching (C, 2n) uint64 array of representative row
+    keys is a (C, n-1) uint16 array of coset keys in ascending (lexicographic)
+    order and rows the matching (C, 2n) uint16 array of representative row
     masks.  It is complete when it holds all `dn_index(n)` cosets.
     """
 
@@ -87,10 +89,11 @@ def representative_from_key(key: tuple, n: int) -> SymplecticMatrix:
 
 
 def representative_rows(keys: np.ndarray, n: int) -> np.ndarray:
-    """Row masks of `representative_from_key` for each row of a (B, n-1) key array."""
-    out = np.empty((len(keys), 2 * n), np.uint64)
+    """Row masks of `representative_from_key` for each row of a (B, n-1) key array,
+    in the keys' dtype; each chunk is completed in uint64, as a constraint holds 2n + 1 bits."""
+    out = np.empty((len(keys), 2 * n), keys.dtype)
     for lo in range(0, len(keys), CHUNK):
-        out[lo : lo + CHUNK] = _complete(keys[lo : lo + CHUNK], n)
+        out[lo : lo + CHUNK] = _complete(keys[lo : lo + CHUNK].astype(np.uint64), n)
     return out
 
 
@@ -118,7 +121,7 @@ def _complete(keys: np.ndarray, n: int) -> np.ndarray:
 def _sample_block(n: int, seed, block: int, size: int) -> np.ndarray:
     """The block's coset keys as big-endian bytes, which sort as the keys do."""
     rng = np.random.default_rng([seed, block])
-    keys = coset_keys(random_symplectic_rows(n, rng, size), n).astype(">u4")
+    keys = coset_keys(random_symplectic_rows(n, rng, size), n).astype(">u2")
     return np.ndarray(size, f"V{keys.itemsize * (n - 1)}", keys)
 
 
@@ -136,6 +139,8 @@ def build_transversal(
     (seed, block_index) and merged in block order, so the outcome does not
     depend on the worker count.
     """
+    if not 1 <= n <= MAX_TRANSVERSAL_PAIRS:
+        raise ValueError(f"transversal pair count must be in [1, {MAX_TRANSVERSAL_PAIRS}], got {n}")
     target = dn_index(n)
     if max_samples is None:
         max_samples = max(4 * SAMPLE_BLOCK, int(50 * target * math.log(max(target, 2))))
@@ -153,7 +158,7 @@ def build_transversal(
 
     count = len(keys)
     keys = b"".join(sorted(keys))  # the set goes before the key array is built
-    keys = np.frombuffer(keys, ">u4").reshape(count, n - 1).astype(np.uint64)
+    keys = np.frombuffer(keys, ">u2").reshape(count, n - 1).astype(np.uint16)
     return Transversal(n, keys, representative_rows(keys, n), samples)
 
 

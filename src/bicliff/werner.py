@@ -190,12 +190,7 @@ def _canonical(masks: np.ndarray, m: int) -> np.ndarray:
 
 def graph_adjacency_rows(mask: int, m: int) -> list:
     """Adjacency matrix of an edge bitmask as m bit-packed rows."""
-    rows = [0] * m
-    for k, (i, j) in enumerate(_edge_list(m)):
-        if (mask >> k) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return rows
+    return _adjacency([mask], m)[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +472,21 @@ def pick_curve(values: np.ndarray) -> tuple:
     return int(per_point[-1]), False, [int(i) for i in per_point]
 
 
+def best_curve(rows: np.ndarray, denom, grid: np.ndarray) -> tuple:
+    """`pick_curve` over the F_out curves of `CurveSet` coefficient rows.
+
+    Rows with equal (p_suc, f_num) form one curve, named by its first row.
+    Returns (tied, dominant, per_point): the ascending rows of the winning
+    curve, and the first row of each point's winning curve (empty if dominant).
+    """
+    keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
+    heads = first_rows(keys)
+    curves = CurveSet(rows[heads], denom, grid)
+    row, dominant, per_point = pick_curve(curves.f / curves.p)
+    tied = np.flatnonzero((keys == keys[heads[row]]).all(axis=1))
+    return tied, dominant, heads[per_point].tolist()
+
+
 def first_rows(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct row.
 
@@ -513,17 +523,15 @@ def best_fidelity_protocol(
     Protocols with identical (p_suc, f_num) form one curve; if a single curve
     is maximal at every grid point it is reported as dominant, otherwise the
     per-point winners are returned so crossovers are visible.  The curves
-    come straight from the histograms' integer coefficient rows.
+    come straight from the histograms' integer coefficient rows, in case
+    order, so ties go to the lowest case index.
     """
     if protocols is None:
         protocols = distinct_protocols(n)
+    protocols = sorted(protocols, key=lambda p: p.case_index)
     grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
     rows = werner_coeff_rows([p.counts for p in protocols], n)
-    curve_keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
-    heads = sorted(first_rows(curve_keys), key=lambda i: protocols[i].case_index)
-    curves = CurveSet(rows[heads], 3**n, grid)
-    row, dominant, per_point = pick_curve(curves.f / curves.p)
-    winners = [protocols[heads[i]].case_index for i in per_point]
-    same = (curve_keys == curve_keys[heads[row]]).all(axis=1)
-    tied = [protocols[i] for i in np.flatnonzero(same)]
+    tied, dominant, per_point = best_curve(rows, 3**n, grid)
+    tied = [protocols[i] for i in tied]
+    winners = [protocols[i].case_index for i in per_point]
     return BestFidelityResult(tied[0], tied, dominant, winners, grid)

@@ -19,9 +19,9 @@ from bicliff.cache import (
     write_transversal_cache,
     write_werner_cache,
 )
-from bicliff.cli import main
+from bicliff.cli import build_parser, main
 from bicliff.states import werner_stats
-from bicliff.transversal import build_transversal, representative_rows
+from bicliff.transversal import build_transversal
 from _reference import EXAMPLE_PAIR
 
 
@@ -198,7 +198,12 @@ def test_transversal_cache_format_2_roundtrip(tmp_path, transversal_for, n):
     header, loaded = load_transversal_cache(path)
     assert header["format_version"] == 2 and header["count"] == len(t) == len(loaded)
     assert loaded.n == n and loaded.complete and loaded.samples_used == t.samples_used
-    assert loaded.keys.dtype == loaded.rows.dtype == np.uint64
+    # views of the record block, with no widened copy
+    assert loaded.keys.dtype == loaded.rows.dtype == np.uint16
+    block = loaded.keys.base
+    assert block.dtype.names == ("key", "rows") and loaded.rows.base is block
+    assert np.shares_memory(loaded.rows, block)
+    assert n == 1 or np.shares_memory(loaded.keys, block)  # n = 1 keys hold no bytes
     assert np.array_equal(loaded.keys, t.keys) and np.array_equal(loaded.rows, t.rows)
     # the body is count x (3n - 1) little-endian uint16, keys before rows
     data = path.read_bytes()
@@ -206,19 +211,22 @@ def test_transversal_cache_format_2_roundtrip(tmp_path, transversal_for, n):
     assert body.reshape(len(t), 3 * n - 1).tolist() == np.hstack([t.keys, t.rows]).tolist()
 
 
-def test_transversal_cache_uint32_roundtrip(tmp_path, capsys):
-    # 2n = 18 bits do not fit a uint16
-    assert run_cli(["transversal", "--n", "9", "--budget", "2048", "--cache", str(tmp_path)]) == 4
-    capsys.readouterr()
+@pytest.mark.parametrize("count", [0, 1])
+def test_transversal_cache_of_nine_pairs_rejected(tmp_path, capsys, count):
+    # 2n = 18 bits do not fit the uint16 masks; one record is laid out as
+    # uint32 masks were, 26 of them
     path = tmp_path / "transversal_n9.bcp"
-    header, t = load_transversal_cache(path)
-    assert header["count"] == len(t) == 2048 and not t.complete
-    assert int(t.rows.max()) >= 1 << 16
-    assert path.stat().st_size == path.read_bytes().index(b"}") + 1 + 2048 * 26 * 4
-    assert [tuple(k) for k in t.keys.tolist()] == sorted(map(tuple, t.keys.tolist()))
-    assert np.array_equal(t.rows, representative_rows(t.keys, 9))
-    ok, checked, _ = verify_cache(path, sample=2048)
-    assert ok and checked == 2048
+    header = {"mode": "transversal", "n": 9, "count": count, "complete": False,
+              "seed": 0, "samples": count, "format_version": 2}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + bytes(count * 26 * 4))
+    for reader in (read_cache, load_transversal_cache, verify_cache):
+        with pytest.raises(ValueError, match="a transversal holds at most 8 pairs, not n=9"):
+            reader(path)
+    code = run_cli(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "at most 8 pairs" in captured.err and "rebuild it with" in captured.err
 
 
 def test_cli_eval_rejects_partial_transversal_marked_complete(transversal_for, tmp_path, capsys):
@@ -670,25 +678,18 @@ def test_cli_eval_missing_cache(tmp_path, capsys):
     assert "bicliff transversal --n 3" in err
 
 
-# the child gives itself a 2 GB address space, so expanding 16 pairs (32 GiB) fails
-_LIMITED_CLI = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from bicliff.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
+def test_cli_eval_finds_cache_before_expanding_state(tmp_path, capsys, monkeypatch):
+    from bicliff.cli import BellDiagonalState
 
+    def expand(pairs):
+        raise AssertionError("the state was expanded before the cache was found")
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="limits RLIMIT_AS")
-def test_cli_eval_finds_cache_before_expanding_state(tmp_path):
+    monkeypatch.setattr(BellDiagonalState, "from_pairs", staticmethod(expand))
     state = tmp_path / "state.json"
-    state.write_text(json.dumps({"n": 16, "pairs": [list(EXAMPLE_PAIR)] * 16}))
-    res = subprocess.run(
-        [sys.executable, "-c", _LIMITED_CLI, "eval", str(state), "--cache", str(tmp_path)],
-        capture_output=True, text=True,
-    )
-    assert res.returncode == 3, res.stderr
-    assert "no transversal cache for n=16; run: bicliff transversal --n 16" in res.stderr
+    state.write_text(json.dumps({"n": 5, "pairs": [list(EXAMPLE_PAIR)] * 5}))
+    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
+    assert code == 3
+    assert "no transversal cache for n=5; run: bicliff transversal --n 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [
@@ -697,15 +698,18 @@ def test_cli_eval_finds_cache_before_expanding_state(tmp_path):
     '{"n": 2.0, "pairs": [[0.7, 0.1, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1]]}',
     '{"n": 17, "pairs": []}',
     '{"n": -1, "probs": []}',
+    json.dumps({"n": 6, "pairs": [list(EXAMPLE_PAIR)] * 6}),
 ])
 def test_cli_eval_rejects_bad_pair_count(tmp_path, capsys, text):
+    # only n = 1..5 transversals can be built, so larger states exit 2, not 3
     state = tmp_path / "state.json"
     state.write_text(text)
-    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
+    code = run_cli(["eval", str(state), "--cache", str(tmp_path / "c")])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"bad state file {state}: n=" in captured.err
-    assert "must be an integer in 1..16" in captured.err
+    assert "must be an integer in 1..5" in captured.err
+    assert not (tmp_path / "c").exists()
 
 
 def test_cli_eval_bad_state(cache_dir, tmp_path, capsys):
@@ -935,6 +939,18 @@ def test_cli_compare_svg(cache_dir, tmp_path, capsys):
     assert text.startswith("<svg") and "polyline" in text
 
 
+def test_cli_compare_svg_one_point_grid(cache_dir, tmp_path, capsys):
+    # one grid point spans no x range; it is drawn at the left edge
+    svg = tmp_path / "plot.svg"
+    code = run_cli([
+        "compare", "--n-min", "2", "--n-max", "2", "--cache", str(cache_dir),
+        "--f-min", "0.9", "--f-max", "0.9", "--svg", str(svg),
+    ])
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 2
+    text = svg.read_text()
+    assert "nan" not in text and 'points="60.00,' in text
+
+
 def test_cli_circuit(cache_dir, tmp_path, capsys):
     out = tmp_path / "circ.json"
     code = run_cli([
@@ -992,6 +1008,23 @@ def test_import_limits_blas_threads(preset):
     assert value == (preset or "1")
     if preset is None:
         assert threads == "1"
+
+
+_TOP_MODULES = "import sys; print(' '.join(sorted({name.split('.')[0] for name in sys.modules})))"
+
+
+def test_cli_imports_numpy_alone():
+    # numpy is the only runtime dependency; numpy.ma costs import time and
+    # comes with np.unique, which the package therefore avoids at import
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    bare, cli = (
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        for code in (_TOP_MODULES, "import bicliff.cli; " + _TOP_MODULES + "; print('numpy.ma' in sys.modules)")
+    )
+    *loaded, has_ma = cli.stdout.split()
+    added = set(loaded) - set(bare.stdout.split()) - set(sys.stdlib_module_names)
+    assert {name for name in added if not name.startswith("__")} == {"bicliff", "numpy"}
+    assert has_ma == "False"
 
 
 @pytest.mark.parametrize(
@@ -1160,7 +1193,9 @@ def test_cli_werner_cache_of_other_n_exits_2(cache_dir, tmp_path, capsys):
         ("werner", "--n", "1"),
         ("werner", "--n", "9"),
         ("transversal", "--n", "0"),
+        ("transversal", "--n", "6"),
         ("transversal", "--n", "17"),
+        ("eval", "--n", "6"),
         ("tables", "--n-min", "0"),
         ("tables", "--n-max", "17"),
         ("compare", "--n-min", "1"),
@@ -1171,8 +1206,11 @@ def test_cli_werner_cache_of_other_n_exits_2(cache_dir, tmp_path, capsys):
 )
 def test_cli_out_of_range_pair_counts_exit_2(tmp_path, capsys, command, flag, value):
     cache_args = [] if command == "tables" else ["--cache", str(tmp_path / "c")]
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 6, "pairs": [list(EXAMPLE_PAIR)] * 6}))
+    state_args = [str(state)] if command == "eval" else []
     with pytest.raises(SystemExit) as exit_info:
-        run_cli([command, flag, value, *cache_args])
+        run_cli([command, *state_args, flag, value, *cache_args])
     captured = capsys.readouterr()
     assert exit_info.value.code == 2 and captured.out == ""
     assert f"argument {flag}: invalid choice: {value}" in captured.err
@@ -1241,6 +1279,18 @@ def test_cli_non_positive_work_sizes_exit_2(cache_dir, tmp_path, capsys, command
     assert exit_info.value.code == 2 and captured.out == ""
     assert f"argument {flag}: " in captured.err and "must be at least" in captured.err
     assert {path.name: path.read_bytes() for path in cache.iterdir()} == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="reads the CPU affinity")
+@pytest.mark.parametrize("command", ["werner", "transversal", "circuit"])
+def test_cli_jobs_capped_at_usable_cores(command):
+    # parsed only: a pool of that many workers would fork them all at once
+    cores = len(os.sched_getaffinity(0))
+    parse = build_parser().parse_args
+    assert parse([command, "--n", "2", "--jobs", "100000"]).jobs == cores
+    assert parse([command, "--n", "2", "--jobs", str(cores + 1)]).jobs == cores
+    assert parse([command, "--n", "2", "--jobs", "1"]).jobs == 1
+    assert parse([command, "--n", "2"]).jobs == 1
 
 
 @pytest.mark.parametrize(
