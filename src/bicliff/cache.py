@@ -114,21 +114,21 @@ def read_cache(path):
             raise ValueError("not a protocol cache")
         (hlen,) = struct.unpack(">I", _read_exact(fh, 4))
         header = json.loads(_read_exact(fh, hlen))
-        body = fh.read()
-    if not isinstance(header, dict):
-        raise ValueError("no cache header")
-    mode, version, n, count = (header.get(k) for k in ("mode", "format_version", "n", "count"))
-    if FORMAT_VERSIONS.get(mode) != version:
-        raise ValueError(f"unsupported {mode} cache version {version}")
-    if not (type(n) is int and 1 <= n <= MAX_PAIRS and type(count) is int and count >= 0):
-        raise ValueError(f"bad {mode} header: n={n!r}, count={count!r}")
-    dtype = record_dtype(mode, n)
-    if len(body) != count * dtype.itemsize:
-        raise ValueError(
-            f"{mode} body of {len(body)} bytes does not hold {count} records "
-            f"of {dtype.itemsize} bytes"
-        )
-    records = np.frombuffer(body, dtype)
+        if not isinstance(header, dict):
+            raise ValueError("no cache header")
+        mode, version, n, count = (header.get(k) for k in ("mode", "format_version", "n", "count"))
+        if FORMAT_VERSIONS.get(mode) != version:
+            raise ValueError(f"unsupported {mode} cache version {version}")
+        if not (type(n) is int and 1 <= n <= MAX_PAIRS and type(count) is int and count >= 0):
+            raise ValueError(f"bad {mode} header: n={n!r}, count={count!r}")
+        dtype = record_dtype(mode, n)
+        length = os.fstat(fh.fileno()).st_size - fh.tell()  # no header count sizes a read
+        if length != count * dtype.itemsize:
+            raise ValueError(
+                f"{mode} body of {length} bytes does not hold {count} records "
+                f"of {dtype.itemsize} bytes"
+            )
+        records = np.frombuffer(_read_exact(fh, length), dtype)
     if mode == "transversal":
         if not _strictly_ascending(records["key"]):
             raise ValueError("transversal keys are not strictly ascending")

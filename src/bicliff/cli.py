@@ -227,8 +227,10 @@ def cmd_eval(args) -> int:
         "transversal", args.cache, n,
         lambda t: (t.keys.copy(), enumerate_stats(t, _load_state(args.state, n, obj))),
     )
-    f_out = np.divide(f_num, p, out=np.zeros_like(p), where=p > 0)
-    fis = np.divide(fi_nums, p[:, None], out=np.zeros_like(fi_nums), where=p[:, None] > 0)
+    live = p > 0  # F_out and the F_i overwrite their numerators; rows without success read 0
+    f_out = np.divide(f_num, p, out=f_num, where=live)
+    fis = np.divide(fi_nums, p[:, None], out=fi_nums, where=live[:, None])
+    f_out[~live] = fis[~live] = 0
     envelope = pareto_envelope(p, f_out)
     keep = slice(None) if args.min_fidelity is None else f_out >= args.min_fidelity
     # one % template per row: the key as d:d:..., floats as fmt() prints them;

@@ -351,8 +351,11 @@ def encode_counts(hists) -> np.ndarray:
 
 
 def decode_counts(keys, n: int) -> tuple:
-    """The histograms of one row of `encode_counts` keys, as tuples."""
-    return tuple(tuple(int(k) // KEY_BASE**p % KEY_BASE for p in range(n, -1, -1)) for k in keys)
+    """The histograms of a row (4,) of `encode_counts` keys as four tuples, or of
+    rows (count, 4) as one such tuple per row."""
+    hists = np.asarray(keys, dtype=np.uint64)[..., None] // KEY_POWERS[n::-1] % np.uint64(KEY_BASE)
+    rows = tuple(tuple(map(tuple, row)) for row in hists.reshape(-1, 4, n + 1).tolist())
+    return rows if hists.ndim == 3 else rows[0]
 
 
 @lru_cache(maxsize=None)

@@ -20,12 +20,15 @@ preimage cosets, each encoded into one 64-bit key.  A subset s of the
 non-kept pairs gives one vector to each coset, whose X-shift, one of
 {0, a, b, a^b}, and kept-pair bits are fixed by the parities (a.s, b.s), so
 each key is a weighted sum over the four classes of subsets with equal
-parities.  Those class sums are read off a Walsh-Hadamard transform over s,
-built once per block of graph classes and shared by every (a, b) pair: a
-gather of 16 entries per graph per pair.  Deduplication streams: each block
-of graph classes is keyed and reduced to its first occurrences at once, so
-only the survivors of all blocks are ever held together, and one more pass
-over them, in case order, keeps the first case of every distinct key.
+parities: 129 times the coset's total less 128 times its kept class, both
+fixed integer combinations of a Walsh-Hadamard transform over s (Poisson
+summation).  One transform per block of graph classes serves every (a, b)
+pair, and each key is read straight off a gather of 16 of its entries in
+wrapping uint64 arithmetic (exact: see `_block_keys`).  Deduplication
+streams: each block of graph classes is keyed and reduced to its first
+occurrences at once, so only the survivors of all blocks are ever held
+together, and one more pass over them, in case order, keeps the first case
+of every distinct key.
 """
 
 from __future__ import annotations
@@ -324,24 +327,20 @@ class Protocol:
 # Batched statistics keys
 # ---------------------------------------------------------------------------
 
-# Subsets s are in class k = a.s + 2 b.s.  Coset c (order I, X, Y, Z) reads
-# class k at entry [c][k] of a flat (class, X-shift) block, the shift being
-# the one of [0, a, b, a^b] that b.s and c pick, and weighs it 129^(1 - kept):
-# the kept pair is at identity in class (0, 2, 3, 1)[c].  Tuples, not arrays,
-# so that importing builds nothing.
-_TERMS = ((0, 4, 9, 13), (1, 5, 8, 12), (3, 7, 10, 14), (2, 6, 11, 15))
-_WEIGHTS = tuple(tuple(1 if k == kept else KEY_BASE for k in range(4)) for kept in (0, 2, 3, 1))
+# Coset c (order I, X, Y, Z): X-shifts t0 and t1 of its subsets with b.s = 0
+# and 1, and the shift tk and character signs of its kept class; shifts and
+# characters index [0, a, b, a^b].  Tuples, so that importing builds nothing.
+_COSETS = (
+    (0, 1, 0, (1, 1, 1, 1)),
+    (1, 0, 0, (1, 1, -1, -1)),
+    (3, 2, 2, (1, -1, -1, 1)),
+    (2, 3, 2, (1, -1, 1, -1)),
+)
 
 _BLOCK_GRAPHS = 48  # graph classes per transform (a 6.3 MB table at n = 8)
 _BLOCK_PAIRS = 128  # (a, b) pairs per gather from it
 _HASH_MIX = 0x9E3779B97F4A7C15  # odd base of the polynomial row hash in `first_rows`
-
-
-def _butterfly(x: np.ndarray, y: np.ndarray) -> None:
-    """(x, y) <- (x + y, x - y), in place."""
-    x += y
-    y *= -2
-    y += x
+_CURVE_SLICE = 64  # curves evaluated at a time in `best_curve`
 
 
 def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
@@ -354,16 +353,18 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
     xor of the graph's adjacency rows in s and t one of [0, a, b, a^b], so
     its identity weight is m - P[s, t], P = popcount((R[s] ^ t) | s), plus
     one where the kept pair's bits are zero, which depends on (a.s, b.s) and
-    the coset alone.  A key is therefore a sum of class sums C[k, t] of
-    129^P over the subsets of class k = a.s + 2 b.s, each times 129 or, on
-    the kept class, 1.  Poisson summation gives 4 C[k, t] = Ê[0, t] ± Ê[a, t]
-    ± Ê[b, t] ± Ê[a^b, t], Ê the Walsh-Hadamard transform of 129^P over s,
-    so one transform per block of graphs serves every pair: a gather of 16
-    entries per graph and two butterflies.
+    the coset alone.  With C_kept the sum of 129^P over the subsets in the
+    kept class (of k = a.s + 2 b.s) and T the coset's total of 129^P,
+    key = 129 (T - C_kept) + C_kept = 129 T - 32 Q.  Poisson summation reads
+    both off Ê, the Walsh-Hadamard transform of 129^P over s, built once per
+    block of graphs for every pair: 2T = Ê[0, t0] + Ê[b, t0] + Ê[0, t1] -
+    Ê[b, t1] (two half-space sums over b.s) and Q = 4 C_kept = Ê[0, tk]
+    ± Ê[a, tk] ± Ê[b, tk] ± Ê[a^b, tk], (t0, t1, tk, signs) from `_COSETS`.
 
-    |Ê| <= 2^m 129^m and 4 C <= 2^(n+1) 129^(n-1) < 2^63 for n <= 8, so the
-    int64 arithmetic is exact; a key is at most 2^(n-1) 129^n < 2^64, summed
-    in uint64.  Here 129 is `states.KEY_BASE`.
+    Exact for n <= 8 (129 is `states.KEY_BASE`): |Ê| <= 2^m 129^m < 2^63
+    fits the int64 table; every key is below 2^(n-1) 129^n < 2^64, so the
+    uint64 sums may wrap mod 2^64; and the one division, 2T >> 1, is exact
+    because 0 <= 2T <= 2^(m+1) 129^m < 2^64 holds 2T itself.
     """
     m = n - 1
     size = 1 << m
@@ -375,22 +376,23 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
     nonid = np.bitwise_count((row_xors[:, None] ^ subsets[:, None]) | subsets[:, None, None])
     table = (np.int64(KEY_BASE) ** np.arange(m + 1))[nonid]  # [s, t, graph]
     for h in (1 << k for k in range(m)):  # transform over s, in place
-        halves = table.reshape(size // (2 * h), 2, h, -1)
-        _butterfly(halves[:, 0], halves[:, 1])
+        x, y = table.reshape(size // (2 * h), 2, h, -1).transpose(1, 0, 2, 3)
+        x += y
+        y *= -2
+        y += x
     a, b = np.array(_ab_pair_tuple(m)).T
-    shifts = np.stack([np.zeros_like(a), a, b, a ^ b], axis=1)
-    for lo in range(0, len(shifts), _BLOCK_PAIRS):
-        shift = shifts[lo : lo + _BLOCK_PAIRS]
-        sums = table[shift[:, :, None], shift[:, None, :]]  # [pair, character, t, graph]
-        chars = sums.reshape(len(shift), 2, 2, 4, -1)  # character b bit, a bit
-        _butterfly(chars[:, :, 0], chars[:, :, 1])
-        _butterfly(chars[:, 0], chars[:, 1])
-        sums >>= 2  # the class sums C
-        terms = sums.reshape(len(shift), 16, -1).view(np.uint64)[:, _TERMS]
-        terms *= np.array(_WEIGHTS, dtype=np.uint64)[:, :, None]
-        rows = keys[lo : lo + _BLOCK_PAIRS]
-        rows[...] = terms.sum(axis=2).transpose(0, 2, 1)
-        sort_coset_keys(rows)
+    shifts = np.stack([np.zeros_like(a), a, b, a ^ b])
+    for lo in range(0, shifts.shape[1], _BLOCK_PAIRS):
+        shift = shifts[:, lo : lo + _BLOCK_PAIRS]
+        e = table[shift[:, None], shift[None]].view(np.uint64)  # [character, t, pair, graph]
+        out = np.empty((4,) + e.shape[2:], dtype=np.uint64)  # [coset, pair, graph]
+        for key, (t0, t1, tk, signs) in zip(out, _COSETS):
+            np.subtract(e[0, t0] + e[2, t0] + e[0, t1], e[2, t1], out=key)  # 2T
+            key >>= 1
+            key *= KEY_BASE
+            for sign, entry in zip(signs, e[:, tk]):  # less 32 Q
+                (np.subtract if sign > 0 else np.add)(key, entry << 5, out=key)
+        keys[lo : lo + _BLOCK_PAIRS] = sort_coset_keys(np.moveaxis(out, 0, -1))
 
 
 def all_case_keys(n: int, graphs: list | None = None) -> np.ndarray:
@@ -432,9 +434,8 @@ def distinct_protocols(n: int, jobs: int = 1) -> list:
         index, keys = map(np.concatenate, zip(*ordered_calls(_first_cases, calls, pool, jobs)))
     order = np.argsort(index)
     first = order[first_rows(keys[order])]
-    return [
-        Protocol(n, decode_counts(row, n), idx) for idx, row in zip(index[first].tolist(), keys[first])
-    ]
+    counts = decode_counts(keys[first], n)
+    return [Protocol(n, row, idx) for idx, row in zip(index[first].tolist(), counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +482,12 @@ def best_curve(rows: np.ndarray, denom, grid: np.ndarray) -> tuple:
     """
     keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
     heads = first_rows(keys)
-    curves = CurveSet(rows[heads], denom, grid)
-    row, dominant, per_point = pick_curve(curves.f / curves.p)
+    # F_out of `_CURVE_SLICE` curves at a time: the full p and f are never held
+    values = np.empty((len(heads), len(grid)))
+    for lo in range(0, len(heads), _CURVE_SLICE):
+        curves = CurveSet(rows[heads[lo : lo + _CURVE_SLICE]], denom, grid)
+        np.divide(curves.f, curves.p, out=values[lo : lo + _CURVE_SLICE])
+    row, dominant, per_point = pick_curve(values)
     tied = np.flatnonzero((keys == keys[heads[row]]).all(axis=1))
     return tied, dominant, heads[per_point].tolist()
 

@@ -545,6 +545,35 @@ def test_rejects_truncated_file(cache_dir, tmp_path):
             read_cache(p)
 
 
+@pytest.mark.parametrize("change", [-9, -1, 1, 9])
+def test_body_of_wrong_length_names_its_bytes(cache_dir, tmp_path, change):
+    # a body short or long by a few bytes: the message gives its true length
+    good = cache_dir / "werner_n3.bcp"
+    header, records = read_cache(good)
+    data = good.read_bytes()
+    path = tmp_path / "werner_n3.bcp"
+    path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+    message = (f"werner body of {records.nbytes + change} bytes does not hold "
+               f"{header['count']} records of {records.itemsize} bytes")
+    with pytest.raises(ValueError, match=message):
+        read_cache(path)
+
+
+def test_reading_a_cache_holds_one_copy_of_its_body(tmp_path, transversal_for):
+    import tracemalloc
+
+    path = tmp_path / "transversal_n4.bcp"
+    write_transversal_cache(path, transversal_for(4), seed=0)
+    tracemalloc.start()
+    try:
+        _, records = read_cache(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records.nbytes == 11475 * 22
+    assert peak < 1.5 * records.nbytes, peak
+
+
 # --- CLI ------------------------------------------------------------------------
 
 
@@ -649,6 +678,29 @@ def test_cli_eval(cache_dir, tmp_path, capsys):
     assert lines[0] == "coset_key,p_suc,f_out,f1,f2,f3,envelope"
     assert len(lines) == 16
     assert any(abs(float(line.split(",")[1]) - 0.75) < 1e-12 for line in lines[1:])
+
+
+def test_cli_eval_rows_without_success_read_zero(cache_dir, tmp_path, capsys, transversal_for):
+    # entries of -1e-13 give rows whose p_suc is 0 or below while a coset
+    # sum is not 0; their F_out and F_i still read 0
+    from bicliff.states import BellDiagonalState
+    from bicliff.transversal import enumerate_stats
+
+    probs = [0.0] * 16
+    probs[8], probs[9], probs[13] = 1e-13, -1e-13, 1.0
+    p, f_num, fi_nums = enumerate_stats(transversal_for(2), BellDiagonalState(2, probs))
+    dead = ~(p > 0)
+    assert (f_num[dead] != 0).any() and (fi_nums[dead] != 0).any()
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "probs": probs}))
+    assert run_cli(["eval", str(state), "--cache", str(cache_dir)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == len(p)
+    for row, *sums in zip(rows, p, f_num, *fi_nums.T):
+        if sums[0] > 0:
+            assert list(map(float, row[2:6])) == [x / sums[0] for x in sums[1:]]
+        else:
+            assert row[2:6] == ["0"] * 4
 
 
 def test_cli_eval_probs_form_single_pair(tmp_path, capsys):

@@ -351,6 +351,8 @@ def test_counts_codec(pair):
     # decoding undoes encoding, the X/Y/Z histograms sorted as in counts_key
     flat_h, flat_g = (tuple(map(tuple, (k[0], *k[1]))) for k in (key_h, key_g))
     assert decode_counts(keys[0], n) == flat_h and decode_counts(keys[1], n) == flat_g
+    # a stack decodes row by row, each row as the one-row call gives it
+    assert decode_counts(keys, n) == (flat_h, flat_g)
     # equal rows exactly when the counts_keys are equal
     assert np.array_equal(keys[0], keys[1]) == (key_h == key_g)
     # numbers order like the histogram tuples, entry by entry

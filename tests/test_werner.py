@@ -8,18 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicliff.gf2 import is_symplectic
-from bicliff.states import counts_key, decode_counts, werner_counts, werner_stats
+from bicliff.metrics import CurveSet
+from bicliff.states import counts_key, decode_counts, werner_coeff_rows, werner_counts, werner_stats
 from bicliff.werner import (
     MAX_GRAPH_NODES,
     WernerCase,
     _canonical,
     ab_pairs,
     all_case_keys,
+    best_curve,
     best_fidelity_protocol,
     build_representative,
     case_at,
     case_count,
     count_ab_pairs,
+    default_f_grid,
     distinct_protocols,
     enumerate_cases,
     first_rows,
@@ -274,6 +277,21 @@ def test_keys_at_the_int64_headroom():
         assert np.array_equal(keys[p], _bincount_pair_keys(n, *pairs[p], graphs)), pairs[p]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_closed_form_keys_match_bincount_on_labelled_graphs(data):
+    # any labelled graph masks, canonical or not, under any (a, b) pair: the
+    # closed form reads every coset key off the transform, whatever the graph
+    n = data.draw(st.integers(2, 8), label="n")
+    m = n - 1
+    masks = st.integers(0, (1 << (m * (m - 1) // 2)) - 1)
+    graphs = data.draw(st.lists(masks, min_size=1, max_size=4), label="graphs")
+    pairs = list(ab_pairs(m))
+    p = data.draw(st.integers(0, len(pairs) - 1), label="pair")
+    keys = all_case_keys(n, graphs).reshape(len(pairs), len(graphs), 4)
+    assert np.array_equal(keys[p], _bincount_pair_keys(n, *pairs[p], graphs)), (pairs[p], graphs)
+
+
 # --- deduplication -----------------------------------------------------------------
 
 
@@ -429,6 +447,32 @@ def test_best_protocols_match_reference(protocols_for, best_for):
 def test_best_on_custom_grid(protocols_for):
     res = best_fidelity_protocol(4, protocols=protocols_for(4), f_grid=[0.7, 0.9])
     assert res.protocol.stats.p_suc == best_p_poly(4)
+
+
+def _unsliced_best_curve(rows, denom, grid):
+    """`best_curve` with every curve's F_out in one `CurveSet`."""
+    keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
+    heads = first_rows(keys)
+    curves = CurveSet(rows[heads], denom, grid)
+    row, dominant, per_point = pick_curve(curves.f / curves.p)
+    tied = np.flatnonzero((keys == keys[heads[row]]).all(axis=1))
+    return tied.tolist(), dominant, heads[per_point].tolist()
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_best_curve_independent_of_slice_size(monkeypatch, protocols_for, size):
+    import bicliff.werner as werner
+    from bicliff.dejmps import candidate_rows
+
+    # the default grid has a dominant curve; from F = 0.26 up, curves cross
+    grids = (default_f_grid(), np.linspace(0.26, 1.0, 38))
+    families = [(werner_coeff_rows([p.counts for p in protocols_for(n)], n), 3**n) for n in range(2, 8)]
+    families += [candidate_rows(n)[:2] for n in range(2, 7)]
+    monkeypatch.setattr(werner, "_CURVE_SLICE", size)
+    for rows, denom in families:
+        for grid in grids:
+            tied, dominant, per_point = best_curve(rows, denom, grid)
+            assert (tied.tolist(), dominant, per_point) == _unsliced_best_curve(rows, denom, grid)
 
 
 def test_pick_curve_dominant():
