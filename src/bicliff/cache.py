@@ -105,9 +105,9 @@ def read_cache(path):
 
     The body must hold exactly the header's count of records.  Transversal
     keys must be strictly ascending, and the header's `complete` must say
-    whether the records are every coset.  Werner histograms must each sum to
-    2^(n-1), and Werner case indices must be strictly ascending and below
-    `case_count(n)`.
+    whether the records are every coset.  A Werner cache must hold records,
+    its histograms must each sum to 2^(n-1), and its case indices must be
+    strictly ascending and below `case_count(n)`.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -136,6 +136,8 @@ def read_cache(path):
         if complete is not (count == total):
             raise ValueError(f"header says complete={complete!r} for {count} of {total} cosets")
     if mode == "werner":
+        if count == 0:
+            raise ValueError("no records: every Werner enumeration finds at least 2 protocols")
         index = records["index"]
         for bad, problem in (
             ((records["counts"].sum(axis=-1) != 1 << (n - 1)).any(axis=1), "malformed coset histograms"),

@@ -24,7 +24,7 @@ import numpy as np
 from .gf2 import CNOT, H, S
 from .circuits import CliffordCircuit, circuit_to_symplectic
 from .ratpoly import RationalPolynomial
-from .states import DistStats, poly_coeff_rows, preimage_index, vector_paulis
+from .states import DistStats, preimage_index, vector_paulis
 from .werner import best_curve, default_f_grid, first_rows
 
 # The six single-qubit Clifford rotations modulo Paulis, as temporal gate words.
@@ -124,25 +124,6 @@ class TreePlan:
             return 1
         return self.keep.leaves() + self.measure.leaves()
 
-    def to_json_obj(self):
-        if self.is_leaf:
-            return "pair"
-        return {
-            "rotation": self.rotation,
-            "keep": self.keep.to_json_obj(),
-            "measure": self.measure.to_json_obj(),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "TreePlan":
-        if obj == "pair":
-            return cls()
-        return cls(
-            obj["rotation"],
-            cls.from_json_obj(obj["keep"]),
-            cls.from_json_obj(obj["measure"]),
-        )
-
 
 LEAF = TreePlan()
 
@@ -179,11 +160,9 @@ def plan_to_circuit(plan: TreePlan, n: int) -> CliffordCircuit:
 # ---------------------------------------------------------------------------
 
 
-def werner_leaf() -> tuple:
-    """Unnormalised Werner coefficients as exact polynomials in F."""
-    f = RationalPolynomial.variable()
-    e = RationalPolynomial((Fraction(1, 3), Fraction(-1, 3)))
-    return (f, e, e, e)
+# The Werner leaf (F, e, e, e), e = (1 - F)/3, as power-ascending integer rows
+# over the denominator 3.
+WERNER_LEAF = np.array([[0, 3], [1, -1], [1, -1], [1, -1]], dtype=np.int64)
 
 
 def _step_arrays(keep, measure, index) -> np.ndarray:
@@ -245,18 +224,15 @@ def candidate_rows(n: int, leaf=None, rotations=None) -> tuple:
     """(rows, denom, plans): the distinct unnormalised outputs of n-leaf plans.
 
     The tree recursion keeps the first plan of each distinct coefficient
-    array; plans[k] realises rows[k].  A polynomial leaf (the Werner leaf by
-    default) gives (count, 4, d) int64 power-ascending coefficients over
-    denom; a numeric leaf gives (count, 4, 1) floats and denom None.
+    array; plans[k] realises rows[k].  The default Werner leaf gives
+    (count, 4, n+1) int64 power-ascending coefficients over denom 3^n, each at
+    most 9^n < 2^63 in magnitude for the n <= 8 of `tree_shapes`; a numeric
+    leaf (pI, pX, pY, pZ) gives (count, 4, 1) floats and denom None.
     """
-    leaf = werner_leaf() if leaf is None else leaf
-    if isinstance(leaf[0], RationalPolynomial):
-        (leaf,), scale = poly_coeff_rows([leaf])
+    if leaf is None:
+        leaf, scale = WERNER_LEAF, 3
     else:  # a numeric leaf is a (4, 1) float array
         leaf, scale = np.asarray(leaf, dtype=float).reshape(4, 1), None
-    # every coefficient of an n-leaf output is bounded by (sum |leaf|)^n
-    if scale is not None and int(np.abs(leaf).sum()) ** n >= 2**63:
-        raise ValueError("leaf coefficients too large for exact int64 products")
     rotations = tuple(ROTATION_WORDS) if rotations is None else tuple(rotations)
     index = np.array([step_table(rot) for rot in rotations]).transpose(3, 0, 1, 2)
     memo: dict = {}

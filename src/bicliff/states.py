@@ -235,43 +235,17 @@ def coset_histograms(rows, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def werner_term_basis(n: int) -> tuple:
-    """Polynomials F^w * ((1-F)/3)^(n-w) for w = 0..n."""
-    f = RationalPolynomial.variable()
-    third = RationalPolynomial((Fraction(1, 3), Fraction(-1, 3)))
-    out = []
-    for w in range(n + 1):
-        p = RationalPolynomial.constant(1)
-        for _ in range(w):
-            p = p * f
-        for _ in range(n - w):
-            p = p * third
-        out.append(p)
-    return tuple(out)
-
-
-def poly_coeff_rows(keys) -> tuple:
-    """Tuples of polynomials as integer coefficient rows over one denominator.
-
-    Returns (rows, denom): rows[i, k] holds keys[i][k] times denom, the least
-    common denominator of all of them, power-ascending and zero-padded to the
-    longest.  The Werner leaf gives 3 and [0, 3], [1, -1], [1, -1], [1, -1].
-    """
-    denom = math.lcm(*(c.denominator for key in keys for q in key for c in q.coeffs))
-    width = max([1] + [len(q.coeffs) for key in keys for q in key])
-    rows = [[[int(q[k] * denom) for k in range(width)] for q in key] for key in keys]
-    return np.array(rows, dtype=np.int64), denom
-
-
-@lru_cache(maxsize=None)
 def _werner_term_matrix(n: int, dtype) -> np.ndarray:
-    """3^n * werner_term_basis(n) as an integer (n+1, n+1) coefficient matrix.
+    """3^n * F^w * ((1-F)/3)^(n-w) for w = 0..n as an integer (n+1, n+1) matrix.
 
-    Row w holds 3^w * F^w * (1-F)^(n-w), whose coefficients are at most 3^n
-    in magnitude.
+    Row w is 3^w * F^w * (1-F)^(n-w): 3^w * (-1)^j * C(n-w, j) at power w + j,
+    at most 3^n in magnitude.
     """
-    (rows,), _ = poly_coeff_rows([werner_term_basis(n)])
-    return rows.astype(dtype)
+    terms = np.zeros((n + 1, n + 1), dtype)
+    for w in range(n + 1):
+        for j in range(n - w + 1):
+            terms[w, w + j] = 3**w * (-1) ** j * math.comb(n - w, j)
+    return terms
 
 
 def werner_coeff_rows(hists, n: int) -> np.ndarray:

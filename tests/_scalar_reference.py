@@ -4,6 +4,7 @@ Each function here is the straightforward per-item loop that a vectorised
 routine in `bicliff` replaced; tests check the two against each other.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -17,12 +18,34 @@ from bicliff.dejmps import (
     _step_unnormalised,
     step_table,
     tree_shapes,
-    werner_leaf,
 )
 from bicliff.gf2 import SymplecticMatrix, random_symplectic, rref, solve_gf2, swap_halves
 from bicliff.groups import dn_index
+from bicliff.ratpoly import RationalPolynomial
 from bicliff.states import DistStats, counts_key
 from bicliff.werner import _edge_list, _permuted_mask_map
+
+
+def werner_leaf() -> tuple:
+    """Unnormalised Werner coefficients (F, e, e, e), e = (1-F)/3, as exact polynomials."""
+    f = RationalPolynomial.variable()
+    e = RationalPolynomial((Fraction(1, 3), Fraction(-1, 3)))
+    return (f, e, e, e)
+
+
+@lru_cache(maxsize=None)
+def werner_term_basis(n: int) -> tuple:
+    """Polynomials F^w * ((1-F)/3)^(n-w) for w = 0..n, as Fraction products."""
+    f, e, _, _ = werner_leaf()
+    out = []
+    for w in range(n + 1):
+        p = RationalPolynomial.constant(1)
+        for _ in range(w):
+            p = p * f
+        for _ in range(n - w):
+            p = p * e
+        out.append(p)
+    return tuple(out)
 
 
 def _candidates(shape, leaf, rotations, memo) -> dict:

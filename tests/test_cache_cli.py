@@ -1151,6 +1151,8 @@ def _bad_cache(kind, good, path, protocols):
         _json_record_file(path, header, _v2_werner_records(protocols), version=2)
     elif kind == "format 3":
         _v3_werner_file(path, 3, protocols)
+    elif kind == "empty":  # well formed, but every n = 2..8 has at least 2 protocols
+        write_werner_cache(path, 3, [])
     elif kind in ("malformed counts", "unsorted index", "index past every case"):
         header, records = read_cache(good)
         records = records.copy()
@@ -1165,7 +1167,7 @@ def _bad_cache(kind, good, path, protocols):
 
 @pytest.mark.parametrize("kind", [
     "foreign", "truncated", "old version", "format 2", "format 3", "malformed counts",
-    "unsorted index", "index past every case",
+    "unsorted index", "index past every case", "empty",
 ])
 @pytest.mark.parametrize("command", ["compare", "circuit", "verify"])
 def test_cli_unreadable_werner_cache_exits_2(cache_dir, tmp_path, capsys, protocols_for,

@@ -6,14 +6,12 @@ import pytest
 from bicliff.dejmps import (
     DEFAULT_ROTATION,
     ROTATION_WORDS,
-    TreePlan,
     best_concatenated,
     concatenated_candidates,
     dejmps_step,
     plan_to_circuit,
     step_table,
     tree_shapes,
-    werner_leaf,
 )
 from bicliff.circuits import circuit_to_symplectic
 from bicliff.states import (
@@ -135,7 +133,7 @@ def test_step_rejects_non_finite():
 
 def test_step_tables_cover_all_rotations_on_werner():
     # every rotation gives the same exact polynomials on Werner inputs
-    leaf = werner_leaf()
+    leaf = _scalar_reference.werner_leaf()
     outs = set()
     for label in ROTATION_WORDS:
         out = [sum(leaf[i] * leaf[j] for i, j in entry) for entry in step_table(label)]
@@ -255,11 +253,3 @@ def test_numeric_mode():
     res = best_concatenated(3, leaf=(0.7, 0.1, 0.1, 0.1))
     assert res.stats.p_suc <= 1
     assert res.stats.f_out > 0.7
-
-
-def test_plan_serialisation_roundtrip():
-    res = best_concatenated(4)
-    obj = res.plan.to_json_obj()
-    again = TreePlan.from_json_obj(obj)
-    assert again == res.plan
-    assert again.leaves() == 4

@@ -15,8 +15,8 @@ from bicliff.metrics import (
     target_rate,
 )
 from bicliff.ratpoly import RationalPolynomial
-from bicliff.states import DistStats, poly_coeff_rows, werner_coeff_rows
-from bicliff.dejmps import concatenated_candidates
+from bicliff.states import DistStats, werner_coeff_rows
+from bicliff.dejmps import candidate_rows, concatenated_candidates
 from bicliff.werner import default_f_grid
 from _reference import DIQKD_THRESHOLD
 from _scalar_reference import poly_on_grid
@@ -168,4 +168,4 @@ def test_curve_set_matches_real_families(protocols_for):
     for n in range(2, 8):
         coeffs = werner_coeff_rows([p.counts for p in protocols_for(n)], n)
         _assert_curves_match_stats(coeffs, 3**n, grid)
-        _assert_curves_match_stats(*poly_coeff_rows(concatenated_candidates(n)), grid)
+        _assert_curves_match_stats(*candidate_rows(n)[:2], grid)

@@ -37,10 +37,10 @@ from bicliff.states import (
     werner_counts,
     werner_keys,
     werner_stats,
-    werner_term_basis,
+    _werner_term_matrix,
 )
 from _reference import EXAMPLE_PAIR, best_f_poly, best_p_poly
-from _scalar_reference import preimage_oracle
+from _scalar_reference import preimage_oracle, werner_term_basis
 
 
 def symplectic_complement(vectors, n):
@@ -367,6 +367,18 @@ def _fraction_counts_to_poly(hist, n):
         if c:
             acc = acc + c * werner_term_basis(n)[w]
     return acc
+
+
+def test_werner_term_matrix_matches_fraction_products():
+    # row w is 3^n * F^w * ((1-F)/3)^(n-w), compared exactly with Fractions
+    for n in range(1, 17):
+        expected = [
+            [c * 3**n for c in p.coeffs] + [0] * (n + 1 - len(p.coeffs))
+            for p in werner_term_basis(n)
+        ]
+        for dtype in (np.int64, object):
+            terms = _werner_term_matrix(n, dtype)
+            assert terms.dtype == dtype and terms.tolist() == expected, (n, dtype)
 
 
 def test_integer_counts_to_poly_matches_fraction_sum():

@@ -2,15 +2,19 @@
 
 `perfbench/spans.py` replaces functions by name in the modules that call
 them.  A cleanup that drops such a name (an import kept only for the tracer,
-say) would break the traced run; this test fails first.  The tracer file is
-read, never imported from or written to.
+say) would break the traced run; this test fails first.  The reverse holds
+too: an import kept only for the tracer must name a probe, so none is left
+behind once its probe goes.  The tracer file is read, never imported from or
+written to.
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans_module():
@@ -29,6 +33,27 @@ def test_every_probe_resolves():
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert missing == []
+
+
+def test_every_unused_import_is_a_probe():
+    # the reverse check: an import marked unused must be one the tracer
+    # looks up in that module, so none outlives the probe it was kept for
+    probes = _spans_module().PROBES
+    stray = []
+    for path in sorted((ROOT / "src" / "bicliff").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        module_name = "bicliff" if path.stem == "__init__" else f"bicliff.{path.stem}"
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if not any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name not in probes.get(module_name, ()):
+                    stray.append(f"{module_name}.{name}")
+    assert stray == []
 
 
 def test_pool_probe_resolves():
