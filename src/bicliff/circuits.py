@@ -11,7 +11,6 @@ on exact Werner-statistics equality with the target.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,19 +288,18 @@ def synthesize(
     best = None  # (two_qubit, depth, block, idx, circuit)
 
     calls = [(n, seed, b, sizes[b], encoded, allow_swap) for b in range(nblocks)]
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        for b, (block_hits, block_best) in enumerate(
-            ordered_calls(_synth_block, calls, pool, jobs)
-        ):
-            hits += block_hits
-            used += sizes[b]
-            if block_best is not None:
-                g, d, idx, circ = block_best
-                cand = (g, d, b, idx, circ)
-                if best is None or cand[:4] < best[:4]:
-                    best = cand
-            if max_hits is not None and hits >= max_hits:
-                break
+    for b, (block_hits, block_best) in enumerate(
+        ordered_calls(_synth_block, calls, jobs, ProcessPoolExecutor)
+    ):
+        hits += block_hits
+        used += sizes[b]
+        if block_best is not None:
+            g, d, idx, circ = block_best
+            cand = (g, d, b, idx, circ)
+            if best is None or cand[:4] < best[:4]:
+                best = cand
+        if max_hits is not None and hits >= max_hits:
+            break
 
     if best is None:
         return SynthesisResult(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -303,9 +302,6 @@ def cmd_compare(args) -> int:
             np.max([CurveSet(*sets[n], grid).best_target_rate(args.f_tar, n) for n in ns], axis=0)
             for sets in (full, dejmps)
         )
-        # an input already at the threshold is kept undistilled, at rate 1
-        above = grid >= args.f_tar
-        a[above] = b[above] = 1.0
         for i, f in enumerate(grid):
             rows.append([fmt(f), fmt(a[i]), fmt(b[i])])
         series = [("optimised", grid, a), ("dejmps", grid, b)]
@@ -452,13 +448,6 @@ def _at_least(low: int):
     return integer
 
 
-def _jobs(text: str) -> int:
-    """argparse type of --jobs: at least 1, at most the usable cores (outputs
-    never depend on it, and a process pool forks all its workers at once)."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(_at_least(1)(text), cores or 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicliff",
@@ -471,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", default="bicliff-cache", help="protocol cache directory")
 
     def add_work(p, seed=True):
-        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
+        p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
         if seed:
             p.add_argument("--seed", type=_at_least(0), default=0)
 

@@ -162,10 +162,12 @@ class CurveSet:
         return self._max_by_slices(ree)
 
     def best_target_rate(self, f_tar: float, n: int) -> np.ndarray:
-        """Largest p_suc/n among protocols whose F_out reaches f_tar, else 0.
+        """Largest p_suc/n among protocols whose F_out reaches f_tar, else 0; 1
+        where f_in already meets f_tar, as the pair is then kept undistilled.
 
-        Pointwise equal to the n-protocol part of `target_rate`.
+        Pointwise equal to `target_rate` over the n-protocols alone.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             reaches = (self.p > 0) & (self.f / self.p >= f_tar)
-        return np.where(reaches, self.p / n, 0.0).max(axis=0)
+        rate = np.where(reaches, self.p / n, 0.0).max(axis=0)
+        return np.where(self.grid >= f_tar, 1.0, rate)

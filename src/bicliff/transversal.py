@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +148,11 @@ def build_transversal(
     nblocks = (max_samples + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
     # lazy: the default n=5 budget is half a million blocks
     calls = ((n, seed, b, min(SAMPLE_BLOCK, max_samples - b * SAMPLE_BLOCK)) for b in range(nblocks))
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        for block_keys in ordered_calls(_sample_block, calls, pool, jobs):
-            keys.update(block_keys.tolist())
-            samples += len(block_keys)
-            if len(keys) >= target:
-                break
+    for block_keys in ordered_calls(_sample_block, calls, jobs, ProcessPoolExecutor):
+        keys.update(block_keys.tolist())
+        samples += len(block_keys)
+        if len(keys) >= target:
+            break
 
     count = len(keys)
     keys = b"".join(sorted(keys))  # the set goes before the key array is built

@@ -34,7 +34,6 @@ of every distinct key.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -424,14 +423,14 @@ def distinct_protocols(n: int, jobs: int = 1) -> list:
     statistics key (base histogram plus sorted multiset of the other three);
     the first case producing each key is the protocol's case.
     Each block of `_BLOCK_GRAPHS` graph classes is deduplicated on its own (on
-    `jobs` worker processes when jobs > 1), then the survivors of all blocks.
+    up to `jobs` worker processes, see `ordered_calls`), then the survivors.
     """
     _check_enum_n(n)
     graphs = graphs_up_to_iso(n - 1)
     starts = range(0, len(graphs), _BLOCK_GRAPHS)
     calls = [(n, graphs[lo : lo + _BLOCK_GRAPHS], lo, len(graphs)) for lo in starts]
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        index, keys = map(np.concatenate, zip(*ordered_calls(_first_cases, calls, pool, jobs)))
+    blocks = ordered_calls(_first_cases, calls, jobs, ProcessPoolExecutor)
+    index, keys = map(np.concatenate, zip(*blocks))
     order = np.argsort(index)
     first = order[first_rows(keys[order])]
     counts = decode_counts(keys[first], n)

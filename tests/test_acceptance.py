@@ -17,7 +17,7 @@ from bicliff.circuits import (
     synthesize,
     two_qubit_count,
 )
-from bicliff.dejmps import best_concatenated, concatenated_candidates
+from bicliff.dejmps import best_concatenated, candidate_rows
 from bicliff.gf2 import (
     CNOT,
     H,
@@ -27,7 +27,7 @@ from bicliff.gf2 import (
     symplectic_inner,
 )
 from bicliff.groups import bfs_closure, dn_generators, dn_index, dn_order, kn_generators
-from bicliff.metrics import hashing_yield, ree_product
+from bicliff.metrics import CurveSet
 from bicliff.states import (
     BellDiagonalState,
     DistStats,
@@ -37,6 +37,7 @@ from bicliff.states import (
     leading_infidelity_term,
     pillars,
     stats_in_epsilon,
+    werner_coeff_rows,
     werner_counts,
     werner_stats,
 )
@@ -320,41 +321,40 @@ def _coset_sums_numeric(p, n, f):
 
 
 def test_criterion_13_metric_sanity():
+    # one CurveSet per n and family, each over the whole grid: the same
+    # floats as evaluating every protocol's DistStats at every point
     ok = True
     details = []
-    protos = {n: get_protocols(n) for n in range(2, 9)}
-    concat = {
-        n: [DistStats.from_coset_sums(*key) for key in concatenated_candidates(n)]
+    families = {
+        n: (
+            (werner_coeff_rows([p.counts for p in get_protocols(n)], n), 3**n),
+            candidate_rows(n)[:2],
+        )
         for n in range(2, 9)
     }
 
+    grid = np.round(np.arange(0.50, 0.76, 0.005), 4)
+    full_best, dj_best = (
+        np.max([CurveSet(*families[n][k], grid).best_yield(n) for n in range(2, 9)], axis=0)
+        for k in (0, 1)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        above = np.flatnonzero((dj_best > 0) & (full_best / dj_best > 2.5))
     found_ratio = None
-    for f in np.arange(0.50, 0.76, 0.005):
-        f = float(round(f, 4))
-        full_best = max(
-            hashing_yield(p.stats.evaluate(f), n) for n in range(2, 9) for p in protos[n]
-        )
-        dj_best = max(
-            hashing_yield(st.evaluate(f), n) for n in range(2, 9) for st in concat[n]
-        )
-        if dj_best > 0 and full_best / dj_best > 2.5:
-            found_ratio = (f, full_best / dj_best)
-            break
+    if len(above):
+        first = above[0]
+        found_ratio = (float(grid[first]), float(full_best[first] / dj_best[first]))
     if found_ratio is None:
         ok = False
         details.append("no yield ratio above 2.5 below F=0.76")
 
+    grid = np.array([0.85, 0.90, 0.95])
     for n in range(4, 9):
-        strict = False
-        for f in (0.85, 0.90, 0.95):
-            fb = max(ree_product(p.stats.evaluate(f)) for p in protos[n])
-            db = max(ree_product(st.evaluate(f)) for st in concat[n])
-            if fb < db - 1e-12:
-                ok = False
-                details.append(f"n={n} REE product worse at F={f}")
-            if fb > db + 1e-12:
-                strict = True
-        if not strict:
+        fb, db = (CurveSet(*family, grid).best_ree() for family in families[n])
+        for f in grid[fb < db - 1e-12]:
+            ok = False
+            details.append(f"n={n} REE product worse at F={f}")
+        if not (fb > db + 1e-12).any():
             ok = False
             details.append(f"n={n} REE product never strictly better")
 

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from bicliff.cache import (
     write_transversal_cache,
     write_werner_cache,
 )
-from bicliff.cli import build_parser, main
+from bicliff import circuits, transversal, werner
+from bicliff.cli import main
 from bicliff.states import werner_stats
 from bicliff.transversal import build_transversal
 from _reference import EXAMPLE_PAIR
@@ -1335,16 +1337,48 @@ def test_cli_non_positive_work_sizes_exit_2(cache_dir, tmp_path, capsys, command
     assert {path.name: path.read_bytes() for path in cache.iterdir()} == before
 
 
+class InlinePool:
+    """ProcessPoolExecutor stand-in: records the worker count it is opened
+    with and runs each submitted call at once, in this process."""
+
+    opened = []
+
+    def __init__(self, workers):
+        InlinePool.opened.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="reads the CPU affinity")
 @pytest.mark.parametrize("command", ["werner", "transversal", "circuit"])
-def test_cli_jobs_capped_at_usable_cores(command):
-    # parsed only: a pool of that many workers would fork them all at once
+def test_cli_jobs_capped_at_usable_cores(cache_dir, tmp_path, monkeypatch, command):
+    # the stand-in pool starts no process: one of that many workers would fork them all at once
     cores = len(os.sched_getaffinity(0))
-    parse = build_parser().parse_args
-    assert parse([command, "--n", "2", "--jobs", "100000"]).jobs == cores
-    assert parse([command, "--n", "2", "--jobs", str(cores + 1)]).jobs == cores
-    assert parse([command, "--n", "2", "--jobs", "1"]).jobs == 1
-    assert parse([command, "--n", "2"]).jobs == 1
+    module = {"werner": werner, "transversal": transversal, "circuit": circuits}[command]
+    monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
+    args = {
+        "werner": ["werner", "--n", "2", "--cache", str(tmp_path)],
+        "transversal": ["transversal", "--n", "2", "--budget", "64", "--cache", str(tmp_path)],
+        "circuit": ["circuit", "--n", "2", "--budget", "64", "--cache", str(cache_dir)],
+    }[command]
+    for jobs, workers in [(["--jobs", "100000"], cores), (["--jobs", str(cores + 1)], cores),
+                          (["--jobs", "1"], 1), ([], 1)]:
+        InlinePool.opened = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            run_cli([*args, *jobs])
+        if workers > 1:
+            assert InlinePool.opened and set(InlinePool.opened) == {workers}
+        else:
+            assert InlinePool.opened == []  # one worker runs inline and opens no pool
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import _scalar_reference as scalar
 from bicliff.gf2 import SymplecticMatrix, gate_matrix, is_symplectic, random_symplectic_rows, H, S, CNOT
-from bicliff.gf2 import is_symplectic_rows
-from bicliff.groups import bfs_closure, coset_key, coset_keys, dn_index
-from bicliff.states import BellDiagonalState, DistStats
+from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves
+from bicliff.groups import bfs_closure, coset_key, coset_keys, dn_index, kn_generators
+from bicliff.states import BellDiagonalState, DistStats, werner_keys
 from bicliff.transversal import (
     SAMPLE_BLOCK,
     Transversal,
@@ -19,6 +19,7 @@ from bicliff.transversal import (
     representative_rows,
 )
 from bicliff.dejmps import dejmps_step, ROTATION_WORDS
+from bicliff.werner import build_representative, enumerate_cases
 from _reference import EXAMPLE_PAIR
 
 
@@ -171,6 +172,116 @@ def test_transversal_n4_batched_histograms_match_werner_classes(transversal_for,
     wset = {counts_key(p.counts) for p in protocols_for(4)}
     assert len(tset) == len(wset) == 13
     assert tset == wset
+
+
+# Double cosets D_n M K_n, from the coset keys alone.  K_n acts on the right
+# cosets by right multiplication, and a key spans the preimage of rows 1..n-1
+# with halves swapped, so the key of M k is the reduced basis of
+# swap(swap(key) k).  Each map below is that action on the key masks.
+
+
+def _key_codes(keys, n: int) -> np.ndarray:
+    """Each key's rows as one integer, in the transversal's key order."""
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for row in np.asarray(keys, dtype=np.int64).T:
+        codes = codes << (2 * n) | row
+    return codes
+
+
+def _times(k):
+    """The key action of any K_n matrix k: the XOR of k's rows at each set bit."""
+    n = k.n
+
+    def act(w):
+        v = swap_halves(w, n)
+        out = np.zeros_like(v)
+        for j, row in enumerate(k.rows):
+            out ^= np.where(v >> np.uint64(j) & np.uint64(1), np.uint64(row), np.uint64(0))
+        return swap_halves(out, n)
+
+    return act
+
+
+def _small_generators(n: int) -> list:
+    """H and S on pair 1, the transposition (1 2) and the n-cycle of pairs, as
+    bit operations on key masks (bit i is pair i+1's X, bit n + i its Z)."""
+    one, low = np.uint64(1), np.uint64((1 << n) - 1)
+
+    def swap_bits(w, i, j):
+        d = (w >> np.uint64(i) ^ w >> np.uint64(j)) & one
+        return w ^ (d << np.uint64(i) | d << np.uint64(j))
+
+    def cycle(w):
+        halves = [w & low, w >> np.uint64(n)]
+        halves = [(h << one | h >> np.uint64(n - 1)) & low for h in halves]
+        return halves[0] | halves[1] << np.uint64(n)
+
+    return [
+        lambda w: swap_bits(w, 0, n),  # H(1): X and Z of pair 1 trade places
+        lambda w: w ^ (w & one) << np.uint64(n),  # S(1), conjugated by the half swap
+        lambda w: swap_bits(swap_bits(w, 0, 1), n, n + 1),  # SWAP(1, 2)
+        cycle,
+    ]
+
+
+def _double_coset_labels(t, actions) -> np.ndarray:
+    """Per coset, the least coset index of its double coset (its orbit under
+    the key actions), by min-label propagation with pointer jumping."""
+    n, codes = t.n, _key_codes(t.keys, t.n)
+    assert (np.diff(codes) > 0).all()
+    keys = t.keys.astype(np.uint64)
+    perms = []
+    for act in actions:
+        image = _key_codes(rref_rows(act(keys)), n)
+        perm = np.searchsorted(codes, image)
+        assert (codes[perm] == image).all()  # every image is a coset key
+        perms.append(perm)
+    labels = np.arange(len(codes))
+    while True:
+        new = labels
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_small_generators_give_the_double_cosets_of_all_of_kn(transversal_for, n):
+    t = transversal_for(n)
+    small = _double_coset_labels(t, _small_generators(n))
+    full = _double_coset_labels(t, [_times(k) for k in kn_generators(n).matrices()])
+    assert np.array_equal(small, full)
+
+
+def test_double_cosets_n2_match_bfs_closure_orbits(transversal_for):
+    # brute force: the orbit of every representative under all 72 elements of K_2
+    t = transversal_for(2)
+    index = {key: i for i, (key, _) in enumerate(_reps(t))}
+    group = bfs_closure(kn_generators(2).matrices(), limit=1000)
+    assert len(group) == 72
+    orbits = [min(index[coset_key(rep @ k)] for k in group) for _, rep in _reps(t)]
+    assert _double_coset_labels(t, _small_generators(2)).tolist() == orbits
+
+
+@pytest.mark.parametrize("n, count", [(2, 2), (3, 5), (4, 13)])
+def test_double_cosets_from_keys(transversal_for, protocols_for, n, count):
+    # D_n\Sp(2n)/K_n: as many double cosets as distinct Werner protocols,
+    # the Werner statistics constant on each, and each reached by a
+    # canonical triple's representative
+    t = transversal_for(n)
+    labels = _double_coset_labels(t, _small_generators(n))
+    classes = np.unique(labels)
+    assert len(classes) == count == len(protocols_for(n))
+    stats = werner_keys(t.rows, n)
+    assert (stats == stats[labels]).all()
+    assert len(np.unique(stats, axis=0)) == count
+    reps = np.array([build_representative(case).rows for case in enumerate_cases(n)], np.uint64)
+    codes, case_codes = _key_codes(t.keys, n), _key_codes(coset_keys(reps, n), n)
+    reached = np.searchsorted(codes, case_codes)
+    assert (codes[reached] == case_codes).all()
+    assert np.array_equal(np.unique(labels[reached]), classes)
 
 
 def test_pareto_envelope_basics():
