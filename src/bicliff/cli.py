@@ -263,6 +263,15 @@ def _check_compare_args(args) -> None:
         raise CliError(EXIT_INVALID, "; ".join(problems))
 
 
+# metric -> (its figure for n pairs from a `CurveSet` and f_tar, whether the CSV has a row per n)
+_METRICS = {
+    "fidelity": (lambda curves, n, f_tar: curves.best_fidelity(), True),
+    "yield": (lambda curves, n, f_tar: curves.best_yield(n), False),
+    "ree": (lambda curves, n, f_tar: curves.best_ree(), True),
+    "target-rate": (lambda curves, n, f_tar: curves.best_target_rate(f_tar, n), False),
+}
+
+
 def cmd_compare(args) -> int:
     _check_compare_args(args)
     grid = np.round(np.arange(args.f_min, args.f_max + args.f_step / 2, args.f_step), 9)
@@ -274,39 +283,23 @@ def cmd_compare(args) -> int:
         for n in ns
     }
     dejmps = {n: concatenated_candidates(n)[:2] for n in ns}
-
-    rows = []
-    series = []
-    if args.metric in ("fidelity", "ree"):
-        header = ["f_in", "n", "full", "dejmps", "difference"]
-        for n in ns:
-            fc, dc = CurveSet(*full[n], grid), CurveSet(*dejmps[n], grid)
-            a = fc.best_fidelity() if args.metric == "fidelity" else fc.best_ree()
-            b = dc.best_fidelity() if args.metric == "fidelity" else dc.best_ree()
-            for i, f in enumerate(grid):
-                rows.append([fmt(f), n, fmt(a[i]), fmt(b[i]), fmt(a[i] - b[i])])
-            series.append((f"optimised n={n}", grid, a))
-            series.append((f"dejmps n={n}", grid, b))
-    elif args.metric == "yield":
-        header = ["f_in", "full", "dejmps", "ratio"]
-        a = np.max([CurveSet(*full[n], grid).best_yield(n) for n in ns], axis=0)
-        b = np.max([CurveSet(*dejmps[n], grid).best_yield(n) for n in ns], axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = a / b  # inf where only the optimised yield is positive, nan where neither is
-        for i, f in enumerate(grid):
-            rows.append([fmt(f), fmt(a[i]), fmt(b[i]), fmt(ratio[i])])
+    figure, per_n = _METRICS[args.metric]
+    a, b = (np.array([figure(CurveSet(*family[n], grid), n, args.f_tar) for n in ns])
+            for family in (full, dejmps))
+    if per_n:
+        header, rows, series = ["f_in", "n", "full", "dejmps", "difference"], [], []
+        for n, an, bn in zip(ns, a, b):
+            rows += ([fmt(f), n, fmt(x), fmt(y), fmt(x - y)] for f, x, y in zip(grid, an, bn))
+            series += [(f"optimised n={n}", grid, an), (f"dejmps n={n}", grid, bn)]
+    else:
+        a, b = a.max(axis=0), b.max(axis=0)
+        header, columns = ["f_in", "full", "dejmps"], [grid, a, b]
+        if args.metric == "yield":
+            header.append("ratio")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                columns.append(a / b)  # inf where only `full` is positive, nan where neither is
+        rows = [[fmt(v) for v in row] for row in zip(*columns)]
         series = [("optimised", grid, a), ("dejmps", grid, b)]
-    elif args.metric == "target-rate":
-        header = ["f_in", "full", "dejmps"]
-        a, b = (
-            np.max([CurveSet(*sets[n], grid).best_target_rate(args.f_tar, n) for n in ns], axis=0)
-            for sets in (full, dejmps)
-        )
-        for i, f in enumerate(grid):
-            rows.append([fmt(f), fmt(a[i]), fmt(b[i])])
-        series = [("optimised", grid, a), ("dejmps", grid, b)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(EXIT_INVALID, f"unknown metric {args.metric}")
 
     _emit(args.out, header, rows)
     if args.svg:
@@ -497,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="optimised protocols vs concatenated baselines")
     p.add_argument("--n-min", type=int, default=2, choices=werner_pair_counts)
     p.add_argument("--n-max", type=int, default=5, choices=werner_pair_counts)
-    p.add_argument("--metric", choices=["fidelity", "yield", "ree", "target-rate"],
-                   default="fidelity")
+    p.add_argument("--metric", choices=list(_METRICS), default="fidelity")
     p.add_argument("--f-min", type=float, default=0.50)
     p.add_argument("--f-max", type=float, default=0.999)
     p.add_argument("--f-step", type=float, default=0.001)

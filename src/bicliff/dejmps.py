@@ -216,7 +216,6 @@ class ConcatenatedResult:
     stats: DistStats
     plan: TreePlan
     dominant: bool
-    pointwise: list  # per-grid-point winning candidate row (when not dominant)
     candidates: int
 
 
@@ -259,18 +258,17 @@ def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
 def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> ConcatenatedResult:
     """The plan maximising output fidelity, pointwise over the grid.
 
-    Polynomial mode (default Werner leaf): groups candidates into F_out
-    curves, reports the one maximal at every grid point, or the per-point
-    winners when curves cross.  Numeric leaves reduce to a single comparison.
+    Polynomial mode (default Werner leaf): the first row of the F_out curve
+    `best_curve` picks.  Numeric leaves reduce to a single comparison.
     """
     rows, denom, plans = candidate_rows(n, leaf=leaf, rotations=rotations)
     if denom is None:
         keys = [_output_key(row, None) for row in rows]
         best = max(range(len(keys)), key=lambda k: keys[k][0] / s if (s := sum(keys[k])) > 0 else 0.0)
-        dominant, pointwise = True, []
+        dominant = True
     else:
         grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
-        tied, dominant, pointwise = best_curve(rows, denom, grid)
+        tied, dominant = best_curve(rows, denom, grid)
         best = tied[0]
     stats = DistStats.from_coset_sums(*_output_key(rows[best], denom))
-    return ConcatenatedResult(stats, plans[best], dominant, pointwise, len(rows))
+    return ConcatenatedResult(stats, plans[best], dominant, len(rows))

@@ -130,12 +130,6 @@ class CurveSet:
     def best_fidelity(self) -> np.ndarray:
         return (self.f / self.p).max(axis=0)
 
-    def _output_coeffs(self, rows) -> np.ndarray:
-        """Normalised (F, F1, F2, F3), shape (protocols, 4, grid points)."""
-        coeffs = np.concatenate([self.f[rows, None, :], self.fis(rows)], axis=1)
-        coeffs /= self.p[rows, None, :]
-        return coeffs
-
     def _max_by_slices(self, values) -> np.ndarray:
         """Pointwise maximum of values(rows), (protocols, grid), over 64 protocols
         at a time, so that the (protocols, 4, grid) arrays behind it stay small."""
@@ -144,7 +138,9 @@ class CurveSet:
 
     def best_yield(self, n: int) -> np.ndarray:
         def rate(rows):
-            coeffs = self._output_coeffs(rows)
+            # normalised (F, F1, F2, F3), the entropy summed in `DistStats` order
+            coeffs = np.concatenate([self.f[rows, None, :], self.fis(rows)], axis=1)
+            coeffs /= self.p[rows, None, :]
             terms = np.log2(coeffs, where=coeffs > 0, out=np.zeros_like(coeffs))
             terms *= coeffs
             entropy = -terms.sum(axis=1)
@@ -154,7 +150,9 @@ class CurveSet:
 
     def best_ree(self) -> np.ndarray:
         def ree(rows):
-            fmax = self._output_coeffs(rows).max(axis=1)
+            # the largest coset sum, then one division: x -> x / p is monotone for p > 0
+            fmax = np.maximum(self.f[rows], self._on_grid(self.coeffs[rows, 1:]).max(axis=1))
+            fmax /= self.p[rows]
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = -(fmax * np.log2(fmax) + (1 - fmax) * np.log2(1 - fmax))
             return np.where(fmax > 0.5, 1.0 - np.where(fmax < 1, h, 0.0), 0.0) * self.p[rows]

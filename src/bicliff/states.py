@@ -314,6 +314,7 @@ def counts_key(counts) -> tuple:
 # and numbers order like the histogram tuples, and KEY_BASE^(n+1) < 2^64 keeps
 # them in one word; KEY_POWERS stops there, so wider histograms fail.
 KEY_BASE = 129
+assert (KEY_BASE - 1) % 4 == 0  # `werner._KEPT_FACTOR` is (KEY_BASE - 1) / 4
 KEY_POWERS = np.uint64(KEY_BASE) ** np.arange(9, dtype=np.uint64)
 
 

@@ -20,11 +20,11 @@ preimage cosets, each encoded into one 64-bit key.  A subset s of the
 non-kept pairs gives one vector to each coset, whose X-shift, one of
 {0, a, b, a^b}, and kept-pair bits are fixed by the parities (a.s, b.s), so
 each key is a weighted sum over the four classes of subsets with equal
-parities: 129 times the coset's total less 128 times its kept class, both
-fixed integer combinations of a Walsh-Hadamard transform over s (Poisson
-summation).  One transform per block of graph classes serves every (a, b)
-pair, and each key is read straight off a gather of 16 of its entries in
-wrapping uint64 arithmetic (exact: see `_block_keys`).  Deduplication
+parities: KEY_BASE times the coset's total less KEY_BASE - 1 times its kept
+class, both fixed integer combinations of a Walsh-Hadamard transform over s
+(Poisson summation).  One transform per block of graph classes serves every
+(a, b) pair, and each key is read straight off a gather of 16 of its entries
+in wrapping uint64 arithmetic (exact: see `_block_keys`).  Deduplication
 streams: each block of graph classes is keyed and reduced to its first
 occurrences at once, so only the survivors of all blocks are ever held
 together, and one more pass over them, in case order, keeps the first case
@@ -340,6 +340,7 @@ _BLOCK_GRAPHS = 48  # graph classes per transform (a 6.3 MB table at n = 8)
 _BLOCK_PAIRS = 128  # (a, b) pairs per gather from it
 _HASH_MIX = 0x9E3779B97F4A7C15  # odd base of the polynomial row hash in `first_rows`
 _CURVE_SLICE = 64  # curves evaluated at a time in `best_curve`
+_KEPT_FACTOR = (KEY_BASE - 1) // 4  # weight of a kept class's Q in `_block_keys`
 
 
 def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
@@ -347,23 +348,24 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
 
     Column 0 encodes the base-coset histogram, columns 1..3 the sorted other
     three, as `states.encode_counts` does: each vector of identity weight
-    w adds 129^(n-w).  By the closed form of the representative's inverse, a
-    subset s of the m = n-1 non-kept rows has X-rest R[s] ^ t, with R[s] the
+    w adds KEY_BASE^(n-w).  By the closed form of the representative's inverse,
+    a subset s of the m = n-1 non-kept rows has X-rest R[s] ^ t, with R[s] the
     xor of the graph's adjacency rows in s and t one of [0, a, b, a^b], so
     its identity weight is m - P[s, t], P = popcount((R[s] ^ t) | s), plus
     one where the kept pair's bits are zero, which depends on (a.s, b.s) and
-    the coset alone.  With C_kept the sum of 129^P over the subsets in the
-    kept class (of k = a.s + 2 b.s) and T the coset's total of 129^P,
-    key = 129 (T - C_kept) + C_kept = 129 T - 32 Q.  Poisson summation reads
-    both off Ê, the Walsh-Hadamard transform of 129^P over s, built once per
-    block of graphs for every pair: 2T = Ê[0, t0] + Ê[b, t0] + Ê[0, t1] -
-    Ê[b, t1] (two half-space sums over b.s) and Q = 4 C_kept = Ê[0, tk]
-    ± Ê[a, tk] ± Ê[b, tk] ± Ê[a^b, tk], (t0, t1, tk, signs) from `_COSETS`.
+    the coset alone.  With C_kept the sum of KEY_BASE^P over the subsets in
+    the kept class (of k = a.s + 2 b.s) and T the coset's total of KEY_BASE^P,
+    key = KEY_BASE (T - C_kept) + C_kept = KEY_BASE T - `_KEPT_FACTOR` Q.
+    Poisson summation reads both off Ê, the Walsh-Hadamard transform of
+    KEY_BASE^P over s, built once per block of graphs for every pair:
+    2T = Ê[0, t0] + Ê[b, t0] + Ê[0, t1] - Ê[b, t1] (two half-space sums over
+    b.s) and Q = 4 C_kept = Ê[0, tk] ± Ê[a, tk] ± Ê[b, tk] ± Ê[a^b, tk],
+    (t0, t1, tk, signs) from `_COSETS`.
 
-    Exact for n <= 8 (129 is `states.KEY_BASE`): |Ê| <= 2^m 129^m < 2^63
-    fits the int64 table; every key is below 2^(n-1) 129^n < 2^64, so the
+    Exact for n <= 8 at KEY_BASE = 129: |Ê| <= 2^m KEY_BASE^m < 2^63 fits
+    the int64 table; every key is below 2^(n-1) KEY_BASE^n < 2^64, so the
     uint64 sums may wrap mod 2^64; and the one division, 2T >> 1, is exact
-    because 0 <= 2T <= 2^(m+1) 129^m < 2^64 holds 2T itself.
+    because 0 <= 2T <= 2^(m+1) KEY_BASE^m < 2^64 holds 2T itself.
     """
     m = n - 1
     size = 1 << m
@@ -389,8 +391,8 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
             np.subtract(e[0, t0] + e[2, t0] + e[0, t1], e[2, t1], out=key)  # 2T
             key >>= 1
             key *= KEY_BASE
-            for sign, entry in zip(signs, e[:, tk]):  # less 32 Q
-                (np.subtract if sign > 0 else np.add)(key, entry << 5, out=key)
+            for sign, entry in zip(signs, e[:, tk]):  # less _KEPT_FACTOR Q
+                (np.subtract if sign > 0 else np.add)(key, entry * _KEPT_FACTOR, out=key)
         keys[lo : lo + _BLOCK_PAIRS] = sort_coset_keys(np.moveaxis(out, 0, -1))
 
 
@@ -451,33 +453,28 @@ class BestFidelityResult:
     protocol: Protocol  # lowest-case-index member of the winning group
     tied: list  # every protocol sharing the winning (p_suc, f_num)
     dominant: bool  # winner maximal at every grid point
-    pointwise: list  # per-grid-point winning case index (when not dominant)
-    grid: np.ndarray
 
 
 def pick_curve(values: np.ndarray) -> tuple:
-    """(row, dominant, per_point) for a (curves, grid points) value array.
+    """(row, dominant) for a (curves, grid points) value array.
 
-    The first curve maximal at every point dominates (per_point empty);
-    otherwise per_point holds each point's first maximal curve and row the
-    last point's.  Maximal means within 1e-12 of the best: exact ties between
-    curves (e.g. every F_out = 1/2 at F = 1/2) differ by a few ulps in float.
+    The first curve maximal at every point dominates; otherwise row is the
+    last point's first maximal curve.  Maximal means within 1e-12 of the
+    best: exact ties between curves (e.g. every F_out = 1/2 at F = 1/2)
+    differ by a few ulps in float.
     """
-    best = values.max(axis=0)
-    maximal = values >= best[None, :] - 1e-12
-    rows = np.where(maximal.all(axis=1))[0]
+    maximal = values >= values.max(axis=0) - 1e-12
+    rows = np.flatnonzero(maximal.all(axis=1))
     if len(rows):
-        return int(rows[0]), True, []
-    per_point = maximal.argmax(axis=0)
-    return int(per_point[-1]), False, [int(i) for i in per_point]
+        return int(rows[0]), True
+    return int(maximal[:, -1].argmax()), False
 
 
 def best_curve(rows: np.ndarray, denom, grid: np.ndarray) -> tuple:
     """`pick_curve` over the F_out curves of `CurveSet` coefficient rows.
 
     Rows with equal (p_suc, f_num) form one curve, named by its first row.
-    Returns (tied, dominant, per_point): the ascending rows of the winning
-    curve, and the first row of each point's winning curve (empty if dominant).
+    Returns (tied, dominant): the ascending rows of the winning curve.
     """
     keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
     heads = first_rows(keys)
@@ -486,9 +483,8 @@ def best_curve(rows: np.ndarray, denom, grid: np.ndarray) -> tuple:
     for lo in range(0, len(heads), _CURVE_SLICE):
         curves = CurveSet(rows[heads[lo : lo + _CURVE_SLICE]], denom, grid)
         np.divide(curves.f, curves.p, out=values[lo : lo + _CURVE_SLICE])
-    row, dominant, per_point = pick_curve(values)
-    tied = np.flatnonzero((keys == keys[heads[row]]).all(axis=1))
-    return tied, dominant, heads[per_point].tolist()
+    row, dominant = pick_curve(values)
+    return np.flatnonzero((keys == keys[heads[row]]).all(axis=1)), dominant
 
 
 def first_rows(rows: np.ndarray) -> np.ndarray:
@@ -525,17 +521,16 @@ def best_fidelity_protocol(
     """The protocol(s) maximising F_out pointwise over the fidelity grid.
 
     Protocols with identical (p_suc, f_num) form one curve; if a single curve
-    is maximal at every grid point it is reported as dominant, otherwise the
-    per-point winners are returned so crossovers are visible.  The curves
-    come straight from the histograms' integer coefficient rows, in case
-    order, so ties go to the lowest case index.
+    is maximal at every grid point it is dominant, otherwise the one maximal
+    at the last grid point is reported.  The curves come straight from the
+    histograms' integer coefficient rows, in case order, so ties go to the
+    lowest case index.
     """
     if protocols is None:
         protocols = distinct_protocols(n)
     protocols = sorted(protocols, key=lambda p: p.case_index)
     grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
     rows = werner_coeff_rows([p.counts for p in protocols], n)
-    tied, dominant, per_point = best_curve(rows, 3**n, grid)
+    tied, dominant = best_curve(rows, 3**n, grid)
     tied = [protocols[i] for i in tied]
-    winners = [protocols[i].case_index for i in per_point]
-    return BestFidelityResult(tied[0], tied, dominant, winners, grid)
+    return BestFidelityResult(tied[0], tied, dominant)

@@ -6,7 +6,7 @@ routine in `bicliff` replaced; tests check the two against each other.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -356,6 +356,32 @@ def transversal_keys(n: int, seed, max_samples: int, block_size: int = 1024) -> 
         if len(keys) >= dn_index(n):
             break
     return keys, samples
+
+
+def enumerated_coset_keys(n: int) -> np.ndarray:
+    """Every coset key for n pairs, without sampling: (dn_index(n), n-1) uint64,
+    ascending as `build_transversal(n).keys`.
+
+    A key is the reduced basis of an isotropic (n-1)-subspace of F2^2n, rows
+    in decreasing top-bit pivot order (`gf2.rref_rows`).  For each pivot set
+    the rows are chosen from the lowest pivot up: a candidate is its pivot bit
+    plus any subset of the non-pivot bits below it, so the basis is reduced
+    by construction, and it is kept when it is orthogonal to every row chosen
+    so far.
+    """
+    found = []
+    for pivots in combinations(range(2 * n), n - 1):
+        rows = np.zeros((1, 0), dtype=np.uint64)
+        for p in pivots:
+            cands = np.array([1 << p], dtype=np.uint64)
+            for bit in set(range(p)) - set(pivots):
+                cands = np.concatenate([cands, cands | np.uint64(1 << bit)])
+            odd = np.bitwise_count(cands[:, None, None] & swap_halves(rows, n)) & 1
+            fixed, cand = np.nonzero(~odd.any(axis=2).T)
+            rows = np.concatenate([rows[fixed], cands[cand, None]], axis=1)
+        found.append(rows[:, ::-1])
+    keys = np.concatenate(found)
+    return keys[np.lexsort(keys.T[::-1])]
 
 
 def enumerate_stats(t, state) -> list:

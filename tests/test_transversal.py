@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,11 +279,33 @@ def test_double_cosets_from_keys(transversal_for, protocols_for, n, count):
     stats = werner_keys(t.rows, n)
     assert (stats == stats[labels]).all()
     assert len(np.unique(stats, axis=0)) == count
+    assert np.array_equal(_reached(labels, t.keys, n), classes)
+
+
+def _reached(labels, keys, n: int) -> np.ndarray:
+    """The distinct labels of the cosets of every canonical triple's representative."""
     reps = np.array([build_representative(case).rows for case in enumerate_cases(n)], np.uint64)
-    codes, case_codes = _key_codes(t.keys, n), _key_codes(coset_keys(reps, n), n)
+    codes, case_codes = _key_codes(keys, n), _key_codes(coset_keys(reps, n), n)
     reached = np.searchsorted(codes, case_codes)
     assert (codes[reached] == case_codes).all()
-    assert np.array_equal(np.unique(labels[reached]), classes)
+    return np.unique(labels[reached])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerated_coset_keys_equal_sampled_transversal(transversal_for, n):
+    assert np.array_equal(scalar.enumerated_coset_keys(n), transversal_for(n).keys)
+
+
+def test_enumerated_n5_double_cosets_reached_by_canonical_triples():
+    # all 782,595 cosets of n = 5 without sampling: 36 double cosets, every
+    # one holding the coset of some canonical triple's representative
+    keys = scalar.enumerated_coset_keys(5)
+    assert len(keys) == dn_index(5) == 782_595
+    assert (np.diff(_key_codes(keys, 5)) > 0).all()
+    labels = _double_coset_labels(SimpleNamespace(n=5, keys=keys), _small_generators(5))
+    classes = np.unique(labels)
+    assert len(classes) == 36
+    assert np.array_equal(_reached(labels, keys, 5), classes)
 
 
 def test_pareto_envelope_basics():

@@ -454,9 +454,8 @@ def _unsliced_best_curve(rows, denom, grid):
     keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
     heads = first_rows(keys)
     curves = CurveSet(rows[heads], denom, grid)
-    row, dominant, per_point = pick_curve(curves.f / curves.p)
-    tied = np.flatnonzero((keys == keys[heads[row]]).all(axis=1))
-    return tied.tolist(), dominant, heads[per_point].tolist()
+    row, dominant = pick_curve(curves.f / curves.p)
+    return np.flatnonzero((keys == keys[heads[row]]).all(axis=1)).tolist(), dominant
 
 
 @pytest.mark.parametrize("size", [1, 3, 7])
@@ -469,10 +468,13 @@ def test_best_curve_independent_of_slice_size(monkeypatch, protocols_for, size):
     families = [(werner_coeff_rows([p.counts for p in protocols_for(n)], n), 3**n) for n in range(2, 8)]
     families += [candidate_rows(n)[:2] for n in range(2, 7)]
     monkeypatch.setattr(werner, "_CURVE_SLICE", size)
+    crossing = 0
     for rows, denom in families:
         for grid in grids:
-            tied, dominant, per_point = best_curve(rows, denom, grid)
-            assert (tied.tolist(), dominant, per_point) == _unsliced_best_curve(rows, denom, grid)
+            tied, dominant = best_curve(rows, denom, grid)
+            assert (tied.tolist(), dominant) == _unsliced_best_curve(rows, denom, grid)
+            crossing += not dominant
+    assert crossing  # the non-dominant pick is exercised too
 
 
 def test_pick_curve_dominant():
@@ -481,15 +483,16 @@ def test_pick_curve_dominant():
         [0.5 + 1e-13, 0.65, 0.80],  # ties curve 0 at the first point
         [0.4, 0.65, 0.80 - 1e-13],  # within the tolerance at the last point
     ])
-    assert pick_curve(values) == (1, True, [])
+    assert pick_curve(values) == (1, True)
 
 
 def test_pick_curve_crossing():
     values = np.array([
         [0.9, 0.7, 0.5],
         [0.1, 0.7, 0.6],
+        [0.1, 0.7, 0.6 + 1e-13],  # ties curve 1 at the last point, which keeps the first
     ])
-    assert pick_curve(values) == (1, False, [0, 0, 1])
+    assert pick_curve(values) == (1, False)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
