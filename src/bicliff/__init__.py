@@ -9,6 +9,7 @@ compares against concatenated two-pair baselines, and synthesises low-depth
 circuits for the optima.
 """
 
+import importlib
 import os
 import sys
 
@@ -18,69 +19,39 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .gf2 import (
-    CNOT,
-    CZ,
-    Gate,
-    H,
-    S,
-    SWAP,
-    SymplecticMatrix,
-    X,
-    gate_matrix,
-    is_symplectic,
-    random_symplectic,
-    sp_order,
-    symplectic_inner,
-    symplectic_inverse,
-)
-from .ratpoly import RationalPolynomial, format_poly
-from .states import (
-    BellDiagonalState,
-    DistStats,
-    base,
-    leading_infidelity_term,
-    numeric_stats,
-    pillars,
-    stats_in_epsilon,
-    werner_stats,
-)
-from .groups import (
-    GeneratorSet,
-    coset_key,
-    dn_generators,
-    dn_index,
-    dn_order,
-    is_in_dn,
-    kn_generators,
-)
-from .transversal import Transversal, build_transversal, enumerate_stats, pareto_envelope
-from .werner import (
-    Protocol,
-    WernerCase,
-    best_fidelity_protocol,
-    build_representative,
-    count_ab_pairs,
-    distinct_protocols,
-    enumerate_cases,
-    graphs_up_to_iso,
-)
-from .circuits import (
-    CliffordCircuit,
-    circuit_to_symplectic,
-    depth,
-    published_circuits,
-    synthesize,
-    two_qubit_count,
-)
-from .dejmps import best_concatenated, dejmps_step, tree_shapes
-from .metrics import (
-    hashing_yield,
-    ree_bell_diagonal,
-    ree_product,
-    shannon_entropy,
-    target_rate,
-)
+# submodule -> the public names it defines.  `import bicliff` loads no
+# submodule: each name is imported on first use (PEP 562), so a process pays
+# only for the parts of the package it runs.
+_EXPORTS = {
+    "gf2": [
+        "CNOT", "CZ", "Gate", "H", "S", "SWAP", "SymplecticMatrix", "X", "gate_matrix",
+        "is_symplectic", "random_symplectic", "sp_order", "symplectic_inner",
+        "symplectic_inverse",
+    ],
+    "ratpoly": ["RationalPolynomial", "format_poly"],
+    "states": [
+        "BellDiagonalState", "DistStats", "base", "leading_infidelity_term", "numeric_stats",
+        "pillars", "stats_in_epsilon", "werner_stats",
+    ],
+    "groups": [
+        "GeneratorSet", "coset_key", "dn_generators", "dn_index", "dn_order", "is_in_dn",
+        "kn_generators",
+    ],
+    "transversal": ["Transversal", "build_transversal", "enumerate_stats", "pareto_envelope"],
+    "werner": [
+        "Protocol", "WernerCase", "best_fidelity_protocol", "build_representative",
+        "count_ab_pairs", "distinct_protocols", "enumerate_cases", "graphs_up_to_iso",
+    ],
+    "circuits": [
+        "CliffordCircuit", "circuit_to_symplectic", "depth", "published_circuits", "synthesize",
+        "two_qubit_count",
+    ],
+    "dejmps": ["best_concatenated", "dejmps_step", "tree_shapes"],
+    "metrics": [
+        "hashing_yield", "ree_bell_diagonal", "ree_product", "shannon_entropy", "target_rate",
+    ],
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "BellDiagonalState",
@@ -141,3 +112,15 @@ __all__ = [
     "two_qubit_count",
     "werner_stats",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

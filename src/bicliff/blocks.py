@@ -18,12 +18,13 @@ def ordered_calls(fn, calls, jobs: int = 1, executor=None):
 
     The work runs on min(jobs, usable cores) workers, since a pool forks all
     of them at its first submit.  With one worker each call runs inline when
-    its result is asked for.  Otherwise `executor(workers)` (a
-    `ProcessPoolExecutor`, say) opens a pool with at most `workers` calls in
-    flight: one more is submitted each time a result is consumed.  When the
-    consumer stops early (a `break` out of the loop releases the generator,
-    or it is closed) at most workers - 1 calls still run, the queued ones are
-    cancelled and the pool shuts down.  Results never depend on `jobs`.
+    its result is asked for.  Otherwise `executor(workers)` (by default a
+    `ProcessPoolExecutor`, imported only then) opens a pool with at most
+    `workers` calls in flight: one more is submitted each time a result is
+    consumed.  When the consumer stops early (a `break` out of the loop
+    releases the generator, or it is closed) at most workers - 1 calls still
+    run, the queued ones are cancelled and the pool shuts down.  Results
+    never depend on `jobs`.
     """
     workers = min(jobs, usable_cores())
     calls = iter(calls)
@@ -31,6 +32,8 @@ def ordered_calls(fn, calls, jobs: int = 1, executor=None):
         for args in calls:
             yield fn(*args)
         return
+    if executor is None:
+        from concurrent.futures import ProcessPoolExecutor as executor
     with executor(workers) as pool:
         pending = deque(pool.submit(fn, *args) for args in islice(calls, workers))
         try:

@@ -10,7 +10,9 @@ record holds the n-1 key masks, then the 2n representative row masks, one
 record per coset in ascending key order, each a uint16 (so n <= 8), and a
 loaded transversal's keys and rows are views of them.  Each mode has its own
 format version.  Verification takes a sample of records, recomputes their
-derived data and demands exact agreement.
+derived data and demands exact agreement.  Each function imports `werner`, or
+`transversal` and `groups`, only for the mode it handles, so that a command
+loads the modules of its own cache mode alone.
 """
 
 from __future__ import annotations
@@ -24,14 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import MAX_PAIRS
-from .groups import dn_index
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
 from .ratpoly import poly_from_strings  # noqa: F401
 from .states import encode_counts, werner_keys
 from .states import werner_counts  # noqa: F401
-from .transversal import MAX_TRANSVERSAL_PAIRS, Transversal, first_bad_record
-from .werner import Protocol, build_representative, case_at, case_count
 
 MAGIC = b"BCPC\x01"
 # Werner records hold coset histograms since version 2 (before: statistic
@@ -47,6 +46,8 @@ def record_dtype(mode: str, n: int) -> np.dtype:
     if mode == "werner":
         # a histogram bin is at most 2^(n-1) <= 128 for the n <= 8 of Werner enumeration
         return np.dtype([("index", "<u4"), ("counts", "u1", (4, n + 1))])
+    from .transversal import MAX_TRANSVERSAL_PAIRS
+
     if n > MAX_TRANSVERSAL_PAIRS:
         raise ValueError(f"a transversal holds at most {MAX_TRANSVERSAL_PAIRS} pairs, not n={n}")
     return np.dtype([("key", "<u2", (n - 1,)), ("rows", "<u2", (2 * n,))])
@@ -130,12 +131,16 @@ def read_cache(path):
             )
         records = np.frombuffer(_read_exact(fh, length), dtype)
     if mode == "transversal":
+        from .groups import dn_index
+
         if not _strictly_ascending(records["key"]):
             raise ValueError("transversal keys are not strictly ascending")
         complete, total = header.get("complete"), dn_index(n)
         if complete is not (count == total):
             raise ValueError(f"header says complete={complete!r} for {count} of {total} cosets")
     if mode == "werner":
+        from .werner import case_count
+
         if count == 0:
             raise ValueError("no records: every Werner enumeration finds at least 2 protocols")
         index = records["index"]
@@ -155,6 +160,8 @@ def write_werner_cache(path, n: int, protocols) -> None:
 
 
 def load_werner_cache(path):
+    from .werner import Protocol
+
     header, records = read_cache(path)
     if header["mode"] != "werner":
         raise ValueError("not a werner-mode cache")
@@ -178,6 +185,8 @@ def write_transversal_cache(path, transversal, seed) -> None:
 
 
 def load_transversal_cache(path):
+    from .transversal import Transversal
+
     header, records = read_cache(path)
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
@@ -190,6 +199,8 @@ def _first_bad_werner_record(records: np.ndarray, n: int):
     A record is sound when the representative of the case at its index has
     its stored coset histograms, up to the order of the three non-base cosets.
     """
+    from .werner import build_representative, case_at
+
     rows = np.array(
         [build_representative(case_at(n, index)).rows for index in records["index"].tolist()],
         dtype=np.uint64,
@@ -214,6 +225,8 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     if len(records) > sample:
         idx = np.sort(np.random.default_rng(seed).choice(len(records), size=sample, replace=False))
     if header["mode"] == "transversal":
+        from .transversal import first_bad_record
+
         bad = first_bad_record(records["key"][idx], records["rows"][idx], n)
     else:
         bad = _first_bad_werner_record(records[idx], n)

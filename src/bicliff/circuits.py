@@ -10,7 +10,6 @@ on exact Werner-statistics equality with the target.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,7 +288,7 @@ def synthesize(
 
     calls = [(n, seed, b, sizes[b], encoded, allow_swap) for b in range(nblocks)]
     for b, (block_hits, block_best) in enumerate(
-        ordered_calls(_synth_block, calls, jobs, ProcessPoolExecutor)
+        ordered_calls(_synth_block, calls, jobs)
     ):
         hits += block_hits
         used += sizes[b]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import sys
 from contextlib import contextmanager
@@ -18,28 +19,33 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cache as cachemod
-from .circuits import (
-    ascii_diagram,
-    circuit_to_symplectic,
-    depth,
-    published_circuits,
-    synthesize,
-    two_qubit_count,
-)
-# the name the benchmark's tracer (perfbench/spans.py) times the DEJMPS family by
-from .dejmps import candidate_rows as concatenated_candidates
-from .gf2 import MAX_PAIRS, sp_order
-from .groups import dn_index, dn_order
-from .metrics import CurveSet
-# target_rate is imported but not called: the benchmark's tracer
-# (perfbench/spans.py) looks this name up in this module.
-from .metrics import target_rate  # noqa: F401
-from .ratpoly import format_poly
-from .states import BellDiagonalState, encode_counts, leading_infidelity_term
-from .states import werner_coeff_rows, werner_keys
-from .transversal import CHUNK, build_transversal, enumerate_stats, pareto_envelope
-from .werner import MAX_GRAPH_NODES, best_fidelity_protocol, case_count, distinct_protocols
+from .gf2 import MAX_GRAPH_NODES, MAX_PAIRS
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for `name` of a submodule that imports the submodule when called.
+
+    Each command imports the library it runs, so a process loads only what its
+    command needs.  The names below stay globals of this module because the
+    benchmark's tracer (perfbench/spans.py) wraps them here by name.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+distinct_protocols = _deferred("werner", "distinct_protocols")
+best_fidelity_protocol = _deferred("werner", "best_fidelity_protocol")
+case_count = _deferred("werner", "case_count")
+build_transversal = _deferred("transversal", "build_transversal")
+enumerate_stats = _deferred("transversal", "enumerate_stats")
+pareto_envelope = _deferred("transversal", "pareto_envelope")
+concatenated_candidates = _deferred("dejmps", "candidate_rows")
+target_rate = _deferred("metrics", "target_rate")  # not called: only the tracer looks it up
+synthesize = _deferred("circuits", "synthesize")
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -109,8 +115,10 @@ def _load_cache(mode: str, cache_dir: str, n: int, use=None):
     rebuild = f"bicliff {mode} --n {n} --cache {cache_dir}"
     if not path.exists():
         raise CliError(EXIT_MISSING_CACHE, f"no {mode} cache for n={n}; run: {rebuild}")
+    from . import cache
+
     # looked up per call: the benchmark's tracer replaces these after import
-    load = {"werner": cachemod.load_werner_cache, "transversal": cachemod.load_transversal_cache}
+    load = {"werner": cache.load_werner_cache, "transversal": cache.load_transversal_cache}
     header, contents = _read_cache(load[mode], path, rebuild)
     if header["n"] != n:
         raise CliError(EXIT_INVALID, f"bad cache file {path}: holds n={header['n']}")
@@ -125,6 +133,9 @@ def _load_cache(mode: str, cache_dir: str, n: int, use=None):
 
 
 def cmd_tables(args) -> int:
+    from .gf2 import sp_order
+    from .groups import dn_index, dn_order
+
     if args.n_min > args.n_max:
         raise CliError(EXIT_INVALID, f"--n-min {args.n_min} must not exceed --n-max {args.n_max}")
     rows = []
@@ -135,9 +146,13 @@ def cmd_tables(args) -> int:
 
 
 def cmd_werner(args) -> int:
+    from . import cache
+    from .ratpoly import format_poly
+    from .states import leading_infidelity_term
+
     n = args.n
     protocols = distinct_protocols(n, jobs=args.jobs)
-    cachemod.write_werner_cache(_cache_path("werner", args.cache, n), n, protocols)
+    cache.write_werner_cache(_cache_path("werner", args.cache, n), n, protocols)
 
     res = best_fidelity_protocol(n, protocols=protocols)
     st = res.protocol.stats
@@ -165,8 +180,10 @@ def cmd_werner(args) -> int:
 
 
 def cmd_transversal(args) -> int:
+    from . import cache
+
     t = build_transversal(args.n, seed=args.seed, jobs=args.jobs, max_samples=args.budget)
-    cachemod.write_transversal_cache(_cache_path("transversal", args.cache, args.n), t, args.seed)
+    cache.write_transversal_cache(_cache_path("transversal", args.cache, args.n), t, args.seed)
     _emit(args.out, ["n", "cosets", "target", "complete", "samples"],
           [[args.n, len(t), t.target_size, int(t.complete), t.samples_used]])
     if not t.complete:
@@ -200,6 +217,8 @@ def _numbers(values, what: str) -> np.ndarray:
 
 def _load_state(path: str, n: int, obj) -> BellDiagonalState:
     """The state of a file read by `_read_state`: 4^n probabilities."""
+    from .states import BellDiagonalState
+
     try:
         if "pairs" in obj:
             if len(obj["pairs"]) != n:
@@ -213,6 +232,8 @@ def _load_state(path: str, n: int, obj) -> BellDiagonalState:
 
 
 def cmd_eval(args) -> int:
+    from .transversal import CHUNK
+
     if args.min_fidelity is not None and not 0 <= args.min_fidelity <= 1:  # also false for NaN
         raise CliError(EXIT_INVALID, f"--min-fidelity {args.min_fidelity} must be finite, "
                        "with 0 <= --min-fidelity <= 1")
@@ -273,6 +294,9 @@ _METRICS = {
 
 
 def cmd_compare(args) -> int:
+    from .metrics import CurveSet
+    from .states import werner_coeff_rows
+
     _check_compare_args(args)
     grid = np.round(np.arange(args.f_min, args.f_max + args.f_step / 2, args.f_step), 9)
     grid = grid[grid <= round(args.f_max, 9)]  # arange may overshoot by half a step
@@ -308,6 +332,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_circuit(args) -> int:
+    from .circuits import circuit_to_symplectic, published_circuits
+    from .states import encode_counts, werner_keys
+
     protocols = _load_cache("werner", args.cache, args.n)
     res = best_fidelity_protocol(args.n, protocols=protocols)
     target = res.protocol
@@ -348,6 +375,8 @@ def cmd_circuit(args) -> int:
 
 
 def _print_circuit(circ, out_path) -> None:
+    from .circuits import ascii_diagram, depth, two_qubit_count
+
     print(ascii_diagram(circ))
     print(f"# two_qubit_gates={two_qubit_count(circ)} depth={depth(circ)}")
     blob = json.dumps(circ.to_json_obj(), separators=(",", ":"))
@@ -358,10 +387,12 @@ def _print_circuit(circ, out_path) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import cache
+
     if args.sample < 1:
         raise CliError(EXIT_INVALID, f"--sample {args.sample} must be at least 1")
     ok, checked, message = _read_cache(
-        cachemod.verify_cache, args.cache_file, "bicliff werner or bicliff transversal",
+        cache.verify_cache, args.cache_file, "bicliff werner or bicliff transversal",
         sample=args.sample, seed=args.seed,
     )
     print(f"checked={checked} ok={int(ok)} {message}")

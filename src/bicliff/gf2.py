@@ -18,6 +18,7 @@ from math import prod
 import numpy as np
 
 MAX_PAIRS = 16  # 2n <= 32 bits keeps every vector in one machine word
+MAX_GRAPH_NODES = 7  # Werner enumeration: graphs on n-1 nodes for n up to 8
 
 
 def _check_n(n: int) -> None:

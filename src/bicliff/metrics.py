@@ -91,6 +91,21 @@ def target_rate(f_in: float, f_tar: float, protocol_sets: dict) -> MetricPoint:
     return best
 
 
+def _trimmed(row: list) -> list:
+    """row without its trailing zeros, as `np.trim_zeros(row, "b")` leaves it."""
+    end = len(row)
+    while end and row[end - 1] == 0:
+        end -= 1
+    return row[:end]
+
+
+def _xyz_order(rest: np.ndarray) -> np.ndarray:
+    """(protocols, 3) positions that sort the X/Y/Z rows of (protocols, 3, d)
+    coefficients as `DistStats` does: compared with trailing zeros trimmed."""
+    order = [sorted(range(3), key=lambda k: _trimmed(r[k])) for r in rest.tolist()]
+    return np.array(order, dtype=np.intp).reshape(-1, 3)
+
+
 class CurveSet:
     """Statistic curves of a protocol family over a fidelity grid, vectorised.
 
@@ -123,8 +138,7 @@ class CurveSet:
         sorts before (a, b, c) even for c < 0.
         """
         rest = self.coeffs[rows, 1:]
-        order = [sorted(range(3), key=lambda k: np.trim_zeros(r[k], "b").tolist()) for r in rest]
-        order = np.array(order, dtype=np.intp).reshape(-1, 3, 1)
+        order = _xyz_order(rest).reshape(-1, 3, 1)
         return self._on_grid(np.take_along_axis(rest, order, axis=1))
 
     def best_fidelity(self) -> np.ndarray:

@@ -18,6 +18,8 @@ so n <= 8; a kernel that needs more bits widens one chunk at a time.
 from __future__ import annotations
 
 import math
+# ordered_calls would import the pool itself; it is passed from here because the
+# benchmark's tracer (perfbench/spans.py) times this module's pool by this name
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 

@@ -33,14 +33,13 @@ of every distinct key.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .blocks import ordered_calls
-from .gf2 import SymplecticMatrix
+from .gf2 import MAX_GRAPH_NODES, SymplecticMatrix
 from .metrics import CurveSet
 from .states import KEY_BASE, DistStats, decode_counts, sort_coset_keys
 from .states import stats_from_counts, werner_coeff_rows
@@ -48,8 +47,6 @@ from .states import stats_from_counts, werner_coeff_rows
 # werner_counts is no longer called here; it stays importable from this module
 # because perfbench/spans.py wraps it by name on bicliff.werner.
 from .states import werner_counts  # noqa: F401
-
-MAX_GRAPH_NODES = 7  # graphs on n-1 nodes for n up to 8
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +428,7 @@ def distinct_protocols(n: int, jobs: int = 1) -> list:
     graphs = graphs_up_to_iso(n - 1)
     starts = range(0, len(graphs), _BLOCK_GRAPHS)
     calls = [(n, graphs[lo : lo + _BLOCK_GRAPHS], lo, len(graphs)) for lo in starts]
-    blocks = ordered_calls(_first_cases, calls, jobs, ProcessPoolExecutor)
+    blocks = ordered_calls(_first_cases, calls, jobs)
     index, keys = map(np.concatenate, zip(*blocks))
     order = np.argsort(index)
     first = order[first_rows(keys[order])]

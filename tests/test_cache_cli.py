@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -20,7 +21,7 @@ from bicliff.cache import (
     write_transversal_cache,
     write_werner_cache,
 )
-from bicliff import circuits, transversal, werner
+from bicliff import transversal
 from bicliff.cli import main
 from bicliff.states import werner_stats
 from bicliff.transversal import build_transversal
@@ -733,7 +734,7 @@ def test_cli_eval_missing_cache(tmp_path, capsys):
 
 
 def test_cli_eval_finds_cache_before_expanding_state(tmp_path, capsys, monkeypatch):
-    from bicliff.cli import BellDiagonalState
+    from bicliff.states import BellDiagonalState
 
     def expand(pairs):
         raise AssertionError("the state was expanded before the cache was found")
@@ -1046,7 +1047,8 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert res.stdout.splitlines()[1] == "2,720,48,15"
 
 
-_THREADS = "import os, bicliff; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+# bicliff.gf2 loads numpy: the package sets the thread count before any of its modules loads
+_THREADS = "import os, bicliff.gf2; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
@@ -1361,9 +1363,11 @@ class InlinePool:
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="reads the CPU affinity")
 @pytest.mark.parametrize("command", ["werner", "transversal", "circuit"])
 def test_cli_jobs_capped_at_usable_cores(cache_dir, tmp_path, monkeypatch, command):
-    # the stand-in pool starts no process: one of that many workers would fork them all at once
+    # the stand-in pool starts no process: one of that many workers would fork them all at once.
+    # werner and circuit leave the pool class to blocks.ordered_calls, which
+    # imports it from concurrent.futures; transversal passes its own
     cores = len(os.sched_getaffinity(0))
-    module = {"werner": werner, "transversal": transversal, "circuit": circuits}[command]
+    module = transversal if command == "transversal" else concurrent.futures
     monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
     args = {
         "werner": ["werner", "--n", "2", "--cache", str(tmp_path)],

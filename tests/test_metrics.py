@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bicliff.metrics import (
     CurveSet,
+    _xyz_order,
     MetricPoint,
     hashing_yield,
     ree_bell_diagonal,
@@ -169,3 +170,22 @@ def test_curve_set_matches_real_families(protocols_for):
         coeffs = werner_coeff_rows([p.counts for p in protocols_for(n)], n)
         _assert_curves_match_stats(coeffs, 3**n, grid)
         _assert_curves_match_stats(*candidate_rows(n)[:2], grid)
+
+
+def _trim_zeros_order(rest: np.ndarray) -> list:
+    """The X/Y/Z order of each protocol, rows compared as `np.trim_zeros` trims them."""
+    return [sorted(range(3), key=lambda k: np.trim_zeros(r[k], "b").tolist()) for r in rest]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(coset_rows())
+def test_xyz_order_matches_trim_zeros_on_random_rows(rows):
+    coeffs, _ = rows
+    assert _xyz_order(coeffs[:, 1:]).tolist() == _trim_zeros_order(coeffs[:, 1:])
+
+
+def test_xyz_order_matches_trim_zeros_on_real_families(protocols_for):
+    for n in range(2, 9):
+        werner = werner_coeff_rows([p.counts for p in protocols_for(n)], n)
+        for coeffs in (werner, candidate_rows(n)[0]):
+            assert _xyz_order(coeffs[:, 1:]).tolist() == _trim_zeros_order(coeffs[:, 1:]), n

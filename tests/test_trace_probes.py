@@ -3,9 +3,10 @@
 `perfbench/spans.py` replaces functions by name in the modules that call
 them.  A cleanup that drops such a name (an import kept only for the tracer,
 say) would break the traced run; this test fails first.  The reverse holds
-too: an import kept only for the tracer must name a probe, so none is left
-behind once its probe goes.  The tracer file is read, never imported from or
-written to.
+too: an import kept only for the tracer, or a stand-in that `cli` keeps as a
+global so that the tracer can wrap it, must name a probe, so none is left
+behind once its probe goes.  The tracer file is read, never imported from
+or written to.
 """
 
 import ast
@@ -36,8 +37,9 @@ def test_every_probe_resolves():
 
 
 def test_every_unused_import_is_a_probe():
-    # the reverse check: an import marked unused must be one the tracer
-    # looks up in that module, so none outlives the probe it was kept for
+    # the reverse check: an import marked unused, or a deferred stand-in in
+    # cli, must be one the tracer looks up in that module, so none outlives
+    # the probe it was kept for
     probes = _spans_module().PROBES
     stray = []
     for path in sorted((ROOT / "src" / "bicliff").glob("*.py")):
@@ -53,6 +55,12 @@ def test_every_unused_import_is_a_probe():
                 name = alias.asname or alias.name
                 if name not in probes.get(module_name, ()):
                     stray.append(f"{module_name}.{name}")
+    cli = importlib.import_module("bicliff.cli")
+    stand_in = cli._deferred("gf2", "sp_order").__code__
+    stand_ins = [name for name, value in vars(cli).items()
+                 if getattr(value, "__code__", None) is stand_in]
+    assert stand_ins  # the scan recognises them
+    stray += [f"bicliff.cli.{name}" for name in stand_ins if name not in probes["bicliff.cli"]]
     assert stray == []
 
 
