@@ -26,92 +26,30 @@ _EXPORTS = {
     "gf2": [
         "CNOT", "CZ", "Gate", "H", "S", "SWAP", "SymplecticMatrix", "X", "gate_matrix",
         "is_symplectic", "random_symplectic", "sp_order", "symplectic_inner",
-        "symplectic_inverse",
     ],
     "ratpoly": ["RationalPolynomial", "format_poly"],
     "states": [
         "BellDiagonalState", "DistStats", "base", "leading_infidelity_term", "numeric_stats",
         "pillars", "stats_in_epsilon", "werner_stats",
     ],
-    "groups": [
-        "GeneratorSet", "coset_key", "dn_generators", "dn_index", "dn_order", "is_in_dn",
-        "kn_generators",
-    ],
+    "groups": ["GeneratorSet", "coset_key", "dn_generators", "dn_index", "dn_order", "is_in_dn"],
     "transversal": ["Transversal", "build_transversal", "enumerate_stats", "pareto_envelope"],
     "werner": [
         "Protocol", "WernerCase", "best_fidelity_protocol", "build_representative",
-        "count_ab_pairs", "distinct_protocols", "enumerate_cases", "graphs_up_to_iso",
+        "count_ab_pairs", "distinct_protocols", "graphs_up_to_iso",
     ],
     "circuits": [
         "CliffordCircuit", "circuit_to_symplectic", "depth", "published_circuits", "synthesize",
         "two_qubit_count",
     ],
-    "dejmps": ["best_concatenated", "dejmps_step", "tree_shapes"],
+    "dejmps": ["best_concatenated", "tree_shapes"],
     "metrics": [
         "hashing_yield", "ree_bell_diagonal", "ree_product", "shannon_entropy", "target_rate",
     ],
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BellDiagonalState",
-    "CliffordCircuit",
-    "CNOT",
-    "CZ",
-    "DistStats",
-    "Gate",
-    "GeneratorSet",
-    "H",
-    "Protocol",
-    "RationalPolynomial",
-    "S",
-    "SWAP",
-    "SymplecticMatrix",
-    "Transversal",
-    "WernerCase",
-    "X",
-    "base",
-    "best_concatenated",
-    "best_fidelity_protocol",
-    "build_representative",
-    "build_transversal",
-    "circuit_to_symplectic",
-    "coset_key",
-    "count_ab_pairs",
-    "dejmps_step",
-    "depth",
-    "distinct_protocols",
-    "dn_generators",
-    "dn_index",
-    "dn_order",
-    "enumerate_cases",
-    "enumerate_stats",
-    "format_poly",
-    "gate_matrix",
-    "graphs_up_to_iso",
-    "hashing_yield",
-    "is_in_dn",
-    "is_symplectic",
-    "kn_generators",
-    "leading_infidelity_term",
-    "numeric_stats",
-    "pareto_envelope",
-    "pillars",
-    "published_circuits",
-    "random_symplectic",
-    "ree_bell_diagonal",
-    "ree_product",
-    "shannon_entropy",
-    "sp_order",
-    "stats_in_epsilon",
-    "symplectic_inner",
-    "symplectic_inverse",
-    "synthesize",
-    "target_rate",
-    "tree_shapes",
-    "two_qubit_count",
-    "werner_stats",
-]
+__all__ = sorted(_ORIGIN)
 
 
 def __getattr__(name: str):

@@ -4,8 +4,9 @@ Layout: magic, 4-byte big-endian header length, header JSON, then `count`
 records of the little-endian structured dtype `record_dtype(mode, n)`.  A
 Werner record holds a case index and the preimage-coset histograms that fix
 the exact statistics, in ascending index order.  The index is the case's
-position in `enumerate_cases` order, so a new order needs a new format
-version; the case and its representative follow from it.  A transversal
+position when cases run over (a, b) ascending, then graph class ascending,
+as `werner.case_at` decodes it, so a new order needs a new format version;
+the case and its representative follow from it.  A transversal
 record holds the n-1 key masks, then the 2n representative row masks, one
 record per coset in ascending key order, each a uint16 (so n <= 8), and a
 loaded transversal's keys and rows are views of them.  Each mode has its own

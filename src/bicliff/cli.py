@@ -306,7 +306,7 @@ def cmd_compare(args) -> int:
         n: (werner_coeff_rows([p.counts for p in _load_cache("werner", args.cache, n)], n), 3**n)
         for n in ns
     }
-    dejmps = {n: concatenated_candidates(n)[:2] for n in ns}
+    dejmps = {n: concatenated_candidates(n) for n in ns}
     figure, per_n = _METRICS[args.metric]
     a, b = (np.array([figure(CurveSet(*family[n], grid), n, args.f_tar) for n in ns])
             for family in (full, dejmps))
@@ -389,8 +389,6 @@ def _print_circuit(circ, out_path) -> None:
 def cmd_verify(args) -> int:
     from . import cache
 
-    if args.sample < 1:
-        raise CliError(EXIT_INVALID, f"--sample {args.sample} must be at least 1")
     ok, checked, message = _read_cache(
         cache.verify_cache, args.cache_file, "bicliff werner or bicliff transversal",
         sample=args.sample, seed=args.seed,
@@ -543,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-verify sampled records of a cache file")
     p.add_argument("cache_file")
-    p.add_argument("--sample", type=int, default=100)
+    p.add_argument("--sample", type=_at_least(1), default=100)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_verify)
 

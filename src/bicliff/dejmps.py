@@ -14,7 +14,6 @@ the chain rule automatic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +36,6 @@ ROTATION_WORDS = {
     "HSH": ("H", "S", "H"),
 }
 
-# The rotation of the original protocol exchanges the Y and Z labels.
-DEFAULT_ROTATION = "HSH"
-
 
 def _rotation_gates(label: str, qubit: int) -> list:
     return [H(qubit) if k == "H" else S(qubit) for k in ROTATION_WORDS[label]]
@@ -57,27 +53,6 @@ def step_table(rotation: str) -> tuple:
     m = circuit_to_symplectic(CliffordCircuit(2, tuple(gates)))
     cosets = preimage_index(m.rows, 2).tolist()
     return tuple(tuple(vector_paulis(v, 2) for v in coset) for coset in cosets)
-
-
-def _step_unnormalised(ua, ub, table):
-    return [sum(ua[i] * ub[j] for i, j in entry) for entry in table]
-
-
-def dejmps_step(sa, sb, rotation: str = DEFAULT_ROTATION):
-    """One two-to-one step on normalised coefficient 4-vectors.
-
-    Returns (success probability, renormalised output coefficients).
-    """
-    for s in (sa, sb):
-        if not all(math.isfinite(x) for x in s):
-            raise ValueError("input coefficients must be finite")
-        if abs(sum(s) - 1.0) > 1e-9:
-            raise ValueError("input coefficients must sum to 1")
-    out = _step_unnormalised(sa, sb, step_table(rotation))
-    p_suc = sum(out)
-    if p_suc == 0:
-        return 0.0, (0.0, 0.0, 0.0, 0.0)
-    return p_suc, tuple(v / p_suc for v in out)
 
 
 # ---------------------------------------------------------------------------
@@ -107,54 +82,6 @@ def tree_shapes(n: int) -> tuple:
     return tuple(shapes)
 
 
-@dataclass(frozen=True)
-class TreePlan:
-    """A concatenation plan: rotation label at each node, leaves are pairs."""
-
-    rotation: str | None = None  # None marks a leaf
-    keep: object = None
-    measure: object = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rotation is None
-
-    def leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.keep.leaves() + self.measure.leaves()
-
-
-LEAF = TreePlan()
-
-
-def plan_to_circuit(plan: TreePlan, n: int) -> CliffordCircuit:
-    """The n-qubit bilocal circuit realising a plan, kept pair on qubit 1.
-
-    Leaves are numbered left to right; each node rotates the two subtree
-    representatives and entangles them with a CNOT from kept to measured.
-    """
-    if plan.leaves() != n:
-        raise ValueError("plan leaf count differs from n")
-    gates: list = []
-    counter = [0]
-
-    def walk(p: TreePlan) -> int:
-        if p.is_leaf:
-            counter[0] += 1
-            return counter[0]
-        qk = walk(p.keep)
-        qm = walk(p.measure)
-        gates.extend(_rotation_gates(p.rotation, qk))
-        gates.extend(_rotation_gates(p.rotation, qm))
-        gates.append(CNOT(qk, qm))
-        return qk
-
-    root = walk(plan)
-    assert root == 1 and counter[0] == n
-    return CliffordCircuit(n, tuple(gates))
-
-
 # ---------------------------------------------------------------------------
 # Exhausting the family
 # ---------------------------------------------------------------------------
@@ -182,51 +109,41 @@ def _step_arrays(keep, measure, index) -> np.ndarray:
     return prod[:, :, i, j].sum(axis=4)
 
 
-def _candidates(shape, leaf, rotations, index, memo) -> tuple:
-    """Distinct reachable coefficient arrays for one shape, with plans.
+def _candidates(shape, leaf, index, memo) -> np.ndarray:
+    """Distinct reachable coefficient arrays for one shape, (count, 4, d).
 
-    Returns (coeffs, plans): coeffs is (count, 4, d) in first-occurrence
-    order of the loop keep candidate, measure candidate, rotation (both
-    child orders when the children differ), and plans[k] realises coeffs[k].
+    Rows keep their first-occurrence order in the loop keep candidate,
+    measure candidate, rotation (both child orders when the children differ).
     """
-    if shape in memo:
-        return memo[shape]
-    if shape is None:
-        memo[shape] = (leaf[None], [LEAF])
-        return memo[shape]
-    left, right = shape
-    lc = _candidates(left, leaf, rotations, index, memo)
-    rc = _candidates(right, leaf, rotations, index, memo)
-    orders = [(lc, rc)] if left == right else [(lc, rc), (rc, lc)]
-    outs = [_step_arrays(keep, measure, index) for (keep, _), (measure, _) in orders]
-    rows = np.concatenate([out.reshape(-1, *out.shape[3:]) for out in outs])
-    first = first_rows(rows)
-    plans = []
-    for i in first:  # both orders yield the same number of rows
-        o, rest = divmod(int(i), len(rows) // len(orders))
-        (_, keep_plans), (_, measure_plans) = orders[o]
-        k, m, r = np.unravel_index(rest, outs[o].shape[:3])
-        plans.append(TreePlan(rotations[r], keep_plans[k], measure_plans[m]))
-    memo[shape] = (rows[first], plans)
+    if shape not in memo:
+        if shape is None:
+            memo[shape] = leaf[None]
+        else:
+            left, right = shape
+            lc = _candidates(left, leaf, index, memo)
+            rc = _candidates(right, leaf, index, memo)
+            orders = [(lc, rc)] if left == right else [(lc, rc), (rc, lc)]
+            outs = [_step_arrays(keep, measure, index) for keep, measure in orders]
+            rows = np.concatenate([out.reshape(-1, *out.shape[3:]) for out in outs])
+            memo[shape] = rows[first_rows(rows)]
     return memo[shape]
 
 
 @dataclass
 class ConcatenatedResult:
     stats: DistStats
-    plan: TreePlan
     dominant: bool
     candidates: int
 
 
 def candidate_rows(n: int, leaf=None, rotations=None) -> tuple:
-    """(rows, denom, plans): the distinct unnormalised outputs of n-leaf plans.
+    """(rows, denom): the distinct unnormalised outputs of the n-leaf family.
 
-    The tree recursion keeps the first plan of each distinct coefficient
-    array; plans[k] realises rows[k].  The default Werner leaf gives
-    (count, 4, n+1) int64 power-ascending coefficients over denom 3^n, each at
-    most 9^n < 2^63 in magnitude for the n <= 8 of `tree_shapes`; a numeric
-    leaf (pI, pX, pY, pZ) gives (count, 4, 1) floats and denom None.
+    Rows keep the order in which the tree recursion first reaches them.  The
+    default Werner leaf gives (count, 4, n+1) int64 power-ascending
+    coefficients over denom 3^n, each at most 9^n < 2^63 in magnitude for the
+    n <= 8 of `tree_shapes`; a numeric leaf (pI, pX, pY, pZ) gives
+    (count, 4, 1) floats and denom None.
     """
     if leaf is None:
         leaf, scale = WERNER_LEAF, 3
@@ -235,11 +152,8 @@ def candidate_rows(n: int, leaf=None, rotations=None) -> tuple:
     rotations = tuple(ROTATION_WORDS) if rotations is None else tuple(rotations)
     index = np.array([step_table(rot) for rot in rotations]).transpose(3, 0, 1, 2)
     memo: dict = {}
-    found = [_candidates(shape, leaf, rotations, index, memo) for shape in tree_shapes(n)]
-    rows = np.concatenate([coeffs for coeffs, _ in found])
-    plans = [plan for _, shape_plans in found for plan in shape_plans]
-    first = first_rows(rows)
-    return rows[first], None if scale is None else scale**n, [plans[i] for i in first]
+    rows = np.concatenate([_candidates(shape, leaf, index, memo) for shape in tree_shapes(n)])
+    return rows[first_rows(rows)], None if scale is None else scale**n
 
 
 def _output_key(row: np.ndarray, denom) -> tuple:
@@ -249,19 +163,19 @@ def _output_key(row: np.ndarray, denom) -> tuple:
     return tuple(RationalPolynomial(Fraction(int(c), denom) for c in q) for q in row)
 
 
-def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
-    """`candidate_rows` as a dict from output 4-tuples (see `_output_key`) to plans."""
-    rows, denom, plans = candidate_rows(n, leaf, rotations)
-    return {_output_key(row, denom): plan for row, plan in zip(rows, plans)}
+def concatenated_candidates(n: int, leaf=None, rotations=None) -> list:
+    """`candidate_rows` as output 4-tuples (see `_output_key`), in row order."""
+    rows, denom = candidate_rows(n, leaf, rotations)
+    return [_output_key(row, denom) for row in rows]
 
 
 def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> ConcatenatedResult:
-    """The plan maximising output fidelity, pointwise over the grid.
+    """The member of the family maximising output fidelity, pointwise over the grid.
 
     Polynomial mode (default Werner leaf): the first row of the F_out curve
     `best_curve` picks.  Numeric leaves reduce to a single comparison.
     """
-    rows, denom, plans = candidate_rows(n, leaf=leaf, rotations=rotations)
+    rows, denom = candidate_rows(n, leaf=leaf, rotations=rotations)
     if denom is None:
         keys = [_output_key(row, None) for row in rows]
         best = max(range(len(keys)), key=lambda k: keys[k][0] / s if (s := sum(keys[k])) > 0 else 0.0)
@@ -271,4 +185,4 @@ def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> Concate
         tied, dominant = best_curve(rows, denom, grid)
         best = tied[0]
     stats = DistStats.from_coset_sums(*_output_key(rows[best], denom))
-    return ConcatenatedResult(stats, plans[best], dominant, len(rows))
+    return ConcatenatedResult(stats, dominant, len(rows))

@@ -44,11 +44,9 @@ class SymplecticMatrix:
     """An element of Sp(2n, F2), stored as 2n bit-packed row masks.
 
     Instances are immutable values; equality and hashing use (n, rows).
-    Column masks are cached on first use because the matrix-vector product
-    XORs one column per set input bit.
     """
 
-    __slots__ = ("n", "rows", "_cols")
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows) -> None:
         _check_n(n)
@@ -60,34 +58,10 @@ class SymplecticMatrix:
             raise ValueError("row mask exceeds 2n bits")
         self.n = n
         self.rows = rows
-        self._cols = None
 
     @classmethod
     def identity(cls, n: int) -> "SymplecticMatrix":
         return cls(n, tuple(1 << i for i in range(2 * n)))
-
-    @property
-    def cols(self) -> tuple:
-        if self._cols is None:
-            nn = 2 * self.n
-            cols = [0] * nn
-            for i, row in enumerate(self.rows):
-                while row:
-                    low = row & -row
-                    cols[low.bit_length() - 1] |= 1 << i
-                    row ^= low
-            self._cols = tuple(cols)
-        return self._cols
-
-    def apply(self, v: int) -> int:
-        """Matrix-vector product M @ v (v as column vector)."""
-        cols = self.cols
-        out = 0
-        while v:
-            low = v & -v
-            out ^= cols[low.bit_length() - 1]
-            v ^= low
-        return out
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if self.n != other.n:
@@ -102,15 +76,6 @@ class SymplecticMatrix:
                 row ^= low
             out.append(acc)
         return SymplecticMatrix(self.n, out)
-
-    def inverse(self) -> "SymplecticMatrix":
-        """Inverse via M^-1 = Omega M^T Omega, valid for symplectic M."""
-        n = self.n
-        nn = 2 * n
-        cols = self.cols
-        return SymplecticMatrix(
-            n, tuple(swap_halves(cols[(i + n) % nn], n) for i in range(nn))
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -153,13 +118,6 @@ def is_symplectic_rows(rows, n: int) -> np.ndarray:
     return ok
 
 
-def symplectic_inverse(m: SymplecticMatrix) -> SymplecticMatrix:
-    """Inverse of a symplectic matrix; raises if the input is not symplectic."""
-    if not is_symplectic(m):
-        raise ValueError("matrix is not symplectic")
-    return m.inverse()
-
-
 def sp_order(n: int) -> int:
     """Order of Sp(2n, F2): 2^(n^2) * prod_{j=1..n} (4^j - 1)."""
     _check_n(n)
@@ -167,39 +125,8 @@ def sp_order(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction, canonical subspace bases, linear solving
+# Linear solving and uniform sampling
 # ---------------------------------------------------------------------------
-
-
-def rref(vectors) -> tuple:
-    """Reduced row-echelon basis of the span, rows in decreasing pivot order.
-
-    The pivot of a row is its highest set bit; every pivot bit is cleared in
-    all other rows, which makes the result a canonical identifier of the
-    subspace: two generating sets span the same subspace iff their reduced
-    bases are identical tuples.
-    """
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        for p, row in pivots.items():
-            if (v >> p) & 1:
-                v ^= row
-        if v == 0:
-            continue
-        p = v.bit_length() - 1
-        for q, row in list(pivots.items()):
-            if (row >> p) & 1:
-                pivots[q] = row ^ v
-        pivots[p] = v
-    return tuple(pivots[p] for p in sorted(pivots, reverse=True))
-
-
-def span(basis) -> list:
-    """All 2^k elements of the span of k independent vectors."""
-    out = [0]
-    for b in basis:
-        out += [v ^ b for v in out]
-    return out
 
 
 def solve_gf2(constraints, nbits: int):
@@ -335,11 +262,13 @@ def _eliminate(rows, pivot_bit) -> tuple:
 
 
 def rref_rows(rows) -> np.ndarray:
-    """`rref` of many systems at once.
+    """The reduced row-echelon basis of the span of each of many systems.
 
-    rows is a (..., m) array of row masks; each system's result is its `rref`
-    tuple followed by zeros, as a uint64 array of the same shape.  Pivots are
-    distinct highest bits, so sorting the reduced rows orders them by pivot.
+    rows is a (..., m) array of row masks.  A reduced row's pivot is its
+    highest set bit and is clear in every other row, so two generating sets
+    span the same subspace iff their bases are equal.  Each basis comes in
+    decreasing pivot order, then zeros, as a uint64 array of rows' shape;
+    pivots are distinct highest bits, so sorting the rows gives that order.
     """
     basis, _ = _eliminate(rows, _top_bit)
     return np.flip(np.sort(basis, axis=-1), axis=-1)

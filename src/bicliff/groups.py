@@ -1,10 +1,9 @@
-"""The distillation subgroup, the Werner symmetry group, and coset keys.
+"""The distillation subgroup and coset keys.
 
 The distillation subgroup D_n consists of the symplectic matrices mapping the
 base onto itself; composing a protocol with one of them permutes only the
 X/Y/Z output coefficients, so protocols in the same right coset D_n M share
-their (sorted) statistics.  The Werner symmetry group K_n fixes n-fold Werner
-inputs, so M K and M share exact Werner statistics.
+their (sorted) statistics.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from math import prod
 
 import numpy as np
 
-from .gf2 import CNOT, H, S, SWAP, Gate, SymplecticMatrix, gate_matrix, rref_rows, swap_halves
+from .gf2 import CNOT, H, S, Gate, SymplecticMatrix, gate_matrix, rref_rows, swap_halves
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,6 @@ def dn_generators(n: int) -> GeneratorSet:
     gates += [CNOT(i, j) for i in range(2, n + 1) for j in range(1, i)]
     gates += [CNOT(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
     return GeneratorSet("D_n", n, tuple(gates))
-
-
-def kn_generators(n: int) -> GeneratorSet:
-    """Generating gates of the symmetry group of n-fold Werner inputs."""
-    gates: list[Gate] = [SWAP(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    gates += [H(i) for i in range(1, n + 1)]
-    gates += [S(i) for i in range(1, n + 1)]
-    return GeneratorSet("K_n", n, tuple(gates))
 
 
 def dn_order(n: int) -> int:

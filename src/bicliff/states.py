@@ -106,14 +106,6 @@ class BellDiagonalState:
             probs *= pair[lut[code]]
         return cls(n, probs)
 
-    @classmethod
-    def werner(cls, n: int, fidelity: float) -> "BellDiagonalState":
-        e = (1.0 - fidelity) / 3.0
-        return cls.from_pairs([(fidelity, e, e, e)] * n)
-
-    def renormalized(self) -> "BellDiagonalState":
-        return BellDiagonalState(self.n, self.probs / self.probs.sum())
-
 
 def _stat_key(x):
     if isinstance(x, RationalPolynomial):

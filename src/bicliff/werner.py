@@ -243,22 +243,17 @@ class WernerCase:
     e: int  # canonical edge bitmask of the graph on n-1 nodes
 
 
-def enumerate_cases(n: int):
-    """All cases for n pairs, (a, b) ascending then graph mask ascending."""
-    _check_enum_n(n)
-    graphs = graphs_up_to_iso(n - 1)
-    for a, b in ab_pairs(n - 1):
-        for e in graphs:
-            yield WernerCase(n, a, b, e)
-
-
 def case_count(n: int) -> int:
     _check_enum_n(n)
     return count_ab_pairs(n - 1) * len(graphs_up_to_iso(n - 1))
 
 
 def case_at(n: int, index: int) -> WernerCase:
-    """The case at position `index` of `enumerate_cases(n)`."""
+    """The case at position `index` of the n-pair enumeration order.
+
+    Cases run over the (a, b) pairs of `ab_pairs` in ascending order, and for
+    each pair over the graph classes in ascending order of edge mask.
+    """
     _check_enum_n(n)
     pairs, graphs = _ab_pair_tuple(n - 1), _graph_classes(n - 1)
     if not 0 <= index < len(pairs) * len(graphs):
@@ -304,7 +299,7 @@ class Protocol:
 
     n: int
     counts: tuple  # preimage-coset histograms, base coset first
-    case_index: int  # position in `enumerate_cases(n)`
+    case_index: int  # (a, b) ascending, then graph class ascending; see `case_at`
 
     @cached_property
     def source(self) -> WernerCase:

@@ -1,29 +1,52 @@
-"""Scalar reference implementations of vectorised library code.
+"""Scalar reference implementations of vectorised library code, and the
+reference code that left the library.
 
-Each function here is the straightforward per-item loop that a vectorised
-routine in `bicliff` replaced; tests check the two against each other.
+Each function in the first part is the straightforward per-item loop that a
+vectorised routine in `bicliff` replaced; tests check the two against each
+other.  The second part holds code that no command, demo or benchmark runs but
+that tests use as an oracle or a fixture: the per-vector matrix action and
+inverse, scalar row reduction, the Werner symmetry generators, the case
+enumeration, the Werner product state, and the DEJMPS step with its
+concatenation plans.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from bicliff.circuits import _all_pairs, _downward_pairs, _rebuild, depth, two_qubit_count
-from bicliff.dejmps import (
-    LEAF,
-    ROTATION_WORDS,
-    TreePlan,
-    _step_unnormalised,
-    step_table,
-    tree_shapes,
+from bicliff.circuits import (
+    CliffordCircuit,
+    _all_pairs,
+    _downward_pairs,
+    _rebuild,
+    depth,
+    two_qubit_count,
 )
-from bicliff.gf2 import SymplecticMatrix, random_symplectic, rref, solve_gf2, swap_halves
-from bicliff.groups import dn_index
+from bicliff.dejmps import ROTATION_WORDS, _rotation_gates, step_table, tree_shapes
+from bicliff.gf2 import (
+    CNOT,
+    SWAP,
+    H,
+    S,
+    SymplecticMatrix,
+    random_symplectic,
+    solve_gf2,
+    swap_halves,
+)
+from bicliff.groups import GeneratorSet, dn_index
 from bicliff.ratpoly import RationalPolynomial
-from bicliff.states import DistStats, counts_key
-from bicliff.werner import _edge_list, _permuted_mask_map
+from bicliff.states import BellDiagonalState, DistStats, counts_key
+from bicliff.werner import (
+    WernerCase,
+    _check_enum_n,
+    _edge_list,
+    _permuted_mask_map,
+    ab_pairs,
+    graphs_up_to_iso,
+)
 
 
 def werner_leaf() -> tuple:
@@ -97,7 +120,7 @@ def preimage_oracle(m, n):
     x_rest = ((1 << n) - 1) ^ 1
     cosets = ([], [], [], [])
     for v in range(1 << (2 * n)):
-        w = m.apply(v)
+        w = apply(m, v)
         if w & x_rest == 0:
             cosets[_KEPT_INDEX[(w & 1, (w >> n) & 1)]].append(v)
     return cosets
@@ -109,10 +132,10 @@ def preimage_cosets(m) -> list:
 
     Vector j of coset k is M^-1 applied to the base vector whose Z-bits on
     pairs 2..n are the bits of j, plus the kept pair's Pauli k.  The columns
-    of M^-1 come from `SymplecticMatrix.inverse`, one XOR per vector.
+    of M^-1 come from `inverse`, one XOR per vector.
     """
     n = m.n
-    cols = m.inverse().cols
+    cols = columns(inverse(m))
     base = [0]
     for col in cols[n + 1 : 2 * n]:
         base += [v ^ col for v in base]
@@ -126,7 +149,7 @@ def numeric_stats(m, state):
     Each coset's probabilities are summed as one numpy row, as the batched
     forms sum them, so the results agree bit for bit.
     """
-    if m.inverse() @ m != SymplecticMatrix.identity(m.n):
+    if inverse(m) @ m != SymplecticMatrix.identity(m.n):
         raise ValueError("matrix is not symplectic")
     sums = state.probs[np.array(preimage_cosets(m))].sum(axis=-1)
     return DistStats.from_coset_sums(*sums.tolist())
@@ -135,7 +158,7 @@ def numeric_stats(m, state):
 def coset_key(m) -> tuple:
     """`groups.coset_key`: the reduced basis of the base preimage, spanned by
     columns n+1..2n-1 of M^-1."""
-    return rref(m.inverse().cols[m.n + 1 :])
+    return rref(columns(inverse(m))[m.n + 1 :])
 
 
 @lru_cache(maxsize=None)
@@ -425,3 +448,162 @@ def pareto_envelope(entries) -> list:
         best_f = max(best_f, group_best)
         i = j
     return kept
+
+
+# ---------------------------------------------------------------------------
+# Reference code that left the library
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def columns(m: SymplecticMatrix) -> tuple:
+    """The 2n column masks of m, cached because `apply` XORs one per set bit."""
+    nn = 2 * m.n
+    cols = [0] * nn
+    for i, row in enumerate(m.rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return tuple(cols)
+
+
+def apply(m: SymplecticMatrix, v: int) -> int:
+    """Matrix-vector product M @ v (v as column vector)."""
+    cols = columns(m)
+    out = 0
+    while v:
+        low = v & -v
+        out ^= cols[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def inverse(m: SymplecticMatrix) -> SymplecticMatrix:
+    """Inverse via M^-1 = Omega M^T Omega, valid for symplectic M."""
+    n = m.n
+    nn = 2 * n
+    cols = columns(m)
+    return SymplecticMatrix(n, tuple(swap_halves(cols[(i + n) % nn], n) for i in range(nn)))
+
+
+def rref(vectors) -> tuple:
+    """Reduced row-echelon basis of the span, rows in decreasing pivot order.
+
+    The pivot of a row is its highest set bit; every pivot bit is cleared in
+    all other rows, which makes the result a canonical identifier of the
+    subspace: two generating sets span the same subspace iff their reduced
+    bases are identical tuples.
+    """
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        for p, row in pivots.items():
+            if (v >> p) & 1:
+                v ^= row
+        if v == 0:
+            continue
+        p = v.bit_length() - 1
+        for q, row in list(pivots.items()):
+            if (row >> p) & 1:
+                pivots[q] = row ^ v
+        pivots[p] = v
+    return tuple(pivots[p] for p in sorted(pivots, reverse=True))
+
+
+def span(basis) -> list:
+    """All 2^k elements of the span of k independent vectors."""
+    out = [0]
+    for b in basis:
+        out += [v ^ b for v in out]
+    return out
+
+
+def kn_generators(n: int) -> GeneratorSet:
+    """Generating gates of the symmetry group of n-fold Werner inputs."""
+    gates = [SWAP(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    gates += [H(i) for i in range(1, n + 1)]
+    gates += [S(i) for i in range(1, n + 1)]
+    return GeneratorSet("K_n", n, tuple(gates))
+
+
+def enumerate_cases(n: int):
+    """All cases for n pairs, (a, b) ascending then graph mask ascending."""
+    _check_enum_n(n)
+    graphs = graphs_up_to_iso(n - 1)
+    for a, b in ab_pairs(n - 1):
+        for e in graphs:
+            yield WernerCase(n, a, b, e)
+
+
+def werner_state(n: int, fidelity: float) -> BellDiagonalState:
+    """n identical Werner pairs (F, e, e, e), e = (1 - F)/3."""
+    e = (1.0 - fidelity) / 3.0
+    return BellDiagonalState.from_pairs([(fidelity, e, e, e)] * n)
+
+
+# The rotation of the original protocol exchanges the Y and Z labels.
+DEFAULT_ROTATION = "HSH"
+
+
+def _step_unnormalised(ua, ub, table):
+    return [sum(ua[i] * ub[j] for i, j in entry) for entry in table]
+
+
+def dejmps_step(sa, sb, rotation: str = DEFAULT_ROTATION):
+    """One two-to-one step on normalised coefficient 4-vectors.
+
+    Returns (success probability, renormalised output coefficients).
+    """
+    out = _step_unnormalised(sa, sb, step_table(rotation))
+    p_suc = sum(out)
+    if p_suc == 0:
+        return 0.0, (0.0, 0.0, 0.0, 0.0)
+    return p_suc, tuple(v / p_suc for v in out)
+
+
+@dataclass(frozen=True)
+class TreePlan:
+    """A concatenation plan: rotation label at each node, leaves are pairs."""
+
+    rotation: str | None = None  # None marks a leaf
+    keep: object = None
+    measure: object = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.rotation is None
+
+    def leaves(self) -> int:
+        if self.is_leaf:
+            return 1
+        return self.keep.leaves() + self.measure.leaves()
+
+
+LEAF = TreePlan()
+
+
+def plan_to_circuit(plan: TreePlan, n: int) -> CliffordCircuit:
+    """The n-qubit bilocal circuit realising a plan, kept pair on qubit 1.
+
+    Leaves are numbered left to right; each node rotates the two subtree
+    representatives and entangles them with a CNOT from kept to measured.
+    """
+    if plan.leaves() != n:
+        raise ValueError("plan leaf count differs from n")
+    gates: list = []
+    counter = [0]
+
+    def walk(p: TreePlan) -> int:
+        if p.is_leaf:
+            counter[0] += 1
+            return counter[0]
+        qk = walk(p.keep)
+        qm = walk(p.measure)
+        gates.extend(_rotation_gates(p.rotation, qk))
+        gates.extend(_rotation_gates(p.rotation, qm))
+        gates.append(CNOT(qk, qm))
+        return qk
+
+    root = walk(plan)
+    assert root == 1 and counter[0] == n
+    return CliffordCircuit(n, tuple(gates))

@@ -1277,10 +1277,11 @@ def test_cli_out_of_range_pair_counts_exit_2(tmp_path, capsys, command, flag, va
 
 @pytest.mark.parametrize("sample", ["0", "-1"])
 def test_cli_verify_rejects_non_positive_sample(cache_dir, capsys, sample):
-    code = run_cli(["verify", str(cache_dir / "werner_n2.bcp"), "--sample", sample])
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["verify", str(cache_dir / "werner_n2.bcp"), "--sample", sample])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert f"--sample {sample} must be at least 1" in captured.err
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert f"argument --sample: {sample} must be at least 1" in captured.err
 
 
 @pytest.mark.parametrize(

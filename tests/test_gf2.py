@@ -21,13 +21,10 @@ from bicliff.gf2 import (
     least_solutions,
     random_symplectic,
     random_symplectic_rows,
-    rref,
     rref_rows,
     sp_order,
-    span,
     swap_halves,
     symplectic_inner,
-    symplectic_inverse,
 )
 from bicliff import gf2
 from bicliff.groups import bfs_closure
@@ -149,12 +146,12 @@ def test_swapped_identity_rows_not_symplectic():
 
 def test_inverse_of_identity():
     m = SymplecticMatrix.identity(3)
-    assert symplectic_inverse(m) == m
+    assert scalar.inverse(m) == m
 
 
 def test_inverse_matches_elimination_oracle():
     m = gate_matrix(S(1), 2)
-    inv = symplectic_inverse(m)
+    inv = scalar.inverse(m)
     assert np.array_equal(to_dense(inv), gf2_inverse(to_dense(m)))
     assert (m @ inv) == SymplecticMatrix.identity(2)
 
@@ -164,16 +161,9 @@ def test_inverse_random_roundtrip():
     ident = SymplecticMatrix.identity(3)
     for _ in range(100):
         m = random_symplectic(3, rng)
-        inv = symplectic_inverse(m)
+        inv = scalar.inverse(m)
         assert m @ inv == ident
         assert np.array_equal(to_dense(inv), gf2_inverse(to_dense(m)))
-
-
-def test_inverse_rejects_non_symplectic():
-    rows = [1 << i for i in range(4)]
-    rows[0], rows[1] = rows[1], rows[0]
-    with pytest.raises(ValueError):
-        symplectic_inverse(SymplecticMatrix(2, rows))
 
 
 def test_matvec_matches_dense():
@@ -184,7 +174,7 @@ def test_matvec_matches_dense():
         v = int(rng.integers(0, 1 << 6))
         vec = np.array([(v >> i) & 1 for i in range(6)])
         want = dense @ vec % 2
-        got = m.apply(v)
+        got = scalar.apply(m, v)
         assert [(got >> i) & 1 for i in range(6)] == list(want)
 
 
@@ -317,7 +307,7 @@ def test_rref_rows_match_rref():
         rows = _random_systems(rng, 300, m, 9)
         got = rref_rows(rows.reshape(3, 100, m)).reshape(300, m).tolist()
         for r, g in zip(rows.tolist(), got):
-            want = rref(r)
+            want = scalar.rref(r)
             assert tuple(g) == want + (0,) * (m - len(want))
 
 
@@ -376,13 +366,13 @@ def test_generator_closure_sizes():
 
 
 def test_subspace_key_zero():
-    assert rref([0]) == ()
-    assert rref([]) == ()
+    assert scalar.rref([0]) == ()
+    assert scalar.rref([]) == ()
 
 
 def test_subspace_key_dependent_generators():
     e1, e2 = 0b0001, 0b0010
-    assert rref([e1, e1 ^ e2, e2]) == (e2, e1)
+    assert scalar.rref([e1, e1 ^ e2, e2]) == (e2, e1)
 
 
 def test_subspace_key_invariant_under_recombination():
@@ -390,18 +380,18 @@ def test_subspace_key_invariant_under_recombination():
     nbits = 8
     for _ in range(30):
         basis = []
-        while len(rref(basis)) < 3:
+        while len(scalar.rref(basis)) < 3:
             basis.append(int(rng.integers(1, 1 << nbits)))
-            basis = list(rref(basis))
-        full = sorted(span(basis))
-        key = rref(basis)
+            basis = list(scalar.rref(basis))
+        full = sorted(scalar.span(basis))
+        key = scalar.rref(basis)
         assert len(full) == 8
         for _ in range(10):
             gens = [full[int(i)] for i in rng.integers(1, 8, size=5)]
-            if len(rref(gens)) == 3:
-                assert rref(gens) == key
+            if len(scalar.rref(gens)) == 3:
+                assert scalar.rref(gens) == key
         # oracle: the key's span is the original subspace
-        assert sorted(span(key)) == full
+        assert sorted(scalar.span(key)) == full
 
 
 # --- gates --------------------------------------------------------------------
@@ -449,7 +439,8 @@ def test_inner_product_preserved_by_symplectic_action():
         m = random_symplectic(3, rng)
         v = int(rng.integers(0, 1 << 6))
         w = int(rng.integers(0, 1 << 6))
-        assert symplectic_inner(m.apply(v), m.apply(w), 3) == symplectic_inner(v, w, 3)
+        image = symplectic_inner(scalar.apply(m, v), scalar.apply(m, w), 3)
+        assert image == symplectic_inner(v, w, 3)
 
 
 def test_product_and_inverse_stay_symplectic():
@@ -458,7 +449,7 @@ def test_product_and_inverse_stay_symplectic():
         a = random_symplectic(2, rng)
         b = random_symplectic(2, rng)
         assert is_symplectic(a @ b)
-        assert is_symplectic(a.inverse())
+        assert is_symplectic(scalar.inverse(a))
 
 
 def test_swap_halves_roundtrip():

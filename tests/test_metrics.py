@@ -169,7 +169,7 @@ def test_curve_set_matches_real_families(protocols_for):
     for n in range(2, 8):
         coeffs = werner_coeff_rows([p.counts for p in protocols_for(n)], n)
         _assert_curves_match_stats(coeffs, 3**n, grid)
-        _assert_curves_match_stats(*candidate_rows(n)[:2], grid)
+        _assert_curves_match_stats(*candidate_rows(n), grid)
 
 
 def _trim_zeros_order(rest: np.ndarray) -> list:

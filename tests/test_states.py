@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicliff.circuits import circuit_to_symplectic
-from bicliff.dejmps import LEAF, ROTATION_WORDS, TreePlan, plan_to_circuit, step_table
+from bicliff.dejmps import ROTATION_WORDS, step_table
 from bicliff.gf2 import (
     CNOT,
     SymplecticMatrix,
     gate_matrix,
     random_symplectic,
-    rref,
     symplectic_inner,
 )
 from bicliff.groups import coset_key
@@ -40,7 +39,15 @@ from bicliff.states import (
     _werner_term_matrix,
 )
 from _reference import EXAMPLE_PAIR, best_f_poly, best_p_poly
-from _scalar_reference import preimage_oracle, werner_term_basis
+from _scalar_reference import (
+    LEAF,
+    TreePlan,
+    plan_to_circuit,
+    preimage_oracle,
+    rref,
+    werner_state,
+    werner_term_basis,
+)
 
 
 def symplectic_complement(vectors, n):
@@ -112,16 +119,9 @@ def test_product_state_indexing():
 
 
 def test_werner_state():
-    st = BellDiagonalState.werner(2, 0.7)
+    st = werner_state(2, 0.7)
     assert np.isclose(st.probs[0], 0.49)
     assert np.isclose(st.probs[0b0001], 0.1 * 0.7)  # X on pair 1, I on pair 2
-
-
-def test_explicit_renormalisation():
-    st = BellDiagonalState.werner(1, 0.7)
-    scaled = BellDiagonalState(1, st.probs * (1 + 0.5e-12))  # within tolerance
-    again = scaled.renormalized()
-    assert np.isclose(again.probs.sum(), 1.0, atol=1e-15)
 
 
 # --- numeric statistics -----------------------------------------------------------
@@ -145,7 +145,7 @@ def test_identity_keeps_first_pair_marginal():
 
 def test_dejmps_representative_at_F07(protocols_for, best_for):
     best = best_for(2)
-    st = BellDiagonalState.werner(2, 0.7)
+    st = werner_state(2, 0.7)
     stats = numeric_stats(best.protocol.rep, st)
     # oracle: the known optimal polynomials evaluated at 0.7
     p = float(best_p_poly(2)(Fr(7, 10)))
@@ -157,7 +157,7 @@ def test_dejmps_representative_at_F07(protocols_for, best_for):
 def test_coset_partition_properties():
     rng = np.random.default_rng(9)
     for n in (2, 3):
-        st = BellDiagonalState.werner(n, 0.8)
+        st = werner_state(n, 0.8)
         for _ in range(20):
             m = random_symplectic(n, rng)
             counts = werner_counts(m, n)
@@ -254,7 +254,7 @@ def test_polynomial_vs_numeric_engines():
             m = random_symplectic(n, rng)
             poly = werner_stats(m, n)
             f = float(rng.uniform(0.25, 1.0))
-            num = numeric_stats(m, BellDiagonalState.werner(n, f))
+            num = numeric_stats(m, werner_state(n, f))
             ev = poly.evaluate(f)
             assert np.isclose(ev.p_suc, num.p_suc, atol=1e-12)
             assert np.isclose(ev.f_num, num.f_num, atol=1e-12)

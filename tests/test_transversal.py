@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import _scalar_reference as scalar
 from bicliff.gf2 import SymplecticMatrix, gate_matrix, is_symplectic, random_symplectic_rows, H, S, CNOT
 from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves
-from bicliff.groups import bfs_closure, coset_key, coset_keys, dn_index, kn_generators
+from bicliff.groups import bfs_closure, coset_key, coset_keys, dn_index
 from bicliff.states import BellDiagonalState, DistStats, werner_keys
 from bicliff.transversal import (
     SAMPLE_BLOCK,
@@ -20,9 +20,10 @@ from bicliff.transversal import (
     representative_from_key,
     representative_rows,
 )
-from bicliff.dejmps import dejmps_step, ROTATION_WORDS
-from bicliff.werner import build_representative, enumerate_cases
+from bicliff.dejmps import ROTATION_WORDS
+from bicliff.werner import build_representative
 from _reference import EXAMPLE_PAIR
+from _scalar_reference import dejmps_step, enumerate_cases, kn_generators, werner_state
 
 
 def _reps(t):
@@ -132,7 +133,7 @@ def test_budget_exhaustion_flagged():
     t = build_transversal(3, seed=0, max_samples=16)
     assert not t.complete
     assert len(t) < dn_index(3)
-    state = BellDiagonalState.werner(3, 0.8)
+    state = werner_state(3, 0.8)
     with pytest.raises(ValueError):
         enumerate_stats(t, state)
 
