@@ -27,7 +27,7 @@ concat = {n: [DistStats.from_coset_sums(*k) for k in concatenated_candidates(n)]
 print("== leading infidelity behaviour ==")
 for n in NS:
     full = leading_infidelity_term(best_fidelity_protocol(n, protocols=protos[n]).protocol.stats)
-    dj = leading_infidelity_term(best_concatenated(n).stats)
+    dj = leading_infidelity_term(best_concatenated(n))
     print(f"n={n}: optimised 1 - {full[1]}*eps^{full[0]}   baseline 1 - {dj[1]}*eps^{dj[0]}")
 
 print("\n== output fidelity at a few inputs ==")

@@ -54,15 +54,22 @@ def circuit_to_symplectic(c: CliffordCircuit) -> SymplecticMatrix:
     return SymplecticMatrix(c.n, rows)
 
 
+def _place(last: dict, qubits) -> int:
+    """One placement step: a gate goes one layer past the latest layer of its
+    qubits.  last maps each qubit to its latest layer and is updated."""
+    layer = max((last.get(q, 0) for q in qubits), default=0) + 1
+    for q in qubits:
+        last[q] = layer
+    return layer
+
+
 def _layers(c: CliffordCircuit) -> list:
     """Greedy earliest-possible layering; gates sharing a qubit never share a layer."""
-    last = {}
+    last: dict = {}
     layers: list[list[Gate]] = []
     for g in c.gates:
-        layer = max((last.get(q, 0) for q in g.qubits), default=0) + 1
-        for q in g.qubits:
-            last[q] = layer
-        while len(layers) < layer:
+        layer = _place(last, g.qubits)
+        if layer > len(layers):  # at most one past the last layer
             layers.append([])
         layers[layer - 1].append(g)
     return layers
@@ -247,17 +254,14 @@ def _schedule_czs(prefix, czs) -> list:
     """
     last: dict = {}
     for g in prefix:
-        layer = max((last.get(q, 0) for q in g.qubits), default=0) + 1
-        for q in g.qubits:
-            last[q] = layer
+        _place(last, g.qubits)
     remaining = sorted(czs)
     out = []
     while remaining:
-        feas = [(max(last.get(i, 0), last.get(j, 0)) + 1, (i, j)) for i, j in remaining]
-        layer, (i, j) = min(feas)
-        remaining.remove((i, j))
-        last[i] = last[j] = layer
-        out.append(CZ(i, j))
+        pair = min(remaining, key=lambda p: (max(last.get(q, 0) for q in p), p))
+        remaining.remove(pair)
+        _place(last, pair)
+        out.append(CZ(*pair))
     return out
 
 

@@ -284,12 +284,12 @@ def _check_compare_args(args) -> None:
         raise CliError(EXIT_INVALID, "; ".join(problems))
 
 
-# metric -> (its figure for n pairs from a `CurveSet` and f_tar, whether the CSV has a row per n)
+# metric -> (its figure from an n-pair `CurveSet` and f_tar, whether the CSV has a row per n)
 _METRICS = {
-    "fidelity": (lambda curves, n, f_tar: curves.best_fidelity(), True),
-    "yield": (lambda curves, n, f_tar: curves.best_yield(n), False),
-    "ree": (lambda curves, n, f_tar: curves.best_ree(), True),
-    "target-rate": (lambda curves, n, f_tar: curves.best_target_rate(f_tar, n), False),
+    "fidelity": (lambda curves, f_tar: curves.best_fidelity(), True),
+    "yield": (lambda curves, f_tar: curves.best_yield(), False),
+    "ree": (lambda curves, f_tar: curves.best_ree(), True),
+    "target-rate": (lambda curves, f_tar: curves.best_target_rate(f_tar), False),
 }
 
 
@@ -301,14 +301,14 @@ def cmd_compare(args) -> int:
     grid = np.round(np.arange(args.f_min, args.f_max + args.f_step / 2, args.f_step), 9)
     grid = grid[grid <= round(args.f_max, 9)]  # arange may overshoot by half a step
     ns = range(args.n_min, args.n_max + 1)
-    # (coefficient rows, denominator) per n; one n's curves are alive at a time
+    # coefficient rows over 3^n per n; one n's curves are alive at a time
     full = {
-        n: (werner_coeff_rows([p.counts for p in _load_cache("werner", args.cache, n)], n), 3**n)
+        n: werner_coeff_rows([p.counts for p in _load_cache("werner", args.cache, n)], n)
         for n in ns
     }
     dejmps = {n: concatenated_candidates(n) for n in ns}
     figure, per_n = _METRICS[args.metric]
-    a, b = (np.array([figure(CurveSet(*family[n], grid), n, args.f_tar) for n in ns])
+    a, b = (np.array([figure(CurveSet(family[n], n, grid), args.f_tar) for n in ns])
             for family in (full, dejmps))
     if per_n:
         header, rows, series = ["f_in", "n", "full", "dejmps", "difference"], [], []

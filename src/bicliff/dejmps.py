@@ -8,22 +8,18 @@ node, generates the family used as the comparison baseline; it contains the
 classic recurrence, pumping and double-selection schemes.
 
 Intermediate states are carried unnormalised (entries summing to the
-cumulative success probability), which keeps polynomial mode exact and makes
+cumulative success probability), which keeps the integer rows exact and makes
 the chain rule automatic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import CNOT, H, S
-from .circuits import CliffordCircuit, circuit_to_symplectic
-from .ratpoly import RationalPolynomial
-from .states import DistStats, preimage_index, vector_paulis
+from .gf2 import CNOT, H, S, apply_gate_rows
+from .states import DistStats, preimage_index, rows_to_polys, vector_paulis
 from .werner import best_curve, default_f_grid, first_rows
 
 # The six single-qubit Clifford rotations modulo Paulis, as temporal gate words.
@@ -48,10 +44,10 @@ def step_table(rotation: str) -> tuple:
     Entry k lists the (i, j) pairs whose product uA[i]*uB[j] contributes to
     output coefficient k (order I, X, Y, Z of the kept pair).
     """
-    gates = _rotation_gates(rotation, 1) + _rotation_gates(rotation, 2)
-    gates.append(CNOT(1, 2))
-    m = circuit_to_symplectic(CliffordCircuit(2, tuple(gates)))
-    cosets = preimage_index(m.rows, 2).tolist()
+    rows = [1 << i for i in range(4)]
+    for g in _rotation_gates(rotation, 1) + _rotation_gates(rotation, 2) + [CNOT(1, 2)]:
+        apply_gate_rows(rows, g, 2)
+    cosets = preimage_index(np.array(rows), 2).tolist()
     return tuple(tuple(vector_paulis(v, 2) for v in coset) for coset in cosets)
 
 
@@ -95,11 +91,10 @@ WERNER_LEAF = np.array([[0, 3], [1, -1], [1, -1], [1, -1]], dtype=np.int64)
 def _step_arrays(keep, measure, index) -> np.ndarray:
     """Every step output of every (keep, measure, rotation) triple.
 
-    keep (L, 4, a) and measure (R, 4, b) hold coefficient rows, and index
-    holds the step tables as two (rotations, 4, terms) arrays of i and j.
+    keep (L, 4, a) and measure (R, 4, b) hold integer coefficient rows, and
+    index holds the step tables as two (rotations, 4, terms) arrays of i and j.
     The result has shape (L, R, rotations, 4, a + b - 1): each row is the sum
-    over a table entry of the products keep[i] * measure[j] (polynomial
-    products, which reduce to plain products for numeric (4, 1) rows).
+    over a table entry of the polynomial products keep[i] * measure[j].
     """
     a, b = keep.shape[2], measure.shape[2]
     prod = np.zeros((len(keep), len(measure), 4, 4, a + b - 1), dtype=keep.dtype)
@@ -109,7 +104,7 @@ def _step_arrays(keep, measure, index) -> np.ndarray:
     return prod[:, :, i, j].sum(axis=4)
 
 
-def _candidates(shape, leaf, index, memo) -> np.ndarray:
+def _candidates(shape, index, memo) -> np.ndarray:
     """Distinct reachable coefficient arrays for one shape, (count, 4, d).
 
     Rows keep their first-occurrence order in the loop keep candidate,
@@ -117,11 +112,11 @@ def _candidates(shape, leaf, index, memo) -> np.ndarray:
     """
     if shape not in memo:
         if shape is None:
-            memo[shape] = leaf[None]
+            memo[shape] = WERNER_LEAF[None]
         else:
             left, right = shape
-            lc = _candidates(left, leaf, index, memo)
-            rc = _candidates(right, leaf, index, memo)
+            lc = _candidates(left, index, memo)
+            rc = _candidates(right, index, memo)
             orders = [(lc, rc)] if left == right else [(lc, rc), (rc, lc)]
             outs = [_step_arrays(keep, measure, index) for keep, measure in orders]
             rows = np.concatenate([out.reshape(-1, *out.shape[3:]) for out in outs])
@@ -129,60 +124,27 @@ def _candidates(shape, leaf, index, memo) -> np.ndarray:
     return memo[shape]
 
 
-@dataclass
-class ConcatenatedResult:
-    stats: DistStats
-    dominant: bool
-    candidates: int
+def candidate_rows(n: int) -> np.ndarray:
+    """The distinct unnormalised outputs of the n-leaf family on Werner leaves.
 
-
-def candidate_rows(n: int, leaf=None, rotations=None) -> tuple:
-    """(rows, denom): the distinct unnormalised outputs of the n-leaf family.
-
-    Rows keep the order in which the tree recursion first reaches them.  The
-    default Werner leaf gives (count, 4, n+1) int64 power-ascending
-    coefficients over denom 3^n, each at most 9^n < 2^63 in magnitude for the
-    n <= 8 of `tree_shapes`; a numeric leaf (pI, pX, pY, pZ) gives
-    (count, 4, 1) floats and denom None.
+    An int64 array (count, 4, n+1) of power-ascending coefficients over 3^n,
+    each at most 9^n < 2^63 in magnitude for the n <= 8 of `tree_shapes`.
+    Rows keep the order in which the tree recursion first reaches them.
     """
-    if leaf is None:
-        leaf, scale = WERNER_LEAF, 3
-    else:  # a numeric leaf is a (4, 1) float array
-        leaf, scale = np.asarray(leaf, dtype=float).reshape(4, 1), None
-    rotations = tuple(ROTATION_WORDS) if rotations is None else tuple(rotations)
-    index = np.array([step_table(rot) for rot in rotations]).transpose(3, 0, 1, 2)
+    index = np.array([step_table(rot) for rot in ROTATION_WORDS]).transpose(3, 0, 1, 2)
     memo: dict = {}
-    rows = np.concatenate([_candidates(shape, leaf, index, memo) for shape in tree_shapes(n)])
-    return rows[first_rows(rows)], None if scale is None else scale**n
+    rows = np.concatenate([_candidates(shape, index, memo) for shape in tree_shapes(n)])
+    return rows[first_rows(rows)]
 
 
-def _output_key(row: np.ndarray, denom) -> tuple:
-    """The 4-tuple of one candidate row: floats, or RationalPolynomial over denom."""
-    if denom is None:
-        return tuple(float(c) for c in row[:, 0])
-    return tuple(RationalPolynomial(Fraction(int(c), denom) for c in q) for q in row)
+def concatenated_candidates(n: int) -> list:
+    """`candidate_rows` as output 4-tuples of exact polynomials, in row order."""
+    return [rows_to_polys(row, n) for row in candidate_rows(n)]
 
 
-def concatenated_candidates(n: int, leaf=None, rotations=None) -> list:
-    """`candidate_rows` as output 4-tuples (see `_output_key`), in row order."""
-    rows, denom = candidate_rows(n, leaf, rotations)
-    return [_output_key(row, denom) for row in rows]
-
-
-def best_concatenated(n: int, leaf=None, f_grid=None, rotations=None) -> ConcatenatedResult:
-    """The member of the family maximising output fidelity, pointwise over the grid.
-
-    Polynomial mode (default Werner leaf): the first row of the F_out curve
-    `best_curve` picks.  Numeric leaves reduce to a single comparison.
-    """
-    rows, denom = candidate_rows(n, leaf=leaf, rotations=rotations)
-    if denom is None:
-        keys = [_output_key(row, None) for row in rows]
-        best = max(range(len(keys)), key=lambda k: keys[k][0] / s if (s := sum(keys[k])) > 0 else 0.0)
-        dominant = True
-    else:
-        grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
-        tied, dominant = best_curve(rows, denom, grid)
-        best = tied[0]
-    stats = DistStats.from_coset_sums(*_output_key(rows[best], denom))
-    return ConcatenatedResult(stats, dominant, len(rows))
+def best_concatenated(n: int) -> DistStats:
+    """The member of the family maximising output fidelity, pointwise over the
+    default grid: the first row of the F_out curve `best_curve` picks."""
+    rows = candidate_rows(n)
+    tied, _ = best_curve(rows, n, default_f_grid())
+    return DistStats.from_coset_sums(*rows_to_polys(rows[tied[0]], n))

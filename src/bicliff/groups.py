@@ -18,7 +18,6 @@ from .gf2 import CNOT, H, S, Gate, SymplecticMatrix, gate_matrix, rref_rows, swa
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    label: str
     n: int
     gates: tuple
 
@@ -36,7 +35,7 @@ def dn_generators(n: int) -> GeneratorSet:
     gates: list[Gate] = [H(1)] + [S(i) for i in range(1, n + 1)]
     gates += [CNOT(i, j) for i in range(2, n + 1) for j in range(1, i)]
     gates += [CNOT(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
-    return GeneratorSet("D_n", n, tuple(gates))
+    return GeneratorSet(n, tuple(gates))
 
 
 def dn_order(n: int) -> int:

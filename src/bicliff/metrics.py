@@ -109,22 +109,22 @@ def _xyz_order(rest: np.ndarray) -> np.ndarray:
 class CurveSet:
     """Statistic curves of a protocol family over a fidelity grid, vectorised.
 
-    coeffs (protocols, 4, d) holds each protocol's four coset sums (base
-    coset first) as power-ascending integer rows over the denominator denom.
-    While coefficients and denom are exact doubles (Werner families up to
-    n=8), every value equals float Horner on the exact `DistStats` polynomial.
+    coeffs (protocols, 4, n+1) holds each protocol's four coset sums (base
+    coset first) of an n-pair family as power-ascending int64 rows over 3^n.
+    While coefficients and 3^n are exact doubles (Werner families up to n=8),
+    every value equals float Horner on the exact `DistStats` polynomial.
     """
 
-    def __init__(self, coeffs: np.ndarray, denom: int, grid: np.ndarray):
+    def __init__(self, coeffs: np.ndarray, n: int, grid: np.ndarray):
         self.coeffs = coeffs
-        self.denom = denom
+        self.n = n
         self.grid = grid
         self.p = self._on_grid(coeffs.sum(axis=1))
         self.f = self._on_grid(coeffs[:, 0])
 
     def _on_grid(self, rows: np.ndarray) -> np.ndarray:
         """Values of (..., d) coefficient rows at every grid point, shape (..., grid)."""
-        coeffs = rows / self.denom
+        coeffs = rows / 3**self.n
         out = np.zeros(coeffs.shape[:-1] + self.grid.shape)
         for k in range(coeffs.shape[-1] - 1, -1, -1):
             out *= self.grid
@@ -150,7 +150,7 @@ class CurveSet:
         slices = (slice(lo, lo + 64) for lo in range(0, len(self.p), 64))
         return np.max([values(rows).max(axis=0) for rows in slices], axis=0)
 
-    def best_yield(self, n: int) -> np.ndarray:
+    def best_yield(self) -> np.ndarray:
         def rate(rows):
             # normalised (F, F1, F2, F3), the entropy summed in `DistStats` order
             coeffs = np.concatenate([self.f[rows, None, :], self.fis(rows)], axis=1)
@@ -158,7 +158,7 @@ class CurveSet:
             terms = np.log2(coeffs, where=coeffs > 0, out=np.zeros_like(coeffs))
             terms *= coeffs
             entropy = -terms.sum(axis=1)
-            return np.clip(1.0 - entropy, 0.0, None) * self.p[rows] / n
+            return np.clip(1.0 - entropy, 0.0, None) * self.p[rows] / self.n
 
         return self._max_by_slices(rate)
 
@@ -173,7 +173,7 @@ class CurveSet:
 
         return self._max_by_slices(ree)
 
-    def best_target_rate(self, f_tar: float, n: int) -> np.ndarray:
+    def best_target_rate(self, f_tar: float) -> np.ndarray:
         """Largest p_suc/n among protocols whose F_out reaches f_tar, else 0; 1
         where f_in already meets f_tar, as the pair is then kept undistilled.
 
@@ -181,5 +181,5 @@ class CurveSet:
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             reaches = (self.p > 0) & (self.f / self.p >= f_tar)
-        rate = np.where(reaches, self.p / n, 0.0).max(axis=0)
+        rate = np.where(reaches, self.p / self.n, 0.0).max(axis=0)
         return np.where(self.grid >= f_tar, 1.0, rate)

@@ -227,13 +227,13 @@ def coset_histograms(rows, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _werner_term_matrix(n: int, dtype) -> np.ndarray:
-    """3^n * F^w * ((1-F)/3)^(n-w) for w = 0..n as an integer (n+1, n+1) matrix.
+def _werner_term_matrix(n: int) -> np.ndarray:
+    """3^n * F^w * ((1-F)/3)^(n-w) for w = 0..n as an int64 (n+1, n+1) matrix.
 
     Row w is 3^w * F^w * (1-F)^(n-w): 3^w * (-1)^j * C(n-w, j) at power w + j,
     at most 3^n in magnitude.
     """
-    terms = np.zeros((n + 1, n + 1), dtype)
+    terms = np.zeros((n + 1, n + 1), np.int64)
     for w in range(n + 1):
         for j in range(n - w + 1):
             terms[w, w + j] = 3**w * (-1) ** j * math.comb(n - w, j)
@@ -241,27 +241,24 @@ def _werner_term_matrix(n: int, dtype) -> np.ndarray:
 
 
 def werner_coeff_rows(hists, n: int) -> np.ndarray:
-    """3^n * sum_w hist[w] * F^w * ((1-F)/3)^(n-w) as power-ascending integer rows.
+    """3^n * sum_w hist[w] * F^w * ((1-F)/3)^(n-w) as power-ascending int64 rows.
 
-    hists stacks histograms along its last axis.  One integer product with
-    the scaled term matrix, in int64 while sum|hist| * 3^n bounds every entry
-    below 2^63 and in Python integers otherwise.
+    hists stacks histograms along its last axis.  A coset histogram of n pairs
+    sums to 2^(n-1) and every term entry is at most 3^n in magnitude, so every
+    entry stays below 2^(n-1) * 3^n < 2^63 for all n <= MAX_PAIRS = 16.
     """
-    hists = np.asarray(hists, dtype=object)
-    small = max(1, np.max(np.abs(hists).sum(axis=-1))) * 3**n < 2**63
-    terms = _werner_term_matrix(n, np.int64 if small else object)
-    return hists.astype(terms.dtype) @ terms
+    return np.asarray(hists, np.int64) @ _werner_term_matrix(n)
 
 
-def counts_to_poly(hist, n: int) -> RationalPolynomial:
-    """Exact sum_w hist[w] * F^w * ((1-F)/3)^(n-w): one row of `werner_coeff_rows`."""
+def rows_to_polys(rows, n: int) -> tuple:
+    """Power-ascending integer rows (k, n+1) over 3^n, as from `werner_coeff_rows`
+    or `dejmps.candidate_rows`, as a tuple of k exact polynomials."""
     scale = 3**n
-    return RationalPolynomial(Fraction(int(c), scale) for c in werner_coeff_rows(hist, n))
+    return tuple(RationalPolynomial(Fraction(c, scale) for c in row) for row in np.asarray(rows).tolist())
 
 
 def stats_from_counts(counts, n: int) -> DistStats:
-    s0, s1, s2, s3 = (counts_to_poly(h, n) for h in counts)
-    return DistStats.from_coset_sums(s0, s1, s2, s3)
+    return DistStats.from_coset_sums(*rows_to_polys(werner_coeff_rows(counts, n), n))
 
 
 def werner_stats(m: SymplecticMatrix, n: int) -> DistStats:

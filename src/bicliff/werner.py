@@ -462,8 +462,8 @@ def pick_curve(values: np.ndarray) -> tuple:
     return int(maximal[:, -1].argmax()), False
 
 
-def best_curve(rows: np.ndarray, denom, grid: np.ndarray) -> tuple:
-    """`pick_curve` over the F_out curves of `CurveSet` coefficient rows.
+def best_curve(rows: np.ndarray, n: int, grid: np.ndarray) -> tuple:
+    """`pick_curve` over the F_out curves of n-pair `CurveSet` coefficient rows.
 
     Rows with equal (p_suc, f_num) form one curve, named by its first row.
     Returns (tied, dominant): the ascending rows of the winning curve.
@@ -473,7 +473,7 @@ def best_curve(rows: np.ndarray, denom, grid: np.ndarray) -> tuple:
     # F_out of `_CURVE_SLICE` curves at a time: the full p and f are never held
     values = np.empty((len(heads), len(grid)))
     for lo in range(0, len(heads), _CURVE_SLICE):
-        curves = CurveSet(rows[heads[lo : lo + _CURVE_SLICE]], denom, grid)
+        curves = CurveSet(rows[heads[lo : lo + _CURVE_SLICE]], n, grid)
         np.divide(curves.f, curves.p, out=values[lo : lo + _CURVE_SLICE])
     row, dominant = pick_curve(values)
     return np.flatnonzero((keys == keys[heads[row]]).all(axis=1)), dominant
@@ -507,10 +507,8 @@ def _heads(flat: np.ndarray, order: np.ndarray) -> np.ndarray:
     return order[new]
 
 
-def best_fidelity_protocol(
-    n: int, protocols: list | None = None, f_grid=None
-) -> BestFidelityResult:
-    """The protocol(s) maximising F_out pointwise over the fidelity grid.
+def best_fidelity_protocol(n: int, protocols: list | None = None) -> BestFidelityResult:
+    """The protocol(s) maximising F_out pointwise over the default fidelity grid.
 
     Protocols with identical (p_suc, f_num) form one curve; if a single curve
     is maximal at every grid point it is dominant, otherwise the one maximal
@@ -521,8 +519,7 @@ def best_fidelity_protocol(
     if protocols is None:
         protocols = distinct_protocols(n)
     protocols = sorted(protocols, key=lambda p: p.case_index)
-    grid = default_f_grid() if f_grid is None else np.asarray(f_grid, dtype=float)
     rows = werner_coeff_rows([p.counts for p in protocols], n)
-    tied, dominant = best_curve(rows, 3**n, grid)
+    tied, dominant = best_curve(rows, n, default_f_grid())
     tied = [protocols[i] for i in tied]
     return BestFidelityResult(tied[0], tied, dominant)

@@ -71,22 +71,22 @@ def werner_term_basis(n: int) -> tuple:
     return tuple(out)
 
 
-def _candidates(shape, leaf, rotations, memo) -> dict:
+def _candidates(shape, memo) -> dict:
     """Distinct reachable coefficient 4-tuples for one shape, with plans."""
     if shape in memo:
         return memo[shape]
     if shape is None:
-        memo[shape] = {leaf: LEAF}
+        memo[shape] = {werner_leaf(): LEAF}
         return memo[shape]
     left, right = shape
-    lc = _candidates(left, leaf, rotations, memo)
-    rc = _candidates(right, leaf, rotations, memo)
+    lc = _candidates(left, memo)
+    rc = _candidates(right, memo)
     out: dict = {}
     orders = [(lc, rc)] if left == right else [(lc, rc), (rc, lc)]
     for keep_set, measure_set in orders:
         for uk, pk in keep_set.items():
             for um, pm in measure_set.items():
-                for rot in rotations:
+                for rot in ROTATION_WORDS:
                     key = tuple(_step_unnormalised(uk, um, step_table(rot)))
                     if key not in out:
                         out[key] = TreePlan(rot, pk, pm)
@@ -94,15 +94,12 @@ def _candidates(shape, leaf, rotations, memo) -> dict:
     return out
 
 
-def concatenated_candidates(n: int, leaf=None, rotations=None) -> dict:
-    """The concatenated family by the tree recursion on exact 4-tuples."""
-    if leaf is None:
-        leaf = werner_leaf()
-    rotations = tuple(ROTATION_WORDS) if rotations is None else tuple(rotations)
+def concatenated_candidates(n: int) -> dict:
+    """The concatenated family on Werner leaves by the tree recursion on exact 4-tuples."""
     memo: dict = {}
     out: dict = {}
     for shape in tree_shapes(n):
-        for key, plan in _candidates(shape, leaf, rotations, memo).items():
+        for key, plan in _candidates(shape, memo).items():
             out.setdefault(key, plan)
     return out
 
@@ -523,7 +520,7 @@ def kn_generators(n: int) -> GeneratorSet:
     gates = [SWAP(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     gates += [H(i) for i in range(1, n + 1)]
     gates += [S(i) for i in range(1, n + 1)]
-    return GeneratorSet("K_n", n, tuple(gates))
+    return GeneratorSet(n, tuple(gates))
 
 
 def enumerate_cases(n: int):

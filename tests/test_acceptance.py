@@ -158,16 +158,14 @@ def test_criterion_07_known_protocol_recovery():
     st2 = get_best(2).protocol.stats
     st3 = get_best(3).protocol.stats
     ok = (
-        (two.stats.p_suc, two.stats.f_num, two.stats.fi_nums)
-        == (st2.p_suc, st2.f_num, st2.fi_nums)
-        and (three.stats.p_suc, three.stats.f_num, three.stats.fi_nums)
-        == (st3.p_suc, st3.f_num, st3.fi_nums)
+        (two.p_suc, two.f_num, two.fi_nums) == (st2.p_suc, st2.f_num, st2.fi_nums)
+        and (three.p_suc, three.f_num, three.fi_nums) == (st3.p_suc, st3.f_num, st3.fi_nums)
     )
     verdict(7, ok, "n=2 optimum is the two-pair step, n=3 optimum is its 3-pair refinement")
 
 
 def test_criterion_08_cross_family_coincidence():
-    concat5 = best_concatenated(5).stats
+    concat5 = best_concatenated(5)
     opt4 = get_best(4).protocol.stats
     ok = concat5.f_num * opt4.p_suc == opt4.f_num * concat5.p_suc
     verdict(8, ok, "n=4 optimum F_out equals n=5 concatenated F_out (exact)")
@@ -325,16 +323,13 @@ def test_criterion_13_metric_sanity():
     ok = True
     details = []
     families = {
-        n: (
-            (werner_coeff_rows([p.counts for p in get_protocols(n)], n), 3**n),
-            candidate_rows(n),
-        )
+        n: (werner_coeff_rows([p.counts for p in get_protocols(n)], n), candidate_rows(n))
         for n in range(2, 9)
     }
 
     grid = np.round(np.arange(0.50, 0.76, 0.005), 4)
     full_best, dj_best = (
-        np.max([CurveSet(*families[n][k], grid).best_yield(n) for n in range(2, 9)], axis=0)
+        np.max([CurveSet(families[n][k], n, grid).best_yield() for n in range(2, 9)], axis=0)
         for k in (0, 1)
     )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -349,7 +344,7 @@ def test_criterion_13_metric_sanity():
 
     grid = np.array([0.85, 0.90, 0.95])
     for n in range(4, 9):
-        fb, db = (CurveSet(*family, grid).best_ree() for family in families[n])
+        fb, db = (CurveSet(rows, n, grid).best_ree() for rows in families[n])
         for f in grid[fb < db - 1e-12]:
             ok = False
             details.append(f"n={n} REE product worse at F={f}")

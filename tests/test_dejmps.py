@@ -155,26 +155,25 @@ def test_tree_shapes_distinct():
 
 
 def test_best_concatenated_n2_is_two_pair_step():
-    res = best_concatenated(2)
-    assert res.stats.p_suc == best_p_poly(2)
-    assert res.stats.f_num == best_f_poly(2)
+    st = best_concatenated(2)
+    assert st.p_suc == best_p_poly(2)
+    assert st.f_num == best_f_poly(2)
 
 
 def test_best_concatenated_n3_matches_full_optimum():
-    res = best_concatenated(3)
-    assert res.stats.p_suc == best_p_poly(3)
-    assert res.stats.f_num == best_f_poly(3)
+    st = best_concatenated(3)
+    assert st.p_suc == best_p_poly(3)
+    assert st.f_num == best_f_poly(3)
 
 
 def test_best_concatenated_n5_leading_order():
-    res = best_concatenated(5)
-    assert leading_infidelity_term(res.stats) == (2, Fr(2, 3))
+    assert leading_infidelity_term(best_concatenated(5)) == (2, Fr(2, 3))
 
 
 def test_n5_concatenated_equals_n4_optimum_fidelity():
-    res = best_concatenated(5)
+    st = best_concatenated(5)
     p4, f4 = best_p_poly(4), best_f_poly(4)
-    assert res.stats.f_num * p4 == f4 * res.stats.p_suc
+    assert st.f_num * p4 == f4 * st.p_suc
 
 
 def test_unit_statistics_at_perfect_input():
@@ -214,18 +213,3 @@ def test_array_family_matches_fraction_reference():
     # same keys in the same order as the exact tree recursion
     for n in range(2, 9):
         assert concatenated_candidates(n) == list(_scalar_reference.concatenated_candidates(n)), n
-    leaf = (0.7, 0.1, 0.1, 0.1)
-    for n in range(2, 7):
-        assert concatenated_candidates(n, leaf=leaf) == list(
-            _scalar_reference.concatenated_candidates(n, leaf=leaf)
-        ), n
-    rotations = ("I", "HSH")
-    assert concatenated_candidates(5, rotations=rotations) == list(
-        _scalar_reference.concatenated_candidates(5, rotations=rotations)
-    )
-
-
-def test_numeric_mode():
-    res = best_concatenated(3, leaf=(0.7, 0.1, 0.1, 0.1))
-    assert res.stats.p_suc <= 1
-    assert res.stats.f_out > 0.7

@@ -75,6 +75,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, protocols_for, transvers
          {"transversal", "circuits"}, {"concurrent.futures.process"}),
         (["eval", str(state), "--cache", str(tmp_path), "--out", out],
          {"werner", "circuits", "dejmps"}, set()),
+        (["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path), "--out", out],
+         {"circuits", "transversal"}, set()),
     ]
     for args, modules, others in cases:
         loaded = _loaded(_RUN, *args)

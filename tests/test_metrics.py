@@ -119,12 +119,12 @@ def test_superset_never_worse(protocols_for):
         assert full_best >= dj_best - 1e-12
 
 
-def _assert_curves_match_stats(coeffs, denom, grid):
+def _assert_curves_match_stats(coeffs, n, grid):
     """CurveSet's p, f and fis are bit-equal to float Horner on the DistStats polynomials."""
-    curves = CurveSet(coeffs, denom, grid)
+    curves = CurveSet(coeffs, n, grid)
     fis = curves.fis()
     for i, protocol in enumerate(coeffs.tolist()):
-        polys = [RationalPolynomial(Fraction(c, denom) for c in row) for row in protocol]
+        polys = [RationalPolynomial(Fraction(c, 3**n) for c in row) for row in protocol]
         stats = DistStats.from_coset_sums(*polys)
         assert curves.p[i].tobytes() == poly_on_grid(stats.p_suc, grid).tobytes()
         assert curves.f[i].tobytes() == poly_on_grid(stats.f_num, grid).tobytes()
@@ -134,7 +134,7 @@ def _assert_curves_match_stats(coeffs, denom, grid):
 
 @st.composite
 def coset_rows(draw):
-    """(coeffs, denom): random (protocols, 4, n+1) coset rows over 3^n, n <= 8.
+    """(coeffs, n): random (protocols, 4, n+1) coset rows over 3^n, n <= 8.
 
     Some protocols get two X/Y/Z rows that share a prefix, one ending in zeros
     and the other in a negative coefficient: sorting the trimmed rows puts the
@@ -154,22 +154,22 @@ def coset_rows(draw):
             longer[cut] = draw(st.integers(-bound, -1))
             rest = draw(st.permutations([shorter, longer, rest[2]]))
         protocols.append([base, *rest])
-    return np.array(protocols, dtype=np.int64), bound
+    return np.array(protocols, dtype=np.int64), n
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(coset_rows(), st.lists(st.floats(0, 1), min_size=1, max_size=6))
 def test_curve_set_matches_polynomial_stats(rows, points):
-    coeffs, denom = rows
-    _assert_curves_match_stats(coeffs, denom, np.array(points))
+    coeffs, n = rows
+    _assert_curves_match_stats(coeffs, n, np.array(points))
 
 
 def test_curve_set_matches_real_families(protocols_for):
     grid = default_f_grid()
     for n in range(2, 8):
         coeffs = werner_coeff_rows([p.counts for p in protocols_for(n)], n)
-        _assert_curves_match_stats(coeffs, 3**n, grid)
-        _assert_curves_match_stats(*candidate_rows(n), grid)
+        _assert_curves_match_stats(coeffs, n, grid)
+        _assert_curves_match_stats(candidate_rows(n), n, grid)
 
 
 def _trim_zeros_order(rest: np.ndarray) -> list:
@@ -187,5 +187,5 @@ def test_xyz_order_matches_trim_zeros_on_random_rows(rows):
 def test_xyz_order_matches_trim_zeros_on_real_families(protocols_for):
     for n in range(2, 9):
         werner = werner_coeff_rows([p.counts for p in protocols_for(n)], n)
-        for coeffs in (werner, candidate_rows(n)[0]):
+        for coeffs in (werner, candidate_rows(n)):
             assert _xyz_order(coeffs[:, 1:]).tolist() == _trim_zeros_order(coeffs[:, 1:]), n

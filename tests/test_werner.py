@@ -17,7 +17,6 @@ from bicliff.werner import (
     ab_pairs,
     all_case_keys,
     best_curve,
-    best_fidelity_protocol,
     build_representative,
     case_at,
     case_count,
@@ -443,16 +442,11 @@ def test_best_protocols_match_reference(protocols_for, best_for):
         assert res.protocol.stats.f_num == best_f_poly(n)
 
 
-def test_best_on_custom_grid(protocols_for):
-    res = best_fidelity_protocol(4, protocols=protocols_for(4), f_grid=[0.7, 0.9])
-    assert res.protocol.stats.p_suc == best_p_poly(4)
-
-
-def _unsliced_best_curve(rows, denom, grid):
+def _unsliced_best_curve(rows, n, grid):
     """`best_curve` with every curve's F_out in one `CurveSet`."""
     keys = np.concatenate([rows.sum(axis=1), rows[:, 0]], axis=1)
     heads = first_rows(keys)
-    curves = CurveSet(rows[heads], denom, grid)
+    curves = CurveSet(rows[heads], n, grid)
     row, dominant = pick_curve(curves.f / curves.p)
     return np.flatnonzero((keys == keys[heads[row]]).all(axis=1)).tolist(), dominant
 
@@ -464,14 +458,14 @@ def test_best_curve_independent_of_slice_size(monkeypatch, protocols_for, size):
 
     # the default grid has a dominant curve; from F = 0.26 up, curves cross
     grids = (default_f_grid(), np.linspace(0.26, 1.0, 38))
-    families = [(werner_coeff_rows([p.counts for p in protocols_for(n)], n), 3**n) for n in range(2, 8)]
-    families += [candidate_rows(n) for n in range(2, 7)]
+    families = [(werner_coeff_rows([p.counts for p in protocols_for(n)], n), n) for n in range(2, 8)]
+    families += [(candidate_rows(n), n) for n in range(2, 7)]
     monkeypatch.setattr(werner, "_CURVE_SLICE", size)
     crossing = 0
-    for rows, denom in families:
+    for rows, n in families:
         for grid in grids:
-            tied, dominant = best_curve(rows, denom, grid)
-            assert (tied.tolist(), dominant) == _unsliced_best_curve(rows, denom, grid)
+            tied, dominant = best_curve(rows, n, grid)
+            assert (tied.tolist(), dominant) == _unsliced_best_curve(rows, n, grid)
             crossing += not dominant
     assert crossing  # the non-dominant pick is exercised too
 
