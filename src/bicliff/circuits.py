@@ -84,34 +84,45 @@ def two_qubit_count(c: CliffordCircuit) -> int:
 
 
 def ascii_diagram(c: CliffordCircuit) -> str:
-    """Plain-text circuit diagram, one wire per qubit, one column per layer."""
-    layers = _layers(c)
+    """Plain-text circuit diagram, one wire per qubit.
+
+    Each layer takes as many text columns as it needs for every two-qubit
+    gate to read alone: its cells run unbroken from one end qubit to the
+    other, and two such gates in one column keep a bare wire between them.
+    """
     width = 5
-    grid = [["-" * width for _ in layers] for _ in range(c.n)]
-    for col, layer in enumerate(layers):
+    columns: list[list] = []  # per text column: (low, high, gate)
+    for layer in _layers(c):
+        start = len(columns)
         for g in layer:
+            # spans in half wires, disjoint within a column; a two-qubit
+            # gate's extra half wire on each side keeps the bare wire
+            pad = len(g.qubits) - 1
+            low, high = 2 * min(g.qubits) - pad, 2 * max(g.qubits) + pad
+            fits = (col for col in columns[start:] if all(high < a or b < low for a, b, _ in col))
+            col = next(fits, None)
+            if col is None:
+                col = []
+                columns.append(col)
+            col.append((low, high, g))
+    grid = [["-" * width for _ in columns] for _ in range(c.n)]
+    for col, placed in enumerate(columns):
+        for _, _, g in placed:
+            top, bottom = min(g.qubits) - 1, max(g.qubits) - 1
             if len(g.qubits) == 1:
-                q = g.qubits[0] - 1
-                grid[q][col] = f"-[{g.kind}]-".center(width, "-")
-            else:
-                a, b = (q - 1 for q in sorted(g.qubits))
-                if g.kind == "CNOT":
-                    ctrl, tgt = g.qubits[0] - 1, g.qubits[1] - 1
-                    grid[ctrl][col] = "--o--"
-                    grid[tgt][col] = "--x--"
-                elif g.kind == "CZ":
-                    grid[a][col] = "--o--"
-                    grid[b][col] = "--o--"
-                else:  # SWAP
-                    grid[a][col] = "--%--"
-                    grid[b][col] = "--%--"
-                for q in range(a + 1, b):
-                    if grid[q][col] == "-" * width:
-                        grid[q][col] = "--|--"
-    lines = []
-    for q in range(c.n):
-        lines.append(f"q{q + 1}: " + "".join(grid[q]))
-    return "\n".join(lines)
+                grid[top][col] = f"-[{g.kind}]-".center(width, "-")
+                continue
+            for q in range(top + 1, bottom):
+                grid[q][col] = "--|--"
+            if g.kind == "CNOT":
+                ctrl, tgt = g.qubits[0] - 1, g.qubits[1] - 1
+                grid[ctrl][col] = "--o--"
+                grid[tgt][col] = "--x--"
+            elif g.kind == "CZ":
+                grid[top][col] = grid[bottom][col] = "--o--"
+            else:  # SWAP
+                grid[top][col] = grid[bottom][col] = "--%--"
+    return "\n".join(f"q{q + 1}: " + "".join(grid[q]) for q in range(c.n))
 
 
 def hadamard_layer(n: int) -> tuple:

@@ -125,95 +125,8 @@ def sp_order(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Linear solving and uniform sampling
-# ---------------------------------------------------------------------------
-
-
-def solve_gf2(constraints, nbits: int):
-    """Solve a linear system over GF(2).
-
-    Each constraint is a pair (mask, rhs) demanding parity(mask & x) == rhs.
-    Returns (particular, nullspace_basis) or None if inconsistent.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in constraints:
-        for p, (pm, pr) in list(pivots.items()):
-            if (mask >> p) & 1:
-                mask ^= pm
-                rhs ^= pr
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        p = mask.bit_length() - 1
-        for q, (qm, qr) in list(pivots.items()):
-            if (qm >> p) & 1:
-                pivots[q] = (qm ^ mask, qr ^ rhs)
-        pivots[p] = (mask, rhs)
-
-    particular = 0
-    for p, (_, rhs) in pivots.items():
-        if rhs:
-            particular |= 1 << p
-    basis = []
-    for f in range(nbits):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for p, (mask, _) in pivots.items():
-            if (mask >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return particular, basis
-
-
-def random_symplectic(n: int, rng) -> SymplecticMatrix:
-    """Uniformly random element of Sp(2n, F2).
-
-    Images of the standard symplectic basis pairs (e_i, e_{n+i}) are chosen
-    sequentially, each uniformly from the affine solution set of the inner
-    products fixed so far.  Every step's choice count is independent of the
-    history, so the sampled matrix is exactly uniform.
-    """
-    _check_n(n)
-    nn = 2 * n
-    fs: list[int] = []
-    gs: list[int] = []
-    for _ in range(n):
-        cons = [(swap_halves(u, n), 0) for u in fs] + [
-            (swap_halves(u, n), 0) for u in gs
-        ]
-        part, basis = solve_gf2(cons, nn)
-        f = 0
-        while f == 0:
-            f = part ^ _random_combination(basis, rng)
-        cons.append((swap_halves(f, n), 1))
-        part, basis = solve_gf2(cons, nn)
-        g = part ^ _random_combination(basis, rng)
-        fs.append(f)
-        gs.append(g)
-    cols = fs + gs
-    rows = [0] * nn
-    for j, c in enumerate(cols):
-        for i in range(nn):
-            if (c >> i) & 1:
-                rows[i] |= 1 << j
-    return SymplecticMatrix(n, rows)
-
-
-def _random_combination(basis, rng) -> int:
-    if not basis:
-        return 0
-    coeff = int(rng.integers(0, 1 << len(basis)))
-    v = 0
-    for i, b in enumerate(basis):
-        if (coeff >> i) & 1:
-            v ^= b
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Batched row reduction: many small systems at once, rows as uint64 arrays
+# Batched row reduction and uniform sampling: many small systems at once,
+# rows as uint64 arrays
 # ---------------------------------------------------------------------------
 
 
@@ -275,7 +188,7 @@ def rref_rows(rows) -> np.ndarray:
 
 
 def least_solutions(cons, nbits: int) -> np.ndarray:
-    """min_affine(*solve_gf2(...)) of many consistent systems at once.
+    """The least solution of each of many consistent systems over GF(2).
 
     cons is a (..., m) array holding each constraint parity(mask & x) == rhs
     as mask | rhs << nbits.  Eliminating on the lowest bit leaves every other
@@ -299,17 +212,19 @@ def least_null_vectors(masks, nbits: int) -> np.ndarray:
 
 
 def random_symplectic_rows(n: int, rng, count: int) -> np.ndarray:
-    """Row masks of `count` successive `random_symplectic(n, rng)` draws.
+    """Row masks of `count` uniformly random elements of Sp(2n, F2).
 
-    Returns a (count, 2n) uint64 array whose row c equals the rows of the
-    c-th scalar draw, and leaves rng in the state those calls leave it in.
-    Each matrix keeps the reduced null basis of the inner products fixed so
-    far, as `solve_gf2` returns it: one vector per free bit, in ascending
-    order, holding that free bit and no other.  A draw is the XOR of the null
-    vectors its coefficient bits select.  Fixing the inner product with a
-    drawn v makes the highest null vector meeting v (inner product 1) a pivot,
-    dropped and XORed into every other one meeting v; after f, it is also g's
-    particular point, the solution whose free bits are all 0.
+    Returns a (count, 2n) uint64 array.  Images f_i, g_i of the standard
+    symplectic basis pairs (e_i, e_{n+i}) are chosen in turn, each uniformly
+    from the affine solution set of the inner products fixed so far; every
+    step's choice count is independent of the history, so each matrix is
+    exactly uniform.  Each matrix keeps the reduced null basis of those
+    inner products: one vector per free bit, in ascending order, holding that
+    free bit and no other.  A draw is the XOR of the null vectors its
+    coefficient bits select.  Fixing the inner product with a drawn v makes
+    the highest null vector meeting v (inner product 1) a pivot, dropped and
+    XORed into every other one meeting v; after f, it is also g's particular
+    point, the solution whose free bits are all 0.
     """
     _check_n(n)
     nn = 2 * n
@@ -327,6 +242,12 @@ def random_symplectic_rows(n: int, rng, count: int) -> np.ndarray:
     return rows.astype(np.uint64)
 
 
+def random_symplectic(n: int, rng) -> SymplecticMatrix:
+    """Uniformly random element of Sp(2n, F2): the one-row case of
+    `random_symplectic_rows`."""
+    return SymplecticMatrix(n, random_symplectic_rows(n, rng, 1)[0].tolist())
+
+
 def _fix_inner(null: np.ndarray, v: np.ndarray, n: int) -> tuple:
     """(null basis, pivot) once the inner product with v is fixed: the highest
     null vector meeting v, XORed into every one meeting v, itself included."""
@@ -339,7 +260,8 @@ def _fix_inner(null: np.ndarray, v: np.ndarray, n: int) -> tuple:
 
 
 def _draw_coefficients(n: int, rng, count: int) -> np.ndarray:
-    """The combination coefficients `count` random_symplectic calls draw.
+    """The combination coefficients of `count` matrices, drawn as one
+    rng.integers(0, 1 << k) call per k-bit draw would draw them.
 
     Column s of the (count, 2n) result is the draw for the s-th basis image
     (f_0, g_0, f_1, g_1, ...), of 2n - s bits; f draws repeat while zero.  A

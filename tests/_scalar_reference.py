@@ -3,7 +3,11 @@ reference code that left the library.
 
 Each function in the first part is the straightforward per-item loop that a
 vectorised routine in `bicliff` replaced; tests check the two against each
-other.  The second part holds code that no command, demo or benchmark runs but
+other.  Among them are the dict-based GF(2) solver `solve_gf2` and the
+one-matrix-at-a-time sampler `random_symplectic`, the draw-for-draw oracle of
+`gf2.random_symplectic_rows` (and so of the library's `random_symplectic`,
+its one-row case); the coset completion and coupon-collector references here
+solve and draw through them, at scalar speed.  The second part holds code that no command, demo or benchmark runs but
 that tests use as an oracle or a fixture: the per-vector matrix action and
 inverse, scalar row reduction, the Werner symmetry generators, the case
 enumeration, the Werner product state, and the DEJMPS step with its
@@ -32,8 +36,7 @@ from bicliff.gf2 import (
     H,
     S,
     SymplecticMatrix,
-    random_symplectic,
-    solve_gf2,
+    _check_n,
     swap_halves,
 )
 from bicliff.groups import GeneratorSet, dn_index
@@ -292,6 +295,89 @@ def poly_on_grid(poly, grid):
     for c in reversed(poly.coeffs):
         out = out * grid + float(c)
     return out
+
+
+def solve_gf2(constraints, nbits: int):
+    """Solve a linear system over GF(2).
+
+    Each constraint is a pair (mask, rhs) demanding parity(mask & x) == rhs.
+    Returns (particular, nullspace_basis) or None if inconsistent.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for mask, rhs in constraints:
+        for p, (pm, pr) in list(pivots.items()):
+            if (mask >> p) & 1:
+                mask ^= pm
+                rhs ^= pr
+        if mask == 0:
+            if rhs:
+                return None
+            continue
+        p = mask.bit_length() - 1
+        for q, (qm, qr) in list(pivots.items()):
+            if (qm >> p) & 1:
+                pivots[q] = (qm ^ mask, qr ^ rhs)
+        pivots[p] = (mask, rhs)
+
+    particular = 0
+    for p, (_, rhs) in pivots.items():
+        if rhs:
+            particular |= 1 << p
+    basis = []
+    for f in range(nbits):
+        if f in pivots:
+            continue
+        v = 1 << f
+        for p, (mask, _) in pivots.items():
+            if (mask >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return particular, basis
+
+
+def random_symplectic(n: int, rng) -> SymplecticMatrix:
+    """Uniformly random element of Sp(2n, F2).
+
+    Images of the standard symplectic basis pairs (e_i, e_{n+i}) are chosen
+    sequentially, each uniformly from the affine solution set of the inner
+    products fixed so far.  Every step's choice count is independent of the
+    history, so the sampled matrix is exactly uniform.
+    """
+    _check_n(n)
+    nn = 2 * n
+    fs: list[int] = []
+    gs: list[int] = []
+    for _ in range(n):
+        cons = [(swap_halves(u, n), 0) for u in fs] + [
+            (swap_halves(u, n), 0) for u in gs
+        ]
+        part, basis = solve_gf2(cons, nn)
+        f = 0
+        while f == 0:
+            f = part ^ _random_combination(basis, rng)
+        cons.append((swap_halves(f, n), 1))
+        part, basis = solve_gf2(cons, nn)
+        g = part ^ _random_combination(basis, rng)
+        fs.append(f)
+        gs.append(g)
+    cols = fs + gs
+    rows = [0] * nn
+    for j, c in enumerate(cols):
+        for i in range(nn):
+            if (c >> i) & 1:
+                rows[i] |= 1 << j
+    return SymplecticMatrix(n, rows)
+
+
+def _random_combination(basis, rng) -> int:
+    if not basis:
+        return 0
+    coeff = int(rng.integers(0, 1 << len(basis)))
+    v = 0
+    for i, b in enumerate(basis):
+        if (coeff >> i) & 1:
+            v ^= b
+    return v
 
 
 def min_affine(particular: int, basis) -> int:

@@ -15,8 +15,8 @@ from bicliff.circuits import (
     synthesize,
     two_qubit_count,
 )
-from bicliff.gf2 import CNOT, CZ, H, S, SWAP, X, SymplecticMatrix, is_symplectic
-from bicliff.states import counts_key, encode_counts, werner_counts, werner_stats
+from bicliff.gf2 import CNOT, CZ, H, S, SWAP, X, SymplecticMatrix, apply_gate_rows, is_symplectic
+from bicliff.states import counts_key, encode_counts, werner_counts, werner_keys, werner_stats
 from _reference import CIRCUIT_SIZES
 import _scalar_reference
 
@@ -93,6 +93,106 @@ def test_ascii_diagram_mentions_all_wires():
     assert len(lines) == 4
     assert lines[0].startswith("q1:")
     assert "[H]" in art and "o" in art and "x" in art
+
+
+def _two_qubit_gates_read_off(art: str) -> list:
+    """Every two-qubit gate a diagram shows, read column by column: a gate is
+    an unbroken run of marker cells whose two ends are its qubits."""
+    wires = [line.split(": ", 1)[1] for line in art.splitlines()]
+    gates = []
+    for k in range(0, len(wires[0]), 5):
+        col = [w[k : k + 5] for w in wires]
+        q = 0
+        while q < len(col):
+            if col[q] not in ("--o--", "--x--", "--%--"):
+                q += 1
+                continue
+            end = q + 1
+            while col[end] == "--|--":
+                end += 1
+            ends = {col[q], col[end]}
+            if ends == {"--o--", "--x--"}:
+                control, target = (q, end) if col[q] == "--o--" else (end, q)
+                gates.append(("CNOT", (control + 1, target + 1)))
+            else:
+                assert len(ends) == 1, (col, q)
+                gates.append(("CZ" if ends == {"--o--"} else "SWAP", (q + 1, end + 1)))
+            q = end + 1
+    return sorted(gates)
+
+
+@pytest.mark.parametrize(
+    "circ",
+    [*published_circuits().values(), CliffordCircuit(4, (CNOT(1, 3), H(2), SWAP(2, 4), CZ(3, 4)))],
+    ids=["n4", "n5", "n6", "n7", "n8", "swap"],
+)
+def test_ascii_diagram_shows_every_two_qubit_gate_apart(circ):
+    # gates of one layer whose qubit spans overlap or touch must not merge
+    want = sorted(
+        (g.kind, g.qubits if g.kind == "CNOT" else tuple(sorted(g.qubits)))
+        for g in circ.gates
+        if len(g.qubits) == 2
+    )
+    assert _two_qubit_gates_read_off(ascii_diagram(circ)) == want
+
+
+def _fewest_two_qubit_gates(n: int, key) -> int:
+    """The fewest two-qubit gates of a reduced-form circuit (no final SWAP)
+    whose Werner key is `key`, by exact search.
+
+    The downward CNOTs generate the lower unitriangular group; a BFS gives
+    each element its fewest CNOTs.  The CZs, one per edge of a graph, then
+    set Z_j ^= the XOR of the X rows over the neighbours of j, read from a
+    per-element subset-XOR table.  (element, graph) pairs are scanned by
+    CNOTs plus edges, ascending, until a cost has a match.
+    """
+    start = tuple(1 << b for b in range(2 * n))
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for rows in frontier:
+            for i, j in _downward_pairs(n):
+                new = list(rows)
+                apply_gate_rows(new, CNOT(i, j), n)
+                if tuple(new) not in dist:
+                    dist[tuple(new)] = dist[rows] + 1
+                    nxt.append(tuple(new))
+        frontier = nxt
+    assert len(dist) == 2 ** (n * (n - 1) // 2)
+    elements = np.array(list(dist), dtype=np.int64)
+    cnots = np.array(list(dist.values()))
+    # subset-XOR table of each element's X rows: xor[e, s] over the qubits in s
+    xor = np.zeros((len(elements), 1 << n), dtype=np.int64)
+    for q in range(n):
+        xor[:, 1 << q : 2 << q] = xor[:, : 1 << q] ^ elements[:, q, None]
+    pairs = _all_pairs(n)
+    graphs = np.arange(1 << len(pairs))
+    adjacency = np.zeros((len(graphs), n), dtype=np.int64)
+    for p, (i, j) in enumerate(pairs):
+        edge = (graphs >> p) & 1
+        adjacency[:, i - 1] |= edge << (j - 1)
+        adjacency[:, j - 1] |= edge << (i - 1)
+    edges = np.bitwise_count(graphs)
+    h = np.arange(1, n)
+    for cost in range(cnots.max() + len(pairs) + 1):
+        for c in range(cost + 1):
+            e = np.flatnonzero(cnots == c)[:, None]
+            g = np.flatnonzero(edges == cost - c)[None, :]
+            rows = np.broadcast_to(elements[e], (e.size, g.size, 2 * n)).copy()
+            rows[..., n:] ^= xor[e[..., None], adjacency[g]]
+            rows[..., np.r_[h, n + h]] = rows[..., np.r_[n + h, h]]
+            if (werner_keys(rows.astype(np.uint16), n) == key).all(axis=-1).any():
+                return cost
+    raise AssertionError("no reduced-form circuit has the key")
+
+
+@pytest.mark.parametrize("n, fewest", [(4, 4), (5, 7)])
+def test_published_circuits_have_the_fewest_two_qubit_gates(n, fewest, best_for):
+    # exact search certifies the minimum over the reduced family
+    key = encode_counts(best_for(n).protocol.counts)
+    assert _fewest_two_qubit_gates(n, key) == fewest
+    assert two_qubit_count(published_circuits()[n]) == fewest
 
 
 def test_json_roundtrip():

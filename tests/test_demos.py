@@ -2,9 +2,12 @@
 
 The demos use the public API the way a reader would (`coset_key`,
 `werner_stats`, `build_transversal` and more), so a change that breaks one
-of them fails here.  Each runs in an empty working directory.
+of them fails here.  Each runs in an empty working directory, and its
+standard output is pinned by its SHA-256 digest: every demo is seeded, so a
+change that moves one printed byte fails here too.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,10 +17,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+STDOUT_SHA256 = {
+    "01_group_structure": "d48d0337e749d0c7e9ebf5e4e3fd7d41ed1f12540123d35be81771e138d2db76",
+    "02_general_inputs": "41a11b4cf4705152b57831080748655b47134fad9ecc1e624ee2cf8839a9f6d2",
+    "03_werner_enumeration": "5f8f0df392183c12953e08f8b8565b46d0c3376286046abd6148ee101ed1f639",
+    "04_circuits": "a22adb80cfd2533e04c160b6fdb69976222f7ddb57a5aff93ef77936ad8e1033",
+    "05_baselines_and_metrics": "ba6c96abf66f65c4a36ab5e8ea597b3d94e98218ea0500bf54cd447991be1d68",
+}
 
 
 def test_every_demo_is_collected():
     assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
+    assert [d.stem for d in DEMOS] == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -28,4 +39,4 @@ def test_demo_runs(demo, tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.stem], res.stdout

@@ -192,27 +192,20 @@ def test_random_symplectic_uniform_n1():
     from scipy.stats import chisquare
 
     rng = np.random.default_rng(123)
-    counts: dict = {}
-    for _ in range(6000):
-        m = random_symplectic(1, rng)
-        counts[m.rows] = counts.get(m.rows, 0) + 1
+    _, counts = np.unique(random_symplectic_rows(1, rng, 6000), axis=0, return_counts=True)
     assert len(counts) == 6 == sp_order(1)
-    _, p = chisquare(list(counts.values()))
+    _, p = chisquare(counts)
     assert p > 0.01
 
 
 def test_random_symplectic_covers_sp4():
     rng = np.random.default_rng(5)
-    seen = set()
-    for _ in range(25000):
-        seen.add(random_symplectic(2, rng).rows)
-        if len(seen) == 720:
-            break
+    seen = np.unique(random_symplectic_rows(2, rng, 25000), axis=0)
     assert len(seen) == 720 == sp_order(2)
 
 
 def test_scalar_draw_is_top_bits_of_uint32_stream():
-    # random_symplectic_rows reads the draws of random_symplectic off one
+    # random_symplectic_rows reads the scalar sampler's draws off one
     # uint32 stream; a numpy change to bounded integers must fail here first
     for seed in range(3):
         ks = [k for k in range(1, 33)] + [32 - k for k in range(31)] + [5, 2, 9]
@@ -225,17 +218,28 @@ def test_scalar_draw_is_top_bits_of_uint32_stream():
             assert a.bit_generator.state == b.bit_generator.state
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_random_symplectic_rows_match_scalar_draws(n):
     for seed in (0, 1, 2):
-        for count in (1, 7, 1024):
+        for count in (1, 7, 1024) if n <= 6 else (1, 7, 32):
             a = np.random.default_rng([seed, n])
             b = np.random.default_rng([seed, n])
-            want = [random_symplectic(n, a).rows for _ in range(count)]
+            want = [scalar.random_symplectic(n, a).rows for _ in range(count)]
             got = random_symplectic_rows(n, b, count)
             assert got.dtype == np.uint64 and got.shape == (count, 2 * n)
             assert list(map(tuple, got.tolist())) == want
             assert a.integers(0, 1 << 40) == b.integers(0, 1 << 40)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_random_symplectic_is_one_row_of_the_batched_sampler(n):
+    # one library draw at a time equals the scalar oracle's, generator state too
+    for seed in (0, 1, 2):
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        for _ in range(10):
+            assert random_symplectic(n, a) == scalar.random_symplectic(n, b)
             assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -251,7 +255,7 @@ def test_random_symplectic_rows_redraw_a_short_stream(monkeypatch):
     a = np.random.default_rng(4)
     b = np.random.default_rng(4)
     got = random_symplectic_rows(3, b, 5)
-    assert list(map(tuple, got.tolist())) == [random_symplectic(3, a).rows for _ in range(5)]
+    assert list(map(tuple, got.tolist())) == [scalar.random_symplectic(3, a).rows for _ in range(5)]
     assert a.bit_generator.state == b.bit_generator.state
     assert sizes[1] == 2 * sizes[0]
 
