@@ -86,28 +86,23 @@ def two_qubit_count(c: CliffordCircuit) -> int:
 def ascii_diagram(c: CliffordCircuit) -> str:
     """Plain-text circuit diagram, one wire per qubit.
 
-    Each layer takes as many text columns as it needs for every two-qubit
-    gate to read alone: its cells run unbroken from one end qubit to the
+    Gates are placed like layers, but on half-wire spans, so every two-qubit
+    gate reads alone: its cells run unbroken from one end qubit to the
     other, and two such gates in one column keep a bare wire between them.
     """
     width = 5
-    columns: list[list] = []  # per text column: (low, high, gate)
-    for layer in _layers(c):
-        start = len(columns)
-        for g in layer:
-            # spans in half wires, disjoint within a column; a two-qubit
-            # gate's extra half wire on each side keeps the bare wire
-            pad = len(g.qubits) - 1
-            low, high = 2 * min(g.qubits) - pad, 2 * max(g.qubits) + pad
-            fits = (col for col in columns[start:] if all(high < a or b < low for a, b, _ in col))
-            col = next(fits, None)
-            if col is None:
-                col = []
-                columns.append(col)
-            col.append((low, high, g))
+    last: dict = {}
+    columns: list[list[Gate]] = []
+    for g in c.gates:
+        # a two-qubit gate's extra half wire on each side keeps the bare wire
+        pad = len(g.qubits) - 1
+        col = _place(last, range(2 * min(g.qubits) - pad, 2 * max(g.qubits) + pad + 1)) - 1
+        if col == len(columns):  # at most one past the last column
+            columns.append([])
+        columns[col].append(g)
     grid = [["-" * width for _ in columns] for _ in range(c.n)]
     for col, placed in enumerate(columns):
-        for _, _, g in placed:
+        for g in placed:
             top, bottom = min(g.qubits) - 1, max(g.qubits) - 1
             if len(g.qubits) == 1:
                 grid[top][col] = f"-[{g.kind}]-".center(width, "-")

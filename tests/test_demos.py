@@ -21,7 +21,7 @@ STDOUT_SHA256 = {
     "01_group_structure": "d48d0337e749d0c7e9ebf5e4e3fd7d41ed1f12540123d35be81771e138d2db76",
     "02_general_inputs": "41a11b4cf4705152b57831080748655b47134fad9ecc1e624ee2cf8839a9f6d2",
     "03_werner_enumeration": "5f8f0df392183c12953e08f8b8565b46d0c3376286046abd6148ee101ed1f639",
-    "04_circuits": "a22adb80cfd2533e04c160b6fdb69976222f7ddb57a5aff93ef77936ad8e1033",
+    "04_circuits": "6afbba3f687581c75a22f023bd4f6c688a5fd29976389a6b5c00841eb6507b14",
     "05_baselines_and_metrics": "ba6c96abf66f65c4a36ab5e8ea597b3d94e98218ea0500bf54cd447991be1d68",
 }
 
