@@ -211,34 +211,42 @@ def _matches(rows, n: int, key) -> np.ndarray:
     return (werner_keys(rows.astype(np.uint16), n) == key).all(axis=-1)
 
 
-def _synth_block(n, seed, block, size, key, allow_swap):
-    """Scan one block of random candidates; return (hits, best) for the block.
+def _synth_block(n, seed, count, block, size, key, allow_swap):
+    """Scan one block of random candidates with `count` two-qubit gates each;
+    return (hits, best), best the (depth, index_in_block, circuit) of the
+    block's least-depth accepted candidate, or None.
 
-    key is the target's `encode_counts` row.
-    best is (two_qubit_count, depth, index_in_block, payload) for the block's
-    lexicographically best accepted candidate, or None.  All candidates are
-    compiled and tested as arrays; only accepted ones become circuits.
-    """
-    rng = np.random.default_rng([seed, block])
-    down = _downward_pairs(n)
-    lengths = rng.integers(0, 3 * n + 1, size=size)
+    A candidate draws its CNOT count uniformly from the feasible range and a
+    uniform subset of the CZ pairs for the rest; a final SWAP of qubit 1
+    (allow_swap), present or not uniformly where both fit, is one gate.  All
+    are tested as arrays against the `encode_counts` key; distinct hits
+    become circuits."""
+    rng = np.random.default_rng([seed, count, block])
+    down, npairs = _downward_pairs(n), len(_all_pairs(n))
+    swaps = np.zeros(size, np.int64)
+    if allow_swap:
+        swaps = rng.integers(max(0, count - 3 * n - npairs), min(1, count) + 1, size=size)
+        swaps *= rng.integers(1, n, size=size)
+    rest = count - (swaps != 0)
+    lengths = rng.integers(np.maximum(0, rest - npairs), np.minimum(3 * n, rest) + 1)
     cnot_choices = rng.integers(0, len(down), size=int(lengths.sum()))
-    cz_masks = rng.integers(0, 1 << len(_all_pairs(n)), size=size, dtype=np.uint64)
-    swaps = rng.integers(0, n, size=size) if allow_swap else np.zeros(size, np.int64)
+    # the first rest - length pairs of a uniform permutation are a uniform subset
+    order = rng.permuted(np.tile(np.arange(npairs), (size, 1)), axis=1)
+    chosen = np.arange(npairs) < (rest - lengths)[:, None]
+    cz_masks = (chosen << order).sum(axis=1, dtype=np.uint64)
     starts = np.cumsum(lengths) - lengths
 
     rows = _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps)
     hits = np.flatnonzero(_matches(rows, n, key))
-    best = None
-    if len(hits):
-        # only hits with the fewest two-qubit gates (CNOTs, CZs, SWAP) can be best
-        gates = lengths[hits] + np.bitwise_count(cz_masks[hits]) + (swaps[hits] != 0)
-        for idx in hits[gates == gates.min()].tolist():
-            chosen = cnot_choices[starts[idx] : starts[idx] + lengths[idx]]
-            circ = _rebuild(n, [down[t] for t in chosen], int(cz_masks[idx]), int(swaps[idx]))
-            cand = (two_qubit_count(circ), depth(circ), idx, circ)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
+    best, seen = None, set()
+    for idx in hits.tolist():
+        cand = (tuple(cnot_choices[starts[idx] : starts[idx] + lengths[idx]].tolist()),
+                int(cz_masks[idx]), int(swaps[idx]))
+        if cand not in seen:
+            seen.add(cand)
+            circ = _rebuild(n, [down[t] for t in cand[0]], *cand[1:])
+            if best is None or depth(circ) < best[0]:
+                best = (depth(circ), idx, circ)
     return len(hits), best
 
 
@@ -273,47 +281,43 @@ def _schedule_czs(prefix, czs) -> list:
 
 def synthesize(
     target,
-    budget: int = 10_000_000,
+    budget: int = 12_000_000,
     seed: int = 0,
     jobs: int = 1,
     allow_swap: bool = False,
-    max_hits: int | None = None,
 ) -> SynthesisResult:
-    """Random search for a low-depth circuit with the target's exact statistics.
+    """Random search for a circuit with the target's exact statistics and the
+    fewest two-qubit gates, then the least depth.
 
-    Scans up to `budget` random candidates of the reduced form and returns
-    the accepted one minimising (two-qubit gate count, depth).  Candidate
-    blocks are seeded by (seed, block index) and merged in order, so the
-    outcome is identical for any worker count.  `max_hits` stops the scan
-    early (at a block boundary) once that many accepted candidates are seen.
+    The budget is split evenly over the two-qubit gate counts of the reduced
+    form, 0 to 3n CNOTs plus the CZ pairs (plus the SWAP), scanned in
+    ascending order up to the first count with an accepted candidate.  Blocks
+    are seeded by (seed, count, block index) and merged in order, so ties go
+    to the earliest and the outcome is the same for any worker count.
     """
     n = target.n
     encoded = encode_counts(target.counts)
-    nblocks = (budget + SYNTH_BLOCK - 1) // SYNTH_BLOCK
-    sizes = [min(SYNTH_BLOCK, budget - b * SYNTH_BLOCK) for b in range(nblocks)]
+    ncounts = 3 * n + len(_all_pairs(n)) + allow_swap + 1
+    calls, ends = [], set()  # ends: the index of each count's last block
+    for c in range(ncounts):
+        trials = budget // ncounts + (c < budget % ncounts)
+        calls += [
+            (n, seed, c, b, min(SYNTH_BLOCK, trials - start), encoded, allow_swap)
+            for b, start in enumerate(range(0, trials, SYNTH_BLOCK))
+        ]
+        ends.add(len(calls) - 1)
 
-    hits = 0
-    used = 0
-    best = None  # (two_qubit, depth, block, idx, circuit)
-
-    calls = [(n, seed, b, sizes[b], encoded, allow_swap) for b in range(nblocks)]
-    for b, (block_hits, block_best) in enumerate(
-        ordered_calls(_synth_block, calls, jobs)
-    ):
+    best, hits, used = None, 0, 0
+    for i, (block_hits, block_best) in enumerate(ordered_calls(_synth_block, calls, jobs)):
         hits += block_hits
-        used += sizes[b]
-        if block_best is not None:
-            g, d, idx, circ = block_best
-            cand = (g, d, b, idx, circ)
-            if best is None or cand[:4] < best[:4]:
-                best = cand
-        if max_hits is not None and hits >= max_hits:
+        used += calls[i][4]
+        if block_best is not None and (best is None or block_best[0] < best[0]):
+            best = block_best
+        if hits and i in ends:
             break
 
     if best is None:
-        return SynthesisResult(
-            None, used, 0,
-            f"no candidate matched within {used} trials "
-            f"(target key degree profile {target.counts[0]})",
-        )
-    return SynthesisResult(best[4], used, hits, "")
+        profile = target.counts[0]
+        return SynthesisResult(None, used, 0, f"no candidate matched within {used} trials "
+                                              f"(target key degree profile {profile})")
+    return SynthesisResult(best[2], used, hits)

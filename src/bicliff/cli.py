@@ -339,12 +339,7 @@ def cmd_circuit(args) -> int:
     res = best_fidelity_protocol(args.n, protocols=protocols)
     target = res.protocol
     synth = synthesize(
-        target,
-        budget=args.budget,
-        seed=args.seed,
-        jobs=args.jobs,
-        allow_swap=args.allow_swap,
-        max_hits=args.max_hits,
+        target, budget=args.budget, seed=args.seed, jobs=args.jobs, allow_swap=args.allow_swap
     )
 
     key = encode_counts(target.counts)
@@ -530,9 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circuit", help="synthesize a low-depth circuit for the best protocol")
     p.add_argument("--n", type=int, required=True, choices=werner_pair_counts)
-    p.add_argument("--budget", type=_at_least(0), default=10_000_000)
-    p.add_argument("--max-hits", type=_at_least(1), default=2000,
-                   help="stop early after this many accepted candidates")
+    p.add_argument("--budget", type=_at_least(0), default=12_000_000,
+                   help="candidates to draw, split evenly over the two-qubit gate counts; "
+                        "the search stops after the first count with a match")
     p.add_argument("--allow-swap", action="store_true",
                    help="also search circuits ending in a SWAP of qubit 1")
     add_common(p)

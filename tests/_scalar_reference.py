@@ -206,16 +206,21 @@ def propagated_graph_classes(m: int) -> tuple:
     return tuple(int(v) for v in np.unique(rep))
 
 
-def synth_block(n, seed, block, size, key, allow_swap):
-    """One synthesis block, one candidate at a time: (hits, best)."""
-    rng = np.random.default_rng([seed, block])
+def synth_block(n, seed, count, block, size, key, allow_swap):
+    """One synthesis block at `count` two-qubit gates, one candidate at a
+    time: (hits, best).  The random draws are the library's, in its order."""
+    rng = np.random.default_rng([seed, count, block])
     down = _downward_pairs(n)
     pairs = _all_pairs(n)
     npairs = len(pairs)
-    lengths = rng.integers(0, 3 * n + 1, size=size)
+    swaps = np.zeros(size, np.int64)
+    if allow_swap:
+        swaps = rng.integers(max(0, count - 3 * n - npairs), min(1, count) + 1, size=size)
+        swaps *= rng.integers(1, n, size=size)
+    rest = count - (swaps != 0)
+    lengths = rng.integers(np.maximum(0, rest - npairs), np.minimum(3 * n, rest) + 1)
     cnot_choices = rng.integers(0, len(down), size=int(lengths.sum()))
-    cz_masks = rng.integers(0, 1 << npairs, size=size, dtype=np.uint64)
-    swaps = rng.integers(0, n, size=size) if allow_swap else np.zeros(size, np.int64)
+    order = rng.permuted(np.tile(np.arange(npairs), (size, 1)), axis=1)
 
     ident = [1 << i for i in range(2 * n)]
     hits = 0
@@ -225,12 +230,14 @@ def synth_block(n, seed, block, size, key, allow_swap):
         length = int(lengths[idx])
         chosen = cnot_choices[pos : pos + length]
         pos += length
+        sw = int(swaps[idx])
+        czm = sum(1 << int(p) for p in order[idx, : count - (sw != 0) - length])
+        assert length + czm.bit_count() + (sw != 0) == count
         rows = ident.copy()
         for t in chosen:
             i, j = down[t]
             rows[j - 1] ^= rows[i - 1]
             rows[n + i - 1] ^= rows[n + j - 1]
-        czm = int(cz_masks[idx])
         for p in range(npairs):
             if (czm >> p) & 1:
                 i, j = pairs[p]
@@ -238,7 +245,6 @@ def synth_block(n, seed, block, size, key, allow_swap):
                 rows[n + i - 1] ^= rows[j - 1]
         for i in range(1, n):
             rows[i], rows[n + i] = rows[n + i], rows[i]
-        sw = int(swaps[idx])
         if sw:  # exchange qubit 1 with qubit sw+1 after the Hadamard layer
             rows[0], rows[sw] = rows[sw], rows[0]
             rows[n], rows[n + sw] = rows[n + sw], rows[n]
@@ -247,8 +253,9 @@ def synth_block(n, seed, block, size, key, allow_swap):
             continue
         hits += 1
         circ = _rebuild(n, [down[t] for t in chosen], czm, sw)
-        cand = (two_qubit_count(circ), depth(circ), idx, circ)
-        if best is None or cand[:3] < best[:3]:
+        assert two_qubit_count(circ) == count
+        cand = (depth(circ), idx, circ)
+        if best is None or cand[:2] < best[:2]:
             best = cand
     return hits, best
 

@@ -5,6 +5,7 @@ Expensive shared artefacts (full enumerations, transversals) are cached for
 the session by conftest helpers.
 """
 
+import inspect
 import time
 
 import numpy as np
@@ -195,9 +196,9 @@ def test_criterion_10_circuits():
         if (two_qubit_count(circ), depth(circ)) != CIRCUIT_SIZES[n]:
             ok = False
             details.append(f"n={n} size/depth differ")
-    budget = 10_000_000
-    for n, max_hits in ((4, 3000), (5, 3000)):
-        res = synthesize(get_best(n).protocol, budget=budget, seed=1, max_hits=max_hits)
+    budget = inspect.signature(synthesize).parameters["budget"].default
+    for n in (4, 5):
+        res = synthesize(get_best(n).protocol, seed=1)
         if res.circuit is None or res.trials_used > budget:
             ok = False
             details.append(f"n={n} synthesis failed in {res.trials_used} trials")

@@ -22,6 +22,7 @@ from bicliff.cache import (
     write_werner_cache,
 )
 from bicliff import transversal
+from bicliff.circuits import CliffordCircuit, circuit_to_symplectic
 from bicliff.cli import main
 from bicliff.states import werner_stats
 from bicliff.transversal import build_transversal
@@ -1010,7 +1011,7 @@ def test_cli_circuit(cache_dir, tmp_path, capsys):
     out = tmp_path / "circ.json"
     code = run_cli([
         "circuit", "--n", "2", "--cache", str(cache_dir),
-        "--budget", "20000", "--max-hits", "50", "--seed", "1",
+        "--budget", "20000", "--seed", "1",
         "--out", str(out),
     ])
     printed = capsys.readouterr().out
@@ -1018,6 +1019,19 @@ def test_cli_circuit(cache_dir, tmp_path, capsys):
     assert "two_qubit_gates=1" in printed
     gates = json.loads(out.read_text())
     assert any(g["gate"] == "CNOT" for g in gates)
+
+
+def test_cli_circuit_benchmark_call_seeds(tmp_path, capsys, protocols_for, best_for):
+    # the benchmark runs `circuit --n 6 --budget 100000 --seed S` and reads only
+    # the statistics of the printed circuit; a fallback (exit 4) would fail it
+    write_werner_cache(tmp_path / "werner_n6.bcp", 6, protocols_for(6))
+    for seed in range(10):
+        code = run_cli(["circuit", "--n", "6", "--budget", "100000", "--seed", str(seed),
+                        "--cache", str(tmp_path)])
+        printed = capsys.readouterr().out
+        assert code == 0 and "# synthesized in" in printed, seed
+        circ = CliffordCircuit.from_json_obj(6, json.loads(printed.splitlines()[-1]))
+        assert werner_stats(circuit_to_symplectic(circ), 6) == best_for(6).protocol.stats, seed
 
 
 def test_cli_verify(cache_dir, capsys):
@@ -1317,7 +1331,6 @@ def test_cli_negative_seed_exits_2(cache_dir, tmp_path, capsys, args):
     ] + [
         ("transversal", "--budget", "-1"),
         ("circuit", "--budget", "-1"),
-        ("circuit", "--max-hits", "0"),
     ],
 )
 def test_cli_non_positive_work_sizes_exit_2(cache_dir, tmp_path, capsys, command, flag, value):

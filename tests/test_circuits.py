@@ -11,6 +11,7 @@ from bicliff.circuits import (
     ascii_diagram,
     circuit_to_symplectic,
     depth,
+    hadamard_layer,
     published_circuits,
     synthesize,
     two_qubit_count,
@@ -195,6 +196,26 @@ def test_published_circuits_have_the_fewest_two_qubit_gates(n, fewest, best_for)
     assert two_qubit_count(published_circuits()[n]) == fewest
 
 
+# Circuits for the best n = 7 and n = 8 protocols with fewer two-qubit gates
+# than the published ones, found by random search in the reduced family drawn
+# in ascending gate count: (gates before the Hadamards, two-qubit gates, depth)
+FEWER_GATE_CIRCUITS = {
+    7: ([CNOT(2, 1), CNOT(6, 1), CNOT(7, 6), CZ(3, 5), CZ(2, 3), CZ(2, 4), CZ(1, 6),
+         CZ(3, 7), CZ(4, 6), CZ(5, 6)], 10, 7),
+    8: ([CNOT(2, 1), CNOT(6, 2), CNOT(8, 1), CNOT(8, 3), CZ(4, 7), CZ(5, 7), CZ(1, 6),
+         CZ(2, 4), CZ(1, 8), CZ(2, 3), CZ(3, 5), CZ(7, 8)], 12, 6),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FEWER_GATE_CIRCUITS))
+def test_fewer_gates_than_published(n, best_for):
+    gates, two_qubit, d = FEWER_GATE_CIRCUITS[n]
+    circ = CliffordCircuit(n, tuple(gates) + hadamard_layer(n))
+    assert werner_stats(circuit_to_symplectic(circ), n) == best_for(n).protocol.stats
+    assert (two_qubit_count(circ), depth(circ)) == (two_qubit, d)
+    assert two_qubit < two_qubit_count(published_circuits()[n])
+
+
 def test_json_roundtrip():
     circ = published_circuits()[5]
     blob = circ.to_json_obj()
@@ -203,8 +224,8 @@ def test_json_roundtrip():
 
 
 def test_synthesize_n2_finds_single_cnot(best_for):
-    res = synthesize(best_for(2).protocol, budget=20_000, seed=1, max_hits=100)
-    assert res.circuit is not None
+    res = synthesize(best_for(2).protocol, budget=20_000, seed=1)
+    assert res.circuit is not None and res.hits > 0
     assert two_qubit_count(res.circuit) == 1
     m = circuit_to_symplectic(res.circuit)
     assert counts_key(werner_counts(m, 2)) == counts_key(best_for(2).protocol.counts)
@@ -217,12 +238,11 @@ def test_synthesize_jobs_invariance(best_for):
 
 
 def test_synthesize_early_stop_jobs_invariance(best_for):
-    # max_hits stops after the first block while later blocks are queued
-    runs = [
-        synthesize(best_for(2).protocol, budget=16 * 4096, seed=4, jobs=jobs, max_hits=1)
-        for jobs in (1, 2)
-    ]
-    assert runs[0].trials_used == runs[1].trials_used == 4096
+    # eight gate counts (0 to 6 CNOTs plus one CZ pair) of two blocks each: the
+    # search stops after count 1, the first with a hit, while later blocks are queued
+    runs = [synthesize(best_for(2).protocol, budget=16 * 4096, seed=4, jobs=jobs) for jobs in (1, 2)]
+    assert runs[0].trials_used == runs[1].trials_used == 4 * 4096
+    assert two_qubit_count(runs[0].circuit) == 1 and runs[0].hits > 0
     assert runs[0].circuit == runs[1].circuit and runs[0].hits == runs[1].hits
 
 
@@ -240,19 +260,25 @@ def test_synthesize_budget_exhaustion_reports():
 
 
 def test_synthesize_swap_variant_runs(best_for):
-    res = synthesize(best_for(2).protocol, budget=4096, seed=5, allow_swap=True, max_hits=20)
-    assert res.circuit is not None
+    res = synthesize(best_for(2).protocol, budget=4096, seed=5, allow_swap=True)
+    assert res.circuit is not None and two_qubit_count(res.circuit) == 1
+
+
+# per n, the fewest two-qubit gates at which blocks 0..2 of seed 7 hit the
+# best protocol both with and without the final SWAP
+ORACLE_COUNTS = {4: 4, 5: 8, 6: 9, 7: 13, 8: 18}
 
 
 def test_batched_block_matches_scalar_reference(best_for):
     # n = 8 histograms hold entries up to 128 in 9 bins, past one int64 packing
-    for n in range(4, 9):
+    for n, count in ORACLE_COUNTS.items():
         key = counts_key(best_for(n).protocol.counts)
+        encoded = encode_counts([key[0], *key[1]])
         for allow_swap in (False, True):
             total = 0
             for block in (0, 1, 2):
-                args = (n, 7, block, 2048, key, allow_swap)
-                hits, best = _synth_block(n, 7, block, 2048, encode_counts([key[0], *key[1]]), allow_swap)
+                args = (n, 7, count, block, 2048, key, allow_swap)
+                hits, best = _synth_block(n, 7, count, block, 2048, encoded, allow_swap)
                 assert (hits, best) == _scalar_reference.synth_block(*args), args
                 total += hits
             assert total > 0, (n, allow_swap)
