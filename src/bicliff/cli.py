@@ -182,15 +182,12 @@ def cmd_werner(args) -> int:
 def cmd_transversal(args) -> int:
     from . import cache
 
-    t = build_transversal(args.n, seed=args.seed, jobs=args.jobs, max_samples=args.budget)
+    t = build_transversal(args.n, seed=args.seed, jobs=args.jobs)
     cache.write_transversal_cache(_cache_path("transversal", args.cache, args.n), t, args.seed)
     _emit(args.out, ["n", "cosets", "target", "complete", "samples"],
           [[args.n, len(t), t.target_size, int(t.complete), t.samples_used]])
     if not t.complete:
-        print(
-            f"warning: transversal incomplete ({len(t)}/{t.target_size}); "
-            "raise --budget", file=sys.stderr,
-        )
+        print(f"warning: transversal incomplete ({len(t)}/{t.target_size})", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -215,8 +212,8 @@ def _numbers(values, what: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _load_state(path: str, n: int, obj) -> BellDiagonalState:
-    """The state of a file read by `_read_state`: 4^n probabilities."""
+def _load_state(path: str, n: int, obj):
+    """The BellDiagonalState of a file read by `_read_state`: 4^n probabilities."""
     from .states import BellDiagonalState
 
     try:
@@ -238,8 +235,6 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_INVALID, f"--min-fidelity {args.min_fidelity} must be finite, "
                        "with 0 <= --min-fidelity <= 1")
     n, obj = _read_state(args.state)
-    if args.n is not None and args.n != n:
-        raise CliError(EXIT_INVALID, f"--n {args.n} does not match the state file ({n})")
     # the cache is found before the state is expanded; an incomplete cache, or
     # a record whose rows are not symplectic or not in the coset of its key,
     # makes enumerate_stats raise; only a copy of the keys outlives it, so the
@@ -498,14 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transversal", help="build a coset transversal for general inputs")
     p.add_argument("--n", type=int, required=True, choices=eval_pair_counts, metavar="N")
-    p.add_argument("--budget", type=_at_least(0), default=None, help="maximum samples")
     add_common(p)
     add_work(p)
     p.set_defaults(func=cmd_transversal)
 
     p = sub.add_parser("eval", help="evaluate every coset on a Bell-diagonal state")
     p.add_argument("state", help="state JSON: {n, pairs: [[pI,pX,pY,pZ],..]} or {n, probs}")
-    p.add_argument("--n", type=int, default=None, choices=eval_pair_counts, metavar="N")
     p.add_argument("--min-fidelity", type=float, default=None,
                    help="drop rows with F_out below this value")
     add_common(p)

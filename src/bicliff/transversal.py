@@ -191,7 +191,7 @@ def enumerate_stats(t: Transversal, state: BellDiagonalState) -> tuple:
     the coset its key names.
     """
     if not t.complete:
-        raise ValueError("transversal is incomplete; raise the sample budget")
+        raise ValueError(f"transversal is incomplete ({len(t)}/{t.target_size} cosets)")
     if state.n != t.n:
         raise ValueError("state and transversal pair counts differ")
     n = t.n

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import functools
 import io
 import json
 import os
@@ -1039,16 +1040,21 @@ def test_cli_verify(cache_dir, capsys):
     assert "ok=1" in capsys.readouterr().out
 
 
-def test_cli_transversal_and_budget(tmp_path, capsys):
+def test_cli_transversal_and_budget(tmp_path, capsys, monkeypatch):
     code = run_cli([
         "transversal", "--n", "2", "--cache", str(tmp_path), "--seed", "0",
     ])
     assert code == 0
     capsys.readouterr()
+    # the default budget completes every n the command allows; a 16-sample
+    # build stands in for one that runs out
+    monkeypatch.setattr("bicliff.cli.build_transversal",
+                        functools.partial(build_transversal, max_samples=16))
     code = run_cli([
-        "transversal", "--n", "3", "--cache", str(tmp_path), "--budget", "16",
+        "transversal", "--n", "3", "--cache", str(tmp_path),
     ])
     assert code == 4  # budget exhausted -> incomplete transversal
+    assert "warning: transversal incomplete (" in capsys.readouterr().err
 
 
 def test_cli_entry_point_subprocess(tmp_path):
@@ -1230,7 +1236,7 @@ def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, ki
 
     path = tmp_path / f"transversal_n{n}.bcp"
     if kind == "incomplete":
-        assert run_cli(["transversal", "--n", "3", "--budget", "16", "--cache", str(tmp_path)]) == 4
+        write_transversal_cache(path, build_transversal(3, seed=0, max_samples=16), seed=0)
     else:
         header, records = read_cache(cache_dir / "transversal_n2.bcp")
         records = records.copy()
@@ -1267,7 +1273,6 @@ def test_cli_werner_cache_of_other_n_exits_2(cache_dir, tmp_path, capsys):
         ("transversal", "--n", "0"),
         ("transversal", "--n", "6"),
         ("transversal", "--n", "17"),
-        ("eval", "--n", "6"),
         ("tables", "--n-min", "0"),
         ("tables", "--n-max", "17"),
         ("compare", "--n-min", "1"),
@@ -1278,11 +1283,8 @@ def test_cli_werner_cache_of_other_n_exits_2(cache_dir, tmp_path, capsys):
 )
 def test_cli_out_of_range_pair_counts_exit_2(tmp_path, capsys, command, flag, value):
     cache_args = [] if command == "tables" else ["--cache", str(tmp_path / "c")]
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"n": 6, "pairs": [list(EXAMPLE_PAIR)] * 6}))
-    state_args = [str(state)] if command == "eval" else []
     with pytest.raises(SystemExit) as exit_info:
-        run_cli([command, *state_args, flag, value, *cache_args])
+        run_cli([command, flag, value, *cache_args])
     captured = capsys.readouterr()
     assert exit_info.value.code == 2 and captured.out == ""
     assert f"argument {flag}: invalid choice: {value}" in captured.err
@@ -1328,10 +1330,7 @@ def test_cli_negative_seed_exits_2(cache_dir, tmp_path, capsys, args):
         (command, "--jobs", value)
         for command in ("werner", "transversal", "circuit")
         for value in ("0", "-1")
-    ] + [
-        ("transversal", "--budget", "-1"),
-        ("circuit", "--budget", "-1"),
-    ],
+    ] + [("circuit", "--budget", "-1")],
 )
 def test_cli_non_positive_work_sizes_exit_2(cache_dir, tmp_path, capsys, command, flag, value):
     # a copy of a valid cache, so that "before any work" also means "not overwritten"
@@ -1385,7 +1384,7 @@ def test_cli_jobs_capped_at_usable_cores(cache_dir, tmp_path, monkeypatch, comma
     monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
     args = {
         "werner": ["werner", "--n", "2", "--cache", str(tmp_path)],
-        "transversal": ["transversal", "--n", "2", "--budget", "64", "--cache", str(tmp_path)],
+        "transversal": ["transversal", "--n", "2", "--cache", str(tmp_path)],
         "circuit": ["circuit", "--n", "2", "--budget", "64", "--cache", str(cache_dir)],
     }[command]
     for jobs, workers in [(["--jobs", "100000"], cores), (["--jobs", str(cores + 1)], cores),
@@ -1402,16 +1401,19 @@ def test_cli_jobs_capped_at_usable_cores(cache_dir, tmp_path, monkeypatch, comma
 @pytest.mark.parametrize(
     "command, flag",
     [("werner", "--seed"), ("eval", "--jobs"), ("eval", "--seed"),
-     ("compare", "--jobs"), ("compare", "--seed")],
+     ("compare", "--jobs"), ("compare", "--seed"),
+     ("transversal", "--budget"), ("eval", "--n")],
 )
 def test_cli_unread_work_flags_are_unrecognised(cache_dir, tmp_path, capsys, command, flag):
-    # these commands neither fan out nor draw random numbers
+    # these commands neither fan out nor draw random numbers, the
+    # transversal takes no sample budget, and eval reads n from the state file
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
     args = {
         "werner": ["werner", "--n", "2"],
         "eval": ["eval", str(state)],
         "compare": ["compare", "--n-min", "2", "--n-max", "2"],
+        "transversal": ["transversal", "--n", "2"],
     }[command]
     cache = tmp_path / "c"
     with pytest.raises(SystemExit) as exit_info:

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import itertools
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -468,6 +470,64 @@ def test_best_curve_independent_of_slice_size(monkeypatch, protocols_for, size):
             assert (tied.tolist(), dominant) == _unsliced_best_curve(rows, n, grid)
             crossing += not dominant
     assert crossing  # the non-dominant pick is exercised too
+
+
+def _value_at(poly, x):
+    return functools.reduce(lambda acc, c: acc * x + c, reversed(poly), 0)
+
+
+def _remainder(a, b):
+    """Remainder of a by b, both power-ascending coefficient lists."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        for i, c in enumerate(b, len(a) - len(b)):
+            a[i] -= q * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _positive_inside(poly, lo, hi) -> bool:
+    """Whether a power-ascending polynomial is positive on the open interval
+    (lo, hi), decided exactly: its roots at the ends are divided out, Sturm's
+    theorem counts the roots left inside, and with none it has the sign it
+    has at the midpoint."""
+    if _value_at(poly, (lo + hi) / 2) <= 0:
+        return False
+    poly = np.trim_zeros(poly, "b")
+    for end in (lo, hi):
+        while _value_at(poly, end) == 0:  # divide by (F - end), Horner's way
+            poly = list(itertools.accumulate(reversed(poly[1:]), lambda acc, c: acc * end + c))
+            poly.reverse()
+    chain = [poly, [k * c for k, c in enumerate(poly)][1:]]
+    while rest := _remainder(chain[-2], chain[-1]):
+        chain.append([-c for c in rest])
+
+    def sign_changes(x):
+        signs = [v > 0 for v in (_value_at(q, x) for q in chain) if v != 0]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return sign_changes(lo) == sign_changes(hi)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_best_protocol_exactly_dominant_on_open_interval(n, protocols_for, best_for):
+    # the grid pick lies strictly above every other distinct curve inside
+    # (1/2, 1): f_b p_j - f_j p_b > 0 there, with p and f the integer rows
+    # 3^n p_suc and 3^n f_num
+    def curve(protocol):
+        rows = werner_coeff_rows([protocol.counts], n)[0]
+        return tuple(rows.sum(axis=0).tolist()), tuple(rows[0].tolist())
+
+    assert best_for(n).dominant
+    p_b, f_b = curve(best_for(n).protocol)
+    others = {curve(protocol) for protocol in protocols_for(n)} - {(p_b, f_b)}
+    assert others
+    for p_j, f_j in others:
+        gap = np.convolve(f_b, p_j) - np.convolve(f_j, p_b)
+        assert _positive_inside(gap.tolist(), Fraction(1, 2), Fraction(1)), (p_j, f_j)
 
 
 def test_pick_curve_dominant():
