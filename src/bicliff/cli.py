@@ -3,8 +3,8 @@
 Subcommands: tables, werner, transversal, eval, compare, circuit, verify.
 Every CSV is byte-deterministic given the command, flags and seed: floats are
 printed with 17 significant digits, exact rationals both as num/den strings
-and as decimals.  Exit codes: 0 success, 2 invalid input, 3 missing cache,
-4 budget exhausted.
+and as decimals.  A command that reads a cache builds and writes it first
+if it is missing.  Exit codes: 0 success, 2 invalid input, 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ synthesize = _deferred("circuits", "synthesize")
 
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_MISSING_CACHE = 3
 EXIT_BUDGET = 4
 
 F_TAR_DEFAULT = 0.930025
@@ -105,16 +104,32 @@ def _read_cache(read, path, rebuild: str, *args, **kwargs):
         ) from exc
 
 
-def _load_cache(mode: str, cache_dir: str, n: int, use=None):
-    """Contents of the n-pair cache of a mode: exit 3 if missing, 2 if unreadable.
+def _build(mode: str, cache_dir: str, n: int, jobs: int, seed: int = 0):
+    """The n-pair family of a mode, built and written to its cache file."""
+    from . import cache
 
-    With `use`, returns use(contents) instead, and an error of the kinds a
-    cache reader raises marks the cache as bad there too.
+    path = _cache_path(mode, cache_dir, n)
+    if mode == "werner":
+        family = distinct_protocols(n, jobs=jobs)
+        cache.write_werner_cache(path, n, family)
+    else:
+        family = build_transversal(n, seed=seed, jobs=jobs)
+        cache.write_transversal_cache(path, family, seed)
+    return family
+
+
+def _load_cache(mode: str, cache_dir: str, n: int, use=None, jobs: int = 1):
+    """Contents of the n-pair cache of a mode, exit 2 if unreadable.
+
+    A missing cache is built first, with `jobs` workers, and then read back
+    like any other.  With `use`, returns use(contents) instead, and an error
+    of the kinds a cache reader raises marks the cache as bad there too.
     """
     path = _cache_path(mode, cache_dir, n)
     rebuild = f"bicliff {mode} --n {n} --cache {cache_dir}"
     if not path.exists():
-        raise CliError(EXIT_MISSING_CACHE, f"no {mode} cache for n={n}; run: {rebuild}")
+        print(f"building missing cache {path}", file=sys.stderr)
+        _build(mode, cache_dir, n, jobs)
     from . import cache
 
     # looked up per call: the benchmark's tracer replaces these after import
@@ -146,14 +161,11 @@ def cmd_tables(args) -> int:
 
 
 def cmd_werner(args) -> int:
-    from . import cache
     from .ratpoly import format_poly
     from .states import leading_infidelity_term
 
     n = args.n
-    protocols = distinct_protocols(n, jobs=args.jobs)
-    cache.write_werner_cache(_cache_path("werner", args.cache, n), n, protocols)
-
+    protocols = _build("werner", args.cache, n, args.jobs)
     res = best_fidelity_protocol(n, protocols=protocols)
     st = res.protocol.stats
     order, coeff = leading_infidelity_term(st)
@@ -180,29 +192,13 @@ def cmd_werner(args) -> int:
 
 
 def cmd_transversal(args) -> int:
-    from . import cache
-
-    t = build_transversal(args.n, seed=args.seed, jobs=args.jobs)
-    cache.write_transversal_cache(_cache_path("transversal", args.cache, args.n), t, args.seed)
+    t = _build("transversal", args.cache, args.n, args.jobs, args.seed)
     _emit(args.out, ["n", "cosets", "target", "complete", "samples"],
           [[args.n, len(t), t.target_size, int(t.complete), t.samples_used]])
     if not t.complete:
         print(f"warning: transversal incomplete ({len(t)}/{t.target_size})", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
-
-
-def _read_state(path: str) -> tuple:
-    """(n, contents) of a state file, with n an int in 1..MAX_EVAL_PAIRS."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        n = obj["n"]
-        if type(n) is not int or not 1 <= n <= MAX_EVAL_PAIRS:
-            raise ValueError(f"n={n!r} must be an integer in 1..{MAX_EVAL_PAIRS}")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(EXIT_INVALID, f"bad state file {path}: {exc}") from exc
-    return n, obj
 
 
 def _numbers(values, what: str) -> np.ndarray:
@@ -212,11 +208,16 @@ def _numbers(values, what: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _load_state(path: str, n: int, obj):
-    """The BellDiagonalState of a file read by `_read_state`: 4^n probabilities."""
+def _read_state(path: str):
+    """The BellDiagonalState of a state file: 4^n probabilities, n in 1..MAX_EVAL_PAIRS."""
     from .states import BellDiagonalState
 
     try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        n = obj["n"]
+        if type(n) is not int or not 1 <= n <= MAX_EVAL_PAIRS:
+            raise ValueError(f"n={n!r} must be an integer in 1..{MAX_EVAL_PAIRS}")
         if "pairs" in obj:
             if len(obj["pairs"]) != n:
                 raise ValueError("pairs length differs from n")
@@ -224,7 +225,7 @@ def _load_state(path: str, n: int, obj):
                 [_numbers(pair, f"pair {i}") for i, pair in enumerate(obj["pairs"])]
             )
         return BellDiagonalState(n, _numbers(obj["probs"], "probs"))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(EXIT_INVALID, f"bad state file {path}: {exc}") from exc
 
 
@@ -234,14 +235,13 @@ def cmd_eval(args) -> int:
     if args.min_fidelity is not None and not 0 <= args.min_fidelity <= 1:  # also false for NaN
         raise CliError(EXIT_INVALID, f"--min-fidelity {args.min_fidelity} must be finite, "
                        "with 0 <= --min-fidelity <= 1")
-    n, obj = _read_state(args.state)
-    # the cache is found before the state is expanded; an incomplete cache, or
-    # a record whose rows are not symplectic or not in the coset of its key,
-    # makes enumerate_stats raise; only a copy of the keys outlives it, so the
-    # record block of keys and rows is freed
+    state = _read_state(args.state)
+    n = state.n
+    # an incomplete cache, or a record whose rows are not symplectic or not in
+    # the coset of its key, makes enumerate_stats raise; only a copy of the
+    # keys outlives it, so the record block of keys and rows is freed
     keys, (p, f_num, fi_nums) = _load_cache(
-        "transversal", args.cache, n,
-        lambda t: (t.keys.copy(), enumerate_stats(t, _load_state(args.state, n, obj))),
+        "transversal", args.cache, n, lambda t: (t.keys.copy(), enumerate_stats(t, state))
     )
     live = p > 0  # F_out and the F_i overwrite their numerators; rows without success read 0
     f_out = np.divide(f_num, p, out=f_num, where=live)
@@ -330,7 +330,7 @@ def cmd_circuit(args) -> int:
     from .circuits import circuit_to_symplectic, published_circuits
     from .states import encode_counts, werner_keys
 
-    protocols = _load_cache("werner", args.cache, args.n)
+    protocols = _load_cache("werner", args.cache, args.n, jobs=args.jobs)
     res = best_fidelity_protocol(args.n, protocols=protocols)
     target = res.protocol
     synth = synthesize(

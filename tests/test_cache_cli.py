@@ -4,10 +4,12 @@ import functools
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -726,27 +728,51 @@ def test_cli_eval_probs_form_single_pair(tmp_path, capsys):
     assert float(row[1]) == 1.0 and abs(float(row[2]) - 0.7) < 1e-12
 
 
-def test_cli_eval_missing_cache(tmp_path, capsys):
+@pytest.mark.parametrize("args, builds, expected_code", [
+    *(pytest.param(["eval", f"n{n}.json"], [["transversal", "--n", str(n)]], 0, id=f"eval n={n}")
+      for n in (1, 2, 3)),
+    pytest.param(["compare", "--n-min", "2", "--n-max", "5"],
+                 [["werner", "--n", str(n)] for n in range(2, 6)], 0, id="compare"),
+    pytest.param(["circuit", "--n", "4", "--budget", "0"], [["werner", "--n", "4"]], 4,
+                 id="circuit fallback"),
+])
+def test_cli_reader_builds_missing_cache(tmp_path, capsys, monkeypatch, args, builds,
+                                         expected_code):
+    # a reader run in an empty cache directory prints what it prints after the
+    # build commands, and leaves the cache files they write, byte for byte
+    monkeypatch.chdir(tmp_path)
+    for n in (1, 2, 3):
+        Path(f"n{n}.json").write_text(json.dumps({"n": n, "pairs": [list(EXAMPLE_PAIR)] * n}))
+    for build in builds:
+        assert run_cli([*build, "--cache", "built"]) == 0
+    capsys.readouterr()
+    assert run_cli([*args, "--cache", "built"]) == expected_code
+    expected = capsys.readouterr()
+
+    Path("fresh").mkdir()
+    assert run_cli([*args, "--cache", "fresh"]) == expected_code
+    captured = capsys.readouterr()
+    assert captured.out == expected.out
+    written = [f"{mode}_n{n}.bcp" for mode, _, n in builds]
+    assert captured.err == expected.err + "".join(
+        f"building missing cache {Path('fresh', name)}\n" for name in written
+    )
+    assert sorted(path.name for path in Path("fresh").iterdir()) == sorted(written)
+    for name in written:
+        assert Path("fresh", name).read_bytes() == Path("built", name).read_bytes()
+
+
+def test_cli_eval_bad_state_builds_no_cache(tmp_path, capsys):
+    # the state is read in full before the cache is looked up or built
     state = tmp_path / "state.json"
-    state.write_text(json.dumps({"n": 3, "pairs": [list(EXAMPLE_PAIR)] * 3}))
-    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "bicliff transversal --n 3" in err
-
-
-def test_cli_eval_finds_cache_before_expanding_state(tmp_path, capsys, monkeypatch):
-    from bicliff.states import BellDiagonalState
-
-    def expand(pairs):
-        raise AssertionError("the state was expanded before the cache was found")
-
-    monkeypatch.setattr(BellDiagonalState, "from_pairs", staticmethod(expand))
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"n": 5, "pairs": [list(EXAMPLE_PAIR)] * 5}))
-    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
-    assert code == 3
-    assert "no transversal cache for n=5; run: bicliff transversal --n 5" in capsys.readouterr().err
+    state.write_text(json.dumps({"n": 3, "pairs": [list(EXAMPLE_PAIR)] * 2 + [[0.7, 0.2, 0.1]]}))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code = run_cli(["eval", str(state), "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: bad state file {state}: ")
+    assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", [
@@ -1040,6 +1066,22 @@ def test_cli_verify(cache_dir, capsys):
     assert "ok=1" in capsys.readouterr().out
 
 
+def _documented_exit_codes(text: str) -> dict:
+    """{code: meaning} of the first "exit codes are 0 success, 2 ..." list in text."""
+    listed = re.search(r"exit codes(?: are|:)\s+([^.(]*)", text, re.IGNORECASE).group(1)
+    return {int(code): meaning for code, meaning in re.findall(r"(\d+) (\w[\w ]*\w)", listed)}
+
+
+def test_documented_exit_codes_match_cli_constants():
+    from bicliff import cli
+
+    constants = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = _documented_exit_codes(" ".join(readme.split()))
+    assert set(documented) == constants
+    assert _documented_exit_codes(" ".join(cli.__doc__.split())) == documented
+
+
 def test_cli_transversal_and_budget(tmp_path, capsys, monkeypatch):
     code = run_cli([
         "transversal", "--n", "2", "--cache", str(tmp_path), "--seed", "0",
@@ -1198,6 +1240,7 @@ def test_cli_unreadable_werner_cache_exits_2(cache_dir, tmp_path, capsys, protoc
                                              kind, command):
     path = tmp_path / "werner_n3.bcp"
     _bad_cache(kind, cache_dir / "werner_n3.bcp", path, protocols_for(3))
+    bad = path.read_bytes()
     args = {
         "compare": ["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path)],
         "circuit": ["circuit", "--n", "3", "--budget", "0", "--cache", str(tmp_path)],
@@ -1208,6 +1251,7 @@ def test_cli_unreadable_werner_cache_exits_2(cache_dir, tmp_path, capsys, protoc
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: bad cache file {path}: ")
     assert "rebuild it with: bicliff werner" in captured.err
+    assert path.read_bytes() == bad  # no reader rewrites a bad cache
 
 
 @pytest.mark.parametrize("kind", ["foreign", "truncated", "werner mode"])
@@ -1217,6 +1261,7 @@ def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, caps
         path.write_bytes((cache_dir / "werner_n2.bcp").read_bytes())
     else:
         _bad_cache(kind, cache_dir / "transversal_n2.bcp", path, None)
+    bad = path.read_bytes()
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
     code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
@@ -1224,6 +1269,7 @@ def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, caps
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: bad cache file {path}: ")
     assert "rebuild it with: bicliff transversal --n 2" in captured.err
+    assert path.read_bytes() == bad  # no reader rewrites a bad cache
 
 
 @pytest.mark.parametrize("kind, n, message", [
