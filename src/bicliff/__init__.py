@@ -25,14 +25,15 @@ if "numpy" not in sys.modules:
 _EXPORTS = {
     "gf2": [
         "CNOT", "CZ", "Gate", "H", "S", "SWAP", "SymplecticMatrix", "X", "gate_matrix",
-        "is_symplectic", "random_symplectic", "sp_order", "symplectic_inner",
+        "is_symplectic", "random_symplectic", "symplectic_inner",
     ],
+    "orders": ["dn_index", "dn_order", "sp_order"],
     "ratpoly": ["RationalPolynomial", "format_poly"],
     "states": [
         "BellDiagonalState", "DistStats", "base", "leading_infidelity_term", "numeric_stats",
         "pillars", "stats_in_epsilon", "werner_stats",
     ],
-    "groups": ["GeneratorSet", "coset_key", "dn_generators", "dn_index", "dn_order", "is_in_dn"],
+    "groups": ["GeneratorSet", "coset_key", "dn_generators", "is_in_dn"],
     "transversal": ["Transversal", "build_transversal", "enumerate_stats", "pareto_envelope"],
     "werner": [
         "Protocol", "WernerCase", "best_fidelity_protocol", "build_representative",

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gf2 import MAX_PAIRS
+from .orders import MAX_PAIRS, dn_index
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
 from .ratpoly import poly_from_strings  # noqa: F401
@@ -132,8 +132,6 @@ def read_cache(path):
             )
         records = np.frombuffer(_read_exact(fh, length), dtype)
     if mode == "transversal":
-        from .groups import dn_index
-
         if not _strictly_ascending(records["key"]):
             raise ValueError("transversal keys are not strictly ascending")
         complete, total = header.get("complete"), dn_index(n)
@@ -195,17 +193,14 @@ def load_transversal_cache(path):
 
 
 def _first_bad_werner_record(records: np.ndarray, n: int):
-    """`first_bad_record` of Werner records, the statistics in one batched pass.
+    """`first_bad_record` of Werner records, representatives and statistics batched.
 
     A record is sound when the representative of the case at its index has
     its stored coset histograms, up to the order of the three non-base cosets.
     """
-    from .werner import build_representative, case_at
+    from .werner import case_at, representative_rows
 
-    rows = np.array(
-        [build_representative(case_at(n, index)).rows for index in records["index"].tolist()],
-        dtype=np.uint64,
-    ).reshape(len(records), 2 * n)
+    rows = representative_rows([case_at(n, index) for index in records["index"].tolist()], n)
     bad = np.flatnonzero((werner_keys(rows, n) != encode_counts(records["counts"])).any(axis=-1))
     return (int(bad[0]), "statistics mismatch") if bad.size else None
 

@@ -13,13 +13,12 @@ import argparse
 import csv
 import importlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
-from .gf2 import MAX_GRAPH_NODES, MAX_PAIRS
+from .orders import MAX_GRAPH_NODES, MAX_PAIRS, dn_index, dn_order, sp_order
 
 
 def _deferred(module: str, name: str):
@@ -148,9 +147,6 @@ def _load_cache(mode: str, cache_dir: str, n: int, use=None, jobs: int = 1):
 
 
 def cmd_tables(args) -> int:
-    from .gf2 import sp_order
-    from .groups import dn_index, dn_order
-
     if args.n_min > args.n_max:
         raise CliError(EXIT_INVALID, f"--n-min {args.n_min} must not exceed --n-max {args.n_max}")
     rows = []
@@ -201,11 +197,11 @@ def cmd_transversal(args) -> int:
     return EXIT_OK
 
 
-def _numbers(values, what: str) -> np.ndarray:
-    """A JSON list of numbers (int or float, not bool) as float64."""
+def _numbers(values, what: str) -> list:
+    """A JSON list of numbers (int or float, not bool), which the state reads as float64."""
     if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
         raise ValueError(f"{what} must be a list of numbers")
-    return np.array(values, dtype=float)
+    return values
 
 
 def _read_state(path: str):
@@ -230,11 +226,13 @@ def _read_state(path: str):
 
 
 def cmd_eval(args) -> int:
-    from .transversal import CHUNK
-
     if args.min_fidelity is not None and not 0 <= args.min_fidelity <= 1:  # also false for NaN
         raise CliError(EXIT_INVALID, f"--min-fidelity {args.min_fidelity} must be finite, "
                        "with 0 <= --min-fidelity <= 1")
+    import numpy as np
+
+    from .transversal import CHUNK
+
     state = _read_state(args.state)
     n = state.n
     # an incomplete cache, or a record whose rows are not symplectic or not in
@@ -265,7 +263,7 @@ def _check_compare_args(args) -> None:
     problems = []
     if not 0.5 < args.f_tar < 1:
         problems.append(f"--f-tar {args.f_tar} must lie strictly between 0.5 and 1")
-    if not args.f_step > 0 or not np.isfinite(args.f_step):
+    if not args.f_step > 0 or not math.isfinite(args.f_step):
         problems.append(f"--f-step {args.f_step} must be positive and finite")
     elif (args.f_max - args.f_min) / args.f_step > MAX_GRID_STEPS:
         problems.append(f"--f-step {args.f_step} is too small: at most {MAX_GRID_STEPS} "
@@ -289,10 +287,12 @@ _METRICS = {
 
 
 def cmd_compare(args) -> int:
+    _check_compare_args(args)
+    import numpy as np
+
     from .metrics import CurveSet
     from .states import werner_coeff_rows
 
-    _check_compare_args(args)
     grid = np.round(np.arange(args.f_min, args.f_max + args.f_step / 2, args.f_step), 9)
     grid = grid[grid <= round(args.f_max, 9)]  # arange may overshoot by half a step
     ns = range(args.n_min, args.n_max + 1)
@@ -400,11 +400,10 @@ _SVG_COLORS = [
 
 def _svg_lineplot(path: str, title: str, series) -> None:
     width, height, pad = 720, 480, 60
-    xs_all = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series])
-    ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series])
-    finite = np.isfinite(ys_all)
-    x0, x1 = xs_all.min(), xs_all.max()
-    y0, y1 = ys_all[finite].min(), ys_all[finite].max()
+    xs_all = [float(x) for _, xs, _ in series for x in xs]
+    ys_all = [float(y) for _, _, ys in series for y in ys if math.isfinite(y)]
+    x0, x1 = min(xs_all), max(xs_all)
+    y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -432,7 +431,7 @@ def _svg_lineplot(path: str, title: str, series) -> None:
         pts = [
             f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
             for x, y in zip(xs, ys)
-            if np.isfinite(y)
+            if math.isfinite(y)
         ]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>'

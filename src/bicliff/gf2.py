@@ -13,17 +13,10 @@ matrix).  The symplectic form is Omega = [[0, I_n], [I_n, 0]].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-MAX_PAIRS = 16  # 2n <= 32 bits keeps every vector in one machine word
-MAX_GRAPH_NODES = 7  # Werner enumeration: graphs on n-1 nodes for n up to 8
-
-
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_PAIRS:
-        raise ValueError(f"pair count must be in [1, {MAX_PAIRS}], got {n}")
+from .orders import check_pair_count
 
 
 def swap_halves(v: int, n: int) -> int:
@@ -49,7 +42,7 @@ class SymplecticMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows) -> None:
-        _check_n(n)
+        check_pair_count(n)
         rows = tuple(rows)
         if len(rows) != 2 * n:
             raise ValueError(f"expected {2 * n} rows, got {len(rows)}")
@@ -116,12 +109,6 @@ def is_symplectic_rows(rows, n: int) -> np.ndarray:
         odd = (np.bitwise_count(rows[..., i : i + 1] & swapped) & 1) != 0
         ok &= (odd == (np.arange(nn) == (i + n) % nn)).all(axis=-1)
     return ok
-
-
-def sp_order(n: int) -> int:
-    """Order of Sp(2n, F2): 2^(n^2) * prod_{j=1..n} (4^j - 1)."""
-    _check_n(n)
-    return (1 << (n * n)) * prod(4**j - 1 for j in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +213,7 @@ def random_symplectic_rows(n: int, rng, count: int) -> np.ndarray:
     XORed into every other one meeting v; after f, it is also g's particular
     point, the solution whose free bits are all 0.
     """
-    _check_n(n)
+    check_pair_count(n)
     nn = 2 * n
     coeffs = _draw_coefficients(n, rng, count)  # uint32, as every 2n-bit vector fits
     bits = np.arange(nn, dtype=np.uint32)
@@ -410,7 +397,7 @@ def apply_gate_rows(rows: list, g: Gate, n: int) -> None:
 
 def gate_matrix(g: Gate, n: int) -> SymplecticMatrix:
     """The symplectic image of a single Clifford gate."""
-    _check_n(n)
+    check_pair_count(n)
     rows = [1 << i for i in range(2 * n)]
     apply_gate_rows(rows, g, n)
     return SymplecticMatrix(n, rows)

@@ -9,7 +9,6 @@ their (sorted) statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -36,20 +35,6 @@ def dn_generators(n: int) -> GeneratorSet:
     gates += [CNOT(i, j) for i in range(2, n + 1) for j in range(1, i)]
     gates += [CNOT(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
     return GeneratorSet(n, tuple(gates))
-
-
-def dn_order(n: int) -> int:
-    """Order of the distillation subgroup: 6 * 2^(n^2-1) * prod (2^j - 1)."""
-    if n == 1:
-        return 6
-    return 6 * (1 << (n * n - 1)) * prod((1 << j) - 1 for j in range(1, n))
-
-
-def dn_index(n: int) -> int:
-    """Number of right cosets of the distillation subgroup in Sp(2n, F2)."""
-    value = ((1 << n) - 1) * prod((1 << j) + 1 for j in range(1, n + 1))
-    assert value % 3 == 0
-    return value // 3
 
 
 def is_in_dn(m: SymplecticMatrix) -> bool:

@@ -18,9 +18,6 @@ so n <= 8; a kernel that needs more bits widens one chunk at a time.
 from __future__ import annotations
 
 import math
-# ordered_calls would import the pool itself; it is passed from here because the
-# benchmark's tracer (perfbench/spans.py) times this module's pool by this name
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +31,8 @@ from .gf2 import (
     random_symplectic_rows,
     swap_halves,
 )
-from .groups import coset_keys, dn_index
+from .groups import coset_keys
+from .orders import dn_index
 from .states import BellDiagonalState, preimage_index
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
@@ -46,6 +44,18 @@ SAMPLE_BLOCK = 1024
 MAX_TRANSVERSAL_PAIRS = 8  # every 2n-bit row mask fits a uint16
 # cosets per array step of completion and statistics, to bound memory at n=5
 CHUNK = 1 << 13
+
+
+def __getattr__(name: str):
+    # The benchmark's tracer (perfbench/spans.py) times this module's pool by
+    # this name.  It is resolved on first access (PEP 562), so a process that
+    # opens no pool does not import it; `build_transversal` passes the global
+    # only once the tracer has set it.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(eq=False)
@@ -150,7 +160,8 @@ def build_transversal(
     nblocks = (max_samples + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
     # lazy: the default n=5 budget is half a million blocks
     calls = ((n, seed, b, min(SAMPLE_BLOCK, max_samples - b * SAMPLE_BLOCK)) for b in range(nblocks))
-    for block_keys in ordered_calls(_sample_block, calls, jobs, ProcessPoolExecutor):
+    pool = globals().get("ProcessPoolExecutor")  # None: ordered_calls imports its own
+    for block_keys in ordered_calls(_sample_block, calls, jobs, pool):
         keys.update(block_keys.tolist())
         samples += len(block_keys)
         if len(keys) >= target:

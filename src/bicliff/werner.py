@@ -39,8 +39,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .blocks import ordered_calls
-from .gf2 import MAX_GRAPH_NODES, SymplecticMatrix
+from .gf2 import SymplecticMatrix
 from .metrics import CurveSet
+from .orders import MAX_GRAPH_NODES
 from .states import KEY_BASE, DistStats, decode_counts, sort_coset_keys
 from .states import stats_from_counts, werner_coeff_rows
 
@@ -187,11 +188,6 @@ def _canonical(masks: np.ndarray, m: int) -> np.ndarray:
     return best
 
 
-def graph_adjacency_rows(mask: int, m: int) -> list:
-    """Adjacency matrix of an edge bitmask as m bit-packed rows."""
-    return _adjacency([mask], m)[:, 0].tolist()
-
-
 # ---------------------------------------------------------------------------
 # (a, b) pairs with a <= b <= a^b
 # ---------------------------------------------------------------------------
@@ -268,24 +264,30 @@ def _check_enum_n(n: int) -> None:
 
 
 def build_representative(case: WernerCase) -> SymplecticMatrix:
-    """The canonical-form representative of a case.
+    """The canonical-form representative of a case: the one-case form of
+    `representative_rows`."""
+    return SymplecticMatrix(case.n, representative_rows([case], case.n)[0].tolist())
+
+
+def representative_rows(cases: list, n: int) -> np.ndarray:
+    """Row masks of the representatives of n-pair cases: a (len(cases), 2n) int64 array.
 
     Upper-left block [[1, 0], [a, I]], upper-right [[0, b^T], [b, E + b a^T]],
     lower-left zero, lower-right the transpose of the upper-left.
     """
-    n, m = case.n, case.n - 1
-    erows = graph_adjacency_rows(case.e, m)
-    a, b = case.a, case.b
-    rows = [1 | (b << (n + 1))]
+    a = np.array([case.a for case in cases], dtype=np.int64)
+    b = np.array([case.b for case in cases], dtype=np.int64)
+    erows = _adjacency([case.e for case in cases], n - 1)
+    rows = np.empty((len(cases), 2 * n), dtype=np.int64)
+    rows[:, 0] = 1 | (b << (n + 1))
     for k in range(1, n):
         ak = (a >> (k - 1)) & 1
         bk = (b >> (k - 1)) & 1
-        xrest = erows[k - 1] ^ (a if bk else 0)
-        rows.append(ak | (1 << k) | (bk << n) | (xrest << (n + 1)))
-    rows.append((1 | (a << 1)) << n)
-    for k in range(1, n):
-        rows.append(1 << (n + k))
-    return SymplecticMatrix(n, rows)
+        xrest = erows[k - 1] ^ (a * bk)
+        rows[:, k] = ak | (1 << k) | (bk << n) | (xrest << (n + 1))
+    rows[:, n] = (1 | (a << 1)) << n
+    rows[:, n + 1 :] = 1 << np.arange(n + 1, 2 * n)
+    return rows
 
 
 @dataclass

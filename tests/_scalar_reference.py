@@ -36,10 +36,10 @@ from bicliff.gf2 import (
     H,
     S,
     SymplecticMatrix,
-    _check_n,
     swap_halves,
 )
-from bicliff.groups import GeneratorSet, dn_index
+from bicliff.groups import GeneratorSet
+from bicliff.orders import check_pair_count, dn_index
 from bicliff.ratpoly import RationalPolynomial
 from bicliff.states import BellDiagonalState, DistStats, counts_key
 from bicliff.werner import (
@@ -350,7 +350,7 @@ def random_symplectic(n: int, rng) -> SymplecticMatrix:
     products fixed so far.  Every step's choice count is independent of the
     history, so the sampled matrix is exactly uniform.
     """
-    _check_n(n)
+    check_pair_count(n)
     nn = 2 * n
     fs: list[int] = []
     gs: list[int] = []
@@ -623,6 +623,33 @@ def enumerate_cases(n: int):
     for a, b in ab_pairs(n - 1):
         for e in graphs:
             yield WernerCase(n, a, b, e)
+
+
+def adjacency_rows(mask: int, m: int) -> list:
+    """Adjacency matrix of an edge bitmask on m nodes as m bit-packed rows."""
+    rows = [0] * m
+    for k, (i, j) in enumerate(_edge_list(m)):
+        if (mask >> k) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+def representative(case: WernerCase) -> SymplecticMatrix:
+    """The canonical-form representative of a case, one row mask at a time.
+
+    Upper-left block [[1, 0], [a, I]], upper-right [[0, b^T], [b, E + b a^T]],
+    lower-left zero, lower-right the transpose of the upper-left.
+    """
+    n, a, b = case.n, case.a, case.b
+    erows = adjacency_rows(case.e, n - 1)
+    rows = [1 | (b << (n + 1))]
+    for k in range(1, n):
+        ak, bk = (a >> (k - 1)) & 1, (b >> (k - 1)) & 1
+        rows.append(ak | (1 << k) | (bk << n) | ((erows[k - 1] ^ (a if bk else 0)) << (n + 1)))
+    rows.append((1 | (a << 1)) << n)
+    rows += [1 << (n + k) for k in range(1, n)]
+    return SymplecticMatrix(n, rows)
 
 
 def werner_state(n: int, fidelity: float) -> BellDiagonalState:

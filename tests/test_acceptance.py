@@ -27,8 +27,9 @@ from bicliff.gf2 import (
     random_symplectic,
     symplectic_inner,
 )
-from bicliff.groups import bfs_closure, dn_generators, dn_index, dn_order
+from bicliff.groups import bfs_closure, dn_generators
 from bicliff.metrics import CurveSet
+from bicliff.orders import dn_index, dn_order
 from bicliff.states import (
     DistStats,
     base,

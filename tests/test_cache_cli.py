@@ -1131,17 +1131,26 @@ def test_import_limits_blas_threads(preset):
 _TOP_MODULES = "import sys; print(' '.join(sorted({name.split('.')[0] for name in sys.modules})))"
 
 
-def test_cli_imports_numpy_alone():
-    # numpy is the only runtime dependency; numpy.ma costs import time and
-    # comes with np.unique, which the package therefore avoids at import
+def test_cli_imports_numpy_alone(tmp_path):
+    # numpy is the only runtime dependency, and the CLI front end loads none:
+    # a command that computes adds numpy alone.  numpy.ma costs import time
+    # and comes with np.unique, which the package therefore avoids at import
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    bare, cli = (
+    werner = (f"from bicliff.cli import main; main(['werner', '--n', '3', '--cache', {str(tmp_path)!r}, "
+              f"'--out', {str(tmp_path / 'out.csv')!r}]); ")
+    bare, cli, run = (
         subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        for code in (_TOP_MODULES, "import bicliff.cli; " + _TOP_MODULES + "; print('numpy.ma' in sys.modules)")
+        for code in (_TOP_MODULES, "import bicliff.cli; " + _TOP_MODULES,
+                     werner + _TOP_MODULES + "; print('numpy.ma' in sys.modules)")
     )
-    *loaded, has_ma = cli.stdout.split()
-    added = set(loaded) - set(bare.stdout.split()) - set(sys.stdlib_module_names)
-    assert {name for name in added if not name.startswith("__")} == {"bicliff", "numpy"}
+
+    def added(loaded):
+        added = set(loaded) - set(bare.stdout.split()) - set(sys.stdlib_module_names)
+        return {name for name in added if not name.startswith("__")}
+
+    *loaded, has_ma = run.stdout.split()
+    assert added(cli.stdout.split()) == {"bicliff"}
+    assert added(loaded) == {"bicliff", "numpy"}
     assert has_ma == "False"
 
 

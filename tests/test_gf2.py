@@ -24,12 +24,12 @@ from bicliff.gf2 import (
     random_symplectic,
     random_symplectic_rows,
     rref_rows,
-    sp_order,
     swap_halves,
     symplectic_inner,
 )
 from bicliff import gf2
 from bicliff.groups import bfs_closure
+from bicliff.orders import sp_order
 
 
 # --- independent oracles -----------------------------------------------------

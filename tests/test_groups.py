@@ -9,18 +9,10 @@ from bicliff.gf2 import (
     gate_matrix,
     random_symplectic,
     random_symplectic_rows,
-    sp_order,
     swap_halves,
 )
-from bicliff.groups import (
-    bfs_closure,
-    coset_key,
-    coset_keys,
-    dn_generators,
-    dn_index,
-    dn_order,
-    is_in_dn,
-)
+from bicliff.groups import bfs_closure, coset_key, coset_keys, dn_generators, is_in_dn
+from bicliff.orders import dn_index, dn_order, sp_order
 from bicliff.states import base, werner_stats
 from _scalar_reference import apply, kn_generators, preimage_oracle, rref
 

@@ -19,18 +19,19 @@ from bicliff.cache import write_transversal_cache, write_werner_cache
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
-# run the CLI on the arguments, then print the loaded module names as the last line
+# run the CLI on the arguments, then print the loaded module names as the last
+# line, also when argparse exits
 _RUN = (
-    "import sys; from bicliff.cli import main; code = main(sys.argv[1:]); "
-    "print(' '.join(sorted(sys.modules))); sys.exit(code)"
+    "import atexit, sys; atexit.register(lambda: print(' '.join(sorted(sys.modules)))); "
+    "from bicliff.cli import main; sys.exit(main(sys.argv[1:]))"
 )
 
 
-def _loaded(*code_and_args) -> set:
+def _loaded(*code_and_args, code: int = 0, cwd=None) -> set:
     res = subprocess.run(
-        [sys.executable, "-c", *code_and_args], capture_output=True, text=True, env=ENV
+        [sys.executable, "-c", *code_and_args], capture_output=True, text=True, env=ENV, cwd=cwd
     )
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == code, res.stderr
     return set(res.stdout.splitlines()[-1].split())
 
 
@@ -67,14 +68,12 @@ def test_each_command_loads_only_what_it_runs(tmp_path, protocols_for, transvers
     state.write_text(json.dumps({"n": 2, "pairs": [[0.7, 0.1, 0.1, 0.1]] * 2}))
     out, cache = str(tmp_path / "out.csv"), str(tmp_path / "new")
     cases = [
-        (["tables", "--n-max", "4"],
-         {"werner", "transversal", "cache", "circuits", "dejmps"}, set()),
         (["werner", "--n", "3", "--cache", cache, "--out", out],
          {"transversal", "circuits"}, {"concurrent.futures.process"}),
         (["verify", str(tmp_path / "werner_n3.bcp")],
          {"transversal", "circuits"}, {"concurrent.futures.process"}),
         (["eval", str(state), "--cache", str(tmp_path), "--out", out],
-         {"werner", "circuits", "dejmps"}, set()),
+         {"werner", "circuits", "dejmps"}, {"concurrent.futures.process"}),
         (["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path), "--out", out],
          {"circuits", "transversal"}, set()),
     ]
@@ -82,3 +81,26 @@ def test_each_command_loads_only_what_it_runs(tmp_path, protocols_for, transvers
         loaded = _loaded(_RUN, *args)
         unwanted = {f"bicliff.{name}" for name in modules} | others
         assert loaded & unwanted == set(), args
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["tables", "--n-max", "4"], 0),
+        (["--help"], 0),
+        (["werner", "--help"], 0),
+        (["werner", "--n", "9"], 2),  # argparse
+        (["compare", "--f-step", "0"], 2),  # CliError before any work
+        (["eval", "x.json", "--min-fidelity", "2"], 2),
+    ],
+    ids=["tables", "help", "werner-help", "werner-bad-n", "compare-bad-step", "eval-bad-fidelity"],
+)
+def test_front_end_loads_no_numpy(tmp_path, args, code):
+    # integer tables, help and argument errors need neither numpy nor the
+    # GF(2) modules: only the CLI and the size limits and group orders
+    loaded = _loaded(_RUN, *args, code=code, cwd=tmp_path)
+    assert {name for name in loaded if name.startswith("bicliff")} == {
+        "bicliff", "bicliff.cli", "bicliff.orders"
+    }, args
+    assert not {name for name in loaded if name.split(".")[0] == "numpy"}, args
+    assert list(tmp_path.iterdir()) == [], args  # no cache directory was made

@@ -56,7 +56,7 @@ def test_every_unused_import_is_a_probe():
                 if name not in probes.get(module_name, ()):
                     stray.append(f"{module_name}.{name}")
     cli = importlib.import_module("bicliff.cli")
-    stand_in = cli._deferred("gf2", "sp_order").__code__
+    stand_in = cli._deferred("orders", "sp_order").__code__
     stand_ins = [name for name, value in vars(cli).items()
                  if getattr(value, "__code__", None) is stand_in]
     assert stand_ins  # the scan recognises them

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import _scalar_reference as scalar
 from bicliff.gf2 import SymplecticMatrix, gate_matrix, is_symplectic, random_symplectic_rows, H, S, CNOT
 from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves
-from bicliff.groups import bfs_closure, coset_key, coset_keys, dn_index
+from bicliff.groups import bfs_closure, coset_key, coset_keys
+from bicliff.orders import dn_index
 from bicliff.states import BellDiagonalState, DistStats, werner_keys
 from bicliff.transversal import (
     SAMPLE_BLOCK,

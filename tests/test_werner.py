@@ -26,9 +26,9 @@ from bicliff.werner import (
     default_f_grid,
     distinct_protocols,
     first_rows,
-    graph_adjacency_rows,
     graphs_up_to_iso,
     pick_curve,
+    representative_rows,
 )
 from _reference import (
     CASE_COUNTS,
@@ -37,7 +37,8 @@ from _reference import (
     best_f_poly,
     best_p_poly,
 )
-from _scalar_reference import enumerate_cases, kn_generators, propagated_graph_classes
+from _scalar_reference import adjacency_rows, enumerate_cases, kn_generators, propagated_graph_classes
+from _scalar_reference import representative as scalar_representative
 
 
 # --- graphs up to isomorphism -------------------------------------------------
@@ -167,6 +168,20 @@ def test_representative_invariances():
         assert werner_stats(d @ m, 4) == werner_stats(m, 4)
 
 
+def test_batched_representatives_match_scalar_reference():
+    # every case for n <= 6 in one batch, and a random sample of the n = 8 cases
+    rng = np.random.default_rng(8)
+    samples = [list(enumerate_cases(n)) for n in range(2, 7)]
+    samples.append([case_at(8, int(i)) for i in rng.integers(case_count(8), size=500)])
+    for cases in samples:
+        n = cases[0].n
+        rows = representative_rows(cases, n)
+        assert rows.shape == (len(cases), 2 * n)
+        assert [tuple(r) for r in rows.tolist()] == [scalar_representative(c).rows for c in cases]
+        assert build_representative(cases[-1]) == scalar_representative(cases[-1])
+    assert representative_rows([], 3).shape == (0, 6)
+
+
 def test_trivial_case_is_identity():
     from bicliff.gf2 import SymplecticMatrix
 
@@ -222,7 +237,7 @@ def _bincount_pair_keys(n, a, b, graphs=None):
     subsets = np.arange(size, dtype=np.uint32)
     row_xors = np.zeros((len(graphs), size), dtype=np.uint32)
     for g, mask in enumerate(graphs):
-        rows = graph_adjacency_rows(mask, m)
+        rows = adjacency_rows(mask, m)
         for s in range(size):
             acc = 0
             for k in range(m):
