@@ -7,13 +7,14 @@ the exact statistics, in ascending index order.  The index is the case's
 position when cases run over (a, b) ascending, then graph class ascending,
 as `werner.case_at` decodes it, so a new order needs a new format version;
 the case and its representative follow from it.  A transversal
-record holds the n-1 key masks, then the 2n representative row masks, one
-record per coset in ascending key order, each a uint16 (so n <= 8), and a
-loaded transversal's keys and rows are views of them.  Each mode has its own
-format version.  Verification takes a sample of records, recomputes their
-derived data and demands exact agreement.  Each function imports `werner`, or
-`transversal` and `groups`, only for the mode it handles, so that a command
-loads the modules of its own cache mode alone.
+record holds the n-1 key masks, then the coset's two shift masks, one record
+per coset in ascending key order, each a uint16 (so n <= 8), and a loaded
+transversal's keys and shifts are views of them.  Each mode has its own
+format version.  Verification takes a sample of records and checks them:
+Werner records against their recomputed histograms, transversal records by
+`transversal.first_bad_record`, the check `eval` runs on every record.  Each
+function imports `werner`, or `transversal` and `groups`, only for the mode
+it handles, so that a command loads the modules of its own cache mode alone.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ MAGIC = b"BCPC\x01"
 # polynomials), are fixed-width since version 3 (before: one JSON record
 # each) and hold only the case index and histograms since version 4 (before:
 # also the case and the representative rows); a transversal is one binary
-# block since version 2 (before: one JSON record per coset).
-FORMAT_VERSIONS = {"werner": 4, "transversal": 2}
+# block since version 2 (before: one JSON record per coset) and holds each
+# coset's key and two shifts since version 3 (before: the key and the 2n
+# representative rows).
+FORMAT_VERSIONS = {"werner": 4, "transversal": 3}
 
 
 def record_dtype(mode: str, n: int) -> np.dtype:
@@ -51,7 +54,7 @@ def record_dtype(mode: str, n: int) -> np.dtype:
 
     if n > MAX_TRANSVERSAL_PAIRS:
         raise ValueError(f"a transversal holds at most {MAX_TRANSVERSAL_PAIRS} pairs, not n={n}")
-    return np.dtype([("key", "<u2", (n - 1,)), ("rows", "<u2", (2 * n,))])
+    return np.dtype([("key", "<u2", (n - 1,)), ("shifts", "<u2", (2,))])
 
 
 @contextmanager
@@ -179,7 +182,7 @@ def write_transversal_cache(path, transversal, seed) -> None:
         "samples": transversal.samples_used,
     }
     records = np.empty(len(transversal), record_dtype("transversal", transversal.n))
-    records["key"], records["rows"] = transversal.keys, transversal.rows
+    records["key"], records["shifts"] = transversal.keys, transversal.shifts
     write_cache(path, header, records)
 
 
@@ -189,7 +192,7 @@ def load_transversal_cache(path):
     header, records = read_cache(path)
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
-    return header, Transversal(header["n"], records["key"], records["rows"], header["samples"])
+    return header, Transversal(header["n"], records["key"], records["shifts"], header["samples"])
 
 
 def _first_bad_werner_record(records: np.ndarray, n: int):
@@ -206,14 +209,14 @@ def _first_bad_werner_record(records: np.ndarray, n: int):
 
 
 def verify_cache(path, sample: int = 100, seed: int = 0):
-    """Recompute derived data of sampled records; exact match required.
+    """Check a sample of records; every one must pass.
 
     Werner records: the stored coset histograms must equal those of the
     representative rebuilt from the stored case index, up to the order of the
     three non-base cosets, checked for all sampled records at once.
-    Transversal records: the stored representative must be symplectic and
-    its coset key the stored key, checked by `first_bad_record` as
-    `enumerate_stats` does.  Returns (ok, checked, message).
+    Transversal records: the stored key and shifts must pass
+    `first_bad_record`, the check `enumerate_stats` runs.  Returns (ok,
+    checked, message).
     """
     header, records = read_cache(path)
     n = header["n"]
@@ -223,7 +226,7 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     if header["mode"] == "transversal":
         from .transversal import first_bad_record
 
-        bad = first_bad_record(records["key"][idx], records["rows"][idx], n)
+        bad = first_bad_record(records["key"][idx], records["shifts"][idx], n)
     else:
         bad = _first_bad_werner_record(records[idx], n)
     if bad is not None:

@@ -235,9 +235,9 @@ def cmd_eval(args) -> int:
 
     state = _read_state(args.state)
     n = state.n
-    # an incomplete cache, or a record whose rows are not symplectic or not in
-    # the coset of its key, makes enumerate_stats raise; only a copy of the
-    # keys outlives it, so the record block of keys and rows is freed
+    # an incomplete cache, or a record whose key and shifts are not those of
+    # a coset, makes enumerate_stats raise; only a copy of the keys outlives
+    # it, so the record block of keys and shifts is freed
     keys, (p, f_num, fi_nums) = _load_cache(
         "transversal", args.cache, n, lambda t: (t.keys.copy(), enumerate_stats(t, state))
     )

@@ -117,7 +117,7 @@ def is_symplectic_rows(rows, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _top_bit(v: np.ndarray) -> np.ndarray:
+def top_bit(v: np.ndarray) -> np.ndarray:
     """The highest set bit of each entry, as a mask (0 for 0)."""
     for shift in (1, 2, 4, 8, 16, 32):
         v = v | (v >> shift)
@@ -170,7 +170,7 @@ def rref_rows(rows) -> np.ndarray:
     decreasing pivot order, then zeros, as a uint64 array of rows' shape;
     pivots are distinct highest bits, so sorting the rows gives that order.
     """
-    basis, _ = _eliminate(rows, _top_bit)
+    basis, _ = _eliminate(rows, top_bit)
     return np.flip(np.sort(basis, axis=-1), axis=-1)
 
 

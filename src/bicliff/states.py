@@ -6,14 +6,16 @@ the pillars.  The statistics split the pillar mass into the base coset (the
 kept pair's identity coefficient) and its three shifts by e_1, e_1+e_{n+1}
 and e_{n+1} (the X, Y and Z coefficients of the kept pair).
 
-Every statistic is read off one object, computed by `preimage_index` for
-any stack of protocol matrices: the preimage of the base under the protocol
-matrix M, plus the three shifts that carry it onto the preimages of the
-other cosets.  It needs no inverse, because for symplectic M the inverse is
-Omega M^T Omega, whose column j is row (j + n) mod 2n of M with its X- and
-Z-halves swapped.  The numeric sums, the Werner histograms, the DEJMPS step
-table and the Pauli weights of circuit synthesis all come from it; each
-per-matrix statistic is the one-row case of its batched form.
+Every statistic is read off one object, computed by `preimage_cosets`: the
+preimage of the base under the protocol matrix M, plus the three shifts that
+carry it onto the preimages of the other cosets.  It needs only the base
+preimage's basis and two shifts: a transversal record stores them, and
+`preimage_index` reads them off any stack of protocol matrices with no
+inverse, because for symplectic M the inverse is Omega M^T Omega, whose
+column j is row (j + n) mod 2n of M with its X- and Z-halves swapped.  The
+numeric sums, the Werner histograms, the DEJMPS step table and the Pauli
+weights of circuit synthesis all come from it; each per-matrix statistic is
+the one-row case of its batched form.
 
 Statistics come in two interchangeable modes: floating point for arbitrary
 Bell-diagonal inputs, and exact rational polynomials in the input fidelity F
@@ -165,21 +167,32 @@ class DistStats:
 def preimage_index(rows, n: int) -> np.ndarray:
     """Preimages of the base and of its three shifts under protocol matrices.
 
-    rows is a (..., 2n) array of row masks.  Entry [..., k, j] is the j-th
-    vector of the preimage of base coset k (order I, X, Y, Z), v0[j] ^
-    shifts[k], where v0 lists the base preimage, spanned by rows 1..n-1 with
-    their halves swapped, and shifts are (0, t1, t1 ^ t2, t2) for t1, t2 rows
-    n and 0 with their halves swapped.  No inverse is formed: column j of
-    M^-1 = Omega M^T Omega is swap_halves(rows[(j + n) % 2n]), so only rows
-    0..n are read.  The vectors keep the integer dtype of rows and index
-    state.probs directly.
+    rows is a (..., 2n) array of row masks.  This is `preimage_cosets` of the
+    base preimage basis, rows 1..n-1 with their halves swapped, and of the
+    shifts t1 and t2, rows n and 0 with their halves swapped.  No inverse is
+    formed: column j of M^-1 = Omega M^T Omega is
+    swap_halves(rows[(j + n) % 2n]), so only rows 0..n are read.
     """
     rows = np.asarray(rows)
-    v0 = np.zeros(rows.shape[:-1] + (1,), rows.dtype)
-    for k in range(1, n):
-        v0 = np.concatenate([v0, v0 ^ swap_halves(rows[..., k : k + 1], n)], axis=-1)
-    t1 = swap_halves(rows[..., n], n)
-    t2 = swap_halves(rows[..., 0], n)
+    return preimage_cosets(
+        swap_halves(rows[..., 1:n], n), swap_halves(rows[..., n], n), swap_halves(rows[..., 0], n)
+    )
+
+
+def preimage_cosets(basis, t1, t2) -> np.ndarray:
+    """The four cosets of span(basis) that a protocol's preimage splits into.
+
+    basis is a (..., n-1) array of the base preimage's basis vectors, t1 and
+    t2 (...) arrays of the X and Z shifts.  Entry [..., k, j] is the j-th
+    vector of the preimage of base coset k (order I, X, Y, Z), v0[j] ^
+    shifts[k], where v0 lists span(basis), the XOR of the subset of basis
+    rows given by the bits of j, and shifts are (0, t1, t1 ^ t2, t2).  The
+    vectors keep the integer dtype of the input and index state.probs
+    directly.
+    """
+    v0 = np.zeros(basis.shape[:-1] + (1,), basis.dtype)
+    for k in range(basis.shape[-1]):
+        v0 = np.concatenate([v0, v0 ^ basis[..., k : k + 1]], axis=-1)
     shifts = np.stack([np.zeros_like(t1), t1, t1 ^ t2, t2], axis=-1)
     return v0[..., None, :] ^ shifts[..., :, None]
 

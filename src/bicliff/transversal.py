@@ -1,18 +1,21 @@
 """Coupon-collector construction of a right-coset transversal.
 
 Random symplectic matrices are sampled until every coset key has been seen.
-The stored representative of each coset is not the sampled matrix but a
-canonical one completed deterministically from the key alone, so the final
-transversal is a pure function of n: identical for every seed, worker count
-and sampling order.  Sampling only discovers which keys exist.
+A coset's statistics depend only on its key K, the reduced basis of the
+base preimage, and on two shifts t1, t2 that split K^perp / K into the
+kept pair's I, X, Y and Z classes K, t1 + K, t1 + t2 + K and t2 + K.  The
+shifts are read off a canonical representative completed deterministically
+from the key alone, so the final transversal is a pure function of n:
+identical for every seed, worker count and sampling order.  Sampling only
+discovers which keys exist.
 
 Sampling, completion and statistics each run on whole arrays of matrices:
 a block of samples is one `random_symplectic_rows` call (each matrix drawn
 on the null basis of its constraints) and one `coset_keys` call, whose keys
 merge into one set as big-endian byte strings; all keys are completed
-together, and `enumerate_stats` sums every coset of every representative
-with one gather per chunk.  Keys and rows are uint16 masks, as in the cache,
-so n <= 8; a kernel that needs more bits widens one chunk at a time.
+together, and `enumerate_stats` sums every coset of every key with one
+gather per chunk.  Keys and shifts are uint16 masks, as in the cache, so
+n <= 8; a kernel that needs more bits widens one chunk at a time.
 """
 
 from __future__ import annotations
@@ -25,15 +28,15 @@ import numpy as np
 from .blocks import ordered_calls
 from .gf2 import (
     SymplecticMatrix,
-    is_symplectic_rows,
     least_null_vectors,
     least_solutions,
     random_symplectic_rows,
     swap_halves,
+    top_bit,
 )
 from .groups import coset_keys
 from .orders import dn_index
-from .states import BellDiagonalState, preimage_index
+from .states import BellDiagonalState, preimage_cosets
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
 from .gf2 import random_symplectic  # noqa: F401
@@ -60,16 +63,17 @@ def __getattr__(name: str):
 
 @dataclass(eq=False)
 class Transversal:
-    """One canonical representative per right coset of the distillation subgroup.
+    """The right cosets of the distillation subgroup, each by its key and shifts.
 
     keys is a (C, n-1) uint16 array of coset keys in ascending (lexicographic)
-    order and rows the matching (C, 2n) uint16 array of representative row
-    masks.  It is complete when it holds all `dn_index(n)` cosets.
+    order and shifts the matching (C, 2) uint16 array of each coset's X and Z
+    shifts (t1, t2): rows n and 0 of its canonical representative with their
+    halves swapped.  It is complete when it holds all `dn_index(n)` cosets.
     """
 
     n: int
     keys: np.ndarray
-    rows: np.ndarray
+    shifts: np.ndarray
     samples_used: int
 
     @property
@@ -170,49 +174,89 @@ def build_transversal(
     count = len(keys)
     keys = b"".join(sorted(keys))  # the set goes before the key array is built
     keys = np.frombuffer(keys, ">u2").reshape(count, n - 1).astype(np.uint16)
-    return Transversal(n, keys, representative_rows(keys, n), samples)
+    shifts = swap_halves(representative_rows(keys, n)[:, [n, 0]], n)
+    return Transversal(n, keys, shifts, samples)
 
 
-def first_bad_record(keys: np.ndarray, rows: np.ndarray, n: int):
-    """(index, problem) of the first record that is not a sound representative.
+def first_bad_record(keys: np.ndarray, shifts: np.ndarray, n: int):
+    """(index, problem) of the first record whose key and shifts are not a coset's.
 
-    A record is sound when its rows are symplectic and its key equals their
-    `coset_keys`; a record failing both is reported as not symplectic.
-    Returns None when every record is sound.
+    A record is sound when every mask has at most 2n bits, its key rows are
+    a reduced echelon basis (each nonzero, top-bit pivots strictly
+    decreasing, each pivot set in its own row only), and, under the
+    symplectic inner product, the key rows are pairwise orthogonal, both
+    shifts are orthogonal to every key row and <t1, t2> = 1.  Then K =
+    span(key) is isotropic of dimension n-1 and K, t1 + K, t1 + t2 + K and
+    t2 + K are the four classes of K^perp / K, as for a symplectic matrix
+    in the coset of K.  A record failing several tests is reported by the
+    first in that order.  Returns None when every record is sound.
+
+    Each test runs on whole columns, in the masks' own dtype.
     """
-    for lo in range(0, len(keys), CHUNK):
-        part = rows[lo : lo + CHUNK]
-        symplectic = is_symplectic_rows(part, n)
-        in_coset = (coset_keys(part, n) == keys[lo : lo + CHUNK]).all(axis=1)
-        bad = np.flatnonzero(~(symplectic & in_coset))
-        if bad.size:
-            i = int(bad[0])
-            problem = "coset key mismatch" if symplectic[i] else "representative is not symplectic"
-            return lo + i, problem
-    return None
+    m = n - 1
+    words = [*keys.T, *shifts.T]  # key rows 0..m-1, then t1 and t2
+    swapped = [swap_halves(w, n) for w in words]
+    pivots = [top_bit(w) for w in words[:m]]
+
+    def any_odd(pairs):
+        """Whether <words[i], words[j]> = 1 for any of the pairs (i, j)."""
+        out = np.zeros(len(keys), bool)
+        for i, j in pairs:
+            out |= (np.bitwise_count(words[i] & swapped[j]) & 1).view(bool)
+        return out
+
+    wide, reduced = np.zeros(len(keys), bool), np.ones(len(keys), bool)
+    for w in words:
+        wide |= w >> n >> n != 0  # two shifts: at n = 8 one would span a uint16
+    for i, p in enumerate(pivots):
+        if i:
+            reduced &= p < pivots[i - 1]
+        reduced &= sum(w & p != 0 for w in words[:m]) == 1
+    problems = (
+        wide,
+        ~reduced,
+        any_odd((i, j) for j in range(m) for i in range(j)),
+        any_odd((i, j) for i in range(m) for j in (m, m + 1)),
+        ~any_odd([(m, m + 1)]),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce(problems))
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    return i, next(p for p, failed in zip(_PROBLEMS, problems) if failed[i])
+
+
+_PROBLEMS = (
+    "mask wider than 2n bits",
+    "key is not a reduced echelon basis",
+    "key is not isotropic",
+    "shift not orthogonal to the coset key",
+    "shifts do not anticommute",
+)
 
 
 def enumerate_stats(t: Transversal, state: BellDiagonalState) -> tuple:
-    """Numeric statistics of every coset representative on the given state.
+    """Numeric statistics of every coset on the given state.
 
     Returns float64 columns (p_suc, f_num, fi_nums) in key order, fi_nums of
     shape (C, 3): the values `DistStats.from_coset_sums` gives, bit for bit,
-    and so those of `numeric_stats`.  Raises ValueError if the transversal is
-    incomplete, or if a representative is not symplectic or does not lie in
-    the coset its key names.
+    and so those of `numeric_stats` of the canonical representative.  Raises
+    ValueError if the transversal is incomplete, or if a record's key and
+    shifts fail `first_bad_record`.
     """
     if not t.complete:
         raise ValueError(f"transversal is incomplete ({len(t)}/{t.target_size} cosets)")
     if state.n != t.n:
         raise ValueError("state and transversal pair counts differ")
     n = t.n
-    bad = first_bad_record(t.keys, t.rows, n)
+    bad = first_bad_record(t.keys, t.shifts, n)
     if bad is not None:
         i, problem = bad
         raise ValueError(f"coset {t.keys[i].tolist()}: {problem}")
     sums = np.empty((len(t), 4))
     for lo in range(0, len(t), CHUNK):
-        sums[lo : lo + CHUNK] = state.probs[preimage_index(t.rows[lo : lo + CHUNK], n)].sum(axis=-1)
+        t1, t2 = t.shifts[lo : lo + CHUNK].T
+        sums[lo : lo + CHUNK] = state.probs[preimage_cosets(t.keys[lo : lo + CHUNK], t1, t2)].sum(axis=-1)
     s0, s1, s2, s3 = sums.T
     p_suc = ((s0 + s1) + s2) + s3
     # the order of from_coset_sums: a left-to-right sum, and X/Y/Z sorted by

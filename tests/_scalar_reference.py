@@ -37,6 +37,7 @@ from bicliff.gf2 import (
     S,
     SymplecticMatrix,
     swap_halves,
+    symplectic_inner,
 )
 from bicliff.groups import GeneratorSet
 from bicliff.orders import check_pair_count, dn_index
@@ -497,18 +498,37 @@ def enumerated_coset_keys(n: int) -> np.ndarray:
     return keys[np.lexsort(keys.T[::-1])]
 
 
-def enumerate_stats(t, state) -> list:
-    """(key, DistStats) of every coset representative, one matrix at a time."""
+def enumerate_stats(t, reps, state) -> list:
+    """(key, DistStats) of every coset, one matrix at a time: reps holds the
+    row masks of a representative of each coset of t, in key order."""
     if not t.complete:
         raise ValueError("transversal is incomplete")
     entries = []
-    for key, rows in zip(map(tuple, t.keys.tolist()), t.rows.tolist()):
+    for key, rows in zip(map(tuple, t.keys.tolist()), reps.tolist()):
         m = SymplecticMatrix(t.n, rows)
         st = numeric_stats(m, state)  # raises if m is not symplectic
         if coset_key(m) != key:
             raise ValueError(f"coset key {list(key)} does not match its representative's")
         entries.append((key, st))
     return entries
+
+
+def coset_record_is_sound(key, shifts, n: int) -> bool:
+    """Whether a transversal record's key masks and shifts (t1, t2) are a coset's.
+
+    Every mask must be a vector of F2^2n, the key its own reduced basis
+    (`rref`) of n-1 rows, and the key rows, t1 and t2 pairwise orthogonal
+    except <t1, t2> = 1.
+    """
+    key, (t1, t2) = tuple(key), shifts
+    if any(v >> (2 * n) for v in (*key, t1, t2)) or len(key) != n - 1 or rref(key) != key:
+        return False
+    vectors = (*key, t1, t2)
+    return all(
+        symplectic_inner(vectors[i], vectors[j], n) == ((i, j) == (n - 1, n))
+        for j in range(len(vectors))
+        for i in range(j)
+    )
 
 
 def pareto_envelope(entries) -> list:

@@ -179,54 +179,83 @@ def test_werner_record_is_index_and_histograms(cache_dir, protocols_for):
     assert records["index"].tolist() == [p.case_index for p in protocols_for(3)]
 
 
-def test_format_1_transversal_cache_rejected(tmp_path, capsys):
-    # version 1 held one JSON record per coset
+def _v2_transversal_file(path, t):
+    """A transversal cache as version 2 stored it: each record the key, then
+    the 2n rows of the coset's canonical representative."""
+    n = t.n
+    header = {"mode": "transversal", "n": n, "count": len(t), "complete": t.complete,
+              "seed": 0, "samples": t.samples_used, "format_version": 2}
+    records = np.empty(len(t), [("key", "<u2", (n - 1,)), ("rows", "<u2", (2 * n,))])
+    records["key"], records["rows"] = t.keys, transversal.representative_rows(t.keys, n)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + records.tobytes())
+
+
+def test_format_1_transversal_cache_rejected(tmp_path, capsys, transversal_for):
+    # version 1 held one JSON record per coset, version 2 the key and the 2n
+    # representative rows in one binary block
     path = tmp_path / "transversal_n2.bcp"
     header = {"mode": "transversal", "n": 2, "count": 1, "complete": False,
               "seed": 0, "samples": 16}
-    _json_record_file(path, header, [{"key": [1], "rows": [1, 2, 4, 8]}])
-    for reader in (read_cache, load_transversal_cache, verify_cache):
-        with pytest.raises(ValueError, match="transversal cache version 1"):
-            reader(path)
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
-    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "unsupported transversal cache version 1" in captured.err
-    assert "rebuild it with: bicliff transversal --n 2" in captured.err
+    for version in (1, 2):
+        if version == 1:
+            _json_record_file(path, header, [{"key": [1], "rows": [1, 2, 4, 8]}])
+        else:
+            _v2_transversal_file(path, transversal_for(2))
+        bad = path.read_bytes()
+        for reader in (read_cache, load_transversal_cache, verify_cache):
+            with pytest.raises(ValueError, match=f"unsupported transversal cache version {version}"):
+                reader(path)
+        for args, rebuild in (
+            (["eval", str(state), "--cache", str(tmp_path)], f"bicliff transversal --n 2 --cache {tmp_path}"),
+            (["verify", str(path)], "bicliff werner or bicliff transversal"),
+        ):
+            code = run_cli(args)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == (
+                f"error: bad cache file {path}: unsupported transversal cache version {version}; "
+                f"rebuild it with: {rebuild}\n"
+            )
+        assert path.read_bytes() == bad  # no reader rewrites a stale cache
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_transversal_cache_format_2_roundtrip(tmp_path, transversal_for, n):
+    # format 2 made the transversal one binary block; format 3 keeps it
     t = transversal_for(n)
     path = tmp_path / f"transversal_n{n}.bcp"
     write_transversal_cache(path, t, seed=0)
     header, loaded = load_transversal_cache(path)
-    assert header["format_version"] == 2 and header["count"] == len(t) == len(loaded)
+    assert header["format_version"] == 3 and header["count"] == len(t) == len(loaded)
     assert loaded.n == n and loaded.complete and loaded.samples_used == t.samples_used
     # views of the record block, with no widened copy
-    assert loaded.keys.dtype == loaded.rows.dtype == np.uint16
-    block = loaded.keys.base
-    assert block.dtype.names == ("key", "rows") and loaded.rows.base is block
-    assert np.shares_memory(loaded.rows, block)
-    assert n == 1 or np.shares_memory(loaded.keys, block)  # n = 1 keys hold no bytes
-    assert np.array_equal(loaded.keys, t.keys) and np.array_equal(loaded.rows, t.rows)
-    # the body is count x (3n - 1) little-endian uint16, keys before rows
+    assert loaded.keys.dtype == loaded.shifts.dtype == np.uint16
+    block = loaded.shifts.base
+    assert block.dtype.names == ("key", "shifts") and np.shares_memory(loaded.shifts, block)
+    assert n == 1 or loaded.keys.base is block  # n = 1 keys hold no bytes
+    assert np.array_equal(loaded.keys, t.keys) and np.array_equal(loaded.shifts, t.shifts)
+    # the body is count x (n + 1) little-endian uint16, keys before shifts,
+    # right after the header
     data = path.read_bytes()
-    body = np.frombuffer(data[len(data) - len(t) * (3 * n - 1) * 2 :], "<u2")
-    assert body.reshape(len(t), 3 * n - 1).tolist() == np.hstack([t.keys, t.rows]).tolist()
+    header_end = data.index(b"}") + 1
+    assert len(data) == header_end + len(t) * 2 * (n + 1)
+    assert n != 4 or len(data) == 114_862
+    body = np.frombuffer(data[header_end:], "<u2")
+    assert body.reshape(len(t), n + 1).tolist() == np.hstack([t.keys, t.shifts]).tolist()
 
 
 @pytest.mark.parametrize("count", [0, 1])
 def test_transversal_cache_of_nine_pairs_rejected(tmp_path, capsys, count):
     # 2n = 18 bits do not fit the uint16 masks; one record is laid out as
-    # uint32 masks were, 26 of them
+    # uint32 masks would be, n - 1 key masks and 2 shifts
     path = tmp_path / "transversal_n9.bcp"
     header = {"mode": "transversal", "n": 9, "count": count, "complete": False,
-              "seed": 0, "samples": count, "format_version": 2}
+              "seed": 0, "samples": count, "format_version": 3}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + bytes(count * 26 * 4))
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + bytes(count * 10 * 4))
     for reader in (read_cache, load_transversal_cache, verify_cache):
         with pytest.raises(ValueError, match="a transversal holds at most 8 pairs, not n=9"):
             reader(path)
@@ -258,7 +287,7 @@ def test_cli_eval_rejects_partial_transversal_marked_complete(transversal_for, t
 
 
 def _corrupt_transversal(kind, good, path):
-    """Write a format-2 transversal cache damaged in one way to `path`."""
+    """Write a transversal cache of the current format damaged in one way to `path`."""
     from bicliff.cache import write_cache
 
     data = good.read_bytes()
@@ -372,7 +401,7 @@ def test_transversal_cache_roundtrip(cache_dir, transversal_for):
     header, t = load_transversal_cache(cache_dir / "transversal_n2.bcp")
     assert header["complete"] and t.complete
     assert np.array_equal(t.keys, transversal_for(2).keys)
-    assert np.array_equal(t.rows, transversal_for(2).rows)
+    assert np.array_equal(t.shifts, transversal_for(2).shifts)
 
 
 def test_verify_cache_ok(cache_dir):
@@ -398,20 +427,24 @@ def test_verify_cache_detects_corruption(cache_dir, tmp_path):
     assert not ok and "mismatch" in message
 
 
-def test_verify_cache_rejects_non_symplectic_rows(cache_dir, tmp_path):
-    # the statistics read only rows 0..n, so a flipped bit in the last row
-    # leaves them intact; only the symplectic check sees it
+def test_verify_cache_rejects_commuting_shifts(cache_dir, tmp_path, capsys):
+    # both shifts of the last record are t1: orthogonal to the key, but they
+    # no longer split K^perp / K into four classes
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "transversal_n2.bcp")
     header.pop("format_version")
     records = records.copy()
-    records["rows"][-1, -1] ^= 1
+    records["shifts"][-1, 1] = records["shifts"][-1, 0]
     bad = tmp_path / "transversal_n2.bcp"
     write_cache(bad, header, records)
     ok, checked, message = verify_cache(bad, sample=15)
-    assert not ok and message == "record 14: representative is not symplectic"
+    assert not ok and message == "record 14: shifts do not anticommute"
     assert checked == 14
+    code = run_cli(["verify", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out == "checked=14 ok=0 record 14: shifts do not anticommute\n"
 
 
 @pytest.mark.parametrize("sample, result", [
@@ -506,13 +539,14 @@ def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path):
 
     header, records = read_cache(cache_dir / "transversal_n2.bcp")
     records = records.copy()
-    records["rows"][[6, 7]] = records["rows"][[7, 6]]
+    records["shifts"][[6, 7]] = records["shifts"][[7, 6]]
     bad = tmp_path / "transversal_n2.bcp"
     write_cache(bad, header, records)
-    assert verify_cache(bad, sample=100) == (False, 6, "record 6: coset key mismatch")
+    problem = "shift not orthogonal to the coset key"
+    assert verify_cache(bad, sample=100) == (False, 6, f"record 6: {problem}")
     # a sample keeps the records' own indices: seed 0 draws records 3, 4, 6, 7, 9
     assert sorted(np.random.default_rng(0).choice(15, size=5, replace=False)) == [3, 4, 6, 7, 9]
-    assert verify_cache(bad, sample=5) == (False, 2, "record 6: coset key mismatch")
+    assert verify_cache(bad, sample=5) == (False, 2, f"record 6: {problem}")
 
 
 def test_write_cache_is_atomic(cache_dir, tmp_path):
@@ -577,7 +611,7 @@ def test_reading_a_cache_holds_one_copy_of_its_body(tmp_path, transversal_for):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert records.nbytes == 11475 * 22
+    assert records.nbytes == 11475 * 10
     assert peak < 1.5 * records.nbytes, peak
 
 
@@ -1283,7 +1317,7 @@ def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, caps
 
 @pytest.mark.parametrize("kind, n, message", [
     ("incomplete", 3, "incomplete"),
-    ("non-symplectic rows", 2, "not symplectic"),
+    ("commuting shifts", 2, "shifts do not anticommute"),
     ("swapped keys", 2, "coset key"),
 ])
 def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, kind, n, message):
@@ -1295,12 +1329,11 @@ def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, ki
     else:
         header, records = read_cache(cache_dir / "transversal_n2.bcp")
         records = records.copy()
-        if kind == "non-symplectic rows":
-            # row 2n-1 takes no part in the coset key or the statistics
-            records["rows"][-1, -1] ^= 1
+        if kind == "commuting shifts":
+            records["shifts"][-1, 1] = records["shifts"][-1, 0]
         else:
-            # the keys must stay ascending, so the representatives swap
-            records["rows"][[0, 1]] = records["rows"][[1, 0]]
+            # the keys must stay ascending, so the shifts swap
+            records["shifts"][[0, 1]] = records["shifts"][[1, 0]]
         write_cache(path, header, records)
     capsys.readouterr()
     state = tmp_path / "state.json"

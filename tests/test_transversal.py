@@ -10,7 +10,7 @@ from bicliff.gf2 import SymplecticMatrix, gate_matrix, is_symplectic, random_sym
 from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves
 from bicliff.groups import bfs_closure, coset_key, coset_keys
 from bicliff.orders import dn_index
-from bicliff.states import BellDiagonalState, DistStats, werner_keys
+from bicliff.states import BellDiagonalState, DistStats, preimage_cosets, preimage_index, werner_keys
 from bicliff.transversal import (
     SAMPLE_BLOCK,
     Transversal,
@@ -28,21 +28,28 @@ from _scalar_reference import dejmps_step, enumerate_cases, kn_generators, werne
 
 
 def _reps(t):
-    """(key tuple, SymplecticMatrix) of each coset, in key order."""
+    """(key tuple, SymplecticMatrix) of each coset, in key order: the canonical
+    representative completed from the key."""
     return [
         (tuple(key), SymplecticMatrix(t.n, rows))
-        for key, rows in zip(t.keys.tolist(), t.rows.tolist())
+        for key, rows in zip(t.keys.tolist(), representative_rows(t.keys, t.n).tolist())
     ]
 
 
+def _scalar_shifts(keys, n: int) -> list:
+    """(t1, t2) of each key: rows n and 0 of the scalar completion, halves swapped."""
+    reps = (scalar.representative_from_key(tuple(key), n).rows for key in keys.tolist())
+    return [[swap_halves(rows[n], n), swap_halves(rows[0], n)] for rows in reps]
+
+
 def _same(a, b) -> bool:
-    return np.array_equal(a.keys, b.keys) and np.array_equal(a.rows, b.rows)
+    return np.array_equal(a.keys, b.keys) and np.array_equal(a.shifts, b.shifts)
 
 
 def test_representative_from_key_roundtrip(transversal_for):
     t = transversal_for(3)
-    assert t.keys.dtype == t.rows.dtype == np.uint16
-    assert t.keys.shape == (315, 2) and t.rows.shape == (315, 6)
+    assert t.keys.dtype == t.shifts.dtype == np.uint16
+    assert t.keys.shape == (315, 2) and t.shifts.shape == (315, 2)
     for key, rep in _reps(t):
         assert is_symplectic(rep)
         assert coset_key(rep) == key
@@ -60,6 +67,7 @@ def test_representatives_match_scalar_completion(transversal_for):
         assert len(t) == dn_index(n)
         for key, rep in _reps(t):
             assert rep == scalar.representative_from_key(key, n)
+        assert t.shifts.tolist() == _scalar_shifts(t.keys, n)
     keys = _n5_keys()
     rows = representative_rows(np.array(keys, dtype=np.uint64), 5)
     assert [tuple(r) for r in rows.tolist()] == [
@@ -81,7 +89,7 @@ def test_build_transversal_matches_scalar_sampler(max_samples, jobs):
         keys, samples = scalar.transversal_keys(n, 1, max_samples)
         assert [key for key, _ in _reps(t)] == sorted(keys) and t.samples_used == samples
         assert t.complete == (len(keys) == dn_index(n))
-        assert all(rep == scalar.representative_from_key(k, n) for k, rep in _reps(t))
+        assert t.shifts.tolist() == _scalar_shifts(t.keys, n)
 
 
 def test_completeness_small(transversal_for):
@@ -171,7 +179,7 @@ def test_transversal_n4_batched_histograms_match_werner_classes(transversal_for,
     # classes of the canonical-triple enumeration, none more or fewer
     from bicliff.states import coset_histograms, counts_key
 
-    histograms = coset_histograms(transversal_for(4).rows, 4).tolist()
+    histograms = coset_histograms(representative_rows(transversal_for(4).keys, 4), 4).tolist()
     tset = {counts_key(tuple(map(tuple, h))) for h in histograms}
     wset = {counts_key(p.counts) for p in protocols_for(4)}
     assert len(tset) == len(wset) == 13
@@ -278,7 +286,7 @@ def test_double_cosets_from_keys(transversal_for, protocols_for, n, count):
     labels = _double_coset_labels(t, _small_generators(n))
     classes = np.unique(labels)
     assert len(classes) == count == len(protocols_for(n))
-    stats = werner_keys(t.rows, n)
+    stats = werner_keys(representative_rows(t.keys, n), n)
     assert (stats == stats[labels]).all()
     assert len(np.unique(stats, axis=0)) == count
     assert np.array_equal(_reached(labels, t.keys, n), classes)
@@ -362,18 +370,20 @@ _SAMPLED: dict = {}
 
 
 def _sampled_transversal(n, transversal_for):
-    """The whole transversal for n <= 3; 2,000 of its cosets for n = 4, 5."""
+    """(transversal, representative rows): the whole transversal for n <= 3,
+    2,000 of its cosets for n = 4, 5."""
     if n not in _SAMPLED:
         if n <= 4:
             t = transversal_for(n)
             step = max(1, len(t) // 2000)
-            keys, rows = t.keys[::step], t.rows[::step]
+            keys, shifts = t.keys[::step], t.shifts[::step]
+            rows = representative_rows(keys, n)
         else:
             keys = np.array(_n5_keys(), dtype=np.uint64)
             rows = representative_rows(keys, n)
-        _SAMPLED[n] = _Sample(n, keys, rows, 0)
+            shifts = swap_halves(rows[:, [n, 0]], n)
+        _SAMPLED[n] = _Sample(n, keys, shifts, 0), rows
     return _SAMPLED[n]
-
 
 
 @st.composite
@@ -400,13 +410,20 @@ def _bits(p_suc, f_num, fi_nums):
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(data=st.data())
 def test_enumerate_stats_bit_equal_to_numeric_stats(transversal_for, n, data):
-    t = _sampled_transversal(n, transversal_for)
+    t, reps = _sampled_transversal(n, transversal_for)
     state = data.draw(_states(n))
     p_suc, f_num, fi_nums = enumerate_stats(t, state)
-    want = scalar.enumerate_stats(t, state)  # numeric_stats of each representative
+    want = scalar.enumerate_stats(t, reps, state)  # numeric_stats of each representative
     assert [_bits(*row) for row in zip(p_suc.tolist(), f_num.tolist(), fi_nums.tolist())] == [
         _bits(s.p_suc, s.f_num, s.fi_nums) for _, s in want
     ]
+
+
+def _flip(keys, shifts, record, word, bit) -> None:
+    """Flip one bit of a record's word, in place: words 0..n-2 are the key
+    rows, n-1 and n the shifts t1 and t2."""
+    masks, j = (keys, word) if word < keys.shape[1] else (shifts, word - keys.shape[1])
+    masks[record, j] ^= 1 << bit
 
 
 def _stats_or_error(t, state):
@@ -421,13 +438,81 @@ def _stats_or_error(t, state):
 @given(data=st.data())
 def test_uint16_and_uint64_transversals_agree(transversal_for, n, data):
     t = transversal_for(n)
-    assert t.keys.dtype == t.rows.dtype == np.uint16
-    keys, rows = t.keys.copy(), t.rows.copy()
-    if data.draw(st.booleans()):  # one flipped row bit: a record goes bad
-        record = data.draw(st.integers(0, len(t) - 1))
-        rows[record, data.draw(st.integers(0, 2 * n - 1))] ^= 1 << data.draw(st.integers(0, 2 * n - 1))
-    narrow = Transversal(n, keys, rows, t.samples_used)
-    wide = Transversal(n, keys.astype(np.uint64), rows.astype(np.uint64), t.samples_used)
-    assert first_bad_record(narrow.keys, narrow.rows, n) == first_bad_record(wide.keys, wide.rows, n)
+    assert t.keys.dtype == t.shifts.dtype == np.uint16
+    keys, shifts = t.keys.copy(), t.shifts.copy()
+    if data.draw(st.booleans()):  # one flipped key or shift bit: a record may go bad
+        record, word = data.draw(st.integers(0, len(t) - 1)), data.draw(st.integers(0, n))
+        _flip(keys, shifts, record, word, data.draw(st.integers(0, 15)))
+    narrow = Transversal(n, keys, shifts, t.samples_used)
+    wide = Transversal(n, keys.astype(np.uint64), shifts.astype(np.uint64), t.samples_used)
+    assert first_bad_record(narrow.keys, narrow.shifts, n) == first_bad_record(wide.keys, wide.shifts, n)
     state = data.draw(_states(n))
     assert _stats_or_error(narrow, state) == _stats_or_error(wide, state)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_first_bad_record_flags_exactly_the_unsound_bit_flips(transversal_for, n):
+    # every single-bit flip of every key and shift word of sampled records:
+    # flagged exactly when the scalar oracle calls the record unsound
+    t = transversal_for(n)
+    picks = np.random.default_rng(n).choice(len(t), size=min(len(t), 40), replace=False)
+    flagged = sound = 0
+    for i in picks.tolist():
+        key, shifts = t.keys[i : i + 1], t.shifts[i : i + 1]
+        assert first_bad_record(key, shifts, n) is None
+        assert scalar.coset_record_is_sound(key[0].tolist(), shifts[0].tolist(), n)
+        for word in range(n + 1):
+            for bit in range(16):
+                k, s = key.copy(), shifts.copy()
+                _flip(k, s, 0, word, bit)
+                ok = scalar.coset_record_is_sound(k[0].tolist(), s[0].tolist(), n)
+                bad = first_bad_record(k, s, n)
+                assert (bad is None) == ok, (i, word, bit, bad)
+                flagged += bad is not None
+                sound += ok
+    # both kinds occur: t1 + e stays an X shift when e is orthogonal to K and t2
+    assert flagged and sound
+
+
+# n = 3 masks: bit i is pair i+1's X, bit 3 + i its Z
+_X1, _X2, _X3, _Z1, _Z2, _Z3 = (1 << i for i in range(6))
+
+
+@pytest.mark.parametrize("key, shifts, problem", [
+    ((_Z3, _Z2), (_X1, _Z1), None),  # the identity's coset
+    ((_Z3 | 1 << 6, _Z2), (_X1, _Z1), "mask wider than 2n bits"),
+    ((_Z3, _Z2), (_X1, _Z1 | 1 << 15), "mask wider than 2n bits"),
+    ((_Z3 | 1 << 6, _X3), (_X1, _Z1), "mask wider than 2n bits"),  # first problem wins
+    ((_Z3, 0), (_X1, _Z1), "key is not a reduced echelon basis"),
+    ((_Z2, _Z3), (_X1, _Z1), "key is not a reduced echelon basis"),
+    ((_Z3, _Z3 | _Z2), (_X1, _Z1), "key is not a reduced echelon basis"),
+    ((_Z3, _X3), (_X1, _Z1), "key is not isotropic"),
+    ((_Z3, _Z2), (_X1 | _X2, _Z1), "shift not orthogonal to the coset key"),
+    ((_Z3, _Z2), (_X1, 0), "shifts do not anticommute"),
+])
+def test_first_bad_record_names_each_problem(key, shifts, problem):
+    keys = np.array([(_Z3, _Z2), key], np.uint16)
+    both = np.array([(_X1, _Z1), shifts], np.uint16)
+    assert scalar.coset_record_is_sound(key, shifts, 3) == (problem is None)
+    assert first_bad_record(keys, both, 3) == (None if problem is None else (1, problem))
+
+
+def test_keys_and_shifts_give_the_full_rows_sums_at_n5():
+    # 20,000 of the 782,595 n = 5 cosets with no sampled build: the key and the
+    # two shifts read off the completed rows give the sums of the full rows,
+    # bit for bit and in the same summation order
+    keys = scalar.enumerated_coset_keys(5)[::39][:20_000].astype(np.uint16)
+    assert len(keys) == 20_000
+    rows = representative_rows(keys, 5)
+    assert np.array_equal(swap_halves(rows[:, 1:5], 5), keys)
+    shifts = swap_halves(rows[:, [5, 0]], 5)
+    assert first_bad_record(keys, shifts, 5) is None
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        state = BellDiagonalState.from_pairs(rng.dirichlet([8, 1, 1, 1], size=5))
+        want = state.probs[preimage_index(rows, 5)].sum(axis=-1)
+        got = state.probs[preimage_cosets(keys, shifts[:, 0], shifts[:, 1])].sum(axis=-1)
+        assert got.tobytes() == want.tobytes()
+        p_suc, f_num, _ = enumerate_stats(_Sample(5, keys, shifts, 0), state)
+        assert f_num.tobytes() == want[:, 0].tobytes()
+        assert p_suc.tobytes() == (((want[:, 0] + want[:, 1]) + want[:, 2]) + want[:, 3]).tobytes()
