@@ -1317,7 +1317,7 @@ def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, caps
 
 @pytest.mark.parametrize("kind, n, message", [
     ("incomplete", 3, "incomplete"),
-    ("commuting shifts", 2, "shifts do not anticommute"),
+    pytest.param("commuting shifts", 2, "shifts do not anticommute", id="commuting shifts"),
     ("swapped keys", 2, "coset key"),
 ])
 def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, kind, n, message):
