@@ -2,8 +2,9 @@
 
 One representative per coset of the statistics-preserving subgroup is enough
 to see every achievable (success probability, output fidelity) pair.  The
-transversal is built by coupon-collector sampling of coset keys; the stored
-representatives are canonical, so the result is the same for every seed.
+transversal is built by coupon-collector sampling of coset keys; each
+coset's representative is completed canonically from its key, so the result
+is the same for every seed.
 """
 
 import numpy as np

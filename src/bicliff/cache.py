@@ -7,10 +7,11 @@ the exact statistics, in ascending index order.  The index is the case's
 position when cases run over (a, b) ascending, then graph class ascending,
 as `werner.case_at` decodes it, so a new order needs a new format version;
 the case and its representative follow from it.  A transversal
-record holds the n-1 key masks, then the coset's two shift masks, one record
-per coset in ascending key order, each a uint16 (so n <= 8), and a loaded
-transversal's keys and shifts are views of them.  Each mode has its own
-format version.  Verification takes a sample of records and checks them:
+record is the coset key alone, its n-1 masks each a uint16 (so n <= 8), one
+record per coset in ascending key order; a loaded transversal's keys are a
+view of them, and the shifts are completed from the keys when used.  At
+n = 1 the one key is empty and the body holds no bytes.  Each mode has its
+own format version.  Verification takes a sample of records and checks them:
 Werner records against their recomputed histograms, transversal records by
 `transversal.first_bad_record`, the check `eval` runs on every record.  Each
 function imports `werner`, or `transversal` and `groups`, only for the mode
@@ -39,10 +40,10 @@ MAGIC = b"BCPC\x01"
 # polynomials), are fixed-width since version 3 (before: one JSON record
 # each) and hold only the case index and histograms since version 4 (before:
 # also the case and the representative rows); a transversal is one binary
-# block since version 2 (before: one JSON record per coset) and holds each
-# coset's key and two shifts since version 3 (before: the key and the 2n
-# representative rows).
-FORMAT_VERSIONS = {"werner": 4, "transversal": 3}
+# block since version 2 (before: one JSON record per coset), held each
+# coset's key and two shifts at version 3 (version 2: the key and the 2n
+# representative rows) and holds the key alone since version 4.
+FORMAT_VERSIONS = {"werner": 4, "transversal": 4}
 
 
 def record_dtype(mode: str, n: int) -> np.dtype:
@@ -54,7 +55,7 @@ def record_dtype(mode: str, n: int) -> np.dtype:
 
     if n > MAX_TRANSVERSAL_PAIRS:
         raise ValueError(f"a transversal holds at most {MAX_TRANSVERSAL_PAIRS} pairs, not n={n}")
-    return np.dtype([("key", "<u2", (n - 1,)), ("shifts", "<u2", (2,))])
+    return np.dtype([("key", "<u2", (n - 1,))])
 
 
 @contextmanager
@@ -89,12 +90,15 @@ def write_cache(path, header: dict, records: np.ndarray) -> None:
 
 
 def _strictly_ascending(keys: np.ndarray) -> bool:
-    """Whether each key row is lexicographically greater than the one before."""
+    """Whether each key row is lexicographically greater than the one before.
+
+    The columns run from last to first, so one flag per row pair holds its
+    order on the columns seen so far, and each step makes one temporary.
+    """
     greater = np.zeros(max(len(keys) - 1, 0), bool)
-    equal = ~greater
-    for column in keys.T:
-        greater |= equal & (column[1:] > column[:-1])
-        equal &= column[1:] == column[:-1]
+    for column in keys.T[::-1]:
+        greater &= column[1:] == column[:-1]
+        greater |= column[1:] > column[:-1]
     return bool(greater.all())
 
 
@@ -133,7 +137,8 @@ def read_cache(path):
                 f"{mode} body of {length} bytes does not hold {count} records "
                 f"of {dtype.itemsize} bytes"
             )
-        records = np.frombuffer(_read_exact(fh, length), dtype)
+        # with a count: frombuffer cannot count the zero-width records of n = 1
+        records = np.frombuffer(_read_exact(fh, length), dtype, count=count)
     if mode == "transversal":
         if not _strictly_ascending(records["key"]):
             raise ValueError("transversal keys are not strictly ascending")
@@ -182,7 +187,7 @@ def write_transversal_cache(path, transversal, seed) -> None:
         "samples": transversal.samples_used,
     }
     records = np.empty(len(transversal), record_dtype("transversal", transversal.n))
-    records["key"], records["shifts"] = transversal.keys, transversal.shifts
+    records["key"] = transversal.keys
     write_cache(path, header, records)
 
 
@@ -192,7 +197,7 @@ def load_transversal_cache(path):
     header, records = read_cache(path)
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
-    return header, Transversal(header["n"], records["key"], records["shifts"], header["samples"])
+    return header, Transversal(header["n"], records["key"], header["samples"])
 
 
 def _first_bad_werner_record(records: np.ndarray, n: int):
@@ -214,9 +219,8 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     Werner records: the stored coset histograms must equal those of the
     representative rebuilt from the stored case index, up to the order of the
     three non-base cosets, checked for all sampled records at once.
-    Transversal records: the stored key and shifts must pass
-    `first_bad_record`, the check `enumerate_stats` runs.  Returns (ok,
-    checked, message).
+    Transversal records: the stored key must pass `first_bad_record`, the
+    check `enumerate_stats` runs.  Returns (ok, checked, message).
     """
     header, records = read_cache(path)
     n = header["n"]
@@ -226,7 +230,7 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     if header["mode"] == "transversal":
         from .transversal import first_bad_record
 
-        bad = first_bad_record(records["key"][idx], records["shifts"][idx], n)
+        bad = first_bad_record(records["key"][idx], n)
     else:
         bad = _first_bad_werner_record(records[idx], n)
     if bad is not None:

@@ -235,11 +235,11 @@ def cmd_eval(args) -> int:
 
     state = _read_state(args.state)
     n = state.n
-    # an incomplete cache, or a record whose key and shifts are not those of
-    # a coset, makes enumerate_stats raise; only a copy of the keys outlives
-    # it, so the record block of keys and shifts is freed
+    # an incomplete cache, or a key that is not a coset's, makes
+    # enumerate_stats raise; the keys are a view of the record block, which
+    # holds nothing else, so they need no copy
     keys, (p, f_num, fi_nums) = _load_cache(
-        "transversal", args.cache, n, lambda t: (t.keys.copy(), enumerate_stats(t, state))
+        "transversal", args.cache, n, lambda t: (t.keys, enumerate_stats(t, state))
     )
     live = p > 0  # F_out and the F_i overwrite their numerators; rows without success read 0
     f_out = np.divide(f_num, p, out=f_num, where=live)

@@ -124,11 +124,6 @@ def top_bit(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> 1)
 
 
-def _low_bit(v: np.ndarray) -> np.ndarray:
-    """The lowest set bit of each entry, as a mask (0 for 0)."""
-    return v & (~v + 1)
-
-
 def _insert(basis: np.ndarray, pivots: np.ndarray, j: int, v: np.ndarray, pivot_bit) -> None:
     """Add row v of every system to its reduced basis, in place, at column j.
 
@@ -172,30 +167,6 @@ def rref_rows(rows) -> np.ndarray:
     """
     basis, _ = _eliminate(rows, top_bit)
     return np.flip(np.sort(basis, axis=-1), axis=-1)
-
-
-def least_solutions(cons, nbits: int) -> np.ndarray:
-    """The least solution of each of many consistent systems over GF(2).
-
-    cons is a (..., m) array holding each constraint parity(mask & x) == rhs
-    as mask | rhs << nbits.  Eliminating on the lowest bit leaves every other
-    bit of a row above its pivot, so the solution whose free bits are all 0
-    is the least one: each pivot bit is then its row's rhs.
-    """
-    basis, pivots = _eliminate(cons, _low_bit)
-    return np.bitwise_or.reduce(np.where((basis >> nbits) != 0, pivots, 0), axis=-1)
-
-
-def least_null_vectors(masks, nbits: int) -> np.ndarray:
-    """The least nonzero x with parity(mask & x) == 0 for every mask, per system.
-
-    It is the null vector of the lowest free bit, found by the same lowest-bit
-    elimination as `least_solutions`.  Each system must have a free bit.
-    """
-    basis, pivots = _eliminate(masks, _low_bit)
-    free = _low_bit(((1 << nbits) - 1) & ~np.bitwise_or.reduce(pivots, axis=-1))
-    hit = (basis & free[..., None]) != 0
-    return free | np.bitwise_or.reduce(np.where(hit, pivots, 0), axis=-1)
 
 
 def random_symplectic_rows(n: int, rng, count: int) -> np.ndarray:

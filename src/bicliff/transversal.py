@@ -5,17 +5,17 @@ A coset's statistics depend only on its key K, the reduced basis of the
 base preimage, and on two shifts t1, t2 that split K^perp / K into the
 kept pair's I, X, Y and Z classes K, t1 + K, t1 + t2 + K and t2 + K.  The
 shifts are read off a canonical representative completed deterministically
-from the key alone, so the final transversal is a pure function of n:
-identical for every seed, worker count and sampling order.  Sampling only
-discovers which keys exist.
+from the key alone, so a transversal is its sorted keys: a pure function of
+n, identical for every seed, worker count and sampling order.  Sampling
+only discovers which keys exist.
 
 Sampling, completion and statistics each run on whole arrays of matrices:
 a block of samples is one `random_symplectic_rows` call (each matrix drawn
 on the null basis of its constraints) and one `coset_keys` call, whose keys
-merge into one set as big-endian byte strings; all keys are completed
-together, and `enumerate_stats` sums every coset of every key with one
-gather per chunk.  Keys and shifts are uint16 masks, as in the cache, so
-n <= 8; a kernel that needs more bits widens one chunk at a time.
+merge into one set as big-endian byte strings; `enumerate_stats` completes
+the keys one chunk at a time, in one incremental elimination per chunk, and
+sums every coset of the chunk with one gather.  Keys are uint16 masks, as
+in the cache, so n <= 8; the completion's words hold 3n <= 24 bits.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ordered_calls
-from .gf2 import (
-    SymplecticMatrix,
-    least_null_vectors,
-    least_solutions,
-    random_symplectic_rows,
-    swap_halves,
-    top_bit,
-)
+from .gf2 import SymplecticMatrix, random_symplectic_rows, swap_halves, top_bit
 from .groups import coset_keys
 from .orders import dn_index
 from .states import BellDiagonalState, preimage_cosets
@@ -63,17 +56,16 @@ def __getattr__(name: str):
 
 @dataclass(eq=False)
 class Transversal:
-    """The right cosets of the distillation subgroup, each by its key and shifts.
+    """The right cosets of the distillation subgroup, each by its key.
 
     keys is a (C, n-1) uint16 array of coset keys in ascending (lexicographic)
-    order and shifts the matching (C, 2) uint16 array of each coset's X and Z
-    shifts (t1, t2): rows n and 0 of its canonical representative with their
-    halves swapped.  It is complete when it holds all `dn_index(n)` cosets.
+    order.  A coset's shifts are completed from its key when its statistics
+    are summed (`enumerate_stats`).  It is complete when it holds all
+    `dn_index(n)` cosets.
     """
 
     n: int
     keys: np.ndarray
-    shifts: np.ndarray
     samples_used: int
 
     @property
@@ -104,33 +96,68 @@ def representative_from_key(key: tuple, n: int) -> SymplecticMatrix:
 
 
 def representative_rows(keys: np.ndarray, n: int) -> np.ndarray:
-    """Row masks of `representative_from_key` for each row of a (B, n-1) key array,
-    in the keys' dtype; each chunk is completed in uint64, as a constraint holds 2n + 1 bits."""
+    """Row masks of `representative_from_key` for each row of a (B, n-1) key
+    array, in the keys' dtype, completed one chunk at a time."""
     out = np.empty((len(keys), 2 * n), keys.dtype)
     for lo in range(0, len(keys), CHUNK):
-        out[lo : lo + CHUNK] = _complete(keys[lo : lo + CHUNK].astype(np.uint64), n)
+        # row i of the matrix is the inverse's column (i + n) mod 2n with its
+        # halves swapped
+        cols = _complete(keys[lo : lo + CHUNK], n)
+        out[lo : lo + CHUNK] = swap_halves(np.roll(cols, -n, axis=0), n).T
     return out
 
 
 def _complete(keys: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of each key's canonical representative, by its columns:
+    a (2n, B) array u1, u2..un, w1, w2..wn for a (B, n-1) key array, in
+    words of 3n bits: uint16 up to n = 5, else uint32.
+
+    The inverse maps e_i -> u_i and e_{n+i} -> w_i, and w2..wn are the key
+    rows.  Each u_i, i >= 2, is the least x with <x, w_j> = [i = j] and
+    <x, u_j> = 0 for j < i; w1 is the least nonzero x orthogonal to all of
+    these, and u1 the least x with <x, w1> = 1 orthogonal to the rest.  The
+    constraint <x, v> of each column v found so far is the row swap(v) of one
+    lowest-bit Gauss-Jordan elimination, which grows by one row per column,
+    2n - 1 rows in all.  Row bit 2n + j tags the row of key row j (j < n - 1)
+    or of w1 (j = n - 1): a reduced row holds the tag when it combines that
+    row, so the tag is its right-hand side in the system of that column's
+    partner.  Every other bit of a row lies above its pivot, so the least
+    solution (free bits 0) is the OR of the pivots of the rows holding the
+    tag, and w1 is the lowest free bit f plus the pivots of the rows holding f.
+    """
     nn = 2 * n
-    rhs = np.uint64(1 << nn)  # constraints are held as mask | rhs << 2n
-    # the keys are the images ws of e_{n+2}..e_{2n}; parity(x & swap(v)) is
-    # the inner product of x with v
-    inner = swap_halves(keys, n)
+    # uint16 words complete n = 5 about 40% faster than uint32 words
+    word = np.uint16 if 3 * n <= 16 else np.uint32
+    one = word(1)
+    ws = keys.T.astype(word)
+    rows = np.zeros((nn - 1, len(keys)), word)
+    pivots = np.zeros_like(rows)  # each row's lowest bit, clear in every other row
+    held = 0
+
+    def insert(v):
+        nonlocal held
+        # each pivot is set in its own row only, so one XOR of the rows whose
+        # pivots v holds clears them all
+        v = v ^ np.bitwise_xor.reduce(rows[:held] * (v & pivots[:held] != 0), axis=0)
+        p = v & (~v + one)
+        rows[:held] ^= v * (rows[:held] & p != 0)
+        rows[held], pivots[held] = v, p
+        held += 1
+
+    def least(bit):
+        return np.bitwise_or.reduce(pivots[:held] * (rows[:held] & bit != 0), axis=0)
+
+    for j, w in enumerate(ws):
+        insert(swap_halves(w, n) | one << (nn + j))
     us = []
-    for idx in range(n - 1):
-        # u_idx pairs with w_idx only, and is orthogonal to the u chosen so far
-        cons = inner.copy()
-        cons[:, idx] |= rhs
-        us.append(least_solutions(cons, nn))
-        inner = np.concatenate([inner, swap_halves(us[-1], n)[:, None]], axis=1)
-    w1 = least_null_vectors(inner, nn)
-    u1 = least_solutions(np.concatenate([(swap_halves(w1, n) | rhs)[:, None], inner], axis=1), nn)
-    # the inverse maps e_i -> u_i and e_{n+i} -> w_i; row i of the matrix is
-    # the inverse's column (i + n) mod 2n with its halves swapped
-    cols = np.stack([u1, *us, w1, *keys.T], axis=1)
-    return swap_halves(np.roll(cols, -n, axis=1), n)
+    for j in range(n - 1):
+        us.append(least(one << (nn + j)))
+        insert(swap_halves(us[-1], n))
+    free = ~np.bitwise_or.reduce(pivots, axis=0) & (one << nn) - one
+    free &= ~free + one
+    w1 = free | least(free)
+    insert(swap_halves(w1, n) | one << (nn + n - 1))
+    return np.stack([least(one << (nn + n - 1)), *us, w1, *ws])
 
 
 def _sample_block(n: int, seed, block: int, size: int) -> np.ndarray:
@@ -174,51 +201,36 @@ def build_transversal(
     count = len(keys)
     keys = b"".join(sorted(keys))  # the set goes before the key array is built
     keys = np.frombuffer(keys, ">u2").reshape(count, n - 1).astype(np.uint16)
-    shifts = swap_halves(representative_rows(keys, n)[:, [n, 0]], n)
-    return Transversal(n, keys, shifts, samples)
+    return Transversal(n, keys, samples)
 
 
-def first_bad_record(keys: np.ndarray, shifts: np.ndarray, n: int):
-    """(index, problem) of the first record whose key and shifts are not a coset's.
+def first_bad_record(keys: np.ndarray, n: int):
+    """(index, problem) of the first record whose key is not a coset's.
 
-    A record is sound when every mask has at most 2n bits, its key rows are
-    a reduced echelon basis (each nonzero, top-bit pivots strictly
-    decreasing, each pivot set in its own row only), and, under the
-    symplectic inner product, the key rows are pairwise orthogonal, both
-    shifts are orthogonal to every key row and <t1, t2> = 1.  Then K =
-    span(key) is isotropic of dimension n-1 and K, t1 + K, t1 + t2 + K and
-    t2 + K are the four classes of K^perp / K, as for a symplectic matrix
-    in the coset of K.  A record failing several tests is reported by the
-    first in that order.  Returns None when every record is sound.
+    A key is sound when every mask has at most 2n bits, its rows are a
+    reduced echelon basis (each nonzero, top-bit pivots strictly decreasing,
+    each pivot set in its own row only), and they are pairwise orthogonal
+    under the symplectic inner product.  Then K = span(key) is isotropic of
+    dimension n-1, the base preimage of the coset whose representative
+    `_complete` builds from the key.  A record failing several tests is
+    reported by the first in that order.  Returns None when every record is
+    sound.
 
     Each test runs on whole columns, in the masks' own dtype.
     """
-    m = n - 1
-    words = [*keys.T, *shifts.T]  # key rows 0..m-1, then t1 and t2
+    words = list(keys.T)
     swapped = [swap_halves(w, n) for w in words]
-    pivots = [top_bit(w) for w in words[:m]]
-
-    def any_odd(pairs):
-        """Whether <words[i], words[j]> = 1 for any of the pairs (i, j)."""
-        out = np.zeros(len(keys), bool)
-        for i, j in pairs:
-            out |= (np.bitwise_count(words[i] & swapped[j]) & 1).view(bool)
-        return out
-
+    pivots = [top_bit(w) for w in words]
     wide, reduced = np.zeros(len(keys), bool), np.ones(len(keys), bool)
-    for w in words:
-        wide |= w >> n >> n != 0  # two shifts: at n = 8 one would span a uint16
-    for i, p in enumerate(pivots):
-        if i:
-            reduced &= p < pivots[i - 1]
-        reduced &= sum(w & p != 0 for w in words[:m]) == 1
-    problems = (
-        wide,
-        ~reduced,
-        any_odd((i, j) for j in range(m) for i in range(j)),
-        any_odd((i, j) for i in range(m) for j in (m, m + 1)),
-        ~any_odd([(m, m + 1)]),
-    )
+    odd = np.zeros(len(keys), bool)  # <words[i], words[j]> = 1 for some i < j
+    for j, w in enumerate(words):
+        wide |= w >> n >> n != 0  # two steps: at n = 8 a 2n-bit shift spans a uint16
+        if j:
+            reduced &= pivots[j] < pivots[j - 1]
+        reduced &= sum(v & pivots[j] != 0 for v in words) == 1
+        for i in range(j):
+            odd |= (np.bitwise_count(words[i] & swapped[j]) & 1).view(bool)
+    problems = (wide, ~reduced, odd)
     bad = np.flatnonzero(np.logical_or.reduce(problems))
     if bad.size == 0:
         return None
@@ -230,8 +242,6 @@ _PROBLEMS = (
     "mask wider than 2n bits",
     "key is not a reduced echelon basis",
     "key is not isotropic",
-    "shift not orthogonal to the coset key",
-    "shifts do not anticommute",
 )
 
 
@@ -240,23 +250,24 @@ def enumerate_stats(t: Transversal, state: BellDiagonalState) -> tuple:
 
     Returns float64 columns (p_suc, f_num, fi_nums) in key order, fi_nums of
     shape (C, 3): the values `DistStats.from_coset_sums` gives, bit for bit,
-    and so those of `numeric_stats` of the canonical representative.  Raises
-    ValueError if the transversal is incomplete, or if a record's key and
-    shifts fail `first_bad_record`.
+    and so those of `numeric_stats` of the canonical representative, whose
+    shifts `_complete` finds chunk by chunk.  Raises ValueError if the
+    transversal is incomplete, or if a key fails `first_bad_record`.
     """
     if not t.complete:
         raise ValueError(f"transversal is incomplete ({len(t)}/{t.target_size} cosets)")
     if state.n != t.n:
         raise ValueError("state and transversal pair counts differ")
     n = t.n
-    bad = first_bad_record(t.keys, t.shifts, n)
+    bad = first_bad_record(t.keys, n)
     if bad is not None:
         i, problem = bad
         raise ValueError(f"coset {t.keys[i].tolist()}: {problem}")
     sums = np.empty((len(t), 4))
     for lo in range(0, len(t), CHUNK):
-        t1, t2 = t.shifts[lo : lo + CHUNK].T
-        sums[lo : lo + CHUNK] = state.probs[preimage_cosets(t.keys[lo : lo + CHUNK], t1, t2)].sum(axis=-1)
+        keys = t.keys[lo : lo + CHUNK]
+        cols = _complete(keys, n)  # the shifts t1 = u1 and t2 = w1
+        sums[lo : lo + CHUNK] = state.probs[preimage_cosets(keys, cols[0], cols[n])].sum(axis=-1)
     s0, s1, s2, s3 = sums.T
     p_suc = ((s0 + s1) + s2) + s3
     # the order of from_coset_sums: a left-to-right sum, and X/Y/Z sorted by

@@ -9,7 +9,9 @@ one-matrix-at-a-time sampler `random_symplectic`, the draw-for-draw oracle of
 its one-row case); the coset completion and coupon-collector references here
 solve and draw through them, at scalar speed.  The second part holds code that no command, demo or benchmark runs but
 that tests use as an oracle or a fixture: the per-vector matrix action and
-inverse, scalar row reduction, the Werner symmetry generators, the case
+inverse, scalar row reduction, the batched least-solution solvers and the
+coset completion that solves each system afresh with them (the oracle of
+`transversal._complete`), the Werner symmetry generators, the case
 enumeration, the Werner product state, and the DEJMPS step with its
 concatenation plans.
 """
@@ -36,6 +38,7 @@ from bicliff.gf2 import (
     H,
     S,
     SymplecticMatrix,
+    _eliminate,
     swap_halves,
     symplectic_inner,
 )
@@ -495,7 +498,7 @@ def enumerated_coset_keys(n: int) -> np.ndarray:
             rows = np.concatenate([rows[fixed], cands[cand, None]], axis=1)
         found.append(rows[:, ::-1])
     keys = np.concatenate(found)
-    return keys[np.lexsort(keys.T[::-1])]
+    return keys[np.lexsort(keys.T[::-1])] if n > 1 else keys  # n = 1: one empty key
 
 
 def enumerate_stats(t, reps, state) -> list:
@@ -513,22 +516,16 @@ def enumerate_stats(t, reps, state) -> list:
     return entries
 
 
-def coset_record_is_sound(key, shifts, n: int) -> bool:
-    """Whether a transversal record's key masks and shifts (t1, t2) are a coset's.
+def coset_record_is_sound(key, n: int) -> bool:
+    """Whether a transversal record's key masks are a coset's.
 
     Every mask must be a vector of F2^2n, the key its own reduced basis
-    (`rref`) of n-1 rows, and the key rows, t1 and t2 pairwise orthogonal
-    except <t1, t2> = 1.
+    (`rref`) of n-1 rows, and the key rows pairwise orthogonal.
     """
-    key, (t1, t2) = tuple(key), shifts
-    if any(v >> (2 * n) for v in (*key, t1, t2)) or len(key) != n - 1 or rref(key) != key:
+    key = tuple(key)
+    if any(v >> (2 * n) for v in key) or len(key) != n - 1 or rref(key) != key:
         return False
-    vectors = (*key, t1, t2)
-    return all(
-        symplectic_inner(vectors[i], vectors[j], n) == ((i, j) == (n - 1, n))
-        for j in range(len(vectors))
-        for i in range(j)
-    )
+    return all(symplectic_inner(key[i], key[j], n) == 0 for j in range(len(key)) for i in range(j))
 
 
 def pareto_envelope(entries) -> list:
@@ -618,6 +615,59 @@ def rref(vectors) -> tuple:
                 pivots[q] = row ^ v
         pivots[p] = v
     return tuple(pivots[p] for p in sorted(pivots, reverse=True))
+
+
+def _low_bit(v: np.ndarray) -> np.ndarray:
+    """The lowest set bit of each entry, as a mask (0 for 0)."""
+    return v & (~v + 1)
+
+
+def least_solutions(cons, nbits: int) -> np.ndarray:
+    """The least solution of each of many consistent systems over GF(2).
+
+    cons is a (..., m) array holding each constraint parity(mask & x) == rhs
+    as mask | rhs << nbits.  Eliminating on the lowest bit leaves every other
+    bit of a row above its pivot, so the solution whose free bits are all 0
+    is the least one: each pivot bit is then its row's rhs.
+    """
+    basis, pivots = _eliminate(cons, _low_bit)
+    return np.bitwise_or.reduce(np.where((basis >> nbits) != 0, pivots, 0), axis=-1)
+
+
+def least_null_vectors(masks, nbits: int) -> np.ndarray:
+    """The least nonzero x with parity(mask & x) == 0 for every mask, per system.
+
+    It is the null vector of the lowest free bit, found by the same lowest-bit
+    elimination as `least_solutions`.  Each system must have a free bit.
+    """
+    basis, pivots = _eliminate(masks, _low_bit)
+    free = _low_bit(((1 << nbits) - 1) & ~np.bitwise_or.reduce(pivots, axis=-1))
+    hit = (basis & free[..., None]) != 0
+    return free | np.bitwise_or.reduce(np.where(hit, pivots, 0), axis=-1)
+
+
+def completed_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """Row masks of each key's canonical representative, as a uint64 array:
+    every partner and the last pair solved as a fresh system of its own."""
+    keys = np.asarray(keys, np.uint64)
+    nn = 2 * n
+    rhs = np.uint64(1 << nn)  # constraints are held as mask | rhs << 2n
+    # the keys are the images ws of e_{n+2}..e_{2n}; parity(x & swap(v)) is
+    # the inner product of x with v
+    inner = swap_halves(keys, n)
+    us = []
+    for idx in range(n - 1):
+        # u_idx pairs with w_idx only, and is orthogonal to the u chosen so far
+        cons = inner.copy()
+        cons[:, idx] |= rhs
+        us.append(least_solutions(cons, nn))
+        inner = np.concatenate([inner, swap_halves(us[-1], n)[:, None]], axis=1)
+    w1 = least_null_vectors(inner, nn)
+    u1 = least_solutions(np.concatenate([(swap_halves(w1, n) | rhs)[:, None], inner], axis=1), nn)
+    # the inverse maps e_i -> u_i and e_{n+i} -> w_i; row i of the matrix is
+    # the inverse's column (i + n) mod 2n with its halves swapped
+    cols = np.stack([u1, *us, w1, *keys.T], axis=1)
+    return swap_halves(np.roll(cols, -n, axis=1), n)
 
 
 def span(basis) -> list:

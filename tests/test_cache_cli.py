@@ -27,9 +27,11 @@ from bicliff.cache import (
 from bicliff import transversal
 from bicliff.circuits import CliffordCircuit, circuit_to_symplectic
 from bicliff.cli import main
+from bicliff.gf2 import swap_halves
 from bicliff.states import werner_stats
 from bicliff.transversal import build_transversal
 from _reference import EXAMPLE_PAIR
+import _scalar_reference as scalar
 
 
 def run_cli(args):
@@ -191,19 +193,36 @@ def _v2_transversal_file(path, t):
     path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + records.tobytes())
 
 
+def _v3_transversal_file(path, t):
+    """A transversal cache as version 3 stored it: each record the key, then
+    the coset's shifts t1 and t2, rows n and 0 of its representative with
+    their halves swapped."""
+    n = t.n
+    header = {"mode": "transversal", "n": n, "count": len(t), "complete": t.complete,
+              "seed": 0, "samples": t.samples_used, "format_version": 3}
+    records = np.empty(len(t), [("key", "<u2", (n - 1,)), ("shifts", "<u2", (2,))])
+    rows = transversal.representative_rows(t.keys, n)
+    records["key"], records["shifts"] = t.keys, swap_halves(rows[:, [n, 0]], n)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + records.tobytes())
+
+
 def test_format_1_transversal_cache_rejected(tmp_path, capsys, transversal_for):
     # version 1 held one JSON record per coset, version 2 the key and the 2n
-    # representative rows in one binary block
+    # representative rows in one binary block, version 3 the key and the
+    # two shifts
     path = tmp_path / "transversal_n2.bcp"
     header = {"mode": "transversal", "n": 2, "count": 1, "complete": False,
               "seed": 0, "samples": 16}
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
-    for version in (1, 2):
+    for version in (1, 2, 3):
         if version == 1:
             _json_record_file(path, header, [{"key": [1], "rows": [1, 2, 4, 8]}])
-        else:
+        elif version == 2:
             _v2_transversal_file(path, transversal_for(2))
+        else:
+            _v3_transversal_file(path, transversal_for(2))
         bad = path.read_bytes()
         for reader in (read_cache, load_transversal_cache, verify_cache):
             with pytest.raises(ValueError, match=f"unsupported transversal cache version {version}"):
@@ -224,38 +243,49 @@ def test_format_1_transversal_cache_rejected(tmp_path, capsys, transversal_for):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_transversal_cache_format_2_roundtrip(tmp_path, transversal_for, n):
-    # format 2 made the transversal one binary block; format 3 keeps it
+    # format 2 made the transversal one binary block; format 4 keeps it, with
+    # the key alone in each record
     t = transversal_for(n)
     path = tmp_path / f"transversal_n{n}.bcp"
     write_transversal_cache(path, t, seed=0)
     header, loaded = load_transversal_cache(path)
-    assert header["format_version"] == 3 and header["count"] == len(t) == len(loaded)
+    assert header["format_version"] == 4 and header["count"] == len(t) == len(loaded)
     assert loaded.n == n and loaded.complete and loaded.samples_used == t.samples_used
-    # views of the record block, with no widened copy
-    assert loaded.keys.dtype == loaded.shifts.dtype == np.uint16
-    block = loaded.shifts.base
-    assert block.dtype.names == ("key", "shifts") and np.shares_memory(loaded.shifts, block)
-    assert n == 1 or loaded.keys.base is block  # n = 1 keys hold no bytes
-    assert np.array_equal(loaded.keys, t.keys) and np.array_equal(loaded.shifts, t.shifts)
-    # the body is count x (n + 1) little-endian uint16, keys before shifts,
-    # right after the header
+    # a view of the record block, with no widened copy
+    assert loaded.keys.dtype == np.uint16 and loaded.keys.shape == (len(t), n - 1)
+    assert n == 1 or loaded.keys.base.dtype.names == ("key",)  # n = 1 keys hold no bytes
+    assert np.array_equal(loaded.keys, t.keys)
+    # the body is count x (n - 1) little-endian uint16 key masks, right after
+    # the header: none at all for the one n = 1 coset
     data = path.read_bytes()
     header_end = data.index(b"}") + 1
-    assert len(data) == header_end + len(t) * 2 * (n + 1)
-    assert n != 4 or len(data) == 114_862
+    assert len(data) == header_end + len(t) * 2 * (n - 1)
+    assert n != 4 or len(data) == 68_962
     body = np.frombuffer(data[header_end:], "<u2")
-    assert body.reshape(len(t), n + 1).tolist() == np.hstack([t.keys, t.shifts]).tolist()
+    assert body.reshape(len(t), n - 1).tolist() == t.keys.tolist()
+
+
+def test_n5_transversal_cache_is_header_and_keys(tmp_path):
+    # the 782,595 enumerated n = 5 keys with the sample count of the default
+    # seed-0 build: 8 bytes a record, 6,260,875 bytes in all
+    keys = scalar.enumerated_coset_keys(5).astype(np.uint16)
+    path = tmp_path / "transversal_n5.bcp"
+    write_transversal_cache(path, transversal.Transversal(5, keys, 10_733_568), seed=0)
+    data = path.read_bytes()
+    assert len(data) == data.index(b"}") + 1 + 782_595 * 8 == 6_260_875
+    header, loaded = load_transversal_cache(path)
+    assert header["complete"] and np.array_equal(loaded.keys, keys)
 
 
 @pytest.mark.parametrize("count", [0, 1])
 def test_transversal_cache_of_nine_pairs_rejected(tmp_path, capsys, count):
     # 2n = 18 bits do not fit the uint16 masks; one record is laid out as
-    # uint32 masks would be, n - 1 key masks and 2 shifts
+    # n - 1 uint32 key masks would be
     path = tmp_path / "transversal_n9.bcp"
     header = {"mode": "transversal", "n": 9, "count": count, "complete": False,
-              "seed": 0, "samples": count, "format_version": 3}
+              "seed": 0, "samples": count, "format_version": 4}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + bytes(count * 10 * 4))
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + bytes(count * 8 * 4))
     for reader in (read_cache, load_transversal_cache, verify_cache):
         with pytest.raises(ValueError, match="a transversal holds at most 8 pairs, not n=9"):
             reader(path)
@@ -330,7 +360,7 @@ def test_damaged_format_2_transversal_cache_exits_2(cache_dir, tmp_path, capsys,
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: bad cache file {path}: ")
-        assert message in captured.err
+        assert message in captured.err and "; rebuild it with: bicliff " in captured.err
 
 
 def _torn_werner_cache(kind, cache_dir, path, protocols):
@@ -384,6 +414,26 @@ def test_cli_eval_n1_signed_zero_csv(tmp_path, capsys):
     )
 
 
+def test_cli_transversal_n1_zero_width_records(tmp_path, capsys):
+    # the one n = 1 coset has an empty key: a record of 0 bytes, which
+    # np.frombuffer cannot count by itself
+    assert run_cli(["transversal", "--n", "1", "--cache", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "transversal_n1.bcp"
+    data = path.read_bytes()
+    assert len(data) == data.index(b"}") + 1
+    header, records = read_cache(path)
+    assert header["count"] == 1 and records.itemsize == 0 and records["key"].shape == (1, 0)
+    state = tmp_path / "state.json"
+    state.write_text('{"n": 1, "pairs": [[0.5, 0.125, 0.25, 0.125]]}')
+    assert run_cli(["eval", str(state), "--cache", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "coset_key,p_suc,f_out,f1,f2,f3,envelope\n,1,0.5,0.25,0.125,0.125,1\n"
+    )
+    assert run_cli(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "checked=1 ok=1 ok\n"
+
+
 def test_load_rejects_histogram_of_wrong_sum(cache_dir, tmp_path):
     from bicliff.cache import write_cache
 
@@ -401,7 +451,6 @@ def test_transversal_cache_roundtrip(cache_dir, transversal_for):
     header, t = load_transversal_cache(cache_dir / "transversal_n2.bcp")
     assert header["complete"] and t.complete
     assert np.array_equal(t.keys, transversal_for(2).keys)
-    assert np.array_equal(t.shifts, transversal_for(2).shifts)
 
 
 def test_verify_cache_ok(cache_dir):
@@ -427,24 +476,38 @@ def test_verify_cache_detects_corruption(cache_dir, tmp_path):
     assert not ok and "mismatch" in message
 
 
-def test_verify_cache_rejects_commuting_shifts(cache_dir, tmp_path, capsys):
-    # both shifts of the last record are t1: orthogonal to the key, but they
-    # no longer split K^perp / K into four classes
+def test_verify_cache_rejects_bad_key(cache_dir, tmp_path, capsys, transversal_for):
+    # the last n = 2 key gains a bit past 2n: still the largest key, so the
+    # keys stay ascending
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "transversal_n2.bcp")
     header.pop("format_version")
     records = records.copy()
-    records["shifts"][-1, 1] = records["shifts"][-1, 0]
+    records["key"][-1, 0] |= 1 << 4
     bad = tmp_path / "transversal_n2.bcp"
     write_cache(bad, header, records)
     ok, checked, message = verify_cache(bad, sample=15)
-    assert not ok and message == "record 14: shifts do not anticommute"
+    assert not ok and message == "record 14: mask wider than 2n bits"
     assert checked == 14
     code = run_cli(["verify", str(bad)])
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
-    assert captured.out == "checked=14 ok=0 record 14: shifts do not anticommute\n"
+    assert captured.out == "checked=14 ok=0 record 14: mask wider than 2n bits\n"
+    # n = 3 record 198, key (41, 18) -> (41, 19): ascending and reduced, but
+    # its rows no longer commute; a sample keeps the records' own indices
+    write_transversal_cache(bad.with_name("transversal_n3.bcp"), transversal_for(3), seed=0)
+    header, records = read_cache(bad.with_name("transversal_n3.bcp"))
+    header.pop("format_version")
+    records = records.copy()
+    assert records["key"][198].tolist() == [41, 18]
+    records["key"][198, 1] ^= 1
+    write_cache(bad, header, records)
+    problem = "record 198: key is not isotropic"
+    assert verify_cache(bad, sample=1000) == (False, 198, problem)
+    # seed 0 draws records 84, 96, 159, 198, 264
+    assert sorted(np.random.default_rng(0).choice(315, size=5, replace=False)) == [84, 96, 159, 198, 264]
+    assert verify_cache(bad, sample=5) == (False, 3, problem)
 
 
 @pytest.mark.parametrize("sample, result", [
@@ -534,19 +597,27 @@ def test_cli_verify_werner_other_case_index_exits_2(cache_dir, tmp_path, capsys)
     assert captured.out == "checked=4 ok=0 record 4: statistics mismatch\n"
 
 
-def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path):
+def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path, capsys):
+    # records 6 and 7 trade keys: the reader rejects the descending pair
+    # before any record is sampled
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "transversal_n2.bcp")
+    header.pop("format_version")
     records = records.copy()
-    records["shifts"][[6, 7]] = records["shifts"][[7, 6]]
+    records["key"][[6, 7]] = records["key"][[7, 6]]
     bad = tmp_path / "transversal_n2.bcp"
     write_cache(bad, header, records)
-    problem = "shift not orthogonal to the coset key"
-    assert verify_cache(bad, sample=100) == (False, 6, f"record 6: {problem}")
-    # a sample keeps the records' own indices: seed 0 draws records 3, 4, 6, 7, 9
-    assert sorted(np.random.default_rng(0).choice(15, size=5, replace=False)) == [3, 4, 6, 7, 9]
-    assert verify_cache(bad, sample=5) == (False, 2, f"record 6: {problem}")
+    for sample in (100, 5):
+        with pytest.raises(ValueError, match="transversal keys are not strictly ascending"):
+            verify_cache(bad, sample=sample)
+    code = run_cli(["verify", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: bad cache file {bad}: transversal keys are not strictly ascending; "
+        "rebuild it with: bicliff werner or bicliff transversal\n"
+    )
 
 
 def test_write_cache_is_atomic(cache_dir, tmp_path):
@@ -611,7 +682,7 @@ def test_reading_a_cache_holds_one_copy_of_its_body(tmp_path, transversal_for):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert records.nbytes == 11475 * 10
+    assert records.nbytes == 11475 * 6
     assert peak < 1.5 * records.nbytes, peak
 
 
@@ -1317,8 +1388,7 @@ def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, caps
 
 @pytest.mark.parametrize("kind, n, message", [
     ("incomplete", 3, "incomplete"),
-    pytest.param("commuting shifts", 2, "shifts do not anticommute", id="commuting shifts"),
-    ("swapped keys", 2, "coset key"),
+    pytest.param("wide key", 2, "mask wider than 2n bits", id="wide key"),
 ])
 def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, kind, n, message):
     from bicliff.cache import write_cache
@@ -1329,11 +1399,7 @@ def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, ki
     else:
         header, records = read_cache(cache_dir / "transversal_n2.bcp")
         records = records.copy()
-        if kind == "commuting shifts":
-            records["shifts"][-1, 1] = records["shifts"][-1, 0]
-        else:
-            # the keys must stay ascending, so the shifts swap
-            records["shifts"][[0, 1]] = records["shifts"][[1, 0]]
+        records["key"][-1, 0] |= 1 << 4  # still the largest key
         write_cache(path, header, records)
     capsys.readouterr()
     state = tmp_path / "state.json"

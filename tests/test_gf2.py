@@ -19,8 +19,6 @@ from bicliff.gf2 import (
     gate_matrix,
     is_symplectic,
     is_symplectic_rows,
-    least_null_vectors,
-    least_solutions,
     random_symplectic,
     random_symplectic_rows,
     rref_rows,
@@ -312,6 +310,7 @@ def test_rref_rows_match_rref():
 
 
 def test_least_solutions_match_brute_force():
+    # the solvers of the reference completion `scalar.completed_rows`
     rng = np.random.default_rng(9)
     nbits = 6
     xs = np.arange(1 << nbits, dtype=np.uint64)
@@ -320,13 +319,13 @@ def test_least_solutions_match_brute_force():
         # a right-hand side of some x keeps the system consistent
         target = rng.integers(0, 1 << nbits, size=(200, 1), dtype=np.uint64)
         rhs = np.bitwise_count(masks & target) & 1
-        got = least_solutions(masks | (rhs.astype(np.uint64) << nbits), nbits)
+        got = scalar.least_solutions(masks | (rhs.astype(np.uint64) << nbits), nbits)
         ok = ((np.bitwise_count(masks[:, None, :] & xs[:, None]) & 1) == rhs[:, None, :]).all(-1)
         assert got.tolist() == ok.argmax(axis=1).tolist()
         null = ((np.bitwise_count(masks[:, None, :] & xs[:, None]) & 1) == 0).all(-1)
         null[:, 0] = False
         has = null.any(axis=1)
-        got = least_null_vectors(masks, nbits)
+        got = scalar.least_null_vectors(masks, nbits)
         assert got[has].tolist() == null.argmax(axis=1)[has].tolist()
 
 

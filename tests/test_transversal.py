@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import _scalar_reference as scalar
 from bicliff.gf2 import SymplecticMatrix, gate_matrix, is_symplectic, random_symplectic_rows, H, S, CNOT
-from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves
+from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves, symplectic_inner
 from bicliff.groups import bfs_closure, coset_key, coset_keys
 from bicliff.orders import dn_index
 from bicliff.states import BellDiagonalState, DistStats, preimage_cosets, preimage_index, werner_keys
@@ -36,20 +37,19 @@ def _reps(t):
     ]
 
 
+def _shifts(rows, n: int) -> list:
+    """(t1, t2) of each representative: rows n and 0, halves swapped."""
+    return swap_halves(np.asarray(rows)[:, [n, 0]], n).tolist()
+
+
 def _scalar_shifts(keys, n: int) -> list:
-    """(t1, t2) of each key: rows n and 0 of the scalar completion, halves swapped."""
-    reps = (scalar.representative_from_key(tuple(key), n).rows for key in keys.tolist())
-    return [[swap_halves(rows[n], n), swap_halves(rows[0], n)] for rows in reps]
-
-
-def _same(a, b) -> bool:
-    return np.array_equal(a.keys, b.keys) and np.array_equal(a.shifts, b.shifts)
+    """(t1, t2) of each key, read off the scalar completion."""
+    return _shifts([scalar.representative_from_key(tuple(key), n).rows for key in keys.tolist()], n)
 
 
 def test_representative_from_key_roundtrip(transversal_for):
     t = transversal_for(3)
-    assert t.keys.dtype == t.shifts.dtype == np.uint16
-    assert t.keys.shape == (315, 2) and t.shifts.shape == (315, 2)
+    assert t.keys.dtype == np.uint16 and t.keys.shape == (315, 2)
     for key, rep in _reps(t):
         assert is_symplectic(rep)
         assert coset_key(rep) == key
@@ -67,7 +67,6 @@ def test_representatives_match_scalar_completion(transversal_for):
         assert len(t) == dn_index(n)
         for key, rep in _reps(t):
             assert rep == scalar.representative_from_key(key, n)
-        assert t.shifts.tolist() == _scalar_shifts(t.keys, n)
     keys = _n5_keys()
     rows = representative_rows(np.array(keys, dtype=np.uint64), 5)
     assert [tuple(r) for r in rows.tolist()] == [
@@ -89,7 +88,7 @@ def test_build_transversal_matches_scalar_sampler(max_samples, jobs):
         keys, samples = scalar.transversal_keys(n, 1, max_samples)
         assert [key for key, _ in _reps(t)] == sorted(keys) and t.samples_used == samples
         assert t.complete == (len(keys) == dn_index(n))
-        assert t.shifts.tolist() == _scalar_shifts(t.keys, n)
+        assert _shifts(representative_rows(t.keys, n), n) == _scalar_shifts(t.keys, n)
 
 
 def test_completeness_small(transversal_for):
@@ -109,15 +108,15 @@ def test_reproducible_and_seed_independent_reps():
     a = build_transversal(2, seed=0)
     b = build_transversal(2, seed=0)
     c = build_transversal(2, seed=99)
-    assert _same(a, b)
+    assert np.array_equal(a.keys, b.keys)
     # canonical completion makes representatives independent of the seed too
-    assert _same(a, c)
+    assert np.array_equal(a.keys, c.keys)
 
 
 def test_worker_count_invariance():
     a = build_transversal(3, seed=1, jobs=1)
     b = build_transversal(3, seed=1, jobs=2)
-    assert _same(a, b) and a.samples_used == b.samples_used
+    assert np.array_equal(a.keys, b.keys) and a.samples_used == b.samples_used
 
 
 @pytest.mark.parametrize("n", [0, 9])
@@ -136,6 +135,33 @@ def test_representative_rows_of_uint16_keys_match_uint64():
     assert narrow.tolist() == wide.tolist()
     assert is_symplectic_rows(wide, 8).all()
     assert (coset_keys(wide, 8) == keys).all()
+
+
+@functools.cache
+def _all_n5_keys() -> np.ndarray:
+    """All 782,595 n = 5 coset keys, enumerated without sampling (uint64)."""
+    return scalar.enumerated_coset_keys(5)
+
+
+def test_representative_rows_match_systems_solved_afresh():
+    # the incremental elimination against the reference that solves every
+    # partner and the last pair as a system of its own: all keys for
+    # n = 1..4 (n = 1 has no key rows), 20,000 at n = 5, and sampled keys for
+    # n = 6..8; the elimination's 3n-bit words are uint16 up to n = 5 and
+    # uint32 from n = 6, which n = 8 fills to 24 bits
+    rng = np.random.default_rng(36)
+    for n in range(1, 9):
+        if n <= 4:
+            keys = scalar.enumerated_coset_keys(n)
+            assert len(keys) == dn_index(n) and keys.shape[1] == n - 1
+        elif n == 5:
+            keys = _all_n5_keys()[::39][:20_000]
+        else:
+            keys = coset_keys(random_symplectic_rows(n, rng, 3000), n)
+        want = scalar.completed_rows(keys, n).tolist()
+        for dtype in (np.uint16, np.uint64):
+            got = representative_rows(keys.astype(dtype), n)
+            assert got.dtype == dtype and got.tolist() == want, (n, dtype)
 
 
 def test_budget_exhaustion_flagged():
@@ -309,7 +335,7 @@ def test_enumerated_coset_keys_equal_sampled_transversal(transversal_for, n):
 def test_enumerated_n5_double_cosets_reached_by_canonical_triples():
     # all 782,595 cosets of n = 5 without sampling: 36 double cosets, every
     # one holding the coset of some canonical triple's representative
-    keys = scalar.enumerated_coset_keys(5)
+    keys = _all_n5_keys()
     assert len(keys) == dn_index(5) == 782_595
     assert (np.diff(_key_codes(keys, 5)) > 0).all()
     labels = _double_coset_labels(SimpleNamespace(n=5, keys=keys), _small_generators(5))
@@ -376,13 +402,10 @@ def _sampled_transversal(n, transversal_for):
         if n <= 4:
             t = transversal_for(n)
             step = max(1, len(t) // 2000)
-            keys, shifts = t.keys[::step], t.shifts[::step]
-            rows = representative_rows(keys, n)
+            keys = t.keys[::step]
         else:
             keys = np.array(_n5_keys(), dtype=np.uint64)
-            rows = representative_rows(keys, n)
-            shifts = swap_halves(rows[:, [n, 0]], n)
-        _SAMPLED[n] = _Sample(n, keys, shifts, 0), rows
+        _SAMPLED[n] = _Sample(n, keys, 0), representative_rows(keys, n)
     return _SAMPLED[n]
 
 
@@ -419,13 +442,6 @@ def test_enumerate_stats_bit_equal_to_numeric_stats(transversal_for, n, data):
     ]
 
 
-def _flip(keys, shifts, record, word, bit) -> None:
-    """Flip one bit of a record's word, in place: words 0..n-2 are the key
-    rows, n-1 and n the shifts t1 and t2."""
-    masks, j = (keys, word) if word < keys.shape[1] else (shifts, word - keys.shape[1])
-    masks[record, j] ^= 1 << bit
-
-
 def _stats_or_error(t, state):
     try:
         return b"".join(column.tobytes() for column in enumerate_stats(t, state))
@@ -438,39 +454,39 @@ def _stats_or_error(t, state):
 @given(data=st.data())
 def test_uint16_and_uint64_transversals_agree(transversal_for, n, data):
     t = transversal_for(n)
-    assert t.keys.dtype == t.shifts.dtype == np.uint16
-    keys, shifts = t.keys.copy(), t.shifts.copy()
-    if data.draw(st.booleans()):  # one flipped key or shift bit: a record may go bad
-        record, word = data.draw(st.integers(0, len(t) - 1)), data.draw(st.integers(0, n))
-        _flip(keys, shifts, record, word, data.draw(st.integers(0, 15)))
-    narrow = Transversal(n, keys, shifts, t.samples_used)
-    wide = Transversal(n, keys.astype(np.uint64), shifts.astype(np.uint64), t.samples_used)
-    assert first_bad_record(narrow.keys, narrow.shifts, n) == first_bad_record(wide.keys, wide.shifts, n)
+    assert t.keys.dtype == np.uint16
+    keys = t.keys.copy()
+    if data.draw(st.booleans()):  # one flipped key bit: a record may go bad
+        record, word = data.draw(st.integers(0, len(t) - 1)), data.draw(st.integers(0, n - 2))
+        keys[record, word] ^= 1 << data.draw(st.integers(0, 15))
+    narrow = Transversal(n, keys, t.samples_used)
+    wide = Transversal(n, keys.astype(np.uint64), t.samples_used)
+    assert first_bad_record(narrow.keys, n) == first_bad_record(wide.keys, n)
     state = data.draw(_states(n))
     assert _stats_or_error(narrow, state) == _stats_or_error(wide, state)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_first_bad_record_flags_exactly_the_unsound_bit_flips(transversal_for, n):
-    # every single-bit flip of every key and shift word of sampled records:
-    # flagged exactly when the scalar oracle calls the record unsound
+    # every single-bit flip of every key word of sampled records: flagged
+    # exactly when the scalar oracle calls the key unsound
     t = transversal_for(n)
     picks = np.random.default_rng(n).choice(len(t), size=min(len(t), 40), replace=False)
     flagged = sound = 0
     for i in picks.tolist():
-        key, shifts = t.keys[i : i + 1], t.shifts[i : i + 1]
-        assert first_bad_record(key, shifts, n) is None
-        assert scalar.coset_record_is_sound(key[0].tolist(), shifts[0].tolist(), n)
-        for word in range(n + 1):
+        key = t.keys[i : i + 1]
+        assert first_bad_record(key, n) is None
+        assert scalar.coset_record_is_sound(key[0].tolist(), n)
+        for word in range(n - 1):
             for bit in range(16):
-                k, s = key.copy(), shifts.copy()
-                _flip(k, s, 0, word, bit)
-                ok = scalar.coset_record_is_sound(k[0].tolist(), s[0].tolist(), n)
-                bad = first_bad_record(k, s, n)
+                k = key.copy()
+                k[0, word] ^= 1 << bit
+                ok = scalar.coset_record_is_sound(k[0].tolist(), n)
+                bad = first_bad_record(k, n)
                 assert (bad is None) == ok, (i, word, bit, bad)
                 flagged += bad is not None
                 sound += ok
-    # both kinds occur: t1 + e stays an X shift when e is orthogonal to K and t2
+    # both kinds occur: a flipped bit below the pivots can give another coset's key
     assert flagged and sound
 
 
@@ -491,28 +507,46 @@ _X1, _X2, _X3, _Z1, _Z2, _Z3 = (1 << i for i in range(6))
     ((_Z3, _Z2), (_X1, 0), "shifts do not anticommute"),
 ])
 def test_first_bad_record_names_each_problem(key, shifts, problem):
+    # every problem of a format-3 record, the key and two stored shifts: the
+    # key-only check names those of the key, and those of the stored shifts
+    # (the cases with the identity's key) can no longer arise, as the shifts
+    # are completed from the key, and the completed ones are sound
     keys = np.array([(_Z3, _Z2), key], np.uint16)
-    both = np.array([(_X1, _Z1), shifts], np.uint16)
-    assert scalar.coset_record_is_sound(key, shifts, 3) == (problem is None)
-    assert first_bad_record(keys, both, 3) == (None if problem is None else (1, problem))
+    key_problem = None if key == (_Z3, _Z2) else problem
+    assert scalar.coset_record_is_sound(key, 3) == (key_problem is None)
+    assert first_bad_record(keys, 3) == (None if key_problem is None else (1, key_problem))
+    if key_problem is None:
+        # the problem lies in the stored shifts alone; the completed ones are sound
+        assert _split_the_coset(key, *shifts) == (problem is None)
+        (completed,) = _shifts(representative_rows(keys[1:], 3), 3)
+        assert _split_the_coset(key, *completed)
+
+
+def _split_the_coset(key, t1, t2) -> bool:
+    """Whether n = 3 shifts are vectors of F2^6 orthogonal to the key that
+    anticommute, so that they split K^perp / K into its four classes."""
+    orthogonal = not any(symplectic_inner(t, w, 3) for t in (t1, t2) for w in key)
+    return max(t1, t2) < 1 << 6 and orthogonal and symplectic_inner(t1, t2, 3) == 1
 
 
 def test_keys_and_shifts_give_the_full_rows_sums_at_n5():
     # 20,000 of the 782,595 n = 5 cosets with no sampled build: the key and the
-    # two shifts read off the completed rows give the sums of the full rows,
-    # bit for bit and in the same summation order
-    keys = scalar.enumerated_coset_keys(5)[::39][:20_000].astype(np.uint16)
+    # two shifts that `enumerate_stats` completes give the sums of the full
+    # rows of the reference completion, bit for bit and in the same
+    # summation order
+    keys = _all_n5_keys()[::39][:20_000].astype(np.uint16)
     assert len(keys) == 20_000
-    rows = representative_rows(keys, 5)
+    rows = scalar.completed_rows(keys, 5)
     assert np.array_equal(swap_halves(rows[:, 1:5], 5), keys)
-    shifts = swap_halves(rows[:, [5, 0]], 5)
-    assert first_bad_record(keys, shifts, 5) is None
+    shifts = np.array(_shifts(representative_rows(keys, 5), 5))
+    assert shifts.tolist() == _shifts(rows, 5)
+    assert first_bad_record(keys, 5) is None
     rng = np.random.default_rng(5)
     for _ in range(3):
         state = BellDiagonalState.from_pairs(rng.dirichlet([8, 1, 1, 1], size=5))
         want = state.probs[preimage_index(rows, 5)].sum(axis=-1)
         got = state.probs[preimage_cosets(keys, shifts[:, 0], shifts[:, 1])].sum(axis=-1)
         assert got.tobytes() == want.tobytes()
-        p_suc, f_num, _ = enumerate_stats(_Sample(5, keys, shifts, 0), state)
+        p_suc, f_num, _ = enumerate_stats(_Sample(5, keys, 0), state)
         assert f_num.tobytes() == want[:, 0].tobytes()
         assert p_suc.tobytes() == (((want[:, 0] + want[:, 1]) + want[:, 2]) + want[:, 3]).tobytes()
