@@ -2,17 +2,17 @@
 
 Layout: magic, 4-byte big-endian header length, header JSON, then `count`
 records of the little-endian structured dtype `record_dtype(mode, n)`.  A
-Werner record holds a case index and the preimage-coset histograms that fix
-the exact statistics, in ascending index order.  The index is the case's
-position when cases run over (a, b) ascending, then graph class ascending,
-as `werner.case_at` decodes it, so a new order needs a new format version;
-the case and its representative follow from it.  A transversal
+Werner record is a case index alone, in ascending order: the case's position
+when cases run over (a, b) ascending, then graph class ascending, as
+`werner.case_at` decodes it, so a new order needs a new format version.  The
+case, its representative and the coset histograms that fix the statistics
+follow from it; the loader derives them for all records at once.  A transversal
 record is the coset key alone, its n-1 masks each a uint16 (so n <= 8), one
 record per coset in ascending key order; a loaded transversal's keys are a
 view of them, and the shifts are completed from the keys when used.  At
 n = 1 the one key is empty and the body holds no bytes.  Each mode has its
 own format version.  Verification takes a sample of records and checks them:
-Werner records against their recomputed histograms, transversal records by
+Werner indices against a fresh enumeration's, transversal records by
 `transversal.first_bad_record`, the check `eval` runs on every record.  Each
 function imports `werner`, or `transversal` and `groups`, only for the mode
 it handles, so that a command loads the modules of its own cache mode alone.
@@ -32,25 +32,24 @@ from .orders import MAX_PAIRS, dn_index
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
 from .ratpoly import poly_from_strings  # noqa: F401
-from .states import encode_counts, werner_keys
+from .states import decode_counts, werner_keys
 from .states import werner_counts  # noqa: F401
 
 MAGIC = b"BCPC\x01"
-# Werner records hold coset histograms since version 2 (before: statistic
+# Werner records held coset histograms from version 2 (before: statistic
 # polynomials), are fixed-width since version 3 (before: one JSON record
-# each) and hold only the case index and histograms since version 4 (before:
-# also the case and the representative rows); a transversal is one binary
-# block since version 2 (before: one JSON record per coset), held each
-# coset's key and two shifts at version 3 (version 2: the key and the 2n
-# representative rows) and holds the key alone since version 4.
-FORMAT_VERSIONS = {"werner": 4, "transversal": 4}
+# each), held the case index and histograms at version 4 (version 3: also the
+# case and representative rows) and the index alone since version 5; a
+# transversal is one binary block since version 2 (before: one JSON record per
+# coset), held each coset's key and two shifts at version 3 (version 2: the
+# key and the 2n representative rows) and holds the key alone since version 4.
+FORMAT_VERSIONS = {"werner": 5, "transversal": 4}
 
 
 def record_dtype(mode: str, n: int) -> np.dtype:
     """One record of an n-pair cache of the given mode."""
     if mode == "werner":
-        # a histogram bin is at most 2^(n-1) <= 128 for the n <= 8 of Werner enumeration
-        return np.dtype([("index", "<u4"), ("counts", "u1", (4, n + 1))])
+        return np.dtype([("index", "<u4")])
     from .transversal import MAX_TRANSVERSAL_PAIRS
 
     if n > MAX_TRANSVERSAL_PAIRS:
@@ -115,8 +114,7 @@ def read_cache(path):
     The body must hold exactly the header's count of records.  Transversal
     keys must be strictly ascending, and the header's `complete` must say
     whether the records are every coset.  A Werner cache must hold records,
-    its histograms must each sum to 2^(n-1), and its case indices must be
-    strictly ascending and below `case_count(n)`.
+    and its case indices must be strictly ascending and below `case_count(n)`.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -152,7 +150,6 @@ def read_cache(path):
             raise ValueError("no records: every Werner enumeration finds at least 2 protocols")
         index = records["index"]
         for bad, problem in (
-            ((records["counts"].sum(axis=-1) != 1 << (n - 1)).any(axis=1), "malformed coset histograms"),
             (np.r_[False, index[1:] <= index[:-1]], "case index not above the one before"),
             (index >= case_count(n), f"case index not below {case_count(n)}"),
         ):
@@ -162,19 +159,27 @@ def read_cache(path):
 
 
 def write_werner_cache(path, n: int, protocols) -> None:
-    records = np.array([(p.case_index, p.counts) for p in protocols], record_dtype("werner", n))
+    records = np.array([p.case_index for p in protocols], record_dtype("werner", n))
     write_cache(path, {"mode": "werner", "n": n, "count": len(records)}, records)
 
 
 def load_werner_cache(path):
-    from .werner import Protocol
+    """(header, protocols) of a Werner cache, the histograms of all records derived
+    at once by the kernel the build's keys are checked against."""
+    from .werner import Protocol, case_at, first_rows, representative_rows
 
     header, records = read_cache(path)
     if header["mode"] != "werner":
         raise ValueError("not a werner-mode cache")
-    n = header["n"]
-    fields = (records[name].tolist() for name in ("index", "counts"))
-    return header, [Protocol(n, tuple(map(tuple, counts)), index) for index, counts in zip(*fields)]
+    n, index = header["n"], records["index"].tolist()
+    rows = representative_rows([case_at(n, i) for i in index], n)
+    keys = werner_keys(rows.astype(np.uint16), n)  # 2n <= 16 bits: a quarter of int64's memory
+    # a complete cache holds each protocol class once: a repeat is a bad index
+    repeated = np.ones(len(keys), dtype=bool)
+    repeated[first_rows(keys)] = False
+    if repeated.any():
+        raise ValueError(f"record {np.argmax(repeated)}: statistics of an earlier record")
+    return header, [Protocol(n, row, i) for i, row in zip(index, decode_counts(keys, n))]
 
 
 def write_transversal_cache(path, transversal, seed) -> None:
@@ -200,27 +205,14 @@ def load_transversal_cache(path):
     return header, Transversal(header["n"], records["key"], header["samples"])
 
 
-def _first_bad_werner_record(records: np.ndarray, n: int):
-    """`first_bad_record` of Werner records, representatives and statistics batched.
-
-    A record is sound when the representative of the case at its index has
-    its stored coset histograms, up to the order of the three non-base cosets.
-    """
-    from .werner import case_at, representative_rows
-
-    rows = representative_rows([case_at(n, index) for index in records["index"].tolist()], n)
-    bad = np.flatnonzero((werner_keys(rows, n) != encode_counts(records["counts"])).any(axis=-1))
-    return (int(bad[0]), "statistics mismatch") if bad.size else None
-
-
 def verify_cache(path, sample: int = 100, seed: int = 0):
     """Check a sample of records; every one must pass.
 
-    Werner records: the stored coset histograms must equal those of the
-    representative rebuilt from the stored case index, up to the order of the
-    three non-base cosets, checked for all sampled records at once.
-    Transversal records: the stored key must pass `first_bad_record`, the
-    check `enumerate_stats` runs.  Returns (ok, checked, message).
+    Werner records: the cache must load, hold one record per protocol of a
+    fresh `distinct_protocols`, and each sampled record the index of the
+    protocol in its place.  Transversal records: the stored key must pass
+    `first_bad_record`, the check `enumerate_stats` runs.  Returns (ok,
+    checked, message).
     """
     header, records = read_cache(path)
     n = header["n"]
@@ -232,7 +224,15 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
 
         bad = first_bad_record(records["key"][idx], n)
     else:
-        bad = _first_bad_werner_record(records[idx], n)
+        from .werner import distinct_protocols
+
+        load_werner_cache(path)  # two records with the same statistics do not load
+        fresh = np.array([p.case_index for p in distinct_protocols(n)])
+        if len(fresh) != len(records):
+            return False, 0, f"{len(records)} records, not the {len(fresh)} protocols of n={n}"
+        got, want = records["index"][idx], fresh[idx]
+        wrong = np.flatnonzero(got != want)[:1]
+        bad = next(((int(k), f"case index {got[k]}, not {want[k]}") for k in wrong), None)
     if bad is not None:
         checked, problem = bad
         return False, checked, f"record {idx[checked]}: {problem}"

@@ -295,8 +295,8 @@ class Protocol:
     """A distillation protocol: its case index plus coset histograms.
 
     The identity-weight histograms of the four preimage cosets fix the exact
-    Werner statistics; the case, its representative matrix and `stats` are
-    derived on first use.
+    Werner statistics; a cache stores the index alone, and its loader derives
+    them.  The case, its representative matrix and `stats` follow on first use.
     """
 
     n: int

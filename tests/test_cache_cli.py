@@ -69,8 +69,8 @@ def test_werner_cache_roundtrip_keeps_histograms(tmp_path, protocols_for):
             assert a.counts == b.counts and a.stats == b.stats
             assert a.rep == b.rep and a.source == b.source
             assert a.case_index == b.case_index
-        # statistics derived from the stored histograms equal those of the
-        # stored matrix
+        # the histograms derived at load give the statistics of the stored
+        # case's matrix
         assert loaded[-1].stats == werner_stats(loaded[-1].rep, n)
 
 
@@ -171,14 +171,50 @@ def test_format_3_werner_cache_rejected(tmp_path, protocols_for):
             reader(path)
 
 
-def test_werner_record_is_index_and_histograms(cache_dir, protocols_for):
-    # the case and the representative are not stored: they follow from the index
-    data = (cache_dir / "werner_n3.bcp").read_bytes()
-    header, records = read_cache(cache_dir / "werner_n3.bcp")
-    assert header["format_version"] == 4 and records.dtype.names == ("index", "counts")
-    assert records.dtype.itemsize == 4 + 4 * 4
-    assert data.endswith(records.tobytes()) and len(data) == data.index(b"}") + 1 + 5 * 20
-    assert records["index"].tolist() == [p.case_index for p in protocols_for(3)]
+def _v4_werner_file(path, n, protocols):
+    """A Werner cache as version 4 stored it: fixed-width records of the case
+    index and the four preimage-coset histograms."""
+    dtype = np.dtype([("index", "<u4"), ("counts", "u1", (4, n + 1))])
+    records = np.array([(p.case_index, p.counts) for p in protocols], dtype)
+    header = {"mode": "werner", "n": n, "count": len(records), "format_version": 4}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + records.tobytes())
+
+
+def test_format_4_werner_cache_rejected(tmp_path, capsys, protocols_for):
+    path = tmp_path / "werner_n3.bcp"
+    _v4_werner_file(path, 3, protocols_for(3))
+    bad = path.read_bytes()
+    assert len(bad) == bad.index(b"}") + 1 + 5 * (4 + 4 * 4)
+    for reader in (read_cache, load_werner_cache, verify_cache):
+        with pytest.raises(ValueError, match="unsupported werner cache version 4"):
+            reader(path)
+    for args, rebuild in (
+        (["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path)],
+         f"bicliff werner --n 3 --cache {tmp_path}"),
+        (["verify", str(path)], "bicliff werner or bicliff transversal"),
+    ):
+        code = run_cli(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: bad cache file {path}: unsupported werner cache version 4; "
+            f"rebuild it with: {rebuild}\n"
+        )
+    assert path.read_bytes() == bad  # no reader rewrites an old cache
+
+
+@pytest.mark.parametrize("n, size", [(3, 81), (8, 7008)])
+def test_werner_record_is_index_alone(tmp_path, protocols_for, n, size):
+    # the case, the representative and the histograms follow from the index
+    path = tmp_path / f"werner_n{n}.bcp"
+    write_werner_cache(path, n, protocols_for(n))
+    data = path.read_bytes()
+    header, records = read_cache(path)
+    assert header["format_version"] == 5 and records.dtype.names == ("index",)
+    assert records.dtype.itemsize == 4 and len(data) == size
+    assert data.endswith(records.tobytes()) and len(data) == data.index(b"}") + 1 + 4 * len(records)
+    assert records["index"].tolist() == [p.case_index for p in protocols_for(n)]
 
 
 def _v2_transversal_file(path, t):
@@ -434,17 +470,22 @@ def test_cli_transversal_n1_zero_width_records(tmp_path, capsys):
     assert capsys.readouterr().out == "checked=1 ok=1 ok\n"
 
 
-def test_load_rejects_histogram_of_wrong_sum(cache_dir, tmp_path):
+def test_load_rejects_repeated_statistics(cache_dir, tmp_path):
+    # the n = 3 records hold cases 0, 1, 2, 3, 6; case 7 shares record 3's
+    # statistics, so record 4 repeats them: the reader's checks pass, the load fails
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
+    header.pop("format_version")
     records = records.copy()
-    assert records["counts"].shape == (5, 4, 4) and (records["counts"].sum(axis=-1) == 4).all()
-    records["counts"][1, 0, 3] += 1
+    assert records["index"].tolist() == [0, 1, 2, 3, 6]
+    records["index"][4] = 7
     bad = tmp_path / "werner_n3.bcp"
     write_cache(bad, header, records)
-    with pytest.raises(ValueError, match="record 1: malformed coset histograms"):
-        load_werner_cache(bad)
+    read_cache(bad)
+    for reader in (load_werner_cache, verify_cache):
+        with pytest.raises(ValueError, match="record 4: statistics of an earlier record"):
+            reader(bad)
 
 
 def test_transversal_cache_roundtrip(cache_dir, transversal_for):
@@ -458,22 +499,6 @@ def test_verify_cache_ok(cache_dir):
     assert ok and checked == 5 and message == "ok"
     ok, checked, _ = verify_cache(cache_dir / "transversal_n2.bcp")
     assert ok and checked == 15
-
-
-def test_verify_cache_detects_corruption(cache_dir, tmp_path):
-    header, records = read_cache(cache_dir / "werner_n2.bcp")
-    records = records.copy()
-    # swap two unequal bins of the base histogram: the sums still hold
-    base = records["counts"][0, 0]
-    i, j = next((i, j) for i in range(len(base)) for j in range(i) if base[i] != base[j])
-    base[[i, j]] = base[[j, i]]
-    from bicliff.cache import write_cache
-
-    bad = tmp_path / "bad.bcp"
-    header.pop("format_version")
-    write_cache(bad, header, records)
-    ok, _, message = verify_cache(bad)
-    assert not ok and "mismatch" in message
 
 
 def test_verify_cache_rejects_bad_key(cache_dir, tmp_path, capsys, transversal_for):
@@ -511,44 +536,45 @@ def test_verify_cache_rejects_bad_key(cache_dir, tmp_path, capsys, transversal_f
 
 
 @pytest.mark.parametrize("sample, result", [
-    (100, (False, 3, "record 3: statistics mismatch")),
-    (3, (False, 1, "record 3: statistics mismatch")),
+    (100, (False, 3, "record 3: case index 5, not 3")),
+    (3, (False, 1, "record 3: case index 5, not 3")),
 ])
-def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sample, result):
-    # record 3's base histogram is permuted, which keeps its sums; records 4
-    # and 1 go wrong after it, record 1 only in a later sample
+def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sample, result,
+                                                      protocols_for):
+    # the n = 3 records hold cases 0, 1, 2, 3, 6 of 10; record 3 names case 5,
+    # a later case of its own class, so the cache loads the sound statistics
+    # and only the fresh enumeration tells the index is not the first
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
     header.pop("format_version")
     records = records.copy()
-    base = records["counts"][3, 0]
-    i, j = next((i, j) for i in range(len(base)) for j in range(i) if base[i] != base[j])
-    base[[i, j]] = base[[j, i]]
+    assert records["index"].tolist() == [0, 1, 2, 3, 6]
+    records["index"][3] = 5
     bad = tmp_path / "werner_n3.bcp"
     write_cache(bad, header, records)
+    assert [p.counts for p in load_werner_cache(bad)[1]] == [p.counts for p in protocols_for(3)]
     # a sample of 3 with seed 0 draws records 2, 3, 4 of 5
     assert sorted(np.random.default_rng(0).choice(5, size=3, replace=False)) == [2, 3, 4]
     assert verify_cache(bad, sample=sample) == result
-    # case 7 of n = 3 has other statistics than record 4's case 6
-    assert records["index"].tolist() == [0, 1, 2, 3, 6]
-    records["index"][4] = 7
+    # record 2 names case 4, a later case of its class, and goes wrong first
+    records["index"][2] = 4
     write_cache(bad, header, records)
-    assert verify_cache(bad, sample=sample) == result
-    records["counts"][1] = records["counts"][0]
-    write_cache(bad, header, records)
-    expect = (False, 1, "record 1: statistics mismatch") if sample > 5 else result
-    assert verify_cache(bad, sample=sample) == expect
+    checked = 2 if sample > 5 else 0
+    assert verify_cache(bad, sample=sample) == (False, checked, "record 2: case index 4, not 2")
 
 
 # the n = 4 records hold cases 0, 1, 2, 4, 5, 6, 7, 12, 17, 21, 28, 34, 35 of 60
 @pytest.mark.parametrize("record, index, result", [
-    (3, 3, (False, 3, "record 3: statistics mismatch")),  # case 3 shares case 2's statistics
-    (7, 16, (False, 7, "record 7: statistics mismatch")),  # case 16 shares case 4's
-    (12, 39, (True, 13, "ok")),  # case 39 shares record 12's: a sound record, if not the first
+    # case 3 shares case 2's statistics, so record 3 repeats record 2's
+    (3, 3, ValueError("record 3: statistics of an earlier record")),
+    (7, 16, ValueError("record 7: statistics of an earlier record")),  # case 16 shares case 4's
+    # case 39 shares record 12's own statistics: it loads, but is not the first case
+    (12, 39, (False, 12, "record 12: case index 39, not 35")),
 ])
 def test_verify_werner_cache_checks_index(cache_dir, tmp_path, record, index, result):
-    # verify rebuilds each record's representative from its case index
+    # the load derives each record's statistics from its case index, and
+    # verify compares the indices with a fresh enumeration
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n4.bcp")
@@ -558,7 +584,54 @@ def test_verify_werner_cache_checks_index(cache_dir, tmp_path, record, index, re
     records["index"][record] = index
     bad = tmp_path / "werner_n4.bcp"
     write_cache(bad, header, records)
-    assert verify_cache(bad, sample=10**6) == result
+    if isinstance(result, ValueError):
+        for reader in (load_werner_cache, verify_cache):
+            with pytest.raises(ValueError, match=str(result)):
+                reader(bad)
+    else:
+        assert verify_cache(bad, sample=10**6) == result
+
+
+def test_verify_werner_cache_checks_record_count(cache_dir, tmp_path, capsys, protocols_for):
+    # the first 10 of the 13 n = 4 protocols: every record is sound and loads
+    path = tmp_path / "werner_n4.bcp"
+    write_werner_cache(path, 4, protocols_for(4)[:10])
+    assert len(load_werner_cache(path)[1]) == 10
+    problem = "10 records, not the 13 protocols of n=4"
+    assert verify_cache(path) == (False, 0, problem)
+    assert run_cli(["verify", str(path)]) == 2
+    assert capsys.readouterr().out == f"checked=0 ok=0 {problem}\n"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_werner_bit_flips_fail_load_or_verify(cache_dir, tmp_path, capsys, protocols_for, n):
+    # a complete cache holds each class once, so a flipped index bit breaks
+    # the index order or range, repeats an earlier record's statistics, or
+    # names a later case of the record's own class, which verify rejects
+    good = cache_dir / f"werner_n{n}.bcp"
+    data = good.read_bytes()
+    count = len(protocols_for(n))
+    counts = [p.counts for p in protocols_for(n)]
+    path = tmp_path / good.name
+    args = ["compare", "--n-min", str(n), "--n-max", str(n), "--cache", str(tmp_path)]
+    loaded = 0
+    for bit in range(count * 32):
+        flipped = bytearray(data)
+        flipped[len(data) - 4 * count + bit // 8] ^= 1 << bit % 8
+        path.write_bytes(flipped)
+        try:
+            protocols = load_werner_cache(path)[1]
+        except ValueError:
+            assert run_cli(args) == 2, bit
+            captured = capsys.readouterr()
+            assert captured.out == "", bit
+            assert captured.err.endswith(f"; rebuild it with: bicliff werner --n {n} --cache {tmp_path}\n")
+            continue
+        loaded += 1
+        assert [p.counts for p in protocols] == counts, bit
+        ok, _, message = verify_cache(path, sample=count)
+        assert not ok and "case index" in message, bit
+    assert loaded == {3: 0, 4: 2}[n]
 
 
 @pytest.mark.parametrize("record, index, message", [
@@ -582,19 +655,30 @@ def test_werner_cache_rejects_bad_case_index(cache_dir, tmp_path, record, index,
 
 
 def test_cli_verify_werner_other_case_index_exits_2(cache_dir, tmp_path, capsys):
-    # record 4 names case 7, whose statistics are not the stored ones
+    # record 3 names case 5, a later case of its own class: the cache loads,
+    # and verify reports the index
     from bicliff.cache import write_cache
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
     header.pop("format_version")
     records = records.copy()
-    records["index"][4] = 7
+    records["index"][3] = 5
     bad = tmp_path / "werner_n3.bcp"
     write_cache(bad, header, records)
     code = run_cli(["verify", str(bad)])
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
-    assert captured.out == "checked=4 ok=0 record 4: statistics mismatch\n"
+    assert captured.out == "checked=3 ok=0 record 3: case index 5, not 3\n"
+    # record 4 names case 7, which has record 3's statistics: the cache does not load
+    records["index"][3], records["index"][4] = 3, 7
+    write_cache(bad, header, records)
+    code = run_cli(["verify", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: bad cache file {bad}: record 4: statistics of an earlier record; "
+        "rebuild it with: bicliff werner or bicliff transversal\n"
+    )
 
 
 def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path, capsys):
@@ -1333,11 +1417,11 @@ def _bad_cache(kind, good, path, protocols):
         _v3_werner_file(path, 3, protocols)
     elif kind == "empty":  # well formed, but every n = 2..8 has at least 2 protocols
         write_werner_cache(path, 3, [])
-    elif kind in ("malformed counts", "unsorted index", "index past every case"):
+    elif kind in ("duplicate statistics", "unsorted index", "index past every case"):
         header, records = read_cache(good)
         records = records.copy()
-        if kind == "malformed counts":
-            records["counts"][0, 0, 0] += 1
+        if kind == "duplicate statistics":  # case 7 shares record 3's case 3's statistics
+            records["index"][4] = 7
         elif kind == "unsorted index":
             records["index"][[1, 2]] = records["index"][[2, 1]]
         else:
@@ -1346,7 +1430,7 @@ def _bad_cache(kind, good, path, protocols):
 
 
 @pytest.mark.parametrize("kind", [
-    "foreign", "truncated", "old version", "format 2", "format 3", "malformed counts",
+    "foreign", "truncated", "old version", "format 2", "format 3", "duplicate statistics",
     "unsorted index", "index past every case", "empty",
 ])
 @pytest.mark.parametrize("command", ["compare", "circuit", "verify"])
