@@ -164,14 +164,19 @@ def write_werner_cache(path, n: int, protocols) -> None:
 
 
 def load_werner_cache(path):
-    """(header, protocols) of a Werner cache, the histograms of all records derived
-    at once by the kernel the build's keys are checked against."""
-    from .werner import Protocol, case_at, first_rows, representative_rows
-
+    """(header, protocols) of a Werner cache: `werner_protocols` of its records."""
     header, records = read_cache(path)
     if header["mode"] != "werner":
         raise ValueError("not a werner-mode cache")
-    n, index = header["n"], records["index"].tolist()
+    return header, werner_protocols(header["n"], records["index"])
+
+
+def werner_protocols(n: int, index: np.ndarray) -> list:
+    """The protocols of a Werner cache's case indices, the histograms of all
+    records derived at once by the kernel the build's keys are checked against."""
+    from .werner import Protocol, case_at, first_rows, representative_rows
+
+    index = index.tolist()
     rows = representative_rows([case_at(n, i) for i in index], n)
     keys = werner_keys(rows.astype(np.uint16), n)  # 2n <= 16 bits: a quarter of int64's memory
     # a complete cache holds each protocol class once: a repeat is a bad index
@@ -179,7 +184,7 @@ def load_werner_cache(path):
     repeated[first_rows(keys)] = False
     if repeated.any():
         raise ValueError(f"record {np.argmax(repeated)}: statistics of an earlier record")
-    return header, [Protocol(n, row, i) for i, row in zip(index, decode_counts(keys, n))]
+    return [Protocol(n, row, i) for i, row in zip(index, decode_counts(keys, n))]
 
 
 def write_transversal_cache(path, transversal, seed) -> None:
@@ -226,7 +231,7 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
     else:
         from .werner import distinct_protocols
 
-        load_werner_cache(path)  # two records with the same statistics do not load
+        werner_protocols(n, records["index"])  # two records with the same statistics do not load
         fresh = np.array([p.case_index for p in distinct_protocols(n)])
         if len(fresh) != len(records):
             return False, 0, f"{len(records)} records, not the {len(fresh)} protocols of n={n}"

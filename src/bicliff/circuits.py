@@ -206,9 +206,9 @@ def _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps) -> np.ndarray
 
 
 def _matches(rows, n: int, key) -> np.ndarray:
-    """Which row sets of a block have the encoded target key, shape (size,)."""
+    """Which row sets of a (..., 2n) array have the encoded target key, shape (...)."""
     # 2n <= 16 bits for the n <= 8 that werner_keys supports
-    return (werner_keys(rows.astype(np.uint16), n) == key).all(axis=-1)
+    return (werner_keys(np.asarray(rows, np.uint16), n) == key).all(axis=-1)
 
 
 def _synth_block(n, seed, count, block, size, key, allow_swap):

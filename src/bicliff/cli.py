@@ -327,8 +327,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_circuit(args) -> int:
-    from .circuits import circuit_to_symplectic, published_circuits
-    from .states import encode_counts, werner_keys
+    from .circuits import _matches, circuit_to_symplectic, published_circuits
+    from .states import encode_counts
 
     protocols = _load_cache("werner", args.cache, args.n, jobs=args.jobs)
     res = best_fidelity_protocol(args.n, protocols=protocols)
@@ -340,7 +340,7 @@ def cmd_circuit(args) -> int:
     key = encode_counts(target.counts)
 
     def _verified(circ) -> bool:
-        return bool((werner_keys(circuit_to_symplectic(circ).rows, args.n) == key).all())
+        return bool(_matches(circuit_to_symplectic(circ).rows, args.n, key))
 
     if synth.circuit is not None:
         circ = synth.circuit

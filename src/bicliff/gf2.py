@@ -12,6 +12,7 @@ matrix).  The symplectic form is Omega = [[0, I_n], [I_n, 0]].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +114,7 @@ def is_symplectic_rows(rows, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched row reduction and uniform sampling: many small systems at once,
-# rows as uint64 arrays
+# rows as arrays of unsigned integer masks
 # ---------------------------------------------------------------------------
 
 
@@ -124,36 +125,43 @@ def top_bit(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> 1)
 
 
-def _insert(basis: np.ndarray, pivots: np.ndarray, j: int, v: np.ndarray, pivot_bit) -> None:
-    """Add row v of every system to its reduced basis, in place, at column j.
+def low_bit(v: np.ndarray) -> np.ndarray:
+    """The lowest set bit of each entry, as a mask (0 for 0)."""
+    return v & (~v + 1)
 
-    basis and pivots have shape (..., m); each nonzero basis row holds its
-    pivot bit (pivots[..., r]) and no other row's.  v is reduced against the
-    basis, its pivot_bit becomes a new pivot and is cleared from every other
-    row.  A dependent v leaves a zero row with pivot 0.
+
+class Echelon:
+    """Incremental Gauss-Jordan elimination of `count` systems at once: row r
+    of every system is rows[r], shape (count,), in the given word type.
+
+    Each nonzero row holds its pivot, `pivot_bit` of the row once reduced,
+    and no other row holds it; a dependent row stays as a zero row, pivot 0.
     """
-    # each pivot is set in its own row only, so one XOR of the rows whose
-    # pivots v holds clears them all
-    v = v ^ np.bitwise_xor.reduce(
-        np.where((v[..., None] & pivots) != 0, basis, 0), axis=-1
-    )
-    p = pivot_bit(v)
-    basis ^= np.where((basis & p[..., None]) != 0, v[..., None], 0)
-    basis[..., j] = v
-    pivots[..., j] = p
 
+    def __init__(self, size: int, count: int, word, pivot_bit) -> None:
+        self.rows = np.zeros((size, count), word)
+        self.pivots = np.zeros_like(self.rows)
+        self.held = 0  # rows in use
+        self.pivot_bit = pivot_bit
 
-def _eliminate(rows, pivot_bit) -> tuple:
-    """Gauss-Jordan elimination of a batch of systems: (basis, pivots).
+    def insert(self, v: np.ndarray) -> None:
+        """Reduce row v of every system against its rows and add it."""
+        held = self.held
+        rows, pivots = self.rows[:held], self.pivots[:held]
+        # each pivot is set in its own row only, so one XOR of the rows whose
+        # pivots v holds clears them all
+        v = v ^ np.bitwise_xor.reduce(rows * (v & pivots != 0), axis=0)
+        p = self.pivot_bit(v)
+        rows ^= v * (rows & p != 0)
+        self.rows[held], self.pivots[held] = v, p
+        self.held = held + 1
 
-    rows has shape (..., m), one system of m row masks per leading index.
-    """
-    rows = np.asarray(rows, dtype=np.uint64)
-    basis = np.zeros_like(rows)
-    pivots = np.zeros_like(rows)
-    for j in range(rows.shape[-1]):
-        _insert(basis, pivots, j, rows[..., j], pivot_bit)
-    return basis, pivots
+    def least(self, bit) -> np.ndarray:
+        """The OR of the pivots of the rows holding `bit`.  With `low_bit` pivots
+        every other bit of a row lies above its pivot, so this is the least
+        solution when `bit` holds each row's right-hand side."""
+        held = self.held
+        return np.bitwise_or.reduce(self.pivots[:held] * (self.rows[:held] & bit != 0), axis=0)
 
 
 def rref_rows(rows) -> np.ndarray:
@@ -162,11 +170,15 @@ def rref_rows(rows) -> np.ndarray:
     rows is a (..., m) array of row masks.  A reduced row's pivot is its
     highest set bit and is clear in every other row, so two generating sets
     span the same subspace iff their bases are equal.  Each basis comes in
-    decreasing pivot order, then zeros, as a uint64 array of rows' shape;
-    pivots are distinct highest bits, so sorting the rows gives that order.
+    decreasing pivot order (a sort, as pivots are distinct top bits), then
+    zeros, as a C-ordered array of rows' shape and dtype.
     """
-    basis, _ = _eliminate(rows, top_bit)
-    return np.flip(np.sort(basis, axis=-1), axis=-1)
+    rows = np.asarray(rows)
+    count, m = math.prod(rows.shape[:-1]), rows.shape[-1]
+    echelon = Echelon(m, count, rows.dtype, top_bit)
+    for v in rows.reshape(count, m).T:
+        echelon.insert(v)
+    return np.ascontiguousarray(np.sort(echelon.rows, axis=0)[::-1].T).reshape(rows.shape)
 
 
 def random_symplectic_rows(n: int, rng, count: int) -> np.ndarray:

@@ -58,8 +58,8 @@ def coset_keys(rows, n: int):
 
     The base preimage is spanned by rows 1..n-1 with their halves swapped
     (see `states.preimage_index`), so each key is the reduced basis of those
-    n-1 vectors: a (..., n-1) uint64 array, zero-padded where they are
-    dependent.
+    n-1 vectors: a (..., n-1) array of the rows' dtype, zero-padded where
+    they are dependent.
     """
     return rref_rows(swap_halves(rows[..., 1:n], n))
 

@@ -13,8 +13,9 @@ Sampling, completion and statistics each run on whole arrays of matrices:
 a block of samples is one `random_symplectic_rows` call (each matrix drawn
 on the null basis of its constraints) and one `coset_keys` call, whose keys
 merge into one set as big-endian byte strings; `enumerate_stats` completes
-the keys one chunk at a time, in one incremental elimination per chunk, and
-sums every coset of the chunk with one gather.  Keys are uint16 masks, as
+the keys one chunk at a time, in one lowest-bit `gf2.Echelon` per chunk, and
+sums every coset of the chunk with one gather.  Keys come from the same
+kernel with top-bit pivots (`gf2.rref_rows`).  Keys are uint16 masks, as
 in the cache, so n <= 8; the completion's words hold 3n <= 24 bits.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ordered_calls
-from .gf2 import SymplecticMatrix, random_symplectic_rows, swap_halves, top_bit
+from .gf2 import Echelon, SymplecticMatrix, low_bit, random_symplectic_rows, swap_halves, top_bit
 from .groups import coset_keys
 from .orders import dn_index
 from .states import BellDiagonalState, preimage_cosets
@@ -117,53 +118,34 @@ def _complete(keys: np.ndarray, n: int) -> np.ndarray:
     <x, u_j> = 0 for j < i; w1 is the least nonzero x orthogonal to all of
     these, and u1 the least x with <x, w1> = 1 orthogonal to the rest.  The
     constraint <x, v> of each column v found so far is the row swap(v) of one
-    lowest-bit Gauss-Jordan elimination, which grows by one row per column,
-    2n - 1 rows in all.  Row bit 2n + j tags the row of key row j (j < n - 1)
-    or of w1 (j = n - 1): a reduced row holds the tag when it combines that
-    row, so the tag is its right-hand side in the system of that column's
-    partner.  Every other bit of a row lies above its pivot, so the least
-    solution (free bits 0) is the OR of the pivots of the rows holding the
-    tag, and w1 is the lowest free bit f plus the pivots of the rows holding f.
+    lowest-bit `Echelon`, which grows by one row per column, 2n - 1 rows in
+    all.  Row bit 2n + j tags the row of key row j (j < n - 1) or of w1
+    (j = n - 1): a reduced row holds the tag when it combines that row, so
+    the tag is its right-hand side in the system of that column's partner,
+    solved by `least(tag)`; w1 is the lowest free bit f plus `least(f)`.
     """
     nn = 2 * n
     # uint16 words complete n = 5 about 40% faster than uint32 words
     word = np.uint16 if 3 * n <= 16 else np.uint32
-    one = word(1)
     ws = keys.T.astype(word)
-    rows = np.zeros((nn - 1, len(keys)), word)
-    pivots = np.zeros_like(rows)  # each row's lowest bit, clear in every other row
-    held = 0
-
-    def insert(v):
-        nonlocal held
-        # each pivot is set in its own row only, so one XOR of the rows whose
-        # pivots v holds clears them all
-        v = v ^ np.bitwise_xor.reduce(rows[:held] * (v & pivots[:held] != 0), axis=0)
-        p = v & (~v + one)
-        rows[:held] ^= v * (rows[:held] & p != 0)
-        rows[held], pivots[held] = v, p
-        held += 1
-
-    def least(bit):
-        return np.bitwise_or.reduce(pivots[:held] * (rows[:held] & bit != 0), axis=0)
-
+    echelon = Echelon(nn - 1, len(keys), word, low_bit)
     for j, w in enumerate(ws):
-        insert(swap_halves(w, n) | one << (nn + j))
+        echelon.insert(swap_halves(w, n) | 1 << (nn + j))
     us = []
     for j in range(n - 1):
-        us.append(least(one << (nn + j)))
-        insert(swap_halves(us[-1], n))
-    free = ~np.bitwise_or.reduce(pivots, axis=0) & (one << nn) - one
-    free &= ~free + one
-    w1 = free | least(free)
-    insert(swap_halves(w1, n) | one << (nn + n - 1))
-    return np.stack([least(one << (nn + n - 1)), *us, w1, *ws])
+        us.append(echelon.least(1 << (nn + j)))
+        echelon.insert(swap_halves(us[-1], n))
+    free = low_bit(~np.bitwise_or.reduce(echelon.pivots, axis=0) & (1 << nn) - 1)
+    w1 = free | echelon.least(free)
+    echelon.insert(swap_halves(w1, n) | 1 << (nn + n - 1))
+    return np.stack([echelon.least(1 << (nn + n - 1)), *us, w1, *ws])
 
 
 def _sample_block(n: int, seed, block: int, size: int) -> np.ndarray:
-    """The block's coset keys as big-endian bytes, which sort as the keys do."""
+    """The block's coset keys as big-endian bytes, which sort as the keys do;
+    the byte view reads the masks in C order, whatever the keys' layout."""
     rng = np.random.default_rng([seed, block])
-    keys = coset_keys(random_symplectic_rows(n, rng, size), n).astype(">u2")
+    keys = coset_keys(random_symplectic_rows(n, rng, size), n).astype(">u2", order="C")
     return np.ndarray(size, f"V{keys.itemsize * (n - 1)}", keys)
 
 

@@ -9,8 +9,9 @@ one-matrix-at-a-time sampler `random_symplectic`, the draw-for-draw oracle of
 its one-row case); the coset completion and coupon-collector references here
 solve and draw through them, at scalar speed.  The second part holds code that no command, demo or benchmark runs but
 that tests use as an oracle or a fixture: the per-vector matrix action and
-inverse, scalar row reduction, the batched least-solution solvers and the
-coset completion that solves each system afresh with them (the oracle of
+inverse, scalar row reduction, a row-major batched elimination that shares
+no code with `gf2.Echelon`, the least-solution solvers on it and the coset
+completion that solves each system afresh with them (the oracle of
 `transversal._complete`), the Werner symmetry generators, the case
 enumeration, the Werner product state, and the DEJMPS step with its
 concatenation plans.
@@ -38,7 +39,6 @@ from bicliff.gf2 import (
     H,
     S,
     SymplecticMatrix,
-    _eliminate,
     swap_halves,
     symplectic_inner,
 )
@@ -620,6 +620,30 @@ def rref(vectors) -> tuple:
 def _low_bit(v: np.ndarray) -> np.ndarray:
     """The lowest set bit of each entry, as a mask (0 for 0)."""
     return v & (~v + 1)
+
+
+def _eliminate(rows, pivot_bit) -> tuple:
+    """Gauss-Jordan elimination of a batch of systems: (basis, pivots), each
+    of rows' shape (..., m), one system of m row masks per leading index.
+
+    Row j of each system is reduced against the basis, its pivot_bit becomes
+    a new pivot and is cleared from every other row; a dependent row leaves a
+    zero row with pivot 0.  The library's `gf2.Echelon` holds the rows along
+    the first axis instead; this row-major copy shares no code with it.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    basis = np.zeros_like(rows)
+    pivots = np.zeros_like(rows)
+    for j in range(rows.shape[-1]):
+        v = rows[..., j]
+        # each pivot is set in its own row only, so one XOR of the rows whose
+        # pivots v holds clears them all
+        v = v ^ np.bitwise_xor.reduce(np.where((v[..., None] & pivots) != 0, basis, 0), axis=-1)
+        p = pivot_bit(v)
+        basis ^= np.where((basis & p[..., None]) != 0, v[..., None], 0)
+        basis[..., j] = v
+        pivots[..., j] = p
+    return basis, pivots
 
 
 def least_solutions(cons, nbits: int) -> np.ndarray:

@@ -494,11 +494,16 @@ def test_transversal_cache_roundtrip(cache_dir, transversal_for):
     assert np.array_equal(t.keys, transversal_for(2).keys)
 
 
-def test_verify_cache_ok(cache_dir):
+def test_verify_cache_ok(cache_dir, monkeypatch):
+    # each verify reads the file once: the Werner protocols are derived from
+    # the records already read
+    reads = []
+    monkeypatch.setattr("bicliff.cache.read_cache", lambda path: reads.append(path) or read_cache(path))
     ok, checked, message = verify_cache(cache_dir / "werner_n3.bcp")
     assert ok and checked == 5 and message == "ok"
     ok, checked, _ = verify_cache(cache_dir / "transversal_n2.bcp")
     assert ok and checked == 15
+    assert reads == [cache_dir / "werner_n3.bcp", cache_dir / "transversal_n2.bcp"]
 
 
 def test_verify_cache_rejects_bad_key(cache_dir, tmp_path, capsys, transversal_for):

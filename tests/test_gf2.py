@@ -10,6 +10,7 @@ import _scalar_reference as scalar
 from bicliff.gf2 import (
     CNOT,
     CZ,
+    Echelon,
     Gate,
     H,
     S,
@@ -19,6 +20,7 @@ from bicliff.gf2 import (
     gate_matrix,
     is_symplectic,
     is_symplectic_rows,
+    low_bit,
     random_symplectic,
     random_symplectic_rows,
     rref_rows,
@@ -307,6 +309,49 @@ def test_rref_rows_match_rref():
         for r, g in zip(rows.tolist(), got):
             want = scalar.rref(r)
             assert tuple(g) == want + (0,) * (m - len(want))
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+def test_rref_rows_keeps_dtype_and_returns_c_order(dtype):
+    rng = np.random.default_rng(12)
+    rows = _random_systems(rng, 200, 5, 9)
+    got = rref_rows(rows.astype(dtype))
+    assert got.dtype == dtype and got.flags.c_contiguous
+    assert got.tolist() == rref_rows(rows).tolist()
+    # the basis of column-major and reversed-stride input is C-ordered too
+    for view in (np.asfortranarray(rows.astype(dtype)), rows.astype(dtype)[::-1, ::-1]):
+        got = rref_rows(view)
+        assert got.flags.c_contiguous and got.tolist() == rref_rows(view.copy()).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint64])
+def test_echelon_least_matches_brute_force(dtype):
+    # lowest-bit pivots, each constraint's right-hand side held at bit nbits:
+    # least(that bit) is the least solution, and the lowest free bit plus
+    # least(free bit) the least nonzero null vector, as `transversal._complete`
+    # reads them
+    rng = np.random.default_rng(13)
+    nbits, count = 6, 200
+    xs = np.arange(1 << nbits, dtype=np.uint64)
+    for m in range(0, 7):
+        masks = _random_systems(rng, count, m, nbits)
+        target = rng.integers(0, 1 << nbits, size=(count, 1), dtype=np.uint64)
+        rhs = (np.bitwise_count(masks & target) & 1).astype(np.uint64)
+        solve, null = Echelon(m, count, dtype, low_bit), Echelon(m, count, dtype, low_bit)
+        for j in range(m):
+            solve.insert((masks[:, j] | rhs[:, j] << np.uint64(nbits)).astype(dtype))
+            null.insert(masks[:, j].astype(dtype))
+        parities = np.bitwise_count(masks[:, None, :] & xs[:, None]) & 1
+        ok = (parities == rhs[:, None, :]).all(-1)
+        assert solve.least(dtype(1 << nbits)).tolist() == ok.argmax(axis=1).tolist()
+        zero = (parities == 0).all(-1)
+        zero[:, 0] = False
+        has = zero.any(axis=1)
+        free = low_bit(~np.bitwise_or.reduce(null.pivots, axis=0) & dtype((1 << nbits) - 1))
+        got = free | null.least(free)
+        assert got.dtype == dtype
+        assert got[has].tolist() == zero.argmax(axis=1)[has].tolist()
+        assert (free[~has] == 0).all()
 
 
 def test_least_solutions_match_brute_force():

@@ -6,11 +6,13 @@ calls is start-up time spent for nothing.  Each case below runs one command in
 a fresh interpreter and reads `sys.modules` when it returns.
 """
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +106,17 @@ def test_front_end_loads_no_numpy(tmp_path, args, code):
     }, args
     assert not {name for name in loaded if name.split(".")[0] == "numpy"}, args
     assert list(tmp_path.iterdir()) == [], args  # no cache directory was made
+
+
+def test_scalar_oracle_shares_no_elimination_with_the_kernel():
+    # the oracle of `transversal._complete` and `gf2.rref_rows` solves with an
+    # elimination of its own, so a fault in `gf2.Echelon` cannot hide in both
+    tree = ast.parse((Path(__file__).parent / "_scalar_reference.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "bicliff.gf2" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "bicliff":
+            assert all(alias.name != "gf2" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "bicliff.gf2":
+            for alias in node.names:
+                assert alias.name not in ("Echelon", "*") and not alias.name.startswith("_"), alias.name

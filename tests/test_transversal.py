@@ -12,6 +12,7 @@ from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves, symplectic_i
 from bicliff.groups import bfs_closure, coset_key, coset_keys
 from bicliff.orders import dn_index
 from bicliff.states import BellDiagonalState, DistStats, preimage_cosets, preimage_index, werner_keys
+from bicliff import transversal
 from bicliff.transversal import (
     SAMPLE_BLOCK,
     Transversal,
@@ -124,6 +125,25 @@ def test_build_transversal_rejects_pair_counts_past_uint16(n):
     # 2n row bits must fit the uint16 masks of keys, rows and cache records
     with pytest.raises(ValueError, match=r"transversal pair count must be in \[1, 8\]"):
         build_transversal(n, max_samples=16)
+
+
+@pytest.mark.parametrize(
+    "layout", [np.asfortranarray, lambda keys: keys[::-1, ::-1]], ids=["column-major", "reversed"]
+)
+def test_sample_block_reads_keys_in_any_memory_layout(monkeypatch, layout):
+    # the sampler's merge step views the keys' buffer as one byte string per
+    # key, so keys in another memory layout must not be read raw
+    given = []
+
+    def keys_in_layout(rows, n):
+        given.append(layout(coset_keys(rows, n)))
+        return given[-1]
+
+    monkeypatch.setattr(transversal, "coset_keys", keys_in_layout)
+    for n in (2, 4, 5):
+        merged = transversal._sample_block(n, 0, n, 300)
+        decoded = np.frombuffer(b"".join(merged.tolist()), ">u2").reshape(300, n - 1)
+        assert decoded.tolist() == given[-1].tolist()
 
 
 def test_representative_rows_of_uint16_keys_match_uint64():
