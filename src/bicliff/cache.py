@@ -1,21 +1,21 @@
-"""Protocol cache files: a JSON header, then one block of fixed-width records.
+"""Protocol cache files: a JSON header, then a block of fixed-width records.
 
 Layout: magic, 4-byte big-endian header length, header JSON, then `count`
-records of the little-endian structured dtype `record_dtype(mode, n)`.  A
-Werner record is a case index alone, in ascending order: the case's position
-when cases run over (a, b) ascending, then graph class ascending, as
-`werner.case_at` decodes it, so a new order needs a new format version.  The
-case, its representative and the coset histograms that fix the statistics
-follow from it; the loader derives them for all records at once.  A transversal
-record is the coset key alone, its n-1 masks each a uint16 (so n <= 8), one
-record per coset in ascending key order; a loaded transversal's keys are a
-view of them, and the shifts are completed from the keys when used.  At
-n = 1 the one key is empty and the body holds no bytes.  Each mode has its
-own format version.  Verification takes a sample of records and checks them:
-Werner indices against a fresh enumeration's, transversal records by
-`transversal.first_bad_record`, the check `eval` runs on every record.  Each
-function imports `werner`, or `transversal` and `groups`, only for the mode
-it handles, so that a command loads the modules of its own cache mode alone.
+records.  A Werner record is a case index alone, a little-endian uint32 of
+`WERNER_RECORD`, in ascending order: the case's position when cases run
+over (a, b) ascending, then graph class ascending, as `werner.case_at`
+decodes it, so a new order needs a new format version.  The case, its
+representative and the coset histograms that fix the statistics follow from
+it; the loader derives them for all records at once.  A transversal is a
+pure function of n, so its cache is the header alone: n, count, complete,
+and the seed and sample count of the build that wrote it.  Only a complete
+transversal whose keys equal `transversal.enumerate_coset_keys(n)` is
+written, and the reader returns that enumeration.  Each mode has its own
+format version.  Verification checks Werner indices, a sample of them,
+against a fresh enumeration's, and runs `transversal.first_bad_record` on
+every enumerated key of a transversal.  Each function imports `werner`, or
+`transversal`, only for the mode it handles, so that a command loads the
+modules of its own cache mode alone.
 """
 
 from __future__ import annotations
@@ -42,19 +42,10 @@ MAGIC = b"BCPC\x01"
 # case and representative rows) and the index alone since version 5; a
 # transversal is one binary block since version 2 (before: one JSON record per
 # coset), held each coset's key and two shifts at version 3 (version 2: the
-# key and the 2n representative rows) and holds the key alone since version 4.
-FORMAT_VERSIONS = {"werner": 5, "transversal": 4}
-
-
-def record_dtype(mode: str, n: int) -> np.dtype:
-    """One record of an n-pair cache of the given mode."""
-    if mode == "werner":
-        return np.dtype([("index", "<u4")])
-    from .transversal import MAX_TRANSVERSAL_PAIRS
-
-    if n > MAX_TRANSVERSAL_PAIRS:
-        raise ValueError(f"a transversal holds at most {MAX_TRANSVERSAL_PAIRS} pairs, not n={n}")
-    return np.dtype([("key", "<u2", (n - 1,))])
+# key and the 2n representative rows), held the key alone at version 4 and
+# is the header alone since version 5.
+FORMAT_VERSIONS = {"werner": 5, "transversal": 5}
+WERNER_RECORD = np.dtype([("index", "<u4")])
 
 
 @contextmanager
@@ -74,10 +65,10 @@ def atomic_open(path: Path):
         raise
 
 
-def write_cache(path, header: dict, records: np.ndarray) -> None:
-    """Write a cache atomically: the header as given, then the records.
+def write_cache(path, header: dict, records: np.ndarray | None = None) -> None:
+    """Write a cache atomically: the header as given, then the records, if any.
 
-    records is an array of `record_dtype(header["mode"], header["n"])`.
+    records is an array of `WERNER_RECORD` for a Werner cache.
     """
     header = {**header, "format_version": FORMAT_VERSIONS[header["mode"]]}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -85,20 +76,8 @@ def write_cache(path, header: dict, records: np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.write(MAGIC + struct.pack(">I", len(blob)) + blob)
-        records.tofile(fh)  # from the array's own buffer, with no copy as bytes
-
-
-def _strictly_ascending(keys: np.ndarray) -> bool:
-    """Whether each key row is lexicographically greater than the one before.
-
-    The columns run from last to first, so one flag per row pair holds its
-    order on the columns seen so far, and each step makes one temporary.
-    """
-    greater = np.zeros(max(len(keys) - 1, 0), bool)
-    for column in keys.T[::-1]:
-        greater &= column[1:] == column[:-1]
-        greater |= column[1:] > column[:-1]
-    return bool(greater.all())
+        if records is not None:
+            records.tofile(fh)  # from the array's own buffer, with no copy as bytes
 
 
 def _read_exact(fh, count: int) -> bytes:
@@ -109,12 +88,13 @@ def _read_exact(fh, count: int) -> bytes:
 
 
 def read_cache(path):
-    """(header, records) of a cache file, records an array of `record_dtype`.
+    """(header, records) of a cache file.
 
-    The body must hold exactly the header's count of records.  Transversal
-    keys must be strictly ascending, and the header's `complete` must say
-    whether the records are every coset.  A Werner cache must hold records,
-    and its case indices must be strictly ascending and below `case_count(n)`.
+    Werner records are an array of `WERNER_RECORD`: the body must hold
+    exactly the header's count of them, at least one, with case indices
+    strictly ascending and below `case_count(n)`.  A transversal's records
+    are its keys, `enumerate_coset_keys(n)`: its body must be empty, and its
+    header must say complete=true for all `dn_index(n)` cosets.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -128,38 +108,47 @@ def read_cache(path):
             raise ValueError(f"unsupported {mode} cache version {version}")
         if not (type(n) is int and 1 <= n <= MAX_PAIRS and type(count) is int and count >= 0):
             raise ValueError(f"bad {mode} header: n={n!r}, count={count!r}")
-        dtype = record_dtype(mode, n)
         length = os.fstat(fh.fileno()).st_size - fh.tell()  # no header count sizes a read
-        if length != count * dtype.itemsize:
+        if mode == "transversal":
+            return header, _transversal_keys(header, length)
+        if length != count * WERNER_RECORD.itemsize:
             raise ValueError(
                 f"{mode} body of {length} bytes does not hold {count} records "
-                f"of {dtype.itemsize} bytes"
+                f"of {WERNER_RECORD.itemsize} bytes"
             )
-        # with a count: frombuffer cannot count the zero-width records of n = 1
-        records = np.frombuffer(_read_exact(fh, length), dtype, count=count)
-    if mode == "transversal":
-        if not _strictly_ascending(records["key"]):
-            raise ValueError("transversal keys are not strictly ascending")
-        complete, total = header.get("complete"), dn_index(n)
-        if complete is not (count == total):
-            raise ValueError(f"header says complete={complete!r} for {count} of {total} cosets")
-    if mode == "werner":
-        from .werner import case_count
+        records = np.frombuffer(_read_exact(fh, length), WERNER_RECORD)
+    from .werner import case_count
 
-        if count == 0:
-            raise ValueError("no records: every Werner enumeration finds at least 2 protocols")
-        index = records["index"]
-        for bad, problem in (
-            (np.r_[False, index[1:] <= index[:-1]], "case index not above the one before"),
-            (index >= case_count(n), f"case index not below {case_count(n)}"),
-        ):
-            if bad.any():
-                raise ValueError(f"record {np.argmax(bad)}: {problem}")
+    if count == 0:
+        raise ValueError("no records: every Werner enumeration finds at least 2 protocols")
+    index = records["index"]
+    descending = np.flatnonzero(index[1:] <= index[:-1])
+    if descending.size:
+        raise ValueError(f"record {descending[0] + 1}: case index not above the one before")
+    if int(index[-1]) >= case_count(n):  # ascending: the last index is the largest
+        bad = np.searchsorted(index, case_count(n))
+        raise ValueError(f"record {bad}: case index not below {case_count(n)}")
     return header, records
 
 
+def _transversal_keys(header: dict, length: int) -> np.ndarray:
+    """The keys a transversal cache's header stands for, once the header and
+    the body's length of bytes are checked."""
+    from .transversal import MAX_TRANSVERSAL_PAIRS, enumerate_coset_keys
+
+    n, count, complete = header["n"], header["count"], header.get("complete")
+    if n > MAX_TRANSVERSAL_PAIRS:
+        raise ValueError(f"a transversal holds at most {MAX_TRANSVERSAL_PAIRS} pairs, not n={n}")
+    if length:
+        raise ValueError(f"transversal body of {length} bytes: the cache is its header alone")
+    if complete is not True or count != dn_index(n):
+        raise ValueError(f"header says complete={complete!r} for {count} of {dn_index(n)} "
+                         "cosets: no incomplete transversal is cached")
+    return enumerate_coset_keys(n)
+
+
 def write_werner_cache(path, n: int, protocols) -> None:
-    records = np.array([p.case_index for p in protocols], record_dtype("werner", n))
+    records = np.array([p.case_index for p in protocols], WERNER_RECORD)
     write_cache(path, {"mode": "werner", "n": n, "count": len(records)}, records)
 
 
@@ -188,6 +177,15 @@ def werner_protocols(n: int, index: np.ndarray) -> list:
 
 
 def write_transversal_cache(path, transversal, seed) -> None:
+    """Write a transversal's header alone, with the seed and sample count of
+    its build.  Raises ValueError, and writes nothing, unless its keys are
+    all of `enumerate_coset_keys(n)`, which a reader returns in their place:
+    an incomplete transversal is never cached."""
+    from .transversal import enumerate_coset_keys
+
+    if not np.array_equal(transversal.keys, enumerate_coset_keys(transversal.n)):
+        raise ValueError(f"the transversal's {len(transversal)} keys are not the "
+                         f"{transversal.target_size} enumerated coset keys")
     header = {
         "mode": "transversal",
         "n": transversal.n,
@@ -196,41 +194,43 @@ def write_transversal_cache(path, transversal, seed) -> None:
         "seed": seed,
         "samples": transversal.samples_used,
     }
-    records = np.empty(len(transversal), record_dtype("transversal", transversal.n))
-    records["key"] = transversal.keys
-    write_cache(path, header, records)
+    write_cache(path, header)
 
 
 def load_transversal_cache(path):
+    """(header, transversal) of a transversal cache: the enumerated keys."""
     from .transversal import Transversal
 
-    header, records = read_cache(path)
+    header, keys = read_cache(path)
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
-    return header, Transversal(header["n"], records["key"], header["samples"])
+    return header, Transversal(header["n"], keys, header["samples"])
 
 
 def verify_cache(path, sample: int = 100, seed: int = 0):
-    """Check a sample of records; every one must pass.
+    """Check a cache's records; every one must pass.
 
     Werner records: the cache must load, hold one record per protocol of a
-    fresh `distinct_protocols`, and each sampled record the index of the
-    protocol in its place.  Transversal records: the stored key must pass
-    `first_bad_record`, the check `enumerate_stats` runs.  Returns (ok,
-    checked, message).
+    fresh `distinct_protocols`, and each record of a sample the index of the
+    protocol in its place.  A transversal: every one of the header's count
+    of cosets must have an enumerated key, and every key must pass
+    `first_bad_record`, the check `enumerate_stats` runs, whatever the
+    sample size.  Returns (ok, checked, message).
     """
     header, records = read_cache(path)
     n = header["n"]
     idx = np.arange(len(records))
-    if len(records) > sample:
-        idx = np.sort(np.random.default_rng(seed).choice(len(records), size=sample, replace=False))
     if header["mode"] == "transversal":
         from .transversal import first_bad_record
 
-        bad = first_bad_record(records["key"][idx], n)
+        if len(records) != header["count"]:
+            return False, 0, f"{len(records)} enumerated keys, not the header's {header['count']}"
+        bad = first_bad_record(records, n)
     else:
         from .werner import distinct_protocols
 
+        if len(records) > sample:
+            idx = np.sort(np.random.default_rng(seed).choice(len(records), size=sample, replace=False))
         werner_protocols(n, records["index"])  # two records with the same statistics do not load
         fresh = np.array([p.case_index for p in distinct_protocols(n)])
         if len(fresh) != len(records):

@@ -3,8 +3,10 @@
 Subcommands: tables, werner, transversal, eval, compare, circuit, verify.
 Every CSV is byte-deterministic given the command, flags and seed: floats are
 printed with 17 significant digits, exact rationals both as num/den strings
-and as decimals.  A command that reads a cache builds and writes it first
-if it is missing.  Exit codes: 0 success, 2 invalid input, 4 budget exhausted.
+and as decimals.  A command that reads a Werner cache builds and writes it
+first if it is missing; eval reads a transversal cache when there is one, and
+otherwise enumerates the coset keys and writes nothing.  Exit codes: 0
+success, 2 invalid input, 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 4
 
 F_TAR_DEFAULT = 0.930025
-# transversal and eval stop at n = 5: at n = 6 the default sample budget is
-# about 9.5e10, feeding a set of 103,378,275 keys that no desktop holds
+# transversal and eval stop at n = 5: n = 6 has 103,378,275 cosets, whose
+# uint16 keys alone take about 1 GB
 MAX_EVAL_PAIRS = 5
 # compare holds every protocol at every grid point: 10,000 steps keep one
 # n = 8 curve array near 140 MB
@@ -103,42 +105,34 @@ def _read_cache(read, path, rebuild: str, *args, **kwargs):
         ) from exc
 
 
-def _build(mode: str, cache_dir: str, n: int, jobs: int, seed: int = 0):
-    """The n-pair family of a mode, built and written to its cache file."""
+def _build_werner(cache_dir: str, n: int, jobs: int):
+    """The n-pair Werner protocols, enumerated and written to their cache file."""
     from . import cache
 
-    path = _cache_path(mode, cache_dir, n)
-    if mode == "werner":
-        family = distinct_protocols(n, jobs=jobs)
-        cache.write_werner_cache(path, n, family)
-    else:
-        family = build_transversal(n, seed=seed, jobs=jobs)
-        cache.write_transversal_cache(path, family, seed)
-    return family
+    protocols = distinct_protocols(n, jobs=jobs)
+    cache.write_werner_cache(_cache_path("werner", cache_dir, n), n, protocols)
+    return protocols
 
 
-def _load_cache(mode: str, cache_dir: str, n: int, use=None, jobs: int = 1):
+def _load_cache(mode: str, cache_dir: str, n: int, jobs: int = 1):
     """Contents of the n-pair cache of a mode, exit 2 if unreadable.
 
-    A missing cache is built first, with `jobs` workers, and then read back
-    like any other.  With `use`, returns use(contents) instead, and an error
-    of the kinds a cache reader raises marks the cache as bad there too.
+    A missing Werner cache is built first, with `jobs` workers, and then read
+    back like any other.  `eval` calls this only when its transversal cache
+    exists, and otherwise enumerates the keys itself.
     """
     path = _cache_path(mode, cache_dir, n)
-    rebuild = f"bicliff {mode} --n {n} --cache {cache_dir}"
-    if not path.exists():
+    if mode == "werner" and not path.exists():
         print(f"building missing cache {path}", file=sys.stderr)
-        _build(mode, cache_dir, n, jobs)
+        _build_werner(cache_dir, n, jobs)
     from . import cache
 
     # looked up per call: the benchmark's tracer replaces these after import
     load = {"werner": cache.load_werner_cache, "transversal": cache.load_transversal_cache}
-    header, contents = _read_cache(load[mode], path, rebuild)
+    header, contents = _read_cache(load[mode], path, f"bicliff {mode} --n {n} --cache {cache_dir}")
     if header["n"] != n:
         raise CliError(EXIT_INVALID, f"bad cache file {path}: holds n={header['n']}")
-    if use is None:
-        return contents
-    return _read_cache(lambda _: use(contents), path, rebuild)
+    return contents
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +155,7 @@ def cmd_werner(args) -> int:
     from .states import leading_infidelity_term
 
     n = args.n
-    protocols = _build("werner", args.cache, n, args.jobs)
+    protocols = _build_werner(args.cache, n, args.jobs)
     res = best_fidelity_protocol(n, protocols=protocols)
     st = res.protocol.stats
     order, coeff = leading_infidelity_term(st)
@@ -188,7 +182,14 @@ def cmd_werner(args) -> int:
 
 
 def cmd_transversal(args) -> int:
-    t = _build("transversal", args.cache, args.n, args.jobs, args.seed)
+    from . import cache
+
+    t = build_transversal(args.n, seed=args.seed, jobs=args.jobs)
+    if t.complete:  # a cache holds complete transversals only
+        try:
+            cache.write_transversal_cache(_cache_path("transversal", args.cache, args.n), t, args.seed)
+        except ValueError as exc:
+            raise CliError(EXIT_INVALID, f"internal error: {exc}") from exc
     _emit(args.out, ["n", "cosets", "target", "complete", "samples"],
           [[args.n, len(t), t.target_size, int(t.complete), t.samples_used]])
     if not t.complete:
@@ -231,16 +232,15 @@ def cmd_eval(args) -> int:
                        "with 0 <= --min-fidelity <= 1")
     import numpy as np
 
-    from .transversal import CHUNK
+    from .transversal import CHUNK, Transversal, enumerate_coset_keys
 
     state = _read_state(args.state)
     n = state.n
-    # an incomplete cache, or a key that is not a coset's, makes
-    # enumerate_stats raise; the keys are a view of the record block, which
-    # holds nothing else, so they need no copy
-    keys, (p, f_num, fi_nums) = _load_cache(
-        "transversal", args.cache, n, lambda t: (t.keys, enumerate_stats(t, state))
-    )
+    if _cache_path("transversal", args.cache, n).exists():
+        t = _load_cache("transversal", args.cache, n)  # a bad cache exits 2
+    else:
+        t = Transversal(n, enumerate_coset_keys(n), 0)
+    p, f_num, fi_nums = enumerate_stats(t, state)
     live = p > 0  # F_out and the F_i overwrite their numerators; rows without success read 0
     f_out = np.divide(f_num, p, out=f_num, where=live)
     fis = np.divide(fi_nums, p[:, None], out=fi_nums, where=live[:, None])
@@ -250,7 +250,7 @@ def cmd_eval(args) -> int:
     # one % template per row: the key as d:d:..., floats as fmt() prints them;
     # CHUNK rows at a time become Python objects
     template = ":".join(["%d"] * (n - 1)) + ",%.17g" * 5 + ",%d\n"
-    columns = [column[keep] for column in (*keys.T, p, f_out, *fis.T, envelope)]
+    columns = [column[keep] for column in (*t.keys.T, p, f_out, *fis.T, envelope)]
     with _output(args.out) as fh:
         fh.write("coset_key,p_suc,f_out,f1,f2,f3,envelope\n")
         for lo in range(0, len(columns[-1]), CHUNK):

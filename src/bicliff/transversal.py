@@ -1,13 +1,15 @@
-"""Coupon-collector construction of a right-coset transversal.
+"""Right-coset transversals of the distillation subgroup, by their keys.
 
-Random symplectic matrices are sampled until every coset key has been seen.
 A coset's statistics depend only on its key K, the reduced basis of the
 base preimage, and on two shifts t1, t2 that split K^perp / K into the
 kept pair's I, X, Y and Z classes K, t1 + K, t1 + t2 + K and t2 + K.  The
 shifts are read off a canonical representative completed deterministically
 from the key alone, so a transversal is its sorted keys: a pure function of
-n, identical for every seed, worker count and sampling order.  Sampling
-only discovers which keys exist.
+n.  `enumerate_coset_keys` lists them directly, as the reduced bases of the
+isotropic (n-1)-subspaces of F2^2n; `eval` takes its keys from it.  The
+coupon collector `build_transversal` finds the same keys by sampling random
+symplectic matrices, for every seed, worker count and sampling order, and
+the `transversal` command checks it against the enumeration.
 
 Sampling, completion and statistics each run on whole arrays of matrices:
 a block of samples is one `random_symplectic_rows` call (each matrix drawn
@@ -15,8 +17,8 @@ on the null basis of its constraints) and one `coset_keys` call, whose keys
 merge into one set as big-endian byte strings; `enumerate_stats` completes
 the keys one chunk at a time, in one lowest-bit `gf2.Echelon` per chunk, and
 sums every coset of the chunk with one gather.  Keys come from the same
-kernel with top-bit pivots (`gf2.rref_rows`).  Keys are uint16 masks, as
-in the cache, so n <= 8; the completion's words hold 3n <= 24 bits.
+kernel with top-bit pivots (`gf2.rref_rows`).  Keys are uint16 masks, so
+n <= 8; the completion's words hold 3n <= 24 bits.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class Transversal:
     keys is a (C, n-1) uint16 array of coset keys in ascending (lexicographic)
     order.  A coset's shifts are completed from its key when its statistics
     are summed (`enumerate_stats`).  It is complete when it holds all
-    `dn_index(n)` cosets.
+    `dn_index(n)` cosets.  samples_used counts the random matrices drawn to
+    find the keys: 0 when they were enumerated.
     """
 
     n: int
@@ -184,6 +187,46 @@ def build_transversal(
     keys = b"".join(sorted(keys))  # the set goes before the key array is built
     keys = np.frombuffer(keys, ">u2").reshape(count, n - 1).astype(np.uint16)
     return Transversal(n, keys, samples)
+
+
+def enumerate_coset_keys(n: int) -> np.ndarray:
+    """Every coset key for n pairs, without sampling: a (dn_index(n), n-1)
+    uint16 array in ascending order, the keys of `build_transversal(n)`.
+
+    A key's rows are built from the lowest pivot up, for all keys at once.
+    A row of pivot p is bit p plus any subset of the bits below p that are
+    no lower row's pivot, so the basis is reduced by construction; it is
+    kept when it is orthogonal to every lower row.  Each new row goes in
+    front, and the rows of one pivot are sorted stably by their value: with
+    the partial keys ascending, and pivots taken in increasing order, the
+    keys come out ascending with no sort of whole keys.
+    """
+    if not 1 <= n <= MAX_TRANSVERSAL_PAIRS:
+        raise ValueError(f"transversal pair count must be in [1, {MAX_TRANSVERSAL_PAIRS}], got {n}")
+    keys = np.zeros((1, 0), np.uint16)
+    pivots = np.zeros(1, np.uint16)  # the OR of each partial key's pivots
+    for k in range(n - 1):  # rows so far
+        swapped = swap_halves(keys, n)
+        parts = []
+        for p in range(k, n + k + 2):  # room for the n - 2 - k pivots above
+            top = np.uint16(1 << p)
+            below = np.flatnonzero(pivots < top)  # partial keys with every pivot below p
+            free = (top - 1) & ~pivots[below]
+            rows = np.full((len(below), 1), top)
+            for _ in range(p - k):  # each subset of the free bits, in ascending order
+                bit = low_bit(free)
+                free ^= bit
+                rows = np.concatenate([rows, rows | bit[:, None]], axis=1)
+            odd = np.zeros(rows.shape, bool)
+            for lower in swapped[below].T:  # each lower row, halves swapped
+                odd |= (np.bitwise_count(rows & lower[:, None]) & 1).view(bool)
+            part, row = np.nonzero(~odd)
+            rows = rows[part, row]
+            order = np.argsort(rows, kind="stable")
+            part = below[part[order]]
+            parts.append((np.c_[rows[order], keys[part]], pivots[part] | top))
+        keys, pivots = (np.concatenate(column) for column in zip(*parts))
+    return keys
 
 
 def first_bad_record(keys: np.ndarray, n: int):

@@ -169,7 +169,9 @@ def _canonical(masks: np.ndarray, m: int) -> np.ndarray:
     rows = _adjacency(masks, m)
     degree = np.bitwise_count(rows).astype(np.int64)
     size = 1 << _pairs_before(m - 1)
-    minima = np.concatenate([_block_minima(m - 1, d) for d in range(m)])
+    # d = 0 and d = m - 1 both keep one block of all m - 1 nodes: one table
+    full = _block_minima(m - 1, 0)
+    minima = np.concatenate([full, *(_block_minima(m - 1, d) for d in range(1, m - 1)), full][:m])
     best = np.full(len(masks), np.iinfo(np.int64).max)
     for v in range(m):
         nbrs = rows[v]

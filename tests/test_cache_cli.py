@@ -243,22 +243,29 @@ def _v3_transversal_file(path, t):
     path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + records.tobytes())
 
 
+def _v4_transversal_file(path, t):
+    """A transversal cache as version 4 stored it: each record the key alone."""
+    header = {"mode": "transversal", "n": t.n, "count": len(t), "complete": t.complete,
+              "seed": 0, "samples": t.samples_used, "format_version": 4}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + t.keys.astype("<u2").tobytes())
+
+
 def test_format_1_transversal_cache_rejected(tmp_path, capsys, transversal_for):
     # version 1 held one JSON record per coset, version 2 the key and the 2n
     # representative rows in one binary block, version 3 the key and the
-    # two shifts
+    # two shifts, version 4 the key alone
     path = tmp_path / "transversal_n2.bcp"
     header = {"mode": "transversal", "n": 2, "count": 1, "complete": False,
               "seed": 0, "samples": 16}
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         if version == 1:
             _json_record_file(path, header, [{"key": [1], "rows": [1, 2, 4, 8]}])
-        elif version == 2:
-            _v2_transversal_file(path, transversal_for(2))
         else:
-            _v3_transversal_file(path, transversal_for(2))
+            (None, None, _v2_transversal_file, _v3_transversal_file,
+             _v4_transversal_file)[version](path, transversal_for(2))
         bad = path.read_bytes()
         for reader in (read_cache, load_transversal_cache, verify_cache):
             with pytest.raises(ValueError, match=f"unsupported transversal cache version {version}"):
@@ -279,36 +286,38 @@ def test_format_1_transversal_cache_rejected(tmp_path, capsys, transversal_for):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_transversal_cache_format_2_roundtrip(tmp_path, transversal_for, n):
-    # format 2 made the transversal one binary block; format 4 keeps it, with
-    # the key alone in each record
+    # format 2 made the transversal one binary block and format 4 stored the
+    # key alone in each record; format 5 is the header alone, and a reader
+    # returns the enumerated keys, equal to the sampled ones
     t = transversal_for(n)
     path = tmp_path / f"transversal_n{n}.bcp"
     write_transversal_cache(path, t, seed=0)
     header, loaded = load_transversal_cache(path)
-    assert header["format_version"] == 4 and header["count"] == len(t) == len(loaded)
+    assert header == {"mode": "transversal", "n": n, "count": len(t), "complete": True,
+                      "seed": 0, "samples": t.samples_used, "format_version": 5}
     assert loaded.n == n and loaded.complete and loaded.samples_used == t.samples_used
-    # a view of the record block, with no widened copy
     assert loaded.keys.dtype == np.uint16 and loaded.keys.shape == (len(t), n - 1)
-    assert n == 1 or loaded.keys.base.dtype.names == ("key",)  # n = 1 keys hold no bytes
     assert np.array_equal(loaded.keys, t.keys)
-    # the body is count x (n - 1) little-endian uint16 key masks, right after
-    # the header: none at all for the one n = 1 coset
     data = path.read_bytes()
-    header_end = data.index(b"}") + 1
-    assert len(data) == header_end + len(t) * 2 * (n - 1)
-    assert n != 4 or len(data) == 68_962
-    body = np.frombuffer(data[header_end:], "<u2")
-    assert body.reshape(len(t), n - 1).tolist() == t.keys.tolist()
+    assert len(data) == data.index(b"}") + 1
+    assert n != 4 or len(data) == 112  # 68,962 bytes at format 4
+
+
+@functools.cache
+def _n5_oracle_keys() -> np.ndarray:
+    """The 782,595 n = 5 keys of the independent oracle, as a cache held them."""
+    return scalar.enumerated_coset_keys(5).astype(np.uint16)
 
 
 def test_n5_transversal_cache_is_header_and_keys(tmp_path):
-    # the 782,595 enumerated n = 5 keys with the sample count of the default
-    # seed-0 build: 8 bytes a record, 6,260,875 bytes in all
-    keys = scalar.enumerated_coset_keys(5).astype(np.uint16)
+    # the 782,595 n = 5 keys with the sample count of the default seed-0
+    # build: the file is the header alone, 115 bytes where format 4 took
+    # 6,260,875, and a reader gives the keys back
+    keys = _n5_oracle_keys()
     path = tmp_path / "transversal_n5.bcp"
     write_transversal_cache(path, transversal.Transversal(5, keys, 10_733_568), seed=0)
     data = path.read_bytes()
-    assert len(data) == data.index(b"}") + 1 + 782_595 * 8 == 6_260_875
+    assert len(data) == data.index(b"}") + 1 == 115
     header, loaded = load_transversal_cache(path)
     assert header["complete"] and np.array_equal(loaded.keys, keys)
 
@@ -319,7 +328,7 @@ def test_transversal_cache_of_nine_pairs_rejected(tmp_path, capsys, count):
     # n - 1 uint32 key masks would be
     path = tmp_path / "transversal_n9.bcp"
     header = {"mode": "transversal", "n": 9, "count": count, "complete": False,
-              "seed": 0, "samples": count, "format_version": 4}
+              "seed": 0, "samples": count, "format_version": 5}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + bytes(count * 8 * 4))
     for reader in (read_cache, load_transversal_cache, verify_cache):
@@ -336,10 +345,9 @@ def test_cli_eval_rejects_partial_transversal_marked_complete(transversal_for, t
 
     path = tmp_path / "transversal_n3.bcp"
     write_transversal_cache(path, transversal_for(3), seed=0)
-    header, records = read_cache(path)
-    header.pop("format_version")
-    assert header["complete"] and header["count"] == 315
-    write_cache(path, {**header, "count": 100}, records[:100])
+    header, keys = read_cache(path)
+    assert header["complete"] and header["count"] == len(keys) == 315
+    write_cache(path, {**header, "count": 100})
     for reader in (read_cache, load_transversal_cache, verify_cache):
         with pytest.raises(ValueError, match="complete=True for 100 of 315 cosets"):
             reader(path)
@@ -357,33 +365,31 @@ def _corrupt_transversal(kind, good, path):
     from bicliff.cache import write_cache
 
     data = good.read_bytes()
-    header, records = read_cache(good)
-    records = records.copy()
-    if kind == "truncated body":
+    header, _ = read_cache(good)
+    if kind == "truncated header":
         path.write_bytes(data[:-1])
     elif kind == "trailing byte":
         path.write_bytes(data + b"\0")
     elif kind == "count mismatch":
-        write_cache(path, {**header, "count": header["count"] + 1}, records)
-    elif kind == "unsorted keys":
-        records["key"][[0, 1]] = records["key"][[1, 0]]
-        write_cache(path, header, records)
-    elif kind == "duplicate keys":
-        records["key"][1] = records["key"][0]
-        write_cache(path, header, records)
+        write_cache(path, {**header, "count": header["count"] + 1})
+    elif kind == "marked incomplete":
+        write_cache(path, {**header, "complete": False})
+    elif kind == "no complete flag":
+        header.pop("complete")
+        write_cache(path, header)
 
 
-FORMAT_2_DAMAGE = [
-    ("truncated body", "does not hold"),
-    ("trailing byte", "does not hold"),
-    ("count mismatch", "does not hold"),
-    ("unsorted keys", "not strictly ascending"),
-    ("duplicate keys", "not strictly ascending"),
+TRANSVERSAL_DAMAGE = [
+    ("truncated header", "file is truncated"),
+    ("trailing byte", "transversal body of 1 bytes: the cache is its header alone"),
+    ("count mismatch", "header says complete=True for 16 of 15 cosets"),
+    ("marked incomplete", "header says complete=False for 15 of 15 cosets"),
+    ("no complete flag", "header says complete=None for 15 of 15 cosets"),
 ]
 
 
-@pytest.mark.parametrize("kind, message", FORMAT_2_DAMAGE)
-def test_damaged_format_2_transversal_cache_exits_2(cache_dir, tmp_path, capsys, kind, message):
+@pytest.mark.parametrize("kind, message", TRANSVERSAL_DAMAGE, ids=[k for k, _ in TRANSVERSAL_DAMAGE])
+def test_damaged_transversal_cache_exits_2(cache_dir, tmp_path, capsys, kind, message):
     path = tmp_path / "transversal_n2.bcp"
     _corrupt_transversal(kind, cache_dir / "transversal_n2.bcp", path)
     for reader in (read_cache, load_transversal_cache, verify_cache):
@@ -451,15 +457,15 @@ def test_cli_eval_n1_signed_zero_csv(tmp_path, capsys):
 
 
 def test_cli_transversal_n1_zero_width_records(tmp_path, capsys):
-    # the one n = 1 coset has an empty key: a record of 0 bytes, which
-    # np.frombuffer cannot count by itself
+    # the one n = 1 coset has an empty key; its cache, like every
+    # transversal cache, is the header alone
     assert run_cli(["transversal", "--n", "1", "--cache", str(tmp_path)]) == 0
     capsys.readouterr()
     path = tmp_path / "transversal_n1.bcp"
     data = path.read_bytes()
     assert len(data) == data.index(b"}") + 1
-    header, records = read_cache(path)
-    assert header["count"] == 1 and records.itemsize == 0 and records["key"].shape == (1, 0)
+    header, keys = read_cache(path)
+    assert header["count"] == 1 and keys.dtype == np.uint16 and keys.shape == (1, 0)
     state = tmp_path / "state.json"
     state.write_text('{"n": 1, "pairs": [[0.5, 0.125, 0.25, 0.125]]}')
     assert run_cli(["eval", str(state), "--cache", str(tmp_path)]) == 0
@@ -501,43 +507,44 @@ def test_verify_cache_ok(cache_dir, monkeypatch):
     monkeypatch.setattr("bicliff.cache.read_cache", lambda path: reads.append(path) or read_cache(path))
     ok, checked, message = verify_cache(cache_dir / "werner_n3.bcp")
     assert ok and checked == 5 and message == "ok"
-    ok, checked, _ = verify_cache(cache_dir / "transversal_n2.bcp")
-    assert ok and checked == 15
+    ok, checked, _ = verify_cache(cache_dir / "transversal_n2.bcp", sample=1)
+    assert ok and checked == 15  # every key of a transversal, whatever the sample
     assert reads == [cache_dir / "werner_n3.bcp", cache_dir / "transversal_n2.bcp"]
 
 
-def test_verify_cache_rejects_bad_key(cache_dir, tmp_path, capsys, transversal_for):
-    # the last n = 2 key gains a bit past 2n: still the largest key, so the
-    # keys stay ascending
-    from bicliff.cache import write_cache
+def test_verify_cache_rejects_bad_key(cache_dir, tmp_path, capsys, monkeypatch, transversal_for):
+    # verify runs first_bad_record on every enumerated key, whatever the
+    # sample: an enumerator whose last n = 2 key gains a bit past 2n (still
+    # the largest key), and whose n = 3 record 198, key (41, 18), becomes
+    # (41, 19): ascending and reduced, but its rows no longer commute
+    n3 = tmp_path / "transversal_n3.bcp"
+    write_transversal_cache(n3, transversal_for(3), seed=0)
+    enumerate_coset_keys = transversal.enumerate_coset_keys
 
-    header, records = read_cache(cache_dir / "transversal_n2.bcp")
-    header.pop("format_version")
-    records = records.copy()
-    records["key"][-1, 0] |= 1 << 4
-    bad = tmp_path / "transversal_n2.bcp"
-    write_cache(bad, header, records)
-    ok, checked, message = verify_cache(bad, sample=15)
-    assert not ok and message == "record 14: mask wider than 2n bits"
-    assert checked == 14
-    code = run_cli(["verify", str(bad)])
+    def faulty(n):
+        keys = enumerate_coset_keys(n).copy()
+        if n == 2:
+            keys[-1, 0] |= 1 << 4
+        else:
+            assert keys[198].tolist() == [41, 18]
+            keys[198, 1] ^= 1
+        return keys
+
+    monkeypatch.setattr(transversal, "enumerate_coset_keys", faulty)
+    for sample in (1, 15, 100):
+        assert verify_cache(cache_dir / "transversal_n2.bcp", sample=sample) == (
+            False, 14, "record 14: mask wider than 2n bits"
+        )
+        assert verify_cache(n3, sample=sample) == (False, 198, "record 198: key is not isotropic")
+    code = run_cli(["verify", str(cache_dir / "transversal_n2.bcp"), "--sample", "5"])
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     assert captured.out == "checked=14 ok=0 record 14: mask wider than 2n bits\n"
-    # n = 3 record 198, key (41, 18) -> (41, 19): ascending and reduced, but
-    # its rows no longer commute; a sample keeps the records' own indices
-    write_transversal_cache(bad.with_name("transversal_n3.bcp"), transversal_for(3), seed=0)
-    header, records = read_cache(bad.with_name("transversal_n3.bcp"))
-    header.pop("format_version")
-    records = records.copy()
-    assert records["key"][198].tolist() == [41, 18]
-    records["key"][198, 1] ^= 1
-    write_cache(bad, header, records)
-    problem = "record 198: key is not isotropic"
-    assert verify_cache(bad, sample=1000) == (False, 198, problem)
-    # seed 0 draws records 84, 96, 159, 198, 264
-    assert sorted(np.random.default_rng(0).choice(315, size=5, replace=False)) == [84, 96, 159, 198, 264]
-    assert verify_cache(bad, sample=5) == (False, 3, problem)
+    # an enumeration short of the header's count fails before any key is checked
+    monkeypatch.setattr(transversal, "enumerate_coset_keys", lambda n: enumerate_coset_keys(n)[1:])
+    assert verify_cache(cache_dir / "transversal_n2.bcp") == (
+        False, 0, "14 enumerated keys, not the header's 15"
+    )
 
 
 @pytest.mark.parametrize("sample, result", [
@@ -686,29 +693,6 @@ def test_cli_verify_werner_other_case_index_exits_2(cache_dir, tmp_path, capsys)
     )
 
 
-def test_verify_transversal_cache_detects_swapped_keys(cache_dir, tmp_path, capsys):
-    # records 6 and 7 trade keys: the reader rejects the descending pair
-    # before any record is sampled
-    from bicliff.cache import write_cache
-
-    header, records = read_cache(cache_dir / "transversal_n2.bcp")
-    header.pop("format_version")
-    records = records.copy()
-    records["key"][[6, 7]] = records["key"][[7, 6]]
-    bad = tmp_path / "transversal_n2.bcp"
-    write_cache(bad, header, records)
-    for sample in (100, 5):
-        with pytest.raises(ValueError, match="transversal keys are not strictly ascending"):
-            verify_cache(bad, sample=sample)
-    code = run_cli(["verify", str(bad)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        f"error: bad cache file {bad}: transversal keys are not strictly ascending; "
-        "rebuild it with: bicliff werner or bicliff transversal\n"
-    )
-
-
 def test_write_cache_is_atomic(cache_dir, tmp_path):
     from bicliff.cache import write_cache
 
@@ -760,18 +744,24 @@ def test_body_of_wrong_length_names_its_bytes(cache_dir, tmp_path, change):
         read_cache(path)
 
 
-def test_reading_a_cache_holds_one_copy_of_its_body(tmp_path, transversal_for):
+def test_reading_a_cache_holds_one_copy_of_its_body(tmp_path):
     import tracemalloc
 
-    path = tmp_path / "transversal_n4.bcp"
-    write_transversal_cache(path, transversal_for(4), seed=0)
+    from bicliff.cache import WERNER_RECORD, write_cache
+
+    # a Werner body of 2^20 ascending case indices, which the reader's checks
+    # pass (a transversal cache has no body): 4 MB
+    path = tmp_path / "werner_n8.bcp"
+    write_cache(path, {"mode": "werner", "n": 8, "count": 1 << 20},
+                np.arange(1 << 20).astype(WERNER_RECORD))
+    read_cache(path)  # the reader's imports are not part of the body
     tracemalloc.start()
     try:
         _, records = read_cache(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert records.nbytes == 11475 * 6
+    assert records.nbytes == (1 << 20) * 4
     assert peak < 1.5 * records.nbytes, peak
 
 
@@ -924,7 +914,7 @@ def test_cli_eval_probs_form_single_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, builds, expected_code", [
     *(pytest.param(["eval", f"n{n}.json"], [["transversal", "--n", str(n)]], 0, id=f"eval n={n}")
-      for n in (1, 2, 3)),
+      for n in (1, 2, 3, 4)),  # eval enumerates the keys: it writes no cache
     pytest.param(["compare", "--n-min", "2", "--n-max", "5"],
                  [["werner", "--n", str(n)] for n in range(2, 6)], 0, id="compare"),
     pytest.param(["circuit", "--n", "4", "--budget", "0"], [["werner", "--n", "4"]], 4,
@@ -933,9 +923,10 @@ def test_cli_eval_probs_form_single_pair(tmp_path, capsys):
 def test_cli_reader_builds_missing_cache(tmp_path, capsys, monkeypatch, args, builds,
                                          expected_code):
     # a reader run in an empty cache directory prints what it prints after the
-    # build commands, and leaves the cache files they write, byte for byte
+    # build commands; compare and circuit leave the Werner cache files they
+    # write, byte for byte, and eval leaves none
     monkeypatch.chdir(tmp_path)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         Path(f"n{n}.json").write_text(json.dumps({"n": n, "pairs": [list(EXAMPLE_PAIR)] * n}))
     for build in builds:
         assert run_cli([*build, "--cache", "built"]) == 0
@@ -947,7 +938,7 @@ def test_cli_reader_builds_missing_cache(tmp_path, capsys, monkeypatch, args, bu
     assert run_cli([*args, "--cache", "fresh"]) == expected_code
     captured = capsys.readouterr()
     assert captured.out == expected.out
-    written = [f"{mode}_n{n}.bcp" for mode, _, n in builds]
+    written = [f"{mode}_n{n}.bcp" for mode, _, n in builds if mode == "werner"]
     assert captured.err == expected.err + "".join(
         f"building missing cache {Path('fresh', name)}\n" for name in written
     )
@@ -1291,6 +1282,40 @@ def test_cli_transversal_and_budget(tmp_path, capsys, monkeypatch):
     ])
     assert code == 4  # budget exhausted -> incomplete transversal
     assert "warning: transversal incomplete (" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["transversal_n2.bcp"]  # none for n = 3
+
+
+def test_cli_transversal_keys_unlike_the_enumeration_exit_2(tmp_path, capsys, monkeypatch):
+    # a sampler that finds a complete but wrong key set: the last n = 3 key
+    # swapped for one that is no coset's
+    def wrong_keys(n, **kwargs):
+        t = build_transversal(n, **kwargs)
+        keys = t.keys.copy()
+        keys[-1] = [0, 1]
+        return transversal.Transversal(n, keys, t.samples_used)
+
+    monkeypatch.setattr("bicliff.cli.build_transversal", wrong_keys)
+    assert run_cli(["transversal", "--n", "3", "--cache", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal error: the transversal's 315 keys are not the 315 enumerated coset keys\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_n5_statistics_of_enumerated_and_cached_keys_agree():
+    # in process, on the statistics alone: the keys eval enumerates against
+    # the keys a format-4 cache held, which the independent oracle lists;
+    # the README pair (0.7, 0.15, 0.10, 0.05) on all five pairs
+    from bicliff.states import BellDiagonalState
+    from bicliff.transversal import enumerate_stats
+
+    state = BellDiagonalState.from_pairs([(0.7, 0.15, 0.10, 0.05)] * 5)
+    cached = transversal.Transversal(5, _n5_oracle_keys(), 0)
+    enumerated = transversal.Transversal(5, transversal.enumerate_coset_keys(5), 0)
+    for a, b in zip(enumerate_stats(cached, state), enumerate_stats(enumerated, state)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_cli_entry_point_subprocess(tmp_path):
@@ -1477,19 +1502,25 @@ def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, caps
 
 @pytest.mark.parametrize("kind, n, message", [
     ("incomplete", 3, "incomplete"),
-    pytest.param("wide key", 2, "mask wider than 2n bits", id="wide key"),
+    pytest.param("wide key", 2, "transversal body of 2 bytes", id="wide key"),
 ])
 def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, kind, n, message):
+    # an incomplete transversal is never written, and a transversal cache
+    # holds no records: a header that says otherwise, or a body holding a
+    # key, exits 2
     from bicliff.cache import write_cache
 
     path = tmp_path / f"transversal_n{n}.bcp"
     if kind == "incomplete":
-        write_transversal_cache(path, build_transversal(3, seed=0, max_samples=16), seed=0)
+        t = build_transversal(3, seed=0, max_samples=16)
+        with pytest.raises(ValueError, match=f"{len(t)} keys are not the 315 enumerated"):
+            write_transversal_cache(path, t, seed=0)
+        assert not path.exists()
+        write_cache(path, {"mode": "transversal", "n": 3, "count": len(t), "complete": False,
+                           "seed": 0, "samples": t.samples_used})
     else:
-        header, records = read_cache(cache_dir / "transversal_n2.bcp")
-        records = records.copy()
-        records["key"][-1, 0] |= 1 << 4  # still the largest key
-        write_cache(path, header, records)
+        header, keys = read_cache(cache_dir / "transversal_n2.bcp")
+        write_cache(path, header, keys[-1] | np.uint16(1 << 4))  # the last key, 2n bits wide
     capsys.readouterr()
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": n, "pairs": [list(EXAMPLE_PAIR)] * n}))

@@ -76,6 +76,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, protocols_for, transvers
          {"transversal", "circuits"}, {"concurrent.futures.process"}),
         (["eval", str(state), "--cache", str(tmp_path), "--out", out],
          {"werner", "circuits", "dejmps"}, {"concurrent.futures.process"}),
+        (["eval", str(state), "--cache", cache, "--out", out],  # no cache: enumerates the keys
+         {"werner", "circuits", "dejmps"}, {"concurrent.futures.process"}),
         (["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path), "--out", out],
          {"circuits", "transversal"}, set()),
     ]
@@ -120,3 +122,19 @@ def test_scalar_oracle_shares_no_elimination_with_the_kernel():
         elif isinstance(node, ast.ImportFrom) and node.module == "bicliff.gf2":
             for alias in node.names:
                 assert alias.name not in ("Echelon", "*") and not alias.name.startswith("_"), alias.name
+
+
+def test_scalar_oracle_shares_no_code_with_the_coset_enumerator():
+    # `_scalar_reference.enumerated_coset_keys` is the oracle of
+    # `transversal.enumerate_coset_keys`, so it must not call it
+    tree = ast.parse((Path(__file__).parent / "_scalar_reference.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "bicliff.transversal" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "bicliff":
+            assert all(alias.name != "transversal" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "bicliff.transversal":
+            for alias in node.names:
+                assert alias.name not in ("enumerate_coset_keys", "*"), alias.name
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "enumerate_coset_keys"

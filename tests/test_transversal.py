@@ -122,9 +122,11 @@ def test_worker_count_invariance():
 
 @pytest.mark.parametrize("n", [0, 9])
 def test_build_transversal_rejects_pair_counts_past_uint16(n):
-    # 2n row bits must fit the uint16 masks of keys, rows and cache records
-    with pytest.raises(ValueError, match=r"transversal pair count must be in \[1, 8\]"):
-        build_transversal(n, max_samples=16)
+    # 2n row bits must fit the uint16 masks of keys and rows, sampled or enumerated
+    for build in (functools.partial(build_transversal, max_samples=16),
+                  transversal.enumerate_coset_keys):
+        with pytest.raises(ValueError, match=r"transversal pair count must be in \[1, 8\]"):
+            build(n)
 
 
 @pytest.mark.parametrize(
@@ -345,6 +347,15 @@ def _reached(labels, keys, n: int) -> np.ndarray:
     reached = np.searchsorted(codes, case_codes)
     assert (codes[reached] == case_codes).all()
     return np.unique(labels[reached])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_coset_enumerator_equals_the_oracle(n):
+    # the keys eval uses, against the independent enumeration of the tests
+    want = _all_n5_keys() if n == 5 else scalar.enumerated_coset_keys(n)
+    keys = transversal.enumerate_coset_keys(n)
+    assert keys.dtype == np.uint16 and keys.shape == (dn_index(n), n - 1)
+    assert np.array_equal(keys, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

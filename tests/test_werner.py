@@ -92,6 +92,21 @@ def test_canonical_form_is_a_relabeling_invariant_class_minimum(case):
     assert form in graphs_up_to_iso(m)
 
 
+def test_canonical_builds_each_block_table_once():
+    # keeping {0..d-1} and {d..k-1} setwise is the full symmetric group for
+    # d = 0 and for d = k alike, so the two tables are one
+    import bicliff.werner as werner
+
+    for k in range(2, MAX_GRAPH_NODES):
+        assert np.array_equal(werner._block_minima(k, k), werner._block_minima(k, 0)), k
+    with mock.patch.object(werner, "_block_minima", wraps=werner._block_minima) as tables:
+        for m in range(1, MAX_GRAPH_NODES + 1):
+            tables.reset_mock()
+            _canonical(np.arange(8), m)
+            calls = [c.args for c in tables.call_args_list]
+            assert sorted(calls) == [(m - 1, d) for d in range(max(m - 1, 1))], m
+
+
 def test_graph_class_counts():
     for m, want in GRAPH_CLASS_COUNTS.items():
         assert len(graphs_up_to_iso(m)) == want
