@@ -2,9 +2,9 @@
 
 One representative per coset of the statistics-preserving subgroup is enough
 to see every achievable (success probability, output fidelity) pair.  The
-transversal is built by coupon-collector sampling of coset keys; each
-coset's representative is completed canonically from its key, so the result
-is the same for every seed.
+cosets are enumerated by their keys, and each coset's representative is
+completed canonically from its key.  Coupon-collector sampling finds the
+same keys for every seed; the demo prints how many samples that took.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ for n in (2, 3):
     print(f"n={n}: {len(t)} cosets found with {t.samples_used} samples")
 
     state = BellDiagonalState.from_pairs([pair] * n)
-    p_suc, f_num, _ = enumerate_stats(t, state)
+    _, p_suc, f_num, _ = enumerate_stats(state)
     f_out = np.divide(f_num, p_suc, out=np.zeros_like(p_suc), where=p_suc > 0)
     env = np.flatnonzero(pareto_envelope(p_suc, f_out))
     # envelope points by descending p_suc, then descending F_out

@@ -9,13 +9,12 @@ representative and the coset histograms that fix the statistics follow from
 it; the loader derives them for all records at once.  A transversal is a
 pure function of n, so its cache is the header alone: n, count, complete,
 and the seed and sample count of the build that wrote it.  Only a complete
-transversal whose keys equal `transversal.enumerate_coset_keys(n)` is
-written, and the reader returns that enumeration.  Each mode has its own
-format version.  Verification checks Werner indices, a sample of them,
-against a fresh enumeration's, and runs `transversal.first_bad_record` on
-every enumerated key of a transversal.  Each function imports `werner`, or
-`transversal`, only for the mode it handles, so that a command loads the
-modules of its own cache mode alone.
+transversal is written; its keys are `transversal.enumerate_coset_keys(n)`,
+which the reader's caller enumerates when it needs them.  Each mode has its
+own format version.  Verification checks Werner indices, a sample of them,
+against a fresh enumeration's, and a transversal by its header alone.  Only
+the Werner functions import `werner`, so that a command loads the modules of
+its own cache mode alone.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .orders import MAX_PAIRS, dn_index
+from .orders import MAX_EVAL_PAIRS, MAX_PAIRS, dn_index
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
 from .ratpoly import poly_from_strings  # noqa: F401
@@ -93,8 +92,9 @@ def read_cache(path):
     Werner records are an array of `WERNER_RECORD`: the body must hold
     exactly the header's count of them, at least one, with case indices
     strictly ascending and below `case_count(n)`.  A transversal's records
-    are its keys, `enumerate_coset_keys(n)`: its body must be empty, and its
-    header must say complete=true for all `dn_index(n)` cosets.
+    are the positions of its cosets in key order, range(dn_index(n)): its
+    body must be empty, n at most `MAX_EVAL_PAIRS`, and its header must say
+    complete=true for all `dn_index(n)` cosets.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
@@ -104,13 +104,15 @@ def read_cache(path):
         if not isinstance(header, dict):
             raise ValueError("no cache header")
         mode, version, n, count = (header.get(k) for k in ("mode", "format_version", "n", "count"))
-        if FORMAT_VERSIONS.get(mode) != version:
+        if type(mode) is not str or mode not in FORMAT_VERSIONS:
+            raise ValueError(f"header field mode is {mode!r}, not one of {sorted(FORMAT_VERSIONS)}")
+        if FORMAT_VERSIONS[mode] != version:
             raise ValueError(f"unsupported {mode} cache version {version}")
         if not (type(n) is int and 1 <= n <= MAX_PAIRS and type(count) is int and count >= 0):
             raise ValueError(f"bad {mode} header: n={n!r}, count={count!r}")
         length = os.fstat(fh.fileno()).st_size - fh.tell()  # no header count sizes a read
         if mode == "transversal":
-            return header, _transversal_keys(header, length)
+            return header, _transversal_cosets(header, length)
         if length != count * WERNER_RECORD.itemsize:
             raise ValueError(
                 f"{mode} body of {length} bytes does not hold {count} records "
@@ -131,20 +133,18 @@ def read_cache(path):
     return header, records
 
 
-def _transversal_keys(header: dict, length: int) -> np.ndarray:
-    """The keys a transversal cache's header stands for, once the header and
-    the body's length of bytes are checked."""
-    from .transversal import MAX_TRANSVERSAL_PAIRS, enumerate_coset_keys
-
+def _transversal_cosets(header: dict, length: int) -> range:
+    """The coset positions a transversal cache's header stands for, once the
+    header and the body's length of bytes are checked."""
     n, count, complete = header["n"], header["count"], header.get("complete")
-    if n > MAX_TRANSVERSAL_PAIRS:
-        raise ValueError(f"a transversal holds at most {MAX_TRANSVERSAL_PAIRS} pairs, not n={n}")
+    if n > MAX_EVAL_PAIRS:
+        raise ValueError(f"a transversal holds at most {MAX_EVAL_PAIRS} pairs, not n={n}")
     if length:
         raise ValueError(f"transversal body of {length} bytes: the cache is its header alone")
     if complete is not True or count != dn_index(n):
         raise ValueError(f"header says complete={complete!r} for {count} of {dn_index(n)} "
                          "cosets: no incomplete transversal is cached")
-    return enumerate_coset_keys(n)
+    return range(count)
 
 
 def write_werner_cache(path, n: int, protocols) -> None:
@@ -178,14 +178,12 @@ def werner_protocols(n: int, index: np.ndarray) -> list:
 
 def write_transversal_cache(path, transversal, seed) -> None:
     """Write a transversal's header alone, with the seed and sample count of
-    its build.  Raises ValueError, and writes nothing, unless its keys are
-    all of `enumerate_coset_keys(n)`, which a reader returns in their place:
-    an incomplete transversal is never cached."""
-    from .transversal import enumerate_coset_keys
-
-    if not np.array_equal(transversal.keys, enumerate_coset_keys(transversal.n)):
-        raise ValueError(f"the transversal's {len(transversal)} keys are not the "
-                         f"{transversal.target_size} enumerated coset keys")
+    its build.  Raises ValueError, and writes nothing, for an incomplete
+    transversal: a complete one's keys are all of `enumerate_coset_keys(n)`,
+    as `build_transversal` finds them there."""
+    if not transversal.complete:
+        raise ValueError(f"the transversal holds {len(transversal)} of "
+                         f"{transversal.target_size} cosets: no incomplete transversal is cached")
     header = {
         "mode": "transversal",
         "n": transversal.n,
@@ -198,13 +196,12 @@ def write_transversal_cache(path, transversal, seed) -> None:
 
 
 def load_transversal_cache(path):
-    """(header, transversal) of a transversal cache: the enumerated keys."""
-    from .transversal import Transversal
-
-    header, keys = read_cache(path)
+    """(header, cosets) of a transversal cache: the range of its coset
+    positions in key order, once the header is checked."""
+    header, cosets = read_cache(path)
     if header["mode"] != "transversal":
         raise ValueError("not a transversal-mode cache")
-    return header, Transversal(header["n"], keys, header["samples"])
+    return header, cosets
 
 
 def verify_cache(path, sample: int = 100, seed: int = 0):
@@ -212,33 +209,26 @@ def verify_cache(path, sample: int = 100, seed: int = 0):
 
     Werner records: the cache must load, hold one record per protocol of a
     fresh `distinct_protocols`, and each record of a sample the index of the
-    protocol in its place.  A transversal: every one of the header's count
-    of cosets must have an enumerated key, and every key must pass
-    `first_bad_record`, the check `enumerate_stats` runs, whatever the
-    sample size.  Returns (ok, checked, message).
+    protocol in its place.  A transversal is its header alone, which the
+    reader checks: all its cosets count as checked, whatever the sample size.
+    Returns (ok, checked, message).
     """
     header, records = read_cache(path)
+    if header["mode"] == "transversal":
+        return True, len(records), "ok"
+    from .werner import distinct_protocols
+
     n = header["n"]
     idx = np.arange(len(records))
-    if header["mode"] == "transversal":
-        from .transversal import first_bad_record
-
-        if len(records) != header["count"]:
-            return False, 0, f"{len(records)} enumerated keys, not the header's {header['count']}"
-        bad = first_bad_record(records, n)
-    else:
-        from .werner import distinct_protocols
-
-        if len(records) > sample:
-            idx = np.sort(np.random.default_rng(seed).choice(len(records), size=sample, replace=False))
-        werner_protocols(n, records["index"])  # two records with the same statistics do not load
-        fresh = np.array([p.case_index for p in distinct_protocols(n)])
-        if len(fresh) != len(records):
-            return False, 0, f"{len(records)} records, not the {len(fresh)} protocols of n={n}"
-        got, want = records["index"][idx], fresh[idx]
-        wrong = np.flatnonzero(got != want)[:1]
-        bad = next(((int(k), f"case index {got[k]}, not {want[k]}") for k in wrong), None)
-    if bad is not None:
-        checked, problem = bad
-        return False, checked, f"record {idx[checked]}: {problem}"
+    if len(records) > sample:
+        idx = np.sort(np.random.default_rng(seed).choice(len(records), size=sample, replace=False))
+    werner_protocols(n, records["index"])  # two records with the same statistics do not load
+    fresh = np.array([p.case_index for p in distinct_protocols(n)])
+    if len(fresh) != len(records):
+        return False, 0, f"{len(records)} records, not the {len(fresh)} protocols of n={n}"
+    got, want = records["index"][idx], fresh[idx]
+    wrong = np.flatnonzero(got != want)[:1]
+    if wrong.size:
+        k = int(wrong[0])
+        return False, k, f"record {idx[k]}: case index {got[k]}, not {want[k]}"
     return True, len(idx), "ok"

@@ -4,9 +4,9 @@ Subcommands: tables, werner, transversal, eval, compare, circuit, verify.
 Every CSV is byte-deterministic given the command, flags and seed: floats are
 printed with 17 significant digits, exact rationals both as num/den strings
 and as decimals.  A command that reads a Werner cache builds and writes it
-first if it is missing; eval reads a transversal cache when there is one, and
-otherwise enumerates the coset keys and writes nothing.  Exit codes: 0
-success, 2 invalid input, 4 budget exhausted.
+first if it is missing.  eval enumerates the coset keys, once per run; it
+checks a transversal cache's header when there is one, and writes nothing.
+Exit codes: 0 success, 2 invalid input, 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .orders import MAX_GRAPH_NODES, MAX_PAIRS, dn_index, dn_order, sp_order
+from .orders import MAX_EVAL_PAIRS, MAX_GRAPH_NODES, MAX_PAIRS, dn_index, dn_order, sp_order
 
 
 def _deferred(module: str, name: str):
@@ -53,9 +53,6 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 4
 
 F_TAR_DEFAULT = 0.930025
-# transversal and eval stop at n = 5: n = 6 has 103,378,275 cosets, whose
-# uint16 keys alone take about 1 GB
-MAX_EVAL_PAIRS = 5
 # compare holds every protocol at every grid point: 10,000 steps keep one
 # n = 8 curve array near 140 MB
 MAX_GRID_STEPS = 10_000
@@ -119,7 +116,7 @@ def _load_cache(mode: str, cache_dir: str, n: int, jobs: int = 1):
 
     A missing Werner cache is built first, with `jobs` workers, and then read
     back like any other.  `eval` calls this only when its transversal cache
-    exists, and otherwise enumerates the keys itself.
+    exists, to check the header; it enumerates the keys itself either way.
     """
     path = _cache_path(mode, cache_dir, n)
     if mode == "werner" and not path.exists():
@@ -184,12 +181,12 @@ def cmd_werner(args) -> int:
 def cmd_transversal(args) -> int:
     from . import cache
 
-    t = build_transversal(args.n, seed=args.seed, jobs=args.jobs)
+    try:
+        t = build_transversal(args.n, seed=args.seed, jobs=args.jobs)
+    except ValueError as exc:  # a sampled key the enumeration does not hold
+        raise CliError(EXIT_INVALID, f"internal error: {exc}") from exc
     if t.complete:  # a cache holds complete transversals only
-        try:
-            cache.write_transversal_cache(_cache_path("transversal", args.cache, args.n), t, args.seed)
-        except ValueError as exc:
-            raise CliError(EXIT_INVALID, f"internal error: {exc}") from exc
+        cache.write_transversal_cache(_cache_path("transversal", args.cache, args.n), t, args.seed)
     _emit(args.out, ["n", "cosets", "target", "complete", "samples"],
           [[args.n, len(t), t.target_size, int(t.complete), t.samples_used]])
     if not t.complete:
@@ -232,15 +229,13 @@ def cmd_eval(args) -> int:
                        "with 0 <= --min-fidelity <= 1")
     import numpy as np
 
-    from .transversal import CHUNK, Transversal, enumerate_coset_keys
+    from .transversal import CHUNK
 
     state = _read_state(args.state)
     n = state.n
     if _cache_path("transversal", args.cache, n).exists():
-        t = _load_cache("transversal", args.cache, n)  # a bad cache exits 2
-    else:
-        t = Transversal(n, enumerate_coset_keys(n), 0)
-    p, f_num, fi_nums = enumerate_stats(t, state)
+        _load_cache("transversal", args.cache, n)  # the header alone: a bad one exits 2
+    keys, p, f_num, fi_nums = enumerate_stats(state)
     live = p > 0  # F_out and the F_i overwrite their numerators; rows without success read 0
     f_out = np.divide(f_num, p, out=f_num, where=live)
     fis = np.divide(fi_nums, p[:, None], out=fi_nums, where=live[:, None])
@@ -250,7 +245,7 @@ def cmd_eval(args) -> int:
     # one % template per row: the key as d:d:..., floats as fmt() prints them;
     # CHUNK rows at a time become Python objects
     template = ":".join(["%d"] * (n - 1)) + ",%.17g" * 5 + ",%d\n"
-    columns = [column[keep] for column in (*t.keys.T, p, f_out, *fis.T, envelope)]
+    columns = [column[keep] for column in (*keys.T, p, f_out, *fis.T, envelope)]
     with _output(args.out) as fh:
         fh.write("coset_key,p_suc,f_out,f1,f2,f3,envelope\n")
         for lo in range(0, len(columns[-1]), CHUNK):

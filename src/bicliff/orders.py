@@ -8,6 +8,9 @@ from math import prod
 
 MAX_PAIRS = 16  # 2n <= 32 bits keeps every vector in one machine word
 MAX_GRAPH_NODES = 7  # Werner enumeration: graphs on n-1 nodes for n up to 8
+# coset keys, and so eval and transversal, stop at n = 5: n = 6 has
+# 103,378,275 cosets, whose uint16 keys alone take about 1 GB
+MAX_EVAL_PAIRS = 5
 
 
 def check_pair_count(n: int) -> None:

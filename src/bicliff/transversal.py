@@ -6,19 +6,22 @@ kept pair's I, X, Y and Z classes K, t1 + K, t1 + t2 + K and t2 + K.  The
 shifts are read off a canonical representative completed deterministically
 from the key alone, so a transversal is its sorted keys: a pure function of
 n.  `enumerate_coset_keys` lists them directly, as the reduced bases of the
-isotropic (n-1)-subspaces of F2^2n; `eval` takes its keys from it.  The
-coupon collector `build_transversal` finds the same keys by sampling random
-symplectic matrices, for every seed, worker count and sampling order, and
-the `transversal` command checks it against the enumeration.
+isotropic (n-1)-subspaces of F2^2n, and is the only source of keys:
+`enumerate_stats` takes its keys from it, and the coupon collector
+`build_transversal` marks each key it samples off the enumeration, raising
+on one that is not there.  Its keys are the same for every seed, worker
+count and sampling order.
 
 Sampling, completion and statistics each run on whole arrays of matrices:
 a block of samples is one `random_symplectic_rows` call (each matrix drawn
 on the null basis of its constraints) and one `coset_keys` call, whose keys
-merge into one set as big-endian byte strings; `enumerate_stats` completes
-the keys one chunk at a time, in one lowest-bit `gf2.Echelon` per chunk, and
-sums every coset of the chunk with one gather.  Keys come from the same
-kernel with top-bit pivots (`gf2.rref_rows`).  Keys are uint16 masks, so
-n <= 8; the completion's words hold 3n <= 24 bits.
+are packed into one uint64 code each and looked up among the enumeration's
+codes; `enumerate_stats` completes the keys one chunk at a time, in one
+lowest-bit `gf2.Echelon` per chunk, and sums every coset of the chunk with
+one gather.  Keys come from the same kernel with top-bit pivots
+(`gf2.rref_rows`).  Keys are uint16 masks, so `representative_rows` takes
+n <= 8; the completion's words hold 3n <= 24 bits.  Enumeration, sampling
+and statistics stop at n = `MAX_EVAL_PAIRS`.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ordered_calls
-from .gf2 import Echelon, SymplecticMatrix, low_bit, random_symplectic_rows, swap_halves, top_bit
+from .gf2 import Echelon, SymplecticMatrix, low_bit, random_symplectic_rows, swap_halves
 from .groups import coset_keys
-from .orders import dn_index
+from .orders import MAX_EVAL_PAIRS, dn_index
 from .states import BellDiagonalState, preimage_cosets
 # Imported but not called: the benchmark's tracer (perfbench/spans.py) looks
 # these names up in this module.
@@ -40,7 +43,6 @@ from .groups import coset_key  # noqa: F401
 from .states import numeric_stats  # noqa: F401
 
 SAMPLE_BLOCK = 1024
-MAX_TRANSVERSAL_PAIRS = 8  # every 2n-bit row mask fits a uint16
 # cosets per array step of completion and statistics, to bound memory at n=5
 CHUNK = 1 << 13
 
@@ -59,13 +61,12 @@ def __getattr__(name: str):
 
 @dataclass(eq=False)
 class Transversal:
-    """The right cosets of the distillation subgroup, each by its key.
+    """The right cosets of the distillation subgroup that sampling found.
 
-    keys is a (C, n-1) uint16 array of coset keys in ascending (lexicographic)
-    order.  A coset's shifts are completed from its key when its statistics
-    are summed (`enumerate_stats`).  It is complete when it holds all
-    `dn_index(n)` cosets.  samples_used counts the random matrices drawn to
-    find the keys: 0 when they were enumerated.
+    keys is a (C, n-1) uint16 array of the enumerated coset keys the samples
+    reached, in ascending (lexicographic) order.  It is complete when it
+    holds all `dn_index(n)` cosets.  samples_used counts the random matrices
+    drawn to find the keys.
     """
 
     n: int
@@ -144,12 +145,20 @@ def _complete(keys: np.ndarray, n: int) -> np.ndarray:
     return np.stack([echelon.least(1 << (nn + n - 1)), *us, w1, *ws])
 
 
+def _codes(keys: np.ndarray, n: int) -> np.ndarray:
+    """Each key as one uint64, its first mask highest: a mask has at most 2n
+    bits, so an n <= 5 key fits in 40 bits, and ascending keys give
+    ascending codes."""
+    codes = np.zeros(len(keys), np.uint64)
+    for column in keys.T:
+        codes = codes << np.uint64(2 * n) | column
+    return codes
+
+
 def _sample_block(n: int, seed, block: int, size: int) -> np.ndarray:
-    """The block's coset keys as big-endian bytes, which sort as the keys do;
-    the byte view reads the masks in C order, whatever the keys' layout."""
+    """The codes of the block's sampled coset keys."""
     rng = np.random.default_rng([seed, block])
-    keys = coset_keys(random_symplectic_rows(n, rng, size), n).astype(">u2", order="C")
-    return np.ndarray(size, f"V{keys.itemsize * (n - 1)}", keys)
+    return _codes(coset_keys(random_symplectic_rows(n, rng, size), n), n)
 
 
 def build_transversal(
@@ -158,40 +167,43 @@ def build_transversal(
     jobs: int = 1,
     max_samples: int | None = None,
 ) -> Transversal:
-    """Sample coset keys until the transversal is complete.
+    """Sample coset keys until every enumerated key has been found.
 
     The default sample budget is 50 * index * ln(index), far above the coupon
     collector expectation; exceeding it returns a partial transversal with
     complete=False rather than hanging.  Blocks of samples are seeded by
-    (seed, block_index) and merged in block order, so the outcome does not
-    depend on the worker count.
+    (seed, block_index) and checked in block order, so the outcome does not
+    depend on the worker count.  Raises ValueError on a sampled key that
+    `enumerate_coset_keys(n)` does not hold.
     """
-    if not 1 <= n <= MAX_TRANSVERSAL_PAIRS:
-        raise ValueError(f"transversal pair count must be in [1, {MAX_TRANSVERSAL_PAIRS}], got {n}")
-    target = dn_index(n)
+    enumeration = enumerate_coset_keys(n)
+    codes = _codes(enumeration, n)
     if max_samples is None:
-        max_samples = max(4 * SAMPLE_BLOCK, int(50 * target * math.log(max(target, 2))))
-    keys: set = set()
+        max_samples = max(4 * SAMPLE_BLOCK, int(50 * len(codes) * math.log(max(len(codes), 2))))
+    found = np.zeros(len(codes), bool)
     samples = 0
     nblocks = (max_samples + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
     # lazy: the default n=5 budget is half a million blocks
     calls = ((n, seed, b, min(SAMPLE_BLOCK, max_samples - b * SAMPLE_BLOCK)) for b in range(nblocks))
     pool = globals().get("ProcessPoolExecutor")  # None: ordered_calls imports its own
-    for block_keys in ordered_calls(_sample_block, calls, jobs, pool):
-        keys.update(block_keys.tolist())
-        samples += len(block_keys)
-        if len(keys) >= target:
+    for block in ordered_calls(_sample_block, calls, jobs, pool):
+        block.sort()  # ascending lookups halve the search time in the 6 MB of n=5 codes
+        at = np.minimum(np.searchsorted(codes, block), len(codes) - 1)
+        stray = np.flatnonzero(codes[at] != block)
+        if stray.size:
+            code = int(block[stray[0]])
+            key = [code >> 2 * n * j & (1 << 2 * n) - 1 for j in reversed(range(n - 1))]
+            raise ValueError(f"sampled key {key} is not an enumerated coset key")
+        found[at] = True
+        samples += len(block)
+        if found.all():
             break
-
-    count = len(keys)
-    keys = b"".join(sorted(keys))  # the set goes before the key array is built
-    keys = np.frombuffer(keys, ">u2").reshape(count, n - 1).astype(np.uint16)
-    return Transversal(n, keys, samples)
+    return Transversal(n, enumeration[found], samples)
 
 
 def enumerate_coset_keys(n: int) -> np.ndarray:
     """Every coset key for n pairs, without sampling: a (dn_index(n), n-1)
-    uint16 array in ascending order, the keys of `build_transversal(n)`.
+    uint16 array in ascending order.
 
     A key's rows are built from the lowest pivot up, for all keys at once.
     A row of pivot p is bit p plus any subset of the bits below p that are
@@ -201,8 +213,8 @@ def enumerate_coset_keys(n: int) -> np.ndarray:
     the partial keys ascending, and pivots taken in increasing order, the
     keys come out ascending with no sort of whole keys.
     """
-    if not 1 <= n <= MAX_TRANSVERSAL_PAIRS:
-        raise ValueError(f"transversal pair count must be in [1, {MAX_TRANSVERSAL_PAIRS}], got {n}")
+    if not 1 <= n <= MAX_EVAL_PAIRS:
+        raise ValueError(f"transversal pair count must be in [1, {MAX_EVAL_PAIRS}], got {n}")
     keys = np.zeros((1, 0), np.uint16)
     pivots = np.zeros(1, np.uint16)  # the OR of each partial key's pivots
     for k in range(n - 1):  # rows so far
@@ -229,70 +241,25 @@ def enumerate_coset_keys(n: int) -> np.ndarray:
     return keys
 
 
-def first_bad_record(keys: np.ndarray, n: int):
-    """(index, problem) of the first record whose key is not a coset's.
-
-    A key is sound when every mask has at most 2n bits, its rows are a
-    reduced echelon basis (each nonzero, top-bit pivots strictly decreasing,
-    each pivot set in its own row only), and they are pairwise orthogonal
-    under the symplectic inner product.  Then K = span(key) is isotropic of
-    dimension n-1, the base preimage of the coset whose representative
-    `_complete` builds from the key.  A record failing several tests is
-    reported by the first in that order.  Returns None when every record is
-    sound.
-
-    Each test runs on whole columns, in the masks' own dtype.
-    """
-    words = list(keys.T)
-    swapped = [swap_halves(w, n) for w in words]
-    pivots = [top_bit(w) for w in words]
-    wide, reduced = np.zeros(len(keys), bool), np.ones(len(keys), bool)
-    odd = np.zeros(len(keys), bool)  # <words[i], words[j]> = 1 for some i < j
-    for j, w in enumerate(words):
-        wide |= w >> n >> n != 0  # two steps: at n = 8 a 2n-bit shift spans a uint16
-        if j:
-            reduced &= pivots[j] < pivots[j - 1]
-        reduced &= sum(v & pivots[j] != 0 for v in words) == 1
-        for i in range(j):
-            odd |= (np.bitwise_count(words[i] & swapped[j]) & 1).view(bool)
-    problems = (wide, ~reduced, odd)
-    bad = np.flatnonzero(np.logical_or.reduce(problems))
-    if bad.size == 0:
-        return None
-    i = int(bad[0])
-    return i, next(p for p, failed in zip(_PROBLEMS, problems) if failed[i])
+def enumerate_stats(state: BellDiagonalState) -> tuple:
+    """The coset keys of `enumerate_coset_keys(state.n)` and each coset's
+    numeric statistics on the state, in key order: (keys, p_suc, f_num,
+    fi_nums) as `_coset_stats` gives them."""
+    keys = enumerate_coset_keys(state.n)
+    return (keys, *_coset_stats(keys, state))
 
 
-_PROBLEMS = (
-    "mask wider than 2n bits",
-    "key is not a reduced echelon basis",
-    "key is not isotropic",
-)
-
-
-def enumerate_stats(t: Transversal, state: BellDiagonalState) -> tuple:
-    """Numeric statistics of every coset on the given state.
-
-    Returns float64 columns (p_suc, f_num, fi_nums) in key order, fi_nums of
-    shape (C, 3): the values `DistStats.from_coset_sums` gives, bit for bit,
-    and so those of `numeric_stats` of the canonical representative, whose
-    shifts `_complete` finds chunk by chunk.  Raises ValueError if the
-    transversal is incomplete, or if a key fails `first_bad_record`.
-    """
-    if not t.complete:
-        raise ValueError(f"transversal is incomplete ({len(t)}/{t.target_size} cosets)")
-    if state.n != t.n:
-        raise ValueError("state and transversal pair counts differ")
-    n = t.n
-    bad = first_bad_record(t.keys, n)
-    if bad is not None:
-        i, problem = bad
-        raise ValueError(f"coset {t.keys[i].tolist()}: {problem}")
-    sums = np.empty((len(t), 4))
-    for lo in range(0, len(t), CHUNK):
-        keys = t.keys[lo : lo + CHUNK]
-        cols = _complete(keys, n)  # the shifts t1 = u1 and t2 = w1
-        sums[lo : lo + CHUNK] = state.probs[preimage_cosets(keys, cols[0], cols[n])].sum(axis=-1)
+def _coset_stats(keys: np.ndarray, state: BellDiagonalState) -> tuple:
+    """Float64 columns (p_suc, f_num, fi_nums) of the cosets of a (C, n-1)
+    key array, fi_nums of shape (C, 3): the values `DistStats.from_coset_sums`
+    gives, bit for bit, and so those of `numeric_stats` of the canonical
+    representative, whose shifts `_complete` finds chunk by chunk."""
+    n = state.n
+    sums = np.empty((len(keys), 4))
+    for lo in range(0, len(keys), CHUNK):
+        chunk = keys[lo : lo + CHUNK]
+        cols = _complete(chunk, n)  # the shifts t1 = u1 and t2 = w1
+        sums[lo : lo + CHUNK] = state.probs[preimage_cosets(chunk, cols[0], cols[n])].sum(axis=-1)
     s0, s1, s2, s3 = sums.T
     p_suc = ((s0 + s1) + s2) + s3
     # the order of from_coset_sums: a left-to-right sum, and X/Y/Z sorted by

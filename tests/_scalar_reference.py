@@ -501,14 +501,12 @@ def enumerated_coset_keys(n: int) -> np.ndarray:
     return keys[np.lexsort(keys.T[::-1])] if n > 1 else keys  # n = 1: one empty key
 
 
-def enumerate_stats(t, reps, state) -> list:
-    """(key, DistStats) of every coset, one matrix at a time: reps holds the
-    row masks of a representative of each coset of t, in key order."""
-    if not t.complete:
-        raise ValueError("transversal is incomplete")
+def enumerate_stats(keys, reps, state) -> list:
+    """(key, DistStats) of the cosets of a key array, one matrix at a time:
+    reps holds the row masks of a representative of each coset, in key order."""
     entries = []
-    for key, rows in zip(map(tuple, t.keys.tolist()), reps.tolist()):
-        m = SymplecticMatrix(t.n, rows)
+    for key, rows in zip(map(tuple, keys.tolist()), reps.tolist()):
+        m = SymplecticMatrix(state.n, rows)
         st = numeric_stats(m, state)  # raises if m is not symplectic
         if coset_key(m) != key:
             raise ValueError(f"coset key {list(key)} does not match its representative's")

@@ -204,6 +204,34 @@ def test_format_4_werner_cache_rejected(tmp_path, capsys, protocols_for):
     assert path.read_bytes() == bad  # no reader rewrites an old cache
 
 
+@pytest.mark.parametrize("header", [
+    pytest.param({"n": 3, "count": 5}, id="no mode or version"),
+    pytest.param({"n": 3, "count": 5, "format_version": 5}, id="no mode"),
+    pytest.param({"mode": "journal", "n": 3, "count": 5, "format_version": 5}, id="unknown mode"),
+    pytest.param({"mode": ["werner"], "n": 3, "count": 5, "format_version": 5}, id="list mode"),
+])
+def test_cache_of_no_known_mode_rejected(cache_dir, tmp_path, capsys, header):
+    # the sound n = 3 Werner body under a header that names no mode the
+    # readers know: rejected with the field named, never read as a Werner body
+    good = (cache_dir / "werner_n3.bcp").read_bytes()
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "werner_n3.bcp"
+    path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + good[-5 * 4 :])
+    message = f"header field mode is {header.get('mode')!r}, not one of ['transversal', 'werner']"
+    for reader in (read_cache, load_werner_cache, verify_cache):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reader(path)
+    for args, rebuild in (
+        (["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path)],
+         f"bicliff werner --n 3 --cache {tmp_path}"),
+        (["verify", str(path)], "bicliff werner or bicliff transversal"),
+    ):
+        code = run_cli(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: bad cache file {path}: {message}; rebuild it with: {rebuild}\n"
+
+
 @pytest.mark.parametrize("n, size", [(3, 81), (8, 7008)])
 def test_werner_record_is_index_alone(tmp_path, protocols_for, n, size):
     # the case, the representative and the histograms follow from the index
@@ -288,16 +316,15 @@ def test_format_1_transversal_cache_rejected(tmp_path, capsys, transversal_for):
 def test_transversal_cache_format_2_roundtrip(tmp_path, transversal_for, n):
     # format 2 made the transversal one binary block and format 4 stored the
     # key alone in each record; format 5 is the header alone, and a reader
-    # returns the enumerated keys, equal to the sampled ones
+    # returns the positions of its cosets, whose keys are the enumeration
     t = transversal_for(n)
     path = tmp_path / f"transversal_n{n}.bcp"
     write_transversal_cache(path, t, seed=0)
     header, loaded = load_transversal_cache(path)
     assert header == {"mode": "transversal", "n": n, "count": len(t), "complete": True,
                       "seed": 0, "samples": t.samples_used, "format_version": 5}
-    assert loaded.n == n and loaded.complete and loaded.samples_used == t.samples_used
-    assert loaded.keys.dtype == np.uint16 and loaded.keys.shape == (len(t), n - 1)
-    assert np.array_equal(loaded.keys, t.keys)
+    assert loaded == range(len(t))
+    assert np.array_equal(transversal.enumerate_coset_keys(n), t.keys)
     data = path.read_bytes()
     assert len(data) == data.index(b"}") + 1
     assert n != 4 or len(data) == 112  # 68,962 bytes at format 4
@@ -312,32 +339,66 @@ def _n5_oracle_keys() -> np.ndarray:
 def test_n5_transversal_cache_is_header_and_keys(tmp_path):
     # the 782,595 n = 5 keys with the sample count of the default seed-0
     # build: the file is the header alone, 115 bytes where format 4 took
-    # 6,260,875, and a reader gives the keys back
+    # 6,260,875, and a reader gives the range of its cosets back
     keys = _n5_oracle_keys()
     path = tmp_path / "transversal_n5.bcp"
     write_transversal_cache(path, transversal.Transversal(5, keys, 10_733_568), seed=0)
     data = path.read_bytes()
     assert len(data) == data.index(b"}") + 1 == 115
     header, loaded = load_transversal_cache(path)
-    assert header["complete"] and np.array_equal(loaded.keys, keys)
+    assert header["complete"] and loaded == range(len(keys))
 
 
 @pytest.mark.parametrize("count", [0, 1])
 def test_transversal_cache_of_nine_pairs_rejected(tmp_path, capsys, count):
-    # 2n = 18 bits do not fit the uint16 masks; one record is laid out as
-    # n - 1 uint32 key masks would be
+    # keys stop at n = 5, and 2n = 18 bits would not even fit the uint16
+    # masks; one record is laid out as n - 1 uint32 key masks would be
     path = tmp_path / "transversal_n9.bcp"
     header = {"mode": "transversal", "n": 9, "count": count, "complete": False,
               "seed": 0, "samples": count, "format_version": 5}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob + bytes(count * 8 * 4))
     for reader in (read_cache, load_transversal_cache, verify_cache):
-        with pytest.raises(ValueError, match="a transversal holds at most 8 pairs, not n=9"):
+        with pytest.raises(ValueError, match="a transversal holds at most 5 pairs, not n=9"):
             reader(path)
     code = run_cli(["verify", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "at most 8 pairs" in captured.err and "rebuild it with" in captured.err
+    assert "at most 5 pairs" in captured.err and "rebuild it with" in captured.err
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_transversal_header_past_five_pairs_exits_2_unenumerated(tmp_path, capsys, monkeypatch, n):
+    # a header-only file of n = 6..8 that is otherwise sound: the reader
+    # must refuse it before anything enumerates the keys, whose n = 6 array
+    # alone takes about 1 GB
+    from bicliff.cache import write_cache
+    from bicliff.orders import dn_index
+
+    enumerate_coset_keys = transversal.enumerate_coset_keys
+
+    def bounded(m):
+        assert m <= 5, f"enumerated n={m}"
+        return enumerate_coset_keys(m)
+
+    monkeypatch.setattr(transversal, "enumerate_coset_keys", bounded)
+    header = {"mode": "transversal", "n": n, "count": dn_index(n), "complete": True,
+              "seed": 0, "samples": 0}
+    # eval finds it under the name of its own n = 5 state, verify anywhere
+    write_cache(tmp_path / "transversal_n5.bcp", header)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 5, "pairs": [list(EXAMPLE_PAIR)] * 5}))
+    for args, rebuild in (
+        (["eval", str(state), "--cache", str(tmp_path)], f"bicliff transversal --n 5 --cache {tmp_path}"),
+        (["verify", str(tmp_path / "transversal_n5.bcp")], "bicliff werner or bicliff transversal"),
+    ):
+        code = run_cli(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: bad cache file {tmp_path / 'transversal_n5.bcp'}: a transversal holds at "
+            f"most 5 pairs, not n={n}; rebuild it with: {rebuild}\n"
+        )
 
 
 def test_cli_eval_rejects_partial_transversal_marked_complete(transversal_for, tmp_path, capsys):
@@ -464,8 +525,10 @@ def test_cli_transversal_n1_zero_width_records(tmp_path, capsys):
     path = tmp_path / "transversal_n1.bcp"
     data = path.read_bytes()
     assert len(data) == data.index(b"}") + 1
-    header, keys = read_cache(path)
-    assert header["count"] == 1 and keys.dtype == np.uint16 and keys.shape == (1, 0)
+    header, cosets = read_cache(path)
+    assert header["count"] == 1 and cosets == range(1)
+    keys = transversal.enumerate_coset_keys(1)
+    assert keys.dtype == np.uint16 and keys.shape == (1, 0)
     state = tmp_path / "state.json"
     state.write_text('{"n": 1, "pairs": [[0.5, 0.125, 0.25, 0.125]]}')
     assert run_cli(["eval", str(state), "--cache", str(tmp_path)]) == 0
@@ -495,9 +558,10 @@ def test_load_rejects_repeated_statistics(cache_dir, tmp_path):
 
 
 def test_transversal_cache_roundtrip(cache_dir, transversal_for):
-    header, t = load_transversal_cache(cache_dir / "transversal_n2.bcp")
-    assert header["complete"] and t.complete
-    assert np.array_equal(t.keys, transversal_for(2).keys)
+    header, cosets = load_transversal_cache(cache_dir / "transversal_n2.bcp")
+    t = transversal_for(2)
+    assert header["complete"] and header["samples"] == t.samples_used
+    assert cosets == range(len(t))
 
 
 def test_verify_cache_ok(cache_dir, monkeypatch):
@@ -508,43 +572,30 @@ def test_verify_cache_ok(cache_dir, monkeypatch):
     ok, checked, message = verify_cache(cache_dir / "werner_n3.bcp")
     assert ok and checked == 5 and message == "ok"
     ok, checked, _ = verify_cache(cache_dir / "transversal_n2.bcp", sample=1)
-    assert ok and checked == 15  # every key of a transversal, whatever the sample
+    assert ok and checked == 15  # every coset of the header, whatever the sample
     assert reads == [cache_dir / "werner_n3.bcp", cache_dir / "transversal_n2.bcp"]
 
 
-def test_verify_cache_rejects_bad_key(cache_dir, tmp_path, capsys, monkeypatch, transversal_for):
-    # verify runs first_bad_record on every enumerated key, whatever the
-    # sample: an enumerator whose last n = 2 key gains a bit past 2n (still
-    # the largest key), and whose n = 3 record 198, key (41, 18), becomes
-    # (41, 19): ascending and reduced, but its rows no longer commute
-    n3 = tmp_path / "transversal_n3.bcp"
-    write_transversal_cache(n3, transversal_for(3), seed=0)
+def test_eval_enumerates_once_and_verify_never(cache_dir, tmp_path, capsys, monkeypatch):
+    # eval enumerates the keys once, whether or not a transversal cache is
+    # there to check; verify of a transversal cache reads its header alone
+    calls = []
     enumerate_coset_keys = transversal.enumerate_coset_keys
-
-    def faulty(n):
-        keys = enumerate_coset_keys(n).copy()
-        if n == 2:
-            keys[-1, 0] |= 1 << 4
-        else:
-            assert keys[198].tolist() == [41, 18]
-            keys[198, 1] ^= 1
-        return keys
-
-    monkeypatch.setattr(transversal, "enumerate_coset_keys", faulty)
-    for sample in (1, 15, 100):
-        assert verify_cache(cache_dir / "transversal_n2.bcp", sample=sample) == (
-            False, 14, "record 14: mask wider than 2n bits"
-        )
-        assert verify_cache(n3, sample=sample) == (False, 198, "record 198: key is not isotropic")
-    code = run_cli(["verify", str(cache_dir / "transversal_n2.bcp"), "--sample", "5"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.err == ""
-    assert captured.out == "checked=14 ok=0 record 14: mask wider than 2n bits\n"
-    # an enumeration short of the header's count fails before any key is checked
-    monkeypatch.setattr(transversal, "enumerate_coset_keys", lambda n: enumerate_coset_keys(n)[1:])
-    assert verify_cache(cache_dir / "transversal_n2.bcp") == (
-        False, 0, "14 enumerated keys, not the header's 15"
-    )
+    monkeypatch.setattr(transversal, "enumerate_coset_keys",
+                        lambda n: calls.append(n) or enumerate_coset_keys(n))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    outputs = []
+    for cache in (cache_dir, tmp_path / "empty"):
+        assert run_cli(["eval", str(state), "--cache", str(cache)]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert calls == [2]
+        calls.clear()
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 16
+    assert not (tmp_path / "empty").exists()
+    assert run_cli(["verify", str(cache_dir / "transversal_n2.bcp")]) == 0
+    assert capsys.readouterr().out == "checked=15 ok=1 ok\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("sample, result", [
@@ -871,7 +922,7 @@ def test_cli_eval(cache_dir, tmp_path, capsys):
     assert any(abs(float(line.split(",")[1]) - 0.75) < 1e-12 for line in lines[1:])
 
 
-def test_cli_eval_rows_without_success_read_zero(cache_dir, tmp_path, capsys, transversal_for):
+def test_cli_eval_rows_without_success_read_zero(cache_dir, tmp_path, capsys):
     # entries of -1e-13 give rows whose p_suc is 0 or below while a coset
     # sum is not 0; their F_out and F_i still read 0
     from bicliff.states import BellDiagonalState
@@ -879,7 +930,7 @@ def test_cli_eval_rows_without_success_read_zero(cache_dir, tmp_path, capsys, tr
 
     probs = [0.0] * 16
     probs[8], probs[9], probs[13] = 1e-13, -1e-13, 1.0
-    p, f_num, fi_nums = enumerate_stats(transversal_for(2), BellDiagonalState(2, probs))
+    _, p, f_num, fi_nums = enumerate_stats(BellDiagonalState(2, probs))
     dead = ~(p > 0)
     assert (f_num[dead] != 0).any() and (fi_nums[dead] != 0).any()
     state = tmp_path / "state.json"
@@ -1286,20 +1337,20 @@ def test_cli_transversal_and_budget(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_transversal_keys_unlike_the_enumeration_exit_2(tmp_path, capsys, monkeypatch):
-    # a sampler that finds a complete but wrong key set: the last n = 3 key
-    # swapped for one that is no coset's
-    def wrong_keys(n, **kwargs):
-        t = build_transversal(n, **kwargs)
-        keys = t.keys.copy()
-        keys[-1] = [0, 1]
-        return transversal.Transversal(n, keys, t.samples_used)
-
-    monkeypatch.setattr("bicliff.cli.build_transversal", wrong_keys)
+    # an enumeration one key short: the sampler checks every sampled key
+    # against it and names the first sample of the missing coset
+    enumerate_coset_keys = transversal.enumerate_coset_keys
+    monkeypatch.setattr(transversal, "enumerate_coset_keys",
+                        lambda n: np.delete(enumerate_coset_keys(n), 100, axis=0))
+    stray = enumerate_coset_keys(3)[100].tolist()
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match=re.escape(f"sampled key {stray} is not an enumerated")):
+            build_transversal(3, seed=0, jobs=jobs)
     assert run_cli(["transversal", "--n", "3", "--cache", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: internal error: the transversal's 315 keys are not the 315 enumerated coset keys\n"
+        f"error: internal error: sampled key {stray} is not an enumerated coset key\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -1309,12 +1360,12 @@ def test_n5_statistics_of_enumerated_and_cached_keys_agree():
     # the keys a format-4 cache held, which the independent oracle lists;
     # the README pair (0.7, 0.15, 0.10, 0.05) on all five pairs
     from bicliff.states import BellDiagonalState
-    from bicliff.transversal import enumerate_stats
+    from bicliff.transversal import _coset_stats, enumerate_stats
 
     state = BellDiagonalState.from_pairs([(0.7, 0.15, 0.10, 0.05)] * 5)
-    cached = transversal.Transversal(5, _n5_oracle_keys(), 0)
-    enumerated = transversal.Transversal(5, transversal.enumerate_coset_keys(5), 0)
-    for a, b in zip(enumerate_stats(cached, state), enumerate_stats(enumerated, state)):
+    keys, *enumerated = enumerate_stats(state)
+    assert np.array_equal(keys, _n5_oracle_keys())
+    for a, b in zip(_coset_stats(_n5_oracle_keys(), state), enumerated):
         assert a.tobytes() == b.tobytes()
 
 
@@ -1513,14 +1564,14 @@ def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, ki
     path = tmp_path / f"transversal_n{n}.bcp"
     if kind == "incomplete":
         t = build_transversal(3, seed=0, max_samples=16)
-        with pytest.raises(ValueError, match=f"{len(t)} keys are not the 315 enumerated"):
+        with pytest.raises(ValueError, match=f"holds {len(t)} of 315 cosets: no incomplete"):
             write_transversal_cache(path, t, seed=0)
         assert not path.exists()
         write_cache(path, {"mode": "transversal", "n": 3, "count": len(t), "complete": False,
                            "seed": 0, "samples": t.samples_used})
     else:
-        header, keys = read_cache(cache_dir / "transversal_n2.bcp")
-        write_cache(path, header, keys[-1] | np.uint16(1 << 4))  # the last key, 2n bits wide
+        header, _ = read_cache(cache_dir / "transversal_n2.bcp")
+        write_cache(path, header, np.array([14 | 1 << 4], np.uint16))  # a key, 2n bits wide
     capsys.readouterr()
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": n, "pairs": [list(EXAMPLE_PAIR)] * n}))

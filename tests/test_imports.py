@@ -74,6 +74,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, protocols_for, transvers
          {"transversal", "circuits"}, {"concurrent.futures.process"}),
         (["verify", str(tmp_path / "werner_n3.bcp")],
          {"transversal", "circuits"}, {"concurrent.futures.process"}),
+        (["verify", str(tmp_path / "transversal_n2.bcp")],  # the header alone
+         {"transversal", "werner", "circuits"}, {"concurrent.futures.process"}),
         (["eval", str(state), "--cache", str(tmp_path), "--out", out],
          {"werner", "circuits", "dejmps"}, {"concurrent.futures.process"}),
         (["eval", str(state), "--cache", cache, "--out", out],  # no cache: enumerates the keys

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 import _scalar_reference as scalar
 from bicliff.gf2 import SymplecticMatrix, gate_matrix, is_symplectic, random_symplectic_rows, H, S, CNOT
-from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves, symplectic_inner
+from bicliff.gf2 import is_symplectic_rows, rref_rows, swap_halves
 from bicliff.groups import bfs_closure, coset_key, coset_keys
 from bicliff.orders import dn_index
 from bicliff.states import BellDiagonalState, DistStats, preimage_cosets, preimage_index, werner_keys
 from bicliff import transversal
 from bicliff.transversal import (
     SAMPLE_BLOCK,
-    Transversal,
+    _coset_stats,
     build_transversal,
     enumerate_stats,
-    first_bad_record,
     pareto_envelope,
     representative_from_key,
     representative_rows,
@@ -26,7 +25,7 @@ from bicliff.transversal import (
 from bicliff.dejmps import ROTATION_WORDS
 from bicliff.werner import build_representative
 from _reference import EXAMPLE_PAIR
-from _scalar_reference import dejmps_step, enumerate_cases, kn_generators, werner_state
+from _scalar_reference import dejmps_step, enumerate_cases, kn_generators
 
 
 def _reps(t):
@@ -83,8 +82,8 @@ def test_representatives_match_scalar_completion(transversal_for):
 @pytest.mark.parametrize("max_samples", [16, 1500])
 def test_build_transversal_matches_scalar_sampler(max_samples, jobs):
     assert max_samples % SAMPLE_BLOCK
-    # the n=7 keys need 84 bits, more than one packed integer holds
-    for n in (2, 3, 4, 7):
+    # n = 5 keys fill 40 bits of their uint64 codes
+    for n in (2, 3, 4, 5):
         t = build_transversal(n, seed=1, jobs=jobs, max_samples=max_samples)
         keys, samples = scalar.transversal_keys(n, 1, max_samples)
         assert [key for key, _ in _reps(t)] == sorted(keys) and t.samples_used == samples
@@ -120,12 +119,15 @@ def test_worker_count_invariance():
     assert np.array_equal(a.keys, b.keys) and a.samples_used == b.samples_used
 
 
-@pytest.mark.parametrize("n", [0, 9])
+@pytest.mark.parametrize("n", [0, 6, 9])
 def test_build_transversal_rejects_pair_counts_past_uint16(n):
-    # 2n row bits must fit the uint16 masks of keys and rows, sampled or enumerated
+    # keys stop at n = 5, below the 2n row bits a uint16 mask holds: n = 6
+    # has about 1 GB of keys, and n = 9 keys would not fit their masks;
+    # sampled, enumerated or summed, every path reaches the one bound
     for build in (functools.partial(build_transversal, max_samples=16),
-                  transversal.enumerate_coset_keys):
-        with pytest.raises(ValueError, match=r"transversal pair count must be in \[1, 8\]"):
+                  transversal.enumerate_coset_keys,
+                  lambda n: enumerate_stats(BellDiagonalState(n, [1.0] + [0.0] * (4**n - 1)))):
+        with pytest.raises(ValueError, match=r"transversal pair count must be in \[1, 5\]"):
             build(n)
 
 
@@ -133,8 +135,8 @@ def test_build_transversal_rejects_pair_counts_past_uint16(n):
     "layout", [np.asfortranarray, lambda keys: keys[::-1, ::-1]], ids=["column-major", "reversed"]
 )
 def test_sample_block_reads_keys_in_any_memory_layout(monkeypatch, layout):
-    # the sampler's merge step views the keys' buffer as one byte string per
-    # key, so keys in another memory layout must not be read raw
+    # the sampler packs each key's masks into one code, first mask highest,
+    # whatever the keys' memory layout
     given = []
 
     def keys_in_layout(rows, n):
@@ -143,9 +145,9 @@ def test_sample_block_reads_keys_in_any_memory_layout(monkeypatch, layout):
 
     monkeypatch.setattr(transversal, "coset_keys", keys_in_layout)
     for n in (2, 4, 5):
-        merged = transversal._sample_block(n, 0, n, 300)
-        decoded = np.frombuffer(b"".join(merged.tolist()), ">u2").reshape(300, n - 1)
-        assert decoded.tolist() == given[-1].tolist()
+        codes = transversal._sample_block(n, 0, n, 300)
+        want = [functools.reduce(lambda c, w: c << 2 * n | w, key, 0) for key in given[-1].tolist()]
+        assert codes.dtype == np.uint64 and codes.tolist() == want
 
 
 def test_representative_rows_of_uint16_keys_match_uint64():
@@ -190,18 +192,19 @@ def test_budget_exhaustion_flagged():
     t = build_transversal(3, seed=0, max_samples=16)
     assert not t.complete
     assert len(t) < dn_index(3)
-    state = werner_state(3, 0.8)
-    with pytest.raises(ValueError):
-        enumerate_stats(t, state)
+    # the keys found so far, in order, all enumerated
+    codes = transversal._codes(transversal.enumerate_coset_keys(3), 3)
+    found = transversal._codes(t.keys, 3)
+    assert (np.diff(found.astype(np.int64)) > 0).all() and np.isin(found, codes).all()
 
 
 def test_enumerate_stats_example_state(transversal_for):
-    t = transversal_for(2)
     state = BellDiagonalState.from_pairs([EXAMPLE_PAIR, EXAMPLE_PAIR])
-    p_suc, f_num, fi_nums = enumerate_stats(t, state)
+    keys, p_suc, f_num, fi_nums = enumerate_stats(state)
+    assert np.array_equal(keys, transversal_for(2).keys)
     assert p_suc.shape == f_num.shape == (15,) and fi_nums.shape == (15, 3)
     f_out = f_num / p_suc
-    ident = [key for key, _ in _reps(t)].index(coset_key(SymplecticMatrix.identity(2)))
+    ident = [tuple(key) for key in keys.tolist()].index(coset_key(SymplecticMatrix.identity(2)))
     assert np.isclose(p_suc[ident], 0.75)
     assert np.isclose(f_out[ident], 0.7)
     # the best achievable fidelity equals the best two-pair step fidelity
@@ -382,10 +385,9 @@ def test_pareto_envelope_basics():
     assert pareto_envelope(np.zeros(0), np.zeros(0)).tolist() == []
 
 
-def test_pareto_envelope_example_state(transversal_for):
-    t = transversal_for(2)
+def test_pareto_envelope_example_state():
     state = BellDiagonalState.from_pairs([EXAMPLE_PAIR, EXAMPLE_PAIR])
-    p_suc, f_num, _ = enumerate_stats(t, state)
+    _, p_suc, f_num, _ = enumerate_stats(state)
     f_out = f_num / p_suc
     env = pareto_envelope(p_suc, f_out)
     # brute-force oracle over all 15 cosets
@@ -417,18 +419,12 @@ def test_pareto_envelope_mask_equals_scalar(points):
     assert pareto_envelope(p_suc, f_out).tolist() == [id(s) in kept for s in stats]
 
 
-class _Sample(Transversal):
-    """Some cosets of a transversal, which `enumerate_stats` takes as complete."""
-
-    complete = True
-
-
 _SAMPLED: dict = {}
 
 
-def _sampled_transversal(n, transversal_for):
-    """(transversal, representative rows): the whole transversal for n <= 3,
-    2,000 of its cosets for n = 4, 5."""
+def _sampled_keys(n, transversal_for):
+    """(keys, representative rows): every coset for n <= 3, 2,000 of the
+    cosets for n = 4, 5."""
     if n not in _SAMPLED:
         if n <= 4:
             t = transversal_for(n)
@@ -436,7 +432,7 @@ def _sampled_transversal(n, transversal_for):
             keys = t.keys[::step]
         else:
             keys = np.array(_n5_keys(), dtype=np.uint64)
-        _SAMPLED[n] = _Sample(n, keys, 0), representative_rows(keys, n)
+        _SAMPLED[n] = keys, representative_rows(keys, n)
     return _SAMPLED[n]
 
 
@@ -464,105 +460,55 @@ def _bits(p_suc, f_num, fi_nums):
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(data=st.data())
 def test_enumerate_stats_bit_equal_to_numeric_stats(transversal_for, n, data):
-    t, reps = _sampled_transversal(n, transversal_for)
+    keys, reps = _sampled_keys(n, transversal_for)
     state = data.draw(_states(n))
-    p_suc, f_num, fi_nums = enumerate_stats(t, state)
-    want = scalar.enumerate_stats(t, reps, state)  # numeric_stats of each representative
+    p_suc, f_num, fi_nums = _coset_stats(keys, state)
+    want = scalar.enumerate_stats(keys, reps, state)  # numeric_stats of each representative
     assert [_bits(*row) for row in zip(p_suc.tolist(), f_num.tolist(), fi_nums.tolist())] == [
         _bits(s.p_suc, s.f_num, s.fi_nums) for _, s in want
     ]
 
 
-def _stats_or_error(t, state):
-    try:
-        return b"".join(column.tobytes() for column in enumerate_stats(t, state))
-    except ValueError as exc:
-        return str(exc)
+def _stats_bytes(keys, state):
+    return b"".join(column.tobytes() for column in _coset_stats(keys, state))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(data=st.data())
 def test_uint16_and_uint64_transversals_agree(transversal_for, n, data):
-    t = transversal_for(n)
-    assert t.keys.dtype == np.uint16
-    keys = t.keys.copy()
-    if data.draw(st.booleans()):  # one flipped key bit: a record may go bad
-        record, word = data.draw(st.integers(0, len(t) - 1)), data.draw(st.integers(0, n - 2))
-        keys[record, word] ^= 1 << data.draw(st.integers(0, 15))
-    narrow = Transversal(n, keys, t.samples_used)
-    wide = Transversal(n, keys.astype(np.uint64), t.samples_used)
-    assert first_bad_record(narrow.keys, n) == first_bad_record(wide.keys, n)
+    keys = transversal_for(n).keys
+    assert keys.dtype == np.uint16
     state = data.draw(_states(n))
-    assert _stats_or_error(narrow, state) == _stats_or_error(wide, state)
+    assert _stats_bytes(keys, state) == _stats_bytes(keys.astype(np.uint64), state)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_first_bad_record_flags_exactly_the_unsound_bit_flips(transversal_for, n):
-    # every single-bit flip of every key word of sampled records: flagged
-    # exactly when the scalar oracle calls the key unsound
-    t = transversal_for(n)
-    picks = np.random.default_rng(n).choice(len(t), size=min(len(t), 40), replace=False)
-    flagged = sound = 0
-    for i in picks.tolist():
-        key = t.keys[i : i + 1]
-        assert first_bad_record(key, n) is None
-        assert scalar.coset_record_is_sound(key[0].tolist(), n)
+def test_enumeration_holds_exactly_the_sound_bit_flips(n):
+    # every single-bit flip of every key word of sampled keys: an enumerated
+    # key exactly when the scalar oracle calls it sound, so the sampler's
+    # check against the enumeration rejects exactly the unsound keys
+    keys = transversal.enumerate_coset_keys(n)
+    enumerated = {tuple(key) for key in keys.tolist()}
+    picks = np.random.default_rng(n).choice(len(keys), size=min(len(keys), 40), replace=False)
+    unsound = sound = 0
+    for key in keys[picks].tolist():
+        assert scalar.coset_record_is_sound(key, n)
         for word in range(n - 1):
             for bit in range(16):
-                k = key.copy()
-                k[0, word] ^= 1 << bit
-                ok = scalar.coset_record_is_sound(k[0].tolist(), n)
-                bad = first_bad_record(k, n)
-                assert (bad is None) == ok, (i, word, bit, bad)
-                flagged += bad is not None
+                k = list(key)
+                k[word] ^= 1 << bit
+                ok = scalar.coset_record_is_sound(k, n)
+                assert (tuple(k) in enumerated) == ok, (key, word, bit)
+                unsound += not ok
                 sound += ok
     # both kinds occur: a flipped bit below the pivots can give another coset's key
-    assert flagged and sound
-
-
-# n = 3 masks: bit i is pair i+1's X, bit 3 + i its Z
-_X1, _X2, _X3, _Z1, _Z2, _Z3 = (1 << i for i in range(6))
-
-
-@pytest.mark.parametrize("key, shifts, problem", [
-    ((_Z3, _Z2), (_X1, _Z1), None),  # the identity's coset
-    ((_Z3 | 1 << 6, _Z2), (_X1, _Z1), "mask wider than 2n bits"),
-    ((_Z3, _Z2), (_X1, _Z1 | 1 << 15), "mask wider than 2n bits"),
-    ((_Z3 | 1 << 6, _X3), (_X1, _Z1), "mask wider than 2n bits"),  # first problem wins
-    ((_Z3, 0), (_X1, _Z1), "key is not a reduced echelon basis"),
-    ((_Z2, _Z3), (_X1, _Z1), "key is not a reduced echelon basis"),
-    ((_Z3, _Z3 | _Z2), (_X1, _Z1), "key is not a reduced echelon basis"),
-    ((_Z3, _X3), (_X1, _Z1), "key is not isotropic"),
-    ((_Z3, _Z2), (_X1 | _X2, _Z1), "shift not orthogonal to the coset key"),
-    ((_Z3, _Z2), (_X1, 0), "shifts do not anticommute"),
-])
-def test_first_bad_record_names_each_problem(key, shifts, problem):
-    # every problem of a format-3 record, the key and two stored shifts: the
-    # key-only check names those of the key, and those of the stored shifts
-    # (the cases with the identity's key) can no longer arise, as the shifts
-    # are completed from the key, and the completed ones are sound
-    keys = np.array([(_Z3, _Z2), key], np.uint16)
-    key_problem = None if key == (_Z3, _Z2) else problem
-    assert scalar.coset_record_is_sound(key, 3) == (key_problem is None)
-    assert first_bad_record(keys, 3) == (None if key_problem is None else (1, key_problem))
-    if key_problem is None:
-        # the problem lies in the stored shifts alone; the completed ones are sound
-        assert _split_the_coset(key, *shifts) == (problem is None)
-        (completed,) = _shifts(representative_rows(keys[1:], 3), 3)
-        assert _split_the_coset(key, *completed)
-
-
-def _split_the_coset(key, t1, t2) -> bool:
-    """Whether n = 3 shifts are vectors of F2^6 orthogonal to the key that
-    anticommute, so that they split K^perp / K into its four classes."""
-    orthogonal = not any(symplectic_inner(t, w, 3) for t in (t1, t2) for w in key)
-    return max(t1, t2) < 1 << 6 and orthogonal and symplectic_inner(t1, t2, 3) == 1
+    assert unsound and sound
 
 
 def test_keys_and_shifts_give_the_full_rows_sums_at_n5():
     # 20,000 of the 782,595 n = 5 cosets with no sampled build: the key and the
-    # two shifts that `enumerate_stats` completes give the sums of the full
+    # two shifts that `_coset_stats` completes give the sums of the full
     # rows of the reference completion, bit for bit and in the same
     # summation order
     keys = _all_n5_keys()[::39][:20_000].astype(np.uint16)
@@ -571,13 +517,12 @@ def test_keys_and_shifts_give_the_full_rows_sums_at_n5():
     assert np.array_equal(swap_halves(rows[:, 1:5], 5), keys)
     shifts = np.array(_shifts(representative_rows(keys, 5), 5))
     assert shifts.tolist() == _shifts(rows, 5)
-    assert first_bad_record(keys, 5) is None
     rng = np.random.default_rng(5)
     for _ in range(3):
         state = BellDiagonalState.from_pairs(rng.dirichlet([8, 1, 1, 1], size=5))
         want = state.probs[preimage_index(rows, 5)].sum(axis=-1)
         got = state.probs[preimage_cosets(keys, shifts[:, 0], shifts[:, 1])].sum(axis=-1)
         assert got.tobytes() == want.tobytes()
-        p_suc, f_num, _ = enumerate_stats(_Sample(5, keys, 0), state)
+        p_suc, f_num, _ = _coset_stats(keys, state)
         assert f_num.tobytes() == want[:, 0].tobytes()
         assert p_suc.tobytes() == (((want[:, 0] + want[:, 1]) + want[:, 2]) + want[:, 3]).tobytes()
