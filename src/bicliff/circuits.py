@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ordered_calls
-from .gf2 import CNOT, CZ, Gate, H, SWAP, SymplecticMatrix, apply_gate_rows
+from .gf2 import CNOT, CZ, Gate, H, SymplecticMatrix, apply_gate_rows
 from .states import encode_counts, werner_keys
 
 SYNTH_BLOCK = 4096
@@ -178,7 +178,7 @@ def _all_pairs(n: int) -> list:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps) -> np.ndarray:
+def _block_rows(n, lengths, starts, cnot_choices, cz_masks) -> np.ndarray:
     """Row masks of every candidate of a block, shape (size, 2n).
 
     One masked pass per CNOT position and one per CZ pair apply the gates of
@@ -198,10 +198,6 @@ def _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps) -> np.ndarray
         rows[idx, n + i - 1] ^= rows[idx, j - 1]
     h = np.arange(1, n)
     rows[:, np.r_[h, n + h]] = rows[:, np.r_[n + h, h]]
-    idx = np.flatnonzero(swaps)  # exchange qubit 1 with qubit sw+1 after the Hadamards
-    sw = swaps[idx]
-    rows[idx, 0], rows[idx, sw] = rows[idx, sw], rows[idx, 0]
-    rows[idx, n], rows[idx, n + sw] = rows[idx, n + sw], rows[idx, n]
     return rows
 
 
@@ -211,52 +207,44 @@ def _matches(rows, n: int, key) -> np.ndarray:
     return (werner_keys(np.asarray(rows, np.uint16), n) == key).all(axis=-1)
 
 
-def _synth_block(n, seed, count, block, size, key, allow_swap):
+def _synth_block(n, seed, count, block, size, key):
     """Scan one block of random candidates with `count` two-qubit gates each;
     return (hits, best), best the (depth, index_in_block, circuit) of the
     block's least-depth accepted candidate, or None.
 
     A candidate draws its CNOT count uniformly from the feasible range and a
-    uniform subset of the CZ pairs for the rest; a final SWAP of qubit 1
-    (allow_swap), present or not uniformly where both fit, is one gate.  All
-    are tested as arrays against the `encode_counts` key; distinct hits
-    become circuits."""
+    uniform subset of the CZ pairs for the rest.  All are tested as arrays
+    against the `encode_counts` key; distinct hits become circuits."""
     rng = np.random.default_rng([seed, count, block])
     down, npairs = _downward_pairs(n), len(_all_pairs(n))
-    swaps = np.zeros(size, np.int64)
-    if allow_swap:
-        swaps = rng.integers(max(0, count - 3 * n - npairs), min(1, count) + 1, size=size)
-        swaps *= rng.integers(1, n, size=size)
-    rest = count - (swaps != 0)
-    lengths = rng.integers(np.maximum(0, rest - npairs), np.minimum(3 * n, rest) + 1)
+    counts = np.full(size, count)  # array bounds draw one CNOT count per candidate
+    lengths = rng.integers(np.maximum(0, counts - npairs), np.minimum(3 * n, counts) + 1)
     cnot_choices = rng.integers(0, len(down), size=int(lengths.sum()))
-    # the first rest - length pairs of a uniform permutation are a uniform subset
+    # the first count - length pairs of a uniform permutation are a uniform subset
     order = rng.permuted(np.tile(np.arange(npairs), (size, 1)), axis=1)
-    chosen = np.arange(npairs) < (rest - lengths)[:, None]
+    chosen = np.arange(npairs) < (counts - lengths)[:, None]
     cz_masks = (chosen << order).sum(axis=1, dtype=np.uint64)
     starts = np.cumsum(lengths) - lengths
 
-    rows = _block_rows(n, lengths, starts, cnot_choices, cz_masks, swaps)
+    rows = _block_rows(n, lengths, starts, cnot_choices, cz_masks)
     hits = np.flatnonzero(_matches(rows, n, key))
     best, seen = None, set()
     for idx in hits.tolist():
         cand = (tuple(cnot_choices[starts[idx] : starts[idx] + lengths[idx]].tolist()),
-                int(cz_masks[idx]), int(swaps[idx]))
+                int(cz_masks[idx]))
         if cand not in seen:
             seen.add(cand)
-            circ = _rebuild(n, [down[t] for t in cand[0]], *cand[1:])
+            circ = _rebuild(n, [down[t] for t in cand[0]], cand[1])
             if best is None or depth(circ) < best[0]:
                 best = (depth(circ), idx, circ)
     return len(hits), best
 
 
-def _rebuild(n, cnots, cz_mask, sw) -> CliffordCircuit:
+def _rebuild(n, cnots, cz_mask) -> CliffordCircuit:
     gates = [CNOT(i, j) for i, j in cnots]
     czs = [(i, j) for p, (i, j) in enumerate(_all_pairs(n)) if (cz_mask >> p) & 1]
     gates += _schedule_czs(gates, czs)
     gates += list(hadamard_layer(n))
-    if sw:
-        gates.append(SWAP(1, sw + 1))
     return CliffordCircuit(n, tuple(gates))
 
 
@@ -279,30 +267,24 @@ def _schedule_czs(prefix, czs) -> list:
     return out
 
 
-def synthesize(
-    target,
-    budget: int = 12_000_000,
-    seed: int = 0,
-    jobs: int = 1,
-    allow_swap: bool = False,
-) -> SynthesisResult:
+def synthesize(target, budget: int = 12_000_000, seed: int = 0, jobs: int = 1) -> SynthesisResult:
     """Random search for a circuit with the target's exact statistics and the
     fewest two-qubit gates, then the least depth.
 
     The budget is split evenly over the two-qubit gate counts of the reduced
-    form, 0 to 3n CNOTs plus the CZ pairs (plus the SWAP), scanned in
-    ascending order up to the first count with an accepted candidate.  Blocks
+    form, 0 to 3n CNOTs plus the CZ pairs, scanned in ascending order up to
+    the first count with an accepted candidate.  Blocks
     are seeded by (seed, count, block index) and merged in order, so ties go
     to the earliest and the outcome is the same for any worker count.
     """
     n = target.n
     encoded = encode_counts(target.counts)
-    ncounts = 3 * n + len(_all_pairs(n)) + allow_swap + 1
+    ncounts = 3 * n + len(_all_pairs(n)) + 1
     calls, ends = [], set()  # ends: the index of each count's last block
     for c in range(ncounts):
         trials = budget // ncounts + (c < budget % ncounts)
         calls += [
-            (n, seed, c, b, min(SYNTH_BLOCK, trials - start), encoded, allow_swap)
+            (n, seed, c, b, min(SYNTH_BLOCK, trials - start), encoded)
             for b, start in enumerate(range(0, trials, SYNTH_BLOCK))
         ]
         ends.add(len(calls) - 1)

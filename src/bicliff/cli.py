@@ -328,9 +328,7 @@ def cmd_circuit(args) -> int:
     protocols = _load_cache("werner", args.cache, args.n, jobs=args.jobs)
     res = best_fidelity_protocol(args.n, protocols=protocols)
     target = res.protocol
-    synth = synthesize(
-        target, budget=args.budget, seed=args.seed, jobs=args.jobs, allow_swap=args.allow_swap
-    )
+    synth = synthesize(target, budget=args.budget, seed=args.seed, jobs=args.jobs)
 
     key = encode_counts(target.counts)
 
@@ -515,15 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_at_least(0), default=12_000_000,
                    help="candidates to draw, split evenly over the two-qubit gate counts; "
                         "the search stops after the first count with a match")
-    p.add_argument("--allow-swap", action="store_true",
-                   help="also search circuits ending in a SWAP of qubit 1")
     add_common(p)
     add_work(p)
     p.set_defaults(func=cmd_circuit)
 
-    p = sub.add_parser("verify", help="re-verify sampled records of a cache file")
+    p = sub.add_parser("verify", help="check a cache file: rerun the Werner enumeration and "
+                                      "compare sampled records, or check a transversal header")
     p.add_argument("cache_file")
-    p.add_argument("--sample", type=_at_least(1), default=100)
+    p.add_argument("--sample", type=_at_least(1), default=100,
+                   help="Werner records to compare; a transversal cache ignores it")
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_verify)
 

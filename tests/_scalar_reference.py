@@ -210,19 +210,15 @@ def propagated_graph_classes(m: int) -> tuple:
     return tuple(int(v) for v in np.unique(rep))
 
 
-def synth_block(n, seed, count, block, size, key, allow_swap):
+def synth_block(n, seed, count, block, size, key):
     """One synthesis block at `count` two-qubit gates, one candidate at a
     time: (hits, best).  The random draws are the library's, in its order."""
     rng = np.random.default_rng([seed, count, block])
     down = _downward_pairs(n)
     pairs = _all_pairs(n)
     npairs = len(pairs)
-    swaps = np.zeros(size, np.int64)
-    if allow_swap:
-        swaps = rng.integers(max(0, count - 3 * n - npairs), min(1, count) + 1, size=size)
-        swaps *= rng.integers(1, n, size=size)
-    rest = count - (swaps != 0)
-    lengths = rng.integers(np.maximum(0, rest - npairs), np.minimum(3 * n, rest) + 1)
+    counts = np.full(size, count)
+    lengths = rng.integers(np.maximum(0, counts - npairs), np.minimum(3 * n, counts) + 1)
     cnot_choices = rng.integers(0, len(down), size=int(lengths.sum()))
     order = rng.permuted(np.tile(np.arange(npairs), (size, 1)), axis=1)
 
@@ -234,9 +230,8 @@ def synth_block(n, seed, count, block, size, key, allow_swap):
         length = int(lengths[idx])
         chosen = cnot_choices[pos : pos + length]
         pos += length
-        sw = int(swaps[idx])
-        czm = sum(1 << int(p) for p in order[idx, : count - (sw != 0) - length])
-        assert length + czm.bit_count() + (sw != 0) == count
+        czm = sum(1 << int(p) for p in order[idx, : count - length])
+        assert length + czm.bit_count() == count
         rows = ident.copy()
         for t in chosen:
             i, j = down[t]
@@ -249,14 +244,11 @@ def synth_block(n, seed, count, block, size, key, allow_swap):
                 rows[n + i - 1] ^= rows[j - 1]
         for i in range(1, n):
             rows[i], rows[n + i] = rows[n + i], rows[i]
-        if sw:  # exchange qubit 1 with qubit sw+1 after the Hadamard layer
-            rows[0], rows[sw] = rows[sw], rows[0]
-            rows[n], rows[n + sw] = rows[n + sw], rows[n]
 
         if counts_key(werner_counts(SymplecticMatrix(n, rows))) != key:
             continue
         hits += 1
-        circ = _rebuild(n, [down[t] for t in chosen], czm, sw)
+        circ = _rebuild(n, [down[t] for t in chosen], czm)
         assert two_qubit_count(circ) == count
         cand = (depth(circ), idx, circ)
         if best is None or cand[:2] < best[:2]:

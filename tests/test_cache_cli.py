@@ -1727,11 +1727,12 @@ def test_cli_jobs_capped_at_usable_cores(cache_dir, tmp_path, monkeypatch, comma
     "command, flag",
     [("werner", "--seed"), ("eval", "--jobs"), ("eval", "--seed"),
      ("compare", "--jobs"), ("compare", "--seed"),
-     ("transversal", "--budget"), ("eval", "--n")],
+     ("transversal", "--budget"), ("eval", "--n"), ("circuit", "--allow-swap")],
 )
 def test_cli_unread_work_flags_are_unrecognised(cache_dir, tmp_path, capsys, command, flag):
     # these commands neither fan out nor draw random numbers, the
-    # transversal takes no sample budget, and eval reads n from the state file
+    # transversal takes no sample budget, eval reads n from the state file,
+    # and circuit searches one family, which ends in no SWAP
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
     args = {
@@ -1739,6 +1740,7 @@ def test_cli_unread_work_flags_are_unrecognised(cache_dir, tmp_path, capsys, com
         "eval": ["eval", str(state)],
         "compare": ["compare", "--n-min", "2", "--n-max", "2"],
         "transversal": ["transversal", "--n", "2"],
+        "circuit": ["circuit", "--n", "2"],
     }[command]
     cache = tmp_path / "c"
     with pytest.raises(SystemExit) as exit_info:

@@ -138,8 +138,8 @@ def test_ascii_diagram_shows_every_two_qubit_gate_apart(circ):
 
 
 def _fewest_two_qubit_gates(n: int, key) -> int:
-    """The fewest two-qubit gates of a reduced-form circuit (no final SWAP)
-    whose Werner key is `key`, by exact search.
+    """The fewest two-qubit gates of a reduced-form circuit whose Werner key
+    is `key`, by exact search.
 
     The downward CNOTs generate the lower unitriangular group; a BFS gives
     each element its fewest CNOTs.  The CZs, one per edge of a graph, then
@@ -259,13 +259,8 @@ def test_synthesize_budget_exhaustion_reports():
     assert "no candidate" in res.message
 
 
-def test_synthesize_swap_variant_runs(best_for):
-    res = synthesize(best_for(2).protocol, budget=4096, seed=5, allow_swap=True)
-    assert res.circuit is not None and two_qubit_count(res.circuit) == 1
-
-
-# per n, the fewest two-qubit gates at which blocks 0..2 of seed 7 hit the
-# best protocol both with and without the final SWAP
+# per n, a two-qubit gate count at which blocks 0..2 of seed 7 hit the best
+# protocol
 ORACLE_COUNTS = {4: 4, 5: 8, 6: 9, 7: 13, 8: 18}
 
 
@@ -274,14 +269,13 @@ def test_batched_block_matches_scalar_reference(best_for):
     for n, count in ORACLE_COUNTS.items():
         key = counts_key(best_for(n).protocol.counts)
         encoded = encode_counts([key[0], *key[1]])
-        for allow_swap in (False, True):
-            total = 0
-            for block in (0, 1, 2):
-                args = (n, 7, count, block, 2048, key, allow_swap)
-                hits, best = _synth_block(n, 7, count, block, 2048, encoded, allow_swap)
-                assert (hits, best) == _scalar_reference.synth_block(*args), args
-                total += hits
-            assert total > 0, (n, allow_swap)
+        total = 0
+        for block in (0, 1, 2):
+            args = (n, 7, count, block, 2048, key)
+            hits, best = _synth_block(n, 7, count, block, 2048, encoded)
+            assert (hits, best) == _scalar_reference.synth_block(*args), args
+            total += hits
+        assert total > 0, n
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -290,17 +284,15 @@ def test_block_key_match_matches_histogram_reference(n, best_for):
     # the block itself, so that every comparison has hits to find
     rng = np.random.default_rng(50 + n)
     size = 512
-    for allow_swap in (False, True):
-        lengths = rng.integers(0, 3 * n + 1, size=size)
-        cnots = rng.integers(0, len(_downward_pairs(n)), size=int(lengths.sum()))
-        cz_masks = rng.integers(0, 1 << len(_all_pairs(n)), size=size, dtype=np.uint64)
-        swaps = rng.integers(0, n, size=size) if allow_swap else np.zeros(size, np.int64)
-        starts = np.cumsum(lengths) - lengths
-        rows = _block_rows(n, lengths, starts, cnots, cz_masks, swaps)
-        hist = _scalar_reference.block_histograms(rows, n)
-        targets = [counts_key(best_for(n).protocol.counts)]
-        targets += [counts_key([tuple(h) for h in hist[i].tolist()])
-                    for i in rng.choice(size, size=6, replace=False)]
-        for key in targets:
-            want = _scalar_reference.key_matches(hist, key)
-            assert np.array_equal(_matches(rows, n, encode_counts([key[0], *key[1]])), want), key
+    lengths = rng.integers(0, 3 * n + 1, size=size)
+    cnots = rng.integers(0, len(_downward_pairs(n)), size=int(lengths.sum()))
+    cz_masks = rng.integers(0, 1 << len(_all_pairs(n)), size=size, dtype=np.uint64)
+    starts = np.cumsum(lengths) - lengths
+    rows = _block_rows(n, lengths, starts, cnots, cz_masks)
+    hist = _scalar_reference.block_histograms(rows, n)
+    targets = [counts_key(best_for(n).protocol.counts)]
+    targets += [counts_key([tuple(h) for h in hist[i].tolist()])
+                for i in rng.choice(size, size=6, replace=False)]
+    for key in targets:
+        want = _scalar_reference.key_matches(hist, key)
+        assert np.array_equal(_matches(rows, n, encode_counts([key[0], *key[1]])), want), key

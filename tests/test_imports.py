@@ -140,3 +140,17 @@ def test_scalar_oracle_shares_no_code_with_the_coset_enumerator():
                 assert alias.name not in ("enumerate_coset_keys", "*"), alias.name
         elif isinstance(node, ast.Attribute):
             assert node.attr != "enumerate_coset_keys"
+
+
+def test_scalar_oracle_shares_no_kernel_with_synthesis():
+    # `_scalar_reference.synth_block` is the oracle of `circuits._synth_block`:
+    # it builds, keys and matches each candidate with code of its own
+    kernels = {"bicliff.circuits": {"_block_rows", "_matches", "_synth_block"},
+               "bicliff.states": {"werner_keys"}}
+    tree = ast.parse((Path(__file__).parent / "_scalar_reference.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in kernels:
+            for alias in node.names:
+                assert alias.name not in kernels[node.module] | {"*"}, alias.name
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in set().union(*kernels.values()), node.attr

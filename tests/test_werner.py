@@ -542,7 +542,7 @@ def _positive_inside(poly, lo, hi) -> bool:
     return sign_changes(lo) == sign_changes(hi)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_best_protocol_exactly_dominant_on_open_interval(n, protocols_for, best_for):
     # the grid pick lies strictly above every other distinct curve inside
     # (1/2, 1): f_b p_j - f_j p_b > 0 there, with p and f the integer rows
