@@ -96,7 +96,7 @@ def _read_cache(read, path, rebuild: str, *args, **kwargs):
     """Call a cache reader; a cache it cannot read exits 2 with a rebuild hint."""
     try:
         return read(path, *args, **kwargs)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(
             EXIT_INVALID, f"bad cache file {path}: {exc}; rebuild it with: {rebuild}"
         ) from exc
@@ -219,7 +219,7 @@ def _read_state(path: str):
                 [_numbers(pair, f"pair {i}") for i, pair in enumerate(obj["pairs"])]
             )
         return BellDiagonalState(n, _numbers(obj["probs"], "probs"))
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CliError(EXIT_INVALID, f"bad state file {path}: {exc}") from exc
 
 

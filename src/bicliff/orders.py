@@ -26,8 +26,6 @@ def sp_order(n: int) -> int:
 
 def dn_order(n: int) -> int:
     """Order of the distillation subgroup: 6 * 2^(n^2-1) * prod (2^j - 1)."""
-    if n == 1:
-        return 6
     return 6 * (1 << (n * n - 1)) * prod((1 << j) - 1 for j in range(1, n))
 
 

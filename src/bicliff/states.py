@@ -9,14 +9,13 @@ and e_{n+1} (the X, Y and Z coefficients of the kept pair).
 Every statistic is read off one object, computed by `preimage_cosets`: the
 preimage of the base under the protocol matrix M, plus the three shifts that
 carry it onto the preimages of the other cosets.  It needs only the base
-preimage's basis and two shifts: a transversal record stores the basis,
-the coset key, whose shifts `transversal` completes from it, and
-`preimage_index` reads them off any stack of protocol matrices with no
-inverse, because for symplectic M the inverse is Omega M^T Omega, whose
-column j is row (j + n) mod 2n of M with its X- and Z-halves swapped.  The
-numeric sums, the Werner histograms, the DEJMPS step table and the Pauli
-weights of circuit synthesis all come from it; each per-matrix statistic is
-the one-row case of its batched form.
+preimage's basis and two shifts.  The basis is the coset key, whose shifts
+`transversal` completes from it, and `preimage_index` reads both off any
+stack of protocol matrices with no inverse, because for symplectic M the
+inverse is Omega M^T Omega, whose column j is row (j + n) mod 2n of M with
+its X- and Z-halves swapped.  The numeric sums, the Werner histograms, the
+DEJMPS step table and the Pauli weights of circuit synthesis all come from
+it; each per-matrix statistic is the one-row case of its batched form.
 
 Statistics come in two interchangeable modes: floating point for arbitrary
 Bell-diagonal inputs, and exact rational polynomials in the input fidelity F

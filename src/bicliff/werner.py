@@ -62,21 +62,14 @@ def _edge_list(m: int) -> list:
 def _permuted_mask_map(m: int, perm) -> np.ndarray:
     """Map mask -> mask with vertices relabelled by perm, for all masks.
 
-    Edge bits are moved a byte at a time, through a 256-entry table of the
-    relabelled edges for each byte of the mask.
+    Each edge bit moves to the position of its relabelled edge.
     """
     edges = _edge_list(m)
     index = {e: k for k, e in enumerate(edges)}
-    target = [index[(min(perm[i], perm[j]), max(perm[i], perm[j]))] for i, j in edges]
-    size = 1 << len(edges)
-    arr = np.arange(size, dtype=np.int32)
-    out = np.zeros(size, dtype=np.int32)
-    byte = np.arange(256, dtype=np.int32)
-    for lo in range(0, len(edges), 8):
-        table = np.zeros(256, dtype=np.int32)
-        for k, t in enumerate(target[lo : lo + 8]):
-            table |= ((byte >> k) & 1) << t
-        out |= table[(arr >> lo) & 255]
+    masks = np.arange(1 << len(edges), dtype=np.int32)
+    out = np.zeros_like(masks)
+    for k, (i, j) in enumerate(edges):
+        out |= ((masks >> k) & 1) << index[min(perm[i], perm[j]), max(perm[i], perm[j])]
     return out
 
 
@@ -195,35 +188,17 @@ def _canonical(masks: np.ndarray, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ab_pairs(m: int):
-    """Yield (a, b) over F2^m with a <= b <= a^b, ascending as integer pairs.
-
-    For a != 0 the condition b <= a^b holds exactly when b is 0 at the top
-    set bit of a, and a <= b then forces a nonzero prefix above that bit.
-    """
-    for b in range(1 << m):
-        yield 0, b
-    for a in range(1, 1 << m):
-        h = a.bit_length() - 1
-        for hi in range(1, 1 << (m - h - 1)):
-            base = hi << (h + 1)
-            for lo in range(1 << h):
-                yield a, base | lo
-
-
 @lru_cache(maxsize=None)
-def _ab_pair_tuple(m: int) -> tuple:
-    return tuple(ab_pairs(m))
+def ab_pairs(m: int) -> tuple:
+    """The (a, b) pairs over F2^m with a <= b <= a^b, ascending as integer pairs."""
+    return tuple((a, b) for a in range(1 << m) for b in range(a, 1 << m) if b <= a ^ b)
 
 
 def count_ab_pairs(m: int) -> int:
     """Number of (a, b) pairs with a <= b <= a^b over F2^m."""
     if m < 1:
         raise ValueError("m must be positive")
-    total = 1 << m  # a = 0
-    for h in range(m):
-        total += (1 << h) * ((1 << (m - h - 1)) - 1) * (1 << h)
-    return total
+    return (4**m + 3 * 2**m + 2) // 6
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +228,7 @@ def case_at(n: int, index: int) -> WernerCase:
     each pair over the graph classes in ascending order of edge mask.
     """
     _check_enum_n(n)
-    pairs, graphs = _ab_pair_tuple(n - 1), _graph_classes(n - 1)
+    pairs, graphs = ab_pairs(n - 1), _graph_classes(n - 1)
     if not 0 <= index < len(pairs) * len(graphs):
         raise ValueError(f"case index {index} is not below {len(pairs) * len(graphs)}")
     pair, graph = divmod(index, len(graphs))
@@ -377,7 +352,7 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
         x += y
         y *= -2
         y += x
-    a, b = np.array(_ab_pair_tuple(m)).T
+    a, b = np.array(ab_pairs(m)).T
     shifts = np.stack([np.zeros_like(a), a, b, a ^ b])
     for lo in range(0, shifts.shape[1], _BLOCK_PAIRS):
         shift = shifts[:, lo : lo + _BLOCK_PAIRS]

@@ -13,8 +13,10 @@ inverse, scalar row reduction, a row-major batched elimination that shares
 no code with `gf2.Echelon`, the least-solution solvers on it and the coset
 completion that solves each system afresh with them (the oracle of
 `transversal._complete`), the Werner symmetry generators, the case
-enumeration, the Werner product state, and the DEJMPS step with its
-concatenation plans.
+enumeration over (a, b) pairs derived bit by bit (the oracle of the filtered
+`werner.ab_pairs`), the Werner product state, and the DEJMPS step with its
+concatenation plans.  The graph-class oracle relabels masks through byte
+tables, not the edge-at-a-time map of `werner`.
 """
 
 from dataclasses import dataclass
@@ -50,8 +52,6 @@ from bicliff.werner import (
     WernerCase,
     _check_enum_n,
     _edge_list,
-    _permuted_mask_map,
-    ab_pairs,
     graphs_up_to_iso,
 )
 
@@ -183,6 +183,28 @@ def werner_counts(m) -> tuple:
     return tuple(out)
 
 
+def byte_table_mask_map(m: int, perm) -> np.ndarray:
+    """`werner._permuted_mask_map`: mask -> mask with vertices relabelled by
+    perm, for all masks.
+
+    Edge bits are moved a byte at a time, through a 256-entry table of the
+    relabelled edges for each byte of the mask.
+    """
+    edges = _edge_list(m)
+    index = {e: k for k, e in enumerate(edges)}
+    target = [index[(min(perm[i], perm[j]), max(perm[i], perm[j]))] for i, j in edges]
+    size = 1 << len(edges)
+    arr = np.arange(size, dtype=np.int32)
+    out = np.zeros(size, dtype=np.int32)
+    byte = np.arange(256, dtype=np.int32)
+    for lo in range(0, len(edges), 8):
+        table = np.zeros(256, dtype=np.int32)
+        for k, t in enumerate(target[lo : lo + 8]):
+            table |= ((byte >> k) & 1) << t
+        out |= table[(arr >> lo) & 255]
+    return out
+
+
 def propagated_graph_classes(m: int) -> tuple:
     """Minimum edge mask of every graph class on m nodes, by min-label
     propagation over all 2^(m(m-1)/2) labelled graphs.
@@ -197,7 +219,7 @@ def propagated_graph_classes(m: int) -> tuple:
     swap[0], swap[1] = 1, 0
     cycle = [(i + 1) % m for i in range(m)]
     inv_cycle = [(i - 1) % m for i in range(m)]
-    maps = [_permuted_mask_map(m, p) for p in (swap, cycle, inv_cycle)]
+    maps = [byte_table_mask_map(m, p) for p in (swap, cycle, inv_cycle)]
     rep = np.arange(1 << len(_edge_list(m)), dtype=np.int32)
     while True:
         nxt = rep
@@ -700,11 +722,28 @@ def kn_generators(n: int) -> GeneratorSet:
     return GeneratorSet(n, tuple(gates))
 
 
+def ab_pairs_by_top_bit(m: int):
+    """Yield (a, b) over F2^m with a <= b <= a^b, ascending as integer pairs:
+    the order of `werner.ab_pairs`, derived instead of filtered.
+
+    For a != 0 the condition b <= a^b holds exactly when b is 0 at the top
+    set bit of a, and a <= b then forces a nonzero prefix above that bit.
+    """
+    for b in range(1 << m):
+        yield 0, b
+    for a in range(1, 1 << m):
+        h = a.bit_length() - 1
+        for hi in range(1, 1 << (m - h - 1)):
+            base = hi << (h + 1)
+            for lo in range(1 << h):
+                yield a, base | lo
+
+
 def enumerate_cases(n: int):
     """All cases for n pairs, (a, b) ascending then graph mask ascending."""
     _check_enum_n(n)
     graphs = graphs_up_to_iso(n - 1)
-    for a, b in ab_pairs(n - 1):
+    for a, b in ab_pairs_by_top_bit(n - 1):
         for e in graphs:
             yield WernerCase(n, a, b, e)
 

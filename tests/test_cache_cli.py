@@ -232,6 +232,24 @@ def test_cache_of_no_known_mode_rejected(cache_dir, tmp_path, capsys, header):
         assert captured.err == f"error: bad cache file {path}: {message}; rebuild it with: {rebuild}\n"
 
 
+@pytest.mark.parametrize("role", ["state", "header"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, role):
+    # JSON nested past the recursion limit is a bad file, not a crash
+    blob = b"[" * 200_000 + b"]" * 200_000
+    path = tmp_path / "deep"
+    if role == "state":
+        path.write_bytes(blob)
+        args, prefix = ["eval", str(path), "--cache", str(tmp_path)], f"error: bad state file {path}: "
+    else:
+        path.write_bytes(b"BCPC\x01" + struct.pack(">I", len(blob)) + blob)
+        args, prefix = ["verify", str(path)], f"error: bad cache file {path}: "
+    code = run_cli(args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(prefix) and "recursion" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n, size", [(3, 81), (8, 7008)])
 def test_werner_record_is_index_alone(tmp_path, protocols_for, n, size):
     # the case, the representative and the histograms follow from the index

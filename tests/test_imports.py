@@ -154,3 +154,17 @@ def test_scalar_oracle_shares_no_kernel_with_synthesis():
                 assert alias.name not in kernels[node.module] | {"*"}, alias.name
         elif isinstance(node, ast.Attribute):
             assert node.attr not in set().union(*kernels.values()), node.attr
+
+
+def test_scalar_oracle_shares_no_case_tables_with_werner():
+    # `_scalar_reference.ab_pairs_by_top_bit` and `byte_table_mask_map` are
+    # derivations that check the definitions in `werner`, so the oracle must
+    # not take the pair order or the relabelling from there
+    tables = {"ab_pairs", "_permuted_mask_map"}
+    tree = ast.parse((Path(__file__).parent / "_scalar_reference.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "bicliff.werner":
+            for alias in node.names:
+                assert alias.name not in tables | {"*"}, alias.name
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in tables, node.attr

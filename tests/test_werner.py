@@ -37,7 +37,13 @@ from _reference import (
     best_f_poly,
     best_p_poly,
 )
-from _scalar_reference import adjacency_rows, enumerate_cases, kn_generators, propagated_graph_classes
+from _scalar_reference import (
+    ab_pairs_by_top_bit,
+    adjacency_rows,
+    enumerate_cases,
+    kn_generators,
+    propagated_graph_classes,
+)
 from _scalar_reference import representative as scalar_representative
 
 
@@ -151,6 +157,12 @@ def test_ab_pair_counts_closed_form():
     assert count_ab_pairs(1) == 2
     assert count_ab_pairs(3) == 15
     assert count_ab_pairs(6) == 715
+
+
+def test_ab_pairs_in_the_order_of_the_derived_oracle():
+    # a Werner cache stores case indices, so the pair order is part of its format
+    for m in range(1, 8):
+        assert ab_pairs(m) == tuple(ab_pairs_by_top_bit(m)), m
 
 
 # --- cases and representatives ----------------------------------------------------
