@@ -4,8 +4,8 @@ Subcommands: tables, werner, transversal, eval, compare, circuit, verify.
 Every CSV is byte-deterministic given the command, flags and seed: floats are
 printed with 17 significant digits, exact rationals both as num/den strings
 and as decimals.  A command that reads a Werner cache builds and writes it
-first if it is missing.  eval enumerates the coset keys, once per run; it
-checks a transversal cache's header when there is one, and writes nothing.
+first if it is missing.  eval reads its state file alone: it enumerates the
+coset keys, once per run, and reads and writes no cache.
 Exit codes: 0 success, 2 invalid input, 4 budget exhausted.
 """
 
@@ -92,10 +92,10 @@ def _cache_path(mode: str, cache_dir: str, n: int) -> Path:
     return Path(cache_dir) / f"{mode}_n{n}.bcp"
 
 
-def _read_cache(read, path, rebuild: str, *args, **kwargs):
+def _read_cache(read, path, rebuild: str):
     """Call a cache reader; a cache it cannot read exits 2 with a rebuild hint."""
     try:
-        return read(path, *args, **kwargs)
+        return read(path)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(
             EXIT_INVALID, f"bad cache file {path}: {exc}; rebuild it with: {rebuild}"
@@ -111,25 +111,24 @@ def _build_werner(cache_dir: str, n: int, jobs: int):
     return protocols
 
 
-def _load_cache(mode: str, cache_dir: str, n: int, jobs: int = 1):
-    """Contents of the n-pair cache of a mode, exit 2 if unreadable.
+def _load_cache(cache_dir: str, n: int, jobs: int = 1):
+    """The protocols of the n-pair Werner cache, exit 2 if unreadable.
 
-    A missing Werner cache is built first, with `jobs` workers, and then read
-    back like any other.  `eval` calls this only when its transversal cache
-    exists, to check the header; it enumerates the keys itself either way.
+    A missing cache is built first, with `jobs` workers, and then read back
+    like any other.
     """
-    path = _cache_path(mode, cache_dir, n)
-    if mode == "werner" and not path.exists():
+    path = _cache_path("werner", cache_dir, n)
+    if not path.exists():
         print(f"building missing cache {path}", file=sys.stderr)
         _build_werner(cache_dir, n, jobs)
     from . import cache
 
-    # looked up per call: the benchmark's tracer replaces these after import
-    load = {"werner": cache.load_werner_cache, "transversal": cache.load_transversal_cache}
-    header, contents = _read_cache(load[mode], path, f"bicliff {mode} --n {n} --cache {cache_dir}")
+    # looked up per call: the benchmark's tracer replaces it after import
+    header, protocols = _read_cache(cache.load_werner_cache, path,
+                                    f"bicliff werner --n {n} --cache {cache_dir}")
     if header["n"] != n:
         raise CliError(EXIT_INVALID, f"bad cache file {path}: holds n={header['n']}")
-    return contents
+    return protocols
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +232,6 @@ def cmd_eval(args) -> int:
 
     state = _read_state(args.state)
     n = state.n
-    if _cache_path("transversal", args.cache, n).exists():
-        _load_cache("transversal", args.cache, n)  # the header alone: a bad one exits 2
     keys, p, f_num, fi_nums = enumerate_stats(state)
     live = p > 0  # F_out and the F_i overwrite their numerators; rows without success read 0
     f_out = np.divide(f_num, p, out=f_num, where=live)
@@ -293,7 +290,7 @@ def cmd_compare(args) -> int:
     ns = range(args.n_min, args.n_max + 1)
     # coefficient rows over 3^n per n; one n's curves are alive at a time
     full = {
-        n: werner_coeff_rows([p.counts for p in _load_cache("werner", args.cache, n)], n)
+        n: werner_coeff_rows([p.counts for p in _load_cache(args.cache, n)], n)
         for n in ns
     }
     dejmps = {n: concatenated_candidates(n) for n in ns}
@@ -325,7 +322,7 @@ def cmd_circuit(args) -> int:
     from .circuits import _matches, circuit_to_symplectic, published_circuits
     from .states import encode_counts
 
-    protocols = _load_cache("werner", args.cache, args.n, jobs=args.jobs)
+    protocols = _load_cache(args.cache, args.n, jobs=args.jobs)
     res = best_fidelity_protocol(args.n, protocols=protocols)
     target = res.protocol
     synth = synthesize(target, budget=args.budget, seed=args.seed, jobs=args.jobs)
@@ -373,8 +370,7 @@ def cmd_verify(args) -> int:
     from . import cache
 
     ok, checked, message = _read_cache(
-        cache.verify_cache, args.cache_file, "bicliff werner or bicliff transversal",
-        sample=args.sample, seed=args.seed,
+        cache.verify_cache, args.cache_file, "bicliff werner or bicliff transversal"
     )
     print(f"checked={checked} ok={int(ok)} {message}")
     return EXIT_OK if ok else EXIT_INVALID
@@ -493,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state JSON: {n, pairs: [[pI,pX,pY,pZ],..]} or {n, probs}")
     p.add_argument("--min-fidelity", type=float, default=None,
                    help="drop rows with F_out below this value")
-    add_common(p)
+    p.add_argument("--out", default="-", help="output CSV path (default stdout)")
+    p.add_argument("--cache", help="ignored: eval reads its state file alone")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="optimised protocols vs concatenated baselines")
@@ -518,11 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("verify", help="check a cache file: rerun the Werner enumeration and "
-                                      "compare sampled records, or check a transversal header")
+                                      "compare every record, or check a transversal header")
     p.add_argument("cache_file")
-    p.add_argument("--sample", type=_at_least(1), default=100,
-                   help="Werner records to compare; a transversal cache ignores it")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--sample", type=_at_least(1), help="ignored: every record is compared")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -48,6 +48,21 @@ def cache_dir(tmp_path_factory, protocols_for, transversal_for):
     return d
 
 
+def _assert_eval_reads_no_cache(state, cache, capsys):
+    """eval of `state` with the cache directory `cache` exits 0 and prints the
+    bytes it prints with an empty one: it reads its state file alone."""
+    capsys.readouterr()
+    empty = cache / "empty"
+    empty.mkdir(exist_ok=True)
+    outputs = []
+    for directory in (cache, empty):
+        code = run_cli(["eval", str(state), "--cache", str(directory)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("coset_key,")
+
+
 def test_cache_roundtrip(cache_dir, protocols_for):
     header, protocols = load_werner_cache(cache_dir / "werner_n3.bcp")
     assert header["n"] == 3 and header["count"] == 5
@@ -316,17 +331,14 @@ def test_format_1_transversal_cache_rejected(tmp_path, capsys, transversal_for):
         for reader in (read_cache, load_transversal_cache, verify_cache):
             with pytest.raises(ValueError, match=f"unsupported transversal cache version {version}"):
                 reader(path)
-        for args, rebuild in (
-            (["eval", str(state), "--cache", str(tmp_path)], f"bicliff transversal --n 2 --cache {tmp_path}"),
-            (["verify", str(path)], "bicliff werner or bicliff transversal"),
-        ):
-            code = run_cli(args)
-            captured = capsys.readouterr()
-            assert code == 2 and captured.out == ""
-            assert captured.err == (
-                f"error: bad cache file {path}: unsupported transversal cache version {version}; "
-                f"rebuild it with: {rebuild}\n"
-            )
+        code = run_cli(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: bad cache file {path}: unsupported transversal cache version {version}; "
+            "rebuild it with: bicliff werner or bicliff transversal\n"
+        )
+        _assert_eval_reads_no_cache(state, tmp_path, capsys)  # eval reads no cache
         assert path.read_bytes() == bad  # no reader rewrites a stale cache
 
 
@@ -389,7 +401,7 @@ def test_transversal_cache_of_nine_pairs_rejected(tmp_path, capsys, count):
 def test_transversal_header_past_five_pairs_exits_2_unenumerated(tmp_path, capsys, monkeypatch, n):
     # a header-only file of n = 6..8 that is otherwise sound: the reader
     # must refuse it before anything enumerates the keys, whose n = 6 array
-    # alone takes about 1 GB
+    # alone takes about 1 GB; eval reads no cache, so it never sees the file
     from bicliff.cache import write_cache
     from bicliff.orders import dn_index
 
@@ -402,21 +414,19 @@ def test_transversal_header_past_five_pairs_exits_2_unenumerated(tmp_path, capsy
     monkeypatch.setattr(transversal, "enumerate_coset_keys", bounded)
     header = {"mode": "transversal", "n": n, "count": dn_index(n), "complete": True,
               "seed": 0, "samples": 0}
-    # eval finds it under the name of its own n = 5 state, verify anywhere
     write_cache(tmp_path / "transversal_n5.bcp", header)
+    code = run_cli(["verify", str(tmp_path / "transversal_n5.bcp")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: bad cache file {tmp_path / 'transversal_n5.bcp'}: a transversal holds at "
+        f"most 5 pairs, not n={n}; rebuild it with: bicliff werner or bicliff transversal\n"
+    )
+    # the same file under the name of an n = 2 state's cache, a cheaper eval than n = 5's
+    write_cache(tmp_path / "transversal_n2.bcp", header)
     state = tmp_path / "state.json"
-    state.write_text(json.dumps({"n": 5, "pairs": [list(EXAMPLE_PAIR)] * 5}))
-    for args, rebuild in (
-        (["eval", str(state), "--cache", str(tmp_path)], f"bicliff transversal --n 5 --cache {tmp_path}"),
-        (["verify", str(tmp_path / "transversal_n5.bcp")], "bicliff werner or bicliff transversal"),
-    ):
-        code = run_cli(args)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == (
-            f"error: bad cache file {tmp_path / 'transversal_n5.bcp'}: a transversal holds at "
-            f"most 5 pairs, not n={n}; rebuild it with: {rebuild}\n"
-        )
+    state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
+    _assert_eval_reads_no_cache(state, tmp_path, capsys)
 
 
 def test_cli_eval_rejects_partial_transversal_marked_complete(transversal_for, tmp_path, capsys):
@@ -430,13 +440,10 @@ def test_cli_eval_rejects_partial_transversal_marked_complete(transversal_for, t
     for reader in (read_cache, load_transversal_cache, verify_cache):
         with pytest.raises(ValueError, match="complete=True for 100 of 315 cosets"):
             reader(path)
+    # eval reads no cache, so the bad header changes nothing it prints
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 3, "pairs": [list(EXAMPLE_PAIR)] * 3}))
-    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith(f"error: bad cache file {path}: header says complete=True")
-    assert f"rebuild it with: bicliff transversal --n 3 --cache {tmp_path}" in captured.err
+    _assert_eval_reads_no_cache(state, tmp_path, capsys)
 
 
 def _corrupt_transversal(kind, good, path):
@@ -474,14 +481,15 @@ def test_damaged_transversal_cache_exits_2(cache_dir, tmp_path, capsys, kind, me
     for reader in (read_cache, load_transversal_cache, verify_cache):
         with pytest.raises(ValueError, match=message):
             reader(path)
+    code = run_cli(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad cache file {path}: ")
+    assert message in captured.err and "; rebuild it with: bicliff " in captured.err
+    # eval reads no cache, so the damage changes nothing it prints
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
-    for args in (["eval", str(state), "--cache", str(tmp_path)], ["verify", str(path)]):
-        code = run_cli(args)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith(f"error: bad cache file {path}: ")
-        assert message in captured.err and "; rebuild it with: bicliff " in captured.err
+    _assert_eval_reads_no_cache(state, tmp_path, capsys)
 
 
 def _torn_werner_cache(kind, cache_dir, path, protocols):
@@ -589,14 +597,15 @@ def test_verify_cache_ok(cache_dir, monkeypatch):
     monkeypatch.setattr("bicliff.cache.read_cache", lambda path: reads.append(path) or read_cache(path))
     ok, checked, message = verify_cache(cache_dir / "werner_n3.bcp")
     assert ok and checked == 5 and message == "ok"
-    ok, checked, _ = verify_cache(cache_dir / "transversal_n2.bcp", sample=1)
-    assert ok and checked == 15  # every coset of the header, whatever the sample
+    ok, checked, _ = verify_cache(cache_dir / "transversal_n2.bcp")
+    assert ok and checked == 15  # every coset of the header
     assert reads == [cache_dir / "werner_n3.bcp", cache_dir / "transversal_n2.bcp"]
 
 
 def test_eval_enumerates_once_and_verify_never(cache_dir, tmp_path, capsys, monkeypatch):
     # eval enumerates the keys once, whether or not a transversal cache is
-    # there to check; verify of a transversal cache reads its header alone
+    # in its directory, which it never reads; verify of a transversal cache
+    # reads its header alone
     calls = []
     enumerate_coset_keys = transversal.enumerate_coset_keys
     monkeypatch.setattr(transversal, "enumerate_coset_keys",
@@ -618,14 +627,19 @@ def test_eval_enumerates_once_and_verify_never(cache_dir, tmp_path, capsys, monk
 
 @pytest.mark.parametrize("sample, result", [
     (100, (False, 3, "record 3: case index 5, not 3")),
-    (3, (False, 1, "record 3: case index 5, not 3")),
+    (3, (False, 3, "record 3: case index 5, not 3")),
 ])
-def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sample, result,
+def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, capsys, sample, result,
                                                       protocols_for):
     # the n = 3 records hold cases 0, 1, 2, 3, 6 of 10; record 3 names case 5,
     # a later case of its own class, so the cache loads the sound statistics
-    # and only the fresh enumeration tells the index is not the first
+    # and only the fresh enumeration tells the index is not the first.
+    # verify compares every record, so `--sample` changes nothing it prints
     from bicliff.cache import write_cache
+
+    def verify_line():
+        assert run_cli(["verify", str(bad), "--sample", str(sample)]) == 2
+        return capsys.readouterr().out
 
     header, records = read_cache(cache_dir / "werner_n3.bcp")
     header.pop("format_version")
@@ -635,14 +649,13 @@ def test_verify_werner_cache_reports_first_bad_record(cache_dir, tmp_path, sampl
     bad = tmp_path / "werner_n3.bcp"
     write_cache(bad, header, records)
     assert [p.counts for p in load_werner_cache(bad)[1]] == [p.counts for p in protocols_for(3)]
-    # a sample of 3 with seed 0 draws records 2, 3, 4 of 5
-    assert sorted(np.random.default_rng(0).choice(5, size=3, replace=False)) == [2, 3, 4]
-    assert verify_cache(bad, sample=sample) == result
+    assert verify_cache(bad) == result
+    assert verify_line() == "checked=3 ok=0 record 3: case index 5, not 3\n"
     # record 2 names case 4, a later case of its class, and goes wrong first
     records["index"][2] = 4
     write_cache(bad, header, records)
-    checked = 2 if sample > 5 else 0
-    assert verify_cache(bad, sample=sample) == (False, checked, "record 2: case index 4, not 2")
+    assert verify_cache(bad) == (False, 2, "record 2: case index 4, not 2")
+    assert verify_line() == "checked=2 ok=0 record 2: case index 4, not 2\n"
 
 
 # the n = 4 records hold cases 0, 1, 2, 4, 5, 6, 7, 12, 17, 21, 28, 34, 35 of 60
@@ -660,7 +673,7 @@ def test_verify_werner_cache_checks_index(cache_dir, tmp_path, record, index, re
 
     header, records = read_cache(cache_dir / "werner_n4.bcp")
     header.pop("format_version")
-    assert verify_cache(cache_dir / "werner_n4.bcp", sample=10**6) == (True, 13, "ok")
+    assert verify_cache(cache_dir / "werner_n4.bcp") == (True, 13, "ok")
     records = records.copy()
     records["index"][record] = index
     bad = tmp_path / "werner_n4.bcp"
@@ -670,7 +683,7 @@ def test_verify_werner_cache_checks_index(cache_dir, tmp_path, record, index, re
             with pytest.raises(ValueError, match=str(result)):
                 reader(bad)
     else:
-        assert verify_cache(bad, sample=10**6) == result
+        assert verify_cache(bad) == result
 
 
 def test_verify_werner_cache_checks_record_count(cache_dir, tmp_path, capsys, protocols_for):
@@ -682,6 +695,36 @@ def test_verify_werner_cache_checks_record_count(cache_dir, tmp_path, capsys, pr
     assert verify_cache(path) == (False, 0, problem)
     assert run_cli(["verify", str(path)]) == 2
     assert capsys.readouterr().out == f"checked=0 ok=0 {problem}\n"
+
+
+@pytest.mark.parametrize("n, record, index, first", [(7, 3, 5, 4), (6, 16, 41, 40)])
+def test_verify_compares_every_record(tmp_path, capsys, protocols_for, n, record, index, first):
+    # one record names the next case of its own class, which the scalar
+    # oracle's histograms pick: the cache loads, and only a comparison of
+    # every record with a fresh enumeration finds it
+    from bicliff.cache import WERNER_RECORD, write_cache
+
+    good = np.array([p.case_index for p in protocols_for(n)], WERNER_RECORD)
+    cases = list(scalar.enumerate_cases(n))
+
+    def counts(i):
+        return scalar.werner_counts(scalar.representative(cases[i]))
+
+    assert good["index"][record] == first
+    later = range(first + 1, good["index"][record + 1])
+    assert next(i for i in later if counts(i) == counts(first)) == index
+    bad = good.copy()
+    bad["index"][record] = index
+    header = {"mode": "werner", "n": n, "count": len(good)}
+    for records, line, code in (
+        (good, f"checked={len(good)} ok=1 ok\n", 0),
+        (bad, f"checked={record} ok=0 record {record}: case index {index}, not {first}\n", 2),
+    ):
+        path = tmp_path / f"werner_n{n}.bcp"
+        write_cache(path, header, records)
+        for flags in ([], ["--sample", "1"]):  # the flag changes nothing
+            assert run_cli(["verify", str(path), *flags]) == code
+            assert capsys.readouterr() == (line, "")
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -710,7 +753,7 @@ def test_werner_bit_flips_fail_load_or_verify(cache_dir, tmp_path, capsys, proto
             continue
         loaded += 1
         assert [p.counts for p in protocols] == counts, bit
-        ok, _, message = verify_cache(path, sample=count)
+        ok, _, message = verify_cache(path)
         assert not ok and "case index" in message, bit
     assert loaded == {3: 0, 4: 2}[n]
 
@@ -1553,20 +1596,20 @@ def test_cli_unreadable_werner_cache_exits_2(cache_dir, tmp_path, capsys, protoc
 
 @pytest.mark.parametrize("kind", ["foreign", "truncated", "werner mode"])
 def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, capsys, kind):
+    # eval reads its state file alone: an unreadable transversal cache in its
+    # directory changes nothing it prints, and it leaves the file as it is
     path = tmp_path / "transversal_n2.bcp"
     if kind == "werner mode":
         path.write_bytes((cache_dir / "werner_n2.bcp").read_bytes())
     else:
         _bad_cache(kind, cache_dir / "transversal_n2.bcp", path, None)
     bad = path.read_bytes()
+    with pytest.raises(ValueError):
+        load_transversal_cache(path)
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
-    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith(f"error: bad cache file {path}: ")
-    assert "rebuild it with: bicliff transversal --n 2" in captured.err
-    assert path.read_bytes() == bad  # no reader rewrites a bad cache
+    _assert_eval_reads_no_cache(state, tmp_path, capsys)
+    assert path.read_bytes() == bad
 
 
 @pytest.mark.parametrize("kind, n, message", [
@@ -1575,8 +1618,8 @@ def test_cli_eval_unreadable_transversal_cache_exits_2(cache_dir, tmp_path, caps
 ])
 def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, kind, n, message):
     # an incomplete transversal is never written, and a transversal cache
-    # holds no records: a header that says otherwise, or a body holding a
-    # key, exits 2
+    # holds no records: the reader refuses a header that says otherwise, or
+    # a body holding a key, and eval, which reads no cache, prints its CSV
     from bicliff.cache import write_cache
 
     path = tmp_path / f"transversal_n{n}.bcp"
@@ -1590,15 +1633,11 @@ def test_cli_eval_bad_transversal_records_exit_2(cache_dir, tmp_path, capsys, ki
     else:
         header, _ = read_cache(cache_dir / "transversal_n2.bcp")
         write_cache(path, header, np.array([14 | 1 << 4], np.uint16))  # a key, 2n bits wide
-    capsys.readouterr()
+    with pytest.raises(ValueError, match=message):
+        read_cache(path)
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": n, "pairs": [list(EXAMPLE_PAIR)] * n}))
-    code = run_cli(["eval", str(state), "--cache", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith(f"error: bad cache file {path}: ")
-    assert message in captured.err
-    assert f"rebuild it with: bicliff transversal --n {n}" in captured.err
+    _assert_eval_reads_no_cache(state, tmp_path, capsys)
 
 
 def test_cli_werner_cache_of_other_n_exits_2(cache_dir, tmp_path, capsys):
@@ -1648,9 +1687,8 @@ def test_cli_verify_rejects_non_positive_sample(cache_dir, capsys, sample):
     [
         ["transversal", "--n", "2", "--cache", "{cache}"],
         ["circuit", "--n", "4", "--cache", "{cache}"],
-        ["verify", "{cache}/werner_n4.bcp", "--sample", "5"],
     ],
-    ids=["transversal", "circuit", "verify"],
+    ids=["transversal", "circuit"],
 )
 def test_cli_negative_seed_exits_2(cache_dir, tmp_path, capsys, args):
     cache = tmp_path / "c"
@@ -1745,12 +1783,14 @@ def test_cli_jobs_capped_at_usable_cores(cache_dir, tmp_path, monkeypatch, comma
     "command, flag",
     [("werner", "--seed"), ("eval", "--jobs"), ("eval", "--seed"),
      ("compare", "--jobs"), ("compare", "--seed"),
-     ("transversal", "--budget"), ("eval", "--n"), ("circuit", "--allow-swap")],
+     ("transversal", "--budget"), ("eval", "--n"), ("circuit", "--allow-swap"),
+     ("verify", "--seed")],
 )
 def test_cli_unread_work_flags_are_unrecognised(cache_dir, tmp_path, capsys, command, flag):
-    # these commands neither fan out nor draw random numbers, the
-    # transversal takes no sample budget, eval reads n from the state file,
-    # and circuit searches one family, which ends in no SWAP
+    # these commands neither fan out nor draw random numbers (verify
+    # compares every record), the transversal takes no sample budget, eval
+    # reads n from the state file, and circuit searches one family, which
+    # ends in no SWAP
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [list(EXAMPLE_PAIR)] * 2}))
     args = {
@@ -1759,6 +1799,7 @@ def test_cli_unread_work_flags_are_unrecognised(cache_dir, tmp_path, capsys, com
         "compare": ["compare", "--n-min", "2", "--n-max", "2"],
         "transversal": ["transversal", "--n", "2"],
         "circuit": ["circuit", "--n", "2"],
+        "verify": ["verify", str(cache_dir / "werner_n2.bcp")],
     }[command]
     cache = tmp_path / "c"
     with pytest.raises(SystemExit) as exit_info:

@@ -76,10 +76,11 @@ def test_each_command_loads_only_what_it_runs(tmp_path, protocols_for, transvers
          {"transversal", "circuits"}, {"concurrent.futures.process"}),
         (["verify", str(tmp_path / "transversal_n2.bcp")],  # the header alone
          {"transversal", "werner", "circuits"}, {"concurrent.futures.process"}),
+        # eval reads its state file alone, whether or not a transversal cache is there
         (["eval", str(state), "--cache", str(tmp_path), "--out", out],
-         {"werner", "circuits", "dejmps"}, {"concurrent.futures.process"}),
-        (["eval", str(state), "--cache", cache, "--out", out],  # no cache: enumerates the keys
-         {"werner", "circuits", "dejmps"}, {"concurrent.futures.process"}),
+         {"werner", "circuits", "dejmps", "cache"}, {"concurrent.futures.process"}),
+        (["eval", str(state), "--cache", cache, "--out", out],
+         {"werner", "circuits", "dejmps", "cache"}, {"concurrent.futures.process"}),
         (["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path), "--out", out],
          {"circuits", "transversal"}, set()),
     ]
