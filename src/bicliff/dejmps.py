@@ -88,40 +88,35 @@ def tree_shapes(n: int) -> tuple:
 WERNER_LEAF = np.array([[0, 3], [1, -1], [1, -1], [1, -1]], dtype=np.int64)
 
 
-def _step_arrays(keep, measure, index) -> np.ndarray:
+def _step_arrays(keep, measure) -> np.ndarray:
     """Every step output of every (keep, measure, rotation) triple.
 
-    keep (L, 4, a) and measure (R, 4, b) hold integer coefficient rows, and
-    index holds the step tables as two (rotations, 4, terms) arrays of i and j.
-    The result has shape (L, R, rotations, 4, a + b - 1): each row is the sum
-    over a table entry of the polynomial products keep[i] * measure[j].
+    keep (L, 4, a) and measure (R, 4, b) hold integer coefficient rows.  The
+    result has shape (L, R, rotations, 4, a + b - 1): each row is the sum over
+    a `step_table` entry of the polynomial products keep[i] * measure[j].
     """
     a, b = keep.shape[2], measure.shape[2]
     prod = np.zeros((len(keep), len(measure), 4, 4, a + b - 1), dtype=keep.dtype)
     for s in range(a):
         prod[..., s : s + b] += keep[:, None, :, None, s, None] * measure[None, :, None, :, :]
-    i, j = index
+    i, j = np.array([step_table(rot) for rot in ROTATION_WORDS]).transpose(3, 0, 1, 2)
     return prod[:, :, i, j].sum(axis=4)
 
 
-def _candidates(shape, index, memo) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _candidates(shape) -> np.ndarray:
     """Distinct reachable coefficient arrays for one shape, (count, 4, d).
 
     Rows keep their first-occurrence order in the loop keep candidate,
     measure candidate, rotation (both child orders when the children differ).
     """
-    if shape not in memo:
-        if shape is None:
-            memo[shape] = WERNER_LEAF[None]
-        else:
-            left, right = shape
-            lc = _candidates(left, index, memo)
-            rc = _candidates(right, index, memo)
-            orders = [(lc, rc)] if left == right else [(lc, rc), (rc, lc)]
-            outs = [_step_arrays(keep, measure, index) for keep, measure in orders]
-            rows = np.concatenate([out.reshape(-1, *out.shape[3:]) for out in outs])
-            memo[shape] = rows[first_rows(rows)]
-    return memo[shape]
+    if shape is None:
+        return WERNER_LEAF[None]
+    left, right = shape
+    orders = [(left, right)] if left == right else [(left, right), (right, left)]
+    outs = [_step_arrays(_candidates(keep), _candidates(measure)) for keep, measure in orders]
+    rows = np.concatenate([out.reshape(-1, *out.shape[3:]) for out in outs])
+    return rows[first_rows(rows)]
 
 
 def candidate_rows(n: int) -> np.ndarray:
@@ -131,9 +126,7 @@ def candidate_rows(n: int) -> np.ndarray:
     each at most 9^n < 2^63 in magnitude for the n <= 8 of `tree_shapes`.
     Rows keep the order in which the tree recursion first reaches them.
     """
-    index = np.array([step_table(rot) for rot in ROTATION_WORDS]).transpose(3, 0, 1, 2)
-    memo: dict = {}
-    rows = np.concatenate([_candidates(shape, index, memo) for shape in tree_shapes(n)])
+    rows = np.concatenate([_candidates(shape) for shape in tree_shapes(n)])
     return rows[first_rows(rows)]
 
 

@@ -12,7 +12,9 @@ that tests use as an oracle or a fixture: the per-vector matrix action and
 inverse, scalar row reduction, a row-major batched elimination that shares
 no code with `gf2.Echelon`, the least-solution solvers on it and the coset
 completion that solves each system afresh with them (the oracle of
-`transversal._complete`), the Werner symmetry generators, the case
+`transversal._complete`), the orbits of coset keys under permutations of
+identical pairs, re-reduced with the same elimination and keyed by
+`key_codes`, the Werner symmetry generators, the case
 enumeration over (a, b) pairs derived bit by bit (the oracle of the filtered
 `werner.ab_pairs`), the Werner product state, and the DEJMPS step with its
 concatenation plans.  The graph-class oracle relabels masks through byte
@@ -704,6 +706,57 @@ def completed_rows(keys: np.ndarray, n: int) -> np.ndarray:
     # the inverse's column (i + n) mod 2n with its halves swapped
     cols = np.stack([u1, *us, w1, *keys.T], axis=1)
     return swap_halves(np.roll(cols, -n, axis=1), n)
+
+
+def _high_bit(v: np.ndarray) -> np.ndarray:
+    """The highest set bit of each entry, as a mask (0 for 0)."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        v = v | v >> np.uint64(shift)
+    return v ^ v >> np.uint64(1)
+
+
+def pair_permuted_keys(keys, n: int) -> np.ndarray:
+    """Each coset key's image under each permutation of the n pairs: a
+    (n!, K, n-1) uint64 array, permutations in `itertools.permutations` order.
+
+    Pair i's bits i and n + i move to pair perm[i]'s, and the moved rows are
+    reduced again by `_eliminate` on the highest bit, rows in decreasing
+    pivot order: the layout of `enumerated_coset_keys`.
+    """
+    keys = np.asarray(keys, np.uint64)
+    one = np.uint64(1)
+    images = []
+    for perm in permutations(range(n)):
+        moved = np.zeros_like(keys)
+        for i, j in enumerate(perm):
+            for half in (0, n):
+                moved |= (keys >> np.uint64(i + half) & one) << np.uint64(j + half)
+        basis, _ = _eliminate(moved, _high_bit)
+        images.append(np.sort(basis, axis=-1)[..., ::-1])  # distinct pivots: by value
+    return np.stack(images)
+
+
+def key_codes(keys, n: int) -> np.ndarray:
+    """Each key's rows (along the last axis) as one int64, ordered as the keys."""
+    keys = np.asarray(keys, np.int64)
+    codes = np.zeros(keys.shape[:-1], np.int64)
+    for k in range(keys.shape[-1]):
+        codes = codes << (2 * n) | keys[..., k]
+    return codes
+
+
+def pair_orbits(keys, n: int) -> np.ndarray:
+    """The S_n orbit of each of the ascending coset keys of n identical pairs:
+    the index in keys of the least key its pair permutations reach.
+
+    Raises when an image is not among the keys.
+    """
+    codes = key_codes(keys, n)
+    images = key_codes(pair_permuted_keys(keys, n), n)
+    index = np.searchsorted(codes, images).clip(max=len(codes) - 1)
+    if (codes[index] != images).any():
+        raise ValueError("a permuted key is not among the keys")
+    return index.min(axis=0)
 
 
 def span(basis) -> list:

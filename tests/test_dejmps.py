@@ -1,16 +1,19 @@
+import hashlib
 from fractions import Fraction as Fr
 
 import numpy as np
 
 from bicliff.dejmps import (
     ROTATION_WORDS,
+    _candidates,
     best_concatenated,
+    candidate_rows,
     concatenated_candidates,
     step_table,
     tree_shapes,
 )
 from bicliff.circuits import circuit_to_symplectic
-from bicliff.states import DistStats, leading_infidelity_term, numeric_stats
+from bicliff.states import DistStats, leading_infidelity_term, numeric_stats, werner_coeff_rows
 from _reference import best_f_poly, best_p_poly
 import _scalar_reference
 from _scalar_reference import DEFAULT_ROTATION, dejmps_step, plan_to_circuit, werner_state
@@ -182,15 +185,31 @@ def test_unit_statistics_at_perfect_input():
         assert st.p_suc(1) == 1 and st.f_num(1) == 1
 
 
+def _canonical_rows(rows) -> set:
+    """Each (4, d) row as its base row and the sorted multiset of its X/Y/Z
+    rows: equal entries mean equal exact statistics."""
+    return {(tuple(row[0]), tuple(sorted(map(tuple, row[1:])))) for row in rows.tolist()}
+
+
 def test_plans_are_protocols(protocols_for):
-    # every n<=4 plan's exact statistics appear among the distinct protocols
-    for n in (2, 3, 4):
-        enumerated = {
-            (p.stats.p_suc, p.stats.f_num, p.stats.fi_nums) for p in protocols_for(n)
-        }
-        for key in concatenated_candidates(n):
-            st = DistStats.from_coset_sums(*key)
-            assert (st.p_suc, st.f_num, st.fi_nums) in enumerated
+    # every plan's exact statistics appear among the distinct protocols
+    for n in range(2, 9):
+        enumerated = _canonical_rows(werner_coeff_rows([p.counts for p in protocols_for(n)], n))
+        assert _canonical_rows(candidate_rows(n)) <= enumerated, n
+
+
+# sha256 of candidate_rows(n) for n = 1..8 in ascending n, as little-endian int64
+FAMILY_SHA256 = "41ba650ad93c772bf720414f7929aee1ee35a0365dc419335e602352c947ae0a"
+
+
+def test_family_cache_keeps_no_state_between_calls():
+    # each tree shape is built once, and the rows do not depend on which n
+    # first asked for it
+    _candidates.cache_clear()
+    rows = {n: candidate_rows(n) for n in range(8, 0, -1)}
+    digest = hashlib.sha256(b"".join(rows[n].astype("<i8").tobytes() for n in range(1, 9)))
+    assert digest.hexdigest() == FAMILY_SHA256
+    assert _candidates.cache_info().misses == sum(len(tree_shapes(n)) for n in range(1, 9)) == 48
 
 
 def test_plan_chain_rule_matches_whole_circuit():

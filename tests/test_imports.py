@@ -69,20 +69,21 @@ def test_each_command_loads_only_what_it_runs(tmp_path, protocols_for, transvers
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"n": 2, "pairs": [[0.7, 0.1, 0.1, 0.1]] * 2}))
     out, cache = str(tmp_path / "out.csv"), str(tmp_path / "new")
+    # none of these draws a random number, and numpy.random costs about 6 MB
     cases = [
         (["werner", "--n", "3", "--cache", cache, "--out", out],
-         {"transversal", "circuits"}, {"concurrent.futures.process"}),
+         {"transversal", "circuits"}, {"concurrent.futures.process", "numpy.random"}),
         (["verify", str(tmp_path / "werner_n3.bcp")],
-         {"transversal", "circuits"}, {"concurrent.futures.process"}),
+         {"transversal", "circuits"}, {"concurrent.futures.process", "numpy.random"}),
         (["verify", str(tmp_path / "transversal_n2.bcp")],  # the header alone
-         {"transversal", "werner", "circuits"}, {"concurrent.futures.process"}),
+         {"transversal", "werner", "circuits"}, {"concurrent.futures.process", "numpy.random"}),
         # eval reads its state file alone, whether or not a transversal cache is there
         (["eval", str(state), "--cache", str(tmp_path), "--out", out],
-         {"werner", "circuits", "dejmps", "cache"}, {"concurrent.futures.process"}),
+         {"werner", "circuits", "dejmps", "cache"}, {"concurrent.futures.process", "numpy.random"}),
         (["eval", str(state), "--cache", cache, "--out", out],
-         {"werner", "circuits", "dejmps", "cache"}, {"concurrent.futures.process"}),
+         {"werner", "circuits", "dejmps", "cache"}, {"concurrent.futures.process", "numpy.random"}),
         (["compare", "--n-min", "3", "--n-max", "3", "--cache", str(tmp_path), "--out", out],
-         {"circuits", "transversal"}, set()),
+         {"circuits", "transversal"}, {"numpy.random"}),
     ]
     for args, modules, others in cases:
         loaded = _loaded(_RUN, *args)
@@ -169,3 +170,18 @@ def test_scalar_oracle_shares_no_case_tables_with_werner():
                 assert alias.name not in tables | {"*"}, alias.name
         elif isinstance(node, ast.Attribute):
             assert node.attr not in tables, node.attr
+
+
+def test_scalar_orbit_map_shares_no_reduction_with_the_library():
+    # `_scalar_reference.pair_orbits` reduces the permuted keys with its own
+    # `_eliminate`, so it checks the key layout of the library's reductions
+    names = {"rref_rows", "Echelon", "coset_keys"}
+    tree = ast.parse((Path(__file__).parent / "_scalar_reference.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bicliff"):
+            for alias in node.names:
+                assert alias.name not in names | {"*"}, alias.name
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in names, node.attr
+        elif isinstance(node, ast.Name):
+            assert node.id not in names, node.id

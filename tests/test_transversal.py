@@ -1,4 +1,5 @@
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -243,14 +244,6 @@ def test_transversal_n4_batched_histograms_match_werner_classes(transversal_for,
 # swap(swap(key) k).  Each map below is that action on the key masks.
 
 
-def _key_codes(keys, n: int) -> np.ndarray:
-    """Each key's rows as one integer, in the transversal's key order."""
-    codes = np.zeros(len(keys), dtype=np.int64)
-    for row in np.asarray(keys, dtype=np.int64).T:
-        codes = codes << (2 * n) | row
-    return codes
-
-
 def _times(k):
     """The key action of any K_n matrix k: the XOR of k's rows at each set bit."""
     n = k.n
@@ -290,12 +283,12 @@ def _small_generators(n: int) -> list:
 def _double_coset_labels(t, actions) -> np.ndarray:
     """Per coset, the least coset index of its double coset (its orbit under
     the key actions), by min-label propagation with pointer jumping."""
-    n, codes = t.n, _key_codes(t.keys, t.n)
+    n, codes = t.n, scalar.key_codes(t.keys, t.n)
     assert (np.diff(codes) > 0).all()
     keys = t.keys.astype(np.uint64)
     perms = []
     for act in actions:
-        image = _key_codes(rref_rows(act(keys)), n)
+        image = scalar.key_codes(rref_rows(act(keys)), n)
         perm = np.searchsorted(codes, image)
         assert (codes[perm] == image).all()  # every image is a coset key
         perms.append(perm)
@@ -343,10 +336,36 @@ def test_double_cosets_from_keys(transversal_for, protocols_for, n, count):
     assert np.array_equal(_reached(labels, t.keys, n), classes)
 
 
+@pytest.mark.parametrize("n, count", [(2, 9), (3, 75), (4, 750)])
+def test_pair_orbits_match_burnside(n, count):
+    # S_n permutes identical pairs: every image of a coset key is a coset key,
+    # and the oracle's orbits are as many as Burnside's lemma counts, the keys
+    # fixed by each permutation summed over the n! permutations, over n!
+    keys = transversal.enumerate_coset_keys(n)
+    images = scalar.pair_permuted_keys(keys, n)
+    assert np.isin(scalar.key_codes(images, n), scalar.key_codes(keys, n)).all()
+    fixed = int((images == keys).all(axis=-1).sum())
+    assert len(np.unique(scalar.pair_orbits(keys, n))) == count == fixed / math.factorial(n)
+
+
+def test_pair_orbits_refine_the_werner_classes_n4(protocols_for):
+    # S_n lies in the Werner symmetry group, so the cosets of one orbit share
+    # their Werner histograms, and the orbits reach exactly the 13 classes
+    from bicliff.states import coset_histograms, counts_key
+
+    keys = transversal.enumerate_coset_keys(4)
+    orbits = scalar.pair_orbits(keys, 4)
+    hists = coset_histograms(representative_rows(keys, 4), 4).tolist()
+    classes = [counts_key(tuple(map(tuple, h))) for h in hists]
+    assert all(classes[i] == classes[o] for i, o in enumerate(orbits))
+    reached = {classes[o] for o in orbits}
+    assert len(reached) == 13 and reached == {counts_key(p.counts) for p in protocols_for(4)}
+
+
 def _reached(labels, keys, n: int) -> np.ndarray:
     """The distinct labels of the cosets of every canonical triple's representative."""
     reps = np.array([build_representative(case).rows for case in enumerate_cases(n)], np.uint64)
-    codes, case_codes = _key_codes(keys, n), _key_codes(coset_keys(reps, n), n)
+    codes, case_codes = scalar.key_codes(keys, n), scalar.key_codes(coset_keys(reps, n), n)
     reached = np.searchsorted(codes, case_codes)
     assert (codes[reached] == case_codes).all()
     return np.unique(labels[reached])
@@ -371,7 +390,7 @@ def test_enumerated_n5_double_cosets_reached_by_canonical_triples():
     # one holding the coset of some canonical triple's representative
     keys = _all_n5_keys()
     assert len(keys) == dn_index(5) == 782_595
-    assert (np.diff(_key_codes(keys, 5)) > 0).all()
+    assert (np.diff(scalar.key_codes(keys, 5)) > 0).all()
     labels = _double_coset_labels(SimpleNamespace(n=5, keys=keys), _small_generators(5))
     classes = np.unique(labels)
     assert len(classes) == 36
