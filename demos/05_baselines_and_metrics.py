@@ -16,13 +16,13 @@ from bicliff import (
     ree_product,
     target_rate,
 )
-from bicliff.dejmps import concatenated_candidates
+from bicliff.dejmps import candidate_rows
 from bicliff.states import DistStats
 
 NS = range(2, 7)  # extend to 8 if you have a minute to spare
 
 protos = {n: distinct_protocols(n) for n in NS}
-concat = {n: [DistStats.from_coset_sums(*k) for k in concatenated_candidates(n)] for n in NS}
+concat = {n: [DistStats.from_rows(rows, n) for rows in candidate_rows(n)] for n in NS}
 
 print("== leading infidelity behaviour ==")
 for n in NS:

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf2 import CNOT, H, S, apply_gate_rows
-from .states import DistStats, preimage_index, rows_to_polys, vector_paulis
+from .states import DistStats, preimage_index, vector_paulis
 from .werner import best_curve, default_f_grid, first_rows
 
 # The six single-qubit Clifford rotations modulo Paulis, as temporal gate words.
@@ -130,14 +130,9 @@ def candidate_rows(n: int) -> np.ndarray:
     return rows[first_rows(rows)]
 
 
-def concatenated_candidates(n: int) -> list:
-    """`candidate_rows` as output 4-tuples of exact polynomials, in row order."""
-    return [rows_to_polys(row, n) for row in candidate_rows(n)]
-
-
 def best_concatenated(n: int) -> DistStats:
     """The member of the family maximising output fidelity, pointwise over the
     default grid: the first row of the F_out curve `best_curve` picks."""
     rows = candidate_rows(n)
     tied, _ = best_curve(rows, n, default_f_grid())
-    return DistStats.from_coset_sums(*rows_to_polys(rows[tied[0]], n))
+    return DistStats.from_rows(rows[tied[0]], n)

@@ -1,14 +1,17 @@
-"""Univariate polynomials with exact rational coefficients.
+"""Univariate polynomials with exact rational coefficients: a format to
+print, evaluate and compare exact statistics, not a ring.
 
 Coefficients are `fractions.Fraction` values indexed by power, with trailing
 zeros trimmed, so two polynomials are equal iff their coefficient tuples are
-equal.  Python's Fraction is arbitrary precision and auto-reduced, which makes
-overflow impossible; the enumeration hot paths work on integer count vectors
-and only build polynomials for the (few) distinct results.
+equal.  The exact work happens on integer coefficient rows over 3^n
+(`states.werner_coeff_rows`), and `states.rows_to_polys` builds polynomials
+for the (few) results that are printed or compared; the one transform here is
+the re-expansion in eps = 1 - F, a binomial sum.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -23,14 +26,6 @@ class RationalPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, c) -> "RationalPolynomial":
-        return cls((Fraction(c),))
-
-    @classmethod
-    def variable(cls) -> "RationalPolynomial":
-        return cls((Fraction(0), Fraction(1)))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
@@ -42,41 +37,6 @@ class RationalPolynomial:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return RationalPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
-
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for Fraction/int arguments."""
         acc = Fraction(0) if isinstance(x, (Fraction, int)) else 0.0
@@ -85,12 +45,12 @@ class RationalPolynomial:
         return acc
 
     def substitute_one_minus(self) -> "RationalPolynomial":
-        """Exact re-expansion of p(1 - y) as a polynomial in y."""
-        one_minus = RationalPolynomial((Fraction(1), Fraction(-1)))
-        acc = RationalPolynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * one_minus + RationalPolynomial.constant(c)
-        return acc
+        """Exact re-expansion of p(1 - y) as a polynomial in y: by the binomial
+        theorem, coefficient j is (-1)^j * sum_k C(k, j) * c_k."""
+        cs = self.coeffs
+        return RationalPolynomial(
+            (-1) ** j * sum(math.comb(k, j) * cs[k] for k in range(j, len(cs))) for j in range(len(cs))
+        )
 
     def lowest_order(self):
         """(k, c) for the lowest-power nonzero term, or None if zero."""
@@ -116,12 +76,6 @@ class RationalPolynomial:
     def sort_key(self) -> tuple:
         """Total order on polynomials: lexicographic on coefficient tuples."""
         return self.coeffs
-
-
-def _coerce(x) -> RationalPolynomial:
-    if isinstance(x, RationalPolynomial):
-        return x
-    return RationalPolynomial.constant(x)
 
 
 def poly_from_strings(items) -> RationalPolynomial:

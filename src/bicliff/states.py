@@ -19,7 +19,8 @@ it; each per-matrix statistic is the one-row case of its batched form.
 
 Statistics come in two interchangeable modes: floating point for arbitrary
 Bell-diagonal inputs, and exact rational polynomials in the input fidelity F
-for n-fold Werner inputs.
+for n-fold Werner inputs, which `DistStats.from_rows` builds from integer
+coefficient rows over 3^n.
 """
 
 from __future__ import annotations
@@ -109,12 +110,6 @@ class BellDiagonalState:
         return cls(n, probs)
 
 
-def _stat_key(x):
-    if isinstance(x, RationalPolynomial):
-        return x.sort_key()
-    return -x
-
-
 @dataclass(frozen=True)
 class DistStats:
     """Distillation statistics of one protocol.
@@ -132,8 +127,17 @@ class DistStats:
 
     @classmethod
     def from_coset_sums(cls, s0, s1, s2, s3) -> "DistStats":
-        fis = tuple(sorted((s1, s2, s3), key=_stat_key))
-        return cls(s0 + s1 + s2 + s3, s0, fis)
+        """Numeric statistics of the four coset sums, in (I, X, Y, Z) order."""
+        return cls(s0 + s1 + s2 + s3, s0, tuple(sorted((s1, s2, s3), reverse=True)))
+
+    @classmethod
+    def from_rows(cls, rows, n: int) -> "DistStats":
+        """Exact statistics of one protocol's four coset rows (4, n+1) over 3^n,
+        as from `werner_coeff_rows` or `dejmps.candidate_rows`: p_suc is the
+        polynomial of the rows' integer sum."""
+        rows = np.asarray(rows)
+        p_suc, f_num, *fis = rows_to_polys(np.vstack([rows.sum(axis=0), rows]), n)
+        return cls(p_suc, f_num, tuple(sorted(fis, key=RationalPolynomial.sort_key)))
 
     @property
     def is_polynomial(self) -> bool:
@@ -271,7 +275,7 @@ def rows_to_polys(rows, n: int) -> tuple:
 
 
 def stats_from_counts(counts, n: int) -> DistStats:
-    return DistStats.from_coset_sums(*rows_to_polys(werner_coeff_rows(counts, n), n))
+    return DistStats.from_rows(werner_coeff_rows(counts, n), n)
 
 
 def werner_stats(m: SymplecticMatrix, n: int) -> DistStats:
@@ -298,8 +302,8 @@ def leading_infidelity_term(stats: DistStats) -> tuple:
     f_eps = stats_in_epsilon(stats.f_num)
     if p_eps[0] != 1 or f_eps[0] != 1:
         raise ValueError("p_suc and f_num must equal 1 at F=1")
-    diff = f_eps - p_eps
-    low = diff.lowest_order()
+    width = max(p_eps.degree, f_eps.degree) + 1
+    low = RationalPolynomial(f_eps[k] - p_eps[k] for k in range(width)).lowest_order()
     if low is None:
         raise ValueError("output fidelity is identically 1")
     k, c = low

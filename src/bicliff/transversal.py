@@ -262,8 +262,8 @@ def _coset_stats(keys: np.ndarray, state: BellDiagonalState) -> tuple:
         sums[lo : lo + CHUNK] = state.probs[preimage_cosets(chunk, cols[0], cols[n])].sum(axis=-1)
     s0, s1, s2, s3 = sums.T
     p_suc = ((s0 + s1) + s2) + s3
-    # the order of from_coset_sums: a left-to-right sum, and X/Y/Z sorted by
-    # descending value with ties kept in place: a stable sort of -s, in place
+    # the order of from_coset_sums: a left-to-right sum, and X/Y/Z sorted
+    # descending with ties kept in place, as a stable ascending sort of -s
     fis = np.negative(sums[:, 1:], out=sums[:, 1:])
     fis.sort(axis=1, kind="stable")
     return p_suc, s0, np.negative(fis, out=fis)

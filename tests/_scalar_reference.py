@@ -18,7 +18,10 @@ identical pairs, re-reduced with the same elimination and keyed by
 enumeration over (a, b) pairs derived bit by bit (the oracle of the filtered
 `werner.ab_pairs`), the Werner product state, and the DEJMPS step with its
 concatenation plans.  The graph-class oracle relabels masks through byte
-tables, not the edge-at-a-time map of `werner`.
+tables, not the edge-at-a-time map of `werner`.  Exact polynomials here are
+Fraction coefficient tuples added and multiplied by `poly_add` and
+`poly_mul`, an arithmetic of the oracle's own: the library keeps exact
+statistics as integer rows over 3^n and has none.
 """
 
 from dataclasses import dataclass
@@ -48,7 +51,6 @@ from bicliff.gf2 import (
 )
 from bicliff.groups import GeneratorSet
 from bicliff.orders import check_pair_count, dn_index
-from bicliff.ratpoly import RationalPolynomial
 from bicliff.states import BellDiagonalState, DistStats, counts_key
 from bicliff.werner import (
     WernerCase,
@@ -58,10 +60,69 @@ from bicliff.werner import (
 )
 
 
+def _trim(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_add(*polys) -> tuple:
+    """Sum of exact polynomials, power-ascending Fraction tuples with trailing
+    zeros trimmed, as are all polynomials of this module."""
+    out = []
+    for p in polys:
+        out[: len(p)] = [x + y for x, y in zip(out, p)] + list(p[len(out) :])
+    return _trim(out)
+
+
+def poly_mul(a, b) -> tuple:
+    """Product of two exact polynomials, by the schoolbook convolution."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+def in_epsilon(p) -> tuple:
+    """p(1 - eps) as an exact polynomial in eps, by Horner's rule."""
+    acc = ()
+    for c in reversed(p):
+        acc = poly_add(poly_mul(acc, (Fraction(1), Fraction(-1))), (c,))
+    return acc
+
+
+def leading_infidelity_term(f_num, p_suc) -> tuple:
+    """(k, c) with F_out = 1 - c*eps^k + O(eps^(k+1)) for exact polynomials
+    f_num and p_suc equal to 1 at F = 1: the lowest term of the eps-form of
+    f_num - p_suc, negated."""
+    diff = in_epsilon(poly_add(f_num, poly_mul(p_suc, (Fraction(-1),))))
+    k = next(k for k, c in enumerate(diff) if c)
+    return k, -diff[k]
+
+
+def werner_coset_polys(counts, n: int) -> tuple:
+    """Each coset histogram's exact polynomial sum_w hist[w] * F^w * ((1-F)/3)^(n-w)."""
+    basis = werner_term_basis(n)
+    return tuple(
+        poly_add(*(poly_mul((Fraction(c),), basis[w]) for w, c in enumerate(hist) if c)) for hist in counts
+    )
+
+
+def exact_stats(cosets) -> tuple:
+    """(p_suc, f_num, fi_nums) of four exact coset polynomials, order I, X, Y,
+    Z: their sum, the first, and the other three, trimmed, sorted
+    lexicographically."""
+    f_num, *fis = map(_trim, cosets)
+    return poly_add(*cosets), f_num, tuple(sorted(fis))
+
+
 def werner_leaf() -> tuple:
     """Unnormalised Werner coefficients (F, e, e, e), e = (1-F)/3, as exact polynomials."""
-    f = RationalPolynomial.variable()
-    e = RationalPolynomial((Fraction(1, 3), Fraction(-1, 3)))
+    f = (Fraction(0), Fraction(1))
+    e = (Fraction(1, 3), Fraction(-1, 3))
     return (f, e, e, e)
 
 
@@ -71,11 +132,11 @@ def werner_term_basis(n: int) -> tuple:
     f, e, _, _ = werner_leaf()
     out = []
     for w in range(n + 1):
-        p = RationalPolynomial.constant(1)
+        p = (Fraction(1),)
         for _ in range(w):
-            p = p * f
+            p = poly_mul(p, f)
         for _ in range(n - w):
-            p = p * e
+            p = poly_mul(p, e)
         out.append(p)
     return tuple(out)
 
@@ -95,8 +156,9 @@ def _candidates(shape, memo) -> dict:
     for keep_set, measure_set in orders:
         for uk, pk in keep_set.items():
             for um, pm in measure_set.items():
+                products = step_products(uk, um)
                 for rot in ROTATION_WORDS:
-                    key = tuple(_step_unnormalised(uk, um, step_table(rot)))
+                    key = _step_unnormalised(products, step_table(rot))
                     if key not in out:
                         out[key] = TreePlan(rot, pk, pm)
     memo[shape] = out
@@ -316,10 +378,10 @@ def key_matches(hist, key) -> np.ndarray:
     return (hist[:, 0] == base).all(axis=1) & shuffled
 
 
-def poly_on_grid(poly, grid):
-    """Float Horner evaluation of a RationalPolynomial at every grid point."""
+def poly_on_grid(coeffs, grid):
+    """Float Horner evaluation of power-ascending coefficients at every grid point."""
     out = np.zeros_like(grid)
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         out = out * grid + float(c)
     return out
 
@@ -838,8 +900,16 @@ def werner_state(n: int, fidelity: float) -> BellDiagonalState:
 DEFAULT_ROTATION = "HSH"
 
 
-def _step_unnormalised(ua, ub, table):
-    return [sum(ua[i] * ub[j] for i, j in entry) for entry in table]
+def step_products(ua, ub) -> list:
+    """The products ua[i] * ub[j] of two pairs' exact coefficient polynomials,
+    which every rotation's step sums in its own way."""
+    return [[poly_mul(x, y) for y in ub] for x in ua]
+
+
+def _step_unnormalised(products, table) -> tuple:
+    """One step on exact polynomials: output k sums the `step_products` of
+    table entry k."""
+    return tuple(poly_add(*(products[i][j] for i, j in entry)) for entry in table)
 
 
 def dejmps_step(sa, sb, rotation: str = DEFAULT_ROTATION):
@@ -847,7 +917,7 @@ def dejmps_step(sa, sb, rotation: str = DEFAULT_ROTATION):
 
     Returns (success probability, renormalised output coefficients).
     """
-    out = _step_unnormalised(sa, sb, step_table(rotation))
+    out = [sum(sa[i] * sb[j] for i, j in entry) for entry in step_table(rotation)]
     p_suc = sum(out)
     if p_suc == 0:
         return 0.0, (0.0, 0.0, 0.0, 0.0)

@@ -167,10 +167,20 @@ def test_criterion_07_known_protocol_recovery():
     verdict(7, ok, "n=2 optimum is the two-pair step, n=3 optimum is its 3-pair refinement")
 
 
+def _integer_row(poly, n: int) -> np.ndarray:
+    """An exact polynomial's coefficients times 3^n, n+1 wide; they must be integers."""
+    row = [c * 3**n for c in poly.coeffs] + [0] * (n + 1 - len(poly.coeffs))
+    assert all(c.denominator == 1 for c in row)
+    return np.array(row, np.int64)
+
+
 def test_criterion_08_cross_family_coincidence():
+    # f5 / p5 == f4 / p4 as a cross product of integer rows over 3^9
     concat5 = best_concatenated(5)
     opt4 = get_best(4).protocol.stats
-    ok = concat5.f_num * opt4.p_suc == opt4.f_num * concat5.p_suc
+    f5, p5 = (_integer_row(q, 5) for q in (concat5.f_num, concat5.p_suc))
+    f4, p4 = (_integer_row(q, 4) for q in (opt4.f_num, opt4.p_suc))
+    ok = np.array_equal(np.convolve(f5, p4), np.convolve(f4, p5))
     verdict(8, ok, "n=4 optimum F_out equals n=5 concatenated F_out (exact)")
 
 

@@ -1238,13 +1238,12 @@ def cache_2to5(tmp_path_factory, protocols_for):
 
 def _scalar_families(protocols_for, ns):
     """(label, polynomial-mode DistStats) lists of the full and DEJMPS families."""
-    from bicliff.dejmps import concatenated_candidates
+    from bicliff.dejmps import candidate_rows
     from bicliff.states import DistStats
 
     full = {n: [(p.case_index, p.stats) for p in protocols_for(n)] for n in ns}
     dejmps = {
-        n: [(f"plan{i}", DistStats.from_coset_sums(*key))
-            for i, key in enumerate(concatenated_candidates(n))]
+        n: [(f"plan{i}", DistStats.from_rows(rows, n)) for i, rows in enumerate(candidate_rows(n))]
         for n in ns
     }
     return full, dejmps

@@ -8,15 +8,15 @@ from bicliff.dejmps import (
     _candidates,
     best_concatenated,
     candidate_rows,
-    concatenated_candidates,
     step_table,
     tree_shapes,
 )
 from bicliff.circuits import circuit_to_symplectic
+from bicliff.ratpoly import RationalPolynomial
 from bicliff.states import DistStats, leading_infidelity_term, numeric_stats, werner_coeff_rows
 from _reference import best_f_poly, best_p_poly
 import _scalar_reference
-from _scalar_reference import DEFAULT_ROTATION, dejmps_step, plan_to_circuit, werner_state
+from _scalar_reference import DEFAULT_ROTATION, dejmps_step, plan_to_circuit, poly_mul, werner_state
 
 
 # --- density-matrix oracle -----------------------------------------------------
@@ -116,14 +116,14 @@ def test_werner_step_known_values():
 def test_step_tables_cover_all_rotations_on_werner():
     # every rotation gives the same exact polynomials on Werner inputs
     leaf = _scalar_reference.werner_leaf()
+    products = _scalar_reference.step_products(leaf, leaf)
     outs = set()
     for label in ROTATION_WORDS:
-        out = [sum(leaf[i] * leaf[j] for i, j in entry) for entry in step_table(label)]
-        st = DistStats.from_coset_sums(*out)
-        outs.add((st.p_suc, st.f_num, st.fi_nums))
+        out = _scalar_reference._step_unnormalised(products, step_table(label))
+        outs.add(_scalar_reference.exact_stats(out))
     assert len(outs) == 1
     (p, f, _), = outs
-    assert p == best_p_poly(2) and f == best_f_poly(2)
+    assert p == best_p_poly(2).coeffs and f == best_f_poly(2).coeffs
 
 
 # --- tree shapes -----------------------------------------------------------------
@@ -175,13 +175,13 @@ def test_best_concatenated_n5_leading_order():
 
 def test_n5_concatenated_equals_n4_optimum_fidelity():
     st = best_concatenated(5)
-    p4, f4 = best_p_poly(4), best_f_poly(4)
-    assert st.f_num * p4 == f4 * st.p_suc
+    p4, f4 = best_p_poly(4).coeffs, best_f_poly(4).coeffs
+    assert poly_mul(st.f_num.coeffs, p4) == poly_mul(f4, st.p_suc.coeffs)
 
 
 def test_unit_statistics_at_perfect_input():
-    for key in concatenated_candidates(4):
-        st = DistStats.from_coset_sums(*key)
+    for rows in candidate_rows(4):
+        st = DistStats.from_rows(rows, 4)
         assert st.p_suc(1) == 1 and st.f_num(1) == 1
 
 
@@ -221,7 +221,7 @@ def test_plan_chain_rule_matches_whole_circuit():
         for key, plan in list(cands.items())[:6]:
             circ = plan_to_circuit(plan, n)
             direct = numeric_stats(circuit_to_symplectic(circ), state)
-            stepwise = DistStats.from_coset_sums(*(q(f) for q in key))
+            stepwise = DistStats.from_coset_sums(*(RationalPolynomial(q)(f) for q in key))
             assert np.isclose(direct.p_suc, stepwise.p_suc, atol=1e-12)
             assert np.isclose(direct.f_num, stepwise.f_num, atol=1e-12)
             for a, b in zip(direct.fi_nums, stepwise.fi_nums):
@@ -229,6 +229,11 @@ def test_plan_chain_rule_matches_whole_circuit():
 
 
 def test_array_family_matches_fraction_reference():
-    # same keys in the same order as the exact tree recursion
+    # same keys in the same order as the exact tree recursion, each key's
+    # polynomials written as integer rows over 3^n, n+1 wide
     for n in range(2, 9):
-        assert concatenated_candidates(n) == list(_scalar_reference.concatenated_candidates(n)), n
+        keys = [
+            [[c * 3**n for c in q] + [0] * (n + 1 - len(q)) for q in key]
+            for key in _scalar_reference.concatenated_candidates(n)
+        ]
+        assert candidate_rows(n).tolist() == keys, n

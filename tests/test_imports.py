@@ -185,3 +185,22 @@ def test_scalar_orbit_map_shares_no_reduction_with_the_library():
             assert node.attr not in names, node.attr
         elif isinstance(node, ast.Name):
             assert node.id not in names, node.id
+
+
+def test_scalar_oracle_shares_no_polynomial_arithmetic_with_the_library():
+    # the oracle adds and multiplies Fraction tuples with `poly_add` and
+    # `poly_mul`, so it checks the library's integer rows over 3^n and the
+    # statistics built from them, not a copy of them
+    names = {"rows_to_polys", "werner_coeff_rows", "from_rows"}
+    tree = ast.parse((Path(__file__).parent / "_scalar_reference.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "bicliff.ratpoly" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bicliff"):
+            assert node.module != "bicliff.ratpoly"
+            for alias in node.names:
+                assert alias.name not in names | {"ratpoly", "*"}, alias.name
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in names, node.attr
+        elif isinstance(node, ast.Name):
+            assert node.id not in names, node.id

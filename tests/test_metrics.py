@@ -15,12 +15,11 @@ from bicliff.metrics import (
     shannon_entropy,
     target_rate,
 )
-from bicliff.ratpoly import RationalPolynomial
 from bicliff.states import DistStats, werner_coeff_rows
-from bicliff.dejmps import candidate_rows, concatenated_candidates
+from bicliff.dejmps import candidate_rows
 from bicliff.werner import default_f_grid
 from _reference import DIQKD_THRESHOLD
-from _scalar_reference import poly_on_grid
+from _scalar_reference import exact_stats, poly_on_grid
 
 
 def stats_of(p_suc, coeffs):
@@ -103,8 +102,8 @@ def test_superset_never_worse(protocols_for):
     full = _poly_sets(protocols_for, (4,))
     dejmps = {
         4: [
-            (i, DistStats.from_coset_sums(*key))
-            for i, key in enumerate(concatenated_candidates(4))
+            (i, DistStats.from_rows(rows, 4))
+            for i, rows in enumerate(candidate_rows(4))
         ]
     }
     for f in (0.7, 0.85):
@@ -120,15 +119,15 @@ def test_superset_never_worse(protocols_for):
 
 
 def _assert_curves_match_stats(coeffs, n, grid):
-    """CurveSet's p, f and fis are bit-equal to float Horner on the DistStats polynomials."""
+    """CurveSet's p, f and fis are bit-equal to float Horner on the exact
+    statistics, summed and sorted by the Fraction oracle."""
     curves = CurveSet(coeffs, n, grid)
     fis = curves.fis()
     for i, protocol in enumerate(coeffs.tolist()):
-        polys = [RationalPolynomial(Fraction(c, 3**n) for c in row) for row in protocol]
-        stats = DistStats.from_coset_sums(*polys)
-        assert curves.p[i].tobytes() == poly_on_grid(stats.p_suc, grid).tobytes()
-        assert curves.f[i].tobytes() == poly_on_grid(stats.f_num, grid).tobytes()
-        for k, q in enumerate(stats.fi_nums):
+        p_suc, f_num, fi_nums = exact_stats([[Fraction(c, 3**n) for c in row] for row in protocol])
+        assert curves.p[i].tobytes() == poly_on_grid(p_suc, grid).tobytes()
+        assert curves.f[i].tobytes() == poly_on_grid(f_num, grid).tobytes()
+        for k, q in enumerate(fi_nums):
             assert fis[i, k].tobytes() == poly_on_grid(q, grid).tobytes()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicliff.circuits import circuit_to_symplectic
-from bicliff.dejmps import ROTATION_WORDS, step_table
+from bicliff.dejmps import ROTATION_WORDS, candidate_rows, step_table
 from bicliff.gf2 import (
     CNOT,
     SymplecticMatrix,
@@ -43,9 +43,14 @@ from _reference import EXAMPLE_PAIR, best_f_poly, best_p_poly
 from _scalar_reference import (
     LEAF,
     TreePlan,
+    concatenated_candidates,
+    exact_stats,
+    leading_infidelity_term as oracle_leading_term,
     plan_to_circuit,
+    poly_add,
     preimage_oracle,
     rref,
+    werner_coset_polys,
     werner_state,
     werner_term_basis,
 )
@@ -267,7 +272,7 @@ def test_stats_decomposition_exact():
     rng = np.random.default_rng(13)
     for _ in range(10):
         st = werner_stats(random_symplectic(3, rng), 3)
-        assert st.f_num + sum(st.fi_nums, RationalPolynomial()) == st.p_suc
+        assert poly_add(st.f_num.coeffs, *(q.coeffs for q in st.fi_nums)) == st.p_suc.coeffs
 
 
 # --- epsilon substitution and leading term --------------------------------------
@@ -280,7 +285,7 @@ def test_eps_form_n2(best_for):
 
 
 def test_eps_form_constant():
-    p = RationalPolynomial.constant(Fr(2, 5))
+    p = RationalPolynomial([Fr(2, 5)])
     assert stats_in_epsilon(p) == p
 
 
@@ -361,22 +366,10 @@ def test_counts_codec(pair):
         assert (x < y, x == y) == (u < v, u == v)
 
 
-def _fraction_counts_to_poly(hist, n):
-    """Reference: the histogram's polynomial as a sum of exact Fraction terms."""
-    acc = RationalPolynomial()
-    for w, c in enumerate(hist):
-        if c:
-            acc = acc + c * werner_term_basis(n)[w]
-    return acc
-
-
 def test_werner_term_matrix_matches_fraction_products():
     # row w is 3^n * F^w * ((1-F)/3)^(n-w), compared exactly with Fractions
     for n in range(1, 17):
-        expected = [
-            [c * 3**n for c in p.coeffs] + [0] * (n + 1 - len(p.coeffs))
-            for p in werner_term_basis(n)
-        ]
+        expected = [[c * 3**n for c in p] + [0] * (n + 1 - len(p)) for p in werner_term_basis(n)]
         terms = _werner_term_matrix(n)
         assert terms.dtype == np.int64 and terms.tolist() == expected, n
 
@@ -385,6 +378,36 @@ def test_integer_counts_to_poly_matches_fraction_sum():
     rng = np.random.default_rng(11)
     for n in range(1, 11):
         hists = [[0] * (n + 1), [2 ** (n - 1)] * (n + 1)]
-        hists += [rng.integers(0, 2 ** (n - 1) + 1, size=n + 1) for _ in range(25)]
+        hists += [rng.integers(0, 2 ** (n - 1) + 1, size=n + 1).tolist() for _ in range(25)]
         polys = rows_to_polys(werner_coeff_rows(hists, n), n)
-        assert polys == tuple(_fraction_counts_to_poly(hist, n) for hist in hists), n
+        assert tuple(p.coeffs for p in polys) == werner_coset_polys(hists, n), n
+
+
+def _as_stats(exact) -> DistStats:
+    p_suc, f_num, fis = exact
+    return DistStats(RationalPolynomial(p_suc), RationalPolynomial(f_num), tuple(map(RationalPolynomial, fis)))
+
+
+def test_exact_stats_match_fraction_oracle(protocols_for):
+    # from_rows and the leading term of every Werner protocol of n <= 6
+    # against Fraction sums and an eps-expansion of the oracle's own
+    for n in range(2, 7):
+        for p in protocols_for(n):
+            want = exact_stats(werner_coset_polys(p.counts, n))
+            st = DistStats.from_rows(werner_coeff_rows(p.counts, n), n)
+            assert st == p.stats == _as_stats(want), (n, p.case_index)
+            assert leading_infidelity_term(st) == oracle_leading_term(want[1], want[0]), (n, p.case_index)
+
+
+def test_dejmps_exact_stats_match_fraction_oracle():
+    # every row of the concatenated family of n <= 5, against the exact
+    # tree recursion of the oracle, row for row
+    for n in range(2, 6):
+        keys = list(concatenated_candidates(n))
+        rows = candidate_rows(n)
+        assert len(rows) == len(keys), n
+        for row, key in zip(rows, keys):
+            want = exact_stats(key)
+            st = DistStats.from_rows(row, n)
+            assert st == _as_stats(want), n
+            assert leading_infidelity_term(st) == oracle_leading_term(want[1], want[0]), n
