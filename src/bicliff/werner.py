@@ -22,8 +22,11 @@ non-kept pairs gives one vector to each coset, whose X-shift, one of
 each key is a weighted sum over the four classes of subsets with equal
 parities: KEY_BASE times the coset's total less KEY_BASE - 1 times its kept
 class, both fixed integer combinations of a Walsh-Hadamard transform over s
-(Poisson summation).  One transform per block of graph classes serves every
-(a, b) pair, and each key is read straight off a gather of 16 of its entries
+(Poisson summation).  One table per block of graph classes whose last
+vertex has the same neighbourhood serves every (a, b) pair: the transform
+over the subsets of the other nodes, extended by the last vertex in one
+step that writes four quadrants from two views of it (`_half_table`).  A
+pair's four keys are two sums and two differences of 12 gathered entries,
 in wrapping uint64 arithmetic (exact: see `_block_keys`).  Deduplication
 streams: each block of graph classes is keyed and reduced to its first
 occurrences at once, so only the survivors of all blocks are ever held
@@ -297,25 +300,100 @@ class Protocol:
 # Batched statistics keys
 # ---------------------------------------------------------------------------
 
-# Coset c (order I, X, Y, Z): X-shifts t0 and t1 of its subsets with b.s = 0
-# and 1, and the shift tk and character signs of its kept class; shifts and
-# characters index [0, a, b, a^b].  Tuples, so that importing builds nothing.
-_COSETS = (
-    (0, 1, 0, (1, 1, 1, 1)),
-    (1, 0, 0, (1, 1, -1, -1)),
-    (3, 2, 2, (1, -1, -1, 1)),
-    (2, 3, 2, (1, -1, 1, -1)),
-)
-
-_BLOCK_GRAPHS = 48  # graph classes per transform (a 6.3 MB table at n = 8)
+_BLOCK_GRAPHS = 48  # graph classes per key table, all of one top neighbourhood (6.3 MB at n = 8)
 _BLOCK_PAIRS = 128  # (a, b) pairs per gather from it
 _HASH_MIX = 0x9E3779B97F4A7C15  # odd base of the polynomial row hash in `first_rows`
 _CURVE_SLICE = 64  # curves evaluated at a time in `best_curve`
-_KEPT_FACTOR = (KEY_BASE - 1) // 4  # weight of a kept class's Q in `_block_keys`
+# (KEY_BASE + 1)/2, KEY_BASE and (KEY_BASE - 1)/2: the weights of the extension
+# identity in `_half_table` and of the table entries in each coset key
+_WEIGHTS = ((KEY_BASE + 1) // 2, KEY_BASE, (KEY_BASE - 1) // 2)
+# signs of the entries of `_pair_entries` in alpha, beta, alpha', beta'
+_KEY_SIGNS = ((1, 1, 1, -1), (1, -1, 1, 1), (-1, -1, 1, -1))
+
+
+def _xor_view(table: np.ndarray, e: int, axis: int, k: int) -> np.ndarray:
+    """table at index i ^ e in place of i, for an index of k bits split into
+    the binary axes axis..axis+k-1, most significant first: a view, with the
+    axes of e's bits reversed."""
+    index = [slice(None)] * table.ndim
+    for bit in range(k):
+        if e >> bit & 1:
+            index[axis + k - 1 - bit] = slice(None, None, -1)
+    return table[tuple(index)]
+
+
+def _half_table(masks, m: int) -> np.ndarray:
+    """U = Ê/2 for labelled graphs on m >= 1 nodes whose last vertex has one
+    neighbourhood e: (2^m, 2^m, graphs) int64, indexed [character, X-shift].
+
+    Ê[chi, t] is the Walsh-Hadamard transform over the subsets s of the m
+    nodes of KEY_BASE^P, P = popcount((R[s] ^ t) | s), with R[s] the xor of
+    the graph's adjacency rows in s.  Only Ê', the table of the graph E' on
+    the first m-1 nodes, is transformed: KEY_BASE^P factorises over the bits
+    of s and t, so with chi = (chi_top, chi') and t = (t_top, t'),
+
+        Ê[chi, t] = w+ A - (-1)^t_top w- B + (-1)^chi_top KEY_BASE C,
+        A = Ê'[chi', t'],  B = Ê'[chi' ^ e, t'],  C = Ê'[chi', t' ^ e],
+
+    w± = (KEY_BASE ± 1)/2 (`_WEIGHTS`).  B and C are `_xor_view`s of Ê', so
+    one pass per term writes the four quadrants (chi_top, t_top).  Ê sums
+    2^m odd terms, so it is even.
+    """
+    k = m - 1
+    low = _pairs_before(k)
+    masks = np.asarray(masks, dtype=np.int64)
+    e = int(masks[0]) >> low
+    if np.any(masks >> low != e):
+        raise ValueError("the graphs' last vertices have different neighbourhoods")
+    size = 1 << k
+    subsets = np.arange(size, dtype=np.uint8)
+    rows = _adjacency(masks & ((1 << low) - 1), k).astype(np.uint8)
+    row_xors = np.zeros((size, len(masks)), dtype=np.uint8)
+    for j in range(k):
+        row_xors[1 << j : 2 << j] = row_xors[: 1 << j] ^ rows[j]
+    nonid = np.bitwise_count((row_xors[:, None] ^ subsets[:, None]) | subsets[:, None, None])
+    prefix = (np.int64(KEY_BASE) ** np.arange(k + 1))[nonid]  # [s', t', graph]
+    for h in (1 << j for j in range(k)):  # transform over s', in place
+        x, y = prefix.reshape(size // (2 * h), 2, h, -1).transpose(1, 0, 2, 3)
+        x += y
+        y *= -2
+        y += x
+    bits = prefix.reshape((2,) * (2 * k) + (len(masks),))
+    table = np.empty((2, size, 2, size, len(masks)), dtype=np.int64)
+    quads = table.reshape((2,) * (2 * k + 2) + (len(masks),))
+    q00, q01, q10, q11 = (quads[(c,) + (slice(None),) * k + (t,)] for c in (0, 1) for t in (0, 1))
+    plus, base, minus = _WEIGHTS
+    # q11 and q01 hold the terms of C and B until they are written
+    np.multiply(_xor_view(bits, e, k, k), base, out=q11)
+    np.multiply(bits, plus, out=q00)
+    np.subtract(q00, q11, out=q10)
+    q00 += q11
+    np.multiply(_xor_view(bits, e, 0, k), minus, out=q01)
+    np.add(q10, q01, out=q11)
+    q10 -= q01
+    q00 -= q01
+    q01 *= 2
+    q01 += q00
+    table >>= 1
+    return table.reshape(2 * size, 2 * size, len(masks))
+
+
+@lru_cache(maxsize=None)
+def _pair_entries(m: int) -> np.ndarray:
+    """Flat indices chi * 2^m + t into `_half_table` of the 12 entries each
+    (a, b) pair's keys read: (3, 4, pairs) int32.  Row r has weight `_WEIGHTS`[r],
+    at (0, 0), (0, a) and (a, 0) in column alpha, with chi, t or both shifted
+    by b in columns beta, alpha' and beta'."""
+    a, b = np.array(ab_pairs(m)).T
+    zero, ab = np.zeros_like(a), a ^ b
+    chi = np.array([[zero, b, zero, b], [zero, b, zero, b], [a, ab, a, ab]])
+    t = np.array([[zero, zero, b, b], [a, a, ab, ab], [zero, zero, b, b]])
+    return (chi << m | t).astype(np.int32)  # below 4^7: half the cached bytes
 
 
 def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
-    """Dedup keys of some graph classes under every (a, b) pair, into keys: (pairs, G, 4).
+    """Dedup keys of graph classes with one top neighbourhood under every (a, b)
+    pair, into keys: (pairs, G, 4).
 
     Column 0 encodes the base-coset histogram, columns 1..3 the sorted other
     three, as `states.encode_counts` does: each vector of identity weight
@@ -324,58 +402,60 @@ def _block_keys(n: int, masks: list, keys: np.ndarray) -> None:
     xor of the graph's adjacency rows in s and t one of [0, a, b, a^b], so
     its identity weight is m - P[s, t], P = popcount((R[s] ^ t) | s), plus
     one where the kept pair's bits are zero, which depends on (a.s, b.s) and
-    the coset alone.  With C_kept the sum of KEY_BASE^P over the subsets in
-    the kept class (of k = a.s + 2 b.s) and T the coset's total of KEY_BASE^P,
-    key = KEY_BASE (T - C_kept) + C_kept = KEY_BASE T - `_KEPT_FACTOR` Q.
-    Poisson summation reads both off Ê, the Walsh-Hadamard transform of
-    KEY_BASE^P over s, built once per block of graphs for every pair:
-    2T = Ê[0, t0] + Ê[b, t0] + Ê[0, t1] - Ê[b, t1] (two half-space sums over
-    b.s) and Q = 4 C_kept = Ê[0, tk] ± Ê[a, tk] ± Ê[b, tk] ± Ê[a^b, tk],
-    (t0, t1, tk, signs) from `_COSETS`.
+    the coset alone.  A coset's key is KEY_BASE times its total of
+    KEY_BASE^P less KEY_BASE - 1 times that of its kept class, and Poisson
+    summation reads both off U = Ê/2 (`_half_table`) as four sums over the
+    parity classes of s.  With x = a^b, w+ = 65, w = 129 and w- = 64 at
+    KEY_BASE = 129 (`_WEIGHTS`), the I and X cosets' keys are alpha ± beta
+    and the Y and Z cosets' keys alpha' ± beta', where
 
-    Exact for n <= 8 at KEY_BASE = 129: |Ê| <= 2^m KEY_BASE^m < 2^63 fits
-    the int64 table; every key is below 2^(n-1) KEY_BASE^n < 2^64, so the
-    uint64 sums may wrap mod 2^64; and the one division, 2T >> 1, is exact
-    because 0 <= 2T <= 2^(m+1) KEY_BASE^m < 2^64 holds 2T itself.
+        alpha  = w+ U[0, 0] + w U[0, a] - w- U[a, 0],
+        beta   = w+ U[b, 0] - w U[b, a] - w- U[x, 0],
+        alpha' = w+ U[0, b] + w U[0, x] + w- U[a, b],
+        beta'  = w U[b, x] - w+ U[b, b] - w- U[x, b]:
+
+    12 entries per graph and pair (`_pair_entries`, signs `_KEY_SIGNS`).
+
+    Exact for n <= 8 at KEY_BASE = 129: Ê is even, and each
+    |w+ A ± w- B ± w C| of `_half_table` is at most 2^m KEY_BASE^m < 2^63,
+    so the int64 table holds U; every key is below 2^(n-1) KEY_BASE^n < 2^64,
+    so the uint64 sums may wrap mod 2^64.
     """
     m = n - 1
-    size = 1 << m
-    subsets = np.arange(size, dtype=np.uint8)
-    rows = _adjacency(masks, m).astype(np.uint8)
-    row_xors = np.zeros((size, len(masks)), dtype=np.uint8)
-    for k in range(m):
-        row_xors[1 << k : 2 << k] = row_xors[: 1 << k] ^ rows[k]
-    nonid = np.bitwise_count((row_xors[:, None] ^ subsets[:, None]) | subsets[:, None, None])
-    table = (np.int64(KEY_BASE) ** np.arange(m + 1))[nonid]  # [s, t, graph]
-    for h in (1 << k for k in range(m)):  # transform over s, in place
-        x, y = table.reshape(size // (2 * h), 2, h, -1).transpose(1, 0, 2, 3)
-        x += y
-        y *= -2
-        y += x
-    a, b = np.array(ab_pairs(m)).T
-    shifts = np.stack([np.zeros_like(a), a, b, a ^ b])
-    for lo in range(0, shifts.shape[1], _BLOCK_PAIRS):
-        shift = shifts[:, lo : lo + _BLOCK_PAIRS]
-        e = table[shift[:, None], shift[None]].view(np.uint64)  # [character, t, pair, graph]
-        out = np.empty((4,) + e.shape[2:], dtype=np.uint64)  # [coset, pair, graph]
-        for key, (t0, t1, tk, signs) in zip(out, _COSETS):
-            np.subtract(e[0, t0] + e[2, t0] + e[0, t1], e[2, t1], out=key)  # 2T
-            key >>= 1
-            key *= KEY_BASE
-            for sign, entry in zip(signs, e[:, tk]):  # less _KEPT_FACTOR Q
-                (np.subtract if sign > 0 else np.add)(key, entry * _KEPT_FACTOR, out=key)
+    table = _half_table(masks, m).reshape(1 << 2 * m, len(masks))
+    entries = _pair_entries(m)
+    weights = (np.array(_KEY_SIGNS) * np.array(_WEIGHTS)[:, None]).astype(np.uint64)
+    for lo in range(0, entries.shape[-1], _BLOCK_PAIRS):
+        u = np.take(table, entries[..., lo : lo + _BLOCK_PAIRS], axis=0).view(np.uint64)
+        u *= weights[..., None, None]  # [weight, alpha/beta/alpha'/beta', pair, graph]
+        sums = np.add(u[0], u[1], out=u[0])
+        sums += u[2]
+        out = u[1]  # [coset, pair, graph]
+        np.add(sums[0::2], sums[1::2], out=out[0::2])
+        np.subtract(sums[0::2], sums[1::2], out=out[1::2])
         keys[lo : lo + _BLOCK_PAIRS] = sort_coset_keys(np.moveaxis(out, 0, -1))
+
+
+def _graph_blocks(graphs: list, m: int) -> list:
+    """(lo, hi) bounds of one `_half_table` each: runs of at most
+    `_BLOCK_GRAPHS` consecutive graphs on m nodes whose last vertex has the
+    same neighbourhood.  Canonical classes are sorted by it."""
+    tops = [graph >> _pairs_before(m - 1) for graph in graphs]
+    starts = [i for i in range(len(tops)) if i == 0 or tops[i] != tops[i - 1]]
+    runs = zip(starts, starts[1:] + [len(tops)])
+    step = _BLOCK_GRAPHS
+    return [(lo, min(lo + step, end)) for start, end in runs for lo in range(start, end, step)]
 
 
 def all_case_keys(n: int, graphs: list | None = None) -> np.ndarray:
     """Dedup keys of every case over the given graph classes (default: all),
-    pair-major: (pairs x graphs, 4) uint64.  Blocks of `_BLOCK_GRAPHS` classes
-    are keyed under every (a, b) pair straight into their columns."""
+    pair-major: (pairs x graphs, 4) uint64.  Each of `_graph_blocks` is keyed
+    under every (a, b) pair straight into its columns."""
     _check_enum_n(n)
     graphs = graphs_up_to_iso(n - 1) if graphs is None else graphs
     keys = np.empty((count_ab_pairs(n - 1), len(graphs), 4), dtype=np.uint64)
-    for lo in range(0, len(graphs), _BLOCK_GRAPHS):
-        _block_keys(n, graphs[lo : lo + _BLOCK_GRAPHS], keys[:, lo : lo + _BLOCK_GRAPHS])
+    for lo, hi in _graph_blocks(graphs, n - 1):
+        _block_keys(n, graphs[lo:hi], keys[:, lo:hi])
     return keys.reshape(-1, 4)
 
 
@@ -395,13 +475,12 @@ def distinct_protocols(n: int, jobs: int = 1) -> list:
     Cases are scanned in the canonical order and deduplicated on the exact
     statistics key (base histogram plus sorted multiset of the other three);
     the first case producing each key is the protocol's case.
-    Each block of `_BLOCK_GRAPHS` graph classes is deduplicated on its own (on
-    up to `jobs` worker processes, see `ordered_calls`), then the survivors.
+    Each block of `_graph_blocks` is deduplicated on its own (on up to `jobs`
+    worker processes, see `ordered_calls`), then the survivors.
     """
     _check_enum_n(n)
     graphs = graphs_up_to_iso(n - 1)
-    starts = range(0, len(graphs), _BLOCK_GRAPHS)
-    calls = [(n, graphs[lo : lo + _BLOCK_GRAPHS], lo, len(graphs)) for lo in starts]
+    calls = [(n, graphs[lo:hi], lo, len(graphs)) for lo, hi in _graph_blocks(graphs, n - 1)]
     blocks = ordered_calls(_first_cases, calls, jobs)
     index, keys = map(np.concatenate, zip(*blocks))
     order = np.argsort(index)

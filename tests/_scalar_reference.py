@@ -16,8 +16,9 @@ completion that solves each system afresh with them (the oracle of
 identical pairs, re-reduced with the same elimination and keyed by
 `key_codes`, the Werner symmetry generators, the case
 enumeration over (a, b) pairs derived bit by bit (the oracle of the filtered
-`werner.ab_pairs`), the Werner product state, and the DEJMPS step with its
-concatenation plans.  The graph-class oracle relabels masks through byte
+`werner.ab_pairs`), the full-size Werner key table over every subset (the
+oracle of `werner._half_table`), the Werner product state, and the DEJMPS
+step with its concatenation plans.  The graph-class oracle relabels masks through byte
 tables, not the edge-at-a-time map of `werner`.  Exact polynomials here are
 Fraction coefficient tuples added and multiplied by `poly_add` and
 `poly_mul`, an arithmetic of the oracle's own: the library keeps exact
@@ -51,7 +52,7 @@ from bicliff.gf2 import (
 )
 from bicliff.groups import GeneratorSet
 from bicliff.orders import check_pair_count, dn_index
-from bicliff.states import BellDiagonalState, DistStats, counts_key
+from bicliff.states import KEY_BASE, BellDiagonalState, DistStats, counts_key
 from bicliff.werner import (
     WernerCase,
     _check_enum_n,
@@ -871,6 +872,29 @@ def adjacency_rows(mask: int, m: int) -> list:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return rows
+
+
+def full_key_table(masks, m: int) -> np.ndarray:
+    """Ê for labelled graphs on m nodes: (2^m, 2^m, graphs) int64, indexed
+    [character, X-shift], the Walsh-Hadamard transform over all 2^m subsets
+    s of KEY_BASE^P, P = popcount((R[s] ^ t) | s), R[s] the xor of the
+    adjacency rows in s, built by a power gather and a transform over every
+    subset: the oracle of `werner._half_table`, which extends the table of
+    the first m - 1 nodes instead."""
+    size = 1 << m
+    subsets = np.arange(size, dtype=np.int64)
+    rows = np.array([adjacency_rows(mask, m) for mask in masks], dtype=np.int64).reshape(-1, m)
+    row_xors = np.zeros((size, len(rows)), dtype=np.int64)
+    for k in range(m):
+        row_xors[1 << k : 2 << k] = row_xors[: 1 << k] ^ rows[:, k]
+    nonid = np.bitwise_count((row_xors[:, None] ^ subsets[:, None]) | subsets[:, None, None])
+    table = (np.int64(KEY_BASE) ** np.arange(m + 1))[nonid]  # [s, t, graph]
+    for h in (1 << k for k in range(m)):  # transform over s, in place
+        x, y = table.reshape(size // (2 * h), 2, h, -1).transpose(1, 0, 2, 3)
+        x += y
+        y *= -2
+        y += x
+    return table
 
 
 def representative(case: WernerCase) -> SymplecticMatrix:

@@ -160,9 +160,11 @@ def test_scalar_oracle_shares_no_kernel_with_synthesis():
 
 def test_scalar_oracle_shares_no_case_tables_with_werner():
     # `_scalar_reference.ab_pairs_by_top_bit` and `byte_table_mask_map` are
-    # derivations that check the definitions in `werner`, so the oracle must
-    # not take the pair order or the relabelling from there
-    tables = {"ab_pairs", "_permuted_mask_map"}
+    # derivations that check the definitions in `werner`, and `full_key_table`
+    # transforms over every subset to check the extended key table, so the
+    # oracle must not take the pair order, the relabelling or the extension
+    # from there
+    tables = {"ab_pairs", "_permuted_mask_map", "_half_table", "_xor_view"}
     tree = ast.parse((Path(__file__).parent / "_scalar_reference.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "bicliff.werner":

@@ -41,6 +41,7 @@ from _scalar_reference import (
     ab_pairs_by_top_bit,
     adjacency_rows,
     enumerate_cases,
+    full_key_table,
     kn_generators,
     propagated_graph_classes,
 )
@@ -334,6 +335,55 @@ def test_closed_form_keys_match_bincount_on_labelled_graphs(data):
     assert np.array_equal(keys[p], _bincount_pair_keys(n, *pairs[p], graphs)), (pairs[p], graphs)
 
 
+def _labelled_with_top(m, e, prefixes):
+    """Masks on m nodes: each prefix graph on the first m-1, with neighbourhood e
+    for the last vertex."""
+    return [e << (m - 1) * (m - 2) // 2 | prefix for prefix in prefixes]
+
+
+def test_half_table_matches_full_transform_on_every_small_graph():
+    import bicliff.werner as werner
+
+    # every labelled graph on m <= 4 nodes, under every top neighbourhood
+    for m in range(1, 5):
+        prefixes = range(1 << (m - 1) * (m - 2) // 2)
+        for e in range(1 << (m - 1)):
+            masks = _labelled_with_top(m, e, prefixes)
+            table = werner._half_table(masks, m)
+            assert np.array_equal(2 * table, full_key_table(masks, m)), (m, e)
+    with pytest.raises(ValueError, match="neighbourhoods"):
+        werner._half_table(_labelled_with_top(3, 0, [0]) + _labelled_with_top(3, 1, [0]), 3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_half_table_matches_full_transform_on_labelled_graphs(data):
+    import bicliff.werner as werner
+
+    m = data.draw(st.integers(5, 7), label="m")
+    e = data.draw(st.integers(0, (1 << (m - 1)) - 1), label="e")
+    prefix = st.integers(0, (1 << (m - 1) * (m - 2) // 2) - 1)
+    prefixes = data.draw(st.lists(prefix, min_size=1, max_size=3), label="prefixes")
+    masks = _labelled_with_top(m, e, prefixes)
+    assert np.array_equal(2 * werner._half_table(masks, m), full_key_table(masks, m))
+
+
+def test_xor_view_matches_take():
+    import bicliff.werner as werner
+
+    rng = np.random.default_rng(0)
+    for k in range(7):
+        table = rng.integers(1 << 30, size=(1 << k, 1 << k, 2))
+        bits = table.reshape((2,) * (2 * k) + (2,))
+        index = np.arange(1 << k)
+        for e in range(1 << k):
+            for axis in (0, 1):
+                view = werner._xor_view(bits, e, axis * k, k)
+                assert np.shares_memory(view, table)
+                want = np.take(table, index ^ e, axis)
+                assert np.array_equal(view.reshape(table.shape), want), (k, e, axis)
+
+
 # --- deduplication -----------------------------------------------------------------
 
 
@@ -364,7 +414,8 @@ def test_dedup_across_blocks_matches_row_unique(monkeypatch, block):
 
 def test_distinct_protocols_stream_graph_blocks(monkeypatch):
     # every key row the enumeration reads comes from a call on at most one
-    # block of graph classes, and the calls together cover every case once
+    # block of graph classes, all with one top neighbourhood, and the calls
+    # together cover every case once
     import bicliff.werner as werner
 
     calls = []
@@ -372,13 +423,16 @@ def test_distinct_protocols_stream_graph_blocks(monkeypatch):
 
     def spy(n, graphs=None):
         out = keys(n, graphs)
-        calls.append((len(graphs), len(out)))
+        calls.append((list(graphs), len(out)))
         return out
 
     monkeypatch.setattr(werner, "all_case_keys", spy)
     assert len(werner.distinct_protocols(7)) == DISTINCT_COUNTS[7]
-    assert len(calls) == -(-len(graphs_up_to_iso(6)) // werner._BLOCK_GRAPHS)
-    assert max(graphs for graphs, _ in calls) <= werner._BLOCK_GRAPHS
+    top = 10  # edges among nodes 0..4; the higher bits are node 5's neighbourhood
+    runs = [len(list(run)) for _, run in itertools.groupby(graphs_up_to_iso(6), lambda g: g >> top)]
+    assert len(calls) == sum(-(-run // werner._BLOCK_GRAPHS) for run in runs)
+    assert max(len(graphs) for graphs, _ in calls) <= werner._BLOCK_GRAPHS
+    assert all(len({g >> top for g in graphs}) == 1 for graphs, _ in calls)
     assert sum(rows for _, rows in calls) == case_count(7)
 
 
